@@ -145,10 +145,6 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
     return VerifyRun(program, registry, order, results, user_tasks)
 
 
-def verify_files(paths: list[str], config: RunConfig) -> VerifyRun:
-    return verify_program(load_sources(paths), config)
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------

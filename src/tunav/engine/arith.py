@@ -122,13 +122,6 @@ def atom_constraints(graph, kind: str, l: int, r: int, idx: int,
     raise ValueError(f"unknown arith atom kind {kind}")
 
 
-def arith_consistent(constraints: list[Constraint],
-                     elim_cap: int = DEFAULT_ELIM_CAP) -> str:
-    """'consistent' | 'inconsistent' | 'unknown' for a conjunction of
-    normalized linear integer constraints."""
-    return check_constraints(constraints, elim_cap).status
-
-
 def check_constraints(constraints: list[Constraint],
                       elim_cap: int = DEFAULT_ELIM_CAP) -> ArithResult:
     """Decide a conjunction of normalized constraints by bound propagation and

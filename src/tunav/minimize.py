@@ -19,6 +19,7 @@ from tunav.syntax.ast import (
     ProofFn,
     SourceSpan,
     Stmt,
+    walk_stmts,
 )
 
 
@@ -58,23 +59,15 @@ def enumerate_assert_sites(asts: list[ProgramAst]) -> list[AssertSite]:
     """Assert/AssertBy sites in source order; an AssertBy precedes its nested
     sites."""
     sites: list[AssertSite] = []
-    ordinal = 0
-
-    def walk(stmts: list[Stmt], fn: str):
-        nonlocal ordinal
-        for s in stmts:
-            if isinstance(s, AssertBy):
-                sites.append(AssertSite(s.span, "assert-by", fn, ordinal))
-                ordinal += 1
-                walk(s.body, fn)
-            elif isinstance(s, Assert):
-                sites.append(AssertSite(s.span, "assert", fn, ordinal))
-                ordinal += 1
-
     for ast in asts:
         for d in ast.declarations:
-            if isinstance(d, ProofFn):
-                walk(d.body, f"{ast.module}::{d.name}")
+            if not isinstance(d, ProofFn):
+                continue
+            fn = f"{ast.module}::{d.name}"
+            for s in walk_stmts(d.body):
+                if isinstance(s, (Assert, AssertBy)):
+                    kind = "assert-by" if isinstance(s, AssertBy) else "assert"
+                    sites.append(AssertSite(s.span, kind, fn, len(sites)))
     return sites
 
 
@@ -120,7 +113,8 @@ def minimize(asts: list[ProgramAst], config: RunConfig,
     "function" (re-verify only the containing function per trial) or "project"
     (re-verify everything per trial)."""
     t0 = time.monotonic()
-    # statement spans must be fresh-parsed (unique); re-resolution happens per trial
+    # sites are named by span key; verification leaves `asts` unmodified, so
+    # every trial prunes the same trees
     baseline = verify_program(asts, config)
     runs = 1
     not_ok = [t for t in baseline.user_tasks

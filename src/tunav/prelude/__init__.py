@@ -4,7 +4,7 @@ group_<type>_properties groups."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
 from importlib import resources
 
 from tunav.syntax import ProgramAst, parse_module
@@ -17,38 +17,18 @@ PRELUDE_FILES = (
     ("multiset.tv", "prelude::multiset"),
 )
 
-GROUPS = (
-    "prelude::core::group_default",
-    "prelude::seq::group_seq_properties",
-    "prelude::set::group_set_properties",
-    "prelude::map::group_map_properties",
-    "prelude::multiset::group_multiset_properties",
-)
 
-
-@dataclass
-class PreludeManifest:
-    files: dict[str, str]  # module path -> source text
-    group_counts: dict[str, int]  # group path -> flattened fact count
-
-
-def prelude_sources() -> dict[str, str]:
-    out = {}
-    for fname, module in PRELUDE_FILES:
-        out[module] = resources.files("tunav.prelude").joinpath(fname).read_text()
-    return out
+@functools.cache
+def _parsed_prelude() -> tuple[ProgramAst, ...]:
+    return tuple(
+        parse_module(resources.files("tunav.prelude").joinpath(fname).read_text(),
+                     f"<prelude>/{fname}", module=module)
+        for fname, module in PRELUDE_FILES)
 
 
 def load_prelude() -> list[ProgramAst]:
-    """Parse the embedded prelude sources (verified by the test suite and by
-    `tunav verify --prelude-only`)."""
-    asts = []
-    for fname, module in PRELUDE_FILES:
-        text = resources.files("tunav.prelude").joinpath(fname).read_text()
-        asts.append(parse_module(text, f"<prelude>/{fname}", module=module))
-    return asts
-
-
-def manifest(registry) -> PreludeManifest:
-    counts = {g: len(registry.groups.get(g, ())) for g in GROUPS}
-    return PreludeManifest(prelude_sources(), counts)
+    """The embedded prelude modules (verified by the test suite and by
+    `tunav verify --prelude-only`). The sources are parsed once per process;
+    every call returns a new list of the same ASTs, which the pipeline never
+    modifies."""
+    return list(_parsed_prelude())

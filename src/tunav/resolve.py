@@ -5,6 +5,10 @@ Generic declarations are monomorphized: every ground type instantiation used
 anywhere in the program yields a separate fact instance. Generic proof fns are
 verified once at fresh (skolem) sorts; those skolem-typed fact instances stay
 private to the defining lemma's own verification.
+
+Resolution never modifies the ASTs it is given: types, callees and absolute
+`use` paths live in the resolver's tables and on the monomorphized copies
+(`MonoFn.decl`) that vcgen and the engine read.
 """
 
 from __future__ import annotations
@@ -41,6 +45,9 @@ from tunav.syntax.ast import (
     Type,
     UseStmt,
     Var,
+    stmt_exprs,
+    walk_exprs,
+    walk_stmts,
 )
 
 PRELUDE_MODULES = ("prelude::core", "prelude::seq", "prelude::set",
@@ -277,11 +284,14 @@ class _Checker:
     # -- expressions ---------------------------------------------------------
 
     def check_expr(self, e: Expr) -> Type:
+        ty = self.infer(e)
+        self.rs.types[id(e)] = ty
+        return ty
+
+    def infer(self, e: Expr) -> Type:
         if isinstance(e, IntLit):
-            e.ty = INT
             return INT
         if isinstance(e, BoolLit):
-            e.ty = BOOL
             return BOOL
         if isinstance(e, Var):
             ty = self.lookup_var(e.name)
@@ -289,11 +299,8 @@ class _Checker:
                 const = self.rs.lookup_const(e.name, self.module)
                 if const is None:
                     raise ResolveError(f"unbound variable '{e.name}'", e.span)
-                path, cty = const
-                e.resolved = path
-                e.ty = cty
-                return cty
-            e.ty = ty
+                path, ty = const
+                self.rs.const_refs[id(e)] = path
             return ty
         if isinstance(e, Call):
             return self.check_call(e)
@@ -301,7 +308,6 @@ class _Checker:
             return self.check_binop(e)
         if isinstance(e, Not):
             self.require(e.arg, BOOL)
-            e.ty = BOOL
             return BOOL
         if isinstance(e, (Forall, Exists)):
             self.push()
@@ -314,7 +320,6 @@ class _Checker:
                 for b in e.binders:
                     self.unbind(b.name)
                 self.pop()
-            e.ty = BOOL
             return BOOL
         raise ResolveError(f"cannot type {type(e).__name__}", e.span)
 
@@ -326,25 +331,20 @@ class _Checker:
 
     def check_call(self, e: Call) -> Type:
         arg_tys = [self.check_expr(a) for a in e.args]
-        decl, path, sub = self.rs.resolve_callable(
-            e.name, self.module, arg_tys, e.span, kinds=(SpecFn,), checker=self)
-        e.resolved = None  # assigned during instantiation
-        e._callee = (path, tuple(sub.get(tp, Type(tp)) for tp in decl.type_params))
-        ret = _subst_type(decl.ret, sub)
-        e.ty = carrier(ret) if ret.name == "nat" else ret
-        return e.ty
+        path, sub = self.rs.resolve_callable(
+            e, e.name, self.module, arg_tys, kinds=(SpecFn,), checker=self)
+        ret = _subst_type(self.rs.rets[path], sub)
+        return carrier(ret) if ret.name == "nat" else ret
 
     def check_binop(self, e: BinOp) -> Type:
         op = e.op
         if op in ("+", "-", "*", "%"):
             self.require(e.lhs, INT)
             self.require(e.rhs, INT)
-            e.ty = INT
             return INT
         if op in ("<", "<=", ">", ">="):
             self.require(e.lhs, INT)
             self.require(e.rhs, INT)
-            e.ty = BOOL
             return BOOL
         if op in ("==", "!="):
             lt = self.check_expr(e.lhs)
@@ -352,12 +352,10 @@ class _Checker:
             if carrier(lt) != carrier(rt):
                 raise ResolveError(
                     f"type mismatch in {op}: {lt.render()} vs {rt.render()}", e.span)
-            e.ty = BOOL
             return BOOL
         if op in ("&&", "||", "==>", "<==>"):
             self.require(e.lhs, BOOL)
             self.require(e.rhs, BOOL)
-            e.ty = BOOL
             return BOOL
         raise ResolveError(f"unknown operator {op}", e.span)
 
@@ -385,13 +383,11 @@ class _Checker:
             self.bind(s.name, ty, s.span, "let")
         elif isinstance(s, LemmaCall):
             arg_tys = [self.check_expr(a) for a in s.args]
-            decl, path, sub = self.rs.resolve_callable(
-                s.path, self.module, arg_tys, s.span, kinds=(ProofFn, AxiomFn),
-                checker=self)
-            s.resolved = None
-            s._callee = (path, tuple(sub.get(tp, Type(tp)) for tp in decl.type_params))
+            self.rs.resolve_callable(s, s.path, self.module, arg_tys,
+                                     kinds=(ProofFn, AxiomFn), checker=self)
         elif isinstance(s, UseStmt):
-            s.paths = [self.rs.resolve_import(p, self.module, s.span) for p in s.paths]
+            self.rs.use_paths[id(s)] = [self.rs.resolve_import(p, self.module, s.span)
+                                        for p in s.paths]
         else:
             raise ResolveError(f"cannot check {type(s).__name__}", s.span)
 
@@ -420,6 +416,16 @@ class _Resolver:
         self.module_uses: dict[str, list[str]] = {}
         self.consts: dict[str, Type] = {}
         self.sorts: dict[str, SortDecl] = {}
+        # Fully qualified signatures by decl path, resolved before any body.
+        self.params: dict[str, list[Param]] = {}
+        self.rets: dict[str, Type] = {}  # spec fns only
+        # What checking learns about the input nodes, keyed by id(node): the
+        # input ASTs are never modified; instantiation copies these onto the
+        # MonoFn trees.
+        self.types: dict[int, Type] = {}  # expression -> type
+        self.const_refs: dict[int, str] = {}  # Var -> const path
+        self.callees: dict[int, tuple[str, tuple[Type, ...]]] = {}  # Call/LemmaCall
+        self.use_paths: dict[int, list[str]] = {}  # UseStmt -> absolute paths
 
     # -- symbol table --------------------------------------------------------
 
@@ -445,8 +451,22 @@ class _Resolver:
                         raise ResolveError(f"ambiguous sort name '{d.name}'", d.span)
                     self.sort_path[d.name] = path
                     self.sort_path[path] = path
+
+    def resolve_signatures(self):
+        """Qualify every fn's parameter and return types and every const's
+        type, so a body may use a declaration that comes later in the source."""
+        for ast in self.asts:
+            for d in ast.declarations:
+                path = f"{ast.module}::{d.name}"
                 if isinstance(d, ConstDecl):
-                    self.consts[path] = d.ty
+                    self.consts[path] = _Checker(self, ast.module, []).check_type(
+                        d.ty, d.span)
+                elif isinstance(d, (SpecFn, ProofFn, AxiomFn)):
+                    ck = _Checker(self, ast.module, d.type_params)
+                    self.params[path] = [Param(p.name, ck.check_type(p.ty, d.span))
+                                         for p in d.params]
+                    if isinstance(d, SpecFn):
+                        self.rets[path] = ck.check_type(d.ret, d.span)
 
     def lookup_sort(self, name: str, module: str) -> SortDecl | None:
         for cand in (f"{module}::{name}", name, self.sort_path.get(name)):
@@ -473,34 +493,39 @@ class _Resolver:
                 out.append(path)
         return out
 
-    def resolve_callable(self, name: str, module: str, arg_tys: list[Type], span,
-                         kinds, checker: _Checker):
+    def resolve_callable(self, node: Call | LemmaCall, name: str, module: str,
+                         arg_tys: list[Type], kinds, checker: _Checker):
+        """Resolve the callee of `node` by name and argument types; records
+        its path and type arguments and returns `(path, substitution)`."""
         matches = []
         for path in self.candidate_paths(name, module):
             decl = self.symbols[path]
             if not isinstance(decl, kinds):
                 continue
-            if len(decl.params) != len(arg_tys):
+            params = self.params[path]
+            if len(params) != len(arg_tys):
                 continue
             sub: dict[str, Type] = {}
             tps = set(decl.type_params)
             if all(checker.unify(p.ty, a, sub, tps)
-                   for p, a in zip(decl.params, arg_tys)):
+                   for p, a in zip(params, arg_tys)):
                 matches.append((decl, path, sub))
         if not matches:
             kind_names = "/".join(k.__name__ for k in kinds)
             raise ResolveError(
                 f"no matching {kind_names} for '{name}'"
-                f"({', '.join(t.render() for t in arg_tys)})", span)
+                f"({', '.join(t.render() for t in arg_tys)})", node.span)
         if len(matches) > 1:
             paths = ", ".join(p for _, p, _ in matches)
-            raise ResolveError(f"ambiguous call '{name}': candidates {paths}", span)
+            raise ResolveError(f"ambiguous call '{name}': candidates {paths}",
+                               node.span)
         decl, path, sub = matches[0]
         for tp in decl.type_params:
             if tp not in sub:
                 raise ResolveError(
-                    f"cannot infer type argument {tp} for '{path}'", span)
-        return decl, path, sub
+                    f"cannot infer type argument {tp} for '{path}'", node.span)
+        self.callees[id(node)] = (path, tuple(sub[tp] for tp in decl.type_params))
+        return path, sub
 
     def resolve_import(self, path: str, module: str, span) -> str:
         for cand in self.candidate_paths(path, module):
@@ -522,82 +547,48 @@ class _Resolver:
 
     def check_decl(self, module: str, d: Declaration):
         if isinstance(d, BroadcastUse):
-            d.paths = [self.resolve_import(p, module, d.span) for p in d.paths]
-            self.module_uses[module].extend(d.paths)
+            self.module_uses[module].extend(
+                self.resolve_import(p, module, d.span) for p in d.paths)
             return
-        if isinstance(d, BroadcastGroup):
-            return  # validated during registry construction
-        if isinstance(d, SortDecl):
-            return
-        if isinstance(d, ConstDecl):
-            ck = _Checker(self, module, [])
-            d.ty = ck.check_type(d.ty, d.span)
-            self.consts[f"{module}::{d.name}"] = d.ty
-            return
+        if isinstance(d, (BroadcastGroup, SortDecl, ConstDecl)):
+            return  # groups are checked by build_registry, consts by resolve_signatures
+        if not isinstance(d, (SpecFn, ProofFn, AxiomFn)):
+            raise ResolveError(f"unsupported declaration {type(d).__name__}", d.span)
+        path = f"{module}::{d.name}"
+        if isinstance(d, SpecFn) and d.ret.name == "nat" and d.body is not None:
+            raise ResolveError(
+                "nat return types are only supported on bodiless spec fns", d.span)
+        ck = _Checker(self, module, d.type_params)
+        for p in self.params[path]:
+            ck.bind(p.name, p.ty, d.span, "parameter")
         if isinstance(d, SpecFn):
-            if d.ret.name == "nat" and d.body is not None:
-                raise ResolveError(
-                    "nat return types are only supported on bodiless spec fns", d.span)
-            ck = _Checker(self, module, d.type_params)
-            new_params = []
-            for p in d.params:
-                ty = ck.check_type(p.ty, d.span)
-                ck.bind(p.name, ty, d.span, "parameter")
-                new_params.append(Param(p.name, ty))
-            d.params = new_params
-            d.ret = ck.check_type(d.ret, d.span)
             if d.body is not None:
-                ck.require(d.body, d.ret)
+                ck.require(d.body, self.rets[path])
             return
-        if isinstance(d, (ProofFn, AxiomFn)):
-            ck = _Checker(self, module, d.type_params)
-            new_params = []
-            for p in d.params:
-                ty = ck.check_type(p.ty, d.span)
-                ck.bind(p.name, ty, d.span, "parameter")
-                new_params.append(Param(p.name, ty))
-            d.params = new_params
-            for e in d.requires:
-                ck.require(e, BOOL)
-            for e in d.ensures:
-                ck.require(e, BOOL)
-            if isinstance(d, ProofFn):
-                ck.check_stmts(d.body)
-            self.validate_marks(module, d)
-            return
-        raise ResolveError(f"unsupported declaration {type(d).__name__}", d.span)
+        for e in d.requires:
+            ck.require(e, BOOL)
+        for e in d.ensures:
+            ck.require(e, BOOL)
+        if isinstance(d, ProofFn):
+            ck.check_stmts(d.body)
+        self.validate_marks(d)
 
-    def validate_marks(self, module: str, d: Declaration):
+    def validate_marks(self, d: ProofFn | AxiomFn):
         """`#[trigger]` marks must sit under a quantifier, or in the clauses of
         a broadcast fn (whose parameters are lowered to quantified binders)."""
-
-        def scan(e: Expr, covered: bool):
-            if isinstance(e, (Forall, Exists)):
-                for sub in _expr_children(e):
-                    scan(sub, True)
-                return
-            if e.trigger_mark and not covered:
-                raise ResolveError("misplaced #[trigger]: not inside a quantifier",
-                                   e.span)
-            for sub in _expr_children(e):
-                scan(sub, covered)
-
-        broadcast = getattr(d, "broadcast", False)
-        for e in getattr(d, "requires", []) + getattr(d, "ensures", []):
-            scan(e, broadcast)
+        exprs = [] if d.broadcast else d.requires + d.ensures
         if isinstance(d, ProofFn):
-            def scan_stmts(stmts):
-                for s in stmts:
-                    if isinstance(s, (Assert, AssertBy)):
-                        scan(s.expr, False)
-                    if isinstance(s, AssertBy):
-                        scan_stmts(s.body)
-                    if isinstance(s, Let):
-                        scan(s.expr, False)
-                    if isinstance(s, LemmaCall):
-                        for a in s.args:
-                            scan(a, False)
-            scan_stmts(d.body)
+            exprs += [e for s in walk_stmts(d.body) for e in stmt_exprs(s)]
+        for e in exprs:
+            marked = [sub for sub in walk_exprs(e) if sub.trigger_mark]
+            if not marked:
+                continue
+            quantified = {id(sub) for q in walk_exprs(e)
+                          if isinstance(q, (Forall, Exists)) for sub in walk_exprs(q)}
+            for sub in marked:
+                if id(sub) not in quantified:
+                    raise ResolveError(
+                        "misplaced #[trigger]: not inside a quantifier", sub.span)
 
     # -- monomorphization -------------------------------------------------------
 
@@ -632,7 +623,7 @@ class _Resolver:
                 continue
             decl = self.symbols[path]
             sub = dict(zip(decl.type_params, targs))
-            inst_decl = _instantiate_decl(decl, sub, self)
+            inst_decl = _instantiate_decl(path, decl, sub, self)
             kind = {"SpecFn": "spec", "ProofFn": "proof", "AxiomFn": "axiom"}[
                 type(decl).__name__]
             fn = MonoFn(sym, path, targs, kind, inst_decl, self.decl_module[path])
@@ -652,11 +643,17 @@ class _Resolver:
 
         for fn in self.instances.values():
             d = fn.decl
-            for p in getattr(d, "params", []):
+            for p in d.params:
                 add(p.ty)
-            add(getattr(d, "ret", None))
-            for e in _decl_exprs(d):
-                for sub in _walk_all(e):
+            if isinstance(d, SpecFn):
+                add(d.ret)
+                exprs = [] if d.body is None else [d.body]
+            else:
+                exprs = d.requires + d.ensures
+                if isinstance(d, ProofFn):
+                    exprs += [e for s in walk_stmts(d.body) for e in stmt_exprs(s)]
+            for e in exprs:
+                for sub in walk_exprs(e):
                     add(sub.ty)
         return live
 
@@ -670,7 +667,7 @@ class _Resolver:
                 continue
             if not decl.type_params:
                 continue
-            for targs in self._liveness_assignments(decl, live):
+            for targs in self._liveness_assignments(path, decl, live):
                 sym = mono_symbol(path, targs)
                 if sym not in self.instances:
                     self.demand(path, targs)
@@ -680,11 +677,12 @@ class _Resolver:
     # (skolem-typed instances stay private to their owning lemma's context;
     # the filtering happens at context assembly, not here)
 
-    def _liveness_assignments(self, decl, live: set[Type]) -> list[tuple[Type, ...]]:
+    def _liveness_assignments(self, path: str, decl,
+                              live: set[Type]) -> list[tuple[Type, ...]]:
         tps = list(decl.type_params)
         candidates: dict[str, set[Type]] = {tp: set() for tp in tps}
         anchored: set[str] = set()
-        for p in decl.params:
+        for p in self.params[path]:
             ty = p.ty
             if not ty.args:
                 continue
@@ -760,7 +758,7 @@ class _Resolver:
             graph[sym] = set()
             if body is None:
                 continue
-            for sub in _walk_all(body):
+            for sub in walk_exprs(body):
                 if isinstance(sub, Call) and sub.resolved in self.instances:
                     callee = self.instances[sub.resolved]
                     if callee.kind == "spec" and callee.decl.body is not None:
@@ -774,67 +772,14 @@ class _Resolver:
         return result
 
     def reject_recursive_proof_fns(self):
-        graph: dict[str, set[str]] = {}
-        for path, decl in self.symbols.items():
-            if not isinstance(decl, ProofFn):
-                continue
-            graph[path] = set()
-
-            def scan(stmts):
-                for s in stmts:
-                    if isinstance(s, LemmaCall) and hasattr(s, "_callee"):
-                        callee = s._callee[0]
-                        if callee in graph or isinstance(
-                                self.symbols.get(callee), ProofFn):
-                            graph[path].add(callee)
-                    if isinstance(s, AssertBy):
-                        scan(s.body)
-
-            scan(decl.body)
+        # edges to axioms leave the graph, which only has proof fns as nodes
+        graph = {path: {self.callees[id(s)][0] for s in walk_stmts(decl.body)
+                        if isinstance(s, LemmaCall)}
+                 for path, decl in self.symbols.items() if isinstance(decl, ProofFn)}
         for comp in strongly_connected_components(graph):
             if len(comp) > 1 or comp[0] in graph.get(comp[0], set()):
                 raise ResolveError(
                     f"recursive proof fns are unsupported: {', '.join(sorted(comp))}")
-
-
-def _expr_children(e: Expr) -> list[Expr]:
-    if isinstance(e, Call):
-        return list(e.args)
-    if isinstance(e, BinOp):
-        return [e.lhs, e.rhs]
-    if isinstance(e, Not):
-        return [e.arg]
-    if isinstance(e, (Forall, Exists)):
-        return [e.body]
-    return []
-
-
-def _walk_all(e: Expr):
-    yield e
-    for c in _expr_children(e):
-        yield from _walk_all(c)
-
-
-def _decl_exprs(d: Declaration) -> list[Expr]:
-    out: list[Expr] = []
-    out.extend(getattr(d, "requires", []))
-    out.extend(getattr(d, "ensures", []))
-    body = getattr(d, "body", None)
-    if isinstance(body, Expr):
-        out.append(body)
-    elif isinstance(body, list):
-        def scan(stmts):
-            for s in stmts:
-                if isinstance(s, (Assert, AssertBy)):
-                    out.append(s.expr)
-                if isinstance(s, AssertBy):
-                    scan(s.body)
-                if isinstance(s, Let):
-                    out.append(s.expr)
-                if isinstance(s, LemmaCall):
-                    out.extend(s.args)
-        scan(body)
-    return out
 
 
 def _match_pattern(pattern: Type, ground: Type, tps: set[str],
@@ -856,48 +801,46 @@ def _match_pattern(pattern: Type, ground: Type, tps: set[str],
 # ---------------------------------------------------------------------------
 
 
-def _instantiate_decl(decl: Declaration, sub: dict[str, Type], rs: _Resolver):
+def _instantiate_decl(path: str, decl: Declaration, sub: dict[str, Type],
+                      rs: _Resolver):
+    params = rs.params[path]
     if isinstance(decl, SpecFn):
         return SpecFn(
             decl.span, decl.name, type_params=[],
-            params=[Param(p.name, carrier(_subst_type(p.ty, sub))) for p in decl.params],
-            ret=_subst_type(decl.ret, sub),
+            params=[Param(p.name, carrier(_subst_type(p.ty, sub))) for p in params],
+            ret=_subst_type(rs.rets[path], sub),
             body=None if decl.body is None else _inst_expr(decl.body, sub, rs))
     if isinstance(decl, ProofFn):
         return ProofFn(
             decl.span, decl.name, broadcast=decl.broadcast, type_params=[],
-            params=[Param(p.name, _subst_type(p.ty, sub)) for p in decl.params],
+            params=[Param(p.name, _subst_type(p.ty, sub)) for p in params],
             requires=[_inst_expr(e, sub, rs) for e in decl.requires],
             ensures=[_inst_expr(e, sub, rs) for e in decl.ensures],
             body=[_inst_stmt(s, sub, rs) for s in decl.body])
     if isinstance(decl, AxiomFn):
         return AxiomFn(
             decl.span, decl.name, broadcast=decl.broadcast, type_params=[],
-            params=[Param(p.name, _subst_type(p.ty, sub)) for p in decl.params],
+            params=[Param(p.name, _subst_type(p.ty, sub)) for p in params],
             requires=[_inst_expr(e, sub, rs) for e in decl.requires],
             ensures=[_inst_expr(e, sub, rs) for e in decl.ensures])
     raise ResolveError(f"cannot instantiate {type(decl).__name__}")
 
 
 def _inst_expr(e: Expr, sub: dict[str, Type], rs: _Resolver) -> Expr:
-    ty = None if e.ty is None else carrier(_subst_type(e.ty, sub))
+    ty = carrier(_subst_type(rs.types[id(e)], sub))
     if isinstance(e, IntLit):
         return IntLit(e.span, value=e.value, ty=ty, trigger_mark=e.trigger_mark)
     if isinstance(e, BoolLit):
         return BoolLit(e.span, value=e.value, ty=ty, trigger_mark=e.trigger_mark)
     if isinstance(e, Var):
-        out = Var(e.span, name=e.name, ty=ty, trigger_mark=e.trigger_mark)
-        out.resolved = e.resolved
-        return out
+        return Var(e.span, name=e.name, resolved=rs.const_refs.get(id(e)), ty=ty,
+                   trigger_mark=e.trigger_mark)
     if isinstance(e, Call):
-        path, targs = e._callee
-        ground = tuple(carrier(_subst_type(t, sub)) for t in targs)
-        rs.demand(path, ground)
-        out = Call(e.span, name=e.name,
-                   args=[_inst_expr(a, sub, rs) for a in e.args],
-                   method_style=e.method_style, ty=ty, trigger_mark=e.trigger_mark)
-        out.resolved = mono_symbol(path, ground)
-        return out
+        resolved = _inst_callee(e, sub, rs)  # demanded before the arguments' callees
+        return Call(e.span, name=e.name,
+                    args=[_inst_expr(a, sub, rs) for a in e.args],
+                    method_style=e.method_style, resolved=resolved,
+                    ty=ty, trigger_mark=e.trigger_mark)
     if isinstance(e, BinOp):
         return BinOp(e.span, op=e.op, lhs=_inst_expr(e.lhs, sub, rs),
                      rhs=_inst_expr(e.rhs, sub, rs), ty=ty, trigger_mark=e.trigger_mark)
@@ -930,16 +873,21 @@ def _inst_stmt(s: Stmt, sub: dict[str, Type], rs: _Resolver) -> Stmt:
     if isinstance(s, Let):
         return Let(s.span, name=s.name, expr=_inst_expr(s.expr, sub, rs))
     if isinstance(s, LemmaCall):
-        path, targs = s._callee
-        ground = tuple(carrier(_subst_type(t, sub)) for t in targs)
-        rs.demand(path, ground)
-        out = LemmaCall(s.span, path=s.path,
-                        args=[_inst_expr(a, sub, rs) for a in s.args])
-        out.resolved = mono_symbol(path, ground)
-        return out
+        resolved = _inst_callee(s, sub, rs)
+        return LemmaCall(s.span, path=s.path,
+                         args=[_inst_expr(a, sub, rs) for a in s.args],
+                         resolved=resolved)
     if isinstance(s, UseStmt):
-        return UseStmt(s.span, paths=list(s.paths))
+        return UseStmt(s.span, paths=list(rs.use_paths[id(s)]))
     raise ResolveError(f"cannot instantiate stmt {type(s).__name__}", s.span)
+
+
+def _inst_callee(node: Call | LemmaCall, sub: dict[str, Type], rs: _Resolver) -> str:
+    """The mono symbol `node` calls under `sub`; demands that instance."""
+    path, targs = rs.callees[id(node)]
+    ground = tuple(carrier(_subst_type(t, sub)) for t in targs)
+    rs.demand(path, ground)
+    return mono_symbol(path, ground)
 
 
 # ---------------------------------------------------------------------------
@@ -950,6 +898,7 @@ def _inst_stmt(s: Stmt, sub: dict[str, Type], rs: _Resolver) -> Stmt:
 def resolve_program(asts: list[ProgramAst]) -> tuple[Program, BroadcastRegistry]:
     rs = _Resolver(asts)
     rs.collect()
+    rs.resolve_signatures()
     rs.check_all()
     rs.reject_recursive_proof_fns()
     registry = rs.build_registry()
@@ -972,7 +921,6 @@ def task_imports(program: Program, registry: BroadcastRegistry, task: str,
                  ambient: tuple[str, ...] = ()) -> list[str]:
     """Fact decl paths imported anywhere in a proof fn's contexts (module,
     function and block level, default group, plus CLI-ambient groups)."""
-    decl = program.symbols[task]
     module = program.decl_module[task]
     paths: list[str] = []
 
@@ -991,16 +939,11 @@ def task_imports(program: Program, registry: BroadcastRegistry, task: str,
             add(a)
     for p in program.module_uses.get(module, []):
         add(p)
-
-    def scan(stmts):
-        for s in stmts:
-            if isinstance(s, UseStmt):
-                for p in s.paths:
-                    add(p)
-            if isinstance(s, AssertBy):
-                scan(s.body)
-
-    scan(decl.body)
+    # the resolver's copy of the fn carries the absolute `use` paths
+    for s in walk_stmts(program.verify_instance(task).decl.body):
+        if isinstance(s, UseStmt):
+            for p in s.paths:
+                add(p)
     return paths
 
 

@@ -65,7 +65,7 @@ class Param:
 @dataclass(eq=True)
 class Expr:
     span: SourceSpan = field(compare=False, repr=False)
-    # Set by resolve; never part of structural equality.
+    # Set on resolve's monomorphized copies; never part of structural equality.
     ty: Type | None = field(default=None, compare=False, repr=False, kw_only=True)
     # A `#[trigger]` annotation on this subterm (semantic: overrides inference).
     trigger_mark: bool = field(default=False, kw_only=True)
@@ -84,7 +84,8 @@ class BoolLit(Expr):
 @dataclass(eq=True)
 class Var(Expr):
     name: str = ""
-    # Full path when the name resolves to a module-level const.
+    # Full path when the name resolves to a module-level const (set on
+    # resolve's monomorphized copies).
     resolved: str | None = field(default=None, compare=False, repr=False)
 
 
@@ -99,7 +100,7 @@ class Call(Expr):
     name: str = ""  # raw path text, e.g. "f" or "prelude::seq::push"
     args: list[Expr] = field(default_factory=list)
     method_style: bool = field(default=False, compare=False)
-    # Fully qualified monomorphic symbol, set by resolve.
+    # Fully qualified monomorphic symbol, set on resolve's monomorphized copies.
     resolved: str | None = field(default=None, compare=False, repr=False)
 
 

@@ -31,6 +31,7 @@ from tunav.syntax.ast import (
     Stmt,
     UseStmt,
     Var,
+    walk_stmts,
 )
 
 _PREC = {"<==>": 1, "==>": 2, "||": 3, "&&": 4,
@@ -209,16 +210,5 @@ def render_without_sites(program: ProgramAst, removed) -> str:
 
 
 def _collect_assert_keys(program: ProgramAst) -> set:
-    keys = set()
-
-    def walk(stmts):
-        for s in stmts:
-            if isinstance(s, (Assert, AssertBy)):
-                keys.add(s.span.key())
-            if isinstance(s, AssertBy):
-                walk(s.body)
-
-    for d in program.declarations:
-        if isinstance(d, ProofFn):
-            walk(d.body)
-    return keys
+    return {s.span.key() for d in program.declarations if isinstance(d, ProofFn)
+            for s in walk_stmts(d.body) if isinstance(s, (Assert, AssertBy))}

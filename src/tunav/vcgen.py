@@ -31,6 +31,9 @@ from tunav.syntax.ast import (
     Type,
     UseStmt,
     Var,
+    stmt_exprs,
+    walk_exprs,
+    walk_stmts,
 )
 from tunav import triggers as trig
 
@@ -67,11 +70,9 @@ class QuantifiedFact:
 class FactContext:
     ground: list[tuple[Expr, Origin]] = field(default_factory=list)
     facts: list[QuantifiedFact] = field(default_factory=list)
-    scope_chain: list[str] = field(default_factory=list)
 
-    def snapshot(self, scope: str | None = None) -> "FactContext":
-        chain = self.scope_chain + ([scope] if scope else [])
-        return FactContext(list(self.ground), list(self.facts), chain)
+    def snapshot(self) -> "FactContext":
+        return FactContext(list(self.ground), list(self.facts))
 
 
 @dataclass(frozen=True)
@@ -211,28 +212,14 @@ def definitional_axiom(inst: MonoFn, fuel: int,
 def annotate_triggers(e: Expr, strategy: str):
     """Attach TriggerSelection to every quantifier node (best effort: nodes
     with no valid trigger raise only if the engine must instantiate them)."""
-    if isinstance(e, (Forall, Exists)):
-        if e.trigger_selection is None:
-            quant = (trig.Quantifier.of_forall(e) if isinstance(e, Forall)
-                     else trig.Quantifier.of_exists(e))
+    for q in walk_exprs(e):
+        if isinstance(q, (Forall, Exists)) and q.trigger_selection is None:
+            quant = (trig.Quantifier.of_forall(q) if isinstance(q, Forall)
+                     else trig.Quantifier.of_exists(q))
             try:
-                e.trigger_selection = trig.infer_triggers(quant, strategy)
+                q.trigger_selection = trig.infer_triggers(quant, strategy)
             except TriggerError:
                 pass
-        annotate_triggers(e.body, strategy)
-        return
-    for child in _children(e):
-        annotate_triggers(child, strategy)
-
-
-def _children(e: Expr) -> list[Expr]:
-    if isinstance(e, Call):
-        return list(e.args)
-    if isinstance(e, BinOp):
-        return [e.lhs, e.rhs]
-    if isinstance(e, Not):
-        return [e.arg]
-    return []
 
 
 # ---------------------------------------------------------------------------
@@ -240,22 +227,17 @@ def _children(e: Expr) -> list[Expr]:
 # ---------------------------------------------------------------------------
 
 
-def _call_symbols(e: Expr, out: set[str]):
-    if isinstance(e, Call) and e.resolved:
-        out.add(e.resolved)
-    for c in _children(e):
-        _call_symbols(c, out)
-    if isinstance(e, (Forall, Exists)):
-        _call_symbols(e.body, out)
+def _call_symbols(e: Expr) -> list[str]:
+    """The mono symbols `e` calls, sorted."""
+    return sorted({c.resolved for c in walk_exprs(e)
+                   if isinstance(c, Call) and c.resolved})
 
 
 def reachable_spec_fns(exprs: list[Expr], program: Program) -> list[str]:
     seen: set[str] = set()
     queue: list[str] = []
     for e in exprs:
-        syms: set[str] = set()
-        _call_symbols(e, syms)
-        queue.extend(sorted(syms))
+        queue.extend(_call_symbols(e))
     out: list[str] = []
     while queue:
         sym = queue.pop(0)
@@ -267,9 +249,7 @@ def reachable_spec_fns(exprs: list[Expr], program: Program) -> list[str]:
             continue
         out.append(sym)
         if inst.decl.body is not None:
-            syms = set()
-            _call_symbols(inst.decl.body, syms)
-            queue.extend(sorted(syms))
+            queue.extend(_call_symbols(inst.decl.body))
     return out
 
 
@@ -365,7 +345,7 @@ class _ObligationBuilder:
         from tunav.resolve import PRELUDE_MODULES
 
         decl = self.inst.decl
-        ctx = FactContext(scope_chain=[f"module {self.inst.module}"])
+        ctx = FactContext()
         if not self.config.no_default_prelude and self.registry.default_group:
             self.import_facts(ctx.facts, self.registry.default_group)
         if self.inst.module not in PRELUDE_MODULES:
@@ -373,7 +353,6 @@ class _ObligationBuilder:
                 self.import_facts(ctx.facts, path)
         for path in self.program.module_uses.get(self.inst.module, []):
             self.import_facts(ctx.facts, path)
-        ctx.scope_chain.append(f"fn {self.task}")
 
         params = {p.name: p.ty for p in decl.params}
         for p in decl.params:
@@ -399,29 +378,19 @@ class _ObligationBuilder:
     def _add_definitions(self, ctx: FactContext):
         decl = self.inst.decl
         exprs: list[Expr] = list(decl.requires) + list(decl.ensures)
-
-        def scan(stmts):
-            for s in stmts:
-                if isinstance(s, (Assert, AssertBy)):
-                    exprs.append(s.expr)
-                if isinstance(s, AssertBy):
-                    scan(s.body)
-                if isinstance(s, Let):
-                    exprs.append(s.expr)
-                if isinstance(s, LemmaCall):
-                    exprs.extend(s.args)
-                    callee = self.program.instances.get(s.resolved)
-                    if callee is not None:
-                        exprs.extend(callee.decl.requires)
-                        exprs.extend(callee.decl.ensures)
-                if isinstance(s, UseStmt):
-                    for p in s.paths:
-                        for fact_path in self.registry.expand(p):
-                            for inst in self._instances_for(fact_path):
-                                exprs.extend(inst.decl.requires)
-                                exprs.extend(inst.decl.ensures)
-
-        scan(decl.body)
+        for s in walk_stmts(decl.body):
+            exprs.extend(stmt_exprs(s))
+            if isinstance(s, LemmaCall):
+                callee = self.program.instances.get(s.resolved)
+                if callee is not None:
+                    exprs.extend(callee.decl.requires)
+                    exprs.extend(callee.decl.ensures)
+            if isinstance(s, UseStmt):
+                for p in s.paths:
+                    for fact_path in self.registry.expand(p):
+                        for inst in self._instances_for(fact_path):
+                            exprs.extend(inst.decl.requires)
+                            exprs.extend(inst.decl.ensures)
         for qf in ctx.facts:
             exprs.append(qf.conclusion)
             if qf.hypothesis is not None:
@@ -438,7 +407,7 @@ class _ObligationBuilder:
                 self._emit(s.expr, ctx, Site("assert", s.span), self._params())
                 ctx.ground.append((s.expr, Origin("local", "assert", s.span)))
             elif isinstance(s, AssertBy):
-                inner = ctx.snapshot(f"assert-by {s.span.line}")
+                inner = ctx.snapshot()
                 self._walk(s.body, inner)
                 self._emit(s.expr, inner, Site("assert", s.span), self._params())
                 ctx.ground.append((s.expr, Origin("local", "assert", s.span)))
@@ -496,17 +465,6 @@ def generate_obligations(task: str, program: Program, registry: BroadcastRegistr
                          config: VcgenConfig | None = None) -> list[Obligation]:
     return _ObligationBuilder(task, program, registry,
                               config or VcgenConfig()).build()
-
-
-def assemble_context(task: str, program: Program, registry: BroadcastRegistry,
-                     config: VcgenConfig | None = None,
-                     site_index: int = -1) -> FactContext:
-    """The FactContext of the obligation at `site_index` (default: the last,
-    i.e. the ensures context)."""
-    obs = generate_obligations(task, program, registry, config)
-    if not obs:
-        raise TunavError(f"{task} has no obligations")
-    return obs[site_index].context
 
 
 def prove_obligation(ob: Obligation, limits: Limits = Limits(),

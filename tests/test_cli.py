@@ -89,6 +89,24 @@ def test_minimize_and_write(tmp_path, capsys):
     assert main(["verify", str(p)]) == 0
 
 
+def test_minimize_write_keeps_source_spelling(tmp_path, capsys):
+    p = tmp_path / "w.tv"
+    p.write_text("""
+proof fn push_contains(a: Seq<int>) {
+    broadcast use {group_seq_properties};
+    let b = a.push(3);
+    assert(b.len() > 0);
+    assert(b.contains(3));
+}
+""")
+    assert main(["minimize", str(p), "--write"]) == 0
+    text = p.read_text()
+    assert "a: Seq<int>" in text
+    assert "broadcast use {group_seq_properties};" in text
+    assert "prelude::seq::Seq" not in text
+    assert "prelude::seq::group_seq_properties" not in text
+
+
 def test_minimize_baseline_failure_exit_one(tmp_path, capsys):
     p = tmp_path / "bad.tv"
     p.write_text(BAD_SRC)

@@ -7,10 +7,10 @@ import os
 import pytest
 
 from tunav.driver import RunConfig, load_sources, verify_program
-from tunav.engine.arith import Constraint, arith_consistent
+from tunav.engine.arith import Constraint, check_constraints
 from tunav.syntax import parse_module, render_module
-from tunav.syntax.ast import AssertBy, ProofFn, UseStmt
-from tunav.vcgen import assemble_context
+from tunav.syntax.ast import ProofFn, UseStmt, walk_stmts
+from tunav.vcgen import generate_obligations
 
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
 
@@ -27,29 +27,40 @@ def statuses(run):
     return {t: r.status for t, r in run.results.items()}
 
 
-def test_group_import_equals_flattened_members():
-    base = verify_program(load_sources(CORPUS), RunConfig())
-    registry = base.registry
-
-    # after resolution, use paths are absolute; replace every group import
-    # with its flattened members and re-verify
-    asts = load_sources(CORPUS)
-    flat = verify_program(asts, RunConfig())  # resolves paths in place
-
-    def flatten_stmts(stmts):
-        for s in stmts:
-            if isinstance(s, UseStmt):
-                out = []
-                for p in s.paths:
-                    out.extend(registry.groups.get(p, (p,)))
-                s.paths = out
-            if isinstance(s, AssertBy):
-                flatten_stmts(s.body)
-
+def rewrite_group_imports(run, asts, replace) -> int:
+    """Set the paths of every `broadcast use` in the proof fns of `asts` to
+    `replace(task, group)` for each group import and keep fact imports. The
+    absolute paths come from the resolver's copy of each fn in `run`, whose
+    statements carry the same spans. Returns how many group imports were
+    replaced."""
+    replaced = 0
     for ast in asts:
         for d in ast.declarations:
-            if isinstance(d, ProofFn):
-                flatten_stmts(d.body)
+            if not isinstance(d, ProofFn):
+                continue
+            task = f"{ast.module}::{d.name}"
+            resolved = {s.span.key(): s.paths for s in walk_stmts(
+                run.program.verify_instance(task).decl.body)
+                if isinstance(s, UseStmt)}
+            for s in walk_stmts(d.body):
+                if isinstance(s, UseStmt):
+                    out = []
+                    for p in resolved[s.span.key()]:
+                        if p in run.registry.groups:
+                            out.extend(replace(task, p))
+                            replaced += 1
+                        else:
+                            out.append(p)
+                    s.paths = out
+    return replaced
+
+
+def test_group_import_equals_flattened_members():
+    # replace every group import with its flattened members and re-verify
+    base = verify_program(load_sources(CORPUS), RunConfig())
+    asts = load_sources(CORPUS)
+    assert rewrite_group_imports(
+        base, asts, lambda task, group: base.registry.groups[group])
     rerun = verify_program(asts, RunConfig())
     assert statuses(rerun) == statuses(base)
 
@@ -57,31 +68,14 @@ def test_group_import_equals_flattened_members():
 def test_usage_report_trim_workflow():
     # the trim workflow: replace each function's group imports with exactly
     # the facts named in its usage report; the whole corpus re-verifies
+    run = verify_program(load_sources(CORPUS), RunConfig())
+    assert all(run.results[t].passed for t in run.user_tasks)
+    used = {t: {o.path for o in run.results[t].used_core
+                if o.kind in ("lemma", "axiom")} for t in run.user_tasks}
     asts = load_sources(CORPUS)
-    run = verify_program(asts, RunConfig())  # resolves use paths in place
-    registry = run.registry
-
-    for task in run.user_tasks:
-        result = run.results[task]
-        assert result.passed
-        used = {o.path for o in result.used_core if o.kind in ("lemma", "axiom")}
-        module, name = task.rsplit("::", 1)
-        decl = run.program.symbols[task]
-
-        def trim(stmts):
-            for s in stmts:
-                if isinstance(s, UseStmt):
-                    out = []
-                    for p in s.paths:
-                        if p in registry.groups:
-                            out.extend(f for f in registry.groups[p] if f in used)
-                        else:
-                            out.append(p)
-                    s.paths = out
-                if isinstance(s, AssertBy):
-                    trim(s.body)
-
-        trim(decl.body)
+    assert rewrite_group_imports(
+        run, asts, lambda task, group: [f for f in run.registry.groups[group]
+                                        if f in used[task]])
     rerun = verify_program(asts, RunConfig())
     assert all(rerun.results[t].passed for t in rerun.user_tasks)
 
@@ -102,23 +96,23 @@ proof fn via_lemma(a: Seq<int>) {
     from tunav.driver import resolve_with_prelude
     program, registry = resolve_with_prelude(
         [parse_module(src, "u.tv", module="u")])
-    ctx = assemble_context("u::via_group", program, registry)
+    ctx = generate_obligations("u::via_group", program, registry)[-1].context
     lemma = next(q for q in ctx.facts
                  if q.origin.path.endswith("lemma_seq_contains_after_push"))
     assert lemma.origin.kind == "lemma"
     assert lemma.groups_via == ("prelude::seq::group_seq_properties",)
-    ctx2 = assemble_context("u::via_lemma", program, registry)
+    ctx2 = generate_obligations("u::via_lemma", program, registry)[-1].context
     lemma2 = next(q for q in ctx2.facts
                   if q.origin.path.endswith("lemma_seq_contains_after_push"))
     assert lemma2.groups_via == ()
 
 
-def test_arith_consistent_alias():
+def test_check_constraints_status():
     x, y, z = 1, 2, 3
     cs = [Constraint({x: -1}, 11, frozenset([0])),
           Constraint({y: -1}, 21, frozenset([1])),
           Constraint({z: 1, x: -1, y: -1}, 0, frozenset([2])),
           Constraint({z: -1, x: 1, y: 1}, 0, frozenset([2])),
           Constraint({z: 1}, -30, frozenset([3]))]
-    assert arith_consistent(cs) == "inconsistent"
-    assert arith_consistent([]) == "consistent"
+    assert check_constraints(cs).status == "inconsistent"
+    assert check_constraints([]).status == "consistent"

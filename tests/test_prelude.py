@@ -1,5 +1,5 @@
 from tunav.driver import RunConfig, verify_program
-from tunav.prelude import GROUPS, load_prelude, manifest, prelude_sources
+from tunav.prelude import load_prelude
 from tunav.resolve import order_tasks, resolve_program
 
 
@@ -48,17 +48,14 @@ def test_prelude_layering_no_cycles():
     assert set(order.tasks) == set(program.proof_fns())
 
 
-def test_manifest_counts():
-    program, registry = resolve_program(load_prelude())
-    m = manifest(registry)
-    assert set(m.group_counts) == set(GROUPS)
-    assert m.group_counts["prelude::core::group_default"] == 18
-    assert m.group_counts["prelude::seq::group_seq_properties"] == 4
-    assert all(mod in m.files for mod, _ in
-               [("prelude::seq", None), ("prelude::set", None)])
-
-
-def test_prelude_sources_installed_readably():
-    sources = prelude_sources()
-    assert "broadcast group group_seq_properties" in sources["prelude::seq"]
-    assert sources["prelude::core"].strip().startswith("//")
+def test_group_counts():
+    _, registry = resolve_program(load_prelude())
+    assert set(registry.groups) == {
+        "prelude::core::group_default",
+        "prelude::seq::group_seq_properties",
+        "prelude::set::group_set_properties",
+        "prelude::map::group_map_properties",
+        "prelude::multiset::group_multiset_properties",
+    }
+    assert len(registry.groups["prelude::core::group_default"]) == 18
+    assert len(registry.groups["prelude::seq::group_seq_properties"]) == 4
