@@ -126,9 +126,10 @@ def cmd_verify(args) -> int:
     if args.emit_smtlib:
         from tunav import smtlib
         obs = []
+        lowered = {}
         for task in run.user_tasks:
             obs.extend(generate_obligations(task, run.program, run.registry,
-                                            config.vcgen()))
+                                            config.vcgen(), lowered))
         smtlib.emit_all(obs, args.emit_smtlib)
     return 0 if run.all_verified else 1
 

@@ -18,7 +18,13 @@ from tunav.resolve import (
     resolve_program,
 )
 from tunav.syntax import ProgramAst, parse_module
-from tunav.vcgen import Site, VcgenConfig, generate_obligations, prove_obligation
+from tunav.vcgen import (
+    LoweredFacts,
+    Site,
+    VcgenConfig,
+    generate_obligations,
+    prove_obligation,
+)
 from tunav import triggers as trig
 
 
@@ -83,9 +89,9 @@ def resolve_with_prelude(user_asts: list[ProgramAst]):
 
 
 def verify_task(task: str, program: Program, registry: BroadcastRegistry,
-                config: RunConfig) -> FunctionResult:
+                config: RunConfig, lowered: LoweredFacts) -> FunctionResult:
     t0 = time.monotonic()
-    obs = generate_obligations(task, program, registry, config.vcgen())
+    obs = generate_obligations(task, program, registry, config.vcgen(), lowered)
     results: list[tuple[Site, Outcome]] = []
     insts: Counter = Counter()
     rounds = 0
@@ -124,9 +130,11 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
     user_modules = {a.module for a in user_asts}
     selected = set(tasks) if tasks is not None else None
     results: dict[str, FunctionResult] = {}
+    # broadcast facts lowered in this run, shared by all its tasks
+    lowered: LoweredFacts = {}
 
     def run(task: str) -> tuple[str, FunctionResult]:
-        return task, verify_task(task, program, registry, config)
+        return task, verify_task(task, program, registry, config, lowered)
 
     for layer in order.layers:
         todo = [t for t in layer if selected is None or t in selected]

@@ -2,6 +2,11 @@
 propagation, case splitting, congruence closure, linear integer arithmetic and
 trigger-driven e-matching rounds.
 
+Case splits follow one rule: split the newest undecided disjunction first.
+The newest disjunctions come from the negated goal and from the latest
+instantiations, so the search works on what the goal needs before older
+context clauses.
+
 Instantiation is round-based against a frozen term graph, deduplicated by
 (fact, class-representative substitution) per branch. Every asserted literal
 carries a set of origins; congruence explanations and arithmetic source
@@ -140,8 +145,8 @@ class ProverState:
     def __init__(self, shared: _Shared | None = None):
         self.graph = TermGraph()
         self.shared = shared or _Shared(trig.CONSERVATIVE)
-        self.t_true = self.graph.new_term("#true", (), "bool")
-        self.t_false = self.graph.new_term("#false", (), "bool")
+        self.t_true = self.graph.new_term("#true", ())
+        self.t_false = self.graph.new_term("#false", ())
         self.queue: list[tuple[Expr, bool, dict[str, int], frozenset]] = []
         self.arith_atoms: list[tuple[str, int, int, frozenset]] = []
         self.diseqs: list[tuple[int, int, frozenset]] = []
@@ -185,15 +190,15 @@ class ProverState:
             if tid is not None:
                 return tid
             sym = e.resolved or f"%{e.name}"
-            return self.graph.new_term(sym, (), _sort_str(e.ty or INT), origins)
+            return self.graph.new_term(sym, (), origins)
         if isinstance(e, Call):
             args = tuple(self.term_of(a, env, origins) for a in e.args)
             sym = e.resolved or e.name
-            return self.graph.new_term(sym, args, _sort_str(e.ty or INT), origins)
+            return self.graph.new_term(sym, args, origins)
         if isinstance(e, BinOp) and e.op in ("+", "-", "*", "%"):
             l = self.term_of(e.lhs, env, origins)
             r = self.term_of(e.rhs, env, origins)
-            t = self.graph.new_term(e.op, (l, r), "int", origins)
+            t = self.graph.new_term(e.op, (l, r), origins)
             if e.op == "%":
                 self._mod_range(t, r)
             return t
@@ -378,7 +383,7 @@ class ProverState:
         for b in binders:
             self.skolem_n += 1
             sym = f"!sk{self.skolem_n}"
-            tid = self.graph.new_term(sym, (), _sort_str(b.ty), origins)
+            tid = self.graph.new_term(sym, (), origins)
             env2[b.name] = tid
             if b.ty.name == "nat":
                 zero = self.graph.int_term(0)
@@ -774,7 +779,9 @@ class ProverState:
         return len(batch)
 
     def first_pending(self) -> _Disj | None:
-        return self.disjs[0] if self.disjs else None
+        """The disjunction to split next: split the newest undecided
+        disjunction first, i.e. the one added most recently."""
+        return self.disjs[-1] if self.disjs else None
 
     def split(self, d: _Disj) -> tuple["ProverState", "ProverState"]:
         """Left branch asserts the first undecided disjunct; right branch its
@@ -825,8 +832,8 @@ def prove(ground_hyps: list[tuple[Expr, frozenset]],
     shared = _Shared(strategy)
     st = ProverState(shared)
     st._elim_cap = limits.arith_elim_cap
-    for name, ty in (params or {}).items():
-        st.graph.new_term(f"%{name}", (), _sort_str(ty), EMPTY)
+    for name in params or {}:
+        st.graph.new_term(f"%{name}", ())
     for e, origins in ground_hyps:
         st.assert_expr(e, True, {}, origins)
     for f in facts:

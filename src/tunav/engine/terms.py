@@ -22,7 +22,6 @@ class TermGraph:
     def __init__(self):
         self.syms: list[str] = []
         self.targs: list[tuple[int, ...]] = []
-        self.sorts: list[str] = []
         self.origins: list[frozenset] = []  # creation origins, first-wins
         self.hashcons: dict = {}
         self.parent: list[int] = []
@@ -44,7 +43,6 @@ class TermGraph:
         g = TermGraph.__new__(TermGraph)
         g.syms = list(self.syms)
         g.targs = list(self.targs)
-        g.sorts = list(self.sorts)
         g.origins = list(self.origins)
         g.hashcons = dict(self.hashcons)
         g.parent = list(self.parent)
@@ -75,7 +73,7 @@ class TermGraph:
     def lookup(self, sym: str, args: tuple[int, ...]) -> int | None:
         return self.hashcons.get((sym, args))
 
-    def new_term(self, sym: str, args: tuple[int, ...], sort: str,
+    def new_term(self, sym: str, args: tuple[int, ...],
                  origins: frozenset = EMPTY, int_value: int | None = None) -> int:
         key = (sym, args)
         hit = self.hashcons.get(key)
@@ -84,7 +82,6 @@ class TermGraph:
         t = len(self.syms)
         self.syms.append(sym)
         self.targs.append(args)
-        self.sorts.append(sort)
         self.origins.append(origins)
         self.hashcons[key] = t
         self.parent.append(t)
@@ -110,7 +107,7 @@ class TermGraph:
         return t
 
     def int_term(self, value: int, origins: frozenset = EMPTY) -> int:
-        return self.new_term(f"#i{value}", (), "int", origins, int_value=value)
+        return self.new_term(f"#i{value}", (), origins, int_value=value)
 
     def value_of(self, t: int) -> int | None:
         got = self.class_val.get(self.find(t))

@@ -312,8 +312,9 @@ class _Checker:
         if isinstance(e, (Forall, Exists)):
             self.push()
             try:
-                for b in e.binders:
-                    ty = self.check_type(b.ty, e.span)
+                tys = [self.check_type(b.ty, e.span) for b in e.binders]
+                self.rs.binder_types[id(e)] = tys
+                for b, ty in zip(e.binders, tys):
                     self.bind(b.name, ty, e.span, "binder")
                 self.require(e.body, BOOL)
             finally:
@@ -425,6 +426,7 @@ class _Resolver:
         self.types: dict[int, Type] = {}  # expression -> type
         self.const_refs: dict[int, str] = {}  # Var -> const path
         self.callees: dict[int, tuple[str, tuple[Type, ...]]] = {}  # Call/LemmaCall
+        self.binder_types: dict[int, list[Type]] = {}  # Forall/Exists -> binder types
         self.use_paths: dict[int, list[str]] = {}  # UseStmt -> absolute paths
 
     # -- symbol table --------------------------------------------------------
@@ -848,20 +850,22 @@ def _inst_expr(e: Expr, sub: dict[str, Type], rs: _Resolver) -> Expr:
         return Not(e.span, arg=_inst_expr(e.arg, sub, rs), ty=ty,
                    trigger_mark=e.trigger_mark)
     if isinstance(e, Forall):
-        return Forall(e.span,
-                      binders=[Binder(b.name, carrier(_subst_type(b.ty, sub))
-                                      if b.ty.name != "nat" else b.ty)
-                               for b in e.binders],
+        return Forall(e.span, binders=_inst_binders(e, sub, rs),
                       body=_inst_expr(e.body, sub, rs),
                       all_triggers=e.all_triggers, ty=ty, trigger_mark=e.trigger_mark)
     if isinstance(e, Exists):
-        return Exists(e.span,
-                      binders=[Binder(b.name, carrier(_subst_type(b.ty, sub))
-                                      if b.ty.name != "nat" else b.ty)
-                               for b in e.binders],
+        return Exists(e.span, binders=_inst_binders(e, sub, rs),
                       body=_inst_expr(e.body, sub, rs), ty=ty,
                       trigger_mark=e.trigger_mark)
     raise ResolveError(f"cannot instantiate expr {type(e).__name__}", e.span)
+
+
+def _inst_binders(q: Forall | Exists, sub: dict[str, Type],
+                  rs: _Resolver) -> list[Binder]:
+    """Binders with the qualified types checking gave them, as parameters
+    get; nat binders stay nat, so the engine still adds their bound."""
+    return [Binder(b.name, t if t.name == "nat" else carrier(_subst_type(t, sub)))
+            for b, t in zip(q.binders, rs.binder_types[id(q)])]
 
 
 def _inst_stmt(s: Stmt, sub: dict[str, Type], rs: _Resolver) -> Stmt:

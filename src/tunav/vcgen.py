@@ -70,9 +70,14 @@ class QuantifiedFact:
 class FactContext:
     ground: list[tuple[Expr, Origin]] = field(default_factory=list)
     facts: list[QuantifiedFact] = field(default_factory=list)
+    by_key: dict[str, QuantifiedFact] = field(default_factory=dict, repr=False)
+
+    def add_fact(self, qf: QuantifiedFact):
+        self.facts.append(qf)
+        self.by_key[qf.key] = qf
 
     def snapshot(self) -> "FactContext":
-        return FactContext(list(self.ground), list(self.facts))
+        return FactContext(list(self.ground), list(self.facts), dict(self.by_key))
 
 
 @dataclass(frozen=True)
@@ -291,16 +296,19 @@ def _subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
     return e
 
 
+LoweredFacts = dict[tuple[str, str], QuantifiedFact]
+
+
 class _ObligationBuilder:
     def __init__(self, task: str, program: Program, registry: BroadcastRegistry,
-                 config: VcgenConfig):
+                 config: VcgenConfig, lowered: LoweredFacts):
         self.task = task
         self.program = program
         self.registry = registry
         self.config = config
         self.inst = program.verify_instance(task)
         self.obligations: list[Obligation] = []
-        self._fact_cache: dict[str, QuantifiedFact] = {}
+        self.lowered = lowered
 
     # -- fact construction -------------------------------------------------------
 
@@ -319,25 +327,28 @@ class _ObligationBuilder:
                    for t in inst.targs)
 
     def _fact_for(self, inst: MonoFn) -> QuantifiedFact:
-        qf = self._fact_cache.get(inst.symbol)
+        """The lowered fact shared by every task of the run. Callers copy it
+        before changing it. Two threads may both lower a missing fact; the
+        first one stored wins, and both lowerings are equal."""
+        key = (inst.symbol, self.config.strategy)
+        qf = self.lowered.get(key)
         if qf is None:
-            qf = lower_quantified_fact(inst, self.config.strategy)
-            self._fact_cache[inst.symbol] = qf
+            qf = self.lowered.setdefault(
+                key, lower_quantified_fact(inst, self.config.strategy))
         return qf
 
-    def import_facts(self, facts: list[QuantifiedFact], import_path: str):
+    def import_facts(self, ctx: FactContext, import_path: str):
         """Add every instance of the facts named by `import_path` (a fact or
         group), recording the group it travelled through."""
         via = (import_path,) if import_path in self.registry.groups else ()
         for fact_path in self.registry.expand(import_path):
             for inst in self._instances_for(fact_path):
-                existing = next((f for f in facts if f.key == inst.symbol), None)
+                existing = ctx.by_key.get(inst.symbol)
                 if existing is not None:
                     if via and via[0] not in existing.groups_via:
                         existing.groups_via = existing.groups_via + via
                     continue
-                qf = self._fact_for(inst)
-                facts.append(replace(qf, groups_via=via))
+                ctx.add_fact(replace(self._fact_for(inst), groups_via=via))
 
     # -- obligations ----------------------------------------------------------------
 
@@ -347,12 +358,12 @@ class _ObligationBuilder:
         decl = self.inst.decl
         ctx = FactContext()
         if not self.config.no_default_prelude and self.registry.default_group:
-            self.import_facts(ctx.facts, self.registry.default_group)
+            self.import_facts(ctx, self.registry.default_group)
         if self.inst.module not in PRELUDE_MODULES:
             for path in self.config.ambient:
-                self.import_facts(ctx.facts, path)
+                self.import_facts(ctx, path)
         for path in self.program.module_uses.get(self.inst.module, []):
-            self.import_facts(ctx.facts, path)
+            self.import_facts(ctx, path)
 
         params = {p.name: p.ty for p in decl.params}
         for p in decl.params:
@@ -398,8 +409,8 @@ class _ObligationBuilder:
         for sym in reachable_spec_fns(exprs, self.program):
             inst = self.program.instances[sym]
             for qf in definitional_axiom(inst, self.config.fuel, self.program):
-                if all(f.key != qf.key for f in ctx.facts):
-                    ctx.facts.append(qf)
+                if qf.key not in ctx.by_key:
+                    ctx.add_fact(qf)
 
     def _walk(self, stmts: list[Stmt], ctx: FactContext):
         for s in stmts:
@@ -419,7 +430,7 @@ class _ObligationBuilder:
                 self._lemma_call(s, ctx)
             elif isinstance(s, UseStmt):
                 for p in s.paths:
-                    self.import_facts(ctx.facts, p)
+                    self.import_facts(ctx, p)
             else:
                 raise TunavError(f"unsupported statement {type(s).__name__}", s.span)
 
@@ -451,20 +462,29 @@ class _ObligationBuilder:
             Obligation(goal, ctx.snapshot(), site, self.task, params))
 
     def _annotate_all(self):
+        """Annotate every expression the obligations hold. Their contexts are
+        snapshots sharing most expressions, so each is walked once."""
+        seen: set[int] = set()
         for ob in self.obligations:
-            annotate_triggers(ob.goal, self.config.strategy)
-            for e, _ in ob.context.ground:
-                annotate_triggers(e, self.config.strategy)
+            exprs = [ob.goal] + [e for e, _ in ob.context.ground]
             for qf in ob.context.facts:
-                annotate_triggers(qf.conclusion, self.config.strategy)
+                exprs.append(qf.conclusion)
                 if qf.hypothesis is not None:
-                    annotate_triggers(qf.hypothesis, self.config.strategy)
+                    exprs.append(qf.hypothesis)
+            for e in exprs:
+                if id(e) not in seen:
+                    seen.add(id(e))
+                    annotate_triggers(e, self.config.strategy)
 
 
 def generate_obligations(task: str, program: Program, registry: BroadcastRegistry,
-                         config: VcgenConfig | None = None) -> list[Obligation]:
-    return _ObligationBuilder(task, program, registry,
-                              config or VcgenConfig()).build()
+                         config: VcgenConfig | None = None,
+                         lowered: LoweredFacts | None = None) -> list[Obligation]:
+    """The obligations of proof fn `task`. `lowered` caches broadcast facts by
+    (mono symbol, strategy); pass one dict to every task of a run, and only of
+    that run, so each fact is lowered once per run."""
+    return _ObligationBuilder(task, program, registry, config or VcgenConfig(),
+                              {} if lowered is None else lowered).build()
 
 
 def prove_obligation(ob: Obligation, limits: Limits = Limits(),

@@ -1,5 +1,9 @@
 import glob
+import sys
+from collections import Counter
 
+from tunav import triggers as trig
+from tunav import vcgen
 from tunav.driver import (
     RunConfig,
     load_sources,
@@ -76,13 +80,33 @@ def test_determinism_two_runs_byte_identical():
     assert out1 == out2
 
 
+def _run_summary(run):
+    """Verdicts, usage reports and counts of a run, per task."""
+    return {
+        t: (r.status, report_usage(r) if r.passed else None,
+            [(site, out.status, out.reason, out.instantiations, out.splits_used,
+              out.rounds_used, out.used_core) for site, out in r.obligations],
+            r.context_facts, r.fact_groups)
+        for t, r in run.results.items()
+    }
+
+
 def test_parallel_statuses_match_sequential():
+    """jobs must not change what a run decides or reports. The tasks of a run
+    share one cache of lowered facts; a short switch interval makes the
+    worker threads interleave inside it."""
     paths = sorted(glob.glob("tests/corpus/*.tv"))
     asts = load_sources(paths)
     seq = verify_program(asts, RunConfig(jobs=1))
-    par = verify_program(asts, RunConfig(jobs=8))
-    assert {t: r.status for t, r in seq.results.items()} == \
-           {t: r.status for t, r in par.results.items()}
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        runs = [verify_program(asts, RunConfig(jobs=jobs)) for jobs in (2, 8)]
+    finally:
+        sys.setswitchinterval(interval)
+    for par in runs:
+        assert _run_summary(par) == _run_summary(seq)
+        assert par.program.instances.keys() == seq.program.instances.keys()
 
 
 def test_unknown_status_reported():
@@ -119,3 +143,53 @@ proof fn user_fn(x: int)
     order = run.order.tasks
     assert order.index("user::lifted") < order.index("user::user_fn")
     assert run.all_verified
+
+
+def _record_lowerings(monkeypatch) -> list:
+    """(symbol, strategy, selection strategy) of every fact lowered."""
+    calls = []
+    lower = vcgen.lower_quantified_fact
+
+    def recording(inst, strategy):
+        qf = lower(inst, strategy)
+        calls.append((inst.symbol, strategy, qf.triggers.strategy_used))
+        return qf
+
+    monkeypatch.setattr(vcgen, "lower_quantified_fact", recording)
+    return calls
+
+
+def test_broadcast_facts_lowered_once_per_run(monkeypatch):
+    calls = _record_lowerings(monkeypatch)
+    run = verify_program(load_sources(sorted(glob.glob("tests/corpus/*.tv"))),
+                         RunConfig())
+    assert run.all_verified
+    keys = [(sym, strategy) for sym, strategy, _ in calls]
+    assert len(keys) > 50
+    assert len(keys) == len(set(keys))
+
+
+UNMARKED_FACT = """
+spec fn f(i: int) -> int;
+spec fn g(i: int) -> int;
+broadcast axiom fn fg(i: int)
+    ensures f(i) == g(i);
+proof fn use_fg(x: int)
+    ensures f(x) == g(x)
+{
+    broadcast use {fg};
+}
+"""
+
+
+def test_lowered_facts_do_not_outlive_their_run(monkeypatch):
+    calls = _record_lowerings(monkeypatch)
+    strategies = (trig.CONSERVATIVE, trig.ALL_TRIGGERS, trig.CONSERVATIVE)
+    for strategy in strategies:
+        assert run_src(UNMARKED_FACT, RunConfig(strategy=strategy)).all_verified
+    symbols = {sym for sym, _, _ in calls}
+    # every run lowers each fact it imports afresh, with its own strategy
+    assert Counter((sym, strategy) for sym, strategy, _ in calls) == {
+        **{(sym, trig.CONSERVATIVE): 2 for sym in symbols},
+        **{(sym, trig.ALL_TRIGGERS): 1 for sym in symbols}}
+    assert [used for sym, _, used in calls if sym == "user::fg"] == list(strategies)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tunav.driver import RunConfig, verify_program
 from tunav.engine import Limits, Origin, ProverState, eval_finite, make_fact, prove
 from tunav.engine.arith import (
     CONSISTENT,
@@ -113,9 +114,9 @@ def index_fact_state():
     """Graph holding s.index(3) (s a parameter), per the trigger-sensitivity
     walkthrough."""
     st = ProverState()
-    s = st.graph.new_term("%s", (), "Seq<int>")
+    s = st.graph.new_term("%s", ())
     three = st.graph.int_term(3)
-    st.graph.new_term("index", (s, three), "int")
+    st.graph.new_term("index", (s, three))
     return st
 
 
@@ -148,12 +149,12 @@ def test_ematch_empty_graph_no_matches():
 def test_ematch_modulo_congruence():
     # b == push(a, 3); trigger contains(push(s, v), x) must match contains(b, 3)
     st = ProverState()
-    a = st.graph.new_term("%a", (), "Seq<int>")
+    a = st.graph.new_term("%a", ())
     three = st.graph.int_term(3)
-    push = st.graph.new_term("push", (a, three), "Seq<int>")
-    bterm = st.graph.new_term("%b", (), "Seq<int>")
+    push = st.graph.new_term("push", (a, three))
+    bterm = st.graph.new_term("%b", ())
     st.graph.merge(bterm, push, H)
-    st.graph.new_term("contains", (bterm, three), "bool")
+    st.graph.new_term("contains", (bterm, three))
     st.graph.process()
     pat = call("contains", call("push", sv("s"), iv("v")), iv("x"), ty=BOOL)
     f = fact("f", [("s", SEQ), ("v", INT), ("x", INT)], None, pat, [pat])
@@ -233,6 +234,30 @@ def test_case_split_on_disjunction():
     assert out.status == "verified"
     assert out.splits_used >= 1
     assert {o.path for o in out.used_core} >= {"pr", "qr", "hyp", "goal"}
+
+
+def test_first_pending_is_newest_disjunction():
+    st = ProverState()
+    older = b("||", call("p", iv("c"), ty=BOOL), call("q", iv("c"), ty=BOOL))
+    newer = b("||", call("r", iv("c"), ty=BOOL), call("s", iv("c"), ty=BOOL))
+    st.assert_expr(older, True, {}, H)
+    st.assert_expr(newer, True, {}, G)
+    st.propagate()
+    assert [d.origins for d in st.disjs] == [H, G]
+    assert st.first_pending().items[0][0] is newer.lhs
+    left, right = st.split(st.first_pending())
+    # the untaken half of the split disjunction is now the newest one
+    assert right.first_pending().items == [(newer.rhs, True)]
+    assert left.first_pending().items[0][0] is older.lhs
+
+
+def test_heavy_prelude_lemma_split_bound():
+    """The prelude's most split-heavy lemma: oldest-first splitting took 328
+    splits over its obligations, newest-first takes 80."""
+    run = verify_program([], RunConfig())
+    result = run.results["prelude::seq::lemma_seq_contains_after_push"]
+    assert result.passed
+    assert sum(out.splits_used for _, out in result.obligations) <= 100
 
 
 def test_int_disequality_splits():

@@ -42,3 +42,23 @@ def test_emit_obligations(tmp_path):
     for f in files:
         body = open(f).read()
         assert body.count("(") == body.count(")"), f
+
+
+def test_quantifier_binder_sort_is_qualified(tmp_path):
+    """A binder written `Seq<int>` gets the same sort as a parameter of that
+    type, so the script declares the sequence sort once."""
+    src = """
+proof fn q(t: Seq<int>)
+    requires forall|s: Seq<int>| #[trigger] s.len() >= 0
+    ensures t.len() >= 0
+{ }
+"""
+    program, registry = resolve_with_prelude([parse_module(src, "q.tv", module="q")])
+    obs = generate_obligations("q::q", program, registry, VcgenConfig())
+    emit_all(obs, str(tmp_path))
+    [path] = glob.glob(os.path.join(str(tmp_path), "*.smt2"))
+    with open(path) as fh:
+        text = fh.read()
+    sorts = [line for line in text.splitlines() if line.startswith("(declare-sort")]
+    assert sorts == ["(declare-sort |prelude::seq::Seq<int>| 0)"]
+    assert "((|?s| |prelude::seq::Seq<int>|))" in text
