@@ -25,6 +25,13 @@ from tunav.vcgen import generate_obligations
 from tunav import triggers as trig
 
 
+def positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--trigger-strategy", choices=["conservative", "all-triggers"],
                    default="conservative",
@@ -40,8 +47,9 @@ def add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--ambient", action="append", default=[], metavar="PATH",
                    help="import this broadcast group/fact into every module "
                         "(repeatable)")
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel verification workers per task layer")
+    p.add_argument("--jobs", type=positive_int, default=1,
+                   help="worker processes, forked after resolve, that verify "
+                        "each task layer in parallel; results equal --jobs 1")
     p.add_argument("--no-timing", action="store_true",
                    help="zero out timing fields (for byte-stable output)")
 

@@ -1,11 +1,14 @@
 """Verification pipeline: load sources, resolve, order tasks, prove every
-obligation, and assemble per-function results, usage reports and metrics."""
+obligation, and assemble per-function results, usage reports and metrics.
+
+With `jobs` > 1, the tasks of a layer are verified by worker processes forked
+after resolve. They inherit the resolved program and send back each task's
+`FunctionResult`, so a run's results equal those of jobs=1."""
 
 from __future__ import annotations
 
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from tunav.engine.prover import Limits, Origin, Outcome
@@ -123,30 +126,69 @@ def verify_task(task: str, program: Program, registry: BroadcastRegistry,
                           rounds, frozenset(core), fact_groups)
 
 
+# The run whose tasks forked workers verify: (program, registry, config,
+# lowered facts). `verify_program` sets it before its pool forks and clears it
+# when the run ends; each worker keeps the copy it was forked with.
+_forked_run: tuple | None = None
+
+
+def _verify_forked(task: str) -> FunctionResult:
+    return verify_task(task, *_forked_run)
+
+
+def _can_fork() -> bool:
+    """Whether worker processes can be forked safely: the platform has fork,
+    and no other thread runs that could hold a lock the child would inherit."""
+    import multiprocessing
+    import threading
+
+    return ("fork" in multiprocessing.get_all_start_methods()
+            and threading.active_count() == 1)
+
+
+def _fork_pool(workers: int):
+    """A pool of `workers` processes, each forked from this one when the pool
+    first gets work."""
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+
+
 def verify_program(user_asts: list[ProgramAst], config: RunConfig,
                    tasks: list[str] | None = None) -> VerifyRun:
+    """Resolve the program and verify the selected tasks (all by default),
+    layer by layer in dependency order. With `config.jobs` > 1, every layer
+    of two or more tasks goes to one pool of at most `jobs` worker processes,
+    forked after resolve; they return results in layer order, equal to those
+    of jobs=1. Where fork is unavailable or unsafe, the run is serial."""
+    global _forked_run
     program, registry = resolve_with_prelude(user_asts)
     order = order_tasks(program, registry, config.ambient)
     user_modules = {a.module for a in user_asts}
     selected = set(tasks) if tasks is not None else None
+    layers = [[t for t in layer if selected is None or t in selected]
+              for layer in order.layers]
     results: dict[str, FunctionResult] = {}
-    # broadcast facts lowered in this run, shared by all its tasks
+    # facts lowered in this run, shared by all its tasks
     lowered: LoweredFacts = {}
-
-    def run(task: str) -> tuple[str, FunctionResult]:
-        return task, verify_task(task, program, registry, config, lowered)
-
-    for layer in order.layers:
-        todo = [t for t in layer if selected is None or t in selected]
-        if not todo:
-            continue
-        if config.jobs <= 1:
-            done = [run(t) for t in todo]
-        else:
-            with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-                done = list(pool.map(run, todo))
-        for task, result in done:
-            results[task] = result
+    workers = min(config.jobs, max(map(len, layers), default=0))
+    pool = None
+    try:
+        if workers >= 2 and _can_fork():
+            _forked_run = (program, registry, config, lowered)
+            pool = _fork_pool(workers)
+        for todo in layers:
+            if pool is not None and len(todo) >= 2:
+                done = pool.map(_verify_forked, todo)
+            else:
+                done = [verify_task(t, program, registry, config, lowered)
+                        for t in todo]
+            results.update(zip(todo, done))
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+        _forked_run = None
 
     user_tasks = [t for t in program.proof_fns()
                   if program.decl_module[t] in user_modules]

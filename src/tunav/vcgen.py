@@ -58,12 +58,15 @@ class QuantifiedFact:
     triggers: trig.TriggerSelection
     origin: Origin
     groups_via: tuple[str, ...] = ()
+    # the engine's form of the fact, built with it; `replace` copies share it
+    engine: EngineFact | None = field(default=None, repr=False, compare=False)
 
-    def to_engine(self) -> EngineFact:
-        return make_fact(self.key, self.origin.path, self.binders,
-                         self.hypothesis, self.conclusion,
-                         [g.exprs for g in self.triggers.groups],
-                         frozenset([self.origin]))
+    def __post_init__(self):
+        if self.engine is None:
+            self.engine = make_fact(self.key, self.origin.path, self.binders,
+                                    self.hypothesis, self.conclusion,
+                                    [g.exprs for g in self.triggers.groups],
+                                    frozenset([self.origin]))
 
 
 @dataclass
@@ -296,7 +299,9 @@ def _subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
     return e
 
 
-LoweredFacts = dict[tuple[str, str], QuantifiedFact]
+# The facts each mono fn lowers to in one run, keyed by (mono symbol,
+# strategy): a broadcast fn's fact, or a spec fn's definitional axioms.
+LoweredFacts = dict[tuple[str, str], list[QuantifiedFact]]
 
 
 class _ObligationBuilder:
@@ -326,16 +331,19 @@ class _ObligationBuilder:
         return any(t.render().find(prefix) >= 0 or t.name.startswith(prefix)
                    for t in inst.targs)
 
-    def _fact_for(self, inst: MonoFn) -> QuantifiedFact:
-        """The lowered fact shared by every task of the run. Callers copy it
-        before changing it. Two threads may both lower a missing fact; the
-        first one stored wins, and both lowerings are equal."""
+    def _facts_of(self, inst: MonoFn) -> list[QuantifiedFact]:
+        """What `inst` lowers to, shared by every task of the run: a spec fn's
+        definitional axioms, or a broadcast fn's one fact. Callers copy a fact
+        before changing it."""
         key = (inst.symbol, self.config.strategy)
-        qf = self.lowered.get(key)
-        if qf is None:
-            qf = self.lowered.setdefault(
-                key, lower_quantified_fact(inst, self.config.strategy))
-        return qf
+        facts = self.lowered.get(key)
+        if facts is None:
+            if inst.kind == "spec":
+                facts = definitional_axiom(inst, self.config.fuel, self.program)
+            else:
+                facts = [lower_quantified_fact(inst, self.config.strategy)]
+            self.lowered[key] = facts
+        return facts
 
     def import_facts(self, ctx: FactContext, import_path: str):
         """Add every instance of the facts named by `import_path` (a fact or
@@ -348,7 +356,7 @@ class _ObligationBuilder:
                     if via and via[0] not in existing.groups_via:
                         existing.groups_via = existing.groups_via + via
                     continue
-                ctx.add_fact(replace(self._fact_for(inst), groups_via=via))
+                ctx.add_fact(replace(self._facts_of(inst)[0], groups_via=via))
 
     # -- obligations ----------------------------------------------------------------
 
@@ -407,8 +415,7 @@ class _ObligationBuilder:
             if qf.hypothesis is not None:
                 exprs.append(qf.hypothesis)
         for sym in reachable_spec_fns(exprs, self.program):
-            inst = self.program.instances[sym]
-            for qf in definitional_axiom(inst, self.config.fuel, self.program):
+            for qf in self._facts_of(self.program.instances[sym]):
                 if qf.key not in ctx.by_key:
                     ctx.add_fact(qf)
 
@@ -480,9 +487,10 @@ class _ObligationBuilder:
 def generate_obligations(task: str, program: Program, registry: BroadcastRegistry,
                          config: VcgenConfig | None = None,
                          lowered: LoweredFacts | None = None) -> list[Obligation]:
-    """The obligations of proof fn `task`. `lowered` caches broadcast facts by
+    """The obligations of proof fn `task`. `lowered` caches lowered facts by
     (mono symbol, strategy); pass one dict to every task of a run, and only of
-    that run, so each fact is lowered once per run."""
+    that run, so each fact is lowered, and converted to the engine's form, once
+    per run."""
     return _ObligationBuilder(task, program, registry, config or VcgenConfig(),
                               {} if lowered is None else lowered).build()
 
@@ -490,7 +498,7 @@ def generate_obligations(task: str, program: Program, registry: BroadcastRegistr
 def prove_obligation(ob: Obligation, limits: Limits = Limits(),
                      strategy: str = trig.CONSERVATIVE) -> Outcome:
     ground = [(e, frozenset([o])) for e, o in ob.context.ground]
-    facts = [qf.to_engine() for qf in ob.context.facts]
+    facts = [qf.engine for qf in ob.context.facts]
     goal_origin = frozenset([Origin("goal", ob.site.describe(), ob.site.span)])
     return prove(ground, facts, ob.goal, goal_origin, limits, strategy,
                  params=ob.params)

@@ -141,3 +141,11 @@ proof fn needs_liberal(s: Seq<int>)
     p.write_text(src)
     assert main(["verify", str(p)]) == 1  # conservative picks is_even(...)
     assert main(["verify", str(p), "--trigger-strategy", "all-triggers"]) == 0
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_jobs_below_one_rejected(ok_file, capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", ok_file, "--jobs", jobs])
+    assert exc.value.code == 2
+    assert "--jobs: must be at least 1" in capsys.readouterr().err

@@ -1,7 +1,10 @@
 import glob
-import sys
+import random
 from collections import Counter
 
+import pytest
+
+from tunav import driver
 from tunav import triggers as trig
 from tunav import vcgen
 from tunav.driver import (
@@ -11,6 +14,9 @@ from tunav.driver import (
     report_usage,
     verify_program,
 )
+from tunav.engine import prover
+from tunav.errors import TriggerError, TunavError
+from tunav.minimize import minimize
 from tunav.syntax import parse_module
 
 PUSH_CONTAINS_GROUP = """
@@ -91,22 +97,140 @@ def _run_summary(run):
     }
 
 
+CORPUS = sorted(glob.glob("tests/corpus/*.tv"))
+
+
+def _run_counts(run):
+    """(obligations, instantiations, splits, mono instances) of a run."""
+    outs = [out for r in run.results.values() for _, out in r.obligations]
+    return (len(outs), sum(sum(o.instantiations.values()) for o in outs),
+            sum(o.splits_used for o in outs), len(run.program.instances))
+
+
 def test_parallel_statuses_match_sequential():
-    """jobs must not change what a run decides or reports. The tasks of a run
-    share one cache of lowered facts; a short switch interval makes the
-    worker threads interleave inside it."""
-    paths = sorted(glob.glob("tests/corpus/*.tv"))
-    asts = load_sources(paths)
+    """jobs must not change what a run decides or reports: forked workers
+    return the results a serial run computes."""
+    asts = load_sources(CORPUS)
     seq = verify_program(asts, RunConfig(jobs=1))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        runs = [verify_program(asts, RunConfig(jobs=jobs)) for jobs in (2, 8)]
-    finally:
-        sys.setswitchinterval(interval)
-    for par in runs:
+    for jobs in (2, 8):
+        par = verify_program(asts, RunConfig(jobs=jobs))
         assert _run_summary(par) == _run_summary(seq)
         assert par.program.instances.keys() == seq.program.instances.keys()
+
+
+def test_file_order_does_not_change_results():
+    """Metamorphic check: permuting the input files changes no verdict,
+    usage report or count, serially or in worker processes."""
+    orders = [CORPUS, CORPUS[::-1], random.Random(7).sample(CORPUS, len(CORPUS))]
+    assert len({tuple(o) for o in orders}) == 3
+    want = None
+    for paths in orders:
+        for jobs in (1, 2):
+            run = verify_program(load_sources(paths), RunConfig(jobs=jobs))
+            assert _run_counts(run) == (176, 693, 160, 188)
+            if want is None:
+                want = _run_summary(run)
+            assert _run_summary(run) == want
+
+
+TRIGGERLESS = """
+proof fn fine(x: int) requires x > 1 ensures x > 0 { }
+proof fn no_trigger(x: int) requires forall|i: int| i == i ensures x == x { }
+proof fn also_fine(x: int) requires x > 2 ensures x > 1 { }
+"""
+
+NO_ENSURES = """
+broadcast proof fn nothing(i: int) { }
+proof fn fine(x: int) requires x > 1 ensures x > 0 { broadcast use {nothing}; }
+proof fn also_fine(x: int) requires x > 2 ensures x > 1 { broadcast use {nothing}; }
+"""
+
+
+class FakePool:
+    """Stands in for the driver's process pool: records what it was asked
+    for and runs the tasks inline."""
+    made: list["FakePool"] = []
+
+    def __init__(self, workers):
+        self.workers = workers
+        self.shutdowns = []
+        FakePool.made.append(self)
+
+    def map(self, fn, tasks):
+        return [fn(t) for t in tasks]
+
+    def shutdown(self, **kwargs):
+        self.shutdowns.append(kwargs)
+
+
+@pytest.fixture
+def fake_pool(monkeypatch):
+    FakePool.made = []
+    monkeypatch.setattr(driver, "_fork_pool", FakePool)
+    return FakePool.made
+
+
+def test_pool_sized_by_largest_layer(fake_pool):
+    run = verify_program(load_sources(CORPUS), RunConfig(jobs=10_000))
+    assert run.all_verified
+    largest = max(len(layer) for layer in run.order.layers)
+    assert [p.workers for p in fake_pool] == [largest]
+    assert fake_pool[0].shutdowns == [{"cancel_futures": True}]
+    assert driver._forked_run is None
+
+
+def test_serial_runs_make_no_pool(fake_pool):
+    assert verify_program(load_sources(CORPUS), RunConfig(jobs=1)).all_verified
+    assert fake_pool == []
+
+
+def test_minimizer_trials_make_no_pool(fake_pool):
+    """A trial re-verifies one task, so only the baseline run may fork."""
+    src = """
+proof fn a(x: int) requires x > 1 ensures x > 0 { assert(x > 0); assert(x >= 1); }
+proof fn b(x: int) requires x > 2 ensures x > 0 { assert(x > 1); }
+"""
+    asts = [parse_module(src, "user.tv", module="user")]
+    report, _ = minimize(asts, RunConfig(jobs=4), scope="function")
+    assert report.runs == 4
+    assert len(fake_pool) == 1  # the baseline
+
+
+def test_no_fork_means_serial(fake_pool, monkeypatch):
+    import multiprocessing
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    run = verify_program(load_sources(CORPUS), RunConfig(jobs=2))
+    assert run.all_verified
+    assert fake_pool == []
+
+
+def test_pool_shut_down_when_a_task_raises(fake_pool):
+    with pytest.raises(TriggerError):
+        run_src(TRIGGERLESS, RunConfig(jobs=2))
+    assert [p.shutdowns for p in fake_pool] == [[{"cancel_futures": True}]]
+    assert driver._forked_run is None
+
+
+@pytest.mark.parametrize("src, error, line", [
+    (TRIGGERLESS, TriggerError, None),
+    (NO_ENSURES, TunavError, 2),
+])
+def test_worker_errors_surface_unchanged(src, error, line):
+    """An error raised in a worker process reaches the caller as it would
+    at jobs=1: same type, message and span."""
+    errors = []
+    for jobs in (1, 2):
+        with pytest.raises(error) as exc:
+            run_src(src, RunConfig(jobs=jobs))
+        errors.append(exc.value)
+    serial, forked = errors
+    assert forked.__cause__ is not None  # the worker's traceback
+    assert type(forked) is type(serial)
+    assert (forked.message, forked.span) == (serial.message, serial.span)
+    assert (forked.span and forked.span.line) == line
+    assert str(forked) == str(serial)
+    assert driver._forked_run is None
 
 
 def test_unknown_status_reported():
@@ -159,10 +283,34 @@ def _record_lowerings(monkeypatch) -> list:
     return calls
 
 
+def test_engine_facts_built_once_per_run(monkeypatch):
+    """Each lowered fact is converted to the engine's form once per run, and
+    the copies obligations make of it share that form; only quantifiers met
+    while proving are converted per obligation."""
+    keys = []
+    displays = set()
+    to_engine, in_engine = vcgen.make_fact, prover.make_fact
+
+    def recording(key, *args, **kwargs):
+        keys.append(key)
+        return to_engine(key, *args, **kwargs)
+
+    def recording_local(key, display, *args, **kwargs):
+        displays.add(display)
+        return in_engine(key, display, *args, **kwargs)
+
+    monkeypatch.setattr(vcgen, "make_fact", recording)
+    monkeypatch.setattr(prover, "make_fact", recording_local)
+    run = verify_program(load_sources(CORPUS), RunConfig())
+    assert _run_counts(run) == (176, 693, 160, 188)
+    assert len(keys) > 60
+    assert len(keys) == len(set(keys))
+    assert displays == {"<local quantifier>"}
+
+
 def test_broadcast_facts_lowered_once_per_run(monkeypatch):
     calls = _record_lowerings(monkeypatch)
-    run = verify_program(load_sources(sorted(glob.glob("tests/corpus/*.tv"))),
-                         RunConfig())
+    run = verify_program(load_sources(CORPUS), RunConfig())
     assert run.all_verified
     keys = [(sym, strategy) for sym, strategy, _ in calls]
     assert len(keys) > 50
