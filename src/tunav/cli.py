@@ -38,10 +38,10 @@ def add_run_flags(p: argparse.ArgumentParser):
                    help="default trigger selection for unannotated quantifiers")
     p.add_argument("--fuel", type=int, default=1,
                    help="recursive definition unfolding depth")
-    p.add_argument("--max-rounds", type=int, default=5)
-    p.add_argument("--max-instantiations", type=int, default=10_000)
-    p.add_argument("--max-splits", type=int, default=10_000)
-    p.add_argument("--time-budget-ms", type=int, default=10_000)
+    p.add_argument("--max-rounds", type=positive_int, default=5)
+    p.add_argument("--max-instantiations", type=positive_int, default=10_000)
+    p.add_argument("--max-splits", type=positive_int, default=10_000)
+    p.add_argument("--time-budget-ms", type=positive_int, default=10_000)
     p.add_argument("--no-default-prelude", action="store_true",
                    help="do not auto-import the default broadcast group")
     p.add_argument("--ambient", action="append", default=[], metavar="PATH",
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="remove sampled asserts one at a time and time "
                             "the failures")
     s.add_argument("files", nargs="+")
-    s.add_argument("--n", type=int, default=20)
+    s.add_argument("--n", type=positive_int, default=20)
     s.add_argument("--seed", type=int, default=1)
     s.add_argument("--out", metavar="PATH", help="CSV output path")
     add_run_flags(s)
@@ -138,7 +138,7 @@ def cmd_verify(args) -> int:
         for task in run.user_tasks:
             obs.extend(generate_obligations(task, run.program, run.registry,
                                             config.vcgen(), lowered))
-        smtlib.emit_all(obs, args.emit_smtlib)
+        smtlib.emit_all(obs, args.emit_smtlib, config.strategy)
     return 0 if run.all_verified else 1
 
 

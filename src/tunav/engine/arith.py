@@ -20,8 +20,6 @@ UNKNOWN = "unknown"
 DEFAULT_ELIM_CAP = 12
 CONSTRAINT_CAP = 4000
 
-INTERPRETED = {"+", "-", "*"}
-
 
 @dataclass
 class Constraint:
@@ -67,13 +65,7 @@ def linearize(graph, tid: int, used_values: list[tuple[int, int]],
     if sym == "+" or sym == "-":
         lc, lk = linearize(graph, args[0], used_values, leaves)
         rc, rk = linearize(graph, args[1], used_values, leaves)
-        sign = 1 if sym == "+" else -1
-        out = dict(lc)
-        for v, c in rc.items():
-            out[v] = out.get(v, 0) + sign * c
-            if out[v] == 0:
-                del out[v]
-        return out, lk + sign * rk
+        return _combine(lc, lk, rc, rk, 1 if sym == "+" else -1)
     if sym == "*":
         lc, lk = linearize(graph, args[0], used_values, leaves)
         rc, rk = linearize(graph, args[1], used_values, leaves)
@@ -169,7 +161,6 @@ def check_constraints(constraints: list[Constraint],
                 for v, c in lo.coeffs.items():
                     coeffs[v] = coeffs.get(v, 0) + a * c
                 coeffs = {v: c for v, c in coeffs.items() if c != 0 and v != var}
-                coeffs.pop(var, None)
                 const = b * up.const + a * lo.const
                 cons = Constraint(coeffs, const, up.sources | lo.sources).tightened()
                 if not cons.coeffs:

@@ -47,9 +47,6 @@ class Origin:
     path: str
     span: SourceSpan | None = None
 
-    def display(self) -> str:
-        return self.path
-
 
 @dataclass(frozen=True)
 class Limits:
@@ -401,11 +398,9 @@ class ProverState:
         if key in self.fact_keys:
             return
         self.fact_keys.add(key)
-        sel = q.trigger_selection
-        if sel is None:
-            quant = (trig.Quantifier.of_forall(q) if isinstance(q, Forall)
-                     else trig.Quantifier.of_exists(q))
-            sel = trig.infer_triggers(quant, self.shared.strategy)
+        quant = (trig.Quantifier.of_forall(q) if isinstance(q, Forall)
+                 else trig.Quantifier.of_exists(q))
+        sel = trig.infer_triggers(quant, self.shared.strategy)
         fact = make_fact(key, "<local quantifier>",
                          [(b.name, b.ty) for b in q.binders],
                          None, body,

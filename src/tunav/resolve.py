@@ -119,8 +119,6 @@ class Program:
     instances: dict[str, MonoFn]
     instances_of: dict[str, list[str]]
     module_uses: dict[str, list[str]]
-    consts: dict[str, Type]
-    sorts: dict[str, SortDecl]
     spec_scc: dict[str, tuple[str, ...]]  # mono spec symbol -> SCC members when recursive
 
     def proof_fns(self) -> list[str]:
@@ -150,7 +148,6 @@ class TaskOrder:
     tasks: list[str]  # proof-fn decl paths, topologically sorted
     layers: list[list[str]]  # parallelizable layers
     deps: dict[str, set[str]]  # task -> tasks it waits on
-    fact_task: dict[str, str]  # broadcast lemma decl path -> its task
 
 
 # ---------------------------------------------------------------------------
@@ -914,8 +911,6 @@ def resolve_program(asts: list[ProgramAst]) -> tuple[Program, BroadcastRegistry]
         instances=rs.instances,
         instances_of={k: sorted(v) for k, v in rs.instances_of.items()},
         module_uses=rs.module_uses,
-        consts=rs.consts,
-        sorts=rs.sorts,
         spec_scc=rs.spec_sccs(),
     )
     return program, registry
@@ -956,13 +951,13 @@ def order_tasks(program: Program, registry: BroadcastRegistry,
     """Topological order in which each broadcast lemma is verified before any
     task that imports it; CycleError on mutual imports."""
     tasks = program.proof_fns()
-    fact_task = {path: path for path in tasks
-                 if getattr(program.symbols[path], "broadcast", False)}
+    broadcast = {path for path in tasks
+                  if getattr(program.symbols[path], "broadcast", False)}
     deps: dict[str, set[str]] = {t: set() for t in tasks}
     for t in tasks:
         for fact in task_imports(program, registry, t, ambient):
-            if fact in fact_task:
-                deps[t].add(fact_task[fact])
+            if fact in broadcast:
+                deps[t].add(fact)
 
     graph = {t: set(d) for t, d in deps.items()}
     for comp in strongly_connected_components(graph):
@@ -981,4 +976,4 @@ def order_tasks(program: Program, registry: BroadcastRegistry,
         placed.update(layer)
         ordered.extend(layer)
         remaining = [t for t in remaining if t not in placed]
-    return TaskOrder(ordered, layers, deps, fact_task)
+    return TaskOrder(ordered, layers, deps)

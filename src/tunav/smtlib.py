@@ -1,12 +1,15 @@
 """SMT-LIB 2 emission: one standalone script per obligation, with quantified
 facts carrying :pattern annotations and :named labels for core extraction by
-an external solver. Exists for differential testing; not bit-exact."""
+an external solver. Nested `forall`s get the patterns the run's trigger
+strategy selects for them. Exists for differential testing; not bit-exact."""
 
 from __future__ import annotations
 
 import os
 import re
 
+from tunav import triggers as trig
+from tunav.errors import TriggerError
 from tunav.syntax.ast import (
     BinOp,
     BoolLit,
@@ -47,7 +50,7 @@ _OPS = {"&&": "and", "||": "or", "==>": "=>", "<==>": "=", "==": "=",
         "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 
 
-def _sx(e: Expr, bound: dict[str, str]) -> str:
+def _sx(e: Expr, bound: dict[str, str], strategy: str) -> str:
     if isinstance(e, IntLit):
         return str(e.value) if e.value >= 0 else f"(- {-e.value})"
     if isinstance(e, BoolLit):
@@ -57,15 +60,16 @@ def _sx(e: Expr, bound: dict[str, str]) -> str:
             return bound[e.name]
         return _sym(e.resolved or f"%{e.name}")
     if isinstance(e, Call):
-        args = " ".join(_sx(a, bound) for a in e.args)
+        args = " ".join(_sx(a, bound, strategy) for a in e.args)
         return f"({_sym(e.resolved or e.name)} {args})" if args else \
             _sym(e.resolved or e.name)
     if isinstance(e, Not):
-        return f"(not {_sx(e.arg, bound)})"
+        return f"(not {_sx(e.arg, bound, strategy)})"
     if isinstance(e, BinOp):
+        lhs, rhs = _sx(e.lhs, bound, strategy), _sx(e.rhs, bound, strategy)
         if e.op == "!=":
-            return f"(not (= {_sx(e.lhs, bound)} {_sx(e.rhs, bound)}))"
-        return f"({_OPS[e.op]} {_sx(e.lhs, bound)} {_sx(e.rhs, bound)})"
+            return f"(not (= {lhs} {rhs}))"
+        return f"({_OPS[e.op]} {lhs} {rhs})"
     if isinstance(e, (Forall, Exists)):
         word = "forall" if isinstance(e, Forall) else "exists"
         inner = dict(bound)
@@ -77,22 +81,34 @@ def _sx(e: Expr, bound: dict[str, str]) -> str:
             decls.append(f"({v} {_smt_sort(b.ty)})")
             if b.ty.name == "nat":
                 guards.append(f"(<= 0 {v})")
-        body = _sx(e.body, inner)
+        body = _sx(e.body, inner, strategy)
         if guards:
             joined = guards[0] if len(guards) == 1 else f"(and {' '.join(guards)})"
             body = (f"(=> {joined} {body})" if isinstance(e, Forall)
                     else f"(and {joined} {body})")
-        sel = e.trigger_selection
-        if isinstance(e, Forall) and sel is not None and sel.groups:
-            pats = " ".join(
-                ":pattern (" + " ".join(_sx(t, inner) for t in g.exprs) + ")"
-                for g in sel.groups)
-            body = f"(! {body} {pats})"
+        if isinstance(e, Forall):
+            try:
+                groups = trig.infer_triggers(trig.Quantifier.of_forall(e),
+                                             strategy).groups
+            except TriggerError:
+                groups = []  # no valid trigger: emitted without a pattern
+            body = _with_patterns(body, groups, inner, strategy)
         return f"({word} ({' '.join(decls)}) {body})"
     raise ValueError(f"cannot emit {type(e).__name__}")
 
 
-def _fact_formula(qf: QuantifiedFact) -> str:
+def _with_patterns(body: str, groups: list[trig.TriggerGroup],
+                   bound: dict[str, str], strategy: str) -> str:
+    """`body` with one `:pattern` per trigger group, or as is if none."""
+    if not groups:
+        return body
+    pats = " ".join(
+        ":pattern (" + " ".join(_sx(t, bound, strategy) for t in g.exprs) + ")"
+        for g in groups)
+    return f"(! {body} {pats})"
+
+
+def _fact_formula(qf: QuantifiedFact, strategy: str) -> str:
     bound: dict[str, str] = {}
     decls = []
     guards = []
@@ -102,19 +118,15 @@ def _fact_formula(qf: QuantifiedFact) -> str:
         decls.append(f"({v} {_smt_sort(ty)})")
         if ty.name == "nat":
             guards.append(f"(<= 0 {v})")
-    hyp = [] if qf.hypothesis is None else [_sx(qf.hypothesis, bound)]
+    hyp = [] if qf.hypothesis is None else [_sx(qf.hypothesis, bound, strategy)]
     hyp = guards + hyp
-    concl = _sx(qf.conclusion, bound)
+    concl = _sx(qf.conclusion, bound, strategy)
     if hyp:
         joined = hyp[0] if len(hyp) == 1 else f"(and {' '.join(hyp)})"
         body = f"(=> {joined} {concl})"
     else:
         body = concl
-    pats = " ".join(
-        ":pattern (" + " ".join(_sx(t, bound) for t in g.exprs) + ")"
-        for g in qf.triggers.groups)
-    if pats:
-        body = f"(! {body} {pats})"
+    body = _with_patterns(body, qf.triggers.groups, bound, strategy)
     if not decls:
         return body
     return f"(forall ({' '.join(decls)}) {body})"
@@ -163,7 +175,9 @@ def _note_sort(t: Type | None, sorts: set):
         sorts.add(name)
 
 
-def emit_obligation(ob: Obligation, path: str):
+def emit_obligation(ob: Obligation, path: str, strategy: str):
+    """Write `ob` as a script to `path`. Nested `forall`s get the patterns
+    `strategy` selects for them; a fact keeps the triggers it was lowered with."""
     sorts: set = set()
     funcs: dict = {}
     consts: dict = {}
@@ -197,25 +211,25 @@ def emit_obligation(ob: Obligation, path: str):
 
     for i, (e, origin) in enumerate(ob.context.ground):
         label = fresh(f"hyp-{origin.path}")
-        lines.append(f"(assert (! {_sx(e, {})} :named {label}))")
+        lines.append(f"(assert (! {_sx(e, {}, strategy)} :named {label}))")
     for qf in ob.context.facts:
         label = fresh(f"fact-{qf.origin.path}")
-        lines.append(f"(assert (! {_fact_formula(qf)} :named {label}))")
+        lines.append(f"(assert (! {_fact_formula(qf, strategy)} :named {label}))")
     for name, ty in ob.params.items():
         if ty.name == "nat":
             lines.append(f"(assert (<= 0 {_sym('%' + name)}))")
-    lines.append(f"(assert (! (not {_sx(ob.goal, {})}) :named goal))")
+    lines.append(f"(assert (! (not {_sx(ob.goal, {}, strategy)}) :named goal))")
     lines.append("(check-sat)")
     lines.append("(get-unsat-core)")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_all(obligations: list[Obligation], directory: str):
+def emit_all(obligations: list[Obligation], directory: str, strategy: str):
     os.makedirs(directory, exist_ok=True)
     by_fn: dict[str, int] = {}
     for ob in obligations:
         san = re.sub(r"[^A-Za-z0-9_]+", "_", ob.function)
         n = by_fn.get(san, 0)
         by_fn[san] = n + 1
-        emit_obligation(ob, os.path.join(directory, f"{san}__{n}.smt2"))
+        emit_obligation(ob, os.path.join(directory, f"{san}__{n}.smt2"), strategy)

@@ -4,6 +4,12 @@ Structural equality between nodes deliberately ignores spans, inferred types
 and display-only flags (`field(compare=False)`), so that a parse/render
 round-trip compares equal while exact byte offsets still travel with every
 node for diagnostics and for the assert minimizer.
+
+Only the parser writes into nodes. Later phases read trees and build new
+ones: resolve fills `ty` and `resolved` in when it constructs its
+monomorphized copies, and vcgen copies a tree to substitute into it. Derived
+facts such as a quantifier's trigger selection are computed where they are
+used, never cached on a node, so a tree can be shared and reused as a value.
 """
 
 from __future__ import annotations
@@ -65,7 +71,8 @@ class Param:
 @dataclass(eq=True)
 class Expr:
     span: SourceSpan = field(compare=False, repr=False)
-    # Set on resolve's monomorphized copies; never part of structural equality.
+    # Given when resolve builds its monomorphized copies; never part of
+    # structural equality.
     ty: Type | None = field(default=None, compare=False, repr=False, kw_only=True)
     # A `#[trigger]` annotation on this subterm (semantic: overrides inference).
     trigger_mark: bool = field(default=False, kw_only=True)
@@ -84,8 +91,8 @@ class BoolLit(Expr):
 @dataclass(eq=True)
 class Var(Expr):
     name: str = ""
-    # Full path when the name resolves to a module-level const (set on
-    # resolve's monomorphized copies).
+    # Full path when the name resolves to a module-level const (given when
+    # resolve builds its monomorphized copies).
     resolved: str | None = field(default=None, compare=False, repr=False)
 
 
@@ -100,13 +107,8 @@ class Call(Expr):
     name: str = ""  # raw path text, e.g. "f" or "prelude::seq::push"
     args: list[Expr] = field(default_factory=list)
     method_style: bool = field(default=False, compare=False)
-    # Fully qualified monomorphic symbol, set on resolve's monomorphized copies.
+    # Fully qualified monomorphic symbol, given on resolve's monomorphized copies.
     resolved: str | None = field(default=None, compare=False, repr=False)
-
-
-ARITH_OPS = ("+", "-", "*", "%")
-CMP_OPS = ("==", "!=", "<", "<=", ">", ">=")
-BOOL_OPS = ("&&", "||", "==>", "<==>")
 
 
 @dataclass(eq=True)
@@ -126,15 +128,12 @@ class Forall(Expr):
     binders: list[Binder] = field(default_factory=list)
     body: Expr = None  # type: ignore[assignment]
     all_triggers: bool = False
-    # Cached TriggerSelection, attached by vcgen; not structural.
-    trigger_selection: object | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(eq=True)
 class Exists(Expr):
     binders: list[Binder] = field(default_factory=list)
     body: Expr = None  # type: ignore[assignment]
-    trigger_selection: object | None = field(default=None, compare=False, repr=False)
 
 
 # --------------------------------------------------------------------------

@@ -41,40 +41,27 @@ _UNARY = 8
 _ATOM = 9
 
 
-def _prec(e: Expr) -> int:
-    base: int
+def _prec_unmarked(e: Expr) -> int:
     if isinstance(e, BinOp):
-        base = _PREC[e.op]
-    elif isinstance(e, Not):
-        base = _UNARY
-    elif isinstance(e, (Forall, Exists)):
-        base = 0
-    elif isinstance(e, IntLit) and e.value < 0:
-        base = _UNARY
-    else:
-        base = _ATOM
-    if e.trigger_mark:
-        base = min(base, _UNARY)
-    return base
+        return _PREC[e.op]
+    if isinstance(e, Not):
+        return _UNARY
+    if isinstance(e, (Forall, Exists)):
+        return 0
+    if isinstance(e, IntLit) and e.value < 0:
+        return _UNARY
+    return _ATOM
 
 
 def render_expr(e: Expr, min_prec: int = 0) -> str:
     text = _render_inner(e)
+    prec = _prec_unmarked(e)
     if e.trigger_mark:
-        inner = text if _prec_unmarked(e) >= _UNARY else f"({text})"
-        text = f"#[trigger] {inner}"
-    if _prec(e) < min_prec:
+        text = f"#[trigger] {text}" if prec >= _UNARY else f"#[trigger] ({text})"
+        prec = min(prec, _UNARY)
+    if prec < min_prec:
         return f"({text})"
     return text
-
-
-def _prec_unmarked(e: Expr) -> int:
-    mark = e.trigger_mark
-    e.trigger_mark = False
-    try:
-        return _prec(e)
-    finally:
-        e.trigger_mark = mark
 
 
 def _render_inner(e: Expr) -> str:

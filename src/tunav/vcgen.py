@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from tunav.engine.prover import EngineFact, Limits, Origin, Outcome, make_fact, prove
-from tunav.errors import TriggerError, TunavError
+from tunav.errors import TunavError
 from tunav.resolve import BroadcastRegistry, MonoFn, Program
 from tunav.syntax.ast import (
     Assert,
@@ -134,41 +134,32 @@ def lower_quantified_fact(inst: MonoFn, strategy: str) -> QuantifiedFact:
     return QuantifiedFact(inst.symbol, binders, hyp, concl, selection, origin)
 
 
-def _rewrite_calls(e: Expr, mapping: dict[str, str]) -> Expr:
-    """Deep copy with Call.resolved rewritten (fuel level lowering)."""
+def _copy_expr(e: Expr, vars: dict[str, Expr], calls: dict[str, str]) -> Expr:
+    """A copy of `e` in which every free local `Var` named in `vars` is replaced
+    by its value and every call to a symbol in `calls` is redirected to the
+    symbol it maps to. All other fields are copied as they are."""
+    if isinstance(e, Var):
+        return vars.get(e.name, e) if e.resolved is None else e
     if isinstance(e, Call):
-        out = Call(e.span, name=e.name,
-                   args=[_rewrite_calls(a, mapping) for a in e.args],
-                   method_style=e.method_style, ty=e.ty,
-                   trigger_mark=e.trigger_mark)
-        out.resolved = mapping.get(e.resolved, e.resolved)
-        return out
+        return replace(e, args=[_copy_expr(a, vars, calls) for a in e.args],
+                       resolved=calls.get(e.resolved, e.resolved))
     if isinstance(e, BinOp):
-        return BinOp(e.span, op=e.op, lhs=_rewrite_calls(e.lhs, mapping),
-                     rhs=_rewrite_calls(e.rhs, mapping), ty=e.ty,
-                     trigger_mark=e.trigger_mark)
+        return replace(e, lhs=_copy_expr(e.lhs, vars, calls),
+                       rhs=_copy_expr(e.rhs, vars, calls))
     if isinstance(e, Not):
-        return Not(e.span, arg=_rewrite_calls(e.arg, mapping), ty=e.ty,
-                   trigger_mark=e.trigger_mark)
-    if isinstance(e, Forall):
-        return Forall(e.span, binders=list(e.binders),
-                      body=_rewrite_calls(e.body, mapping),
-                      all_triggers=e.all_triggers, ty=e.ty,
-                      trigger_mark=e.trigger_mark)
-    if isinstance(e, Exists):
-        return Exists(e.span, binders=list(e.binders),
-                      body=_rewrite_calls(e.body, mapping), ty=e.ty,
-                      trigger_mark=e.trigger_mark)
+        return replace(e, arg=_copy_expr(e.arg, vars, calls))
+    if isinstance(e, (Forall, Exists)):
+        bound = {b.name for b in e.binders}
+        inner = {k: v for k, v in vars.items() if k not in bound}
+        return replace(e, body=_copy_expr(e.body, inner, calls))
     return e
 
 
 def _self_call(inst: MonoFn, symbol: str) -> Call:
     decl = inst.decl
-    c = Call(decl.span, name=decl.name,
-             args=[Var(decl.span, name=p.name, ty=p.ty) for p in decl.params],
-             ty=decl.ret)
-    c.resolved = symbol
-    return c
+    return Call(decl.span, name=decl.name,
+                args=[Var(decl.span, name=p.name, ty=p.ty) for p in decl.params],
+                resolved=symbol, ty=decl.ret)
 
 
 def definitional_axiom(inst: MonoFn, fuel: int,
@@ -204,30 +195,10 @@ def definitional_axiom(inst: MonoFn, fuel: int,
         return [eq_fact(inst.symbol, _self_call(inst, inst.symbol), decl.body)]
     for k in range(fuel, 0, -1):
         level_sym = inst.symbol if k == fuel else f"{inst.symbol}@{k}"
-        mapping = {m: f"{m}@{k - 1}" for m in scc} if k - 1 > 0 else \
-            {m: f"{m}@0" for m in scc}
-        body_k = _rewrite_calls(decl.body, mapping)
+        body_k = _copy_expr(decl.body, {}, {m: f"{m}@{k - 1}" for m in scc})
         lhs = _self_call(inst, level_sym)
         facts.append(eq_fact(f"{inst.symbol}@{k}", lhs, body_k))
     return facts
-
-
-# ---------------------------------------------------------------------------
-# Quantifier trigger annotation
-# ---------------------------------------------------------------------------
-
-
-def annotate_triggers(e: Expr, strategy: str):
-    """Attach TriggerSelection to every quantifier node (best effort: nodes
-    with no valid trigger raise only if the engine must instantiate them)."""
-    for q in walk_exprs(e):
-        if isinstance(q, (Forall, Exists)) and q.trigger_selection is None:
-            quant = (trig.Quantifier.of_forall(q) if isinstance(q, Forall)
-                     else trig.Quantifier.of_exists(q))
-            try:
-                q.trigger_selection = trig.infer_triggers(quant, strategy)
-            except TriggerError:
-                pass
 
 
 # ---------------------------------------------------------------------------
@@ -264,39 +235,6 @@ def reachable_spec_fns(exprs: list[Expr], program: Program) -> list[str]:
 # ---------------------------------------------------------------------------
 # Context assembly and obligations
 # ---------------------------------------------------------------------------
-
-
-def _subst_expr(e: Expr, mapping: dict[str, Expr]) -> Expr:
-    if isinstance(e, Var) and e.name in mapping and e.resolved is None:
-        return mapping[e.name]
-    if isinstance(e, Call):
-        out = Call(e.span, name=e.name,
-                   args=[_subst_expr(a, mapping) for a in e.args],
-                   method_style=e.method_style, ty=e.ty,
-                   trigger_mark=e.trigger_mark)
-        out.resolved = e.resolved
-        return out
-    if isinstance(e, BinOp):
-        return BinOp(e.span, op=e.op, lhs=_subst_expr(e.lhs, mapping),
-                     rhs=_subst_expr(e.rhs, mapping), ty=e.ty,
-                     trigger_mark=e.trigger_mark)
-    if isinstance(e, Not):
-        return Not(e.span, arg=_subst_expr(e.arg, mapping), ty=e.ty,
-                   trigger_mark=e.trigger_mark)
-    if isinstance(e, Forall):
-        inner = {k: v for k, v in mapping.items()
-                 if k not in {b.name for b in e.binders}}
-        return Forall(e.span, binders=list(e.binders),
-                      body=_subst_expr(e.body, inner),
-                      all_triggers=e.all_triggers, ty=e.ty,
-                      trigger_mark=e.trigger_mark)
-    if isinstance(e, Exists):
-        inner = {k: v for k, v in mapping.items()
-                 if k not in {b.name for b in e.binders}}
-        return Exists(e.span, binders=list(e.binders),
-                      body=_subst_expr(e.body, inner), ty=e.ty,
-                      trigger_mark=e.trigger_mark)
-    return e
 
 
 # The facts each mono fn lowers to in one run, keyed by (mono symbol,
@@ -391,7 +329,6 @@ class _ObligationBuilder:
 
         for i, e in enumerate(decl.ensures):
             self._emit(e, ctx, Site("ensures", e.span, i), params)
-        self._annotate_all()
         return self.obligations
 
     def _add_definitions(self, ctx: FactContext):
@@ -453,11 +390,11 @@ class _ObligationBuilder:
                            self._params())
                 index += 1
         for r in callee.decl.requires:
-            self._emit(_subst_expr(r, mapping), ctx,
+            self._emit(_copy_expr(r, mapping, {}), ctx,
                        Site("lemma-pre", s.span, index), self._params())
             index += 1
         for e in callee.decl.ensures:
-            ctx.ground.append((_subst_expr(e, mapping),
+            ctx.ground.append((_copy_expr(e, mapping, {}),
                                Origin("local", f"call {s.path}", s.span)))
 
     def _params(self) -> dict[str, Type]:
@@ -467,21 +404,6 @@ class _ObligationBuilder:
               params: dict[str, Type]):
         self.obligations.append(
             Obligation(goal, ctx.snapshot(), site, self.task, params))
-
-    def _annotate_all(self):
-        """Annotate every expression the obligations hold. Their contexts are
-        snapshots sharing most expressions, so each is walked once."""
-        seen: set[int] = set()
-        for ob in self.obligations:
-            exprs = [ob.goal] + [e for e, _ in ob.context.ground]
-            for qf in ob.context.facts:
-                exprs.append(qf.conclusion)
-                if qf.hypothesis is not None:
-                    exprs.append(qf.hypothesis)
-            for e in exprs:
-                if id(e) not in seen:
-                    seen.add(id(e))
-                    annotate_triggers(e, self.config.strategy)
 
 
 def generate_obligations(task: str, program: Program, registry: BroadcastRegistry,

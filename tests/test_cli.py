@@ -143,9 +143,21 @@ proof fn needs_liberal(s: Seq<int>)
     assert main(["verify", str(p), "--trigger-strategy", "all-triggers"]) == 0
 
 
-@pytest.mark.parametrize("jobs", ["0", "-3"])
-def test_jobs_below_one_rejected(ok_file, capsys, jobs):
+@pytest.mark.parametrize("command,flag,value", [
+    pytest.param("verify", "--jobs", "0", id="0"),
+    pytest.param("verify", "--jobs", "-3", id="-3"),
+    *[pytest.param(command, flag, value, id=f"{flag[2:]}={value}")
+      for command, flag in [("verify", "--max-rounds"),
+                            ("verify", "--max-instantiations"),
+                            ("verify", "--max-splits"),
+                            ("verify", "--time-budget-ms"),
+                            ("sample-failures", "--n")]
+      for value in ("0", "-1")],
+])
+def test_jobs_below_one_rejected(ok_file, capsys, command, flag, value):
+    """Counts and limits below one are usage errors (exit 2), not internal
+    errors of the run."""
     with pytest.raises(SystemExit) as exc:
-        main(["verify", ok_file, "--jobs", jobs])
+        main([command, ok_file, flag, value])
     assert exc.value.code == 2
-    assert "--jobs: must be at least 1" in capsys.readouterr().err
+    assert f"{flag}: must be at least 1" in capsys.readouterr().err

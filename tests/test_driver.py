@@ -1,6 +1,7 @@
 import glob
 import random
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -119,14 +120,21 @@ def test_parallel_statuses_match_sequential():
 
 
 def test_file_order_does_not_change_results():
-    """Metamorphic check: permuting the input files changes no verdict,
-    usage report or count, serially or in worker processes."""
+    """Metamorphic check: permuting the input files, or the declarations
+    within each file, changes no verdict, usage report or count, serially or
+    in worker processes."""
     orders = [CORPUS, CORPUS[::-1], random.Random(7).sample(CORPUS, len(CORPUS))]
     assert len({tuple(o) for o in orders}) == 3
+    rng = random.Random(7)
+    shuffled = [replace(a, declarations=rng.sample(a.declarations,
+                                                   len(a.declarations)))
+                for a in load_sources(CORPUS)]
+    assert shuffled != load_sources(CORPUS)
+    inputs = [load_sources(paths) for paths in orders] + [shuffled]
     want = None
-    for paths in orders:
+    for asts in inputs:
         for jobs in (1, 2):
-            run = verify_program(load_sources(paths), RunConfig(jobs=jobs))
+            run = verify_program(asts, RunConfig(jobs=jobs))
             assert _run_counts(run) == (176, 693, 160, 188)
             if want is None:
                 want = _run_summary(run)

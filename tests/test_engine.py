@@ -260,6 +260,20 @@ def test_heavy_prelude_lemma_split_bound():
     assert sum(out.splits_used for _, out in result.obligations) <= 100
 
 
+def test_time_budget_bounds_every_obligation():
+    """A 5 ms budget stops the heavy lemma's ensures (tens of ms unbounded),
+    and no obligation runs far past its budget."""
+    run = verify_program([], RunConfig(limits=Limits(time_budget_ms=5)))
+    result = run.results["prelude::seq::lemma_seq_contains_after_push"]
+    [ensures] = [out for site, out in result.obligations
+                 if site.kind == "ensures"
+                 and (site.span.file, site.span.line) == ("<prelude>/seq.tv", 52)]
+    assert (ensures.status, ensures.reason) == ("unknown", "time")
+    durations = [out.duration_ms for r in run.results.values()
+                 for _, out in r.obligations]
+    assert durations and max(durations) < 50
+
+
 def test_int_disequality_splits():
     # x <= y, x >= y |- x == y  needs the != split
     hyps = [(b("<=", iv("x"), iv("y")), H), (b("<=", iv("y"), iv("x")), H)]

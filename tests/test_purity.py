@@ -1,6 +1,7 @@
 """The pipeline is a function of the source text alone: it leaves the ASTs it
-is given unmodified, its verdicts do not depend on declaration or file order,
-and the prelude is parsed once per process."""
+is given unmodified, no phase after resolve writes into resolve's trees, its
+verdicts do not depend on declaration or file order, and the prelude is
+parsed once per process."""
 
 import glob
 import os
@@ -12,7 +13,11 @@ import tunav.prelude
 from tunav.driver import RunConfig, load_sources, resolve_with_prelude, verify_program
 from tunav.minimize import minimize
 from tunav.prelude import PRELUDE_FILES, load_prelude
+from tunav.smtlib import emit_all
 from tunav.syntax import parse_module
+from tunav.syntax.render import render_expr
+from tunav.triggers import CONSERVATIVE
+from tunav.vcgen import VcgenConfig, generate_obligations, prove_obligation
 
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
 
@@ -27,6 +32,25 @@ def test_inputs_unmodified(call):
     before = pickle.dumps(asts), pickle.dumps(load_prelude())
     call(asts)
     assert (pickle.dumps(asts), pickle.dumps(load_prelude())) == before
+
+
+def test_resolved_program_unmodified(tmp_path):
+    """vcgen, the engine, SMT-LIB emission and rendering only read resolve's
+    monomorphized trees: they cache nothing on them and flip no flag."""
+    program, registry = resolve_with_prelude(load_sources(CORPUS))
+    before = pickle.dumps(program.instances)
+    obligations = []
+    lowered = {}
+    for task in program.proof_fns():
+        for ob in generate_obligations(task, program, registry, VcgenConfig(),
+                                       lowered):
+            prove_obligation(ob)
+            obligations.append(ob)
+    emit_all(obligations, str(tmp_path), CONSERVATIVE)
+    for inst in program.instances.values():
+        for e in getattr(inst.decl, "requires", []) + getattr(inst.decl, "ensures", []):
+            render_expr(e)
+    assert pickle.dumps(program.instances) == before
 
 
 def statuses(asts):

@@ -1,9 +1,12 @@
 import glob
 import os
 
+import pytest
+
 from tunav.driver import resolve_with_prelude
 from tunav.smtlib import emit_all
 from tunav.syntax import parse_module
+from tunav.triggers import ALL_TRIGGERS, CONSERVATIVE
 from tunav.vcgen import VcgenConfig, generate_obligations
 
 SRC = """
@@ -26,7 +29,7 @@ def test_emit_obligations(tmp_path):
     obs = []
     for task in ("user::push_contains", "user::quantified"):
         obs.extend(generate_obligations(task, program, registry, VcgenConfig()))
-    emit_all(obs, str(tmp_path))
+    emit_all(obs, str(tmp_path), CONSERVATIVE)
     files = sorted(glob.glob(os.path.join(str(tmp_path), "*.smt2")))
     assert len(files) == len(obs)
     text = open(files[0]).read()
@@ -55,10 +58,33 @@ proof fn q(t: Seq<int>)
 """
     program, registry = resolve_with_prelude([parse_module(src, "q.tv", module="q")])
     obs = generate_obligations("q::q", program, registry, VcgenConfig())
-    emit_all(obs, str(tmp_path))
+    emit_all(obs, str(tmp_path), CONSERVATIVE)
     [path] = glob.glob(os.path.join(str(tmp_path), "*.smt2"))
     with open(path) as fh:
         text = fh.read()
     sorts = [line for line in text.splitlines() if line.startswith("(declare-sort")]
     assert sorts == ["(declare-sort |prelude::seq::Seq<int>| 0)"]
     assert "((|?s| |prelude::seq::Seq<int>|))" in text
+
+
+@pytest.mark.parametrize("strategy,patterns", [(CONSERVATIVE, 1), (ALL_TRIGGERS, 2)])
+def test_nested_forall_patterns_follow_strategy(tmp_path, strategy, patterns):
+    """A quantifier inside a hypothesis gets the triggers the run's strategy
+    selects: the most specific one, or every candidate."""
+    src = """
+spec fn f(i: int) -> int;
+spec fn g(i: int) -> int;
+proof fn q(x: int)
+    requires forall|i: int| f(i) == g(i)
+    ensures f(x) == g(x)
+{ }
+"""
+    program, registry = resolve_with_prelude([parse_module(src, "q.tv", module="q")])
+    obs = generate_obligations("q::q", program, registry,
+                               VcgenConfig(strategy=strategy))
+    emit_all(obs, str(tmp_path), strategy)
+    [path] = glob.glob(os.path.join(str(tmp_path), "*.smt2"))
+    with open(path) as fh:
+        [hyp] = [line for line in fh if ":named |hyp-requires#0|" in line]
+    assert hyp.startswith("(assert (! (forall ((|?i| Int))")
+    assert hyp.count(":pattern") == patterns
