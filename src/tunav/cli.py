@@ -25,29 +25,35 @@ from tunav.vcgen import generate_obligations
 from tunav import triggers as trig
 
 
-def positive_int(text: str) -> int:
-    n = int(text)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def int_at_least(minimum: int):
+    """An argparse `type` that accepts an integer no smaller than `minimum`."""
+    def parse(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {n}")
+        return n
+    return parse
 
 
 def add_run_flags(p: argparse.ArgumentParser):
     p.add_argument("--trigger-strategy", choices=["conservative", "all-triggers"],
                    default="conservative",
                    help="default trigger selection for unannotated quantifiers")
-    p.add_argument("--fuel", type=int, default=1,
+    p.add_argument("--fuel", type=int_at_least(0), default=1,
                    help="recursive definition unfolding depth")
-    p.add_argument("--max-rounds", type=positive_int, default=5)
-    p.add_argument("--max-instantiations", type=positive_int, default=10_000)
-    p.add_argument("--max-splits", type=positive_int, default=10_000)
-    p.add_argument("--time-budget-ms", type=positive_int, default=10_000)
+    p.add_argument("--max-rounds", type=int_at_least(1), default=5)
+    p.add_argument("--max-instantiations", type=int_at_least(1), default=10_000)
+    p.add_argument("--max-splits", type=int_at_least(1), default=10_000)
+    p.add_argument("--time-budget-ms", type=int_at_least(1), default=10_000)
     p.add_argument("--no-default-prelude", action="store_true",
                    help="do not auto-import the default broadcast group")
     p.add_argument("--ambient", action="append", default=[], metavar="PATH",
                    help="import this broadcast group/fact into every module "
                         "(repeatable)")
-    p.add_argument("--jobs", type=positive_int, default=1,
+    p.add_argument("--jobs", type=int_at_least(1), default=1,
                    help="worker processes, forked after resolve, that verify "
                         "each task layer in parallel; results equal --jobs 1")
     p.add_argument("--no-timing", action="store_true",
@@ -107,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="remove sampled asserts one at a time and time "
                             "the failures")
     s.add_argument("files", nargs="+")
-    s.add_argument("--n", type=positive_int, default=20)
+    s.add_argument("--n", type=int_at_least(1), default=20)
     s.add_argument("--seed", type=int, default=1)
     s.add_argument("--out", metavar="PATH", help="CSV output path")
     add_run_flags(s)

@@ -118,6 +118,23 @@ class BinOp(Expr):
     rhs: Expr = None  # type: ignore[assignment]
 
 
+# The one operator table, read by the parser and the renderer:
+# op -> (precedence, associativity); a higher precedence binds tighter.
+# A "chain" operator is a comparison: the parser reads `a < b <= c` as
+# `a < b && b <= c`, so a comparison operand of a comparison is parenthesised.
+BINARY_OPS: dict[str, tuple[int, str]] = {
+    "<==>": (1, "left"),
+    "==>": (2, "right"),
+    "||": (3, "left"),
+    "&&": (4, "left"),
+    **{op: (5, "chain") for op in ("==", "!=", "<", "<=", ">", ">=")},
+    "+": (6, "left"),
+    "-": (6, "left"),
+    "*": (7, "left"),
+    "%": (7, "left"),
+}
+
+
 @dataclass(eq=True)
 class Not(Expr):
     arg: Expr = None  # type: ignore[assignment]

@@ -1,7 +1,14 @@
-"""Hand-rolled lexer for `.tv` sources (UTF-8, `//` line comments)."""
+"""Lexer for `.tv` sources (UTF-8, `//` line comments).
+
+One compiled alternation of named groups, longest punctuation first, scans
+the source with `finditer`. An integer literal is ASCII `[0-9]+`; an
+identifier is a letter (`str.isalpha`) or `_` followed by word characters
+(`\\w`, i.e. `str.isalnum` or `_`).
+"""
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 from tunav.errors import ParseError
@@ -28,7 +35,6 @@ KEYWORDS = {
     "const",
 }
 
-# Longest match first.
 PUNCT = [
     "<==>",
     "==>",
@@ -73,64 +79,43 @@ class Token:
     col: int
 
 
+_TOKEN = re.compile("|".join([
+    r"(?P<newline>\n)",
+    r"(?P<skip>[ \t\r]+|//[^\n]*)",
+    r"(?P<int>[0-9]+)",
+    r"(?P<word>\w+)",
+    "(?P<attr>" + "|".join(map(re.escape, (ALL_TRIGGERS_ATTR, TRIGGER_ATTR))) + ")",
+    "(?P<punct>" + "|".join(map(re.escape, sorted(PUNCT, key=len, reverse=True))) + ")",
+    r"(?P<bad>.)",
+]))
+
+
 def tokenize(source: str, path: str) -> list[Token]:
     tokens: list[Token] = []
-    i = 0
-    n = len(source)
     line = 1
     line_start = 0
-
-    def span_here(start: int, end: int) -> SourceSpan:
-        return SourceSpan(path, start, end, line, start - line_start + 1)
-
-    while i < n:
-        c = source[i]
-        if c == "\n":
+    for m in _TOKEN.finditer(source):
+        kind = m.lastgroup
+        start, end = m.span()
+        if kind == "newline":
             line += 1
-            i += 1
-            line_start = i
+            line_start = end
             continue
-        if c in " \t\r":
-            i += 1
+        if kind == "skip":
             continue
-        if source.startswith("//", i):
-            j = source.find("\n", i)
-            i = n if j < 0 else j
-            continue
-        col = i - line_start + 1
-        if c.isdigit():
-            j = i
-            while j < n and source[j].isdigit():
-                j += 1
-            tokens.append(Token("int", source[i:j], i, j, line, col))
-            i = j
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < n and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            word = source[i:j]
-            kind = "kw" if word in KEYWORDS else "ident"
-            tokens.append(Token(kind, word, i, j, line, col))
-            i = j
-            continue
-        if c == "#":
-            for attr in (ALL_TRIGGERS_ATTR, TRIGGER_ATTR):
-                if source.startswith(attr, i):
-                    tokens.append(Token("attr", attr, i, i + len(attr), line, col))
-                    i += len(attr)
-                    break
-            else:
-                raise ParseError("unknown attribute (expected #[trigger] or #![all_triggers])",
-                                 span_here(i, i + 1))
-            continue
-        for p in PUNCT:
-            if source.startswith(p, i):
-                tokens.append(Token("punct", p, i, i + len(p), line, col))
-                i += len(p)
-                break
-        else:
-            raise ParseError(f"unexpected character {c!r}", span_here(i, i + 1))
-
+        text = m.group()
+        col = start - line_start + 1
+        # An identifier starts with a letter or `_`; `\w` also matches other
+        # numeric characters (`²`, `٣`), and no token starts with those.
+        if kind == "word" and not (text[0].isalpha() or text[0] == "_"):
+            kind = "bad"
+        if kind == "bad":
+            message = ("unknown attribute (expected #[trigger] or #![all_triggers])"
+                       if text == "#" else f"unexpected character {text[0]!r}")
+            raise ParseError(message, SourceSpan(path, start, start + 1, line, col))
+        if kind == "word":
+            kind = "kw" if text in KEYWORDS else "ident"
+        tokens.append(Token(kind, text, start, end, line, col))
+    n = len(source)
     tokens.append(Token("eof", "", n, n, line, n - line_start + 1))
     return tokens

@@ -1,4 +1,5 @@
-"""Recursive-descent parser producing a :class:`ProgramAst`.
+"""Recursive-descent parser producing a :class:`ProgramAst`; binary
+operators are parsed by precedence climbing over `ast.BINARY_OPS`.
 
 Method-call sugar (`a.push(3)`) is desugared here, so every later phase only
 sees plain applications. Chained comparisons (`0 <= i < s.len()`) desugar to
@@ -14,6 +15,7 @@ from tunav.syntax.ast import (
     Assert,
     AssertBy,
     AxiomFn,
+    BINARY_OPS,
     BinOp,
     Binder,
     BoolLit,
@@ -41,8 +43,6 @@ from tunav.syntax.ast import (
     Var,
 )
 from tunav.syntax.lexer import ALL_TRIGGERS_ATTR, TRIGGER_ATTR, Token, tokenize
-
-CMP = {"==", "!=", "<", "<=", ">", ">="}
 
 
 def module_path_for(path: str) -> str:
@@ -294,13 +294,7 @@ class _Parser:
             return UseStmt(self.span_from(start), paths=paths)
         if self.peek().kind == "ident":
             path = self.path_()
-            self.expect("(")
-            args: list[Expr] = []
-            while not self.at(")"):
-                args.append(self.expr())
-                if not self.eat(","):
-                    break
-            self.expect(")")
+            args, _ = self.call_args()
             self.expect(";")
             return LemmaCall(self.span_from(start), path=path, args=args)
         raise ParseError(f"expected statement, found {self.peek().text!r}",
@@ -308,81 +302,27 @@ class _Parser:
 
     # -- expressions ---------------------------------------------------------
 
-    def expr(self) -> Expr:
-        return self.iff()
-
-    def iff(self) -> Expr:
-        start = self.peek()
-        lhs = self.implies()
-        while self.at("<==>"):
-            self.next()
-            rhs = self.implies()
-            lhs = BinOp(self.span_from(start, rhs.span.end), op="<==>", lhs=lhs, rhs=rhs)
-        return lhs
-
-    def implies(self) -> Expr:
-        start = self.peek()
-        lhs = self.or_()
-        if self.at("==>"):
-            self.next()
-            rhs = self.implies()  # right-associative
-            return BinOp(self.span_from(start, rhs.span.end), op="==>", lhs=lhs, rhs=rhs)
-        return lhs
-
-    def or_(self) -> Expr:
-        start = self.peek()
-        lhs = self.and_()
-        while self.at("||"):
-            self.next()
-            rhs = self.and_()
-            lhs = BinOp(self.span_from(start, rhs.span.end), op="||", lhs=lhs, rhs=rhs)
-        return lhs
-
-    def and_(self) -> Expr:
-        start = self.peek()
-        lhs = self.cmp()
-        while self.at("&&"):
-            self.next()
-            rhs = self.cmp()
-            lhs = BinOp(self.span_from(start, rhs.span.end), op="&&", lhs=lhs, rhs=rhs)
-        return lhs
-
-    def cmp(self) -> Expr:
-        start = self.peek()
-        first = self.addsub()
-        links: list[tuple[str, Expr]] = []
-        while self.peek().kind == "punct" and self.peek().text in CMP:
-            op = self.next().text
-            links.append((op, self.addsub()))
-        if not links:
-            return first
-        # a <= b < c  ==>  a <= b && b < c
-        conj: Expr | None = None
-        left = first
-        for op, right in links:
-            leg = BinOp(self.span_from(start, right.span.end), op=op, lhs=left, rhs=right)
-            conj = leg if conj is None else BinOp(
-                self.span_from(start, right.span.end), op="&&", lhs=conj, rhs=leg)
-            left = right
-        return conj  # type: ignore[return-value]
-
-    def addsub(self) -> Expr:
-        start = self.peek()
-        lhs = self.muldiv()
-        while self.peek().kind == "punct" and self.peek().text in ("+", "-"):
-            op = self.next().text
-            rhs = self.muldiv()
-            lhs = BinOp(self.span_from(start, rhs.span.end), op=op, lhs=lhs, rhs=rhs)
-        return lhs
-
-    def muldiv(self) -> Expr:
+    def expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing over `BINARY_OPS`. Every BinOp spans from the
+        first token of its leftmost operand to the end of its rhs."""
         start = self.peek()
         lhs = self.unary()
-        while self.peek().kind == "punct" and self.peek().text in ("*", "%"):
-            op = self.next().text
-            rhs = self.unary()
-            lhs = BinOp(self.span_from(start, rhs.span.end), op=op, lhs=lhs, rhs=rhs)
-        return lhs
+        chained: Expr | None = None  # rhs of the comparison that ends `lhs`
+        while True:
+            op = self.peek().text
+            prec, assoc = BINARY_OPS.get(op, (0, ""))
+            if prec < min_prec:
+                return lhs
+            self.next()
+            rhs = self.expr(prec if assoc == "right" else prec + 1)
+            span = self.span_from(start, rhs.span.end)
+            if chained is not None and assoc == "chain":
+                # a <= b < c  ==>  a <= b && b < c
+                leg = BinOp(span, op=op, lhs=chained, rhs=rhs)
+                lhs = BinOp(span, op="&&", lhs=lhs, rhs=leg)
+            else:
+                lhs = BinOp(span, op=op, lhs=lhs, rhs=rhs)
+            chained = rhs if assoc == "chain" else None
 
     def unary(self) -> Expr:
         t = self.peek()
@@ -411,14 +351,9 @@ class _Parser:
         while self.at("."):
             self.next()
             name = self.expect_ident().text
-            self.expect("(")
-            args: list[Expr] = [e]
-            while not self.at(")"):
-                args.append(self.expr())
-                if not self.eat(","):
-                    break
-            close = self.expect(")")
-            e = Call(self.span_from(start, close.end), name=name, args=args, method_style=True)
+            args, close = self.call_args()
+            e = Call(self.span_from(start, close.end), name=name, args=[e, *args],
+                     method_style=True)
         return e
 
     def atom(self) -> Expr:
@@ -457,16 +392,20 @@ class _Parser:
         if t.kind == "ident":
             path = self.path_()
             if self.at("("):
-                self.next()
-                args: list[Expr] = []
-                while not self.at(")"):
-                    args.append(self.expr())
-                    if not self.eat(","):
-                        break
-                close = self.expect(")")
+                args, close = self.call_args()
                 return Call(self.span_from(t, close.end), name=path, args=args)
             return Var(self.span_from(t), name=path)
         raise ParseError(f"expected expression, found {t.text!r}", self.tok_span(t))
+
+    def call_args(self) -> tuple[list[Expr], Token]:
+        """`(e, ...)`: the arguments and the closing `)` token."""
+        self.expect("(")
+        args: list[Expr] = []
+        while not self.at(")"):
+            args.append(self.expr())
+            if not self.eat(","):
+                break
+        return args, self.expect(")")
 
     def binders(self) -> list[Binder]:
         out = []

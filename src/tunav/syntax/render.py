@@ -2,6 +2,10 @@
 
 `parse(render(parse(s)))` equals `parse(s)` structurally. Comments are not
 preserved; method sugar is kept for display via the Call.method_style flag.
+Operands are parenthesised by the parser's own table, `ast.BINARY_OPS`: an
+operand of equal precedence goes bare only on the side its operator
+associates to, so a comparison operand of a comparison is always
+parenthesised and never re-read as a chain.
 """
 
 from __future__ import annotations
@@ -11,6 +15,7 @@ from tunav.syntax.ast import (
     Assert,
     AssertBy,
     AxiomFn,
+    BINARY_OPS,
     BinOp,
     BoolLit,
     BroadcastGroup,
@@ -34,16 +39,13 @@ from tunav.syntax.ast import (
     walk_stmts,
 )
 
-_PREC = {"<==>": 1, "==>": 2, "||": 3, "&&": 4,
-         "==": 5, "!=": 5, "<": 5, "<=": 5, ">": 5, ">=": 5,
-         "+": 6, "-": 6, "*": 7, "%": 7}
-_UNARY = 8
-_ATOM = 9
+_UNARY = max(prec for prec, _ in BINARY_OPS.values()) + 1
+_ATOM = _UNARY + 1
 
 
 def _prec_unmarked(e: Expr) -> int:
     if isinstance(e, BinOp):
-        return _PREC[e.op]
+        return BINARY_OPS[e.op][0]
     if isinstance(e, Not):
         return _UNARY
     if isinstance(e, (Forall, Exists)):
@@ -78,13 +80,9 @@ def _render_inner(e: Expr) -> str:
             return f"{recv}.{e.name}({rest})"
         return f"{e.name}({', '.join(render_expr(a) for a in e.args)})"
     if isinstance(e, BinOp):
-        p = _PREC[e.op]
-        if e.op == "==>":  # right-associative
-            lhs = render_expr(e.lhs, p + 1)
-            rhs = render_expr(e.rhs, p)
-        else:
-            lhs = render_expr(e.lhs, p)
-            rhs = render_expr(e.rhs, p + 1)
+        p, assoc = BINARY_OPS[e.op]
+        lhs = render_expr(e.lhs, p if assoc == "left" else p + 1)
+        rhs = render_expr(e.rhs, p if assoc == "right" else p + 1)
         return f"{lhs} {e.op} {rhs}"
     if isinstance(e, Not):
         return f"!{render_expr(e.arg, _UNARY)}"

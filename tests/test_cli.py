@@ -42,9 +42,11 @@ def test_verify_exit_one_on_failure(tmp_path, capsys):
 
 def test_verify_exit_two_on_parse_error(tmp_path, capsys):
     p = tmp_path / "junk.tv"
-    p.write_text("proof fn oops( {")
-    assert main(["verify", str(p)]) == 2
-    assert "error:" in capsys.readouterr().err
+    # the second is a numeric character that no token starts with
+    for text in ["proof fn oops( {", "spec fn f() -> int { ² }"]:
+        p.write_text(text)
+        assert main(["verify", str(p)]) == 2
+        assert "error:" in capsys.readouterr().err
 
 
 def test_verify_usage_error_without_files(capsys):
@@ -75,9 +77,14 @@ def test_emit_smtlib(tmp_path, ok_file):
     assert glob.glob(os.path.join(d, "*.smt2"))
 
 
+# Rendered as `a <= b == c`, the body would re-parse as the chain
+# `a <= b && b == c` and no longer type-check.
+LE_IS_SRC = "spec fn le_is(a: int, b: int, c: bool) -> bool { (a <= b) == c }\n"
+
+
 def test_minimize_and_write(tmp_path, capsys):
     p = tmp_path / "m.tv"
-    p.write_text(OK_SRC)
+    p.write_text(OK_SRC + LE_IS_SRC)
     report_path = str(tmp_path / "report.json")
     assert main(["minimize", str(p), "--write", "--report-json",
                  report_path]) == 0
@@ -146,6 +153,7 @@ proof fn needs_liberal(s: Seq<int>)
 @pytest.mark.parametrize("command,flag,value", [
     pytest.param("verify", "--jobs", "0", id="0"),
     pytest.param("verify", "--jobs", "-3", id="-3"),
+    pytest.param("verify", "--fuel", "-1", id="fuel=-1"),
     *[pytest.param(command, flag, value, id=f"{flag[2:]}={value}")
       for command, flag in [("verify", "--max-rounds"),
                             ("verify", "--max-instantiations"),
@@ -155,9 +163,10 @@ proof fn needs_liberal(s: Seq<int>)
       for value in ("0", "-1")],
 ])
 def test_jobs_below_one_rejected(ok_file, capsys, command, flag, value):
-    """Counts and limits below one are usage errors (exit 2), not internal
-    errors of the run."""
+    """Counts and limits below their minimum (0 for `--fuel`, else 1) are
+    usage errors (exit 2), not internal errors or silent clamps of the run."""
+    minimum = 0 if flag == "--fuel" else 1
     with pytest.raises(SystemExit) as exc:
         main([command, ok_file, flag, value])
     assert exc.value.code == 2
-    assert f"{flag}: must be at least 1" in capsys.readouterr().err
+    assert f"{flag}: must be at least {minimum}" in capsys.readouterr().err

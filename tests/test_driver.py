@@ -1,5 +1,6 @@
 import glob
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -139,6 +140,55 @@ def test_file_order_does_not_change_results():
             if want is None:
                 want = _run_summary(run)
             assert _run_summary(run) == want
+
+
+def _word_map(mapping):
+    """Replace every whole-word occurrence of a key of `mapping`."""
+    pattern = re.compile(r"\b(" + "|".join(map(re.escape, mapping)) + r")\b")
+    return lambda text: pattern.sub(lambda m: mapping[m.group()], text)
+
+
+def _summary_through(run, name):
+    """`_run_summary` with every declared name passed through `name`, and
+    without byte offsets and columns, which a renaming shifts."""
+    def core(origins):
+        return sorted((o.kind, name(o.path.rsplit(":", 1)[0] if o.kind == "goal" else o.path))
+                      for o in origins)
+
+    out = {}
+    for t, r in run.results.items():
+        named = replace(r, used_core=frozenset(prover.Origin(o.kind, name(o.path))
+                                               for o in r.used_core),
+                        fact_groups={name(k): tuple(map(name, v))
+                                     for k, v in r.fact_groups.items()})
+        out[name(t)] = (
+            r.status, report_usage(named) if r.passed else None,
+            [(site.kind, site.span.line, site.index, o.status, o.reason and name(o.reason),
+              {name(k): n for k, n in o.instantiations.items()}, o.splits_used,
+              o.rounds_used, core(o.used_core)) for site, o in r.obligations],
+            r.context_facts, named.fact_groups)
+    return out
+
+
+def test_renaming_does_not_change_results():
+    """Metamorphic check: renaming every top-level name the corpus declares,
+    by a seeded map, changes no verdict, usage report (read back through the
+    inverse map) or count."""
+    texts = {p: open(p, encoding="utf-8").read() for p in CORPUS}
+    asts = load_sources(CORPUS)
+    declared = sorted({d.name for a in asts for d in a.declarations if d.name})
+    rng = random.Random(11)
+    fresh = dict(zip(declared, (f"v{k}" for k in rng.sample(range(10 * len(declared)),
+                                                            len(declared)))))
+    words = {w for text in texts.values() for w in re.findall(r"\w+", text)}
+    assert len(declared) > 50 and not words & set(fresh.values())
+    rename = _word_map(fresh)
+    renamed = [parse_module(rename(texts[p]), p) for p in CORPUS]
+    runs = [verify_program(a, RunConfig(jobs=1)) for a in (asts, renamed)]
+    for run in runs:
+        assert _run_counts(run) == (176, 693, 160, 188)
+    back = _word_map({v: k for k, v in fresh.items()})
+    assert _summary_through(runs[1], back) == _summary_through(runs[0], str)
 
 
 TRIGGERLESS = """

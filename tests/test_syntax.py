@@ -15,7 +15,7 @@ from tunav.syntax import (
     render_module,
     render_without_sites,
 )
-from tunav.syntax.ast import walk_stmts
+from tunav.syntax.ast import walk_exprs, walk_stmts
 
 PUSH_CONTAINS = """
 proof fn push_contains(a: Seq<int>) {
@@ -96,6 +96,43 @@ def test_parse_errors_carry_span():
         parse_module("spec fn f() -> int { 1 + }", "t.tv")
 
 
+@pytest.mark.parametrize("src,message,col", [
+    pytest.param("²", "unexpected character '²'", 22, id="superscript-two"),
+    pytest.param("1٣", "unexpected character '٣'", 23, id="arabic-indic-three"),
+    pytest.param("#[trig]", "unknown attribute", 22, id="unknown-attribute"),
+])
+def test_lexer_rejects_characters_outside_the_alphabet(src, message, col):
+    """Integer literals are ASCII digits only; other numeric characters
+    start no token."""
+    with pytest.raises(ParseError) as e:
+        parse_module("spec fn f() -> int { " + src + " }", "t.tv")
+    assert f"t.tv:1:{col}: {message}" in str(e.value)
+
+
+def test_identifiers_are_letter_or_underscore_then_word_characters():
+    d = parse_module("spec fn fé(_x2: int, a²: int) -> int { _x2 + a² }", "t.tv").declarations[0]
+    assert d.name == "fé" and [p.name for p in d.params] == ["_x2", "a²"]
+
+
+@pytest.mark.parametrize("text,want", [
+    # a chain: both legs and the conjunction start at the chain's first token
+    ("0 <= i < n", [("0 <= i < n", "&&"), ("0 <= i", "<="), ("0 <= i < n", "<")]),
+    ("a ==> b ==> c", [("a ==> b ==> c", "==>"), ("b ==> c", "==>")]),
+    ("(a) + b", [("(a) + b", "+")]),
+    ("a - -1", [("a - -1", "-")]),
+    ("#[trigger] f(x) + 1 < 2",
+     [("#[trigger] f(x) + 1 < 2", "<"), ("#[trigger] f(x) + 1", "+")]),
+    ("!a && b", [("!a && b", "&&")]),
+])
+def test_binop_spans(text, want):
+    """The minimizer keys on spans: a BinOp spans from the first token of its
+    leftmost operand, a leading `(` included, to the end of its rhs."""
+    src = f"spec fn f(a: bool, b: bool, c: bool, i: int, n: int, x: int) -> bool {{ {text} }}"
+    body = parse_module(src, "t.tv").declarations[0].body
+    assert [(src[e.span.start:e.span.end], e.op)
+            for e in walk_exprs(body) if isinstance(e, BinOp)] == want
+
+
 def test_assert_spans_cover_assert_keyword():
     src = PUSH_CONTAINS
     ast = parse_module(src, "t.tv")
@@ -126,6 +163,9 @@ CORPUS_SNIPPETS = [
     "spec fn neg() -> int { -3 + 2 * -1 }",
     "spec fn prec(a: bool, b: bool, c: bool) -> bool { a && b || !c ==> (a <==> b) }",
     ("proof fn lemma_call_stmt(x: int)\n{\n    helper(x, 1 + 2);\n}\n"),
+    # a comparison operand of a comparison keeps its parentheses, so it is
+    # not re-read as the chain `a <= b && b == c`
+    "spec fn le_is(a: int, b: int, c: bool) -> bool { (a <= b) == c }",
 ]
 
 
@@ -229,7 +269,12 @@ def test_round_trip_fuzz():
                 return BinOp(SPAN, op=rng.choice(["==", "!=", "<", "<=", ">", ">="]),
                              lhs=expr(depth + 1, bound, False),
                              rhs=expr(depth + 1, bound, False))
-            if c < 0.85:
+            if c < 0.78:
+                # bool operands may themselves be comparisons
+                return BinOp(SPAN, op=rng.choice(["==", "!="]),
+                             lhs=expr(depth + 1, bound, True),
+                             rhs=expr(depth + 1, bound, True))
+            if c < 0.88:
                 name = f"q{rng.randint(0, 2)}"
                 body = expr(depth + 1, bound + [name], True)
                 if rng.random() < 0.5:
