@@ -3,12 +3,18 @@ obligation, and assemble per-function results, usage reports and metrics.
 
 With `jobs` > 1, the tasks of a layer are verified by worker processes forked
 after resolve. They inherit the resolved program and send back each task's
-`FunctionResult`, so a run's results equal those of jobs=1."""
+`FunctionResult`, so a run's results equal those of jobs=1.
+
+Inside `shared_runs()`, the runs of the calling thread share one
+`ResolveMemo` and one `LoweredFacts` dict; each run's results equal those of
+a run outside it."""
 
 from __future__ import annotations
 
+import contextlib
 import time
 from collections import Counter
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 from tunav.engine.prover import Limits, Origin, Outcome
@@ -16,6 +22,7 @@ from tunav.prelude import load_prelude
 from tunav.resolve import (
     BroadcastRegistry,
     Program,
+    ResolveMemo,
     TaskOrder,
     order_tasks,
     resolve_program,
@@ -86,9 +93,9 @@ def load_sources(paths: list[str]) -> list[ProgramAst]:
     return asts
 
 
-def resolve_with_prelude(user_asts: list[ProgramAst]):
+def resolve_with_prelude(user_asts: list[ProgramAst], memo: ResolveMemo | None = None):
     asts = load_prelude() + list(user_asts)
-    return resolve_program(asts)
+    return resolve_program(asts, memo)
 
 
 def verify_task(task: str, program: Program, registry: BroadcastRegistry,
@@ -136,6 +143,24 @@ def _verify_forked(task: str) -> FunctionResult:
     return verify_task(task, *_forked_run)
 
 
+# What the runs inside `shared_runs()` share: (resolve memo, lowered facts).
+# A context variable, so a run on any other thread or context shares nothing.
+_shared: ContextVar[tuple[ResolveMemo, LoweredFacts] | None] = ContextVar(
+    "tunav_shared_runs", default=None)
+
+
+@contextlib.contextmanager
+def shared_runs():
+    """Within the block, the `verify_program` runs of this context reuse each
+    other's resolution and lowered facts (a minimizer pass, whose runs differ
+    in one declaration at a time). Both are dropped when the block ends."""
+    token = _shared.set((ResolveMemo(), {}))
+    try:
+        yield
+    finally:
+        _shared.reset(token)
+
+
 def _can_fork() -> bool:
     """Whether worker processes can be forked safely: the platform has fork,
     and no other thread runs that could hold a lock the child would inherit."""
@@ -163,15 +188,16 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
     forked after resolve; they return results in layer order, equal to those
     of jobs=1. Where fork is unavailable or unsafe, the run is serial."""
     global _forked_run
-    program, registry = resolve_with_prelude(user_asts)
+    # `lowered` holds the facts lowered for this run's tasks, or inside
+    # `shared_runs()` for every run of the block
+    memo, lowered = _shared.get() or (None, {})
+    program, registry = resolve_with_prelude(user_asts, memo)
     order = order_tasks(program, registry, config.ambient)
     user_modules = {a.module for a in user_asts}
     selected = set(tasks) if tasks is not None else None
     layers = [[t for t in layer if selected is None or t in selected]
               for layer in order.layers]
     results: dict[str, FunctionResult] = {}
-    # facts lowered in this run, shared by all its tasks
-    lowered: LoweredFacts = {}
     workers = min(config.jobs, max(map(len, layers), default=0))
     pool = None
     try:

@@ -1,16 +1,20 @@
 """Assert minimization: linearly scan assert sites, tentatively remove each,
 re-verify, and keep only removals that do not break verification.
 
-Removals are cumulative within the forward pass; an Unknown during a trial
-counts as failure (the site is kept). Lemma calls and broadcast-use directives
-are never candidates."""
+Removals are cumulative within the forward pass; an Unknown during a trial,
+or a re-verified task without a verdict, counts as failure (the site is
+kept). Lemma calls and broadcast-use directives are never candidates.
+
+Each trial drops one site from the last accepted program, so it shares every
+other declaration object with it; the pass's runs reuse each other's
+resolution and lowered facts for those (`driver.shared_runs`)."""
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from tunav.driver import RunConfig, verify_program
+from tunav.driver import RunConfig, shared_runs, verify_program
 from tunav.errors import BaselineFailure
 from tunav.syntax.ast import (
     Assert,
@@ -72,31 +76,35 @@ def enumerate_assert_sites(asts: list[ProgramAst]) -> list[AssertSite]:
 
 
 def prune_asts(asts: list[ProgramAst], removed_keys: set) -> list[ProgramAst]:
+    """`asts` without the assert sites whose span keys are in `removed_keys`.
+    Every module, declaration and statement list that loses no site is
+    returned as the same object."""
     def prune_stmts(stmts: list[Stmt]) -> list[Stmt]:
         out: list[Stmt] = []
         for s in stmts:
             if isinstance(s, (Assert, AssertBy)) and s.span.key() in removed_keys:
                 continue
             if isinstance(s, AssertBy):
-                out.append(AssertBy(s.span, expr=s.expr, body=prune_stmts(s.body)))
-            else:
-                out.append(s)
-        return out
+                body = prune_stmts(s.body)
+                if body is not s.body:
+                    s = AssertBy(s.span, expr=s.expr, body=body)
+            out.append(s)
+        same = len(out) == len(stmts) and all(a is b for a, b in zip(out, stmts))
+        return stmts if same else out
+
+    def prune_decl(d):
+        if not isinstance(d, ProofFn):
+            return d
+        body = prune_stmts(d.body)
+        return d if body is d.body else replace(d, body=body)
 
     pruned = []
     for ast in asts:
-        decls = []
-        for d in ast.declarations:
-            if isinstance(d, ProofFn):
-                decls.append(ProofFn(d.span, d.name, broadcast=d.broadcast,
-                                     type_params=list(d.type_params),
-                                     params=list(d.params),
-                                     requires=list(d.requires),
-                                     ensures=list(d.ensures),
-                                     body=prune_stmts(d.body)))
-            else:
-                decls.append(d)
-        pruned.append(ProgramAst(ast.path, ast.module, decls))
+        decls = [prune_decl(d) for d in ast.declarations]
+        if all(a is b for a, b in zip(decls, ast.declarations)):
+            pruned.append(ast)
+        else:
+            pruned.append(ProgramAst(ast.path, ast.module, decls))
     return pruned
 
 
@@ -113,44 +121,41 @@ def minimize(asts: list[ProgramAst], config: RunConfig,
     "function" (re-verify only the containing function per trial) or "project"
     (re-verify everything per trial)."""
     t0 = time.monotonic()
-    # sites are named by span key; verification leaves `asts` unmodified, so
-    # every trial prunes the same trees
-    baseline = verify_program(asts, config)
-    runs = 1
-    not_ok = [t for t in baseline.user_tasks
-              if not baseline.results[t].passed]
-    if not_ok:
-        raise BaselineFailure(
-            f"program does not verify before minimization: {', '.join(not_ok)}")
+    with shared_runs():
+        baseline = verify_program(asts, config)
+        runs = 1
+        not_ok = [t for t in baseline.user_tasks
+                  if not baseline.results[t].passed]
+        if not_ok:
+            raise BaselineFailure(
+                f"program does not verify before minimization: {', '.join(not_ok)}")
 
-    sites = enumerate_assert_sites(asts)
-    removed: set = set()
-    removed_sites: list[AssertSite] = []
-    unknown_kept: list[AssertSite] = []
-    gone: set = set()  # descendants of removed assert-by blocks
+        # sites are named by span key; verification leaves the trees it is
+        # given unmodified, so each trial prunes the last accepted ones
+        sites = enumerate_assert_sites(asts)
+        current = list(asts)
+        removed_sites: list[AssertSite] = []
+        unknown_kept: list[AssertSite] = []
+        gone: set = set()  # descendants of removed assert-by blocks
 
-    for site in sites:
-        if site.span.key() in gone:
-            continue
-        trial = removed | {site.span.key()}
-        pruned = prune_asts(asts, trial)
-        tasks = None if scope == "project" else [site.function]
-        run = verify_program(pruned, config, tasks=tasks)
-        runs += 1
-        checked = run.user_tasks if scope == "project" else [site.function]
-        ok = all(run.results[t].passed for t in checked if t in run.results)
-        had_unknown = any(run.results[t].status == "unknown"
-                          for t in checked if t in run.results)
-        if ok:
-            removed = trial
-            removed_sites.append(site)
-            if site.kind == "assert-by":
-                gone |= _descendant_keys(site, sites)
-        elif had_unknown:
-            unknown_kept.append(site)
+        for site in sites:
+            if site.span.key() in gone:
+                continue
+            pruned = prune_asts(current, {site.span.key()})
+            tasks = None if scope == "project" else [site.function]
+            run = verify_program(pruned, config, tasks=tasks)
+            runs += 1
+            checked = run.user_tasks if scope == "project" else [site.function]
+            verdicts = [run.results.get(t) for t in checked]
+            if all(r is not None and r.passed for r in verdicts):
+                current = pruned
+                removed_sites.append(site)
+                if site.kind == "assert-by":
+                    gone |= _descendant_keys(site, sites)
+            elif any(r is not None and r.status == "unknown" for r in verdicts):
+                unknown_kept.append(site)
 
-    pruned = prune_asts(asts, removed)
-    final_sites = enumerate_assert_sites(pruned)
+    final_sites = enumerate_assert_sites(current)
     per_function: dict[str, tuple[int, int]] = {}
     for s in sites:
         orig, surv = per_function.get(s.function, (0, 0))
@@ -167,4 +172,4 @@ def minimize(asts: list[ProgramAst], config: RunConfig,
         wall_ms=0.0 if config.no_timing else (time.monotonic() - t0) * 1000.0,
         unknown_kept=unknown_kept,
     )
-    return report, pruned
+    return report, current

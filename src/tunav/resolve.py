@@ -9,6 +9,17 @@ private to the defining lemma's own verification.
 Resolution never modifies the ASTs it is given: types, callees and absolute
 `use` paths live in the resolver's tables and on the monomorphized copies
 (`MonoFn.decl`) that vcgen and the engine read.
+
+Resolves that share a `ResolveMemo` (the runs of one minimizer pass) reuse
+work by declaration identity: a declaration object already checked is not
+checked again, and its instance at given type arguments is the same copy,
+whose demands are replayed in order so that the instantiation queue and
+`Program.instances` equal those of a fresh resolve. The memo serves only
+programs whose modules and declaration names, kinds and signatures equal
+those of the first program it resolved; any other program is resolved
+afresh. The liveness fixpoint, the registry, spec SCCs and task order are
+recomputed on every resolve, so an instance that a smaller program no longer
+demands is gone from it.
 """
 
 from __future__ import annotations
@@ -73,8 +84,14 @@ def mono_symbol(path: str, targs: tuple[Type, ...]) -> str:
     return f"{path}<{','.join(t.render() for t in targs)}>"
 
 
+def mentions_sort(t: Type, prefix: str) -> bool:
+    """Whether the name of `t` or of any type argument within it starts with
+    `prefix`."""
+    return t.name.startswith(prefix) or any(mentions_sort(a, prefix) for a in t.args)
+
+
 def is_skolem_sort(t: Type) -> bool:
-    return t.name.startswith("!") or any(is_skolem_sort(a) for a in t.args)
+    return mentions_sort(t, "!")
 
 
 @dataclass
@@ -148,6 +165,51 @@ class TaskOrder:
     tasks: list[str]  # proof-fn decl paths, topologically sorted
     layers: list[list[str]]  # parallelizable layers
     deps: dict[str, set[str]]  # task -> tasks it waits on
+
+
+def _interface(d: Declaration) -> tuple:
+    """What resolving the other declarations reads of `d`: its kind, name
+    and signature."""
+    return (type(d), d.name, getattr(d, "type_params", None),
+            getattr(d, "params", None), getattr(d, "ret", None),
+            getattr(d, "broadcast", None), getattr(d, "ty", None))
+
+
+class ResolveMemo:
+    """Resolution work shared by the resolves of programs that differ only
+    inside declarations (see the module docstring)."""
+
+    def __init__(self):
+        self.interfaces: tuple | None = None  # of the first program resolved
+        # every declaration seen, so that the ids keying these tables stay
+        # unique while the memo lives
+        self.decls: dict[int, Declaration] = {}
+        self.checked: set[int] = set()  # ids of declarations checked
+        # (decl path, id(decl), type args) -> (instance decl, its demands in
+        # order, the sorts it mentions)
+        self.instances: dict[tuple, tuple[Declaration, tuple, frozenset[Type]]] = {}
+        # What checking learns about the input nodes, keyed by id(node): the
+        # input ASTs are never modified; instantiation copies these onto the
+        # MonoFn trees.
+        self.types: dict[int, Type] = {}  # expression -> type
+        self.const_refs: dict[int, str] = {}  # Var -> const path
+        self.callees: dict[int, tuple[str, tuple[Type, ...]]] = {}  # Call/LemmaCall
+        self.binder_types: dict[int, list[Type]] = {}  # Forall/Exists -> binder types
+        self.use_paths: dict[int, list[str]] = {}  # UseStmt -> absolute paths
+
+    def admits(self, asts: list[ProgramAst]) -> bool:
+        """Whether `asts` has the modules and declaration interfaces of the
+        first program this memo saw; if so, its declarations are kept."""
+        shape = tuple((a.module, tuple(map(_interface, a.declarations)))
+                      for a in asts)
+        if self.interfaces is None:
+            self.interfaces = shape
+        if shape != self.interfaces:
+            return False
+        for a in asts:
+            for d in a.declarations:
+                self.decls.setdefault(id(d), d)
+        return True
 
 
 # ---------------------------------------------------------------------------
@@ -292,12 +354,14 @@ class _Checker:
             return BOOL
         if isinstance(e, Var):
             ty = self.lookup_var(e.name)
-            if ty is None:
-                const = self.rs.lookup_const(e.name, self.module)
-                if const is None:
-                    raise ResolveError(f"unbound variable '{e.name}'", e.span)
-                path, ty = const
-                self.rs.const_refs[id(e)] = path
+            if ty is not None:
+                self.rs.const_refs.pop(id(e), None)
+                return ty
+            const = self.rs.lookup_const(e.name, self.module)
+            if const is None:
+                raise ResolveError(f"unbound variable '{e.name}'", e.span)
+            path, ty = const
+            self.rs.const_refs[id(e)] = path
             return ty
         if isinstance(e, Call):
             return self.check_call(e)
@@ -402,8 +466,9 @@ def _subst_type(t: Type, sub: dict[str, Type]) -> Type:
 
 
 class _Resolver:
-    def __init__(self, asts: list[ProgramAst]):
+    def __init__(self, asts: list[ProgramAst], memo: ResolveMemo):
         self.asts = asts
+        self.memo = memo
         self.symbols: dict[str, Declaration] = {}
         self.decl_module: dict[str, str] = {}
         self.sort_path: dict[str, str] = {}  # short sort name -> full path
@@ -411,20 +476,20 @@ class _Resolver:
         self.instances: dict[str, MonoFn] = {}
         self.instances_of: dict[str, list[str]] = {}
         self.queue: list[tuple[str, tuple[Type, ...]]] = []
+        self.demanded: list[tuple[str, tuple[Type, ...]]] = []  # by the copy being made
+        self.live: set[Type] = set()  # sorts the instances mention
         self.module_uses: dict[str, list[str]] = {}
         self.consts: dict[str, Type] = {}
         self.sorts: dict[str, SortDecl] = {}
         # Fully qualified signatures by decl path, resolved before any body.
         self.params: dict[str, list[Param]] = {}
         self.rets: dict[str, Type] = {}  # spec fns only
-        # What checking learns about the input nodes, keyed by id(node): the
-        # input ASTs are never modified; instantiation copies these onto the
-        # MonoFn trees.
-        self.types: dict[int, Type] = {}  # expression -> type
-        self.const_refs: dict[int, str] = {}  # Var -> const path
-        self.callees: dict[int, tuple[str, tuple[Type, ...]]] = {}  # Call/LemmaCall
-        self.binder_types: dict[int, list[Type]] = {}  # Forall/Exists -> binder types
-        self.use_paths: dict[int, list[str]] = {}  # UseStmt -> absolute paths
+        # the memo's tables of what checking learns about input nodes
+        self.types = memo.types
+        self.const_refs = memo.const_refs
+        self.callees = memo.callees
+        self.binder_types = memo.binder_types
+        self.use_paths = memo.use_paths
 
     # -- symbol table --------------------------------------------------------
 
@@ -553,6 +618,8 @@ class _Resolver:
             return  # groups are checked by build_registry, consts by resolve_signatures
         if not isinstance(d, (SpecFn, ProofFn, AxiomFn)):
             raise ResolveError(f"unsupported declaration {type(d).__name__}", d.span)
+        if id(d) in self.memo.checked:
+            return
         path = f"{module}::{d.name}"
         if isinstance(d, SpecFn) and d.ret.name == "nat" and d.body is not None:
             raise ResolveError(
@@ -563,14 +630,15 @@ class _Resolver:
         if isinstance(d, SpecFn):
             if d.body is not None:
                 ck.require(d.body, self.rets[path])
-            return
-        for e in d.requires:
-            ck.require(e, BOOL)
-        for e in d.ensures:
-            ck.require(e, BOOL)
-        if isinstance(d, ProofFn):
-            ck.check_stmts(d.body)
-        self.validate_marks(d)
+        else:
+            for e in d.requires:
+                ck.require(e, BOOL)
+            for e in d.ensures:
+                ck.require(e, BOOL)
+            if isinstance(d, ProofFn):
+                ck.check_stmts(d.body)
+            self.validate_marks(d)
+        self.memo.checked.add(id(d))
 
     def validate_marks(self, d: ProofFn | AxiomFn):
         """`#[trigger]` marks must sit under a quantifier, or in the clauses of
@@ -621,45 +689,33 @@ class _Resolver:
             if sym in self.instances:
                 continue
             decl = self.symbols[path]
-            sub = dict(zip(decl.type_params, targs))
-            inst_decl = _instantiate_decl(path, decl, sub, self)
+            inst_decl, demands, sorts = self.instantiate(path, decl, targs)
+            for demanded in demands:
+                self.demand(*demanded)
             kind = {"SpecFn": "spec", "ProofFn": "proof", "AxiomFn": "axiom"}[
                 type(decl).__name__]
             fn = MonoFn(sym, path, targs, kind, inst_decl, self.decl_module[path])
             self.instances[sym] = fn
             self.instances_of.setdefault(path, []).append(sym)
+            self.live |= sorts
 
-    def live_sorts(self) -> set[Type]:
-        live: set[Type] = set()
-
-        def add(t: Type | None):
-            if t is None:
-                return
-            t = carrier(t)
-            live.add(t)
-            for a in t.args:
-                add(a)
-
-        for fn in self.instances.values():
-            d = fn.decl
-            for p in d.params:
-                add(p.ty)
-            if isinstance(d, SpecFn):
-                add(d.ret)
-                exprs = [] if d.body is None else [d.body]
-            else:
-                exprs = d.requires + d.ensures
-                if isinstance(d, ProofFn):
-                    exprs += [e for s in walk_stmts(d.body) for e in stmt_exprs(s)]
-            for e in exprs:
-                for sub in walk_exprs(e):
-                    add(sub.ty)
-        return live
+    def instantiate(self, path: str, decl: Declaration, targs: tuple[Type, ...]):
+        """The copy of `decl` at `targs`, the instances it demands, in order,
+        and the sorts it mentions; made once per memo."""
+        key = (path, id(decl), targs)
+        made = self.memo.instances.get(key)
+        if made is None:
+            self.demanded = []
+            inst_decl = _instantiate_decl(path, decl, dict(zip(decl.type_params, targs)),
+                                          self)
+            made = (inst_decl, tuple(self.demanded), _sorts_of(inst_decl))
+            self.memo.instances[key] = made
+        return made
 
     def demand_by_liveness(self) -> bool:
         """Demand ground instances of generic broadcast facts whose parameter
         sorts occur in the program (e.g. Seq<int> live => seq lemmas at int)."""
-        live = self.live_sorts()
+        live = self.live
         added = False
         for path, decl in self.symbols.items():
             if not isinstance(decl, (ProofFn, AxiomFn)) or not decl.broadcast:
@@ -781,6 +837,34 @@ class _Resolver:
                     f"recursive proof fns are unsupported: {', '.join(sorted(comp))}")
 
 
+def _sorts_of(decl: Declaration) -> frozenset[Type]:
+    """The sorts, by carrier, that an instance's signature and trees mention,
+    with all their type arguments."""
+    sorts: set[Type] = set()
+
+    def add(t: Type | None):
+        if t is None:
+            return
+        t = carrier(t)
+        sorts.add(t)
+        for a in t.args:
+            add(a)
+
+    for p in decl.params:
+        add(p.ty)
+    if isinstance(decl, SpecFn):
+        add(decl.ret)
+        exprs = [] if decl.body is None else [decl.body]
+    else:
+        exprs = decl.requires + decl.ensures
+        if isinstance(decl, ProofFn):
+            exprs += [e for s in walk_stmts(decl.body) for e in stmt_exprs(s)]
+    for e in exprs:
+        for sub in walk_exprs(e):
+            add(sub.ty)
+    return frozenset(sorts)
+
+
 def _match_pattern(pattern: Type, ground: Type, tps: set[str],
                    sub: dict[str, Type]) -> bool:
     if pattern.name in tps and not pattern.args:
@@ -884,10 +968,11 @@ def _inst_stmt(s: Stmt, sub: dict[str, Type], rs: _Resolver) -> Stmt:
 
 
 def _inst_callee(node: Call | LemmaCall, sub: dict[str, Type], rs: _Resolver) -> str:
-    """The mono symbol `node` calls under `sub`; demands that instance."""
+    """The mono symbol `node` calls under `sub`; records the demand for that
+    instance."""
     path, targs = rs.callees[id(node)]
     ground = tuple(carrier(_subst_type(t, sub)) for t in targs)
-    rs.demand(path, ground)
+    rs.demanded.append((path, ground))
     return mono_symbol(path, ground)
 
 
@@ -896,8 +981,13 @@ def _inst_callee(node: Call | LemmaCall, sub: dict[str, Type], rs: _Resolver) ->
 # ---------------------------------------------------------------------------
 
 
-def resolve_program(asts: list[ProgramAst]) -> tuple[Program, BroadcastRegistry]:
-    rs = _Resolver(asts)
+def resolve_program(asts: list[ProgramAst],
+                    memo: ResolveMemo | None = None) -> tuple[Program, BroadcastRegistry]:
+    """Resolve `asts`. With a `memo`, reuse what it holds from earlier
+    resolves of the same declarations, and record what this one does."""
+    if memo is None or not memo.admits(asts):
+        memo = ResolveMemo()
+    rs = _Resolver(asts, memo)
     rs.collect()
     rs.resolve_signatures()
     rs.check_all()

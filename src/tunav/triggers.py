@@ -189,14 +189,6 @@ def _enumerate(binders: set[str], pools: list[Expr]) -> list[_Candidate]:
     return out
 
 
-def valid_trigger_candidates(q: Quantifier) -> list[Expr]:
-    """Every valid trigger subexpression of the quantifier, in source order.
-
-    Candidates that are subterms of other candidates are both listed."""
-    binders = {b.name for b in q.binders}
-    return [c.expr for c in _enumerate(binders, q.primary + q.secondary)]
-
-
 # -- selection ----------------------------------------------------------------
 
 

@@ -12,13 +12,14 @@ from dataclasses import dataclass, field, replace
 
 from tunav.engine.prover import EngineFact, Limits, Origin, Outcome, make_fact, prove
 from tunav.errors import TunavError
-from tunav.resolve import BroadcastRegistry, MonoFn, Program
+from tunav.resolve import BroadcastRegistry, MonoFn, Program, mentions_sort
 from tunav.syntax.ast import (
     Assert,
     AssertBy,
     BinOp,
     Binder,
     Call,
+    Declaration,
     Exists,
     Expr,
     Forall,
@@ -237,9 +238,13 @@ def reachable_spec_fns(exprs: list[Expr], program: Program) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-# The facts each mono fn lowers to in one run, keyed by (mono symbol,
-# strategy): a broadcast fn's fact, or a spec fn's definitional axioms.
-LoweredFacts = dict[tuple[str, str], list[QuantifiedFact]]
+# The facts each mono fn lowers to, keyed by (mono symbol, strategy, fuel): a
+# broadcast fn's fact, or a spec fn's definitional axioms. An entry also holds
+# the instance decl and the spec SCC it was lowered from, and serves only an
+# instance with that same decl object and SCC. So one dict can serve all runs
+# of a minimizer pass, whose unchanged declarations keep their instance decls.
+LoweredFacts = dict[tuple[str, str, int],
+                    tuple[Declaration, tuple[str, ...] | None, list[QuantifiedFact]]]
 
 
 class _ObligationBuilder:
@@ -265,23 +270,25 @@ class _ObligationBuilder:
         return out
 
     def _owns_skolem(self, inst: MonoFn) -> bool:
+        # `!` begins only skolem names, so a type names this task's skolem
+        # sort exactly when one of its names starts with the prefix
         prefix = f"!{self.task}::"
-        return any(t.render().find(prefix) >= 0 or t.name.startswith(prefix)
-                   for t in inst.targs)
+        return any(mentions_sort(t, prefix) for t in inst.targs)
 
     def _facts_of(self, inst: MonoFn) -> list[QuantifiedFact]:
         """What `inst` lowers to, shared by every task of the run: a spec fn's
         definitional axioms, or a broadcast fn's one fact. Callers copy a fact
         before changing it."""
-        key = (inst.symbol, self.config.strategy)
-        facts = self.lowered.get(key)
-        if facts is None:
+        key = (inst.symbol, self.config.strategy, self.config.fuel)
+        scc = self.program.spec_scc.get(inst.symbol)
+        entry = self.lowered.get(key)
+        if entry is None or entry[0] is not inst.decl or entry[1] != scc:
             if inst.kind == "spec":
                 facts = definitional_axiom(inst, self.config.fuel, self.program)
             else:
                 facts = [lower_quantified_fact(inst, self.config.strategy)]
-            self.lowered[key] = facts
-        return facts
+            entry = self.lowered[key] = (inst.decl, scc, facts)
+        return entry[2]
 
     def import_facts(self, ctx: FactContext, import_path: str):
         """Add every instance of the facts named by `import_path` (a fact or
@@ -409,10 +416,9 @@ class _ObligationBuilder:
 def generate_obligations(task: str, program: Program, registry: BroadcastRegistry,
                          config: VcgenConfig | None = None,
                          lowered: LoweredFacts | None = None) -> list[Obligation]:
-    """The obligations of proof fn `task`. `lowered` caches lowered facts by
-    (mono symbol, strategy); pass one dict to every task of a run, and only of
-    that run, so each fact is lowered, and converted to the engine's form, once
-    per run."""
+    """The obligations of proof fn `task`. `lowered` caches lowered facts
+    (see `LoweredFacts`); pass one dict to every task of a run, so each fact
+    is lowered, and converted to the engine's form, once per run."""
     return _ObligationBuilder(task, program, registry, config or VcgenConfig(),
                               {} if lowered is None else lowered).build()
 

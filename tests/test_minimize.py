@@ -1,9 +1,23 @@
+import contextvars
+import gc
+import glob
+import os
+import threading
+import weakref
+
 import pytest
 
-from tunav.driver import RunConfig
+import tunav.minimize
+from tunav import driver, resolve
+from tunav.driver import RunConfig, load_sources, verify_program
 from tunav.errors import BaselineFailure
 from tunav.minimize import enumerate_assert_sites, minimize, prune_asts
+from tunav.resolve import ResolveMemo, resolve_program
 from tunav.syntax import parse_module, render_module
+from tunav.syntax.ast import AssertBy, ProofFn
+from tunav.triggers import ALL_TRIGGERS
+
+CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
 
 
 def asts_of(src, module="user"):
@@ -144,3 +158,244 @@ def test_prune_asts_keeps_spans():
     remaining = enumerate_assert_sites(pruned)
     assert len(remaining) == 1
     assert remaining[0].span.key() == sites[1].span.key()
+
+
+def test_prune_asts_shares_what_loses_no_site():
+    asts = load_sources(CORPUS)
+    sites = enumerate_assert_sites(asts)
+    site = next(s for s in sites if s.kind == "assert"
+                and s.function == "heavy::seq_growth_narrative")
+    pruned = prune_asts(asts, {site.span.key()})
+    changed = []
+    for ast, new in zip(asts, pruned):
+        assert (new is ast) == (ast.module != "heavy")
+        for d, nd in zip(ast.declarations, new.declarations):
+            if nd is not d:
+                changed.append(f"{ast.module}::{d.name}")
+                # the pruned fn keeps every statement that lost no site
+                old_stmts = {id(s) for s in d.body}
+                kept = [s for s in nd.body if id(s) in old_stmts]
+                assert len(kept) == len(nd.body)
+                assert len(nd.body) == len(d.body) - 1
+    assert changed == [site.function]
+    left = [(s.span.key(), s.kind, s.function) for s in sites if s is not site]
+    assert [(s.span.key(), s.kind, s.function)
+            for s in enumerate_assert_sites(pruned)] == left
+    assert all(a is b for a, b in zip(prune_asts(asts, set()), asts))
+
+
+def test_prune_asts_rebuilds_only_the_enclosing_assert_by():
+    asts = asts_of("""
+proof fn f(x: int) {
+    assert(x == x) by { assert(1 == 1); }
+    assert(x >= x) by { assert(2 == 2); }
+}
+""")
+    sites = enumerate_assert_sites(asts)
+    pruned = prune_asts(asts, {sites[1].span.key()})
+    old, new = asts[0].declarations[0].body, pruned[0].declarations[0].body
+    assert isinstance(new[0], AssertBy) and new[0] is not old[0]
+    assert new[0].body == [] and new[0].expr is old[0].expr
+    assert new[1] is old[1] and new[1].body is old[1].body
+
+
+def run_digest(run):
+    """What a run decides and how: instance symbols in order, task layers,
+    and per obligation the site, status, reason, instantiations, splits,
+    rounds and used core."""
+    return (list(run.program.instances), run.order.layers,
+            {task: (result.status,
+                    [(site, out.status, out.reason, dict(out.instantiations),
+                      out.splits_used, out.rounds_used, out.used_core)
+                     for site, out in result.obligations])
+             for task, result in run.results.items()})
+
+
+def fresh_verify(asts, config, tasks=None):
+    """`verify_program` outside any shared block: a full re-resolve."""
+    return contextvars.Context().run(verify_program, asts, config, tasks=tasks)
+
+
+def compare_trials_with_fresh_runs(monkeypatch) -> list[int]:
+    """Make every run of a minimizer pass check that it equals a fresh run
+    on the same trees, and that its resolve made new instance copies only of
+    the re-verified function. Returns each run's instance count."""
+    sizes = []
+    made = []
+    shared_verify = tunav.minimize.verify_program
+    instantiate = resolve._instantiate_decl
+
+    def recording(path, *args):
+        made.append(path)
+        return instantiate(path, *args)
+
+    def compared(asts, config, tasks=None):
+        assert driver._shared.get() is not None
+        made.clear()
+        run = shared_verify(asts, config, tasks=tasks)
+        if sizes and tasks is not None:
+            assert set(made) <= set(tasks)
+        assert run_digest(run) == run_digest(fresh_verify(asts, config, tasks))
+        sizes.append(len(run.program.instances))
+        return run
+
+    monkeypatch.setattr(resolve, "_instantiate_decl", recording)
+    monkeypatch.setattr(tunav.minimize, "verify_program", compared)
+    return sizes
+
+
+@pytest.mark.parametrize("files, config, scope", [
+    (CORPUS, RunConfig(), "function"),
+    (CORPUS, RunConfig(strategy=ALL_TRIGGERS), "function"),
+    # every project-scope trial verifies all files: two keep it quick
+    (CORPUS[:2], RunConfig(), "project"),
+], ids=["function", "all-triggers", "project"])
+def test_trials_equal_a_fresh_resolve(monkeypatch, files, config, scope):
+    sizes = compare_trials_with_fresh_runs(monkeypatch)
+    report, _ = minimize(load_sources(files), config, scope=scope)
+    assert len(sizes) == report.runs > 10
+    assert report.removed
+
+
+def test_trial_drops_instances_its_removal_no_longer_demands(monkeypatch):
+    # Seq<bool> is live only through the assert, which the pass removes
+    src = """
+proof fn p(x: int) requires x > 0 ensures x >= 1 {
+    assert(forall|s: Seq<bool>| s.len() == s.len());
+}
+"""
+    sizes = compare_trials_with_fresh_runs(monkeypatch)
+    report, pruned = minimize(asts_of(src), RunConfig())
+    assert len(report.removed) == 1
+    baseline, trial = sizes
+    assert trial < baseline
+    fresh = fresh_verify(pruned, RunConfig())
+    assert len(fresh.program.instances) == trial
+    assert not any("bool" in sym for sym in fresh.program.instances)
+
+
+def test_missing_verdict_fails_the_trial(monkeypatch):
+    real = tunav.minimize.verify_program
+
+    def losing_verdicts(asts, config, tasks=None):
+        run = real(asts, config, tasks=tasks)
+        if tasks is not None:
+            run.results.clear()
+        return run
+
+    monkeypatch.setattr(tunav.minimize, "verify_program", losing_verdicts)
+    report, _ = minimize(asts_of(
+        "proof fn f(x: int) requires x > 1 ensures x > 0 { assert(x > 0); }"),
+        RunConfig())
+    assert report.runs == 2
+    assert report.removed == [] and report.surviving_count == 1
+
+
+def watch_memos(monkeypatch, fail_on_run=None) -> list:
+    """Weak references to the memo of every run the pass makes, which must
+    all be the same; the run numbered `fail_on_run` raises."""
+    refs = []
+    real = tunav.minimize.verify_program
+
+    def watched(asts, config, tasks=None):
+        memo = driver._shared.get()[0]
+        assert not refs or refs[0]() is memo
+        refs.append(weakref.ref(memo))
+        if len(refs) == fail_on_run:
+            raise RuntimeError("trial failed")
+        return real(asts, config, tasks=tasks)
+
+    monkeypatch.setattr(tunav.minimize, "verify_program", watched)
+    return refs
+
+
+def assert_memo_gone(refs):
+    gc.collect()
+    assert refs and all(r() is None for r in refs)
+    assert driver._shared.get() is None
+
+
+def test_memo_gone_after_the_pass(monkeypatch):
+    refs = watch_memos(monkeypatch)
+    minimize(asts_of("proof fn f(x: int) requires x > 1 ensures x > 0 "
+                     "{ assert(x > 0); assert(x > 1); }"), RunConfig())
+    assert len(refs) == 3
+    assert_memo_gone(refs)
+
+
+def test_memo_gone_after_baseline_failure(monkeypatch):
+    refs = watch_memos(monkeypatch)
+    with pytest.raises(BaselineFailure):
+        minimize(asts_of("proof fn broken(x: int) ensures x > 0 { }"), RunConfig())
+    assert_memo_gone(refs)
+
+
+def test_memo_gone_after_a_trial_raises(monkeypatch):
+    refs = watch_memos(monkeypatch, fail_on_run=2)
+    with pytest.raises(RuntimeError):
+        minimize(asts_of("proof fn f(x: int) requires x > 1 ensures x > 0 "
+                         "{ assert(x > 0); }"), RunConfig())
+    assert_memo_gone(refs)
+
+
+def test_runs_outside_the_pass_get_no_memo(monkeypatch):
+    memos = []
+    real_resolve = driver.resolve_program
+
+    def recording(asts, memo=None):
+        memos.append((threading.get_ident(), memo))
+        return real_resolve(asts, memo)
+
+    monkeypatch.setattr(driver, "resolve_program", recording)
+    other = asts_of("proof fn g(y: int) ensures y == y { }", module="other")
+    verify_program(other, RunConfig())
+    assert memos == [(threading.get_ident(), None)]
+
+    real_verify = tunav.minimize.verify_program
+    elsewhere = []
+
+    def with_a_run_on_another_thread(asts, config, tasks=None):
+        thread = threading.Thread(
+            target=lambda: elsewhere.append(verify_program(other, RunConfig())))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        return real_verify(asts, config, tasks=tasks)
+
+    monkeypatch.setattr(tunav.minimize, "verify_program",
+                        with_a_run_on_another_thread)
+    memos.clear()
+    minimize(asts_of("proof fn f(x: int) requires x > 1 ensures x > 0 "
+                     "{ assert(x > 0); }"), RunConfig())
+    assert elsewhere and elsewhere[0].all_verified
+    on_thread = [memo for ident, memo in memos if ident != threading.get_ident()]
+    in_pass = [memo for ident, memo in memos if ident == threading.get_ident()]
+    assert on_thread == [None, None]
+    assert len(in_pass) == 2 and in_pass[0] is in_pass[1] is not None
+
+
+BASE = """
+spec fn g(i: int) -> int { i + 1 }
+proof fn f(x: int) ensures g(x) > x { assert(g(x) == x + 1); }
+"""
+
+
+@pytest.mark.parametrize("other", [
+    BASE.replace("spec fn g", "spec fn h").replace("g(", "h("),  # a name
+    BASE + "proof fn g2(x: int) { }",  # one more declaration
+    BASE.replace("(i: int) -> int { i + 1 }", "(i: nat) -> int { i + 1 }"),
+    "proof fn g(i: int) { }\nproof fn f(x: int) { }",  # a kind
+], ids=["renamed", "added", "signature", "kind"])
+def test_memo_serves_only_the_baselines_declarations(other):
+    base, changed = asts_of(BASE), asts_of(other)
+    memo = ResolveMemo()
+    resolve_program(base, memo)
+    checked, made = set(memo.checked), dict(memo.instances)
+    assert memo.admits(base) and not memo.admits(changed)
+    program, _ = resolve_program(changed, memo)
+    assert memo.checked == checked and memo.instances == made
+    assert list(program.instances) == list(resolve_program(changed)[0].instances)
+    with driver.shared_runs():
+        verify_program(base, RunConfig())
+        shared = verify_program(changed, RunConfig())
+    assert run_digest(shared) == run_digest(fresh_verify(changed, RunConfig()))

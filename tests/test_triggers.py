@@ -10,8 +10,8 @@ from tunav.triggers import (
     MANUAL,
     Quantifier,
     expr_key,
+    _enumerate,
     infer_triggers,
-    valid_trigger_candidates,
 )
 from tunav.syntax.ast import Forall
 
@@ -27,9 +27,16 @@ def keys(exprs):
     return {expr_key(e) for e in exprs}
 
 
+def candidates(q: Quantifier):
+    """Every valid trigger subexpression of `q`, in source order; candidates
+    that are subterms of other candidates are both listed."""
+    binders = {b.name for b in q.binders}
+    return [c.expr for c in _enumerate(binders, q.primary + q.secondary)]
+
+
 def test_candidates_section_2_2_example():
     q = quantifier_of("0 <= i < s.len() ==> is_even(s.index(i))")
-    cands = valid_trigger_candidates(q)
+    cands = candidates(q)
     expect = quantifier_of("is_even(s.index(i)) && s.index(i) == 0")
     want = keys([expect.primary[0].lhs, expect.primary[0].rhs.lhs])
     assert keys(cands) == want  # s.len() excluded: mentions no quantified variable
@@ -37,12 +44,12 @@ def test_candidates_section_2_2_example():
 
 def test_candidates_no_function_application():
     q = quantifier_of("i == i")
-    assert valid_trigger_candidates(q) == []
+    assert candidates(q) == []
 
 
 def test_candidates_arithmetic_subterm():
     q = quantifier_of("f(i + 1) == 0")
-    cands = valid_trigger_candidates(q)
+    cands = candidates(q)
     assert len(cands) == 2  # f(i+1) and i+1, both listed
 
 

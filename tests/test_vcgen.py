@@ -1,9 +1,13 @@
-from tunav.driver import resolve_with_prelude
+import glob
+import os
+
+from tunav.driver import load_sources, resolve_with_prelude
 from tunav.engine.prover import Limits
 from tunav.syntax import parse_module
 from tunav.syntax.ast import BinOp, Call
 from tunav.vcgen import (
     VcgenConfig,
+    _ObligationBuilder,
     definitional_axiom,
     generate_obligations,
     lower_quantified_fact,
@@ -349,3 +353,26 @@ proof fn simple(a: Seq<int>)
     obs = generate_obligations("user::simple", program, registry, cfg)
     out = prove_obligation(obs[0])
     assert out.status == "verified"
+
+
+def test_owns_skolem_matches_rendered_type_arguments():
+    """A task owns a skolem instance when a type argument names one of the
+    task's skolem sorts, also inside another sort (`Seq<!task::A>`): the walk
+    over type names picks the same instances as searching the rendered type
+    arguments."""
+    nested = parse_module("proof fn nest<A>(s: Seq<Seq<A>>) ensures s.len() >= 0 { }",
+                          "nest.tv", module="nest")
+    corpus = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
+    program, registry = resolve_with_prelude(load_sources(corpus) + [nested])
+    skolems = [inst for inst in program.instances.values() if inst.skolem]
+    owned = []
+    for task in program.proof_fns():
+        builder = _ObligationBuilder(task, program, registry, VcgenConfig(), {})
+        prefix = f"!{task}::"
+        for inst in skolems:
+            rendered = any(prefix in t.render() for t in inst.targs)
+            assert builder._owns_skolem(inst) == rendered
+            if rendered:
+                owned.append(inst.symbol)
+    assert len(skolems) > 20 and 0 < len(owned) < len(skolems) * len(program.proof_fns())
+    assert "prelude::seq::len<prelude::seq::Seq<!nest::nest::A>>" in owned
