@@ -20,7 +20,7 @@ from tunav.engine.prover import Limits
 from tunav.errors import BaselineFailure, TunavError
 from tunav.metrics import compare_metrics, read_metrics, records_of_run, write_metrics
 from tunav.minimize import enumerate_assert_sites, minimize, prune_asts
-from tunav.syntax import render_without_sites
+from tunav.syntax import render_module
 from tunav.vcgen import generate_obligations
 from tunav import triggers as trig
 
@@ -99,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--minimize-scope", choices=["function", "project"],
                    default="function")
     m.add_argument("--write", action="store_true",
-                   help="rewrite the source files without removed asserts")
+                   help="rewrite each source file that lost asserts")
     m.add_argument("--report-json", metavar="PATH")
     add_run_flags(m)
 
@@ -171,12 +171,11 @@ def cmd_minimize(args) -> int:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
     if args.write:
-        for original in asts:
-            keys = {s.span.key() for s in report.removed
-                    if s.span.file == original.path}
-            text = render_without_sites(original, keys)
-            with open(original.path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+        # `prune_asts` returns a module that lost no site as the same object
+        for original, tree in zip(asts, pruned):
+            if tree is not original:
+                with open(original.path, "w", encoding="utf-8") as fh:
+                    fh.write(render_module(tree))
     return 0
 
 

@@ -26,6 +26,7 @@ from tunav.resolve import (
     TaskOrder,
     order_tasks,
     resolve_program,
+    task_imports,
 )
 from tunav.syntax import ProgramAst, parse_module
 from tunav.vcgen import (
@@ -64,7 +65,8 @@ class FunctionResult:
     instantiations: Counter
     rounds: int
     used_core: frozenset[Origin]
-    fact_groups: dict[str, tuple[str, ...]]  # fact decl path -> groups_via
+    # used lemma or axiom decl path -> the imported groups that contain it
+    fact_groups: dict[str, tuple[str, ...]]
 
     @property
     def passed(self) -> bool:
@@ -107,13 +109,7 @@ def verify_task(task: str, program: Program, registry: BroadcastRegistry,
     rounds = 0
     core: set[Origin] = set()
     context_facts = 0
-    fact_groups: dict[str, tuple[str, ...]] = {}
     for ob in obs:
-        for qf in ob.context.facts:
-            if qf.groups_via:
-                prev = fact_groups.get(qf.origin.path, ())
-                merged = prev + tuple(g for g in qf.groups_via if g not in prev)
-                fact_groups[qf.origin.path] = merged
         context_facts = max(context_facts, len(ob.context.facts))
         out = prove_obligation(ob, config.limits, config.strategy)
         results.append((ob.site, out))
@@ -121,6 +117,13 @@ def verify_task(task: str, program: Program, registry: BroadcastRegistry,
         rounds = max(rounds, out.rounds_used)
         if out.verified:
             core |= out.used_core
+    # every import reaches the contexts after it, so the groups a used fact
+    # came through are the task's imported groups that contain it
+    imports = task_imports(program, registry, task, config.ambient,
+                           not config.no_default_prelude)
+    groups = [g for g in dict.fromkeys(imports) if g in registry.groups]
+    fact_groups = {o.path: tuple(g for g in groups if o.path in registry.groups[g])
+                   for o in core if o.kind in ("lemma", "axiom")}
     wall = 0.0 if config.no_timing else (time.monotonic() - t0) * 1000.0
     statuses = [o.status for _, o in results]
     if all(s == "verified" for s in statuses):
@@ -192,7 +195,8 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
     # `shared_runs()` for every run of the block
     memo, lowered = _shared.get() or (None, {})
     program, registry = resolve_with_prelude(user_asts, memo)
-    order = order_tasks(program, registry, config.ambient)
+    order = order_tasks(program, registry, config.ambient,
+                        not config.no_default_prelude)
     user_modules = {a.module for a in user_asts}
     selected = set(tasks) if tasks is not None else None
     layers = [[t for t in layer if selected is None or t in selected]

@@ -54,11 +54,10 @@ class Limits:
     max_instantiations: int = 10_000
     max_splits: int = 10_000
     time_budget_ms: int = 10_000
-    arith_elim_cap: int = 12
 
     def __post_init__(self):
         for name in ("max_rounds", "max_instantiations", "max_splits",
-                     "time_budget_ms", "arith_elim_cap"):
+                     "time_budget_ms"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"limit {name} must be positive")
 
@@ -82,19 +81,11 @@ class Outcome:
 class EngineFact:
     key: object  # identity for the instantiation log
     display: str  # counter key (origin path)
-    binders: list[tuple[str, str]]  # (name, sort)
+    binders: list[str]  # names
     body: Expr  # hypothesis ==> conclusion, nat bounds included
     triggers: list[tuple[Expr, ...]]
     origins: frozenset
     env: dict[str, int] = field(default_factory=dict)
-
-
-def _sort_str(t: Type) -> str:
-    if t.name == "nat" and not t.args:
-        return "int"
-    if not t.args:
-        return t.name
-    return f"{t.name}<{','.join(_sort_str(a) for a in t.args)}>"
 
 
 def make_fact(key: object, display: str, binders: list[tuple[str, Type]],
@@ -116,7 +107,7 @@ def make_fact(key: object, display: str, binders: list[tuple[str, Type]],
         for extra in hyp_all[1:]:
             h = BinOp(span, op="&&", lhs=h, rhs=extra, ty=BOOL)
         body = BinOp(span, op="==>", lhs=h, rhs=concl, ty=BOOL)
-    return EngineFact(key, display, [(n, _sort_str(t)) for n, t in binders],
+    return EngineFact(key, display, [n for n, _ in binders],
                       body, trigger_groups, origins, dict(env or {}))
 
 
@@ -348,7 +339,7 @@ class ProverState:
     def _dispatch_eq(self, e: BinOp, equal: bool, env, origins):
         l = self.term_of(e.lhs, env, origins)
         r = self.term_of(e.rhs, env, origins)
-        is_int = _sort_of(e.lhs) == "int"
+        is_int = _is_int(e.lhs)
         if equal:
             self.graph.merge(l, r, origins)
             if is_int:
@@ -620,7 +611,7 @@ class ProverState:
                     acc |= g.explain(ts[0], t)
             return acc
 
-        res = arith.check_constraints(constraints, self._elim_cap)
+        res = arith.check_constraints(constraints)
         if res.status == arith.INCONSISTENT:
             self.conflict = origins_of(res.conflict_sources)
             return True
@@ -637,8 +628,6 @@ class ProverState:
             changed = True
         return changed
 
-    _elim_cap = arith.DEFAULT_ELIM_CAP
-
     # -- e-matching --------------------------------------------------------------------
 
     def ematch(self, group: tuple[Expr, ...], fact: EngineFact
@@ -646,7 +635,7 @@ class ProverState:
         """Every substitution (binder -> class root) making each trigger
         expression congruent to an existing term; already-logged substitutions
         are filtered by the caller."""
-        binders = {name for name, _ in fact.binders}
+        binders = set(fact.binders)
         partials: list[tuple[dict[str, int], frozenset]] = [({}, EMPTY)]
         for pat in group:
             nxt: list[tuple[dict[str, int], frozenset]] = []
@@ -752,7 +741,7 @@ class ProverState:
             for group in fact.triggers:
                 for sigma, just in self.ematch(group, fact):
                     key = (fact.key,
-                           tuple(sigma.get(name) for name, _ in fact.binders))
+                           tuple(sigma.get(name) for name in fact.binders))
                     if None in key[1]:
                         continue  # trigger did not bind every binder
                     if key in self.inst_log or key in batch_keys:
@@ -762,7 +751,7 @@ class ProverState:
         for fact, sigma, just, key in batch:
             self.inst_log.add(key)
             env2 = dict(fact.env)
-            for name, _sort in fact.binders:
+            for name in fact.binders:
                 env2[name] = self.graph.canon[sigma[name]]
             origins = fact.origins | just
             self.assert_expr(fact.body, True, env2, origins)
@@ -805,8 +794,10 @@ def _is_bool(e: Expr) -> bool:
     return e.ty is not None and e.ty.name == "bool"
 
 
-def _sort_of(e: Expr) -> str:
-    return _sort_str(e.ty) if e.ty is not None else "int"
+def _is_int(e: Expr) -> bool:
+    """Whether `e` has the int carrier sort (nat included); an untyped term
+    counts as int."""
+    return e.ty is None or (e.ty.name in ("int", "nat") and not e.ty.args)
 
 
 # ---------------------------------------------------------------------------
@@ -826,7 +817,6 @@ def prove(ground_hyps: list[tuple[Expr, frozenset]],
     t0 = time.monotonic()
     shared = _Shared(strategy)
     st = ProverState(shared)
-    st._elim_cap = limits.arith_elim_cap
     for name in params or {}:
         st.graph.new_term(f"%{name}", ())
     for e, origins in ground_hyps:
@@ -846,7 +836,6 @@ def prove(ground_hyps: list[tuple[Expr, frozenset]],
         if (time.monotonic() - t0) * 1000.0 > limits.time_budget_ms:
             return done("unknown", "time")
         state = stack.pop()
-        state._elim_cap = limits.arith_elim_cap
         state.propagate()
         if state.conflict is not None:
             used_core |= state.conflict

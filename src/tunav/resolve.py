@@ -1,5 +1,10 @@
-"""Name resolution, type checking, monomorphization, broadcast registry and
-verification-task ordering.
+"""Name resolution, type checking, monomorphization, broadcast registry,
+each task's import plan and verification-task ordering.
+
+`entry_imports` and `task_imports` are the one statement of what a proof fn
+imports (default group, ambient paths, module and body `broadcast use`): task
+order, vcgen's fact contexts and the driver's usage reports all read them.
+Names used inside a prelude module resolve within the prelude only.
 
 Generic declarations are monomorphized: every ground type instantiation used
 anywhere in the program yields a separate fact instance. Generic proof fns are
@@ -121,11 +126,6 @@ class BroadcastRegistry:
         if path in self.facts:
             return (path,)
         raise ResolveError(f"'{path}' is not a broadcastable fact or group")
-
-    def default_facts(self) -> tuple[str, ...]:
-        if self.default_group is None:
-            return ()
-        return self.groups[self.default_group]
 
 
 @dataclass
@@ -547,9 +547,11 @@ class _Resolver:
     def candidate_paths(self, name: str, module: str) -> list[str]:
         if "::" in name:
             return [name] if name in self.symbols else []
-        search = [module] + [p for p in PRELUDE_MODULES if p in self.module_names] \
-            + [m for m in self.module_names
-               if m != module and m not in PRELUDE_MODULES]
+        search = [module] + [p for p in PRELUDE_MODULES if p in self.module_names]
+        if module not in PRELUDE_MODULES:
+            # the prelude names only its own declarations
+            search += [m for m in self.module_names
+                       if m != module and m not in PRELUDE_MODULES]
         out = []
         for m in search:
             path = f"{m}::{name}"
@@ -1006,48 +1008,46 @@ def resolve_program(asts: list[ProgramAst],
     return program, registry
 
 
-def task_imports(program: Program, registry: BroadcastRegistry, task: str,
-                 ambient: tuple[str, ...] = ()) -> list[str]:
-    """Fact decl paths imported anywhere in a proof fn's contexts (module,
-    function and block level, default group, plus CLI-ambient groups)."""
+def entry_imports(program: Program, registry: BroadcastRegistry, task: str,
+                  ambient: tuple[str, ...] = (), default: bool = True) -> list[str]:
+    """The import paths (facts or groups) in scope when proof fn `task`
+    starts, in import order: the default group unless `default` is off, the
+    ambient paths, then its module's `broadcast use` paths."""
     module = program.decl_module[task]
     paths: list[str] = []
-
-    def add(import_path: str):
-        for f in registry.expand(import_path):
-            if f not in paths:
-                paths.append(f)
-
-    for f in registry.default_facts():
-        if f not in paths:
-            paths.append(f)
+    if default and registry.default_group:
+        paths.append(registry.default_group)
     if module not in PRELUDE_MODULES:
         # ambient imports apply to the code under study, never to the standard
         # library itself (whose lemmas define the imported groups)
-        for a in ambient:
-            add(a)
-    for p in program.module_uses.get(module, []):
-        add(p)
+        paths.extend(ambient)
+    paths.extend(program.module_uses.get(module, []))
+    return paths
+
+
+def task_imports(program: Program, registry: BroadcastRegistry, task: str,
+                 ambient: tuple[str, ...] = (), default: bool = True) -> list[str]:
+    """Every import path of a proof fn's contexts: `entry_imports`, then the
+    `broadcast use` paths of its body in source order, unexpanded."""
+    paths = entry_imports(program, registry, task, ambient, default)
     # the resolver's copy of the fn carries the absolute `use` paths
     for s in walk_stmts(program.verify_instance(task).decl.body):
         if isinstance(s, UseStmt):
-            for p in s.paths:
-                add(p)
+            paths.extend(s.paths)
     return paths
 
 
 def order_tasks(program: Program, registry: BroadcastRegistry,
-                ambient: tuple[str, ...] = ()) -> TaskOrder:
+                ambient: tuple[str, ...] = (), default: bool = True) -> TaskOrder:
     """Topological order in which each broadcast lemma is verified before any
-    task that imports it; CycleError on mutual imports."""
+    task that imports it (by `task_imports`); CycleError on mutual imports."""
     tasks = program.proof_fns()
     broadcast = {path for path in tasks
                   if getattr(program.symbols[path], "broadcast", False)}
     deps: dict[str, set[str]] = {t: set() for t in tasks}
     for t in tasks:
-        for fact in task_imports(program, registry, t, ambient):
-            if fact in broadcast:
-                deps[t].add(fact)
+        for path in task_imports(program, registry, t, ambient, default):
+            deps[t].update(f for f in registry.expand(path) if f in broadcast)
 
     graph = {t: set(d) for t, d in deps.items()}
     for comp in strongly_connected_components(graph):

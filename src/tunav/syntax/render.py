@@ -1,4 +1,5 @@
-"""Deterministic pretty-printer; also the minimizer's source rewriter.
+"""Deterministic pretty-printer; `minimize --write` renders the pruned
+modules with it.
 
 `parse(render(parse(s)))` equals `parse(s)` structurally. Comments are not
 preserved; method sugar is kept for display via the Call.method_style flag.
@@ -36,7 +37,6 @@ from tunav.syntax.ast import (
     Stmt,
     UseStmt,
     Var,
-    walk_stmts,
 )
 
 _UNARY = max(prec for prec, _ in BINARY_OPS.values()) + 1
@@ -96,16 +96,14 @@ def _render_inner(e: Expr) -> str:
     raise TunavError(f"cannot render expression {type(e).__name__}")
 
 
-def _render_stmt(s: Stmt, indent: int, removed: set | None) -> list[str]:
+def _render_stmt(s: Stmt, indent: int) -> list[str]:
     pad = " " * indent
-    if removed is not None and isinstance(s, (Assert, AssertBy)) and s.span.key() in removed:
-        return []
     if isinstance(s, Assert):
         return [f"{pad}assert({render_expr(s.expr)});"]
     if isinstance(s, AssertBy):
         lines = [f"{pad}assert({render_expr(s.expr)}) by {{"]
         for inner in s.body:
-            lines.extend(_render_stmt(inner, indent + 4, removed))
+            lines.extend(_render_stmt(inner, indent + 4))
         lines.append(f"{pad}}}")
         return lines
     if isinstance(s, Let):
@@ -132,7 +130,7 @@ def _req_ens(requires, ensures) -> list[str]:
     return lines
 
 
-def _render_decl(d, removed: set | None) -> list[str]:
+def _render_decl(d) -> list[str]:
     if isinstance(d, SpecFn):
         head = f"spec fn {_sig(d.name, d.type_params, d.params)} -> {d.ret.render()}"
         if d.body is None:
@@ -144,7 +142,7 @@ def _render_decl(d, removed: set | None) -> list[str]:
         lines.extend(_req_ens(d.requires, d.ensures))
         lines.append("{")
         for s in d.body:
-            lines.extend(_render_stmt(s, 4, removed))
+            lines.extend(_render_stmt(s, 4))
         lines.append("}")
         return lines
     if isinstance(d, AxiomFn):
@@ -172,28 +170,5 @@ def _render_decl(d, removed: set | None) -> list[str]:
 def render_module(program: ProgramAst) -> str:
     chunks = []
     for d in program.declarations:
-        chunks.append("\n".join(_render_decl(d, None)))
+        chunks.append("\n".join(_render_decl(d)))
     return "\n\n".join(chunks) + ("\n" if chunks else "")
-
-
-def render_without_sites(program: ProgramAst, removed) -> str:
-    """Render `program` with the Assert/AssertBy statements at `removed` spans
-    deleted (an AssertBy removal deletes the whole block).
-
-    `removed` is an iterable of SourceSpan (or span keys)."""
-    keys = set()
-    for r in removed:
-        keys.add(r if isinstance(r, tuple) else r.key())
-    found = _collect_assert_keys(program)
-    missing = keys - found
-    if missing:
-        raise TunavError(f"span does not identify an assert site: {sorted(missing)}")
-    chunks = []
-    for d in program.declarations:
-        chunks.append("\n".join(_render_decl(d, keys)))
-    return "\n\n".join(chunks) + ("\n" if chunks else "")
-
-
-def _collect_assert_keys(program: ProgramAst) -> set:
-    return {s.span.key() for d in program.declarations if isinstance(d, ProofFn)
-            for s in walk_stmts(d.body) if isinstance(s, (Assert, AssertBy))}

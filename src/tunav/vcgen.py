@@ -2,8 +2,11 @@
 
 Each proof fn becomes a sequence of obligations (asserts, lemma-call
 preconditions, ensures clauses), each paired with the fact context assembled
-from the default prelude group, scoped `broadcast use` directives, definitional
-axioms of reachable spec fns, and facts established by preceding statements.
+from the task's entry imports (`resolve.entry_imports`: default group, ambient
+paths, module `broadcast use`), block-scoped `broadcast use` at their own
+position, definitional axioms of reachable spec fns, and facts established by
+preceding statements. A context holds the run's shared lowered fact objects,
+never copies of them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,13 @@ from dataclasses import dataclass, field, replace
 
 from tunav.engine.prover import EngineFact, Limits, Origin, Outcome, make_fact, prove
 from tunav.errors import TunavError
-from tunav.resolve import BroadcastRegistry, MonoFn, Program, mentions_sort
+from tunav.resolve import (
+    BroadcastRegistry,
+    MonoFn,
+    Program,
+    entry_imports,
+    mentions_sort,
+)
 from tunav.syntax.ast import (
     Assert,
     AssertBy,
@@ -58,8 +67,7 @@ class QuantifiedFact:
     conclusion: Expr
     triggers: trig.TriggerSelection
     origin: Origin
-    groups_via: tuple[str, ...] = ()
-    # the engine's form of the fact, built with it; `replace` copies share it
+    # the engine's form of the fact, built with it
     engine: EngineFact | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -277,8 +285,7 @@ class _ObligationBuilder:
 
     def _facts_of(self, inst: MonoFn) -> list[QuantifiedFact]:
         """What `inst` lowers to, shared by every task of the run: a spec fn's
-        definitional axioms, or a broadcast fn's one fact. Callers copy a fact
-        before changing it."""
+        definitional axioms, or a broadcast fn's one fact."""
         key = (inst.symbol, self.config.strategy, self.config.fuel)
         scc = self.program.spec_scc.get(inst.symbol)
         entry = self.lowered.get(key)
@@ -292,30 +299,20 @@ class _ObligationBuilder:
 
     def import_facts(self, ctx: FactContext, import_path: str):
         """Add every instance of the facts named by `import_path` (a fact or
-        group), recording the group it travelled through."""
-        via = (import_path,) if import_path in self.registry.groups else ()
+        group) that `ctx` lacks."""
         for fact_path in self.registry.expand(import_path):
             for inst in self._instances_for(fact_path):
-                existing = ctx.by_key.get(inst.symbol)
-                if existing is not None:
-                    if via and via[0] not in existing.groups_via:
-                        existing.groups_via = existing.groups_via + via
-                    continue
-                ctx.add_fact(replace(self._facts_of(inst)[0], groups_via=via))
+                if inst.symbol not in ctx.by_key:
+                    ctx.add_fact(self._facts_of(inst)[0])
 
     # -- obligations ----------------------------------------------------------------
 
     def build(self) -> list[Obligation]:
-        from tunav.resolve import PRELUDE_MODULES
-
         decl = self.inst.decl
         ctx = FactContext()
-        if not self.config.no_default_prelude and self.registry.default_group:
-            self.import_facts(ctx, self.registry.default_group)
-        if self.inst.module not in PRELUDE_MODULES:
-            for path in self.config.ambient:
-                self.import_facts(ctx, path)
-        for path in self.program.module_uses.get(self.inst.module, []):
+        for path in entry_imports(self.program, self.registry, self.task,
+                                  self.config.ambient,
+                                  not self.config.no_default_prelude):
             self.import_facts(ctx, path)
 
         params = {p.name: p.ty for p in decl.params}

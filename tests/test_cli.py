@@ -114,6 +114,19 @@ proof fn push_contains(a: Seq<int>) {
     assert "prelude::seq::group_seq_properties" not in text
 
 
+def test_minimize_write_leaves_untouched_files(tmp_path, capsys):
+    kept = tmp_path / "kept.tv"
+    kept_src = ("// nothing to remove here\n"
+                "proof fn kept(x: int) requires x > 1 ensures x > 0 { }\n")
+    kept.write_text(kept_src)
+    pruned = tmp_path / "pruned.tv"
+    pruned.write_text("// this file loses its assert\n" + OK_SRC)
+    assert main(["minimize", str(kept), str(pruned), "--write"]) == 0
+    assert kept.read_bytes() == kept_src.encode()
+    assert "assert" not in pruned.read_text()
+    assert main(["verify", str(kept), str(pruned)]) == 0
+
+
 def test_minimize_baseline_failure_exit_one(tmp_path, capsys):
     p = tmp_path / "bad.tv"
     p.write_text(BAD_SRC)

@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from tunav.driver import RunConfig, load_sources, verify_program
+from tunav.driver import RunConfig, load_sources, report_usage, verify_program
 from tunav.engine.arith import Constraint, check_constraints
 from tunav.syntax import parse_module, render_module
 from tunav.syntax.ast import ProofFn, UseStmt, walk_stmts
@@ -93,18 +93,18 @@ proof fn via_lemma(a: Seq<int>) {
     assert(b.contains(3));
 }
 """
-    from tunav.driver import resolve_with_prelude
-    program, registry = resolve_with_prelude(
-        [parse_module(src, "u.tv", module="u")])
-    ctx = generate_obligations("u::via_group", program, registry)[-1].context
-    lemma = next(q for q in ctx.facts
-                 if q.origin.path.endswith("lemma_seq_contains_after_push"))
-    assert lemma.origin.kind == "lemma"
-    assert lemma.groups_via == ("prelude::seq::group_seq_properties",)
-    ctx2 = generate_obligations("u::via_lemma", program, registry)[-1].context
-    lemma2 = next(q for q in ctx2.facts
-                  if q.origin.path.endswith("lemma_seq_contains_after_push"))
-    assert lemma2.groups_via == ()
+    run = verify_program([parse_module(src, "u.tv", module="u")], RunConfig())
+    lemma = "prelude::seq::lemma_seq_contains_after_push"
+    group = "prelude::seq::group_seq_properties"
+    ctx = generate_obligations("u::via_group", run.program, run.registry)[-1].context
+    assert next(q for q in ctx.facts if q.origin.path == lemma).origin.kind == "lemma"
+    via_group, via_lemma = run.results["u::via_group"], run.results["u::via_lemma"]
+    assert via_group.passed and via_lemma.passed
+    assert via_group.fact_groups[lemma] == (group,)
+    assert via_lemma.fact_groups[lemma] == ()
+    assert f"(group) {group}" in report_usage(via_group)
+    assert f"(group) {group}" not in report_usage(via_lemma)
+    assert f"- {lemma}" in report_usage(via_lemma)
 
 
 def test_check_constraints_status():

@@ -65,6 +65,49 @@ def test_usage_report_empty_when_no_broadcast_origins():
                                "lemmas and broadcast groups:")
 
 
+PUSH_LEN_DIRECT = """
+proof fn push_len(a: Seq<int>) {
+    broadcast use {axiom_seq_push_len};
+    assert(a.push(3).len() == a.len() + 1);
+}
+"""
+
+
+def test_usage_report_follows_ambient_imports():
+    """An ambient group is imported into user functions only, so their
+    reports name it and no prelude task's report does."""
+    group = "prelude::seq::group_seq_properties"
+    run = run_src(PUSH_CONTAINS_DIRECT, RunConfig(ambient=(group,)))
+    reports = {t: report_usage(r) for t, r in run.results.items() if r.passed}
+    assert f"(group) {group}" in reports["user::push_contains"]
+    prelude = [rep for t, rep in reports.items() if t not in run.user_tasks]
+    assert prelude and not any(group in rep for rep in prelude)
+
+
+def test_usage_report_without_default_group():
+    """A default-group axiom imported directly is reported through the
+    default group only while that group is imported."""
+    axiom = "prelude::seq::axiom_seq_push_len"
+    on = run_src(PUSH_LEN_DIRECT).results["user::push_len"]
+    assert on.passed
+    assert "(group) prelude::core::group_default" in report_usage(on)
+    bare = run_src(PUSH_LEN_DIRECT, RunConfig(no_default_prelude=True))
+    reports = [report_usage(r) for r in bare.results.values() if r.passed]
+    assert f"- {axiom}" in report_usage(bare.results["user::push_len"])
+    assert not any("group_default" in rep for rep in reports)
+
+
+def test_user_declaration_does_not_capture_prelude_calls():
+    """A user fn named like a prelude fn leaves the prelude's own calls
+    resolved within the prelude; user code still sees both."""
+    push = "spec fn push<A>(s: Seq<A>, a: A) -> Seq<A>;\n"
+    run = run_src(push + "proof fn fine(x: int) requires x > 1 ensures x > 0 { }")
+    assert run.all_verified
+    assert len(run.results) > len(run.user_tasks)
+    with pytest.raises(TunavError, match="ambiguous call 'push'"):
+        run_src(push + PUSH_LEN_DIRECT)
+
+
 def test_report_lines_and_diagnostics():
     src = """
 proof fn ok(x: int) requires x > 1 ensures x > 0 { }
@@ -343,8 +386,8 @@ def _record_lowerings(monkeypatch) -> list:
 
 def test_engine_facts_built_once_per_run(monkeypatch):
     """Each lowered fact is converted to the engine's form once per run, and
-    the copies obligations make of it share that form; only quantifiers met
-    while proving are converted per obligation."""
+    every context holds that one fact; only quantifiers met while proving are
+    converted per obligation."""
     keys = []
     displays = set()
     to_engine, in_engine = vcgen.make_fact, prover.make_fact

@@ -1,7 +1,7 @@
 import pytest
 
 from tunav.errors import CycleError, ResolveError
-from tunav.resolve import order_tasks, resolve_program, task_imports
+from tunav.resolve import order_tasks, resolve_program
 from tunav.syntax import parse_module
 
 SEQ_STUB = """
@@ -165,17 +165,24 @@ proof fn b(x: int) { a(x); }
 
 def test_group_import_equals_member_imports_for_ordering():
     src = SEQ_STUB + """
+broadcast proof fn lemma_push_len<A>(s: Seq<A>, v: A)
+    ensures #[trigger] s.push(v).len() == s.push(v).len()
+{
+}
+broadcast group group_push {
+    group_seq_properties,
+    lemma_push_len,
+}
 proof fn via_group(a: Seq<int>) {
-    broadcast use {group_seq_properties};
+    broadcast use {group_push};
 }
 proof fn via_member(a: Seq<int>) {
-    broadcast use {lemma_seq_contains_after_push};
+    broadcast use {lemma_push_len};
 }
 """
     program, registry = rp(("seqs", src))
-    g = task_imports(program, registry, "seqs::via_group")
-    m = task_imports(program, registry, "seqs::via_member")
-    assert g == m
+    deps = order_tasks(program, registry).deps
+    assert deps["seqs::via_group"] == deps["seqs::via_member"] == {"seqs::lemma_push_len"}
 
 
 def test_overload_resolution_by_receiver_type():

@@ -1,6 +1,6 @@
 import pytest
 
-from tunav.errors import ParseError, TunavError
+from tunav.errors import ParseError
 from tunav.syntax import (
     Assert,
     AssertBy,
@@ -13,9 +13,9 @@ from tunav.syntax import (
     SpecFn,
     parse_module,
     render_module,
-    render_without_sites,
 )
 from tunav.syntax.ast import walk_exprs, walk_stmts
+from tunav.minimize import prune_asts
 
 PUSH_CONTAINS = """
 proof fn push_contains(a: Seq<int>) {
@@ -179,21 +179,20 @@ def test_round_trip(src):
     assert render_module(second) == rendered
 
 
-def test_render_without_sites_removes_asserts():
+def test_pruned_module_renders_without_asserts():
     src = ("proof fn two(a: Seq<int>)\n{\n"
            "    assert(1 + 1 == 2);\n"
            "    assert(2 + 2 == 4);\n"
            "}\n")
     ast = parse_module(src, "t.tv")
     fn = ast.declarations[0]
-    spans = [s.span for s in fn.body]
-    out = render_without_sites(ast, spans)
+    [pruned] = prune_asts([ast], {s.span.key() for s in fn.body})
+    out = render_module(pruned)
     assert "assert" not in out
-    pruned = parse_module(out, "t.tv")
-    assert pruned.declarations[0].body == []
+    assert parse_module(out, "t.tv").declarations[0].body == []
 
 
-def test_render_without_sites_removes_whole_by_block():
+def test_pruned_module_renders_without_whole_by_block():
     src = ("proof fn one(a: Seq<int>)\n{\n"
            "    assert(true) by {\n"
            "        assert(1 == 1);\n"
@@ -204,22 +203,26 @@ def test_render_without_sites_removes_whole_by_block():
     fn = ast.declarations[0]
     by = fn.body[0]
     assert isinstance(by, AssertBy)
-    out = render_without_sites(ast, [by.span])
+    [pruned] = prune_asts([ast], {by.span.key()})
+    out = render_module(pruned)
     assert "by" not in out and "1 == 1" not in out
     assert "false ==> true" in out
 
 
-def test_render_without_sites_empty_set_round_trips():
+def test_prune_asts_empty_set_returns_module_unchanged():
     ast = parse_module(PUSH_CONTAINS, "t.tv")
-    out = render_without_sites(ast, [])
-    assert parse_module(out, "t.tv").declarations == ast.declarations
+    [pruned] = prune_asts([ast], set())
+    assert pruned is ast
+    assert parse_module(render_module(pruned), "t.tv").declarations == ast.declarations
 
 
-def test_render_without_sites_rejects_non_assert_span():
+def test_prune_asts_keeps_non_assert_statements():
+    # sites are named by assert span keys; any other statement's key removes
+    # nothing, so the module comes back as the same object
     ast = parse_module(PUSH_CONTAINS, "t.tv")
     let_span = ast.declarations[0].body[0].span
-    with pytest.raises(TunavError):
-        render_without_sites(ast, [let_span])
+    [pruned] = prune_asts([ast], {let_span.key()})
+    assert pruned is ast
 
 
 def test_spec_fn_bodiless():

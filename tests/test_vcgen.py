@@ -376,3 +376,29 @@ def test_owns_skolem_matches_rendered_type_arguments():
                 owned.append(inst.symbol)
     assert len(skolems) > 20 and 0 < len(owned) < len(skolems) * len(program.proof_fns())
     assert "prelude::seq::len<prelude::seq::Seq<!nest::nest::A>>" in owned
+
+
+def test_contexts_share_lowered_fact_objects():
+    """Every context of every task of a run holds the run's one lowered
+    object for a fact; importing a fact makes no copy of it."""
+    src = """
+proof fn first(a: Seq<int>) {
+    broadcast use {group_seq_properties};
+    assert(a.push(3).contains(3));
+}
+proof fn second(a: Seq<int>) {
+    broadcast use {lemma_seq_contains_after_push};
+    assert(a.push(4).contains(4));
+}
+"""
+    program, registry = program_of(src)
+    lowered = {}
+    contexts = [ob.context
+                for task in ("user::first", "user::second")
+                for ob in generate_obligations(task, program, registry,
+                                               VcgenConfig(), lowered)]
+    lemma = "prelude::seq::lemma_seq_contains_after_push"
+    facts = [next(q for q in ctx.facts if q.origin.path == lemma)
+             for ctx in contexts]
+    assert len(facts) == 2
+    assert facts[0] is facts[1]
