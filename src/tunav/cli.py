@@ -21,7 +21,7 @@ from tunav.errors import BaselineFailure, TunavError
 from tunav.metrics import compare_metrics, read_metrics, records_of_run, write_metrics
 from tunav.minimize import enumerate_assert_sites, minimize, prune_asts
 from tunav.syntax import render_module
-from tunav.vcgen import generate_obligations
+from tunav.vcgen import VcgenRun, generate_obligations
 from tunav import triggers as trig
 
 
@@ -139,11 +139,10 @@ def cmd_verify(args) -> int:
         write_metrics(records_of_run(run, config), args.metrics_out)
     if args.emit_smtlib:
         from tunav import smtlib
+        vcgen_run = VcgenRun(run.program, run.registry, config.vcgen())
         obs = []
-        lowered = {}
         for task in run.user_tasks:
-            obs.extend(generate_obligations(task, run.program, run.registry,
-                                            config.vcgen(), lowered))
+            obs.extend(generate_obligations(task, vcgen_run))
         smtlib.emit_all(obs, args.emit_smtlib, config.strategy)
     return 0 if run.all_verified else 1
 

@@ -33,6 +33,7 @@ from tunav.vcgen import (
     LoweredFacts,
     Site,
     VcgenConfig,
+    VcgenRun,
     generate_obligations,
     prove_obligation,
 )
@@ -100,10 +101,9 @@ def resolve_with_prelude(user_asts: list[ProgramAst], memo: ResolveMemo | None =
     return resolve_program(asts, memo)
 
 
-def verify_task(task: str, program: Program, registry: BroadcastRegistry,
-                config: RunConfig, lowered: LoweredFacts) -> FunctionResult:
+def verify_task(task: str, run: VcgenRun, config: RunConfig) -> FunctionResult:
     t0 = time.monotonic()
-    obs = generate_obligations(task, program, registry, config.vcgen(), lowered)
+    obs = generate_obligations(task, run)
     results: list[tuple[Site, Outcome]] = []
     insts: Counter = Counter()
     rounds = 0
@@ -119,7 +119,8 @@ def verify_task(task: str, program: Program, registry: BroadcastRegistry,
             core |= out.used_core
     # every import reaches the contexts after it, so the groups a used fact
     # came through are the task's imported groups that contain it
-    imports = task_imports(program, registry, task, config.ambient,
+    registry = run.registry
+    imports = task_imports(run.program, registry, task, config.ambient,
                            not config.no_default_prelude)
     groups = [g for g in dict.fromkeys(imports) if g in registry.groups]
     fact_groups = {o.path: tuple(g for g in groups if o.path in registry.groups[g])
@@ -136,9 +137,9 @@ def verify_task(task: str, program: Program, registry: BroadcastRegistry,
                           rounds, frozenset(core), fact_groups)
 
 
-# The run whose tasks forked workers verify: (program, registry, config,
-# lowered facts). `verify_program` sets it before its pool forks and clears it
-# when the run ends; each worker keeps the copy it was forked with.
+# The run whose tasks forked workers verify: (vcgen run, config).
+# `verify_program` sets it before its pool forks and clears it when the run
+# ends; each worker keeps the copy it was forked with.
 _forked_run: tuple | None = None
 
 
@@ -202,18 +203,18 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
     layers = [[t for t in layer if selected is None or t in selected]
               for layer in order.layers]
     results: dict[str, FunctionResult] = {}
+    vcgen_run = VcgenRun(program, registry, config.vcgen(), lowered)
     workers = min(config.jobs, max(map(len, layers), default=0))
     pool = None
     try:
         if workers >= 2 and _can_fork():
-            _forked_run = (program, registry, config, lowered)
+            _forked_run = (vcgen_run, config)
             pool = _fork_pool(workers)
         for todo in layers:
             if pool is not None and len(todo) >= 2:
                 done = pool.map(_verify_forked, todo)
             else:
-                done = [verify_task(t, program, registry, config, lowered)
-                        for t in todo]
+                done = [verify_task(t, vcgen_run, config) for t in todo]
             results.update(zip(todo, done))
     finally:
         if pool is not None:

@@ -132,24 +132,35 @@ def check_constraints(constraints: list[Constraint],
 
     equalities = _direct_equalities(work)
 
-    # eliminate variables, fewest (uppers * lowers) first
+    # eliminate variables, fewest (uppers * lowers) first, least id on ties
     eliminated = 0
     while True:
-        variables = sorted({v for c in work for v in c.coeffs})
-        if not variables:
+        counts: dict[int, list[int]] = {}  # variable -> [uppers, lowers]
+        for c in work:
+            for v, k in c.coeffs.items():
+                n = counts.get(v)
+                if n is None:
+                    n = counts[v] = [0, 0]
+                if k > 0:
+                    n[0] += 1
+                elif k < 0:
+                    n[1] += 1
+        if not counts:
             return ArithResult(CONSISTENT, equalities=equalities)
         if eliminated >= elim_cap or len(work) > CONSTRAINT_CAP:
             return ArithResult(UNKNOWN, equalities=equalities)
-
-        def cost(v):
-            ups = sum(1 for c in work if c.coeffs.get(v, 0) > 0)
-            downs = sum(1 for c in work if c.coeffs.get(v, 0) < 0)
-            return (ups * downs, v)
-
-        var = min(variables, key=cost)
-        uppers = [c for c in work if c.coeffs.get(var, 0) > 0]
-        lowers = [c for c in work if c.coeffs.get(var, 0) < 0]
-        rest = [c for c in work if var not in c.coeffs]
+        _, var = min((ups * downs, v) for v, (ups, downs) in counts.items())
+        uppers: list[Constraint] = []
+        lowers: list[Constraint] = []
+        rest: list[Constraint] = []
+        for c in work:
+            k = c.coeffs.get(var)
+            if k is None:
+                rest.append(c)
+            elif k > 0:
+                uppers.append(c)
+            elif k < 0:
+                lowers.append(c)
         new = []
         for up in uppers:
             a = up.coeffs[var]

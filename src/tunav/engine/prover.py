@@ -118,6 +118,19 @@ class _Disj:
     origins: frozenset
 
 
+@dataclass(frozen=True)
+class _ArithMemo:
+    """What an arithmetic pass linearised at graph `version`: the first
+    atoms' constraints, and each atom's origins and opaque leaves; `idle` if
+    the pass derived nothing. Never mutated, so a state and its clones share
+    it."""
+    version: int
+    constraints: list[arith.Constraint]
+    origins: list[frozenset]
+    leaves: list[list[int]]
+    idle: bool
+
+
 class _Shared:
     """Per-prove mutable metrics, common to all branches."""
 
@@ -146,6 +159,7 @@ class ProverState:
         self.skolem_n = 0
         self.conflict: frozenset | None = None
         self._eq_feedback: set = set()
+        self._arith: _ArithMemo | None = None
 
     def clone(self) -> "ProverState":
         st = ProverState.__new__(ProverState)
@@ -164,6 +178,7 @@ class ProverState:
         st.skolem_n = self.skolem_n
         st.conflict = self.conflict
         st._eq_feedback = set(self._eq_feedback)
+        st._arith = self._arith
         return st
 
     # -- terms -----------------------------------------------------------------
@@ -582,10 +597,17 @@ class ProverState:
         if not self.arith_atoms:
             return False
         g = self.graph
-        constraints: list[arith.Constraint] = []
-        atom_origins: list[frozenset] = []
-        atom_leaves: list[list[int]] = []
-        for kind, l, r, origins in self.arith_atoms:
+        memo = self._arith
+        if memo is not None and memo.version == g.version:
+            # no union since the last pass: its atoms linearise as they did
+            if memo.idle and len(memo.origins) == len(self.arith_atoms):
+                return False
+            constraints = list(memo.constraints)
+            atom_origins = list(memo.origins)
+            atom_leaves = list(memo.leaves)
+        else:
+            constraints, atom_origins, atom_leaves = [], [], []
+        for kind, l, r, origins in self.arith_atoms[len(atom_origins):]:
             used: list[tuple[int, int]] = []
             leaves: list[int] = []
             idx = len(atom_origins)
@@ -626,6 +648,8 @@ class ProverState:
             lit = g.int_term(value)
             g.merge(g.canon[g.find(var_root)], lit, origins_of(sources))
             changed = True
+        self._arith = _ArithMemo(g.version, constraints, atom_origins,
+                                 atom_leaves, idle=not changed)
         return changed
 
     # -- e-matching --------------------------------------------------------------------

@@ -38,6 +38,9 @@ class TermGraph:
         self.pending: list[tuple[int, int, tuple]] = []
         self.fold_todo: list[int] = []
         self.conflict: frozenset | None = None
+        # unions made by this graph and the graphs it was cloned from: while
+        # it stays put, classes, class values and explanations stay put too
+        self.version = 0
 
     def clone(self) -> "TermGraph":
         g = TermGraph.__new__(TermGraph)
@@ -59,6 +62,7 @@ class TermGraph:
         g.pending = list(self.pending)
         g.fold_todo = list(self.fold_todo)
         g.conflict = self.conflict
+        g.version = self.version
         return g
 
     # -- construction --------------------------------------------------------
@@ -134,6 +138,7 @@ class TermGraph:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return
+        self.version += 1
         # proof forest: record the term-level edge before relinking
         self._pf_link(a, b, reason)
         if self.rank[ra] < self.rank[rb]:

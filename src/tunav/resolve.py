@@ -311,15 +311,15 @@ class _Checker:
             return t
         if t.name.startswith("!"):  # skolem sort
             return t
-        decl = self.rs.lookup_sort(t.name, self.module)
-        if decl is None:
+        path = self.rs.lookup_sort(t.name, self.module, span)
+        if path is None:
             raise ResolveError(f"unknown type '{t.name}'", span)
+        decl = self.rs.sorts[path]
         if len(decl.type_params) != len(t.args):
             raise ResolveError(
                 f"sort {decl.name} expects {len(decl.type_params)} type argument(s), "
                 f"got {len(t.args)}", span)
-        full = self.rs.sort_path[t.name] if t.name in self.rs.sort_path else t.name
-        return Type(full, tuple(self.check_type(a, span) for a in t.args))
+        return Type(path, tuple(self.check_type(a, span) for a in t.args))
 
     # -- unification --------------------------------------------------------
 
@@ -471,7 +471,6 @@ class _Resolver:
         self.memo = memo
         self.symbols: dict[str, Declaration] = {}
         self.decl_module: dict[str, str] = {}
-        self.sort_path: dict[str, str] = {}  # short sort name -> full path
         self.module_names: list[str] = []
         self.instances: dict[str, MonoFn] = {}
         self.instances_of: dict[str, list[str]] = {}
@@ -481,6 +480,8 @@ class _Resolver:
         self.module_uses: dict[str, list[str]] = {}
         self.consts: dict[str, Type] = {}
         self.sorts: dict[str, SortDecl] = {}
+        # (sort name, module) -> the sort path it names there, or None
+        self.sort_paths: dict[tuple[str, str], str | None] = {}
         # Fully qualified signatures by decl path, resolved before any body.
         self.params: dict[str, list[Param]] = {}
         self.rets: dict[str, Type] = {}  # spec fns only
@@ -510,11 +511,6 @@ class _Resolver:
                 self.decl_module[path] = ast.module
                 if isinstance(d, SortDecl):
                     self.sorts[path] = d
-                    # short-name lookup must stay unambiguous
-                    if d.name in self.sort_path and self.sort_path[d.name] != path:
-                        raise ResolveError(f"ambiguous sort name '{d.name}'", d.span)
-                    self.sort_path[d.name] = path
-                    self.sort_path[path] = path
 
     def resolve_signatures(self):
         """Qualify every fn's parameter and return types and every const's
@@ -532,11 +528,18 @@ class _Resolver:
                     if isinstance(d, SpecFn):
                         self.rets[path] = ck.check_type(d.ret, d.span)
 
-    def lookup_sort(self, name: str, module: str) -> SortDecl | None:
-        for cand in (f"{module}::{name}", name, self.sort_path.get(name)):
-            if cand and cand in self.sorts:
-                return self.sorts[cand]
-        return None
+    def lookup_sort(self, name: str, module: str, span) -> str | None:
+        """The path of the sort `name` names in `module`, searched like a
+        callee (`candidate_paths`): the module's own sort wins, and prelude
+        modules see only prelude sorts."""
+        key = (name, module)
+        if key not in self.sort_paths:
+            paths = [p for p in self.candidate_paths(name, module) if p in self.sorts]
+            if len(paths) > 1 and paths[0] != f"{module}::{name}":
+                raise ResolveError(f"ambiguous sort name '{name}': candidates "
+                                   f"{', '.join(paths)}", span)
+            self.sort_paths[key] = paths[0] if paths else None
+        return self.sort_paths[key]
 
     def lookup_const(self, name: str, module: str) -> tuple[str, Type] | None:
         for cand in [f"{module}::{name}", name] + [f"{m}::{name}" for m in PRELUDE_MODULES]:

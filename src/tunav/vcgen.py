@@ -11,6 +11,8 @@ never copies of them.
 
 from __future__ import annotations
 
+from collections import deque
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from tunav.engine.prover import EngineFact, Limits, Origin, Outcome, make_fact, prove
@@ -69,6 +71,8 @@ class QuantifiedFact:
     origin: Origin
     # the engine's form of the fact, built with it
     engine: EngineFact | None = field(default=None, repr=False, compare=False)
+    # the mono symbols the conclusion calls, then those the hypothesis calls
+    calls: tuple[str, ...] = field(default=(), repr=False, compare=False)
 
     def __post_init__(self):
         if self.engine is None:
@@ -76,6 +80,10 @@ class QuantifiedFact:
                                     self.hypothesis, self.conclusion,
                                     [g.exprs for g in self.triggers.groups],
                                     frozenset([self.origin]))
+        exprs = [self.conclusion]
+        if self.hypothesis is not None:
+            exprs.append(self.hypothesis)
+        self.calls = _calls_of(exprs)
 
 
 @dataclass
@@ -221,24 +229,10 @@ def _call_symbols(e: Expr) -> list[str]:
                    if isinstance(c, Call) and c.resolved})
 
 
-def reachable_spec_fns(exprs: list[Expr], program: Program) -> list[str]:
-    seen: set[str] = set()
-    queue: list[str] = []
-    for e in exprs:
-        queue.extend(_call_symbols(e))
-    out: list[str] = []
-    while queue:
-        sym = queue.pop(0)
-        if sym in seen:
-            continue
-        seen.add(sym)
-        inst = program.instances.get(sym)
-        if inst is None or inst.kind != "spec":
-            continue
-        out.append(sym)
-        if inst.decl.body is not None:
-            queue.extend(_call_symbols(inst.decl.body))
-    return out
+def _calls_of(exprs: Iterable[Expr]) -> tuple[str, ...]:
+    """The mono symbols each of `exprs` calls, expression by expression, each
+    symbol at its first place."""
+    return tuple(dict.fromkeys(sym for e in exprs for sym in _call_symbols(e)))
 
 
 # ---------------------------------------------------------------------------
@@ -255,37 +249,39 @@ LoweredFacts = dict[tuple[str, str, int],
                     tuple[Declaration, tuple[str, ...] | None, list[QuantifiedFact]]]
 
 
-class _ObligationBuilder:
-    def __init__(self, task: str, program: Program, registry: BroadcastRegistry,
-                 config: VcgenConfig, lowered: LoweredFacts):
-        self.task = task
+class VcgenRun:
+    """What the tasks of one run share: the resolved program, its registry,
+    the config and the lowered facts, plus what the run works out once and
+    only for itself: each import path's instances and each spec fn's callees.
+    `lowered` may outlive the run (see `LoweredFacts`); the rest must not, as
+    it depends on the program."""
+
+    def __init__(self, program: Program, registry: BroadcastRegistry,
+                 config: VcgenConfig | None = None,
+                 lowered: LoweredFacts | None = None):
         self.program = program
         self.registry = registry
-        self.config = config
-        self.inst = program.verify_instance(task)
-        self.obligations: list[Obligation] = []
-        self.lowered = lowered
+        self.config = config or VcgenConfig()
+        self.lowered = {} if lowered is None else lowered
+        self._imported: dict[str, tuple[tuple[MonoFn, bool], ...]] = {}
+        self._body_calls: dict[str, tuple[str, ...]] = {}
 
-    # -- fact construction -------------------------------------------------------
+    def imported(self, import_path: str) -> tuple[tuple[MonoFn, bool], ...]:
+        """Every instance of the facts named by `import_path` (a fact or
+        group), in order, each with whether it is skolem-typed."""
+        got = self._imported.get(import_path)
+        if got is None:
+            pairs = []
+            for fact_path in self.registry.expand(import_path):
+                for sym in self.program.instances_of.get(fact_path, []):
+                    inst = self.program.instances[sym]
+                    pairs.append((inst, inst.skolem))
+            got = self._imported[import_path] = tuple(pairs)
+        return got
 
-    def _instances_for(self, fact_path: str) -> list[MonoFn]:
-        out = []
-        for sym in self.program.instances_of.get(fact_path, []):
-            inst = self.program.instances[sym]
-            if inst.skolem and not self._owns_skolem(inst):
-                continue
-            out.append(inst)
-        return out
-
-    def _owns_skolem(self, inst: MonoFn) -> bool:
-        # `!` begins only skolem names, so a type names this task's skolem
-        # sort exactly when one of its names starts with the prefix
-        prefix = f"!{self.task}::"
-        return any(mentions_sort(t, prefix) for t in inst.targs)
-
-    def _facts_of(self, inst: MonoFn) -> list[QuantifiedFact]:
-        """What `inst` lowers to, shared by every task of the run: a spec fn's
-        definitional axioms, or a broadcast fn's one fact."""
+    def facts_of(self, inst: MonoFn) -> list[QuantifiedFact]:
+        """What `inst` lowers to: a spec fn's definitional axioms, or a
+        broadcast fn's one fact."""
         key = (inst.symbol, self.config.strategy, self.config.fuel)
         scc = self.program.spec_scc.get(inst.symbol)
         entry = self.lowered.get(key)
@@ -297,20 +293,66 @@ class _ObligationBuilder:
             entry = self.lowered[key] = (inst.decl, scc, facts)
         return entry[2]
 
+    def reachable_spec_fns(self, symbols: Iterable[str]) -> list[str]:
+        """The spec fns among `symbols` and those their bodies call,
+        transitively, in breadth-first order."""
+        seen: set[str] = set()
+        queue = deque(symbols)
+        out: list[str] = []
+        while queue:
+            sym = queue.popleft()
+            if sym in seen:
+                continue
+            seen.add(sym)
+            inst = self.program.instances.get(sym)
+            if inst is None or inst.kind != "spec":
+                continue
+            out.append(sym)
+            calls = self._body_calls.get(sym)
+            if calls is None:
+                body = inst.decl.body
+                calls = self._body_calls[sym] = (
+                    () if body is None else tuple(_call_symbols(body)))
+            queue.extend(calls)
+        return out
+
+
+class _ObligationBuilder:
+    def __init__(self, task: str, run: VcgenRun):
+        self.task = task
+        self.run = run
+        self.program = run.program
+        self.config = run.config
+        self.inst = run.program.verify_instance(task)
+        self.obligations: list[Obligation] = []
+
+    # -- fact construction -------------------------------------------------------
+
+    def _instances_for(self, import_path: str) -> list[MonoFn]:
+        """The instances of `import_path` this task sees: skolem-typed ones
+        only at its own skolem sorts."""
+        return [inst for inst, skolem in self.run.imported(import_path)
+                if not skolem or self._owns_skolem(inst)]
+
+    def _owns_skolem(self, inst: MonoFn) -> bool:
+        # `!` begins only skolem names, so a type names this task's skolem
+        # sort exactly when one of its names starts with the prefix
+        prefix = f"!{self.task}::"
+        return any(mentions_sort(t, prefix) for t in inst.targs)
+
     def import_facts(self, ctx: FactContext, import_path: str):
         """Add every instance of the facts named by `import_path` (a fact or
         group) that `ctx` lacks."""
-        for fact_path in self.registry.expand(import_path):
-            for inst in self._instances_for(fact_path):
-                if inst.symbol not in ctx.by_key:
-                    ctx.add_fact(self._facts_of(inst)[0])
+        for inst in self._instances_for(import_path):
+            if inst.symbol not in ctx.by_key:
+                ctx.add_fact(self.run.facts_of(inst)[0])
 
     # -- obligations ----------------------------------------------------------------
 
     def build(self) -> list[Obligation]:
         decl = self.inst.decl
         ctx = FactContext()
-        for path in entry_imports(self.program, self.registry, self.task,
+        for path in entry_imports(self.program, self.run.registry, self.task,
                                   self.config.ambient,
                                   not self.config.no_default_prelude):
             self.import_facts(ctx, path)
@@ -347,16 +389,14 @@ class _ObligationBuilder:
                     exprs.extend(callee.decl.ensures)
             if isinstance(s, UseStmt):
                 for p in s.paths:
-                    for fact_path in self.registry.expand(p):
-                        for inst in self._instances_for(fact_path):
-                            exprs.extend(inst.decl.requires)
-                            exprs.extend(inst.decl.ensures)
+                    for inst in self._instances_for(p):
+                        exprs.extend(inst.decl.requires)
+                        exprs.extend(inst.decl.ensures)
+        symbols = list(_calls_of(exprs))
         for qf in ctx.facts:
-            exprs.append(qf.conclusion)
-            if qf.hypothesis is not None:
-                exprs.append(qf.hypothesis)
-        for sym in reachable_spec_fns(exprs, self.program):
-            for qf in self._facts_of(self.program.instances[sym]):
+            symbols.extend(qf.calls)
+        for sym in self.run.reachable_spec_fns(symbols):
+            for qf in self.run.facts_of(self.program.instances[sym]):
                 if qf.key not in ctx.by_key:
                     ctx.add_fact(qf)
 
@@ -410,14 +450,10 @@ class _ObligationBuilder:
             Obligation(goal, ctx.snapshot(), site, self.task, params))
 
 
-def generate_obligations(task: str, program: Program, registry: BroadcastRegistry,
-                         config: VcgenConfig | None = None,
-                         lowered: LoweredFacts | None = None) -> list[Obligation]:
-    """The obligations of proof fn `task`. `lowered` caches lowered facts
-    (see `LoweredFacts`); pass one dict to every task of a run, so each fact
-    is lowered, and converted to the engine's form, once per run."""
-    return _ObligationBuilder(task, program, registry, config or VcgenConfig(),
-                              {} if lowered is None else lowered).build()
+def generate_obligations(task: str, run: VcgenRun) -> list[Obligation]:
+    """The obligations of proof fn `task`. Pass one `run` to every task of a
+    run, so each fact is lowered, and converted to the engine's form, once."""
+    return _ObligationBuilder(task, run).build()
 
 
 def prove_obligation(ob: Obligation, limits: Limits = Limits(),

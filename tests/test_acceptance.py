@@ -38,7 +38,7 @@ from tunav.syntax.ast import (
     Var,
     walk_exprs,
 )
-from tunav.vcgen import generate_obligations, prove_obligation
+from tunav.vcgen import VcgenRun, generate_obligations, prove_obligation
 from tunav import triggers as trig
 
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
@@ -305,7 +305,7 @@ def test_criterion_05_core_trim(corpus_resolution):
     config = RunConfig()
     trimmed_ok = 0
     for task in tasks:
-        obs = generate_obligations(task, program, registry, config.vcgen())
+        obs = generate_obligations(task, VcgenRun(program, registry, config.vcgen()))
         core = set()
         outs = []
         for ob in obs:

@@ -10,7 +10,7 @@ from tunav.driver import RunConfig, load_sources, report_usage, verify_program
 from tunav.engine.arith import Constraint, check_constraints
 from tunav.syntax import parse_module, render_module
 from tunav.syntax.ast import ProofFn, UseStmt, walk_stmts
-from tunav.vcgen import generate_obligations
+from tunav.vcgen import VcgenRun, generate_obligations
 
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
 
@@ -96,7 +96,8 @@ proof fn via_lemma(a: Seq<int>) {
     run = verify_program([parse_module(src, "u.tv", module="u")], RunConfig())
     lemma = "prelude::seq::lemma_seq_contains_after_push"
     group = "prelude::seq::group_seq_properties"
-    ctx = generate_obligations("u::via_group", run.program, run.registry)[-1].context
+    ctx = generate_obligations("u::via_group",
+                               VcgenRun(run.program, run.registry))[-1].context
     assert next(q for q in ctx.facts if q.origin.path == lemma).origin.kind == "lemma"
     via_group, via_lemma = run.results["u::via_group"], run.results["u::via_lemma"]
     assert via_group.passed and via_lemma.passed

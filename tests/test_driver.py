@@ -20,6 +20,7 @@ from tunav.engine import prover
 from tunav.errors import TriggerError, TunavError
 from tunav.minimize import minimize
 from tunav.syntax import parse_module
+from tunav.syntax.ast import Type
 
 PUSH_CONTAINS_GROUP = """
 proof fn push_contains(a: Seq<int>) {
@@ -106,6 +107,30 @@ def test_user_declaration_does_not_capture_prelude_calls():
     assert len(run.results) > len(run.user_tasks)
     with pytest.raises(TunavError, match="ambiguous call 'push'"):
         run_src(push + PUSH_LEN_DIRECT)
+
+
+def test_user_sort_named_like_a_prelude_sort():
+    """A module's own sort wins in that module, and the prelude keeps its
+    own: a user `Seq` neither clashes with the prelude's nor captures it."""
+    run = run_src("sort Seq<A>;\nspec fn f(s: Seq<int>) -> int;\n"
+                  "proof fn g(s: Seq<int>) ensures f(s) == f(s) { }\n")
+    assert run.all_verified
+    assert len(run.results) > len(run.user_tasks)
+    [param] = run.program.verify_instance("user::g").decl.params
+    assert param.ty == Type("user::Seq", (Type("int"),))
+
+
+def test_sort_name_ambiguous_only_at_a_use_with_two_candidates():
+    """A module that declares no `Seq` but sees the prelude's and another
+    module's is ambiguous where it names `Seq`, not where either is declared."""
+    own = parse_module("sort Seq<A>;\n", "a.tv", module="a")
+    user = parse_module("proof fn g() ensures true { }\n"
+                        "proof fn h(s: Seq<int>) ensures true { }\n",
+                        "b.tv", module="b")
+    assert verify_program([own], RunConfig()).all_verified
+    with pytest.raises(TunavError, match="ambiguous sort name 'Seq'") as err:
+        verify_program([own, user], RunConfig())
+    assert err.value.span.file == "b.tv" and err.value.span.line == 2
 
 
 def test_report_lines_and_diagnostics():

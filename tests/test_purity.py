@@ -17,7 +17,12 @@ from tunav.smtlib import emit_all
 from tunav.syntax import parse_module
 from tunav.syntax.render import render_expr
 from tunav.triggers import CONSERVATIVE
-from tunav.vcgen import VcgenConfig, generate_obligations, prove_obligation
+from tunav.vcgen import (
+    VcgenConfig,
+    VcgenRun,
+    generate_obligations,
+    prove_obligation,
+)
 
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
 
@@ -40,10 +45,9 @@ def test_resolved_program_unmodified(tmp_path):
     program, registry = resolve_with_prelude(load_sources(CORPUS))
     before = pickle.dumps(program.instances)
     obligations = []
-    lowered = {}
+    run = VcgenRun(program, registry, VcgenConfig())
     for task in program.proof_fns():
-        for ob in generate_obligations(task, program, registry, VcgenConfig(),
-                                       lowered):
+        for ob in generate_obligations(task, run):
             prove_obligation(ob)
             obligations.append(ob)
     emit_all(obligations, str(tmp_path), CONSERVATIVE)

@@ -7,7 +7,7 @@ from tunav.driver import resolve_with_prelude
 from tunav.smtlib import emit_all
 from tunav.syntax import parse_module
 from tunav.triggers import ALL_TRIGGERS, CONSERVATIVE
-from tunav.vcgen import VcgenConfig, generate_obligations
+from tunav.vcgen import VcgenConfig, VcgenRun, generate_obligations
 
 SRC = """
 proof fn push_contains(a: Seq<int>) {
@@ -28,7 +28,7 @@ def test_emit_obligations(tmp_path):
         [parse_module(SRC, "user.tv", module="user")])
     obs = []
     for task in ("user::push_contains", "user::quantified"):
-        obs.extend(generate_obligations(task, program, registry, VcgenConfig()))
+        obs.extend(generate_obligations(task, VcgenRun(program, registry)))
     emit_all(obs, str(tmp_path), CONSERVATIVE)
     files = sorted(glob.glob(os.path.join(str(tmp_path), "*.smt2")))
     assert len(files) == len(obs)
@@ -57,7 +57,7 @@ proof fn q(t: Seq<int>)
 { }
 """
     program, registry = resolve_with_prelude([parse_module(src, "q.tv", module="q")])
-    obs = generate_obligations("q::q", program, registry, VcgenConfig())
+    obs = generate_obligations("q::q", VcgenRun(program, registry))
     emit_all(obs, str(tmp_path), CONSERVATIVE)
     [path] = glob.glob(os.path.join(str(tmp_path), "*.smt2"))
     with open(path) as fh:
@@ -80,8 +80,8 @@ proof fn q(x: int)
 { }
 """
     program, registry = resolve_with_prelude([parse_module(src, "q.tv", module="q")])
-    obs = generate_obligations("q::q", program, registry,
-                               VcgenConfig(strategy=strategy))
+    obs = generate_obligations(
+        "q::q", VcgenRun(program, registry, VcgenConfig(strategy=strategy)))
     emit_all(obs, str(tmp_path), strategy)
     [path] = glob.glob(os.path.join(str(tmp_path), "*.smt2"))
     with open(path) as fh:

@@ -7,6 +7,7 @@ from tunav.syntax import parse_module
 from tunav.syntax.ast import BinOp, Call
 from tunav.vcgen import (
     VcgenConfig,
+    VcgenRun,
     _ObligationBuilder,
     definitional_axiom,
     generate_obligations,
@@ -24,7 +25,7 @@ def prove_task(src: str, task: str, config: VcgenConfig | None = None,
                limits: Limits = Limits()):
     program, registry = program_of(src)
     config = config or VcgenConfig()
-    obs = generate_obligations(f"user::{task}", program, registry, config)
+    obs = generate_obligations(f"user::{task}", VcgenRun(program, registry, config))
     return [prove_obligation(ob, limits, config.strategy) for ob in obs], obs
 
 
@@ -153,8 +154,8 @@ proof fn even_gt_2_isnt_prime(i: nat)
 
 def test_even_gt_2_isnt_prime_obligation_and_context():
     program, registry = program_of(PRIME_SRC)
-    obs = generate_obligations("user::even_gt_2_isnt_prime", program, registry,
-                               VcgenConfig())
+    obs = generate_obligations("user::even_gt_2_isnt_prime",
+                               VcgenRun(program, registry))
     assert len(obs) == 1  # exactly the ensures
     keys = {qf.key for qf in obs[0].context.facts}
     assert "user::is_prime" in keys
@@ -176,7 +177,7 @@ proof fn four(x: int)
 }
 """
     program, registry = program_of(src)
-    obs = generate_obligations("user::four", program, registry, VcgenConfig())
+    obs = generate_obligations("user::four", VcgenRun(program, registry))
     assert len(obs) == 4  # 3 asserts + 1 ensures
     assert [ob.site.kind for ob in obs] == ["assert"] * 3 + ["ensures"]
 
@@ -194,7 +195,7 @@ proof fn caller(x: int)
 }
 """
     program, registry = program_of(src)
-    obs = generate_obligations("user::caller", program, registry, VcgenConfig())
+    obs = generate_obligations("user::caller", VcgenRun(program, registry))
     pre = [ob for ob in obs if ob.site.kind == "lemma-pre"]
     assert len(pre) == 2
     outs = [prove_obligation(ob) for ob in obs]
@@ -250,7 +251,7 @@ proof fn scoped(a: Seq<int>)
 }
 """
     program, registry = program_of(src)
-    obs = generate_obligations("user::scoped", program, registry, VcgenConfig())
+    obs = generate_obligations("user::scoped", VcgenRun(program, registry))
     # block obligation sees the locally imported lemma, the later one does not
     by_ob = obs[0]
     later = obs[1]
@@ -350,7 +351,7 @@ proof fn simple(a: Seq<int>)
     program, registry = program_of(src)
     cfg = VcgenConfig(ambient=("prelude::seq::group_seq_properties",
                                "prelude::set::group_set_properties"))
-    obs = generate_obligations("user::simple", program, registry, cfg)
+    obs = generate_obligations("user::simple", VcgenRun(program, registry, cfg))
     out = prove_obligation(obs[0])
     assert out.status == "verified"
 
@@ -367,7 +368,7 @@ def test_owns_skolem_matches_rendered_type_arguments():
     skolems = [inst for inst in program.instances.values() if inst.skolem]
     owned = []
     for task in program.proof_fns():
-        builder = _ObligationBuilder(task, program, registry, VcgenConfig(), {})
+        builder = _ObligationBuilder(task, VcgenRun(program, registry))
         prefix = f"!{task}::"
         for inst in skolems:
             rendered = any(prefix in t.render() for t in inst.targs)
@@ -392,11 +393,10 @@ proof fn second(a: Seq<int>) {
 }
 """
     program, registry = program_of(src)
-    lowered = {}
+    run = VcgenRun(program, registry)
     contexts = [ob.context
                 for task in ("user::first", "user::second")
-                for ob in generate_obligations(task, program, registry,
-                                               VcgenConfig(), lowered)]
+                for ob in generate_obligations(task, run)]
     lemma = "prelude::seq::lemma_seq_contains_after_push"
     facts = [next(q for q in ctx.facts if q.origin.path == lemma)
              for ctx in contexts]
