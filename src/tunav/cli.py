@@ -20,6 +20,7 @@ from tunav.engine.prover import Limits
 from tunav.errors import BaselineFailure, TunavError
 from tunav.metrics import compare_metrics, read_metrics, records_of_run, write_metrics
 from tunav.minimize import enumerate_assert_sites, minimize, prune_asts
+from tunav.resolve import PRELUDE_MODULES
 from tunav.syntax import render_module
 from tunav.vcgen import VcgenRun, generate_obligations
 from tunav import triggers as trig
@@ -125,7 +126,7 @@ def cmd_verify(args) -> int:
     if args.prelude_only:
         run = verify_program([], config)
         prelude_tasks = [t for t in run.program.proof_fns()
-                         if run.program.decl_module[t].startswith("prelude::")]
+                         if run.program.decl_module[t] in PRELUDE_MODULES]
         print(render_report(run, config, tasks=prelude_tasks))
         ok = all(run.results[t].passed for t in prelude_tasks)
         return 0 if ok else 1

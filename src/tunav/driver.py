@@ -272,18 +272,14 @@ def format_diagnostics(result: FunctionResult) -> list[str]:
 
 def render_report(run: VerifyRun, config: RunConfig,
                   tasks: list[str] | None = None) -> str:
+    results = [run.results[t] for t in (run.user_tasks if tasks is None else tasks)
+               if t in run.results]
     lines = []
-    for task in (tasks if tasks is not None else run.user_tasks):
-        result = run.results.get(task)
-        if result is None:
-            continue
+    for result in results:
         lines.append(format_function_line(result, config.no_timing))
         lines.extend(format_diagnostics(result))
         if config.usage_report and result.passed:
             lines.append(report_usage(result))
-    total = sum(1 for t in (tasks if tasks is not None else run.user_tasks)
-                if t in run.results)
-    ok = sum(1 for t in (tasks if tasks is not None else run.user_tasks)
-             if t in run.results and run.results[t].passed)
-    lines.append(f"{ok}/{total} functions verified")
+    ok = sum(r.passed for r in results)
+    lines.append(f"{ok}/{len(results)} functions verified")
     return "\n".join(lines)

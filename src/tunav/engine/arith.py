@@ -17,7 +17,7 @@ CONSISTENT = "consistent"
 INCONSISTENT = "inconsistent"
 UNKNOWN = "unknown"
 
-DEFAULT_ELIM_CAP = 12
+ELIM_CAP = 12
 CONSTRAINT_CAP = 4000
 
 
@@ -114,8 +114,7 @@ def atom_constraints(graph, kind: str, l: int, r: int, idx: int,
     raise ValueError(f"unknown arith atom kind {kind}")
 
 
-def check_constraints(constraints: list[Constraint],
-                      elim_cap: int = DEFAULT_ELIM_CAP) -> ArithResult:
+def check_constraints(constraints: list[Constraint]) -> ArithResult:
     """Decide a conjunction of normalized constraints by bound propagation and
     Fourier-Motzkin elimination with integer tightening."""
     work = [c.tightened() for c in constraints]
@@ -147,7 +146,7 @@ def check_constraints(constraints: list[Constraint],
                     n[1] += 1
         if not counts:
             return ArithResult(CONSISTENT, equalities=equalities)
-        if eliminated >= elim_cap or len(work) > CONSTRAINT_CAP:
+        if eliminated >= ELIM_CAP or len(work) > CONSTRAINT_CAP:
             return ArithResult(UNKNOWN, equalities=equalities)
         _, var = min((ups * downs, v) for v, (ups, downs) in counts.items())
         uppers: list[Constraint] = []

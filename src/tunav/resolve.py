@@ -4,12 +4,17 @@ each task's import plan and verification-task ordering.
 `entry_imports` and `task_imports` are the one statement of what a proof fn
 imports (default group, ambient paths, module and body `broadcast use`): task
 order, vcgen's fact contexts and the driver's usage reports all read them.
-Names used inside a prelude module resolve within the prelude only.
+Sort, const and callee names are all looked up over the same candidate
+modules (`candidate_paths`): a module's own declaration wins, then the
+prelude's, then other user modules', and names used inside a prelude module
+resolve within the prelude only.
 
 Generic declarations are monomorphized: every ground type instantiation used
-anywhere in the program yields a separate fact instance. Generic proof fns are
-verified once at fresh (skolem) sorts; those skolem-typed fact instances stay
-private to the defining lemma's own verification.
+anywhere in the program yields a separate fact instance. Types match by
+carrier (`unify`, for calls and liveness alike), so a `nat` type argument
+matches `int`. Generic proof fns are verified once at fresh (skolem) sorts;
+those skolem-typed fact instances stay private to the defining lemma's own
+verification.
 
 Resolution never modifies the ASTs it is given: types, callees and absolute
 `use` paths live in the resolver's tables and on the monomorphized copies
@@ -33,6 +38,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from tunav.errors import CycleError, ResolveError
+from tunav.prelude import PRELUDE_FILES
 from tunav.syntax.ast import (
     Assert,
     AssertBy,
@@ -66,8 +72,7 @@ from tunav.syntax.ast import (
     walk_stmts,
 )
 
-PRELUDE_MODULES = ("prelude::core", "prelude::seq", "prelude::set",
-                   "prelude::map", "prelude::multiset")
+PRELUDE_MODULES = tuple(module for _, module in PRELUDE_FILES)
 DEFAULT_GROUP = "prelude::core::group_default"
 
 INT = Type("int")
@@ -75,12 +80,31 @@ BOOL = Type("bool")
 
 
 def carrier(t: Type) -> Type:
-    """nat and int share one carrier; nat in argument position erases."""
-    if t.name == "nat" and not t.args:
-        return INT
-    if t.args:
-        return Type(t.name, tuple(carrier(a) for a in t.args))
-    return t
+    """nat and int share one carrier; nat in argument position erases. A
+    type without nat is its own carrier."""
+    if not t.args:
+        return INT if t.name == "nat" else t
+    args = tuple(map(carrier, t.args))
+    return t if args == t.args else Type(t.name, args)
+
+
+def unify(pattern: Type, actual: Type, sub: dict[str, Type], tps) -> bool:
+    """Whether `pattern`, whose type variables are `tps`, matches `actual` up
+    to carriers (`nat` matches `int`); extends `sub` with the carrier each
+    variable stands for."""
+    if pattern.name in tps and not pattern.args:
+        bound = sub.get(pattern.name)
+        if bound is None:
+            sub[pattern.name] = carrier(actual)
+            return True
+        return bound == carrier(actual)
+    # compare carrier names without building carrier Types: liveness runs
+    # this on every resolve, so on every minimizer trial
+    if (("int" if pattern.name == "nat" else pattern.name)
+            != ("int" if actual.name == "nat" else actual.name)
+            or len(pattern.args) != len(actual.args)):
+        return False
+    return all(unify(p, a, sub, tps) for p, a in zip(pattern.args, actual.args))
 
 
 def mono_symbol(path: str, targs: tuple[Type, ...]) -> str:
@@ -217,7 +241,9 @@ class ResolveMemo:
 # ---------------------------------------------------------------------------
 
 
-def strongly_connected_components(graph: dict[str, set[str]]) -> list[list[str]]:
+def cyclic_components(graph: dict[str, set[str]]) -> list[list[str]]:
+    """The strongly connected components of `graph` that contain a cycle
+    (two or more nodes, or one with an edge to itself), each sorted."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
@@ -261,7 +287,8 @@ def strongly_connected_components(graph: dict[str, set[str]]) -> list[list[str]]
                     comp.append(w)
                     if w == v:
                         break
-                sccs.append(sorted(comp))
+                if len(comp) > 1 or v in graph[v]:
+                    sccs.append(sorted(comp))
     return sccs
 
 
@@ -275,30 +302,14 @@ class _Checker:
         self.rs = rs
         self.module = module
         self.type_params = set(type_params)
-        self.scopes: list[dict[str, Type]] = [{}]
-        self.all_names: set[str] = set()
-
-    def push(self):
-        self.scopes.append({})
-
-    def pop(self):
-        self.scopes.pop()
+        # the parameters, binders and lets in scope: a name is never bound
+        # twice at once, so one table serves every scope
+        self.vars: dict[str, Type] = {}
 
     def bind(self, name: str, ty: Type, span, what: str):
-        if name in self.all_names:
+        if name in self.vars:
             raise ResolveError(f"duplicate {what} name '{name}' in function", span)
-        self.all_names.add(name)
-        self.scopes[-1][name] = ty
-
-    def unbind(self, name: str):
-        self.all_names.discard(name)
-        self.scopes[-1].pop(name, None)
-
-    def lookup_var(self, name: str) -> Type | None:
-        for scope in reversed(self.scopes):
-            if name in scope:
-                return scope[name]
-        return None
+        self.vars[name] = ty
 
     def check_type(self, t: Type, span) -> Type:
         if t.name in ("int", "nat", "bool"):
@@ -311,7 +322,7 @@ class _Checker:
             return t
         if t.name.startswith("!"):  # skolem sort
             return t
-        path = self.rs.lookup_sort(t.name, self.module, span)
+        path = self.rs.lookup(self.rs.sorts, "sort", t.name, self.module, span)
         if path is None:
             raise ResolveError(f"unknown type '{t.name}'", span)
         decl = self.rs.sorts[path]
@@ -320,25 +331,6 @@ class _Checker:
                 f"sort {decl.name} expects {len(decl.type_params)} type argument(s), "
                 f"got {len(t.args)}", span)
         return Type(path, tuple(self.check_type(a, span) for a in t.args))
-
-    # -- unification --------------------------------------------------------
-
-    def unify(self, declared: Type, actual: Type, sub: dict[str, Type],
-              callee_tps: set[str]) -> bool:
-        if declared.name in callee_tps and not declared.args:
-            bound = sub.get(declared.name)
-            want = carrier(actual)
-            if bound is None:
-                sub[declared.name] = want
-                return True
-            return carrier(bound) == want
-        if carrier(declared).name != carrier(actual).name and not (
-                declared.name in ("int", "nat") and actual.name in ("int", "nat")):
-            return False
-        if len(declared.args) != len(actual.args):
-            return False
-        return all(self.unify(d, a, sub, callee_tps)
-                   for d, a in zip(declared.args, actual.args))
 
     # -- expressions ---------------------------------------------------------
 
@@ -353,16 +345,15 @@ class _Checker:
         if isinstance(e, BoolLit):
             return BOOL
         if isinstance(e, Var):
-            ty = self.lookup_var(e.name)
+            ty = self.vars.get(e.name)
             if ty is not None:
                 self.rs.const_refs.pop(id(e), None)
                 return ty
-            const = self.rs.lookup_const(e.name, self.module)
-            if const is None:
+            path = self.rs.lookup(self.rs.consts, "const", e.name, self.module, e.span)
+            if path is None:
                 raise ResolveError(f"unbound variable '{e.name}'", e.span)
-            path, ty = const
             self.rs.const_refs[id(e)] = path
-            return ty
+            return self.rs.consts[path]
         if isinstance(e, Call):
             return self.check_call(e)
         if isinstance(e, BinOp):
@@ -371,17 +362,13 @@ class _Checker:
             self.require(e.arg, BOOL)
             return BOOL
         if isinstance(e, (Forall, Exists)):
-            self.push()
-            try:
-                tys = [self.check_type(b.ty, e.span) for b in e.binders]
-                self.rs.binder_types[id(e)] = tys
-                for b, ty in zip(e.binders, tys):
-                    self.bind(b.name, ty, e.span, "binder")
-                self.require(e.body, BOOL)
-            finally:
-                for b in e.binders:
-                    self.unbind(b.name)
-                self.pop()
+            tys = [self.check_type(b.ty, e.span) for b in e.binders]
+            self.rs.binder_types[id(e)] = tys
+            for b, ty in zip(e.binders, tys):
+                self.bind(b.name, ty, e.span, "binder")
+            self.require(e.body, BOOL)
+            for b in e.binders:
+                del self.vars[b.name]
             return BOOL
         raise ResolveError(f"cannot type {type(e).__name__}", e.span)
 
@@ -393,8 +380,8 @@ class _Checker:
 
     def check_call(self, e: Call) -> Type:
         arg_tys = [self.check_expr(a) for a in e.args]
-        path, sub = self.rs.resolve_callable(
-            e, e.name, self.module, arg_tys, kinds=(SpecFn,), checker=self)
+        path, sub = self.rs.resolve_callable(e, e.name, self.module, arg_tys,
+                                             kinds=(SpecFn,))
         ret = _subst_type(self.rs.rets[path], sub)
         return carrier(ret) if ret.name == "nat" else ret
 
@@ -424,15 +411,11 @@ class _Checker:
     # -- statements ----------------------------------------------------------
 
     def check_stmts(self, stmts: list[Stmt]):
-        self.push()
-        try:
-            for s in stmts:
-                self.check_stmt(s)
-        finally:
-            for s in stmts:
-                if isinstance(s, Let):
-                    self.unbind(s.name)
-            self.pop()
+        for s in stmts:
+            self.check_stmt(s)
+        for s in stmts:
+            if isinstance(s, Let):
+                del self.vars[s.name]
 
     def check_stmt(self, s: Stmt):
         if isinstance(s, Assert):
@@ -446,7 +429,7 @@ class _Checker:
         elif isinstance(s, LemmaCall):
             arg_tys = [self.check_expr(a) for a in s.args]
             self.rs.resolve_callable(s, s.path, self.module, arg_tys,
-                                     kinds=(ProofFn, AxiomFn), checker=self)
+                                     kinds=(ProofFn, AxiomFn))
         elif isinstance(s, UseStmt):
             self.rs.use_paths[id(s)] = [self.rs.resolve_import(p, self.module, s.span)
                                         for p in s.paths]
@@ -475,13 +458,15 @@ class _Resolver:
         self.instances: dict[str, MonoFn] = {}
         self.instances_of: dict[str, list[str]] = {}
         self.queue: list[tuple[str, tuple[Type, ...]]] = []
-        self.demanded: list[tuple[str, tuple[Type, ...]]] = []  # by the copy being made
+        # what the copy being made demands and the sorts it mentions
+        self.demanded: list[tuple[str, tuple[Type, ...]]] = []
+        self.mentioned: set[Type] = set()
         self.live: set[Type] = set()  # sorts the instances mention
         self.module_uses: dict[str, list[str]] = {}
         self.consts: dict[str, Type] = {}
         self.sorts: dict[str, SortDecl] = {}
-        # (sort name, module) -> the sort path it names there, or None
-        self.sort_paths: dict[tuple[str, str], str | None] = {}
+        # ("sort" | "const", name, module) -> the path it names there, or None
+        self.found: dict[tuple[str, str, str], str | None] = {}
         # Fully qualified signatures by decl path, resolved before any body.
         self.params: dict[str, list[Param]] = {}
         self.rets: dict[str, Type] = {}  # spec fns only
@@ -528,24 +513,20 @@ class _Resolver:
                     if isinstance(d, SpecFn):
                         self.rets[path] = ck.check_type(d.ret, d.span)
 
-    def lookup_sort(self, name: str, module: str, span) -> str | None:
-        """The path of the sort `name` names in `module`, searched like a
-        callee (`candidate_paths`): the module's own sort wins, and prelude
-        modules see only prelude sorts."""
-        key = (name, module)
-        if key not in self.sort_paths:
-            paths = [p for p in self.candidate_paths(name, module) if p in self.sorts]
+    def lookup(self, table: dict, what: str, name: str, module: str,
+               span) -> str | None:
+        """The path of the `what` (a sort or a const, keyed by path in
+        `table`) that `name` names in `module`, searched like a callee
+        (`candidate_paths`): the module's own wins, and prelude modules see
+        only the prelude's."""
+        key = (what, name, module)
+        if key not in self.found:
+            paths = [p for p in self.candidate_paths(name, module) if p in table]
             if len(paths) > 1 and paths[0] != f"{module}::{name}":
-                raise ResolveError(f"ambiguous sort name '{name}': candidates "
+                raise ResolveError(f"ambiguous {what} name '{name}': candidates "
                                    f"{', '.join(paths)}", span)
-            self.sort_paths[key] = paths[0] if paths else None
-        return self.sort_paths[key]
-
-    def lookup_const(self, name: str, module: str) -> tuple[str, Type] | None:
-        for cand in [f"{module}::{name}", name] + [f"{m}::{name}" for m in PRELUDE_MODULES]:
-            if cand in self.consts:
-                return cand, self.consts[cand]
-        return None
+            self.found[key] = paths[0] if paths else None
+        return self.found[key]
 
     def candidate_paths(self, name: str, module: str) -> list[str]:
         if "::" in name:
@@ -563,7 +544,7 @@ class _Resolver:
         return out
 
     def resolve_callable(self, node: Call | LemmaCall, name: str, module: str,
-                         arg_tys: list[Type], kinds, checker: _Checker):
+                         arg_tys: list[Type], kinds):
         """Resolve the callee of `node` by name and argument types; records
         its path and type arguments and returns `(path, substitution)`."""
         matches = []
@@ -575,8 +556,7 @@ class _Resolver:
             if len(params) != len(arg_tys):
                 continue
             sub: dict[str, Type] = {}
-            tps = set(decl.type_params)
-            if all(checker.unify(p.ty, a, sub, tps)
+            if all(unify(p.ty, a, sub, decl.type_params)
                    for p, a in zip(params, arg_tys)):
                 matches.append((decl, path, sub))
         if not matches:
@@ -684,7 +664,6 @@ class _Resolver:
             self.drain_queue()
             if not self.demand_by_liveness():
                 break
-            self.drain_queue()
         self.drain_queue()
 
     def drain_queue(self):
@@ -711,11 +690,22 @@ class _Resolver:
         made = self.memo.instances.get(key)
         if made is None:
             self.demanded = []
+            self.mentioned = set()
             inst_decl = _instantiate_decl(path, decl, dict(zip(decl.type_params, targs)),
                                           self)
-            made = (inst_decl, tuple(self.demanded), _sorts_of(inst_decl))
+            made = (inst_decl, tuple(self.demanded), frozenset(self.mentioned))
             self.memo.instances[key] = made
         return made
+
+    def mention(self, t: Type) -> Type:
+        """Record that the copy being made mentions `t`, by carrier, with all
+        its type arguments; returns the carrier."""
+        t = carrier(t)
+        if t not in self.mentioned:
+            self.mentioned.add(t)
+            for a in t.args:
+                self.mention(a)
+        return t
 
     def demand_by_liveness(self) -> bool:
         """Demand ground instances of generic broadcast facts whose parameter
@@ -748,7 +738,7 @@ class _Resolver:
                 continue
             for s in live:
                 sub: dict[str, Type] = {}
-                if _match_pattern(ty, s, set(tps), sub):
+                if unify(ty, s, sub, tps):
                     for tp, bound in sub.items():
                         candidates[tp].add(bound)
                         anchored.add(tp)
@@ -823,65 +813,17 @@ class _Resolver:
                     callee = self.instances[sub.resolved]
                     if callee.kind == "spec" and callee.decl.body is not None:
                         graph[sym].add(sub.resolved)
-        result: dict[str, tuple[str, ...]] = {}
-        for comp in strongly_connected_components(graph):
-            recursive = len(comp) > 1 or comp[0] in graph.get(comp[0], set())
-            if recursive:
-                for sym in comp:
-                    result[sym] = tuple(comp)
-        return result
+        return {sym: tuple(comp) for comp in cyclic_components(graph) for sym in comp}
 
     def reject_recursive_proof_fns(self):
         # edges to axioms leave the graph, which only has proof fns as nodes
         graph = {path: {self.callees[id(s)][0] for s in walk_stmts(decl.body)
                         if isinstance(s, LemmaCall)}
                  for path, decl in self.symbols.items() if isinstance(decl, ProofFn)}
-        for comp in strongly_connected_components(graph):
-            if len(comp) > 1 or comp[0] in graph.get(comp[0], set()):
-                raise ResolveError(
-                    f"recursive proof fns are unsupported: {', '.join(sorted(comp))}")
-
-
-def _sorts_of(decl: Declaration) -> frozenset[Type]:
-    """The sorts, by carrier, that an instance's signature and trees mention,
-    with all their type arguments."""
-    sorts: set[Type] = set()
-
-    def add(t: Type | None):
-        if t is None:
-            return
-        t = carrier(t)
-        sorts.add(t)
-        for a in t.args:
-            add(a)
-
-    for p in decl.params:
-        add(p.ty)
-    if isinstance(decl, SpecFn):
-        add(decl.ret)
-        exprs = [] if decl.body is None else [decl.body]
-    else:
-        exprs = decl.requires + decl.ensures
-        if isinstance(decl, ProofFn):
-            exprs += [e for s in walk_stmts(decl.body) for e in stmt_exprs(s)]
-    for e in exprs:
-        for sub in walk_exprs(e):
-            add(sub.ty)
-    return frozenset(sorts)
-
-
-def _match_pattern(pattern: Type, ground: Type, tps: set[str],
-                   sub: dict[str, Type]) -> bool:
-    if pattern.name in tps and not pattern.args:
-        bound = sub.get(pattern.name)
-        if bound is None:
-            sub[pattern.name] = ground
-            return True
-        return bound == ground
-    if pattern.name != ground.name or len(pattern.args) != len(ground.args):
-        return False
-    return all(_match_pattern(p, g, tps, sub)
-               for p, g in zip(pattern.args, ground.args))
+        cycles = cyclic_components(graph)
+        if cycles:
+            raise ResolveError(
+                f"recursive proof fns are unsupported: {', '.join(cycles[0])}")
 
 
 # ---------------------------------------------------------------------------
@@ -891,31 +833,34 @@ def _match_pattern(pattern: Type, ground: Type, tps: set[str],
 
 def _instantiate_decl(path: str, decl: Declaration, sub: dict[str, Type],
                       rs: _Resolver):
-    params = rs.params[path]
+    params = [Param(p.name, _subst_type(p.ty, sub)) for p in rs.params[path]]
+    for p in params:
+        rs.mention(p.ty)
     if isinstance(decl, SpecFn):
+        ret = _subst_type(rs.rets[path], sub)
+        rs.mention(ret)
         return SpecFn(
             decl.span, decl.name, type_params=[],
-            params=[Param(p.name, carrier(_subst_type(p.ty, sub))) for p in params],
-            ret=_subst_type(rs.rets[path], sub),
+            params=[Param(p.name, carrier(p.ty)) for p in params], ret=ret,
             body=None if decl.body is None else _inst_expr(decl.body, sub, rs))
     if isinstance(decl, ProofFn):
         return ProofFn(
             decl.span, decl.name, broadcast=decl.broadcast, type_params=[],
-            params=[Param(p.name, _subst_type(p.ty, sub)) for p in params],
+            params=params,
             requires=[_inst_expr(e, sub, rs) for e in decl.requires],
             ensures=[_inst_expr(e, sub, rs) for e in decl.ensures],
             body=[_inst_stmt(s, sub, rs) for s in decl.body])
     if isinstance(decl, AxiomFn):
         return AxiomFn(
             decl.span, decl.name, broadcast=decl.broadcast, type_params=[],
-            params=[Param(p.name, _subst_type(p.ty, sub)) for p in params],
+            params=params,
             requires=[_inst_expr(e, sub, rs) for e in decl.requires],
             ensures=[_inst_expr(e, sub, rs) for e in decl.ensures])
     raise ResolveError(f"cannot instantiate {type(decl).__name__}")
 
 
 def _inst_expr(e: Expr, sub: dict[str, Type], rs: _Resolver) -> Expr:
-    ty = carrier(_subst_type(rs.types[id(e)], sub))
+    ty = rs.mention(_subst_type(rs.types[id(e)], sub))
     if isinstance(e, IntLit):
         return IntLit(e.span, value=e.value, ty=ty, trigger_mark=e.trigger_mark)
     if isinstance(e, BoolLit):
@@ -1052,10 +997,9 @@ def order_tasks(program: Program, registry: BroadcastRegistry,
         for path in task_imports(program, registry, t, ambient, default):
             deps[t].update(f for f in registry.expand(path) if f in broadcast)
 
-    graph = {t: set(d) for t, d in deps.items()}
-    for comp in strongly_connected_components(graph):
-        if len(comp) > 1 or comp[0] in graph.get(comp[0], set()):
-            raise CycleError("cyclic broadcast imports", comp)
+    cycles = cyclic_components(deps)
+    if cycles:
+        raise CycleError("cyclic broadcast imports", cycles[0])
 
     order_index = {t: i for i, t in enumerate(tasks)}
     layers: list[list[str]] = []

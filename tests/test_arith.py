@@ -15,7 +15,7 @@ from tunav.engine import Limits, Origin, arith, prove
 from tunav.engine.arith import (
     CONSISTENT,
     CONSTRAINT_CAP,
-    DEFAULT_ELIM_CAP,
+    ELIM_CAP,
     INCONSISTENT,
     UNKNOWN,
     Constraint,
@@ -80,7 +80,7 @@ def reference_check(constraints):
         variables = sorted({v for k, _, _ in work for v in k})
         if not variables:
             return CONSISTENT, frozenset(), eqs
-        if eliminated >= DEFAULT_ELIM_CAP or len(work) > CONSTRAINT_CAP:
+        if eliminated >= ELIM_CAP or len(work) > CONSTRAINT_CAP:
             return UNKNOWN, frozenset(), eqs
 
         def cost(v):

@@ -133,6 +133,59 @@ def test_sort_name_ambiguous_only_at_a_use_with_two_candidates():
     assert err.value.span.file == "b.tv" and err.value.span.line == 2
 
 
+def test_nat_sort_argument_matches_a_live_int_sort():
+    """A broadcast fact over `Box<nat, V>` gets liveness instances from a live
+    `Box<int, int>`: `nat` matches `int` here as it does for calls."""
+    src = """
+sort Box<K, V>;
+spec fn put<K, V>(b: Box<K, V>, k: K, v: V) -> Box<K, V>;
+spec fn get<K, V>(b: Box<K, V>, k: K) -> V;
+
+broadcast axiom fn ax<V>(b: Box<nat, V>, k: nat, v: V)
+    ensures #[trigger] get(put(b, k, v), k) == v;
+
+proof fn use_box(b: Box<int, int>, k: nat) {
+    broadcast use {ax};
+    assert(get(put(b, k, 5), k) == 5);
+}
+"""
+    run = run_src(src)
+    assert run.all_verified
+    assert run.program.instances_of["user::ax"] == ["user::ax<int>"]
+
+
+CONST_K = "const K: int;\n"
+
+
+def test_const_of_another_module_by_bare_name():
+    """Const names resolve like sorts and callees: `b` sees `a::K`."""
+    a = parse_module(CONST_K, "a.tv", module="a")
+    b = parse_module("proof fn g() ensures K == K { }\n", "b.tv", module="b")
+    run = verify_program([a, b], RunConfig())
+    assert run.all_verified
+    [ensures] = run.program.verify_instance("b::g").decl.ensures
+    assert ensures.lhs.resolved == "a::K"
+
+
+def test_own_const_wins_over_another_modules():
+    a = parse_module(CONST_K, "a.tv", module="a")
+    b = parse_module(CONST_K + "proof fn g() ensures K == K { }\n", "b.tv",
+                     module="b")
+    run = verify_program([a, b], RunConfig())
+    [ensures] = run.program.verify_instance("b::g").decl.ensures
+    assert ensures.lhs.resolved == ensures.rhs.resolved == "b::K"
+
+
+def test_const_name_ambiguous_at_a_use_with_two_candidates():
+    a = parse_module(CONST_K, "a.tv", module="a")
+    c = parse_module(CONST_K, "c.tv", module="c")
+    b = parse_module("proof fn g() ensures K == K { }\n", "b.tv", module="b")
+    assert verify_program([a, c], RunConfig()).all_verified
+    with pytest.raises(TunavError, match="ambiguous const name 'K'") as err:
+        verify_program([a, c, b], RunConfig())
+    assert err.value.span.file == "b.tv"
+
+
 def test_report_lines_and_diagnostics():
     src = """
 proof fn ok(x: int) requires x > 1 ensures x > 0 { }

@@ -1,8 +1,11 @@
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from tunav.errors import CycleError, ResolveError
-from tunav.resolve import order_tasks, resolve_program
+from tunav.resolve import _subst_type, carrier, order_tasks, resolve_program, unify
 from tunav.syntax import parse_module
+from tunav.syntax.ast import Type
 
 SEQ_STUB = """
 sort Seq<A>;
@@ -210,6 +213,24 @@ def test_duplicate_let_name_rejected():
         rp(("m", src))
 
 
+def test_names_are_free_again_after_their_scope():
+    """Sibling quantifiers may share a binder name, and a let may reuse a
+    name after the `assert ... by` block that bound it; a binder may not
+    reuse a name still in scope."""
+    src = """
+proof fn p(x: int)
+    ensures (forall|i: int| i == i) && (forall|i: int| i + 0 == i)
+{
+    assert(x == x) by { let y = x; }
+    let y = x + 1;
+    assert(y == x + 1);
+}
+"""
+    rp(("m", src))
+    with pytest.raises(ResolveError, match="duplicate binder name 'x'"):
+        rp(("m", "proof fn q(x: int) ensures forall|x: int| x == x { }"))
+
+
 def test_misplaced_trigger_mark_rejected():
     src = "spec fn f(x: int) -> int;\nproof fn p(x: int) { assert(#[trigger] f(x) == f(x)); }"
     with pytest.raises(ResolveError, match="misplaced"):
@@ -225,3 +246,58 @@ def test_generic_lemma_gets_skolem_verification_instance():
     program, registry = rp(("seqs", src))
     inst = program.verify_instance("seqs::lemma_seq_contains_after_push")
     assert inst.skolem
+
+
+# -- unify against carriers ----------------------------------------------------
+
+TVARS = ("X", "Y")
+LEAVES = [Type("int"), Type("nat"), Type("bool")]
+# a fixed seed and no example database: the same examples on every run
+ORACLE = settings(max_examples=300, deadline=None, derandomize=True,
+                  database=None, suppress_health_check=[HealthCheck.too_slow])
+
+
+def _types(leaves):
+    return st.recursive(st.sampled_from(leaves), lambda args: st.builds(
+        Type, st.sampled_from(["S", "T"]), st.lists(args, max_size=2).map(tuple)),
+        max_leaves=6)
+
+
+GROUND = _types(LEAVES)
+
+
+@st.composite
+def _near(draw, t: Type, tvars):
+    """A type like `t`: some subtrees replaced by type variables (from
+    `tvars`) or by unrelated types, some names swapped int <-> nat."""
+    pick = draw(st.integers(0, 5 if tvars else 4))
+    if pick == 0:
+        return draw(_types(LEAVES + [Type(v) for v in tvars]))
+    if pick == 5:
+        return Type(draw(st.sampled_from(tvars)))
+    name = t.name
+    if pick == 1:
+        name = {"int": "nat", "nat": "int"}.get(name, name)
+    return Type(name, tuple(draw(_near(a, tvars)) for a in t.args))
+
+
+@st.composite
+def _pairs(draw, tvars):
+    t = draw(GROUND)
+    return draw(_near(t, tvars)), t
+
+
+@ORACLE
+@given(_pairs(TVARS))
+def test_unify_success_agrees_with_carriers(pair):
+    pattern, ground = pair
+    sub = {}
+    if unify(pattern, ground, sub, TVARS):
+        assert carrier(_subst_type(pattern, sub)) == carrier(ground)
+
+
+@ORACLE
+@given(_pairs(()))
+def test_unify_without_variables_is_carrier_equality(pair):
+    pattern, ground = pair
+    assert unify(pattern, ground, {}, TVARS) == (carrier(pattern) == carrier(ground))
