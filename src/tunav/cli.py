@@ -20,7 +20,12 @@ from tunav.engine.prover import Limits
 from tunav.errors import BaselineFailure, TunavError
 from tunav.metrics import compare_metrics, read_metrics, records_of_run, write_metrics
 from tunav.minimize import enumerate_assert_sites, minimize, prune_asts
-from tunav.resolve import PRELUDE_MODULES
+from tunav.resolve import (
+    LIVENESS_COMBINATIONS,
+    LIVENESS_ROUNDS,
+    PRELUDE_MODULES,
+    Program,
+)
 from tunav.syntax import render_module
 from tunav.vcgen import VcgenRun, generate_obligations
 from tunav import triggers as trig
@@ -121,10 +126,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def warn_liveness_caps(program: Program):
+    """Print to stderr one line naming the liveness caps that cut the
+    program's broadcast fact instances short, and the facts they cut."""
+    limits = {"rounds": f"{LIVENESS_ROUNDS} rounds",
+              "combinations": f"{LIVENESS_COMBINATIONS} type argument combinations"}
+    cut = [f"{limits[cap]} for {', '.join(facts)}"
+           for cap, facts in program.liveness_caps.items()]
+    if cut:
+        print("warning: liveness instantiation stopped at its cap of "
+              + "; ".join(cut) + "; further instances of these facts were not made",
+              file=sys.stderr)
+
+
 def cmd_verify(args) -> int:
     config = config_of(args)
     if args.prelude_only:
         run = verify_program([], config)
+        warn_liveness_caps(run.program)
         prelude_tasks = [t for t in run.program.proof_fns()
                          if run.program.decl_module[t] in PRELUDE_MODULES]
         print(render_report(run, config, tasks=prelude_tasks))
@@ -135,6 +154,7 @@ def cmd_verify(args) -> int:
         return 2
     asts = load_sources(args.files)
     run = verify_program(asts, config)
+    warn_liveness_caps(run.program)
     print(render_report(run, config))
     if args.metrics_out:
         write_metrics(records_of_run(run, config), args.metrics_out)

@@ -20,26 +20,28 @@ Resolution never modifies the ASTs it is given: types, callees and absolute
 `use` paths live in the resolver's tables and on the monomorphized copies
 (`MonoFn.decl`) that vcgen and the engine read.
 
-Resolves that share a `ResolveMemo` (the runs of one minimizer pass) reuse
-work by declaration identity: a declaration object already checked is not
-checked again, and its instance at given type arguments is the same copy,
-whose demands are replayed in order so that the instantiation queue and
-`Program.instances` equal those of a fresh resolve. The memo serves only
-programs whose modules and declaration names, kinds and signatures equal
-those of the first program it resolved; any other program is resolved
-afresh. The liveness fixpoint, the registry, spec SCCs and task order are
-recomputed on every resolve, so an instance that a smaller program no longer
-demands is gone from it.
+Resolves that share a `ResolveMemo` (the runs of one minimizer pass) do each
+piece of work once: signatures and the registry are resolved once, a
+declaration object is checked once, an instance symbol is rendered once, and
+an instance is copied once per declaration object, recording the symbols it
+demands. A resolve is then a reachability pass over those demand edges from
+the program's roots, in a fresh resolve's order, and a semi-naive liveness
+fixpoint whose rounds match only the newly live sorts. So `Program.instances`
+and its order equal those of a fresh resolve. The memo serves only programs
+whose modules and declaration interfaces equal those of the first program it
+resolved; any other program is resolved afresh.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from tunav.errors import CycleError, ResolveError
 from tunav.prelude import PRELUDE_FILES
 from tunav.syntax.ast import (
+    BINARY_OPS,
     Assert,
     AssertBy,
     AxiomFn,
@@ -78,6 +80,11 @@ DEFAULT_GROUP = "prelude::core::group_default"
 INT = Type("int")
 BOOL = Type("bool")
 
+# Liveness stops after this many rounds and takes at most this many type argument
+# combinations of a fact per round; `Program.liveness_caps` names what they cut.
+LIVENESS_ROUNDS = 10
+LIVENESS_COMBINATIONS = 200
+
 
 def carrier(t: Type) -> Type:
     """nat and int share one carrier; nat in argument position erases. A
@@ -98,8 +105,7 @@ def unify(pattern: Type, actual: Type, sub: dict[str, Type], tps) -> bool:
             sub[pattern.name] = carrier(actual)
             return True
         return bound == carrier(actual)
-    # compare carrier names without building carrier Types: liveness runs
-    # this on every resolve, so on every minimizer trial
+    # compare carrier names without building carrier Types
     if (("int" if pattern.name == "nat" else pattern.name)
             != ("int" if actual.name == "nat" else actual.name)
             or len(pattern.args) != len(actual.args)):
@@ -119,10 +125,6 @@ def mentions_sort(t: Type, prefix: str) -> bool:
     return t.name.startswith(prefix) or any(mentions_sort(a, prefix) for a in t.args)
 
 
-def is_skolem_sort(t: Type) -> bool:
-    return mentions_sort(t, "!")
-
-
 @dataclass
 class MonoFn:
     symbol: str
@@ -134,7 +136,10 @@ class MonoFn:
 
     @property
     def skolem(self) -> bool:
-        return any(is_skolem_sort(t) for t in self.targs)
+        return any(mentions_sort(t, "!") for t in self.targs)
+
+
+_KINDS = {SpecFn: "spec", ProofFn: "proof", AxiomFn: "axiom"}
 
 
 @dataclass
@@ -161,25 +166,19 @@ class Program:
     instances_of: dict[str, list[str]]
     module_uses: dict[str, list[str]]
     spec_scc: dict[str, tuple[str, ...]]  # mono spec symbol -> SCC members when recursive
+    # proof-fn decl path -> symbol of its verified instance, in source order
+    task_symbols: dict[str, str]
+    # "rounds" | "combinations" -> the facts whose instances that cap cut short
+    liveness_caps: dict[str, list[str]]
 
     def proof_fns(self) -> list[str]:
         """Proof-fn decl paths in source order (one verification task each)."""
-        out = []
-        for ast in self.asts:
-            for d in ast.declarations:
-                if isinstance(d, ProofFn):
-                    out.append(f"{ast.module}::{d.name}")
-        return out
+        return list(self.task_symbols)
 
     def verify_instance(self, decl_path: str) -> MonoFn:
-        """The instance actually verified for a proof fn: the monomorphic one,
-        or for generics the instance at the fn's own skolem sorts."""
-        decl = self.symbols[decl_path]
-        own_skolem = tuple(Type(f"!{decl_path}::{tp}")
-                           for tp in getattr(decl, "type_params", []))
-        sym = mono_symbol(decl_path, own_skolem)
-        inst = self.instances.get(sym)
-        if inst is None or inst.kind != "proof":
+        """The instance actually verified for a proof fn."""
+        inst = self.instances.get(self.task_symbols.get(decl_path))
+        if inst is None:
             raise ResolveError(f"no verification instance for {decl_path}")
         return inst
 
@@ -193,15 +192,17 @@ class TaskOrder:
 
 def _interface(d: Declaration) -> tuple:
     """What resolving the other declarations reads of `d`: its kind, name
-    and signature."""
+    and signature, or a group's members."""
     return (type(d), d.name, getattr(d, "type_params", None),
             getattr(d, "params", None), getattr(d, "ret", None),
-            getattr(d, "broadcast", None), getattr(d, "ty", None))
+            getattr(d, "broadcast", None), getattr(d, "ty", None),
+            getattr(d, "members", None))
 
 
 class ResolveMemo:
     """Resolution work shared by the resolves of programs that differ only
-    inside declarations (see the module docstring)."""
+    inside declarations (see the module docstring); its tables are keyed by
+    what those programs share: paths, symbols, sorts and node identities."""
 
     def __init__(self):
         self.interfaces: tuple | None = None  # of the first program resolved
@@ -209,17 +210,38 @@ class ResolveMemo:
         # unique while the memo lives
         self.decls: dict[int, Declaration] = {}
         self.checked: set[int] = set()  # ids of declarations checked
-        # (decl path, id(decl), type args) -> (instance decl, its demands in
+        # read off the interfaces once: `resolve_signatures`, the registry
+        self.signatures: tuple | None = None
+        self.registry: BroadcastRegistry | None = None
+        # ("sort" | "const", name, module) -> the path it names there, or None
+        self.found: dict[tuple[str, str, str], str | None] = {}
+        # (path, type args) <-> instance symbol, each rendered once
+        self.interned: dict[tuple[str, tuple[Type, ...]], str] = {}
+        self.keys: dict[str, tuple[str, tuple[Type, ...]]] = {}
+        # one object per sort mentioned, so that sets of sorts match by identity
+        self.canonical: dict[Type, Type] = {}
+        # (symbol, id(decl)) -> (the instance, the symbols it demands in
         # order, the sorts it mentions)
-        self.instances: dict[tuple, tuple[Declaration, tuple, frozenset[Type]]] = {}
-        # What checking learns about the input nodes, keyed by id(node): the
-        # input ASTs are never modified; instantiation copies these onto the
-        # MonoFn trees.
+        self.instances: dict[tuple[str, int],
+                             tuple[MonoFn, tuple[str, ...], frozenset[Type]]] = {}
+        # live sort -> what it binds (`_Resolver.matches`)
+        self.matches: dict[Type, tuple[tuple[int, int, Type], ...]] = {}
+        # What checking learns about the input nodes, keyed by id(node), which
+        # instantiation copies onto the MonoFn trees: the inputs stay as given.
         self.types: dict[int, Type] = {}  # expression -> type
         self.const_refs: dict[int, str] = {}  # Var -> const path
         self.callees: dict[int, tuple[str, tuple[Type, ...]]] = {}  # Call/LemmaCall
         self.binder_types: dict[int, list[Type]] = {}  # Forall/Exists -> binder types
         self.use_paths: dict[int, list[str]] = {}  # UseStmt -> absolute paths
+
+    def symbol(self, path: str, targs: tuple[Type, ...]) -> str:
+        """The symbol of the instance of `path` at `targs`."""
+        key = (path, targs)
+        sym = self.interned.get(key)
+        if sym is None:
+            sym = self.interned[key] = mono_symbol(path, targs)
+            self.keys[sym] = key
+        return sym
 
     def admits(self, asts: list[ProgramAst]) -> bool:
         """Whether `asts` has the modules and declaration interfaces of the
@@ -243,52 +265,45 @@ class ResolveMemo:
 
 def cyclic_components(graph: dict[str, set[str]]) -> list[list[str]]:
     """The strongly connected components of `graph` that contain a cycle
-    (two or more nodes, or one with an edge to itself), each sorted."""
+    (two or more nodes, or one with an edge to itself), each sorted. A node
+    without edges is on no cycle and lowers no low link: the search skips it."""
     index: dict[str, int] = {}
     low: dict[str, int] = {}
     on_stack: set[str] = set()
     stack: list[str] = []
     sccs: list[list[str]] = []
-    counter = itertools.count()
-
-    for root in graph:
-        if root in index:
+    for root, edges in graph.items():
+        if root in index or not edges:
             continue
-        work = [(root, iter(sorted(graph.get(root, ()))))]
-        index[root] = low[root] = next(counter)
+        index[root] = low[root] = len(index)
         stack.append(root)
         on_stack.add(root)
+        work = [(root, iter(sorted(edges)))]
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
-                if w not in graph:
+                if not graph.get(w):
                     continue
                 if w not in index:
-                    index[w] = low[w] = next(counter)
+                    index[w] = low[w] = len(index)
                     stack.append(w)
                     on_stack.add(w)
-                    work.append((w, iter(sorted(graph.get(w, ())))))
-                    advanced = True
+                    work.append((w, iter(sorted(graph[w]))))
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                if len(comp) > 1 or v in graph[v]:
-                    sccs.append(sorted(comp))
+            else:  # every successor of v is done
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+                if low[v] == index[v]:
+                    comp = [stack.pop()]
+                    while comp[-1] != v:
+                        comp.append(stack.pop())
+                    on_stack.difference_update(comp)
+                    if len(comp) > 1 or v in graph[v]:
+                        sccs.append(sorted(comp))
     return sccs
 
 
@@ -387,14 +402,6 @@ class _Checker:
 
     def check_binop(self, e: BinOp) -> Type:
         op = e.op
-        if op in ("+", "-", "*", "%"):
-            self.require(e.lhs, INT)
-            self.require(e.rhs, INT)
-            return INT
-        if op in ("<", "<=", ">", ">="):
-            self.require(e.lhs, INT)
-            self.require(e.rhs, INT)
-            return BOOL
         if op in ("==", "!="):
             lt = self.check_expr(e.lhs)
             rt = self.check_expr(e.rhs)
@@ -402,11 +409,12 @@ class _Checker:
                 raise ResolveError(
                     f"type mismatch in {op}: {lt.render()} vs {rt.render()}", e.span)
             return BOOL
-        if op in ("&&", "||", "==>", "<==>"):
-            self.require(e.lhs, BOOL)
-            self.require(e.rhs, BOOL)
-            return BOOL
-        raise ResolveError(f"unknown operator {op}", e.span)
+        if op not in BINARY_OPS:
+            raise ResolveError(f"unknown operator {op}", e.span)
+        operand = BOOL if op in ("&&", "||", "==>", "<==>") else INT
+        self.require(e.lhs, operand)
+        self.require(e.rhs, operand)
+        return INT if op in ("+", "-", "*", "%") else BOOL
 
     # -- statements ----------------------------------------------------------
 
@@ -457,24 +465,21 @@ class _Resolver:
         self.module_names: list[str] = []
         self.instances: dict[str, MonoFn] = {}
         self.instances_of: dict[str, list[str]] = {}
-        self.queue: list[tuple[str, tuple[Type, ...]]] = []
-        # what the copy being made demands and the sorts it mentions
-        self.demanded: list[tuple[str, tuple[Type, ...]]] = []
+        self.demands: dict[str, tuple[str, ...]] = {}  # instance -> what it demands
+        self.queue: list[str] = []  # instance symbols
+        # what the instance copy being made demands and the sorts it mentions
+        self.demanded: list[str] = []
         self.mentioned: set[Type] = set()
         self.live: set[Type] = set()  # sorts the instances mention
+        self.fresh: set[Type] = set()  # those live since the last liveness round
+        # per generic broadcast fact and type param, the sorts liveness bound
+        self.candidates: list[list[set[Type]]] = []
+        self.liveness_caps: dict[str, list[str]] = {}
         self.module_uses: dict[str, list[str]] = {}
-        self.consts: dict[str, Type] = {}
         self.sorts: dict[str, SortDecl] = {}
-        # ("sort" | "const", name, module) -> the path it names there, or None
-        self.found: dict[tuple[str, str, str], str | None] = {}
-        # Fully qualified signatures by decl path, resolved before any body.
-        self.params: dict[str, list[Param]] = {}
-        self.rets: dict[str, Type] = {}  # spec fns only
-        # the memo's tables of what checking learns about input nodes
-        self.types = memo.types
-        self.const_refs = memo.const_refs
-        self.callees = memo.callees
-        self.binder_types = memo.binder_types
+        # the memo's name lookups and what checking learns about input nodes
+        self.found, self.types, self.callees = memo.found, memo.types, memo.callees
+        self.const_refs, self.binder_types = memo.const_refs, memo.binder_types
         self.use_paths = memo.use_paths
 
     # -- symbol table --------------------------------------------------------
@@ -498,20 +503,36 @@ class _Resolver:
                     self.sorts[path] = d
 
     def resolve_signatures(self):
-        """Qualify every fn's parameter and return types and every const's
-        type, so a body may use a declaration that comes later in the source."""
-        for ast in self.asts:
-            for d in ast.declarations:
-                path = f"{ast.module}::{d.name}"
-                if isinstance(d, ConstDecl):
-                    self.consts[path] = _Checker(self, ast.module, []).check_type(
-                        d.ty, d.span)
-                elif isinstance(d, (SpecFn, ProofFn, AxiomFn)):
-                    ck = _Checker(self, ast.module, d.type_params)
-                    self.params[path] = [Param(p.name, ck.check_type(p.ty, d.span))
-                                         for p in d.params]
+        """Read off the interfaces, once per memo: qualified const, parameter
+        and spec fn return types, so a body may use a declaration that comes
+        later in the source; the `roots` (every non-generic fn, and each
+        generic proof fn at its own skolem sorts) and each proof fn's; and
+        the generic broadcast facts with the parameter types liveness matches."""
+        if self.memo.signatures is None:
+            consts, params, rets, roots, tasks, facts = {}, {}, {}, [], {}, []
+            for ast in self.asts:
+                for d in ast.declarations:
+                    path = f"{ast.module}::{d.name}"
+                    ck = _Checker(self, ast.module, getattr(d, "type_params", []))
+                    if isinstance(d, ConstDecl):
+                        consts[path] = ck.check_type(d.ty, d.span)
+                    if not isinstance(d, (SpecFn, ProofFn, AxiomFn)):
+                        continue
+                    params[path] = [Param(p.name, ck.check_type(p.ty, d.span))
+                                    for p in d.params]
                     if isinstance(d, SpecFn):
-                        self.rets[path] = ck.check_type(d.ret, d.span)
+                        rets[path] = ck.check_type(d.ret, d.span)
+                    if not d.type_params or isinstance(d, ProofFn):
+                        roots.append(self.memo.symbol(path, tuple(
+                            Type(f"!{path}::{tp}") for tp in d.type_params)))
+                    if isinstance(d, ProofFn):
+                        tasks[path] = roots[-1]
+                    if d.type_params and getattr(d, "broadcast", False):
+                        facts.append((path, d.type_params,
+                                      [p.ty for p in params[path] if p.ty.args]))
+            self.memo.signatures = (consts, params, rets, roots, tasks, facts)
+        (self.consts, self.params, self.rets, self.roots, self.task_symbols,
+         self.generic_facts) = self.memo.signatures
 
     def lookup(self, table: dict, what: str, name: str, module: str,
                span) -> str | None:
@@ -644,109 +665,105 @@ class _Resolver:
 
     # -- monomorphization -------------------------------------------------------
 
-    def demand(self, path: str, targs: tuple[Type, ...]):
-        sym = mono_symbol(path, targs)
-        if sym not in self.instances:
-            self.queue.append((path, targs))
-
     def instantiate_all(self):
-        # seed: every non-generic fn; skolem instances of generic proof fns
-        for ast in self.asts:
-            for d in ast.declarations:
-                if isinstance(d, (SpecFn, ProofFn, AxiomFn)):
-                    path = f"{ast.module}::{d.name}"
-                    if not d.type_params:
-                        self.demand(path, ())
-                    elif isinstance(d, ProofFn):
-                        sk = tuple(Type(f"!{path}::{tp}") for tp in d.type_params)
-                        self.demand(path, sk)
-        for _ in range(10):
+        self.candidates = [[set() for _ in tps] for _, tps, _ in self.generic_facts]
+        self.queue.extend(self.roots)
+        for _ in range(LIVENESS_ROUNDS):
             self.drain_queue()
-            if not self.demand_by_liveness():
+            growing = self.demand_by_liveness()
+            if not growing:
                 break
+        else:
+            self.liveness_caps["rounds"] = growing
         self.drain_queue()
+        # a fact's bindings only grow, so its last product was its largest
+        capped = [fact[0] for fact, pools in zip(self.generic_facts, self.candidates)
+                  if math.prod(map(len, pools)) > LIVENESS_COMBINATIONS]
+        if capped:
+            self.liveness_caps["combinations"] = capped
 
     def drain_queue(self):
-        while self.queue:
-            path, targs = self.queue.pop()
-            sym = mono_symbol(path, targs)
-            if sym in self.instances:
+        """Make every queued instance and, depth first, what it demands."""
+        instances, queue, made = self.instances, self.queue, self.memo.instances
+        while queue:
+            sym = queue.pop()
+            if sym in instances:
                 continue
+            path, targs = self.memo.keys[sym]
             decl = self.symbols[path]
-            inst_decl, demands, sorts = self.instantiate(path, decl, targs)
-            for demanded in demands:
-                self.demand(*demanded)
-            kind = {"SpecFn": "spec", "ProofFn": "proof", "AxiomFn": "axiom"}[
-                type(decl).__name__]
-            fn = MonoFn(sym, path, targs, kind, inst_decl, self.decl_module[path])
-            self.instances[sym] = fn
+            entry = made.get((sym, id(decl)))
+            if entry is None:
+                # what the copy demands, in order, and the sorts it mentions
+                self.demanded, self.mentioned = [], set()
+                inst = _instantiate_decl(path, decl, dict(zip(decl.type_params, targs)),
+                                         self)
+                entry = made[sym, id(decl)] = (
+                    MonoFn(sym, path, targs, _KINDS[type(decl)], inst,
+                           self.decl_module[path]),
+                    tuple(self.demanded), frozenset(self.mentioned))
+            fn, demands, sorts = entry
+            queue.extend(demands)
+            instances[sym] = fn
+            self.demands[sym] = demands
             self.instances_of.setdefault(path, []).append(sym)
+            self.fresh |= sorts - self.live
             self.live |= sorts
-
-    def instantiate(self, path: str, decl: Declaration, targs: tuple[Type, ...]):
-        """The copy of `decl` at `targs`, the instances it demands, in order,
-        and the sorts it mentions; made once per memo."""
-        key = (path, id(decl), targs)
-        made = self.memo.instances.get(key)
-        if made is None:
-            self.demanded = []
-            self.mentioned = set()
-            inst_decl = _instantiate_decl(path, decl, dict(zip(decl.type_params, targs)),
-                                          self)
-            made = (inst_decl, tuple(self.demanded), frozenset(self.mentioned))
-            self.memo.instances[key] = made
-        return made
 
     def mention(self, t: Type) -> Type:
         """Record that the copy being made mentions `t`, by carrier, with all
         its type arguments; returns the carrier."""
         t = carrier(t)
         if t not in self.mentioned:
+            t = self.memo.canonical.setdefault(t, t)
             self.mentioned.add(t)
             for a in t.args:
                 self.mention(a)
         return t
 
-    def demand_by_liveness(self) -> bool:
+    def demand_by_liveness(self) -> list[str]:
         """Demand ground instances of generic broadcast facts whose parameter
-        sorts occur in the program (e.g. Seq<int> live => seq lemmas at int)."""
-        live = self.live
-        added = False
-        for path, decl in self.symbols.items():
-            if not isinstance(decl, (ProofFn, AxiomFn)) or not decl.broadcast:
-                continue
-            if not decl.type_params:
-                continue
-            for targs in self._liveness_assignments(path, decl, live):
-                sym = mono_symbol(path, targs)
+        sorts occur in the program (e.g. Seq<int> live => seq lemmas at int);
+        returns the facts that got new ones. Each fact's type params are
+        bound to every sort one of its parameters matches. Only the sorts
+        live since the last round are matched: a fact whose bindings did not
+        grow has every combination made already."""
+        fresh, self.fresh = self.fresh, set()
+        grown = set()
+        for s in fresh:
+            for f, i, bound in self.matches(s):
+                pool = self.candidates[f][i]
+                if bound not in pool:
+                    pool.add(bound)
+                    grown.add(f)
+        growing = []
+        for f in sorted(grown):
+            path = self.generic_facts[f][0]
+            pools = [sorted(pool, key=Type.render) for pool in self.candidates[f]]
+            new = False
+            for targs in itertools.islice(itertools.product(*pools),
+                                          LIVENESS_COMBINATIONS):
+                sym = self.memo.symbol(path, targs)
                 if sym not in self.instances:
-                    self.demand(path, targs)
-                    added = True
-        return added
+                    self.queue.append(sym)
+                    new = True
+            if new:
+                growing.append(path)
+        return growing
 
-    # (skolem-typed instances stay private to their owning lemma's context;
-    # the filtering happens at context assembly, not here)
-
-    def _liveness_assignments(self, path: str, decl,
-                              live: set[Type]) -> list[tuple[Type, ...]]:
-        tps = list(decl.type_params)
-        candidates: dict[str, set[Type]] = {tp: set() for tp in tps}
-        anchored: set[str] = set()
-        for p in self.params[path]:
-            ty = p.ty
-            if not ty.args:
-                continue
-            for s in live:
-                sub: dict[str, Type] = {}
-                if unify(ty, s, sub, tps):
-                    for tp, bound in sub.items():
-                        candidates[tp].add(bound)
-                        anchored.add(tp)
-        if set(tps) - anchored:
-            return []  # unanchored type variable: no liveness-driven instances
-        pools = [sorted(candidates[tp], key=lambda t: t.render()) for tp in tps]
-        return [tuple(combo) for combo in itertools.islice(
-            itertools.product(*pools), 200)]
+    def matches(self, s: Type) -> tuple[tuple[int, int, Type], ...]:
+        """What live sort `s` binds: (generic fact index, type param index,
+        sort) for every parameter of a fact that it matches; once per memo."""
+        got = self.memo.matches.get(s)
+        if got is None:
+            pairs, canonical = [], self.memo.canonical
+            for f, (_path, tps, patterns) in enumerate(self.generic_facts):
+                for pattern in patterns:
+                    sub: dict[str, Type] = {}
+                    if unify(pattern, s, sub, tps):
+                        pairs.extend((f, tps.index(tp), canonical.setdefault(b, b))
+                                     for tp, b in sub.items())
+            got = self.memo.matches[s] = tuple(pairs)
+        return got
 
     # -- registry / groups -------------------------------------------------------
 
@@ -767,18 +784,12 @@ class _Resolver:
                     f"cyclic broadcast group membership: {' -> '.join(cyc + [gpath])}")
             visiting.append(gpath)
             decl = self.symbols[gpath]
-            members: list[str] = []
-            module = self.decl_module[gpath]
+            members: dict[str, None] = {}  # in order, each once
             for m in decl.members:
-                resolved = self.resolve_import(m, module, decl.span)
-                target = self.symbols[resolved]
-                if isinstance(target, BroadcastGroup):
-                    for f in flatten(resolved):
-                        if f not in members:
-                            members.append(f)
-                else:
-                    if resolved not in members:
-                        members.append(resolved)
+                got = self.resolve_import(m, self.decl_module[gpath], decl.span)
+                members.update(dict.fromkeys(
+                    flatten(got) if isinstance(self.symbols[got], BroadcastGroup)
+                    else (got,)))
             visiting.pop()
             flattened[gpath] = tuple(members)
             return flattened[gpath]
@@ -800,19 +811,11 @@ class _Resolver:
     # -- recursion checks -----------------------------------------------------------
 
     def spec_sccs(self) -> dict[str, tuple[str, ...]]:
-        graph: dict[str, set[str]] = {}
-        for sym, fn in self.instances.items():
-            if fn.kind != "spec":
-                continue
-            body = fn.decl.body
-            graph[sym] = set()
-            if body is None:
-                continue
-            for sub in walk_exprs(body):
-                if isinstance(sub, Call) and sub.resolved in self.instances:
-                    callee = self.instances[sub.resolved]
-                    if callee.kind == "spec" and callee.decl.body is not None:
-                        graph[sym].add(sub.resolved)
+        # a spec fn's demands are the callees of its body
+        defined = {sym for sym, fn in self.instances.items()
+                   if fn.kind == "spec" and fn.decl.body is not None}
+        graph = {sym: defined.intersection(self.demands[sym])
+                 for sym, fn in self.instances.items() if fn.kind == "spec"}
         return {sym: tuple(comp) for comp in cyclic_components(graph) for sym in comp}
 
     def reject_recursive_proof_fns(self):
@@ -921,9 +924,9 @@ def _inst_callee(node: Call | LemmaCall, sub: dict[str, Type], rs: _Resolver) ->
     """The mono symbol `node` calls under `sub`; records the demand for that
     instance."""
     path, targs = rs.callees[id(node)]
-    ground = tuple(carrier(_subst_type(t, sub)) for t in targs)
-    rs.demanded.append((path, ground))
-    return mono_symbol(path, ground)
+    sym = rs.memo.symbol(path, tuple(carrier(_subst_type(t, sub)) for t in targs))
+    rs.demanded.append(sym)
+    return sym
 
 
 # ---------------------------------------------------------------------------
@@ -942,7 +945,7 @@ def resolve_program(asts: list[ProgramAst],
     rs.resolve_signatures()
     rs.check_all()
     rs.reject_recursive_proof_fns()
-    registry = rs.build_registry()
+    registry = memo.registry = memo.registry or rs.build_registry()
     rs.instantiate_all()
     program = Program(
         asts=asts,
@@ -952,6 +955,8 @@ def resolve_program(asts: list[ProgramAst],
         instances_of={k: sorted(v) for k, v in rs.instances_of.items()},
         module_uses=rs.module_uses,
         spec_scc=rs.spec_sccs(),
+        task_symbols=rs.task_symbols,
+        liveness_caps=rs.liveness_caps,
     )
     return program, registry
 
@@ -992,25 +997,19 @@ def order_tasks(program: Program, registry: BroadcastRegistry,
     tasks = program.proof_fns()
     broadcast = {path for path in tasks
                   if getattr(program.symbols[path], "broadcast", False)}
-    deps: dict[str, set[str]] = {t: set() for t in tasks}
-    for t in tasks:
-        for path in task_imports(program, registry, t, ambient, default):
-            deps[t].update(f for f in registry.expand(path) if f in broadcast)
+    deps = {t: {f for path in task_imports(program, registry, t, ambient, default)
+                for f in registry.expand(path) if f in broadcast} for t in tasks}
 
     cycles = cyclic_components(deps)
     if cycles:
         raise CycleError("cyclic broadcast imports", cycles[0])
 
-    order_index = {t: i for i, t in enumerate(tasks)}
-    layers: list[list[str]] = []
+    layers: list[list[str]] = []  # each in source order, as `remaining` is
     placed: set[str] = set()
-    remaining = list(tasks)
-    ordered: list[str] = []
+    remaining = tasks
     while remaining:
         layer = [t for t in remaining if deps[t] <= placed]
-        layer.sort(key=order_index.__getitem__)
         layers.append(layer)
         placed.update(layer)
-        ordered.extend(layer)
         remaining = [t for t in remaining if t not in placed]
-    return TaskOrder(ordered, layers, deps)
+    return TaskOrder([t for layer in layers for t in layer], layers, deps)

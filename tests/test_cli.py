@@ -183,3 +183,34 @@ def test_jobs_below_one_rejected(ok_file, capsys, command, flag, value):
         main([command, ok_file, flag, value])
     assert exc.value.code == 2
     assert f"{flag}: must be at least {minimum}" in capsys.readouterr().err
+
+
+WRAP_SRC = """
+spec fn wrap<A>(s: Seq<A>) -> Seq<Seq<A>>;
+broadcast axiom fn axiom_wrap_len<A>(s: Seq<A>)
+    ensures #[trigger] wrap(s).len() == s.len();
+proof fn uses_wrap(s: Seq<int>)
+    ensures wrap(s).len() == s.len()
+{
+    broadcast use {axiom_wrap_len};
+}
+"""
+
+
+def test_verify_warns_when_a_liveness_cap_cut_instances(tmp_path, capsys):
+    p = tmp_path / "wrap.tv"
+    p.write_text(WRAP_SRC)
+    assert main(["verify", str(p), "--no-timing"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == ("PASS wrap::uses_wrap (1 obligation)\n"
+                            "1/1 functions verified\n")
+    [warning] = captured.err.splitlines()
+    assert warning.startswith("warning: liveness instantiation stopped at its cap of "
+                              "10 rounds for ")
+    assert "wrap::axiom_wrap_len" in warning
+
+
+def test_verify_corpus_hits_no_liveness_cap(capsys):
+    corpus = sorted(glob.glob("tests/corpus/*.tv"))
+    assert main(["verify", *corpus, "--no-timing"]) == 0
+    assert capsys.readouterr().err == ""

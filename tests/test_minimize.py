@@ -4,6 +4,7 @@ import glob
 import os
 import threading
 import weakref
+from collections import Counter
 
 import pytest
 
@@ -378,24 +379,83 @@ BASE = """
 spec fn g(i: int) -> int { i + 1 }
 proof fn f(x: int) ensures g(x) > x { assert(g(x) == x + 1); }
 """
+# signatures that nothing in BASE's bodies reads
+SIGNED = BASE + "const K: int;\nspec fn h(i: int) -> int;\n"
 
 
-@pytest.mark.parametrize("other", [
-    BASE.replace("spec fn g", "spec fn h").replace("g(", "h("),  # a name
-    BASE + "proof fn g2(x: int) { }",  # one more declaration
-    BASE.replace("(i: int) -> int { i + 1 }", "(i: nat) -> int { i + 1 }"),
-    "proof fn g(i: int) { }\nproof fn f(x: int) { }",  # a kind
-], ids=["renamed", "added", "signature", "kind"])
-def test_memo_serves_only_the_baselines_declarations(other):
-    base, changed = asts_of(BASE), asts_of(other)
+@pytest.mark.parametrize("base, other", [
+    (BASE, BASE.replace("spec fn g", "spec fn h").replace("g(", "h(")),  # a name
+    (BASE, BASE + "proof fn g2(x: int) { }"),  # one more declaration
+    (BASE, BASE.replace("(i: int) -> int { i + 1 }", "(i: nat) -> int { i + 1 }")),
+    (BASE, "proof fn g(i: int) { }\nproof fn f(x: int) { }"),  # a kind
+    (SIGNED, SIGNED.replace("const K: int", "const K: bool")),
+    (SIGNED, SIGNED.replace("(i: int) -> int;", "(i: int) -> bool;")),
+], ids=["renamed", "added", "signature", "kind", "const-type", "return-type"])
+def test_memo_serves_only_the_baselines_declarations(base, other):
+    base, changed = asts_of(base), asts_of(other)
     memo = ResolveMemo()
     resolve_program(base, memo)
-    checked, made = set(memo.checked), dict(memo.instances)
+    checked, made, signatures = set(memo.checked), dict(memo.instances), memo.signatures
     assert memo.admits(base) and not memo.admits(changed)
     program, _ = resolve_program(changed, memo)
     assert memo.checked == checked and memo.instances == made
+    assert memo.signatures is signatures
     assert list(program.instances) == list(resolve_program(changed)[0].instances)
     with driver.shared_runs():
         verify_program(base, RunConfig())
         shared = verify_program(changed, RunConfig())
     assert run_digest(shared) == run_digest(fresh_verify(changed, RunConfig()))
+
+
+def test_a_pass_does_each_resolve_step_once(monkeypatch):
+    """Work counts over one pass, with no clock involved: liveness unifies
+    each fact parameter with each sort once, each instance symbol is rendered
+    once, and a trial copies only the function it re-verifies."""
+    unified, rendered, made = Counter(), Counter(), []
+    in_liveness = []  # whether the innermost unify call comes from liveness
+    matches, unify = resolve._Resolver.matches, resolve.unify
+    render, instantiate = resolve.mono_symbol, resolve._instantiate_decl
+    shared_verify = tunav.minimize.verify_program
+
+    def matching(self, s):
+        in_liveness.append(True)
+        try:
+            return matches(self, s)
+        finally:
+            in_liveness.pop()
+
+    def unifying(pattern, actual, sub, tps):
+        if in_liveness and in_liveness[-1]:
+            # a parameter type belongs to one fact: its identity names both
+            unified[id(pattern), actual] += 1
+        in_liveness.append(False)  # not the recursion within
+        try:
+            return unify(pattern, actual, sub, tps)
+        finally:
+            in_liveness.pop()
+
+    def rendering(path, targs):
+        sym = render(path, targs)
+        rendered[sym] += 1
+        return sym
+
+    def copying(path, *args):
+        made.append(path)
+        return instantiate(path, *args)
+
+    def trial(asts, config, tasks=None):
+        made.clear()
+        run = shared_verify(asts, config, tasks=tasks)
+        if tasks is not None:
+            assert made and set(made) <= set(tasks)
+        return run
+
+    monkeypatch.setattr(resolve._Resolver, "matches", matching)
+    monkeypatch.setattr(resolve, "unify", unifying)
+    monkeypatch.setattr(resolve, "mono_symbol", rendering)
+    monkeypatch.setattr(resolve, "_instantiate_decl", copying)
+    monkeypatch.setattr(tunav.minimize, "verify_program", trial)
+    report, _ = minimize(load_sources(CORPUS), RunConfig(), scope="function")
+    assert report.runs > 100 and report.removed
+    assert unified and max(unified.values()) == 1
+    assert rendered and max(rendered.values()) == 1

@@ -1,11 +1,26 @@
+import glob
+import itertools
+import os
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from tunav.driver import RunConfig, load_sources, resolve_with_prelude, verify_program
 from tunav.errors import CycleError, ResolveError
-from tunav.resolve import _subst_type, carrier, order_tasks, resolve_program, unify
+from tunav.resolve import (
+    LIVENESS_COMBINATIONS,
+    ResolveMemo,
+    _Resolver,
+    _subst_type,
+    carrier,
+    mono_symbol,
+    order_tasks,
+    resolve_program,
+    unify,
+)
 from tunav.syntax import parse_module
-from tunav.syntax.ast import Type
+from tunav.syntax.ast import AxiomFn, ProofFn, Type
 
 SEQ_STUB = """
 sort Seq<A>;
@@ -301,3 +316,132 @@ def test_unify_success_agrees_with_carriers(pair):
 def test_unify_without_variables_is_carrier_equality(pair):
     pattern, ground = pair
     assert unify(pattern, ground, {}, TVARS) == (carrier(pattern) == carrier(ground))
+
+
+# -- liveness: a frozen copy of the naive fixpoint, and its caps ---------------
+
+
+def reference_demand_by_liveness(self):
+    """Liveness as computed when every round matched every live sort against
+    every parameter of every generic broadcast fact. Only the demand is
+    adapted to the symbol queue, and it returns the facts that demanded."""
+    live = self.live
+    added = []
+    for path, decl in self.symbols.items():
+        if not isinstance(decl, (ProofFn, AxiomFn)) or not decl.broadcast:
+            continue
+        if not decl.type_params:
+            continue
+        for targs in reference_liveness_assignments(self, path, decl, live):
+            sym = mono_symbol(path, targs)
+            if sym not in self.instances:
+                self.queue.append(self.memo.symbol(path, targs))
+                added.append(path)
+    return added
+
+
+def reference_liveness_assignments(self, path, decl, live):
+    tps = list(decl.type_params)
+    candidates = {tp: set() for tp in tps}
+    anchored = set()
+    for p in self.params[path]:
+        ty = p.ty
+        if not ty.args:
+            continue
+        for s in live:
+            sub = {}
+            if unify(ty, s, sub, tps):
+                for tp, bound in sub.items():
+                    candidates[tp].add(bound)
+                    anchored.add(tp)
+    if set(tps) - anchored:
+        return []  # unanchored type variable: no liveness-driven instances
+    pools = [sorted(candidates[tp], key=lambda t: t.render()) for tp in tps]
+    return [tuple(combo) for combo in itertools.islice(
+        itertools.product(*pools), 200)]
+
+
+CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
+
+WRAP = """
+spec fn wrap<A>(s: Seq<A>) -> Seq<Seq<A>>;
+broadcast axiom fn axiom_wrap_len<A>(s: Seq<A>)
+    ensures #[trigger] wrap(s).len() == s.len();
+proof fn uses_wrap(s: Seq<int>)
+    ensures wrap(s).len() == s.len()
+{
+    broadcast use {axiom_wrap_len};
+}
+"""
+
+# 15 element sorts bind each type param of `axiom_both` to 15 sorts or more:
+# more combinations than liveness takes
+MANY = "".join(f"sort S{i};\n" for i in range(15)) + """
+spec fn both<A, B>(a: Seq<A>, b: Seq<B>) -> bool;
+broadcast axiom fn axiom_both<A, B>(a: Seq<A>, b: Seq<B>)
+    ensures #[trigger] both(a, b) == both(a, b);
+proof fn many(""" + ", ".join(f"s{i}: Seq<S{i}>" for i in range(15)) + ") { }\n"
+
+# K is anchored by both parameters, V by the map only
+MAP_KEYS = """
+spec fn keys_in<K, V>(m: Map<K, V>, s: Seq<K>) -> bool;
+broadcast axiom fn axiom_keys_in<K, V>(m: Map<K, V>, s: Seq<K>)
+    ensures #[trigger] keys_in(m, s) == keys_in(m, s);
+proof fn maps(m: Map<int, bool>, n: Map<bool, Seq<int>>, s: Seq<int>, t: Seq<nat>)
+    ensures m.insert(1, true).index(1) == true
+{
+    assert(s.len() == s.len());
+}
+"""
+
+
+def with_prelude(src, module="m"):
+    return resolve_with_prelude([parse_module(src, f"{module}.tv", module=module)])[0]
+
+
+def liveness_digest(program):
+    return list(program.instances), program.instances_of
+
+
+@pytest.mark.parametrize("src", [WRAP, MANY, MAP_KEYS],
+                         ids=["rounds-cap", "combinations-cap", "two-anchors"])
+def test_semi_naive_liveness_equals_the_naive_fixpoint(monkeypatch, src):
+    asts = [parse_module(src, "m.tv", module="m")]
+    memo = ResolveMemo()
+    # the second resolve takes every match and instance from the memo
+    semi_naive = [liveness_digest(resolve_with_prelude(asts, memo)[0])
+                  for _ in range(2)]
+    monkeypatch.setattr(_Resolver, "demand_by_liveness", reference_demand_by_liveness)
+    naive = liveness_digest(resolve_with_prelude(asts)[0])
+    assert semi_naive == [naive, naive]
+
+
+@pytest.mark.parametrize("ambient", [(), ("prelude::seq::group_seq_properties",)],
+                         ids=["no-ambient", "seq-properties"])
+def test_semi_naive_liveness_equals_the_naive_fixpoint_on_the_corpus(monkeypatch,
+                                                                    ambient):
+    config = RunConfig(ambient=ambient)
+
+    def digest(run):
+        return (liveness_digest(run.program), run.order.layers,
+                {t: r.status for t, r in run.results.items()})
+
+    semi_naive = digest(verify_program(load_sources(CORPUS), config))
+    monkeypatch.setattr(_Resolver, "demand_by_liveness", reference_demand_by_liveness)
+    assert digest(verify_program(load_sources(CORPUS), config)) == semi_naive
+
+
+def test_liveness_caps_are_named_on_the_program():
+    program = with_prelude(WRAP)
+    # the instance set the round cap has always allowed
+    assert len(program.instances) == 620
+    assert len(program.instances_of["m::axiom_wrap_len"]) == 31
+    assert list(program.liveness_caps) == ["rounds"]
+    assert "m::axiom_wrap_len" in program.liveness_caps["rounds"]
+
+    program = with_prelude(MANY)
+    assert len(program.instances_of["m::axiom_both"]) == LIVENESS_COMBINATIONS
+    assert program.liveness_caps["combinations"] == ["m::axiom_both"]
+
+    corpus, _ = resolve_with_prelude(load_sources(CORPUS))
+    assert corpus.liveness_caps == {}
