@@ -18,6 +18,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 
 from tunav.engine.prover import Limits, Origin, Outcome
+from tunav.errors import ParseError
 from tunav.prelude import load_prelude
 from tunav.resolve import (
     BroadcastRegistry,
@@ -90,9 +91,15 @@ class VerifyRun:
 def load_sources(paths: list[str]) -> list[ProgramAst]:
     asts = []
     for p in paths:
-        with open(p, encoding="utf-8") as fh:
-            text = fh.read()
-        asts.append(parse_module(text, p))
+        with open(p, "rb") as fh:
+            data = fh.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ParseError(f"{p}: not valid UTF-8 (byte 0x{data[e.start]:02x} at "
+                             f"offset {e.start})") from None
+        # every line ending becomes "\n", as in a text-mode read
+        asts.append(parse_module(text.replace("\r\n", "\n").replace("\r", "\n"), p))
     return asts
 
 

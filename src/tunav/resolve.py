@@ -133,6 +133,9 @@ class MonoFn:
     kind: str  # "spec" | "proof" | "axiom"
     decl: Declaration
     module: str
+    # the absolute paths of the body's `broadcast use` statements, in
+    # `walk_stmts` order (a proof fn's; empty otherwise)
+    uses: tuple[str, ...] = ()
 
     @property
     def skolem(self) -> bool:
@@ -320,6 +323,7 @@ class _Checker:
         # the parameters, binders and lets in scope: a name is never bound
         # twice at once, so one table serves every scope
         self.vars: dict[str, Type] = {}
+        self.marked = False  # whether a checked expression has a `#[trigger]`
 
     def bind(self, name: str, ty: Type, span, what: str):
         if name in self.vars:
@@ -350,15 +354,14 @@ class _Checker:
     # -- expressions ---------------------------------------------------------
 
     def check_expr(self, e: Expr) -> Type:
+        if e.trigger_mark:
+            self.marked = True
         ty = self.infer(e)
         self.rs.types[id(e)] = ty
         return ty
 
     def infer(self, e: Expr) -> Type:
-        if isinstance(e, IntLit):
-            return INT
-        if isinstance(e, BoolLit):
-            return BOOL
+        # the node kinds by how often they occur
         if isinstance(e, Var):
             ty = self.vars.get(e.name)
             if ty is not None:
@@ -369,10 +372,14 @@ class _Checker:
                 raise ResolveError(f"unbound variable '{e.name}'", e.span)
             self.rs.const_refs[id(e)] = path
             return self.rs.consts[path]
-        if isinstance(e, Call):
-            return self.check_call(e)
         if isinstance(e, BinOp):
             return self.check_binop(e)
+        if isinstance(e, Call):
+            return self.check_call(e)
+        if isinstance(e, IntLit):
+            return INT
+        if isinstance(e, BoolLit):
+            return BOOL
         if isinstance(e, Not):
             self.require(e.arg, BOOL)
             return BOOL
@@ -389,7 +396,7 @@ class _Checker:
 
     def require(self, e: Expr, want: Type):
         got = self.check_expr(e)
-        if carrier(got) != carrier(want):
+        if got is not want and carrier(got) != carrier(want):
             raise ResolveError(
                 f"type mismatch: expected {want.render()}, got {got.render()}", e.span)
 
@@ -446,9 +453,13 @@ class _Checker:
 
 
 def _subst_type(t: Type, sub: dict[str, Type]) -> Type:
+    """`t` with `sub` applied; `t` itself if that changes nothing."""
     if not t.args:
         return sub.get(t.name, t)
-    return Type(t.name, tuple(_subst_type(a, sub) for a in t.args))
+    if not sub:
+        return t
+    args = tuple(_subst_type(a, sub) for a in t.args)
+    return t if args == t.args else Type(t.name, args)
 
 
 # ---------------------------------------------------------------------------
@@ -477,6 +488,12 @@ class _Resolver:
         self.liveness_caps: dict[str, list[str]] = {}
         self.module_uses: dict[str, list[str]] = {}
         self.sorts: dict[str, SortDecl] = {}
+        # (name, module) -> `candidate_paths`; the symbols are fixed per resolve
+        self.candidates_of: dict[tuple[str, str], tuple[str, ...]] = {}
+        # (name, module, kinds, *argument types) -> `callee`
+        self.calls: dict[tuple, tuple[str, dict[str, Type], tuple[Type, ...]]] = {}
+        # the copy being made: checked type -> its substituted carrier
+        self.copied: dict[Type, Type] = {}
         # the memo's name lookups and what checking learns about input nodes
         self.found, self.types, self.callees = memo.found, memo.types, memo.callees
         self.const_refs, self.binder_types = memo.const_refs, memo.binder_types
@@ -549,25 +566,34 @@ class _Resolver:
             self.found[key] = paths[0] if paths else None
         return self.found[key]
 
-    def candidate_paths(self, name: str, module: str) -> list[str]:
-        if "::" in name:
-            return [name] if name in self.symbols else []
-        search = [module] + [p for p in PRELUDE_MODULES if p in self.module_names]
-        if module not in PRELUDE_MODULES:
-            # the prelude names only its own declarations
-            search += [m for m in self.module_names
-                       if m != module and m not in PRELUDE_MODULES]
-        out = []
-        for m in search:
-            path = f"{m}::{name}"
-            if path in self.symbols and path not in out:
-                out.append(path)
-        return out
+    def candidate_paths(self, name: str, module: str) -> tuple[str, ...]:
+        key = (name, module)
+        if key not in self.candidates_of:
+            search = [module] + [p for p in PRELUDE_MODULES if p in self.module_names]
+            if module not in PRELUDE_MODULES:
+                # the prelude names only its own declarations
+                search += [m for m in self.module_names
+                           if m != module and m not in PRELUDE_MODULES]
+            paths = [name] if "::" in name else [f"{m}::{name}" for m in search]
+            self.candidates_of[key] = tuple(dict.fromkeys(
+                p for p in paths if p in self.symbols))
+        return self.candidates_of[key]
 
     def resolve_callable(self, node: Call | LemmaCall, name: str, module: str,
                          arg_tys: list[Type], kinds):
         """Resolve the callee of `node` by name and argument types; records
-        its path and type arguments and returns `(path, substitution)`."""
+        its path and type arguments and returns `(path, substitution)`. A
+        resolved callee is kept per name, module, kinds and argument types."""
+        key = (name, module, kinds, *arg_tys)
+        got = self.calls.get(key)
+        if got is None:
+            got = self.calls[key] = self.callee(node, name, module, arg_tys, kinds)
+        path, sub, targs = got
+        self.callees[id(node)] = (path, targs)
+        return path, sub
+
+    def callee(self, node: Call | LemmaCall, name: str, module: str,
+               arg_tys: list[Type], kinds) -> tuple[str, dict[str, Type], tuple[Type, ...]]:
         matches = []
         for path in self.candidate_paths(name, module):
             decl = self.symbols[path]
@@ -594,8 +620,7 @@ class _Resolver:
             if tp not in sub:
                 raise ResolveError(
                     f"cannot infer type argument {tp} for '{path}'", node.span)
-        self.callees[id(node)] = (path, tuple(sub[tp] for tp in decl.type_params))
-        return path, sub
+        return path, sub, tuple(sub[tp] for tp in decl.type_params)
 
     def resolve_import(self, path: str, module: str, span) -> str:
         for cand in self.candidate_paths(path, module):
@@ -643,7 +668,8 @@ class _Resolver:
                 ck.require(e, BOOL)
             if isinstance(d, ProofFn):
                 ck.check_stmts(d.body)
-            self.validate_marks(d)
+            if ck.marked:
+                self.validate_marks(d)
         self.memo.checked.add(id(d))
 
     def validate_marks(self, d: ProofFn | AxiomFn):
@@ -694,12 +720,15 @@ class _Resolver:
             entry = made.get((sym, id(decl)))
             if entry is None:
                 # what the copy demands, in order, and the sorts it mentions
-                self.demanded, self.mentioned = [], set()
+                self.demanded, self.mentioned, self.copied = [], set(), {}
                 inst = _instantiate_decl(path, decl, dict(zip(decl.type_params, targs)),
                                          self)
+                uses = () if not isinstance(inst, ProofFn) else tuple(
+                    p for s in walk_stmts(inst.body) if isinstance(s, UseStmt)
+                    for p in s.paths)
                 entry = made[sym, id(decl)] = (
                     MonoFn(sym, path, targs, _KINDS[type(decl)], inst,
-                           self.decl_module[path]),
+                           self.decl_module[path], uses),
                     tuple(self.demanded), frozenset(self.mentioned))
             fn, demands, sorts = entry
             queue.extend(demands)
@@ -773,30 +802,9 @@ class _Resolver:
             if isinstance(decl, (ProofFn, AxiomFn)) and decl.broadcast:
                 reg.facts[path] = "lemma" if isinstance(decl, ProofFn) else "axiom"
         flattened: dict[str, tuple[str, ...]] = {}
-        visiting: list[str] = []
-
-        def flatten(gpath: str) -> tuple[str, ...]:
-            if gpath in flattened:
-                return flattened[gpath]
-            if gpath in visiting:
-                cyc = visiting[visiting.index(gpath):]
-                raise ResolveError(
-                    f"cyclic broadcast group membership: {' -> '.join(cyc + [gpath])}")
-            visiting.append(gpath)
-            decl = self.symbols[gpath]
-            members: dict[str, None] = {}  # in order, each once
-            for m in decl.members:
-                got = self.resolve_import(m, self.decl_module[gpath], decl.span)
-                members.update(dict.fromkeys(
-                    flatten(got) if isinstance(self.symbols[got], BroadcastGroup)
-                    else (got,)))
-            visiting.pop()
-            flattened[gpath] = tuple(members)
-            return flattened[gpath]
-
         for path, decl in self.symbols.items():
             if isinstance(decl, BroadcastGroup):
-                flatten(path)
+                self.flatten(path, flattened, [])
         reg.groups = flattened
         if DEFAULT_GROUP in flattened:
             reg.default_group = DEFAULT_GROUP
@@ -807,6 +815,29 @@ class _Resolver:
                     f"default broadcast group may contain only axioms, found: "
                     f"{', '.join(non_axioms)}")
         return reg
+
+    def flatten(self, gpath: str, flattened: dict[str, tuple[str, ...]],
+                visiting: list[str]) -> tuple[str, ...]:
+        """The facts group `gpath` imports, in order, each once, kept in
+        `flattened`; `visiting` holds the groups being flattened. A method:
+        a recursive closure would be a cycle keeping the resolver alive."""
+        if gpath in flattened:
+            return flattened[gpath]
+        if gpath in visiting:
+            cyc = visiting[visiting.index(gpath):]
+            raise ResolveError(
+                f"cyclic broadcast group membership: {' -> '.join(cyc + [gpath])}")
+        visiting.append(gpath)
+        decl = self.symbols[gpath]
+        members: dict[str, None] = {}  # in order, each once
+        for m in decl.members:
+            got = self.resolve_import(m, self.decl_module[gpath], decl.span)
+            members.update(dict.fromkeys(
+                self.flatten(got, flattened, visiting)
+                if isinstance(self.symbols[got], BroadcastGroup) else (got,)))
+        visiting.pop()
+        flattened[gpath] = tuple(members)
+        return flattened[gpath]
 
     # -- recursion checks -----------------------------------------------------------
 
@@ -863,23 +894,27 @@ def _instantiate_decl(path: str, decl: Declaration, sub: dict[str, Type],
 
 
 def _inst_expr(e: Expr, sub: dict[str, Type], rs: _Resolver) -> Expr:
-    ty = rs.mention(_subst_type(rs.types[id(e)], sub))
-    if isinstance(e, IntLit):
-        return IntLit(e.span, value=e.value, ty=ty, trigger_mark=e.trigger_mark)
-    if isinstance(e, BoolLit):
-        return BoolLit(e.span, value=e.value, ty=ty, trigger_mark=e.trigger_mark)
+    checked = rs.types[id(e)]
+    ty = rs.copied.get(checked)
+    if ty is None:
+        ty = rs.copied[checked] = rs.mention(_subst_type(checked, sub))
+    # the node kinds by how often they occur
     if isinstance(e, Var):
         return Var(e.span, name=e.name, resolved=rs.const_refs.get(id(e)), ty=ty,
                    trigger_mark=e.trigger_mark)
+    if isinstance(e, BinOp):
+        return BinOp(e.span, op=e.op, lhs=_inst_expr(e.lhs, sub, rs),
+                     rhs=_inst_expr(e.rhs, sub, rs), ty=ty, trigger_mark=e.trigger_mark)
     if isinstance(e, Call):
         resolved = _inst_callee(e, sub, rs)  # demanded before the arguments' callees
         return Call(e.span, name=e.name,
                     args=[_inst_expr(a, sub, rs) for a in e.args],
                     method_style=e.method_style, resolved=resolved,
                     ty=ty, trigger_mark=e.trigger_mark)
-    if isinstance(e, BinOp):
-        return BinOp(e.span, op=e.op, lhs=_inst_expr(e.lhs, sub, rs),
-                     rhs=_inst_expr(e.rhs, sub, rs), ty=ty, trigger_mark=e.trigger_mark)
+    if isinstance(e, IntLit):
+        return IntLit(e.span, value=e.value, ty=ty, trigger_mark=e.trigger_mark)
+    if isinstance(e, BoolLit):
+        return BoolLit(e.span, value=e.value, ty=ty, trigger_mark=e.trigger_mark)
     if isinstance(e, Not):
         return Not(e.span, arg=_inst_expr(e.arg, sub, rs), ty=ty,
                    trigger_mark=e.trigger_mark)
@@ -983,10 +1018,7 @@ def task_imports(program: Program, registry: BroadcastRegistry, task: str,
     """Every import path of a proof fn's contexts: `entry_imports`, then the
     `broadcast use` paths of its body in source order, unexpanded."""
     paths = entry_imports(program, registry, task, ambient, default)
-    # the resolver's copy of the fn carries the absolute `use` paths
-    for s in walk_stmts(program.verify_instance(task).decl.body):
-        if isinstance(s, UseStmt):
-            paths.extend(s.paths)
+    paths.extend(program.verify_instance(task).uses)
     return paths
 
 

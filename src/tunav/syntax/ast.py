@@ -2,7 +2,7 @@
 
 Structural equality between nodes deliberately ignores spans, inferred types
 and display-only flags (`field(compare=False)`), so that a parse/render
-round-trip compares equal while exact byte offsets still travel with every
+round-trip compares equal while exact source offsets still travel with every
 node for diagnostics and for the assert minimizer.
 
 Only the parser writes into nodes. Later phases read trees and build new
@@ -15,19 +15,28 @@ used, never cached on a node, so a tree can be shared and reused as a value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class SourceSpan:
+class _SpanFields(NamedTuple):
     file: str
-    start: int  # byte offset, inclusive
-    end: int  # byte offset, exclusive
+    start: int  # offset into the source text (in characters), inclusive
+    end: int  # offset into the source text, exclusive
     line: int  # 1-based line of `start`
     col: int  # 1-based column of `start`
 
-    def __post_init__(self):
-        if self.start > self.end:
-            raise ValueError(f"invalid span: start {self.start} > end {self.end}")
+
+class SourceSpan(_SpanFields):
+    """Where a node is in its file. The parser makes one for nearly every
+    node, so it is a named tuple: immutable, compared and hashed by value,
+    and several times cheaper to build than a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __new__(cls, file: str, start: int, end: int, line: int, col: int):
+        if start > end:
+            raise ValueError(f"invalid span: start {start} > end {end}")
+        return tuple.__new__(cls, (file, start, end, line, col))
 
     def key(self) -> tuple[str, int, int]:
         return (self.file, self.start, self.end)
@@ -39,6 +48,21 @@ class Type:
 
     name: str
     args: tuple["Type", ...] = ()
+
+    # Resolve keys sets and dicts by types: the hash is computed on first use
+    # and kept, so a nested type is not rehashed on every lookup.
+    _hash = None
+
+    def __hash__(self) -> int:
+        h = self._hash
+        if h is None:
+            h = hash((self.name, self.args))
+            object.__setattr__(self, "_hash", h)
+        return h
+
+    def __reduce__(self):
+        # str hashes differ between processes: a copy computes its own
+        return Type, (self.name, self.args)
 
     def render(self) -> str:
         if not self.args:

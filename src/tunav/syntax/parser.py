@@ -1,6 +1,12 @@
 """Recursive-descent parser producing a :class:`ProgramAst`; binary
 operators are parsed by precedence climbing over `ast.BINARY_OPS`.
 
+The parser reads tokens by index and matches them by their `key` (see
+`lexer`): a keyword, punctuation or attribute token's text, `None` for any
+other token. So testing the next token is one index and one compare,
+statements and atoms dispatch on the key of their first token, and
+`BINARY_OPS` is looked up by key.
+
 Method-call sugar (`a.push(3)`) is desugared here, so every later phase only
 sees plain applications. Chained comparisons (`0 <= i < s.len()`) desugar to
 conjunctions.
@@ -45,6 +51,10 @@ from tunav.syntax.ast import (
 from tunav.syntax.lexer import ALL_TRIGGERS_ATTR, TRIGGER_ATTR, Token, tokenize
 
 
+# what `BINARY_OPS` gives a token that is no binary operator
+_NOT_AN_OPERATOR = (0, "")
+
+
 def module_path_for(path: str) -> str:
     stem = os.path.splitext(os.path.basename(path))[0]
     return stem
@@ -62,44 +72,45 @@ class _Parser:
         self.pos = 0
 
     # -- token plumbing ----------------------------------------------------
+    #
+    # `pos` never passes the final `eof` token: it only steps past a token
+    # that matched a key, or whose kind says it is an identifier, a literal
+    # or a keyword, and none of those is `eof`.
 
-    def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+    def peek(self) -> Token:
+        return self.toks[self.pos]
 
-    def next(self) -> Token:
-        t = self.toks[self.pos]
-        if t.kind != "eof":
+    def at(self, key: str) -> bool:
+        return self.toks[self.pos].key == key
+
+    def eat(self, key: str) -> bool:
+        if self.toks[self.pos].key == key:
             self.pos += 1
-        return t
-
-    def at(self, text: str) -> bool:
-        t = self.peek()
-        return t.text == text and t.kind in ("punct", "kw", "attr")
-
-    def eat(self, text: str) -> bool:
-        if self.at(text):
-            self.next()
             return True
         return False
 
-    def expect(self, text: str) -> Token:
-        t = self.peek()
-        if not self.at(text):
-            raise ParseError(f"expected {text!r}, found {t.text!r}", self.tok_span(t))
-        return self.next()
+    def expect(self, key: str) -> Token:
+        t = self.toks[self.pos]
+        if t.key != key:
+            raise ParseError(f"expected {key!r}, found {t.text!r}", self.tok_span(t))
+        self.pos += 1
+        return t
 
     def expect_ident(self) -> Token:
-        t = self.peek()
+        t = self.toks[self.pos]
         if t.kind != "ident":
             raise ParseError(f"expected identifier, found {t.text!r}", self.tok_span(t))
-        return self.next()
+        self.pos += 1
+        return t
 
     def tok_span(self, t: Token) -> SourceSpan:
         return SourceSpan(self.path, t.start, t.end, t.line, t.col)
 
     def span_from(self, start_tok: Token, end: int | None = None) -> SourceSpan:
+        """From `start_tok` to `end`, by default the end of the last token
+        consumed."""
         if end is None:
-            end = self.toks[max(self.pos - 1, 0)].end
+            end = self.toks[self.pos - 1].end
         return SourceSpan(self.path, start_tok.start, end, start_tok.line, start_tok.col)
 
     # -- module ------------------------------------------------------------
@@ -158,9 +169,11 @@ class _Parser:
         return paths
 
     def path_(self) -> str:
-        parts = [self.expect_ident().text]
-        while self.at("::"):
-            self.next()
+        first = self.expect_ident().text
+        if not self.at("::"):
+            return first
+        parts = [first]
+        while self.eat("::"):
             parts.append(self.expect_ident().text)
         return "::".join(parts)
 
@@ -175,22 +188,21 @@ class _Parser:
         return tps
 
     def type_(self) -> Type:
-        t = self.peek()
-        if t.kind not in ("ident", "kw"):
-            raise ParseError(f"expected type, found {t.text!r}", self.tok_span(t))
+        t = self.toks[self.pos]
         if t.kind == "ident":
             name = self.path_()
+        elif t.kind == "kw":
+            self.pos += 1
+            name = t.text
         else:
-            name = self.next().text
-        args: tuple[Type, ...] = ()
-        if self.at("<"):
-            self.next()
-            lst = [self.type_()]
-            while self.eat(","):
-                lst.append(self.type_())
-            self.expect(">")
-            args = tuple(lst)
-        return Type(name, args)
+            raise ParseError(f"expected type, found {t.text!r}", self.tok_span(t))
+        if not self.eat("<"):
+            return Type(name)
+        args = [self.type_()]
+        while self.eat(","):
+            args.append(self.type_())
+        self.expect(">")
+        return Type(name, tuple(args))
 
     def params(self) -> list[Param]:
         self.expect("(")
@@ -223,7 +235,7 @@ class _Parser:
     def clause_list(self) -> list[Expr]:
         clauses = [self.expr()]
         while self.eat(","):
-            if self.at("ensures") or self.at("{") or self.at(";"):
+            if self.peek().key in ("ensures", "{", ";"):
                 break
             clauses.append(self.expr())
         return clauses
@@ -268,8 +280,10 @@ class _Parser:
         return out
 
     def stmt(self) -> Stmt:
-        start = self.peek()
-        if self.eat("assert"):
+        start = self.toks[self.pos]
+        key = start.key
+        if key == "assert":
+            self.pos += 1
             self.expect("(")
             e = self.expr()
             self.expect(")")
@@ -281,41 +295,43 @@ class _Parser:
                 return AssertBy(self.span_from(start), expr=e, body=body)
             self.expect(";")
             return Assert(self.span_from(start), expr=e)
-        if self.eat("let"):
+        if key == "let":
+            self.pos += 1
             name = self.expect_ident().text
             self.expect("=")
             e = self.expr()
             self.expect(";")
             return Let(self.span_from(start), name=name, expr=e)
-        if self.at("broadcast"):
-            self.next()
+        if key == "broadcast":
+            self.pos += 1
             self.expect("use")
             paths = self.use_paths()
             return UseStmt(self.span_from(start), paths=paths)
-        if self.peek().kind == "ident":
+        if start.kind == "ident":
             path = self.path_()
             args, _ = self.call_args()
             self.expect(";")
             return LemmaCall(self.span_from(start), path=path, args=args)
-        raise ParseError(f"expected statement, found {self.peek().text!r}",
-                         self.tok_span(self.peek()))
+        raise ParseError(f"expected statement, found {start.text!r}", self.tok_span(start))
 
     # -- expressions ---------------------------------------------------------
 
     def expr(self, min_prec: int = 1) -> Expr:
-        """Precedence climbing over `BINARY_OPS`. Every BinOp spans from the
-        first token of its leftmost operand to the end of its rhs."""
-        start = self.peek()
+        """Precedence climbing over `BINARY_OPS`, keyed by the operator
+        token's match key. Every BinOp spans from the first token of its
+        leftmost operand to the end of its rhs."""
+        toks, path = self.toks, self.path
+        start = toks[self.pos]
         lhs = self.unary()
         chained: Expr | None = None  # rhs of the comparison that ends `lhs`
         while True:
-            op = self.peek().text
-            prec, assoc = BINARY_OPS.get(op, (0, ""))
+            op = toks[self.pos].key
+            prec, assoc = BINARY_OPS.get(op, _NOT_AN_OPERATOR)
             if prec < min_prec:
                 return lhs
-            self.next()
+            self.pos += 1
             rhs = self.expr(prec if assoc == "right" else prec + 1)
-            span = self.span_from(start, rhs.span.end)
+            span = SourceSpan(path, start.start, rhs.span.end, start.line, start.col)
             if chained is not None and assoc == "chain":
                 # a <= b < c  ==>  a <= b && b < c
                 leg = BinOp(span, op=op, lhs=chained, rhs=rhs)
@@ -325,31 +341,33 @@ class _Parser:
             chained = rhs if assoc == "chain" else None
 
     def unary(self) -> Expr:
-        t = self.peek()
-        if self.at("!"):
-            self.next()
+        t = self.toks[self.pos]
+        key = t.key
+        if key is None:  # an identifier, a literal or eof
+            return self.postfix()
+        if key == "!":
+            self.pos += 1
             arg = self.unary()
             return Not(self.span_from(t, arg.span.end), arg=arg)
-        if self.at("-"):
-            self.next()
-            lit = self.peek()
+        if key == "-":
+            self.pos += 1
+            lit = self.toks[self.pos]
             if lit.kind != "int":
                 raise ParseError("unary minus is only supported on integer literals",
                                  self.tok_span(lit))
-            self.next()
+            self.pos += 1
             return IntLit(self.span_from(t, lit.end), value=-int(lit.text))
-        if t.kind == "attr" and t.text == TRIGGER_ATTR:
-            self.next()
+        if key == TRIGGER_ATTR:
+            self.pos += 1
             arg = self.unary()
             arg.trigger_mark = True
             return arg
         return self.postfix()
 
     def postfix(self) -> Expr:
-        start = self.peek()
+        start = self.toks[self.pos]
         e = self.atom()
-        while self.at("."):
-            self.next()
+        while self.eat("."):
             name = self.expect_ident().text
             args, close = self.call_args()
             e = Call(self.span_from(start, close.end), name=name, args=[e, *args],
@@ -357,45 +375,47 @@ class _Parser:
         return e
 
     def atom(self) -> Expr:
-        t = self.peek()
-        if t.kind == "int":
-            self.next()
-            return IntLit(self.tok_span(t), value=int(t.text))
-        if self.at("true"):
-            self.next()
-            return BoolLit(self.tok_span(t), value=True)
-        if self.at("false"):
-            self.next()
-            return BoolLit(self.tok_span(t), value=False)
-        if self.at("("):
-            self.next()
+        t = self.toks[self.pos]
+        key = t.key
+        if key is None:
+            if t.kind == "ident":
+                path = self.path_()
+                if self.at("("):
+                    args, close = self.call_args()
+                    return Call(self.span_from(t, close.end), name=path, args=args)
+                return Var(self.span_from(t), name=path)
+            if t.kind == "int":
+                self.pos += 1
+                return IntLit(self.tok_span(t), value=int(t.text))
+        elif key == "(":
+            self.pos += 1
             e = self.expr()
             self.expect(")")
             return e
-        if self.at("forall") or self.at("exists"):
-            kind = self.next().text
-            self.expect("|")
-            binders = self.binders()
-            self.expect("|")
-            all_triggers = False
-            if self.peek().kind == "attr" and self.peek().text == ALL_TRIGGERS_ATTR:
-                if kind == "exists":
-                    raise ParseError("#![all_triggers] is only supported on forall",
-                                     self.tok_span(self.peek()))
-                self.next()
-                all_triggers = True
-            body = self.expr()
-            span = self.span_from(t, body.span.end)
-            if kind == "forall":
-                return Forall(span, binders=binders, body=body, all_triggers=all_triggers)
-            return Exists(span, binders=binders, body=body)
-        if t.kind == "ident":
-            path = self.path_()
-            if self.at("("):
-                args, close = self.call_args()
-                return Call(self.span_from(t, close.end), name=path, args=args)
-            return Var(self.span_from(t), name=path)
+        elif key == "true" or key == "false":
+            self.pos += 1
+            return BoolLit(self.tok_span(t), value=key == "true")
+        elif key == "forall" or key == "exists":
+            return self.quantifier(t)
         raise ParseError(f"expected expression, found {t.text!r}", self.tok_span(t))
+
+    def quantifier(self, t: Token) -> Forall | Exists:
+        """`forall|binders| body` or `exists|...| body`, starting at `t`."""
+        self.pos += 1
+        self.expect("|")
+        binders = self.binders()
+        self.expect("|")
+        all_triggers = self.at(ALL_TRIGGERS_ATTR)
+        if all_triggers:
+            if t.key == "exists":
+                raise ParseError("#![all_triggers] is only supported on forall",
+                                 self.tok_span(self.peek()))
+            self.pos += 1
+        body = self.expr()
+        span = self.span_from(t, body.span.end)
+        if t.key == "forall":
+            return Forall(span, binders=binders, body=body, all_triggers=all_triggers)
+        return Exists(span, binders=binders, body=body)
 
     def call_args(self) -> tuple[list[Expr], Token]:
         """`(e, ...)`: the arguments and the closing `)` token."""

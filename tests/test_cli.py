@@ -2,10 +2,14 @@ import glob
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import pytest
 
 from tunav.cli import main
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 OK_SRC = """
 proof fn fine(x: int)
@@ -47,6 +51,22 @@ def test_verify_exit_two_on_parse_error(tmp_path, capsys):
         p.write_text(text)
         assert main(["verify", str(p)]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+def test_verify_exit_two_on_invalid_utf8(tmp_path, capsys):
+    p = tmp_path / "bad.tv"
+    p.write_bytes(b"proof fn f() {}\n\xff")
+    assert main(["verify", str(p)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {p}: not valid UTF-8 (byte 0xff at offset 16)\n")
+
+
+def test_python_dash_m_runs_the_cli():
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-m", "tunav", "--help"], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0
+    assert done.stdout.startswith("usage: tunav ")
 
 
 def test_verify_usage_error_without_files(capsys):

@@ -1,3 +1,4 @@
+import gc
 import glob
 import random
 import re
@@ -221,6 +222,21 @@ def _run_summary(run):
 
 
 CORPUS = sorted(glob.glob("tests/corpus/*.tv"))
+
+
+def test_a_run_leaves_no_reference_cycles():
+    """Everything a run builds is freed by reference counting once the run
+    is dropped; none of it waits for a full pass of the cycle collector."""
+    asts = load_sources(CORPUS)
+    gc.collect()
+    gc.disable()
+    try:
+        run = verify_program(asts, RunConfig())
+        assert run.all_verified
+        del run
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _run_counts(run):

@@ -15,7 +15,7 @@ from tunav.errors import BaselineFailure
 from tunav.minimize import enumerate_assert_sites, minimize, prune_asts
 from tunav.resolve import ResolveMemo, resolve_program
 from tunav.syntax import parse_module, render_module
-from tunav.syntax.ast import AssertBy, ProofFn
+from tunav.syntax.ast import AssertBy, ProofFn, UseStmt, walk_stmts
 from tunav.triggers import ALL_TRIGGERS
 
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
@@ -256,6 +256,42 @@ def test_trials_equal_a_fresh_resolve(monkeypatch, files, config, scope):
     report, _ = minimize(load_sources(files), config, scope=scope)
     assert len(sizes) == report.runs > 10
     assert report.removed
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(),
+    RunConfig(ambient=("prelude::seq::group_seq_properties",)),
+], ids=["default", "ambient"])
+def test_trial_task_order_equals_a_fresh_run(monkeypatch, config):
+    """On every trial, each task's imports (read off the `use` paths its
+    instance keeps) and the task order equal those of a fresh resolve."""
+    shared_verify = tunav.minimize.verify_program
+    trials, uses = [], set()
+
+    def imports_and_order(program, registry):
+        args = (config.ambient, not config.no_default_prelude)
+        order = resolve.order_tasks(program, registry, *args)
+        return ({t: resolve.task_imports(program, registry, t, *args)
+                 for t in program.proof_fns()},
+                (order.tasks, order.layers, order.deps))
+
+    def compared(asts, run_config, tasks=None):
+        run = shared_verify(asts, run_config, tasks=tasks)
+        for fn in run.program.instances.values():
+            body = fn.decl.body if fn.kind == "proof" else []
+            assert list(fn.uses) == [p for s in walk_stmts(body)
+                                     if isinstance(s, UseStmt) for p in s.paths]
+            uses.update(fn.uses)
+        got = imports_and_order(run.program, run.registry)
+        assert got[1] == (run.order.tasks, run.order.layers, run.order.deps)
+        assert got == imports_and_order(*driver.resolve_with_prelude(asts))
+        trials.append(got)
+        return run
+
+    monkeypatch.setattr(tunav.minimize, "verify_program", compared)
+    report, _ = minimize(load_sources(CORPUS), config, scope="function")
+    assert len(trials) == report.runs > 10
+    assert uses  # the corpus has `broadcast use` in proof bodies
 
 
 def test_trial_drops_instances_its_removal_no_longer_demands(monkeypatch):

@@ -304,3 +304,31 @@ def test_round_trip_fuzz():
         text = render_module(mod)
         back = parse_module(text, "f.tv")
         assert back.declarations == mod.declarations, text
+
+
+def test_type_hash_is_kept_and_not_pickled():
+    """A type's hash is computed once and kept; a pickled copy computes its
+    own, since str hashes differ between processes."""
+    import pickle
+
+    from tunav.syntax import Type
+    t = Type("Map", (Type("int"), Type("Seq", (Type("nat"),))))
+    assert hash(t) == hash(Type("Map", (Type("int"), Type("Seq", (Type("nat"),)))))
+    assert t.__dict__["_hash"] == hash(t)
+    copy = pickle.loads(pickle.dumps(t))
+    assert copy == t and "_hash" not in copy.__dict__
+    assert {t: 1}[copy] == 1
+
+
+def test_source_span_is_an_immutable_value():
+    import pickle
+
+    from tunav.syntax import SourceSpan
+    span = SourceSpan("f.tv", 3, 5, 1, 4)
+    assert span == SourceSpan("f.tv", 3, 5, 1, 4) and span.key() == ("f.tv", 3, 5)
+    assert pickle.loads(pickle.dumps(span)) == span
+    assert repr(span) == "SourceSpan(file='f.tv', start=3, end=5, line=1, col=4)"
+    with pytest.raises(AttributeError):
+        span.start = 4
+    with pytest.raises(ValueError, match="invalid span"):
+        SourceSpan("f.tv", 5, 3, 1, 1)
