@@ -60,8 +60,9 @@ def add_run_flags(p: argparse.ArgumentParser):
                    help="import this broadcast group/fact into every module "
                         "(repeatable)")
     p.add_argument("--jobs", type=int_at_least(1), default=1,
-                   help="worker processes, forked after resolve, that verify "
-                        "each task layer in parallel; results equal --jobs 1")
+                   help="worker processes, forked after resolve, that take "
+                        "tasks in order as each becomes free; results equal "
+                        "--jobs 1")
     p.add_argument("--no-timing", action="store_true",
                    help="zero out timing fields (for byte-stable output)")
 

@@ -1,9 +1,13 @@
 """Verification pipeline: load sources, resolve, order tasks, prove every
 obligation, and assemble per-function results, usage reports and metrics.
 
-With `jobs` > 1, the tasks of a layer are verified by worker processes forked
-after resolve. They inherit the resolved program and send back each task's
-`FunctionResult`, so a run's results equal those of jobs=1.
+With `jobs` > 1, the tasks are verified by `min(jobs, tasks)` worker
+processes forked after resolve, which inherit the resolved program. Each
+worker claims the next task of the whole order from a shared counter, so
+there is no barrier between task layers: a task reads no other task's
+result. At the end each worker sends one pickle of its results, and the
+parent puts them in task order, so a run's results and errors equal those of
+jobs=1.
 
 Inside `shared_runs()`, the runs of the calling thread share one
 `ResolveMemo` and one `LoweredFacts` dict; each run's results equal those of
@@ -12,13 +16,15 @@ a run outside it."""
 from __future__ import annotations
 
 import contextlib
+import os
 import time
 from collections import Counter
 from contextvars import ContextVar
 from dataclasses import dataclass
+from typing import NoReturn
 
 from tunav.engine.prover import Limits, Origin, Outcome
-from tunav.errors import ParseError
+from tunav.errors import ParseError, TunavError
 from tunav.prelude import load_prelude
 from tunav.resolve import (
     BroadcastRegistry,
@@ -144,16 +150,6 @@ def verify_task(task: str, run: VcgenRun, config: RunConfig) -> FunctionResult:
                           rounds, frozenset(core), fact_groups)
 
 
-# The run whose tasks forked workers verify: (vcgen run, config).
-# `verify_program` sets it before its pool forks and clears it when the run
-# ends; each worker keeps the copy it was forked with.
-_forked_run: tuple | None = None
-
-
-def _verify_forked(task: str) -> FunctionResult:
-    return verify_task(task, *_forked_run)
-
-
 # What the runs inside `shared_runs()` share: (resolve memo, lowered facts).
 # A context variable, so a run on any other thread or context shares nothing.
 _shared: ContextVar[tuple[ResolveMemo, LoweredFacts] | None] = ContextVar(
@@ -182,23 +178,149 @@ def _can_fork() -> bool:
             and threading.active_count() == 1)
 
 
-def _fork_pool(workers: int):
-    """A pool of `workers` processes, each forked from this one when the pool
-    first gets work."""
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+# The fork-join below imports its modules inside its functions, as
+# `_can_fork` does, so that a serial run loads none of them.
 
-    return ProcessPoolExecutor(workers, multiprocessing.get_context("fork"))
+
+class WorkerTraceback(Exception):
+    """The traceback, formatted in a worker process, of the error that one of
+    its tasks raised: the `__cause__` of that error when the parent re-raises
+    it."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _work(todo: list[str], run: VcgenRun, config: RunConfig, lock,
+          claimed, out_fd: int) -> NoReturn:
+    """The life of a forked worker: verify the task at each index it claims
+    from the shared counter until the counter passes the end, then write one
+    pickle of `(pairs, error)` to `out_fd` and leave with `os._exit`, which
+    neither returns into the caller's frames nor flushes the stdio buffers
+    inherited from the parent. `pairs` holds `(index, result)` for every task
+    verified; if a task raised, `pairs` is empty, `error` is that task's
+    `(index, exception, formatted traceback)` and the counter is stopped."""
+    import pickle
+
+    code = 1
+    try:
+        pairs: list[tuple[int, FunctionResult]] = []
+        error = None
+        while True:
+            with lock:
+                i = claimed.value
+                claimed.value = i + 1
+            if i >= len(todo):
+                break
+            try:
+                pairs.append((i, verify_task(todo[i], run, config)))
+            except Exception as e:
+                import traceback
+
+                with lock:
+                    claimed.value = len(todo)
+                pairs, error = [], (i, e, traceback.format_exc())
+                break
+        with open(out_fd, "wb") as out:
+            pickle.dump((pairs, error), out, pickle.HIGHEST_PROTOCOL)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _join(pipes: dict[int, int]) -> list[tuple]:
+    """Read each worker's pipe to EOF, then reap the worker and drop it from
+    `pipes` (read end -> pid). Return the workers' payloads; a worker that
+    was killed or exited without writing raises TunavError."""
+    import pickle
+    import select
+    import signal
+
+    chunks: dict[int, list[bytes]] = {r: [] for r in pipes}
+    payloads = []
+    readable = select.poll()
+    for r in pipes:
+        readable.register(r, select.POLLIN)
+    while pipes:
+        for r, _ in readable.poll():
+            chunk = os.read(r, 1 << 16)
+            if chunk:
+                chunks[r].append(chunk)
+                continue
+            pid = pipes[r]
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del pipes[r]
+            readable.unregister(r)
+            os.close(r)
+            data = b"".join(chunks.pop(r))
+            if code < 0:
+                try:
+                    name = signal.Signals(-code).name
+                except ValueError:
+                    name = f"signal {-code}"
+                raise TunavError(f"worker process {pid} was killed by {name}")
+            if code != 0 or not data:
+                raise TunavError(f"worker process {pid} exited with code {code} "
+                                 "without writing its results")
+            payloads.append(pickle.loads(data))
+    return payloads
+
+
+def _fork_join(todo: list[str], workers: int, run: VcgenRun,
+               config: RunConfig) -> list[FunctionResult]:
+    """Verify `todo` in `workers` processes forked from this one and return
+    the results in `todo` order, equal to those of a serial run. Each worker
+    claims the next index from a shared counter, so no task waits for any
+    other. If tasks raised, the error of the lowest failing index, the one a
+    serial run raises, is re-raised with the worker's traceback as its
+    cause. No worker outlives the call: if the wait is cut short, the workers
+    left are killed and reaped."""
+    import multiprocessing
+    import signal
+
+    ctx = multiprocessing.get_context("fork")
+    lock, claimed = ctx.Lock(), ctx.RawValue("q", 0)
+    pipes: dict[int, int] = {}  # read end of each unreaped worker's pipe -> pid
+    try:
+        for _ in range(workers):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                _work(todo, run, config, lock, claimed, w)
+            os.close(w)  # so that EOF on `r` means the worker has exited
+            pipes[r] = pid
+        payloads = _join(pipes)
+    finally:
+        for r, pid in pipes.items():
+            os.close(r)
+            with contextlib.suppress(ProcessLookupError, ChildProcessError):
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    results: list[FunctionResult] = [None] * len(todo)
+    errors = []
+    for pairs, error in payloads:
+        for i, result in pairs:
+            results[i] = result
+        if error is not None:
+            errors.append(error)
+    if errors:
+        _, e, tb = min(errors, key=lambda error: error[0])
+        raise e from WorkerTraceback(tb)
+    return results
 
 
 def verify_program(user_asts: list[ProgramAst], config: RunConfig,
                    tasks: list[str] | None = None) -> VerifyRun:
-    """Resolve the program and verify the selected tasks (all by default),
-    layer by layer in dependency order. With `config.jobs` > 1, every layer
-    of two or more tasks goes to one pool of at most `jobs` worker processes,
-    forked after resolve; they return results in layer order, equal to those
-    of jobs=1. Where fork is unavailable or unsafe, the run is serial."""
-    global _forked_run
+    """Resolve the program and verify the selected tasks (all by default) in
+    dependency order. With `config.jobs` > 1 and two or more tasks selected,
+    `min(jobs, tasks)` worker processes forked after resolve verify them,
+    with results and errors equal to those of jobs=1. Where fork is
+    unavailable or unsafe, the run is serial."""
     # `lowered` holds the facts lowered for this run's tasks, or inside
     # `shared_runs()` for every run of the block
     memo, lowered = _shared.get() or (None, {})
@@ -207,31 +329,18 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
                         not config.no_default_prelude)
     user_modules = {a.module for a in user_asts}
     selected = set(tasks) if tasks is not None else None
-    layers = [[t for t in layer if selected is None or t in selected]
-              for layer in order.layers]
-    results: dict[str, FunctionResult] = {}
+    todo = [t for t in order.tasks if selected is None or t in selected]
     vcgen_run = VcgenRun(program, registry, config.vcgen(), lowered)
-    workers = min(config.jobs, max(map(len, layers), default=0))
-    pool = None
-    try:
-        if workers >= 2 and _can_fork():
-            _forked_run = (vcgen_run, config)
-            pool = _fork_pool(workers)
-        for todo in layers:
-            if pool is not None and len(todo) >= 2:
-                done = pool.map(_verify_forked, todo)
-            else:
-                done = [verify_task(t, vcgen_run, config) for t in todo]
-            results.update(zip(todo, done))
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-        _forked_run = None
+    workers = min(config.jobs, len(todo))
+    if workers >= 2 and _can_fork():
+        done = _fork_join(todo, workers, vcgen_run, config)
+    else:
+        done = [verify_task(t, vcgen_run, config) for t in todo]
+    results = dict(zip(todo, done))
 
     user_tasks = [t for t in program.proof_fns()
                   if program.decl_module[t] in user_modules]
     return VerifyRun(program, registry, order, results, user_tasks)
-
 
 # ---------------------------------------------------------------------------
 # Reports

@@ -234,3 +234,25 @@ def test_verify_corpus_hits_no_liveness_cap(capsys):
     corpus = sorted(glob.glob("tests/corpus/*.tv"))
     assert main(["verify", *corpus, "--no-timing"]) == 0
     assert capsys.readouterr().err == ""
+
+
+def test_jobs_two_through_a_pipe_prints_what_jobs_one_does():
+    """Forked workers leave without flushing the stdio buffers they inherit,
+    so through a pipe `--jobs 2` prints byte for byte what `--jobs 1` does,
+    and a line buffered before the fork is printed once."""
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONUNBUFFERED", None)  # stdout to a pipe is then block-buffered
+    argv = ["verify", "--no-timing", "--broadcast-usage-info", *sorted(glob.glob("tests/corpus/*.tv"))]
+
+    def stdout(*cmd):
+        done = subprocess.run([sys.executable, *cmd], env=env, capture_output=True,
+                              timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout
+
+    serial = stdout("-m", "tunav", *argv, "--jobs", "1")
+    assert serial.count(b"functions verified") == 1
+    assert stdout("-m", "tunav", *argv, "--jobs", "2") == serial
+    script = ("import sys; from tunav.cli import main; print('before fork'); "
+              "sys.exit(main(sys.argv[1:]))")
+    assert stdout("-c", script, *argv, "--jobs", "2") == b"before fork\n" + serial

@@ -1,7 +1,10 @@
 import gc
 import glob
+import os
 import random
 import re
+import signal
+import time
 from collections import Counter
 from dataclasses import replace
 
@@ -255,6 +258,7 @@ def test_parallel_statuses_match_sequential():
         par = verify_program(asts, RunConfig(jobs=jobs))
         assert _run_summary(par) == _run_summary(seq)
         assert par.program.instances.keys() == seq.program.instances.keys()
+    _assert_no_worker_left()
 
 
 def test_file_order_does_not_change_results():
@@ -341,45 +345,50 @@ proof fn also_fine(x: int) requires x > 2 ensures x > 1 { broadcast use {nothing
 """
 
 
-class FakePool:
-    """Stands in for the driver's process pool: records what it was asked
-    for and runs the tasks inline."""
-    made: list["FakePool"] = []
+TWO_RAISE = """
+broadcast proof fn hollow(i: int) { }
+broadcast proof fn empty(i: int) { }
+proof fn early(x: int) requires x > 1 ensures x > 0 { broadcast use {empty}; }
+proof fn late(x: int) requires x > 2 ensures x > 1 { broadcast use {hollow}; }
+"""
 
-    def __init__(self, workers):
-        self.workers = workers
-        self.shutdowns = []
-        FakePool.made.append(self)
 
-    def map(self, fn, tasks):
-        return [fn(t) for t in tasks]
-
-    def shutdown(self, **kwargs):
-        self.shutdowns.append(kwargs)
+def _assert_no_worker_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
-def fake_pool(monkeypatch):
-    FakePool.made = []
-    monkeypatch.setattr(driver, "_fork_pool", FakePool)
-    return FakePool.made
+def fork_joins(monkeypatch):
+    """Stands in for the driver's fork-join: records the worker count of
+    each call and verifies the tasks inline, so no process is forked."""
+    made = []
+
+    def serial(todo, workers, run, config):
+        made.append(workers)
+        return [driver.verify_task(t, run, config) for t in todo]
+
+    monkeypatch.setattr(driver, "_fork_join", serial)
+    return made
 
 
-def test_pool_sized_by_largest_layer(fake_pool):
+def test_workers_sized_by_jobs_and_tasks(fork_joins):
     run = verify_program(load_sources(CORPUS), RunConfig(jobs=10_000))
     assert run.all_verified
-    largest = max(len(layer) for layer in run.order.layers)
-    assert [p.workers for p in fake_pool] == [largest]
-    assert fake_pool[0].shutdowns == [{"cancel_futures": True}]
-    assert driver._forked_run is None
+    assert fork_joins == [len(run.order.tasks)]
+    some = run.order.tasks[:3]
+    verify_program(load_sources(CORPUS), RunConfig(jobs=2), tasks=some)
+    verify_program(load_sources(CORPUS), RunConfig(jobs=8), tasks=some)
+    assert fork_joins[1:] == [2, 3]
 
 
-def test_serial_runs_make_no_pool(fake_pool):
+def test_serial_runs_make_no_pool(fork_joins):
+    """jobs=1 forks nothing."""
     assert verify_program(load_sources(CORPUS), RunConfig(jobs=1)).all_verified
-    assert fake_pool == []
+    assert fork_joins == []
 
 
-def test_minimizer_trials_make_no_pool(fake_pool):
+def test_minimizer_trials_make_no_pool(fork_joins):
     """A trial re-verifies one task, so only the baseline run may fork."""
     src = """
 proof fn a(x: int) requires x > 1 ensures x > 0 { assert(x > 0); assert(x >= 1); }
@@ -388,44 +397,105 @@ proof fn b(x: int) requires x > 2 ensures x > 0 { assert(x > 1); }
     asts = [parse_module(src, "user.tv", module="user")]
     report, _ = minimize(asts, RunConfig(jobs=4), scope="function")
     assert report.runs == 4
-    assert len(fake_pool) == 1  # the baseline
+    assert len(fork_joins) == 1  # the baseline
 
 
-def test_no_fork_means_serial(fake_pool, monkeypatch):
+def test_no_fork_means_serial(fork_joins, monkeypatch):
     import multiprocessing
     monkeypatch.setattr(multiprocessing, "get_all_start_methods",
                         lambda: ["spawn"])
     run = verify_program(load_sources(CORPUS), RunConfig(jobs=2))
     assert run.all_verified
-    assert fake_pool == []
+    assert fork_joins == []
 
 
-def test_pool_shut_down_when_a_task_raises(fake_pool):
+def test_pool_shut_down_when_a_task_raises():
+    """Workers forked for a run whose task raised are all reaped."""
     with pytest.raises(TriggerError):
         run_src(TRIGGERLESS, RunConfig(jobs=2))
-    assert [p.shutdowns for p in fake_pool] == [[{"cancel_futures": True}]]
-    assert driver._forked_run is None
+    _assert_no_worker_left()
 
 
 @pytest.mark.parametrize("src, error, line", [
     (TRIGGERLESS, TriggerError, None),
     (NO_ENSURES, TunavError, 2),
+    (TWO_RAISE, TunavError, 3),
 ])
-def test_worker_errors_surface_unchanged(src, error, line):
+def test_worker_errors_surface_unchanged(src, error, line, monkeypatch):
     """An error raised in a worker process reaches the caller as it would
-    at jobs=1: same type, message and span."""
+    at jobs=1: same type, message and span. Where two tasks raise, the error
+    of the earlier task in order surfaces, though `user::early` is delayed
+    so that at jobs=2 `user::late` raises first."""
+    verify_task = driver.verify_task
+
+    def delayed(task, run, config):
+        if task == "user::early":
+            time.sleep(0.2)
+        return verify_task(task, run, config)
+
+    monkeypatch.setattr(driver, "verify_task", delayed)
     errors = []
     for jobs in (1, 2):
         with pytest.raises(error) as exc:
             run_src(src, RunConfig(jobs=jobs))
         errors.append(exc.value)
     serial, forked = errors
-    assert forked.__cause__ is not None  # the worker's traceback
+    assert isinstance(forked.__cause__, driver.WorkerTraceback)
+    assert "Traceback" in str(forked.__cause__)
     assert type(forked) is type(serial)
     assert (forked.message, forked.span) == (serial.message, serial.span)
     assert (forked.span and forked.span.line) == line
     assert str(forked) == str(serial)
-    assert driver._forked_run is None
+    _assert_no_worker_left()
+
+
+@pytest.mark.parametrize("death, message", [
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "was killed by SIGKILL"),
+    (lambda: os._exit(3), "exited with code 3 without writing its results"),
+    (lambda: os._exit(0), "exited with code 0 without writing its results"),
+])
+def test_a_dead_worker_is_an_error(death, message, monkeypatch):
+    """A worker that dies, in a forked child only, makes the run raise a
+    TunavError naming the signal or exit code; every worker is reaped."""
+    parent = os.getpid()
+    verify_task = driver.verify_task
+
+    def dying(task, run, config):
+        if task == "user::also_fine" and os.getpid() != parent:
+            death()
+        return verify_task(task, run, config)
+
+    monkeypatch.setattr(driver, "verify_task", dying)
+    src = TRIGGERLESS.replace("forall|i: int| i == i", "x > 0")
+    assert run_src(src, RunConfig(jobs=1)).all_verified
+    with pytest.raises(TunavError, match=message):
+        run_src(src, RunConfig(jobs=2))
+    _assert_no_worker_left()
+
+
+def test_interrupted_wait_kills_and_reaps_workers(monkeypatch):
+    """If the parent is interrupted while it waits for its workers, it kills
+    and reaps them before the interruption propagates: it does not wait for
+    workers whose every task takes a minute."""
+    parent = os.getpid()
+    verify_task = driver.verify_task
+
+    def slow(task, run, config):
+        if os.getpid() != parent:
+            time.sleep(60)
+        return verify_task(task, run, config)
+
+    def interrupted(pipes):
+        time.sleep(0.05)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(driver, "verify_task", slow)
+    monkeypatch.setattr(driver, "_join", interrupted)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_src(TRIGGERLESS.replace("forall|i: int| i == i", "x > 0"), RunConfig(jobs=2))
+    assert time.monotonic() - t0 < 10
+    _assert_no_worker_left()
 
 
 def test_unknown_status_reported():
