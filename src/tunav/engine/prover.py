@@ -2,6 +2,20 @@
 propagation, case splitting, congruence closure, linear integer arithmetic and
 trigger-driven e-matching rounds.
 
+Every formula the engine asserts is compiled once (`compile_formula`) into a
+term builder and a Boolean skeleton. The builder is a list of instructions
+that creates the formula's ground terms in the order a left-to-right walk
+first meets them; running it under an environment gives the formula's term
+slots, one term id per distinct subterm. The skeleton is the formula's
+connectives and atoms as tuples over slot numbers, with each node's kind
+decided at compile time. An assertion runs the builder once and queues
+(skeleton, slots, env, origins); dispatch, disjunction evaluation, splits and
+e-matching then read term ids, and never walk the syntax again. Compiled
+forms hang off what they compile: a quantified fact's body and trigger
+patterns off its `EngineFact`, made once per run (or minimizer pass) and
+shared by every obligation and branch; a ground hypothesis's or goal's off
+its queued literal; a nested quantifier's body off its skeleton node.
+
 Case splits follow one rule: split the newest undecided disjunction first.
 The newest disjunctions come from the negated goal and from the latest
 instantiations, so the search works on what the goal needs before older
@@ -11,6 +25,10 @@ Instantiation is round-based against a frozen term graph, deduplicated by
 (fact, class-representative substitution) per branch. Every asserted literal
 carries a set of origins; congruence explanations and arithmetic source
 tracking propagate them into the used-fact core when a branch closes.
+
+An arithmetic atom keeps its linear form, with the origins and leaves it
+was built from, until a class it read merges (`TermGraph.stamp`); only such
+atoms are linearised again.
 """
 
 from __future__ import annotations
@@ -77,14 +95,192 @@ class Outcome:
         return self.status == "verified"
 
 
+# ---------------------------------------------------------------------------
+# compiled formulas
+# ---------------------------------------------------------------------------
+
+# term builder instructions, (kind, a, b): each makes one slot's term
+T_APP = 0  # a: head symbol, b: argument slots
+T_VAR = 1  # a: name, looked up in the environment first; b: its symbol
+T_LIT = 2  # a: literal symbol, b: value
+T_MOD = 3  # a: "%", b: argument slots; adds range atoms when it makes the term
+T_BOOL = 4  # a: the value
+T_BAD = 5  # a: message, b: span; raises when the builder reaches it
+
+# skeleton nodes, tuples headed by their kind
+F_ATOM = 0  # (F_ATOM, slot): a Boolean term
+F_EQ = 1  # (F_EQ, l, r, is "==", int sort, l < r node, r < l node)
+F_CMP = 2  # (F_CMP, l, r, op) for < <= > >=
+F_AND = 3  # (F_AND, lhs, rhs); F_OR and F_IMP alike
+F_OR = 4
+F_IMP = 5
+F_IFF = 6  # (F_IFF, lhs, rhs, negated): <==>, and == or != over bool
+F_NOT = 7  # (F_NOT, arg)
+F_CONST = 8  # (F_CONST, value)
+F_QUANT = 9  # (F_QUANT, _Quant)
+F_BAD = 10  # (F_BAD, message, span): no truth value, and cannot be asserted
+
+# trigger pattern nodes below the top: (P_APP, head, children), (P_BIND,
+# binder name), (P_GROUND, name, symbol), (P_LIT, literal symbol), (P_BOOL,
+# value), (P_BAD, span) raising when a match reaches it. A top pattern is
+# (head, children).
+P_APP = 0
+P_BIND = 1
+P_GROUND = 2
+P_LIT = 3
+P_BOOL = 4
+P_BAD = 5
+
+_CONNECTIVES = {"&&": F_AND, "||": F_OR, "==>": F_IMP}
+_COMPARISONS = ("<", "<=", ">", ">=")
+_TERM_OPS = ("+", "-", "*", "%")
+
+
+class Formula:
+    """A formula compiled once: `code` builds its ground terms into slots,
+    and `skel` is its Boolean structure over those slots."""
+
+    __slots__ = ("code", "skel")
+
+    def __init__(self, code: tuple, skel: tuple):
+        self.code = code
+        self.skel = skel
+
+
+class _Quant:
+    """A nested quantifier of a compiled formula. Its free variables and its
+    body's compiled form are made on first use and kept."""
+
+    __slots__ = ("q", "fv", "body")
+
+    def __init__(self, q: Forall | Exists):
+        self.q = q
+        self.fv: set[str] | None = None
+        self.body: Formula | None = None
+
+    def free_vars(self) -> set[str]:
+        if self.fv is None:
+            self.fv = trig.free_vars(self.q.body)
+        return self.fv
+
+    def compiled_body(self) -> Formula:
+        if self.body is None:
+            self.body = compile_formula(self.q.body)
+        return self.body
+
+
+def compile_formula(e: Expr) -> Formula:
+    code: list[tuple] = []
+    skel = _skeleton(e, code, {})
+    return Formula(tuple(code), skel)
+
+
+def _skeleton(e: Expr, code: list, index: dict) -> tuple:
+    if isinstance(e, BinOp):
+        op = e.op
+        kind = _CONNECTIVES.get(op)
+        if kind is not None:
+            return (kind, _skeleton(e.lhs, code, index),
+                    _skeleton(e.rhs, code, index))
+        if op == "<==>" or (op in ("==", "!=") and _is_bool(e.lhs)):
+            return (F_IFF, _skeleton(e.lhs, code, index),
+                    _skeleton(e.rhs, code, index), op == "!=")
+        if op in ("==", "!="):
+            l = _term(e.lhs, code, index)
+            r = _term(e.rhs, code, index)
+            # a != b over int splits as a < b || b < a
+            return (F_EQ, l, r, op == "==", _is_int(e.lhs),
+                    (F_CMP, l, r, "<"), (F_CMP, r, l, "<"))
+        if op in _COMPARISONS:
+            l = _term(e.lhs, code, index)
+            r = _term(e.rhs, code, index)
+            return (F_CMP, l, r, op)
+        _term(e, code, index)
+        return (F_BAD, f"cannot assert operator {op}", e.span)
+    if isinstance(e, (Call, Var)):
+        return (F_ATOM, _term(e, code, index))
+    if isinstance(e, Not):
+        return (F_NOT, _skeleton(e.arg, code, index))
+    if isinstance(e, BoolLit):
+        return (F_CONST, e.value)
+    if isinstance(e, (Forall, Exists)):
+        return (F_QUANT, _Quant(e))
+    return (F_BAD, f"cannot assert {type(e).__name__}", e.span)
+
+
+def _term(e: Expr, code: list, index: dict) -> int:
+    """The slot of term `e`, adding the instructions that build it; a
+    subterm met twice gets one slot."""
+    if isinstance(e, Call):
+        ins = (T_APP, e.resolved or e.name,
+               tuple([_term(a, code, index) for a in e.args]))
+    elif isinstance(e, Var):
+        ins = (T_VAR, e.name, e.resolved or f"%{e.name}")
+    elif isinstance(e, IntLit):
+        ins = (T_LIT, f"#i{e.value}", e.value)
+    elif isinstance(e, BinOp) and e.op in _TERM_OPS:
+        args = (_term(e.lhs, code, index), _term(e.rhs, code, index))
+        ins = (T_MOD if e.op == "%" else T_APP, e.op, args)
+    elif isinstance(e, BoolLit):
+        ins = (T_BOOL, e.value, None)
+    else:
+        ins = (T_BAD, f"not a term: {type(e).__name__}", e.span)
+    slot = index.get(ins)
+    if slot is None:
+        slot = index[ins] = len(code)
+        code.append(ins)
+    return slot
+
+
+def compile_group(group: tuple[Expr, ...], binders: list[str]) -> tuple:
+    """A trigger group as top patterns `(head, children)`."""
+    names = set(binders)
+    out = []
+    for pat in group:
+        if not isinstance(pat, (Call, BinOp)):
+            raise TunavError("invalid trigger pattern", pat.span)
+        out.append(_pattern(pat, names)[1:])
+    return tuple(out)
+
+
+def _pattern(pat: Expr, binders: set[str]) -> tuple:
+    if isinstance(pat, Call):
+        return (P_APP, pat.resolved or pat.name,
+                tuple([_pattern(a, binders) for a in pat.args]))
+    if isinstance(pat, BinOp):
+        return (P_APP, pat.op,
+                (_pattern(pat.lhs, binders), _pattern(pat.rhs, binders)))
+    if isinstance(pat, Var):
+        if pat.name in binders:
+            return (P_BIND, pat.name)
+        # ground: an enclosing parameter, captured binder, or const
+        return (P_GROUND, pat.name, pat.resolved or f"%{pat.name}")
+    if isinstance(pat, IntLit):
+        return (P_LIT, f"#i{pat.value}")
+    if isinstance(pat, BoolLit):
+        return (P_BOOL, pat.value)
+    return (P_BAD, pat.span)
+
+
+def _is_bool(e: Expr) -> bool:
+    return e.ty is not None and e.ty.name == "bool"
+
+
+def _is_int(e: Expr) -> bool:
+    """Whether `e` has the int carrier sort (nat included); an untyped term
+    counts as int."""
+    return e.ty is None or (e.ty.name in ("int", "nat") and not e.ty.args)
+
+
 @dataclass
 class EngineFact:
     key: object  # identity for the instantiation log
     display: str  # counter key (origin path)
     binders: list[str]  # names
     body: Expr  # hypothesis ==> conclusion, nat bounds included
-    triggers: list[tuple[Expr, ...]]
+    triggers: list[tuple]  # compiled trigger groups (`compile_group`)
     origins: frozenset
+    compiled: Formula = field(repr=False)  # the body's compiled form
     env: dict[str, int] = field(default_factory=dict)
 
 
@@ -92,7 +288,8 @@ def make_fact(key: object, display: str, binders: list[tuple[str, Type]],
               hyp: Expr | None, concl: Expr, trigger_groups: list[tuple[Expr, ...]],
               origins: frozenset, env: dict[str, int] | None = None) -> EngineFact:
     """Normalize a quantified fact: nat binder bounds join the hypothesis and
-    the body becomes one implication expression."""
+    the body becomes one implication expression. The body and the trigger
+    groups are compiled here, once."""
     span = concl.span
     bounds: list[Expr] = []
     for name, ty in binders:
@@ -107,27 +304,34 @@ def make_fact(key: object, display: str, binders: list[tuple[str, Type]],
         for extra in hyp_all[1:]:
             h = BinOp(span, op="&&", lhs=h, rhs=extra, ty=BOOL)
         body = BinOp(span, op="==>", lhs=h, rhs=concl, ty=BOOL)
-    return EngineFact(key, display, [n for n, _ in binders],
-                      body, trigger_groups, origins, dict(env or {}))
+    names = [n for n, _ in binders]
+    return EngineFact(key, display, names, body,
+                      [compile_group(g, names) for g in trigger_groups],
+                      origins, compile_formula(body), dict(env or {}))
 
 
-@dataclass
 class _Disj:
-    items: list[tuple[Expr, bool]]
-    env: dict[str, int]
-    origins: frozenset
+    """An undecided disjunction: skeleton items with their polarity, read
+    over the slots and environment of the literal they came from."""
+
+    __slots__ = ("items", "slots", "env", "origins")
+
+    def __init__(self, items: list[tuple[tuple, bool]], slots: list[int],
+                 env: dict[str, int], origins: frozenset):
+        self.items = items
+        self.slots = slots
+        self.env = env
+        self.origins = origins
 
 
 @dataclass(frozen=True)
 class _ArithMemo:
-    """What an arithmetic pass linearised at graph `version`: the first
-    atoms' constraints, and each atom's origins and opaque leaves; `idle` if
-    the pass derived nothing. Never mutated, so a state and its clones share
-    it."""
+    """What an arithmetic pass linearised at graph `version`: per atom, the
+    version it was linearised at, its constraints, origins, opaque leaves
+    and every non-literal term it read; `idle` if the pass derived nothing.
+    Never mutated, so a state and its clones share it."""
     version: int
-    constraints: list[arith.Constraint]
-    origins: list[frozenset]
-    leaves: list[list[int]]
+    atoms: list[tuple[int, list[arith.Constraint], frozenset, list[int], list[int]]]
     idle: bool
 
 
@@ -148,7 +352,8 @@ class ProverState:
         self.shared = shared or _Shared(trig.CONSERVATIVE)
         self.t_true = self.graph.new_term("#true", ())
         self.t_false = self.graph.new_term("#false", ())
-        self.queue: list[tuple[Expr, bool, dict[str, int], frozenset]] = []
+        # (skeleton, positive, slots, env, origins)
+        self.queue: list[tuple[tuple, bool, list[int], dict[str, int], frozenset]] = []
         self.arith_atoms: list[tuple[str, int, int, frozenset]] = []
         self.diseqs: list[tuple[int, int, frozenset]] = []
         self.disjs: list[_Disj] = []
@@ -183,29 +388,40 @@ class ProverState:
 
     # -- terms -----------------------------------------------------------------
 
-    def term_of(self, e: Expr, env: dict[str, int], origins: frozenset) -> int:
-        if isinstance(e, IntLit):
-            return self.graph.int_term(e.value, origins)
-        if isinstance(e, BoolLit):
-            return self.t_true if e.value else self.t_false
-        if isinstance(e, Var):
-            tid = env.get(e.name)
-            if tid is not None:
-                return tid
-            sym = e.resolved or f"%{e.name}"
-            return self.graph.new_term(sym, (), origins)
-        if isinstance(e, Call):
-            args = tuple(self.term_of(a, env, origins) for a in e.args)
-            sym = e.resolved or e.name
-            return self.graph.new_term(sym, args, origins)
-        if isinstance(e, BinOp) and e.op in ("+", "-", "*", "%"):
-            l = self.term_of(e.lhs, env, origins)
-            r = self.term_of(e.rhs, env, origins)
-            t = self.graph.new_term(e.op, (l, r), origins)
-            if e.op == "%":
-                self._mod_range(t, r)
-            return t
-        raise TunavError(f"not a term: {type(e).__name__}", e.span)
+    def _build(self, code: tuple, env: dict[str, int], origins: frozenset
+               ) -> list[int]:
+        """Run a term builder: the term id of each slot, created as needed."""
+        g = self.graph
+        hashcons = g.hashcons
+        slots: list[int] = []
+        for kind, a, b in code:
+            if kind == T_APP:
+                args = tuple([slots[i] for i in b])
+                t = hashcons.get((a, args))
+                if t is None:
+                    t = g.new_term(a, args, origins)
+            elif kind == T_VAR:
+                t = env.get(a)
+                if t is None:
+                    t = hashcons.get((b, ()))
+                    if t is None:
+                        t = g.new_term(b, (), origins)
+            elif kind == T_LIT:
+                t = hashcons.get((a, ()))
+                if t is None:
+                    t = g.new_term(a, (), origins, int_value=b)
+            elif kind == T_MOD:
+                args = (slots[b[0]], slots[b[1]])
+                t = hashcons.get((a, args))
+                if t is None:
+                    t = g.new_term(a, args, origins)
+                    self._mod_range(t, args[1])
+            elif kind == T_BOOL:
+                t = self.t_true if a else self.t_false
+            else:
+                raise TunavError(a, b)
+            slots.append(t)
+        return slots
 
     def _mod_range(self, t: int, divisor: int):
         v = self.graph.int_val.get(divisor)
@@ -216,161 +432,91 @@ class ProverState:
             self.arith_atoms.append(("le", zero, t, EMPTY))
             self.arith_atoms.append(("le", t, upper, EMPTY))
 
-    def lookup_term(self, e: Expr, env: dict[str, int]) -> int | None:
-        if isinstance(e, IntLit):
-            return self.graph.lookup(f"#i{e.value}", ())
-        if isinstance(e, BoolLit):
-            return self.t_true if e.value else self.t_false
-        if isinstance(e, Var):
-            tid = env.get(e.name)
-            if tid is not None:
-                return tid
-            return self.graph.lookup(e.resolved or f"%{e.name}", ())
-        if isinstance(e, Call):
-            args = []
-            for a in e.args:
-                tid = self.lookup_term(a, env)
-                if tid is None:
-                    return None
-                args.append(tid)
-            return self.graph.lookup(e.resolved or e.name, tuple(args))
-        if isinstance(e, BinOp) and e.op in ("+", "-", "*", "%"):
-            l = self.lookup_term(e.lhs, env)
-            r = self.lookup_term(e.rhs, env)
-            if l is None or r is None:
-                return None
-            return self.graph.lookup(e.op, (l, r))
-        return None
-
     # -- assertion ---------------------------------------------------------------
 
     def assert_expr(self, e: Expr, positive: bool, env: dict[str, int],
                     origins: frozenset):
-        self._build_terms(e, env, origins)
-        self.queue.append((e, positive, env, origins))
+        self.assert_formula(compile_formula(e), positive, env, origins)
 
-    def _build_terms(self, e: Expr, env: dict[str, int], origins: frozenset):
-        """Eagerly create every ground term of an asserted formula (terms under
-        quantifiers stay absent until instantiation)."""
-        if isinstance(e, (Forall, Exists)):
-            return
-        if isinstance(e, Not):
-            self._build_terms(e.arg, env, origins)
-            return
-        if isinstance(e, BinOp):
-            if e.op in ("&&", "||", "==>", "<==>"):
-                self._build_terms(e.lhs, env, origins)
-                self._build_terms(e.rhs, env, origins)
-                return
-            if e.op in ("==", "!=") and _is_bool(e.lhs):
-                self._build_terms(e.lhs, env, origins)
-                self._build_terms(e.rhs, env, origins)
-                return
-            if e.op in ("==", "!=", "<", "<=", ">", ">="):
-                self.term_of(e.lhs, env, origins)
-                self.term_of(e.rhs, env, origins)
-                return
-            self.term_of(e, env, origins)
-            return
-        if isinstance(e, (Call, Var)):
-            self.term_of(e, env, origins)
+    def assert_formula(self, f: Formula, positive: bool, env: dict[str, int],
+                       origins: frozenset):
+        """Eagerly create every ground term of a compiled formula (terms under
+        quantifiers stay absent until instantiation), then queue it."""
+        slots = self._build(f.code, env, origins)
+        self.queue.append((f.skel, positive, slots, env, origins))
 
-    def _dispatch(self, e: Expr, positive: bool, env: dict[str, int],
-                  origins: frozenset):
+    def _dispatch(self, node: tuple, positive: bool, slots: list[int],
+                  env: dict[str, int], origins: frozenset):
         if self.conflict is not None:
             return
-        if isinstance(e, BoolLit):
-            if e.value != positive:
-                self.conflict = origins
-            return
-        if isinstance(e, Not):
-            self._dispatch(e.arg, not positive, env, origins)
-            return
-        if isinstance(e, BinOp):
-            op = e.op
-            if op == "&&":
-                if positive:
-                    self._dispatch(e.lhs, True, env, origins)
-                    self._dispatch(e.rhs, True, env, origins)
-                else:
-                    self.disjs.append(_Disj([(e.lhs, False), (e.rhs, False)],
-                                            env, origins))
-                return
-            if op == "||":
-                if positive:
-                    self.disjs.append(_Disj([(e.lhs, True), (e.rhs, True)],
-                                            env, origins))
-                else:
-                    self._dispatch(e.lhs, False, env, origins)
-                    self._dispatch(e.rhs, False, env, origins)
-                return
-            if op == "==>":
-                if positive:
-                    self.disjs.append(_Disj([(e.lhs, False), (e.rhs, True)],
-                                            env, origins))
-                else:
-                    self._dispatch(e.lhs, True, env, origins)
-                    self._dispatch(e.rhs, False, env, origins)
-                return
-            if op == "<==>" or (op in ("==", "!=") and _is_bool(e.lhs)):
-                want = positive if op != "!=" else not positive
-                if want:
-                    self.disjs.append(_Disj([(e.lhs, False), (e.rhs, True)],
-                                            env, origins))
-                    self.disjs.append(_Disj([(e.lhs, True), (e.rhs, False)],
-                                            env, origins))
-                else:
-                    self.disjs.append(_Disj([(e.lhs, True), (e.rhs, True)],
-                                            env, origins))
-                    self.disjs.append(_Disj([(e.lhs, False), (e.rhs, False)],
-                                            env, origins))
-                return
-            if op in ("==", "!="):
-                self._dispatch_eq(e, positive == (op == "=="), env, origins)
-                return
-            if op in ("<", "<=", ">", ">="):
-                self._dispatch_cmp(e, positive, env, origins)
-                return
-            raise TunavError(f"cannot assert operator {op}", e.span)
-        if isinstance(e, (Call, Var)):
-            t = self.term_of(e, env, origins)
+        kind = node[0]
+        if kind == F_ATOM:
             target = self.t_true if positive else self.t_false
-            self.graph.merge(t, target, origins)
-            return
-        if isinstance(e, Forall):
-            if positive:
-                self._register_quantifier(e, env, origins, negate=False)
+            self.graph.merge(slots[node[1]], target, origins)
+        elif kind == F_EQ:
+            l, r = slots[node[1]], slots[node[2]]
+            if positive == node[3]:
+                self.graph.merge(l, r, origins)
+                if node[4]:
+                    self.arith_atoms.append(("eq", l, r, origins))
             else:
-                self._skolemize(e.binders, e.body, False, env, origins)
-            return
-        if isinstance(e, Exists):
+                self.diseqs.append((l, r, origins))
+                if node[4]:
+                    self.disjs.append(_Disj([(node[5], True), (node[6], True)],
+                                            slots, env, origins))
+        elif kind == F_CMP:
+            self._dispatch_cmp(slots[node[1]], slots[node[2]], node[3],
+                               positive, origins)
+        elif kind == F_AND:
             if positive:
-                self._skolemize(e.binders, e.body, True, env, origins)
+                self._dispatch(node[1], True, slots, env, origins)
+                self._dispatch(node[2], True, slots, env, origins)
             else:
-                self._register_quantifier(e, env, origins, negate=True)
-            return
-        raise TunavError(f"cannot assert {type(e).__name__}", e.span)
-
-    def _dispatch_eq(self, e: BinOp, equal: bool, env, origins):
-        l = self.term_of(e.lhs, env, origins)
-        r = self.term_of(e.rhs, env, origins)
-        is_int = _is_int(e.lhs)
-        if equal:
-            self.graph.merge(l, r, origins)
-            if is_int:
-                self.arith_atoms.append(("eq", l, r, origins))
+                self.disjs.append(_Disj([(node[1], False), (node[2], False)],
+                                        slots, env, origins))
+        elif kind == F_OR:
+            if positive:
+                self.disjs.append(_Disj([(node[1], True), (node[2], True)],
+                                        slots, env, origins))
+            else:
+                self._dispatch(node[1], False, slots, env, origins)
+                self._dispatch(node[2], False, slots, env, origins)
+        elif kind == F_IMP:
+            if positive:
+                self.disjs.append(_Disj([(node[1], False), (node[2], True)],
+                                        slots, env, origins))
+            else:
+                self._dispatch(node[1], True, slots, env, origins)
+                self._dispatch(node[2], False, slots, env, origins)
+        elif kind == F_IFF:
+            lhs, rhs = node[1], node[2]
+            if positive != node[3]:
+                self.disjs.append(_Disj([(lhs, False), (rhs, True)],
+                                        slots, env, origins))
+                self.disjs.append(_Disj([(lhs, True), (rhs, False)],
+                                        slots, env, origins))
+            else:
+                self.disjs.append(_Disj([(lhs, True), (rhs, True)],
+                                        slots, env, origins))
+                self.disjs.append(_Disj([(lhs, False), (rhs, False)],
+                                        slots, env, origins))
+        elif kind == F_NOT:
+            self._dispatch(node[1], not positive, slots, env, origins)
+        elif kind == F_CONST:
+            if node[1] != positive:
+                self.conflict = origins
+        elif kind == F_QUANT:
+            quant = node[1]
+            forall = isinstance(quant.q, Forall)
+            if positive == forall:
+                self._register_quantifier(quant, env, origins, negate=not forall)
+            else:
+                self._skolemize(quant, positive, env, origins)
         else:
-            self.diseqs.append((l, r, origins))
-            if is_int:
-                # split a != b into a < b || a > b
-                lt = BinOp(e.span, op="<", lhs=e.lhs, rhs=e.rhs, ty=BOOL)
-                gt = BinOp(e.span, op="<", lhs=e.rhs, rhs=e.lhs, ty=BOOL)
-                self.disjs.append(_Disj([(lt, True), (gt, True)], env, origins))
+            raise TunavError(node[1], node[2])
 
-    def _dispatch_cmp(self, e: BinOp, positive: bool, env, origins):
-        l = self.term_of(e.lhs, env, origins)
-        r = self.term_of(e.rhs, env, origins)
-        op = e.op
+    def _dispatch_cmp(self, l: int, r: int, op: str, positive: bool,
+                      origins: frozenset):
         if op == ">":
             l, r, op = r, l, "<"
         elif op == ">=":
@@ -381,9 +527,9 @@ class ProverState:
             kind, a, b = ("le", r, l) if op == "<" else ("lt", r, l)
         self.arith_atoms.append((kind, a, b, origins))
 
-    def _skolemize(self, binders, body: Expr, positive: bool, env, origins):
+    def _skolemize(self, quant: _Quant, positive: bool, env, origins):
         env2 = dict(env)
-        for b in binders:
+        for b in quant.q.binders:
             self.skolem_n += 1
             sym = f"!sk{self.skolem_n}"
             tid = self.graph.new_term(sym, (), origins)
@@ -391,22 +537,24 @@ class ProverState:
             if b.ty.name == "nat":
                 zero = self.graph.int_term(0)
                 self.arith_atoms.append(("le", zero, tid, origins))
-        self._build_terms(body, env2, origins)
-        self._dispatch(body, positive, env2, origins)
+        body = quant.compiled_body()
+        slots = self._build(body.code, env2, origins)
+        self._dispatch(body.skel, positive, slots, env2, origins)
 
-    def _register_quantifier(self, q, env, origins, negate: bool):
-        body = q.body
-        if negate:
-            body = Not(body.span, arg=body, ty=BOOL)
-        fv = trig.free_vars(q.body)
+    def _register_quantifier(self, quant: _Quant, env, origins, negate: bool):
+        q = quant.q
+        fv = quant.free_vars()
         rel_env = {k: v for k, v in env.items() if k in fv}
         key = ("q", id(q), negate, tuple(sorted(rel_env.items())))
         if key in self.fact_keys:
             return
         self.fact_keys.add(key)
-        quant = (trig.Quantifier.of_forall(q) if isinstance(q, Forall)
-                 else trig.Quantifier.of_exists(q))
-        sel = trig.infer_triggers(quant, self.shared.strategy)
+        body = q.body
+        if negate:
+            body = Not(body.span, arg=body, ty=BOOL)
+        sel = trig.infer_triggers(
+            trig.Quantifier.of_forall(q) if isinstance(q, Forall)
+            else trig.Quantifier.of_exists(q), self.shared.strategy)
         fact = make_fact(key, "<local quantifier>",
                          [(b.name, b.ty) for b in q.binders],
                          None, body,
@@ -421,82 +569,77 @@ class ProverState:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def eval_item(self, e: Expr, positive: bool, env) -> tuple[bool | None, frozenset]:
-        tv, o = self._eval(e, env)
+    def eval_item(self, node: tuple, positive: bool, slots: list[int]
+                  ) -> tuple[bool | None, frozenset]:
+        tv, o = self._eval(node, slots)
         if tv is None:
             return None, EMPTY
         return (tv if positive else not tv), o
 
-    def _eval(self, e: Expr, env) -> tuple[bool | None, frozenset]:
-        if isinstance(e, BoolLit):
-            return e.value, EMPTY
-        if isinstance(e, Not):
-            tv, o = self._eval(e.arg, env)
+    def _eval(self, node: tuple, slots: list[int]) -> tuple[bool | None, frozenset]:
+        kind = node[0]
+        if kind == F_ATOM:
+            g = self.graph
+            t = slots[node[1]]
+            rt = g.find(t)
+            if rt == g.find(self.t_true):
+                return True, g.explain(t, self.t_true)
+            if rt == g.find(self.t_false):
+                return False, g.explain(t, self.t_false)
+            return None, EMPTY
+        if kind == F_EQ:
+            tv, o = self._eval_eq(slots[node[1]], slots[node[2]])
+            if tv is None:
+                return None, EMPTY
+            return (tv if node[3] else not tv), o
+        if kind == F_CMP:
+            return self._eval_cmp(slots[node[1]], slots[node[2]], node[3])
+        if kind == F_AND:
+            lv, lo = self._eval(node[1], slots)
+            if lv is False:
+                return False, lo
+            rv, ro = self._eval(node[2], slots)
+            if rv is False:
+                return False, ro
+            if lv is True and rv is True:
+                return True, lo | ro
+            return None, EMPTY
+        if kind == F_OR:
+            lv, lo = self._eval(node[1], slots)
+            if lv is True:
+                return True, lo
+            rv, ro = self._eval(node[2], slots)
+            if rv is True:
+                return True, ro
+            if lv is False and rv is False:
+                return False, lo | ro
+            return None, EMPTY
+        if kind == F_IMP:
+            lv, lo = self._eval(node[1], slots)
+            if lv is False:
+                return True, lo
+            rv, ro = self._eval(node[2], slots)
+            if rv is True:
+                return True, ro
+            if lv is True and rv is False:
+                return False, lo | ro
+            return None, EMPTY
+        if kind == F_IFF:
+            lv, lo = self._eval(node[1], slots)
+            if lv is None:
+                return None, EMPTY
+            rv, ro = self._eval(node[2], slots)
+            if rv is None:
+                return None, EMPTY
+            return (lv == rv) != node[3], lo | ro
+        if kind == F_NOT:
+            tv, o = self._eval(node[1], slots)
             return (None, EMPTY) if tv is None else (not tv, o)
-        if isinstance(e, (Forall, Exists)):
-            return None, EMPTY
-        if isinstance(e, (Call, Var)):
-            t = self.lookup_term(e, env)
-            if t is None:
-                return None, EMPTY
-            rt = self.graph.find(t)
-            if rt == self.graph.find(self.t_true):
-                return True, self.graph.explain(t, self.t_true)
-            if rt == self.graph.find(self.t_false):
-                return False, self.graph.explain(t, self.t_false)
-            return None, EMPTY
-        if isinstance(e, BinOp):
-            op = e.op
-            if op in ("&&", "||", "==>"):
-                lv, lo = self._eval(e.lhs, env)
-                rv, ro = self._eval(e.rhs, env)
-                if op == "&&":
-                    if lv is False:
-                        return False, lo
-                    if rv is False:
-                        return False, ro
-                    if lv is True and rv is True:
-                        return True, lo | ro
-                    return None, EMPTY
-                if op == "||":
-                    if lv is True:
-                        return True, lo
-                    if rv is True:
-                        return True, ro
-                    if lv is False and rv is False:
-                        return False, lo | ro
-                    return None, EMPTY
-                # ==>
-                if lv is False:
-                    return True, lo
-                if rv is True:
-                    return True, ro
-                if lv is True and rv is False:
-                    return False, lo | ro
-                return None, EMPTY
-            if op == "<==>" or (op in ("==", "!=") and _is_bool(e.lhs)):
-                lv, lo = self._eval(e.lhs, env)
-                rv, ro = self._eval(e.rhs, env)
-                if lv is None or rv is None:
-                    return None, EMPTY
-                same = lv == rv
-                if op == "!=":
-                    same = not same
-                return same, lo | ro
-            if op in ("==", "!="):
-                tv, o = self._eval_eq(e, env)
-                if tv is None:
-                    return None, EMPTY
-                return (tv if op == "==" else not tv), o
-            if op in ("<", "<=", ">", ">="):
-                return self._eval_cmp(e, env)
+        if kind == F_CONST:
+            return node[1], EMPTY
         return None, EMPTY
 
-    def _eval_eq(self, e: BinOp, env) -> tuple[bool | None, frozenset]:
-        l = self.lookup_term(e.lhs, env)
-        r = self.lookup_term(e.rhs, env)
-        if l is None or r is None:
-            return None, EMPTY
+    def _eval_eq(self, l: int, r: int) -> tuple[bool | None, frozenset]:
         g = self.graph
         if g.find(l) == g.find(r):
             return True, g.explain(l, r)
@@ -513,22 +656,16 @@ class ProverState:
                 return False, o | g.explain(a, r) | g.explain(b, l)
         return None, EMPTY
 
-    def _eval_cmp(self, e: BinOp, env) -> tuple[bool | None, frozenset]:
-        l = self.lookup_term(e.lhs, env)
-        r = self.lookup_term(e.rhs, env)
-        if l is None or r is None:
-            return None, EMPTY
+    def _eval_cmp(self, l: int, r: int, op: str) -> tuple[bool | None, frozenset]:
         g = self.graph
         lv, rv = g.value_of(l), g.value_of(r)
         if lv is not None and rv is not None:
-            got = {"<": lv < rv, "<=": lv <= rv, ">": lv > rv, ">=": lv >= rv}[e.op]
+            got = {"<": lv < rv, "<=": lv <= rv, ">": lv > rv, ">=": lv >= rv}[op]
             vl = g.class_val[g.find(l)][1]
             vr = g.class_val[g.find(r)][1]
             return got, g.explain(l, vl) | g.explain(r, vr)
         if g.find(l) == g.find(r):
-            if e.op in ("<=", ">="):
-                return True, g.explain(l, r)
-            return False, g.explain(l, r)
+            return op in ("<=", ">="), g.explain(l, r)
         return None, EMPTY
 
     # -- propagation -----------------------------------------------------------------
@@ -536,8 +673,8 @@ class ProverState:
     def propagate(self):
         while self.conflict is None:
             if self.queue:
-                e, positive, env, origins = self.queue.pop(0)
-                self._dispatch(e, positive, env, origins)
+                node, positive, slots, env, origins = self.queue.pop(0)
+                self._dispatch(node, positive, slots, env, origins)
                 continue
             self.graph.process()
             if self.graph.conflict is not None:
@@ -567,9 +704,9 @@ class ProverState:
                 continue
             satisfied = False
             falsity: frozenset = EMPTY
-            unknowns: list[tuple[Expr, bool]] = []
+            unknowns: list[tuple[tuple, bool]] = []
             for item, pos in d.items:
-                tv, o = self.eval_item(item, pos, d.env)
+                tv, o = self.eval_item(item, pos, d.slots)
                 if tv is True:
                     satisfied = True
                     break
@@ -586,45 +723,58 @@ class ProverState:
                 continue
             if len(unknowns) == 1:
                 item, pos = unknowns[0]
-                self._dispatch(item, pos, d.env, d.origins | falsity)
+                self._dispatch(item, pos, d.slots, d.env, d.origins | falsity)
                 changed = True
                 continue
             keep.append(d)
         self.disjs = keep
         return changed
 
+    def _linearise(self, idx: int) -> tuple:
+        """Atom `idx`'s entry in an `_ArithMemo`."""
+        g = self.graph
+        kind, l, r, origins = self.arith_atoms[idx]
+        used: list[tuple[int, int]] = []
+        leaves: list[int] = []
+        cs = arith.atom_constraints(g, kind, l, r, idx, used, leaves)
+        for tid, lit in used:
+            origins |= g.explain(tid, lit)
+        return (g.version, cs, origins, leaves,
+                leaves + [tid for tid, _ in used])
+
     def _arith_pass(self) -> bool:
         if not self.arith_atoms:
             return False
         g = self.graph
         memo = self._arith
-        if memo is not None and memo.version == g.version:
+        if memo is None:
+            atoms = []
+        elif memo.version == g.version:
             # no union since the last pass: its atoms linearise as they did
-            if memo.idle and len(memo.origins) == len(self.arith_atoms):
+            if memo.idle and len(memo.atoms) == len(self.arith_atoms):
                 return False
-            constraints = list(memo.constraints)
-            atom_origins = list(memo.origins)
-            atom_leaves = list(memo.leaves)
+            atoms = list(memo.atoms)
         else:
-            constraints, atom_origins, atom_leaves = [], [], []
-        for kind, l, r, origins in self.arith_atoms[len(atom_origins):]:
-            used: list[tuple[int, int]] = []
-            leaves: list[int] = []
-            idx = len(atom_origins)
-            cs = arith.atom_constraints(g, kind, l, r, idx, used, leaves)
-            extra = origins
-            for tid, lit in used:
-                extra |= g.explain(tid, lit)
-            atom_origins.append(extra)
-            atom_leaves.append(leaves)
-            constraints.extend(cs)
+            # an atom linearises as it did unless a class it read has merged
+            find, stamp = g.find, g.stamp
+            atoms = []
+            for idx, atom in enumerate(memo.atoms):
+                version = atom[0]
+                for t in atom[4]:
+                    if stamp[find(t)] > version:
+                        atom = self._linearise(idx)
+                        break
+                atoms.append(atom)
+        for idx in range(len(atoms), len(self.arith_atoms)):
+            atoms.append(self._linearise(idx))
+        constraints = [c for atom in atoms for c in atom[1]]
 
         def origins_of(sources) -> frozenset:
             acc: frozenset = EMPTY
             by_root: dict[int, list[int]] = {}
             for idx in sources:
-                acc |= atom_origins[idx]
-                for t in atom_leaves[idx]:
+                acc |= atoms[idx][2]
+                for t in atoms[idx][3]:
                     by_root.setdefault(g.find(t), []).append(t)
             # leaves of distinct terms that alias into one variable do so via
             # class merges; charge those equalities to the verdict
@@ -648,23 +798,21 @@ class ProverState:
             lit = g.int_term(value)
             g.merge(g.canon[g.find(var_root)], lit, origins_of(sources))
             changed = True
-        self._arith = _ArithMemo(g.version, constraints, atom_origins,
-                                 atom_leaves, idle=not changed)
+        self._arith = _ArithMemo(g.version, atoms, idle=not changed)
         return changed
 
     # -- e-matching --------------------------------------------------------------------
 
-    def ematch(self, group: tuple[Expr, ...], fact: EngineFact
+    def ematch(self, group: tuple, fact: EngineFact
                ) -> list[tuple[dict[str, int], frozenset]]:
         """Every substitution (binder -> class root) making each trigger
-        expression congruent to an existing term; already-logged substitutions
-        are filtered by the caller."""
-        binders = set(fact.binders)
+        pattern of a compiled group congruent to an existing term;
+        already-logged substitutions are filtered by the caller."""
         partials: list[tuple[dict[str, int], frozenset]] = [({}, EMPTY)]
-        for pat in group:
+        for head, children in group:
             nxt: list[tuple[dict[str, int], frozenset]] = []
             for sigma, just in partials:
-                for s2, j2 in self._match_top(pat, sigma, binders, fact.env):
+                for s2, j2 in self._match_top(head, children, sigma, fact.env):
                     nxt.append((s2, just | j2))
             partials = nxt
             if not partials:
@@ -678,81 +826,63 @@ class ProverState:
                 out.append((sigma, just))
         return out
 
-    def _pat_head(self, pat: Expr) -> str:
-        if isinstance(pat, Call):
-            return pat.resolved or pat.name
-        if isinstance(pat, BinOp):
-            return pat.op
-        raise TunavError("invalid trigger pattern", pat.span)
-
-    def _pat_children(self, pat: Expr) -> list[Expr]:
-        if isinstance(pat, Call):
-            return list(pat.args)
-        return [pat.lhs, pat.rhs]
-
-    def _match_top(self, pat: Expr, sigma: dict[str, int], binders: set[str], env):
-        sym = self._pat_head(pat)
+    def _match_top(self, head: str, children: tuple, sigma: dict[str, int], env):
+        g = self.graph
         out = []
-        for t in self.graph.by_head.get(sym, []):
-            for s2, j2 in self._match_node(pat, t, sigma, binders, env):
-                out.append((s2, j2 | self.graph.creation_origins(t)))
+        for t in g.by_head.get(head, ()):
+            for s2, j2 in self._match_node(children, t, sigma, env):
+                out.append((s2, j2 | g.origins[t]))
         return out
 
-    def _match_node(self, pat: Expr, t: int, sigma: dict[str, int],
-                    binders: set[str], env):
+    def _match_node(self, children: tuple, t: int, sigma: dict[str, int], env):
         state = [(dict(sigma), EMPTY)]
-        for pc, arg in zip(self._pat_children(pat), self.graph.targs[t]):
+        for pc, arg in zip(children, self.graph.targs[t]):
             nstate = []
             for s1, j1 in state:
-                for s2, j2 in self._match_child(pc, arg, s1, binders, env):
+                for s2, j2 in self._match_child(pc, arg, s1, env):
                     nstate.append((s2, j1 | j2))
             state = nstate
             if not state:
                 return []
         return state
 
-    def _match_child(self, pat: Expr, entry: int, sigma: dict[str, int],
-                     binders: set[str], env):
+    def _match_child(self, pat: tuple, entry: int, sigma: dict[str, int], env):
         g = self.graph
         cls = g.find(entry)
-        if isinstance(pat, Var):
-            if pat.name in binders:
-                if pat.name in sigma:
-                    if sigma[pat.name] != cls:
-                        return []
-                    return [(sigma, g.explain(entry, g.canon[cls]))]
-                s2 = dict(sigma)
-                s2[pat.name] = cls
-                canon = g.canon[cls]
-                return [(s2, g.creation_origins(canon) | g.explain(entry, canon))]
-            # ground: an enclosing parameter, captured binder, or const
-            tid = env.get(pat.name)
-            if tid is None:
-                tid = g.lookup(pat.resolved or f"%{pat.name}", ())
-            if tid is None or g.find(tid) != cls:
-                return []
-            return [(sigma, g.explain(entry, tid))]
-        if isinstance(pat, IntLit):
-            tid = g.lookup(f"#i{pat.value}", ())
-            if tid is None or g.find(tid) != cls:
-                return []
-            return [(sigma, g.explain(entry, tid))]
-        if isinstance(pat, BoolLit):
-            tid = self.t_true if pat.value else self.t_false
-            if g.find(tid) != cls:
-                return []
-            return [(sigma, g.explain(entry, tid))]
-        if isinstance(pat, (Call, BinOp)):
-            sym = self._pat_head(pat)
+        kind = pat[0]
+        if kind == P_BIND:
+            name = pat[1]
+            if name in sigma:
+                if sigma[name] != cls:
+                    return []
+                return [(sigma, g.explain(entry, g.canon[cls]))]
+            s2 = dict(sigma)
+            s2[name] = cls
+            canon = g.canon[cls]
+            return [(s2, g.origins[canon] | g.explain(entry, canon))]
+        if kind == P_APP:
+            head, children = pat[1], pat[2]
             out = []
             for member in g.members[cls]:
-                if g.syms[member] != sym:
+                if g.syms[member] != head:
                     continue
-                for s2, j2 in self._match_node(pat, member, sigma, binders, env):
-                    out.append((s2, j2 | g.creation_origins(member)
+                for s2, j2 in self._match_node(children, member, sigma, env):
+                    out.append((s2, j2 | g.origins[member]
                                 | g.explain(member, entry)))
             return out
-        raise TunavError("invalid trigger pattern", pat.span)
+        if kind == P_GROUND:
+            tid = env.get(pat[1])
+            if tid is None:
+                tid = g.lookup(pat[2], ())
+        elif kind == P_LIT:
+            tid = g.lookup(pat[1], ())
+        elif kind == P_BOOL:
+            tid = self.t_true if pat[1] else self.t_false
+        else:
+            raise TunavError("invalid trigger pattern", pat[1])
+        if tid is None or g.find(tid) != cls:
+            return []
+        return [(sigma, g.explain(entry, tid))]
 
     # -- instantiation -------------------------------------------------------------------
 
@@ -778,7 +908,7 @@ class ProverState:
             for name in fact.binders:
                 env2[name] = self.graph.canon[sigma[name]]
             origins = fact.origins | just
-            self.assert_expr(fact.body, True, env2, origins)
+            self.assert_formula(fact.compiled, True, env2, origins)
             self.shared.inst_counts[fact.display] += 1
             self.shared.inst_total += 1
         self.rounds_done += 1
@@ -798,7 +928,7 @@ class ProverState:
         chosen = None
         rest = []
         for item, pos in d.items:
-            tv, _ = self.eval_item(item, pos, d.env)
+            tv, _ = self.eval_item(item, pos, d.slots)
             if tv is None and chosen is None:
                 chosen = (item, pos)
             else:
@@ -807,21 +937,11 @@ class ProverState:
             self.disjs.append(d)
             raise TunavError("split on decided disjunction")
         right = self.clone()
-        self._dispatch(chosen[0], chosen[1], d.env, d.origins)
-        right._dispatch(chosen[0], not chosen[1], d.env, d.origins)
+        self._dispatch(chosen[0], chosen[1], d.slots, d.env, d.origins)
+        right._dispatch(chosen[0], not chosen[1], d.slots, d.env, d.origins)
         if rest:
-            right.disjs.append(_Disj(rest, d.env, d.origins))
+            right.disjs.append(_Disj(rest, d.slots, d.env, d.origins))
         return self, right
-
-
-def _is_bool(e: Expr) -> bool:
-    return e.ty is not None and e.ty.name == "bool"
-
-
-def _is_int(e: Expr) -> bool:
-    """Whether `e` has the int carrier sort (nat included); an untyped term
-    counts as int."""
-    return e.ty is None or (e.ty.name in ("int", "nat") and not e.ty.args)
 
 
 # ---------------------------------------------------------------------------

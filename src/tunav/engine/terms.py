@@ -4,6 +4,10 @@ Every union edge is recorded in a proof forest so `explain(a, b)` can return
 the set of asserted-literal origins that justify a congruence, which is what
 used-fact core extraction is built on. Interpreted arithmetic heads (+ - * %)
 constant-fold once all argument classes carry integer values.
+
+`version` counts unions, and `stamp[r]` is the version at which root `r` last
+absorbed another class, so a reader that noted the version can tell whether
+the classes it read have merged since.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ class TermGraph:
         self.hashcons: dict = {}
         self.parent: list[int] = []
         self.rank: list[int] = []
+        self.stamp: list[int] = []  # root -> version of its last union
         self.canon: dict[int, int] = {}  # root -> least member tid
         self.members: dict[int, list[int]] = {}
         self.uses: dict[int, list[int]] = {}  # root -> parent app tids
@@ -50,6 +55,7 @@ class TermGraph:
         g.hashcons = dict(self.hashcons)
         g.parent = list(self.parent)
         g.rank = list(self.rank)
+        g.stamp = list(self.stamp)
         g.canon = dict(self.canon)
         g.members = {k: list(v) for k, v in self.members.items()}
         g.uses = {k: list(v) for k, v in self.uses.items()}
@@ -90,6 +96,7 @@ class TermGraph:
         self.hashcons[key] = t
         self.parent.append(t)
         self.rank.append(0)
+        self.stamp.append(0)
         self.canon[t] = t
         self.members[t] = [t]
         self.uses[t] = []
@@ -116,9 +123,6 @@ class TermGraph:
     def value_of(self, t: int) -> int | None:
         got = self.class_val.get(self.find(t))
         return got[0] if got else None
-
-    def creation_origins(self, t: int) -> frozenset:
-        return self.origins[t]
 
     # -- congruence closure ----------------------------------------------------
 
@@ -147,6 +151,7 @@ class TermGraph:
             self.rank[ra] += 1
         # rb joins ra
         self.parent[rb] = ra
+        self.stamp[ra] = self.version
         self.canon[ra] = min(self.canon[ra], self.canon.pop(rb))
         self.members[ra].extend(self.members.pop(rb))
         va = self.class_val.get(ra)

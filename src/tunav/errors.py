@@ -32,8 +32,14 @@ class CycleError(ResolveError):
     """A strongly connected component among broadcast import dependencies."""
 
     def __init__(self, message: str, members: list[str], span: "SourceSpan | None" = None):
+        self.base_message = message
         self.members = sorted(members)
         super().__init__(f"{message}: {{{', '.join(self.members)}}}", span)
+
+    def __reduce__(self):
+        # `Exception` pickles `(cls, args)`, and `args` holds only the
+        # rendered message, which this constructor cannot take back
+        return type(self), (self.base_message, self.members, self.span)
 
 
 class TriggerError(TunavError):

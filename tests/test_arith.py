@@ -273,6 +273,19 @@ def test_heavy_obligation_linearises_few_atoms(monkeypatch):
     assert len(linearised) <= 900
 
 
+def test_heavy_obligation_relinearises_only_merged_atoms(monkeypatch):
+    """An atom keeps its linear form until a class it read merges: the heavy
+    obligation linearised 887 atoms when every union relinearised them all."""
+    task = "prelude::seq::lemma_seq_contains_after_push"
+    program, registry = resolve_with_prelude([])
+    [ensures] = [ob for ob in generate_obligations(task, VcgenRun(program, registry))
+                 if ob.site.kind == "ensures"]
+    linearised = _count_linearised(monkeypatch)
+    out = prove_obligation(ensures)
+    assert out.verified and out.splits_used == 71
+    assert len(linearised) <= 400
+
+
 def test_core_alone_may_escape_refutation():
     """Integer tightening depends on the elimination order, and the order
     depends on every constraint present: with x1 + x3 == 0 and

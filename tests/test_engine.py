@@ -244,11 +244,18 @@ def test_first_pending_is_newest_disjunction():
     st.assert_expr(newer, True, {}, G)
     st.propagate()
     assert [d.origins for d in st.disjs] == [H, G]
-    assert st.first_pending().items[0][0] is newer.lhs
+    c = st.graph.lookup("%c", ())
+    p, q, r, s = (st.graph.lookup(name, (c,)) for name in "pqrs")
+
+    def items(d):
+        """Each item's atom term and polarity."""
+        return [(d.slots[node[1]], pos) for node, pos in d.items]
+
+    assert items(st.first_pending()) == [(r, True), (s, True)]
     left, right = st.split(st.first_pending())
     # the untaken half of the split disjunction is now the newest one
-    assert right.first_pending().items == [(newer.rhs, True)]
-    assert left.first_pending().items[0][0] is older.lhs
+    assert items(right.first_pending()) == [(s, True)]
+    assert items(left.first_pending()) == [(p, True), (q, True)]
 
 
 def test_heavy_prelude_lemma_split_bound():
@@ -316,6 +323,22 @@ def test_mod_range_fact():
     out = prove([], [], b("<=", b("%", iv("x"), il(3), INT), il(2)), G,
                 params={"x": INT})
     assert out.status == "verified"
+
+
+def test_mod_range_atoms_added_once_per_term():
+    # 0 <= x % 5 <= 4 joins the arithmetic when the term is made, not each
+    # time a formula mentions it
+    st = ProverState()
+    mod = b("%", iv("x"), il(5), INT)
+    st.assert_expr(b("<=", il(1), mod), True, {}, H)
+    st.assert_expr(b("<", mod, il(3)), True, {}, H)
+    st.propagate()
+    g = st.graph
+    t = g.lookup("%", (g.lookup("%x", ()), g.lookup("#i5", ())))
+    ranges = [a for a in st.arith_atoms if t in a[1:3] and not a[3]]
+    assert [(k, l, r) for k, l, r, _ in ranges] == [
+        ("le", g.lookup("#i0", ()), t), ("le", t, g.lookup("#i4", ()))]
+    assert len(st.arith_atoms) == 4
 
 
 def test_existential_hypothesis_skolemized():
