@@ -23,7 +23,6 @@ from tunav.minimize import enumerate_assert_sites, minimize, prune_asts
 from tunav.resolve import (
     LIVENESS_COMBINATIONS,
     LIVENESS_ROUNDS,
-    PRELUDE_MODULES,
     Program,
 )
 from tunav.syntax import render_module
@@ -142,30 +141,23 @@ def warn_liveness_caps(program: Program):
 
 def cmd_verify(args) -> int:
     config = config_of(args)
-    if args.prelude_only:
-        run = verify_program([], config)
-        warn_liveness_caps(run.program)
-        prelude_tasks = [t for t in run.program.proof_fns()
-                         if run.program.decl_module[t] in PRELUDE_MODULES]
-        print(render_report(run, config, tasks=prelude_tasks))
-        ok = all(run.results[t].passed for t in prelude_tasks)
-        return 0 if ok else 1
-    if not args.files:
+    if not args.prelude_only and not args.files:
         print("tunav verify: no input files", file=sys.stderr)
         return 2
-    asts = load_sources(args.files)
-    run = verify_program(asts, config)
+    run = verify_program([] if args.prelude_only else load_sources(args.files),
+                         config)
     warn_liveness_caps(run.program)
-    print(render_report(run, config))
+    # a run without user sources has only the prelude's tasks
+    tasks = run.program.proof_fns() if args.prelude_only else run.user_tasks
+    print(render_report(run, config, tasks))
     if args.metrics_out:
-        write_metrics(records_of_run(run, config), args.metrics_out)
+        write_metrics(records_of_run(run, config, tasks), args.metrics_out)
     if args.emit_smtlib:
         from tunav import smtlib
-        vcgen_run = VcgenRun(run.program, run.registry, config.vcgen())
-        obs = []
-        for task in run.user_tasks:
-            obs.extend(generate_obligations(task, vcgen_run))
-        smtlib.emit_all(obs, args.emit_smtlib, config.strategy)
+        vcgen_run = VcgenRun(run.program, run.registry, config)
+        smtlib.emit_all([ob for task in tasks
+                         for ob in generate_obligations(task, vcgen_run)],
+                        args.emit_smtlib)
     return 0 if run.all_verified else 1
 
 

@@ -23,7 +23,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NoReturn
 
-from tunav.engine.prover import Limits, Origin, Outcome
+from tunav.engine.prover import Origin, Outcome
 from tunav.errors import ParseError, TunavError
 from tunav.prelude import load_prelude
 from tunav.resolve import (
@@ -38,29 +38,12 @@ from tunav.resolve import (
 from tunav.syntax import ProgramAst, parse_module
 from tunav.vcgen import (
     LoweredFacts,
+    RunConfig,
     Site,
-    VcgenConfig,
     VcgenRun,
     generate_obligations,
     prove_obligation,
 )
-from tunav import triggers as trig
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    strategy: str = trig.CONSERVATIVE
-    fuel: int = 1
-    limits: Limits = Limits()
-    no_default_prelude: bool = False
-    ambient: tuple[str, ...] = ()
-    usage_report: bool = False
-    jobs: int = 1
-    no_timing: bool = False
-
-    def vcgen(self) -> VcgenConfig:
-        return VcgenConfig(self.fuel, self.strategy, self.no_default_prelude,
-                           self.ambient)
 
 
 @dataclass
@@ -124,7 +107,7 @@ def verify_task(task: str, run: VcgenRun, config: RunConfig) -> FunctionResult:
     context_facts = 0
     for ob in obs:
         context_facts = max(context_facts, len(ob.context.facts))
-        out = prove_obligation(ob, config.limits, config.strategy)
+        out = prove_obligation(ob, config.limits)
         results.append((ob.site, out))
         insts.update(out.instantiations)
         rounds = max(rounds, out.rounds_used)
@@ -330,7 +313,7 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
     user_modules = {a.module for a in user_asts}
     selected = set(tasks) if tasks is not None else None
     todo = [t for t in order.tasks if selected is None or t in selected]
-    vcgen_run = VcgenRun(program, registry, config.vcgen(), lowered)
+    vcgen_run = VcgenRun(program, registry, config, lowered)
     workers = min(config.jobs, len(todo))
     if workers >= 2 and _can_fork():
         done = _fork_join(todo, workers, vcgen_run, config)

@@ -2,19 +2,19 @@
 propagation, case splitting, congruence closure, linear integer arithmetic and
 trigger-driven e-matching rounds.
 
-Every formula the engine asserts is compiled once (`compile_formula`) into a
-term builder and a Boolean skeleton. The builder is a list of instructions
+The engine consumes compiled formulas and has no trigger strategy of its
+own: vcgen compiles each hypothesis, goal and fact once, under the run's
+strategy (`compile_formula`, `make_fact`). A compiled formula is a term
+builder and a Boolean skeleton. The builder is a list of instructions
 that creates the formula's ground terms in the order a left-to-right walk
 first meets them; running it under an environment gives the formula's term
 slots, one term id per distinct subterm. The skeleton is the formula's
 connectives and atoms as tuples over slot numbers, with each node's kind
 decided at compile time. An assertion runs the builder once and queues
 (skeleton, slots, env, origins); dispatch, disjunction evaluation, splits and
-e-matching then read term ids, and never walk the syntax again. Compiled
-forms hang off what they compile: a quantified fact's body and trigger
-patterns off its `EngineFact`, made once per run (or minimizer pass) and
-shared by every obligation and branch; a ground hypothesis's or goal's off
-its queued literal; a nested quantifier's body off its skeleton node.
+e-matching then read term ids, and never walk the syntax again. A nested
+quantifier's node keeps the strategy; it selects triggers only when first
+registered in a polarity, once, and never if it is only skolemized.
 
 Case splits follow one rule: split the newest undecided disjunction first.
 The newest disjunctions come from the negated goal and from the latest
@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from tunav.engine import arith
 from tunav.engine.terms import EMPTY, TermGraph
@@ -148,15 +148,18 @@ class Formula:
 
 
 class _Quant:
-    """A nested quantifier of a compiled formula. Its free variables and its
-    body's compiled form are made on first use and kept."""
+    """A nested quantifier of a compiled formula. Its free variables, its
+    body's compiled form and, per polarity, its local fact are made on first
+    use, under the formula's strategy, and kept."""
 
-    __slots__ = ("q", "fv", "body")
+    __slots__ = ("q", "strategy", "fv", "body", "local")
 
-    def __init__(self, q: Forall | Exists):
+    def __init__(self, q: Forall | Exists, strategy: str):
         self.q = q
+        self.strategy = strategy
         self.fv: set[str] | None = None
         self.body: Formula | None = None
+        self.local: list[EngineFact | None] = [None, None]  # by `negate`
 
     def free_vars(self) -> set[str]:
         if self.fv is None:
@@ -165,26 +168,44 @@ class _Quant:
 
     def compiled_body(self) -> Formula:
         if self.body is None:
-            self.body = compile_formula(self.q.body)
+            self.body = compile_formula(self.q.body, self.strategy)
         return self.body
 
+    def local_fact(self, negate: bool) -> EngineFact:
+        """The fact a `forall`, or a negated `exists`, registers as; each
+        registration binds its own key, origins and environment."""
+        fact = self.local[negate]
+        if fact is None:
+            q = self.q
+            body = q.body
+            if negate:
+                body = Not(body.span, arg=body, ty=BOOL)
+            sel = trig.infer_triggers(
+                trig.Quantifier.of_forall(q) if isinstance(q, Forall)
+                else trig.Quantifier.of_exists(q), self.strategy)
+            fact = self.local[negate] = make_fact(
+                None, "<local quantifier>", [(b.name, b.ty) for b in q.binders],
+                None, body, [g.exprs for g in sel.groups], EMPTY, self.strategy)
+        return fact
 
-def compile_formula(e: Expr) -> Formula:
+
+def compile_formula(e: Expr, strategy: str) -> Formula:
+    """`e` compiled; its nested quantifiers select triggers under `strategy`."""
     code: list[tuple] = []
-    skel = _skeleton(e, code, {})
+    skel = _skeleton(e, code, {}, strategy)
     return Formula(tuple(code), skel)
 
 
-def _skeleton(e: Expr, code: list, index: dict) -> tuple:
+def _skeleton(e: Expr, code: list, index: dict, strategy: str) -> tuple:
     if isinstance(e, BinOp):
         op = e.op
         kind = _CONNECTIVES.get(op)
         if kind is not None:
-            return (kind, _skeleton(e.lhs, code, index),
-                    _skeleton(e.rhs, code, index))
+            return (kind, _skeleton(e.lhs, code, index, strategy),
+                    _skeleton(e.rhs, code, index, strategy))
         if op == "<==>" or (op in ("==", "!=") and _is_bool(e.lhs)):
-            return (F_IFF, _skeleton(e.lhs, code, index),
-                    _skeleton(e.rhs, code, index), op == "!=")
+            return (F_IFF, _skeleton(e.lhs, code, index, strategy),
+                    _skeleton(e.rhs, code, index, strategy), op == "!=")
         if op in ("==", "!="):
             l = _term(e.lhs, code, index)
             r = _term(e.rhs, code, index)
@@ -200,11 +221,11 @@ def _skeleton(e: Expr, code: list, index: dict) -> tuple:
     if isinstance(e, (Call, Var)):
         return (F_ATOM, _term(e, code, index))
     if isinstance(e, Not):
-        return (F_NOT, _skeleton(e.arg, code, index))
+        return (F_NOT, _skeleton(e.arg, code, index, strategy))
     if isinstance(e, BoolLit):
         return (F_CONST, e.value)
     if isinstance(e, (Forall, Exists)):
-        return (F_QUANT, _Quant(e))
+        return (F_QUANT, _Quant(e, strategy))
     return (F_BAD, f"cannot assert {type(e).__name__}", e.span)
 
 
@@ -277,16 +298,15 @@ class EngineFact:
     key: object  # identity for the instantiation log
     display: str  # counter key (origin path)
     binders: list[str]  # names
-    body: Expr  # hypothesis ==> conclusion, nat bounds included
     triggers: list[tuple]  # compiled trigger groups (`compile_group`)
     origins: frozenset
-    compiled: Formula = field(repr=False)  # the body's compiled form
+    compiled: Formula = field(repr=False)  # the body: hyp ==> concl, nat bounds
     env: dict[str, int] = field(default_factory=dict)
 
 
 def make_fact(key: object, display: str, binders: list[tuple[str, Type]],
               hyp: Expr | None, concl: Expr, trigger_groups: list[tuple[Expr, ...]],
-              origins: frozenset, env: dict[str, int] | None = None) -> EngineFact:
+              origins: frozenset, strategy: str) -> EngineFact:
     """Normalize a quantified fact: nat binder bounds join the hypothesis and
     the body becomes one implication expression. The body and the trigger
     groups are compiled here, once."""
@@ -305,9 +325,9 @@ def make_fact(key: object, display: str, binders: list[tuple[str, Type]],
             h = BinOp(span, op="&&", lhs=h, rhs=extra, ty=BOOL)
         body = BinOp(span, op="==>", lhs=h, rhs=concl, ty=BOOL)
     names = [n for n, _ in binders]
-    return EngineFact(key, display, names, body,
+    return EngineFact(key, display, names,
                       [compile_group(g, names) for g in trigger_groups],
-                      origins, compile_formula(body), dict(env or {}))
+                      origins, compile_formula(body, strategy))
 
 
 class _Disj:
@@ -338,18 +358,17 @@ class _ArithMemo:
 class _Shared:
     """Per-prove mutable metrics, common to all branches."""
 
-    def __init__(self, strategy: str):
+    def __init__(self):
         self.inst_counts: Counter = Counter()
         self.inst_total = 0
         self.splits = 0
         self.max_rounds_seen = 0
-        self.strategy = strategy
 
 
 class ProverState:
     def __init__(self, shared: _Shared | None = None):
         self.graph = TermGraph()
-        self.shared = shared or _Shared(trig.CONSERVATIVE)
+        self.shared = shared or _Shared()
         self.t_true = self.graph.new_term("#true", ())
         self.t_false = self.graph.new_term("#false", ())
         # (skeleton, positive, slots, env, origins)
@@ -433,10 +452,6 @@ class ProverState:
             self.arith_atoms.append(("le", t, upper, EMPTY))
 
     # -- assertion ---------------------------------------------------------------
-
-    def assert_expr(self, e: Expr, positive: bool, env: dict[str, int],
-                    origins: frozenset):
-        self.assert_formula(compile_formula(e), positive, env, origins)
 
     def assert_formula(self, f: Formula, positive: bool, env: dict[str, int],
                        origins: frozenset):
@@ -542,24 +557,12 @@ class ProverState:
         self._dispatch(body.skel, positive, slots, env2, origins)
 
     def _register_quantifier(self, quant: _Quant, env, origins, negate: bool):
-        q = quant.q
         fv = quant.free_vars()
         rel_env = {k: v for k, v in env.items() if k in fv}
-        key = ("q", id(q), negate, tuple(sorted(rel_env.items())))
-        if key in self.fact_keys:
-            return
-        self.fact_keys.add(key)
-        body = q.body
-        if negate:
-            body = Not(body.span, arg=body, ty=BOOL)
-        sel = trig.infer_triggers(
-            trig.Quantifier.of_forall(q) if isinstance(q, Forall)
-            else trig.Quantifier.of_exists(q), self.shared.strategy)
-        fact = make_fact(key, "<local quantifier>",
-                         [(b.name, b.ty) for b in q.binders],
-                         None, body,
-                         [g.exprs for g in sel.groups], origins, rel_env)
-        self.facts.append(fact)
+        key = ("q", id(quant.q), negate, tuple(sorted(rel_env.items())))
+        if key not in self.fact_keys:
+            self.add_fact(replace(quant.local_fact(negate), key=key,
+                                  origins=origins, env=rel_env))
 
     def add_fact(self, fact: EngineFact):
         if fact.key in self.fact_keys:
@@ -949,25 +952,24 @@ class ProverState:
 # ---------------------------------------------------------------------------
 
 
-def prove(ground_hyps: list[tuple[Expr, frozenset]],
+def prove(ground: list[tuple[Formula, frozenset]],
           facts: list[EngineFact],
-          goal: Expr,
+          goal: Formula,
           goal_origins: frozenset,
           limits: Limits = Limits(),
-          strategy: str = trig.CONSERVATIVE,
           params: dict[str, Type] | None = None) -> Outcome:
     """Decide one obligation by refutation. Verified iff every branch closes;
     Failed on a saturated consistent branch; Unknown on any limit."""
     t0 = time.monotonic()
-    shared = _Shared(strategy)
+    shared = _Shared()
     st = ProverState(shared)
     for name in params or {}:
         st.graph.new_term(f"%{name}", ())
-    for e, origins in ground_hyps:
-        st.assert_expr(e, True, {}, origins)
+    for f, origins in ground:
+        st.assert_formula(f, True, {}, origins)
     for f in facts:
         st.add_fact(f)
-    st.assert_expr(goal, False, {}, goal_origins)
+    st.assert_formula(goal, False, {}, goal_origins)
 
     def done(status, reason=None, core=frozenset()):
         return Outcome(status, reason, frozenset(core), dict(shared.inst_counts),

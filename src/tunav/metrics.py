@@ -33,9 +33,10 @@ class MetricsRecord:
                              f"for {self.function}")
 
 
-def records_of_run(run, config) -> list[MetricsRecord]:
+def records_of_run(run, config, tasks: list[str] | None = None
+                   ) -> list[MetricsRecord]:
     out = []
-    for task in run.user_tasks:
+    for task in run.user_tasks if tasks is None else tasks:
         r = run.results.get(task)
         if r is None:
             continue

@@ -1,7 +1,8 @@
 """SMT-LIB 2 emission: one standalone script per obligation, with quantified
 facts carrying :pattern annotations and :named labels for core extraction by
-an external solver. Nested `forall`s get the patterns the run's trigger
-strategy selects for them. Exists for differential testing; not bit-exact."""
+an external solver. Nested `forall`s get the patterns that the strategy an
+obligation was made under selects. Exists for differential testing; not
+bit-exact."""
 
 from __future__ import annotations
 
@@ -72,21 +73,11 @@ def _sx(e: Expr, bound: dict[str, str], strategy: str) -> str:
         return f"({_OPS[e.op]} {lhs} {rhs})"
     if isinstance(e, (Forall, Exists)):
         word = "forall" if isinstance(e, Forall) else "exists"
-        inner = dict(bound)
-        decls = []
-        guards = []
-        for b in e.binders:
-            v = _sym(f"?{b.name}")
-            inner[b.name] = v
-            decls.append(f"({v} {_smt_sort(b.ty)})")
-            if b.ty.name == "nat":
-                guards.append(f"(<= 0 {v})")
+        inner, decls, guards = _bind([(b.name, b.ty) for b in e.binders], bound)
         body = _sx(e.body, inner, strategy)
         if guards:
-            joined = guards[0] if len(guards) == 1 else f"(and {' '.join(guards)})"
-            body = (f"(=> {joined} {body})" if isinstance(e, Forall)
-                    else f"(and {joined} {body})")
-        if isinstance(e, Forall):
+            body = f"({'=>' if word == 'forall' else 'and'} {_conj(guards)} {body})"
+        if word == "forall":
             try:
                 groups = trig.infer_triggers(trig.Quantifier.of_forall(e),
                                              strategy).groups
@@ -95,6 +86,24 @@ def _sx(e: Expr, bound: dict[str, str], strategy: str) -> str:
             body = _with_patterns(body, groups, inner, strategy)
         return f"({word} ({' '.join(decls)}) {body})"
     raise ValueError(f"cannot emit {type(e).__name__}")
+
+
+def _bind(binders: list[tuple[str, Type]], bound: dict[str, str]
+          ) -> tuple[dict[str, str], list[str], list[str]]:
+    """`bound` extended by `binders`, with their declarations and the bounds
+    of those of sort nat."""
+    inner = dict(bound)
+    decls, guards = [], []
+    for name, ty in binders:
+        v = inner[name] = _sym(f"?{name}")
+        decls.append(f"({v} {_smt_sort(ty)})")
+        if ty.name == "nat":
+            guards.append(f"(<= 0 {v})")
+    return inner, decls, guards
+
+
+def _conj(parts: list[str]) -> str:
+    return parts[0] if len(parts) == 1 else f"(and {' '.join(parts)})"
 
 
 def _with_patterns(body: str, groups: list[trig.TriggerGroup],
@@ -109,27 +118,14 @@ def _with_patterns(body: str, groups: list[trig.TriggerGroup],
 
 
 def _fact_formula(qf: QuantifiedFact, strategy: str) -> str:
-    bound: dict[str, str] = {}
-    decls = []
-    guards = []
-    for name, ty in qf.binders:
-        v = _sym(f"?{name}")
-        bound[name] = v
-        decls.append(f"({v} {_smt_sort(ty)})")
-        if ty.name == "nat":
-            guards.append(f"(<= 0 {v})")
-    hyp = [] if qf.hypothesis is None else [_sx(qf.hypothesis, bound, strategy)]
-    hyp = guards + hyp
-    concl = _sx(qf.conclusion, bound, strategy)
+    bound, decls, hyp = _bind(qf.binders, {})
+    if qf.hypothesis is not None:
+        hyp.append(_sx(qf.hypothesis, bound, strategy))
+    body = _sx(qf.conclusion, bound, strategy)
     if hyp:
-        joined = hyp[0] if len(hyp) == 1 else f"(and {' '.join(hyp)})"
-        body = f"(=> {joined} {concl})"
-    else:
-        body = concl
+        body = f"(=> {_conj(hyp)} {body})"
     body = _with_patterns(body, qf.triggers.groups, bound, strategy)
-    if not decls:
-        return body
-    return f"(forall ({' '.join(decls)}) {body})"
+    return f"(forall ({' '.join(decls)}) {body})" if decls else body
 
 
 def _collect_decls(exprs, binder_sorts, sorts: set, funcs: dict, consts: dict):
@@ -175,17 +171,17 @@ def _note_sort(t: Type | None, sorts: set):
         sorts.add(name)
 
 
-def emit_obligation(ob: Obligation, path: str, strategy: str):
-    """Write `ob` as a script to `path`. Nested `forall`s get the patterns
-    `strategy` selects for them; a fact keeps the triggers it was lowered with."""
+def emit_obligation(ob: Obligation, path: str):
+    """Write `ob` as a script to `path`; a fact keeps its lowered triggers."""
+    strategy = ob.strategy
     sorts: set = set()
     funcs: dict = {}
     consts: dict = {}
-    fact_binder_names = [set(n for n, _ in qf.binders) for qf in ob.context.facts]
-    exprs = [(e, set()) for e, _ in ob.context.ground]
+    exprs = [(e, set()) for e, _, _ in ob.context.ground]
     exprs.append((ob.goal, set()))
     binder_sorts = []
-    for qf, names in zip(ob.context.facts, fact_binder_names):
+    for qf in ob.context.facts:
+        names = {n for n, _ in qf.binders}
         exprs.append((qf.conclusion, names))
         if qf.hypothesis is not None:
             exprs.append((qf.hypothesis, names))
@@ -209,7 +205,7 @@ def emit_obligation(ob: Obligation, path: str, strategy: str):
         used_names[base] = n + 1
         return _sym(base if n == 0 else f"{base}#{n}")
 
-    for i, (e, origin) in enumerate(ob.context.ground):
+    for e, origin, _ in ob.context.ground:
         label = fresh(f"hyp-{origin.path}")
         lines.append(f"(assert (! {_sx(e, {}, strategy)} :named {label}))")
     for qf in ob.context.facts:
@@ -225,11 +221,11 @@ def emit_obligation(ob: Obligation, path: str, strategy: str):
         fh.write("\n".join(lines) + "\n")
 
 
-def emit_all(obligations: list[Obligation], directory: str, strategy: str):
+def emit_all(obligations: list[Obligation], directory: str):
     os.makedirs(directory, exist_ok=True)
     by_fn: dict[str, int] = {}
     for ob in obligations:
         san = re.sub(r"[^A-Za-z0-9_]+", "_", ob.function)
         n = by_fn.get(san, 0)
         by_fn[san] = n + 1
-        emit_obligation(ob, os.path.join(directory, f"{san}__{n}.smt2"), strategy)
+        emit_obligation(ob, os.path.join(directory, f"{san}__{n}.smt2"))

@@ -15,7 +15,16 @@ from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
-from tunav.engine.prover import EngineFact, Limits, Origin, Outcome, make_fact, prove
+from tunav.engine.prover import (
+    EngineFact,
+    Formula,
+    Limits,
+    Origin,
+    Outcome,
+    compile_formula,
+    make_fact,
+    prove,
+)
 from tunav.errors import TunavError
 from tunav.resolve import (
     BroadcastRegistry,
@@ -53,12 +62,18 @@ BOOL = Type("bool")
 INT = Type("int")
 
 
-@dataclass
-class VcgenConfig:
-    fuel: int = 1
+@dataclass(frozen=True)
+class RunConfig:
+    """The one config of a run: vcgen makes the engine's input under its
+    strategy, fuel and imports; the driver reads the rest."""
     strategy: str = trig.CONSERVATIVE
+    fuel: int = 1
+    limits: Limits = Limits()
     no_default_prelude: bool = False
     ambient: tuple[str, ...] = ()
+    usage_report: bool = False
+    jobs: int = 1
+    no_timing: bool = False
 
 
 @dataclass
@@ -69,6 +84,7 @@ class QuantifiedFact:
     conclusion: Expr
     triggers: trig.TriggerSelection
     origin: Origin
+    strategy: str  # the run's, for the quantifiers nested in the fact
     # the engine's form of the fact, built with it
     engine: EngineFact | None = field(default=None, repr=False, compare=False)
     # the mono symbols the conclusion calls, then those the hypothesis calls
@@ -79,7 +95,7 @@ class QuantifiedFact:
             self.engine = make_fact(self.key, self.origin.path, self.binders,
                                     self.hypothesis, self.conclusion,
                                     [g.exprs for g in self.triggers.groups],
-                                    frozenset([self.origin]))
+                                    frozenset([self.origin]), self.strategy)
         exprs = [self.conclusion]
         if self.hypothesis is not None:
             exprs.append(self.hypothesis)
@@ -88,7 +104,8 @@ class QuantifiedFact:
 
 @dataclass
 class FactContext:
-    ground: list[tuple[Expr, Origin]] = field(default_factory=list)
+    # hypotheses, each compiled once, when it enters, and shared by snapshots
+    ground: list[tuple[Expr, Origin, Formula]] = field(default_factory=list)
     facts: list[QuantifiedFact] = field(default_factory=list)
     by_key: dict[str, QuantifiedFact] = field(default_factory=dict, repr=False)
 
@@ -113,10 +130,12 @@ class Site:
 @dataclass
 class Obligation:
     goal: Expr
+    compiled: Formula  # the goal's compiled form
     context: FactContext
     site: Site
     function: str
     params: dict[str, Type]
+    strategy: str  # the trigger strategy it was made under
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +167,8 @@ def lower_quantified_fact(inst: MonoFn, strategy: str) -> QuantifiedFact:
     selection = trig.infer_triggers(quant, strategy)
     kind = "lemma" if inst.kind == "proof" else "axiom"
     origin = Origin(kind, inst.decl_path)
-    return QuantifiedFact(inst.symbol, binders, hyp, concl, selection, origin)
+    return QuantifiedFact(inst.symbol, binders, hyp, concl, selection, origin,
+                          strategy)
 
 
 def _copy_expr(e: Expr, vars: dict[str, Expr], calls: dict[str, str]) -> Expr:
@@ -179,8 +199,8 @@ def _self_call(inst: MonoFn, symbol: str) -> Call:
                 resolved=symbol, ty=decl.ret)
 
 
-def definitional_axiom(inst: MonoFn, fuel: int,
-                       program: Program) -> list[QuantifiedFact]:
+def definitional_axiom(inst: MonoFn, fuel: int, program: Program,
+                       strategy: str) -> list[QuantifiedFact]:
     """Unfolding facts for a spec fn. Non-recursive: one unconditional
     equational fact. Recursive: `fuel` levels, recursive calls at level k
     rewritten to level k-1 symbols; level 0 stays uninterpreted."""
@@ -194,7 +214,7 @@ def definitional_axiom(inst: MonoFn, fuel: int,
         concl = BinOp(decl.span, op=op, lhs=lhs, rhs=body, ty=BOOL)
         groups = [trig.TriggerGroup((lhs,))]
         sel = trig.TriggerSelection(groups, trig.MANUAL)
-        return QuantifiedFact(key, binders, None, concl, sel, origin)
+        return QuantifiedFact(key, binders, None, concl, sel, origin, strategy)
 
     if decl.body is None:
         if decl.ret.name == "nat":
@@ -203,7 +223,7 @@ def definitional_axiom(inst: MonoFn, fuel: int,
             concl = BinOp(decl.span, op="<=", lhs=zero, rhs=lhs, ty=BOOL)
             sel = trig.TriggerSelection([trig.TriggerGroup((lhs,))], trig.MANUAL)
             return [QuantifiedFact(f"{inst.symbol}#range", binders, None, concl,
-                                   sel, origin)]
+                                   sel, origin, strategy)]
         return []
     if fuel <= 0:
         return []
@@ -251,17 +271,17 @@ LoweredFacts = dict[tuple[str, str, int],
 
 class VcgenRun:
     """What the tasks of one run share: the resolved program, its registry,
-    the config and the lowered facts, plus what the run works out once and
-    only for itself: each import path's instances and each spec fn's callees.
-    `lowered` may outlive the run (see `LoweredFacts`); the rest must not, as
-    it depends on the program."""
+    the run's config and the lowered facts, plus what the run works out once
+    and only for itself: each import path's instances and each spec fn's
+    callees. `lowered` may outlive the run (see `LoweredFacts`); the rest
+    must not, as it depends on the program."""
 
     def __init__(self, program: Program, registry: BroadcastRegistry,
-                 config: VcgenConfig | None = None,
+                 config: RunConfig = RunConfig(),
                  lowered: LoweredFacts | None = None):
         self.program = program
         self.registry = registry
-        self.config = config or VcgenConfig()
+        self.config = config
         self.lowered = {} if lowered is None else lowered
         self._imported: dict[str, tuple[tuple[MonoFn, bool], ...]] = {}
         self._body_calls: dict[str, tuple[str, ...]] = {}
@@ -287,7 +307,8 @@ class VcgenRun:
         entry = self.lowered.get(key)
         if entry is None or entry[0] is not inst.decl or entry[1] != scc:
             if inst.kind == "spec":
-                facts = definitional_axiom(inst, self.config.fuel, self.program)
+                facts = definitional_axiom(inst, self.config.fuel, self.program,
+                                           self.config.strategy)
             else:
                 facts = [lower_quantified_fact(inst, self.config.strategy)]
             entry = self.lowered[key] = (inst.decl, scc, facts)
@@ -324,6 +345,7 @@ class _ObligationBuilder:
         self.program = run.program
         self.config = run.config
         self.inst = run.program.verify_instance(task)
+        self.params = {p.name: p.ty for p in self.inst.decl.params}
         self.obligations: list[Obligation] = []
 
     # -- fact construction -------------------------------------------------------
@@ -357,15 +379,14 @@ class _ObligationBuilder:
                                   not self.config.no_default_prelude):
             self.import_facts(ctx, path)
 
-        params = {p.name: p.ty for p in decl.params}
         for p in decl.params:
             if p.ty.name == "nat":
                 span = decl.span
                 bound = BinOp(span, op="<=", lhs=IntLit(span, value=0, ty=INT),
                               rhs=Var(span, name=p.name, ty=INT), ty=BOOL)
-                ctx.ground.append((bound, Origin("local", f"param {p.name}", span)))
+                self._assume(ctx, bound, Origin("local", f"param {p.name}", span))
         for i, r in enumerate(decl.requires):
-            ctx.ground.append((r, Origin("local", f"requires#{i}", r.span)))
+            self._assume(ctx, r, Origin("local", f"requires#{i}", r.span))
 
         # definitional axioms for every spec fn reachable from the function's
         # expressions or its imported facts
@@ -374,7 +395,7 @@ class _ObligationBuilder:
         self._walk(decl.body, ctx)
 
         for i, e in enumerate(decl.ensures):
-            self._emit(e, ctx, Site("ensures", e.span, i), params)
+            self._emit(e, ctx, Site("ensures", e.span, i))
         return self.obligations
 
     def _add_definitions(self, ctx: FactContext):
@@ -402,18 +423,18 @@ class _ObligationBuilder:
 
     def _walk(self, stmts: list[Stmt], ctx: FactContext):
         for s in stmts:
-            if isinstance(s, Assert):
-                self._emit(s.expr, ctx, Site("assert", s.span), self._params())
-                ctx.ground.append((s.expr, Origin("local", "assert", s.span)))
-            elif isinstance(s, AssertBy):
-                inner = ctx.snapshot()
-                self._walk(s.body, inner)
-                self._emit(s.expr, inner, Site("assert", s.span), self._params())
-                ctx.ground.append((s.expr, Origin("local", "assert", s.span)))
+            if isinstance(s, (Assert, AssertBy)):
+                inner = ctx
+                if isinstance(s, AssertBy):
+                    inner = ctx.snapshot()
+                    self._walk(s.body, inner)
+                # compiled once: the goal here, then a hypothesis of `ctx`
+                f = self._emit(s.expr, inner, Site("assert", s.span))
+                self._assume(ctx, s.expr, Origin("local", "assert", s.span), f)
             elif isinstance(s, Let):
                 lhs = Var(s.span, name=s.name, ty=s.expr.ty)
                 eq = BinOp(s.span, op="==", lhs=lhs, rhs=s.expr, ty=BOOL)
-                ctx.ground.append((eq, Origin("local", f"let {s.name}", s.span)))
+                self._assume(ctx, eq, Origin("local", f"let {s.name}", s.span))
             elif isinstance(s, LemmaCall):
                 self._lemma_call(s, ctx)
             elif isinstance(s, UseStmt):
@@ -430,24 +451,29 @@ class _ObligationBuilder:
             if p.ty.name == "nat":
                 bound = BinOp(s.span, op="<=",
                               lhs=IntLit(s.span, value=0, ty=INT), rhs=a, ty=BOOL)
-                self._emit(bound, ctx, Site("lemma-pre", s.span, index),
-                           self._params())
+                self._emit(bound, ctx, Site("lemma-pre", s.span, index))
                 index += 1
         for r in callee.decl.requires:
             self._emit(_copy_expr(r, mapping, {}), ctx,
-                       Site("lemma-pre", s.span, index), self._params())
+                       Site("lemma-pre", s.span, index))
             index += 1
         for e in callee.decl.ensures:
-            ctx.ground.append((_copy_expr(e, mapping, {}),
-                               Origin("local", f"call {s.path}", s.span)))
+            self._assume(ctx, _copy_expr(e, mapping, {}),
+                         Origin("local", f"call {s.path}", s.span))
 
-    def _params(self) -> dict[str, Type]:
-        return {p.name: p.ty for p in self.inst.decl.params}
+    def _assume(self, ctx: FactContext, e: Expr, origin: Origin,
+                compiled: Formula | None = None):
+        if compiled is None:
+            compiled = compile_formula(e, self.config.strategy)
+        ctx.ground.append((e, origin, compiled))
 
-    def _emit(self, goal: Expr, ctx: FactContext, site: Site,
-              params: dict[str, Type]):
-        self.obligations.append(
-            Obligation(goal, ctx.snapshot(), site, self.task, params))
+    def _emit(self, goal: Expr, ctx: FactContext, site: Site) -> Formula:
+        """Add the obligation to prove `goal`; return its compiled form."""
+        compiled = compile_formula(goal, self.config.strategy)
+        self.obligations.append(Obligation(goal, compiled, ctx.snapshot(), site,
+                                           self.task, self.params,
+                                           self.config.strategy))
+        return compiled
 
 
 def generate_obligations(task: str, run: VcgenRun) -> list[Obligation]:
@@ -456,10 +482,8 @@ def generate_obligations(task: str, run: VcgenRun) -> list[Obligation]:
     return _ObligationBuilder(task, run).build()
 
 
-def prove_obligation(ob: Obligation, limits: Limits = Limits(),
-                     strategy: str = trig.CONSERVATIVE) -> Outcome:
-    ground = [(e, frozenset([o])) for e, o in ob.context.ground]
+def prove_obligation(ob: Obligation, limits: Limits = Limits()) -> Outcome:
+    ground = [(f, frozenset([o])) for _, o, f in ob.context.ground]
     facts = [qf.engine for qf in ob.context.facts]
     goal_origin = frozenset([Origin("goal", ob.site.describe(), ob.site.span)])
-    return prove(ground, facts, ob.goal, goal_origin, limits, strategy,
-                 params=ob.params)
+    return prove(ground, facts, ob.compiled, goal_origin, limits, ob.params)

@@ -19,6 +19,7 @@ from tunav.driver import (
     verify_program,
 )
 from tunav.engine import Limits, Origin, eval_finite, make_fact, prove
+from tunav.engine.prover import compile_formula
 from tunav.errors import CycleError
 from tunav.metrics import compare_metrics, records_of_run
 from tunav.minimize import enumerate_assert_sites, minimize
@@ -236,14 +237,16 @@ def _random_obligation(rng, n):
 
     hyps = [clause() for _ in range(rng.randint(1, 3))]
     goal = clause()
-    facts = []
+    facts, bodies = [], []
     if rng.random() < 0.5:
         body = _b(rng.choice(["==>", "||"]), _call("p", _iv("x"), ty=BOOL),
                   _b(rng.choice(["<=", "=="]), _call("f", _iv("x")), _iv("x")))
         facts.append(make_fact("rf", "rf", [("x", INT)], None, body,
                                [(_call("f", _iv("x")),)],
-                               frozenset([Origin("lemma", "rf")])))
-    return hyps, facts, goal
+                               frozenset([Origin("lemma", "rf")]),
+                               trig.CONSERVATIVE))
+        bodies.append(body)
+    return hyps, facts, bodies, goal
 
 
 def test_criterion_04_soundness_property_suite():
@@ -257,8 +260,9 @@ def test_criterion_04_soundness_property_suite():
     checked_interps = 0
     for seed in range(1000):
         rng = random.Random(seed)
-        hyps, facts, goal = _random_obligation(rng, n)
-        out = prove([(h, H) for h in hyps], facts, goal, G,
+        hyps, facts, bodies, goal = _random_obligation(rng, n)
+        out = prove([(compile_formula(h, trig.CONSERVATIVE), H) for h in hyps],
+                    facts, compile_formula(goal, trig.CONSERVATIVE), G,
                     limits=Limits(max_rounds=3, max_instantiations=300),
                     params={"c": INT, "d": INT})
         if out.status != "verified":
@@ -270,9 +274,8 @@ def test_criterion_04_soundness_property_suite():
             funcs = {"f": {i: irng.randrange(n) for i in range(n)},
                      "p": {i: irng.random() < 0.5 for i in range(n)}}
             hyps_hold = all(eval_finite(h, n, env, funcs) for h in hyps)
-            for fa in facts:
-                q = Forall(SPAN, binders=[Binder("x", INT)], body=fa.body,
-                           ty=BOOL)
+            for body in bodies:
+                q = Forall(SPAN, binders=[Binder("x", INT)], body=body, ty=BOOL)
                 hyps_hold = hyps_hold and eval_finite(q, n, env, funcs)
             if not hyps_hold:
                 continue
@@ -305,11 +308,11 @@ def test_criterion_05_core_trim(corpus_resolution):
     config = RunConfig()
     trimmed_ok = 0
     for task in tasks:
-        obs = generate_obligations(task, VcgenRun(program, registry, config.vcgen()))
+        obs = generate_obligations(task, VcgenRun(program, registry, config))
         core = set()
         outs = []
         for ob in obs:
-            out = prove_obligation(ob, config.limits, config.strategy)
+            out = prove_obligation(ob, config.limits)
             outs.append(out)
             if out.verified:
                 core |= set(out.used_core)
@@ -319,7 +322,7 @@ def test_criterion_05_core_trim(corpus_resolution):
             kept = [qf for qf in ob.context.facts if qf.origin.path in core_paths]
             trimmed = dataclasses.replace(
                 ob, context=dataclasses.replace(ob.context, facts=kept))
-            out = prove_obligation(trimmed, config.limits, config.strategy)
+            out = prove_obligation(trimmed, config.limits)
             assert out.verified, f"core-trim broke {task} at {ob.site.describe()}"
         trimmed_ok += 1
     ok(5, f"used-core trim re-verifies {trimmed_ok}/{len(tasks)} functions (100%)")
@@ -428,10 +431,11 @@ def test_criterion_09_matching_loop_termination():
               BinOp(SPAN, op="+", lhs=_call("f", _iv("x")), rhs=_il(1), ty=INT))
     loop_fact = make_fact("loop", "loop", [("x", INT)], None, body,
                           [(_call("f", _iv("x")),)],
-                          frozenset([Origin("lemma", "loop")]))
-    hyp = (_b("==", _call("f", _il(0)), _call("f", _il(0))),
+                          frozenset([Origin("lemma", "loop")]), trig.CONSERVATIVE)
+    hyp = (compile_formula(_b("==", _call("f", _il(0)), _call("f", _il(0))),
+                           trig.CONSERVATIVE),
            frozenset([Origin("local", "seed")]))
-    goal = _call("p", _il(0), ty=BOOL)
+    goal = compile_formula(_call("p", _il(0), ty=BOOL), trig.CONSERVATIVE)
     limits = Limits()
     out = prove([hyp], [loop_fact], goal, frozenset([Origin("goal", "g")]),
                 limits=limits)

@@ -22,7 +22,7 @@ from tunav.engine.arith import (
     check_constraints,
 )
 from tunav.engine.finite import eval_finite
-from tunav.engine.prover import ProverState
+from tunav.engine.prover import ProverState, compile_formula
 from tunav.syntax.ast import BinOp, IntLit, Not, SourceSpan, Type, Var
 from tunav.vcgen import VcgenRun, generate_obligations, prove_obligation
 
@@ -202,7 +202,8 @@ def obligations(draw):
 def test_prove_linear_obligations_sound(obligation):
     names, hyps, goal = obligation
     hyp = frozenset([Origin("local", "hyp")])
-    out = prove([(h, hyp) for h in hyps], [], goal,
+    out = prove([(compile_formula(h, trig.CONSERVATIVE), hyp) for h in hyps], [],
+                compile_formula(goal, trig.CONSERVATIVE),
                 frozenset([Origin("goal", "goal")]),
                 Limits(max_rounds=2, max_splits=200),
                 params={name: INT for name in names})

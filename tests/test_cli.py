@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from tunav.cli import main
+from tunav.metrics import read_metrics
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -77,6 +78,21 @@ def test_prelude_only(capsys):
     assert main(["verify", "--prelude-only", "--no-timing"]) == 0
     out = capsys.readouterr().out
     assert "PASS prelude::seq::lemma_seq_contains_after_push" in out
+
+
+def test_prelude_only_writes_metrics_and_smtlib(tmp_path, capsys):
+    """`--prelude-only` writes both outputs, each naming exactly the prelude
+    tasks that the report lists."""
+    metrics, smt = str(tmp_path / "m.json"), str(tmp_path / "smt")
+    assert main(["verify", "--prelude-only", "--no-timing", "--metrics-out",
+                 metrics, "--emit-smtlib", smt]) == 0
+    reported = {line.split()[1] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("PASS ")}
+    assert reported and all(t.startswith("prelude::") for t in reported)
+    assert {r.function for r in read_metrics(metrics)} == reported
+    scripts = {os.path.basename(p).rsplit("__", 1)[0]
+               for p in glob.glob(os.path.join(smt, "*.smt2"))}
+    assert scripts == {t.replace("::", "_") for t in reported}
 
 
 def test_metrics_and_compare(tmp_path, ok_file, capsys):

@@ -550,27 +550,87 @@ def _record_lowerings(monkeypatch) -> list:
 
 def test_engine_facts_built_once_per_run(monkeypatch):
     """Each lowered fact is converted to the engine's form once per run, and
-    every context holds that one fact; only quantifiers met while proving are
-    converted per obligation."""
+    every context holds that one fact. Each hypothesis and goal is compiled
+    once, by vcgen, and each nested quantifier the engine registers selects
+    its triggers once per polarity, not once per registration."""
     keys = []
-    displays = set()
+    displays = []
     to_engine, in_engine = vcgen.make_fact, prover.make_fact
+    compile_formula = prover.compile_formula
+    # expressions compiled as hypotheses or goals (vcgen), and as fact or
+    # quantifier bodies (the prover); kept alive so that no id is reused
+    compiled = {vcgen: [], prover: []}
 
     def recording(key, *args, **kwargs):
         keys.append(key)
         return to_engine(key, *args, **kwargs)
 
     def recording_local(key, display, *args, **kwargs):
-        displays.add(display)
+        displays.append(display)
         return in_engine(key, display, *args, **kwargs)
+
+    def compiling_in(module):
+        def compiling(e, strategy):
+            compiled[module].append(e)
+            return compile_formula(e, strategy)
+        return compiling
 
     monkeypatch.setattr(vcgen, "make_fact", recording)
     monkeypatch.setattr(prover, "make_fact", recording_local)
+    for module in compiled:
+        monkeypatch.setattr(module, "compile_formula", compiling_in(module))
     run = verify_program(load_sources(CORPUS), RunConfig())
     assert _run_counts(run) == (176, 693, 160, 188)
     assert len(keys) > 60
     assert len(keys) == len(set(keys))
-    assert displays == {"<local quantifier>"}
+    # 20 (quantifier, polarity) pairs, which a run registers 40 times
+    assert displays == ["<local quantifier>"] * 20
+    for exprs in compiled.values():
+        assert len({id(e) for e in exprs}) == len(exprs)
+    # one compile per distinct hypothesis or goal of the corpus
+    assert len(compiled[vcgen]) == 261
+
+
+@pytest.mark.parametrize("clause, error", [
+    # a goal's `forall` is skolemized, never registered: no triggers needed
+    ("ensures forall|i: int| i >= 0 ==> i >= 0", None),
+    ("requires forall|i: int| i >= 0 ensures x == x",
+     "no valid trigger: candidates do not mention every quantified variable"),
+])
+def test_nested_quantifier_selects_triggers_only_when_registered(clause, error):
+    src = f"proof fn p(x: int) {clause} {{ }}"
+    if error is None:
+        assert run_src(src).results["user::p"].passed
+    else:
+        with pytest.raises(TriggerError, match=error):
+            run_src(src)
+
+
+# The layer entry points the benchmark's `--trace 1` wraps by name in
+# `tunav.driver` (`DRIVER_LAYERS` in bench/workloads.py).
+DRIVER_LAYERS = ("load_prelude", "resolve_program", "order_tasks",
+                 "generate_obligations", "prove_obligation")
+
+
+def test_driver_calls_each_layer_through_its_module(monkeypatch):
+    """A run calls every traced layer through `tunav.driver`'s namespace, so
+    a wrapper put there sees each call: one per run, per task, or per
+    obligation."""
+    calls = Counter()
+
+    def counting(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in DRIVER_LAYERS:
+        monkeypatch.setattr(driver, name, counting(name, getattr(driver, name)))
+    run = verify_program(load_sources(CORPUS), RunConfig(jobs=1))
+    assert _run_counts(run) == (176, 693, 160, 188)
+    assert calls == {"load_prelude": 1, "resolve_program": 1, "order_tasks": 1,
+                     "generate_obligations": len(run.results),
+                     "prove_obligation": 176}
 
 
 def test_broadcast_facts_lowered_once_per_run(monkeypatch):

@@ -1,9 +1,11 @@
+import gc
 import random
 
 import pytest
 
 from tunav.driver import RunConfig, verify_program
 from tunav.engine import Limits, Origin, ProverState, eval_finite, make_fact, prove
+from tunav.engine.prover import compile_formula
 from tunav.engine.arith import (
     CONSISTENT,
     INCONSISTENT,
@@ -11,6 +13,7 @@ from tunav.engine.arith import (
     check_constraints,
 )
 from tunav.syntax.ast import BinOp, BoolLit, Call, IntLit, SourceSpan, Type, Var
+from tunav.triggers import CONSERVATIVE
 
 SPAN = SourceSpan("t.tv", 0, 1, 1, 1)
 INT = Type("int")
@@ -45,7 +48,17 @@ def b(op, lhs, rhs, ty=BOOL):
 
 def fact(name, binders, hyp, concl, trigger_exprs):
     return make_fact(name, name, binders, hyp, concl, [tuple(trigger_exprs)],
-                     frozenset([Origin("lemma", name)]))
+                     frozenset([Origin("lemma", name)]), CONSERVATIVE)
+
+
+def compiled(e):
+    return compile_formula(e, CONSERVATIVE)
+
+
+def prove_exprs(hyps, facts, goal, goal_origins, **kwargs):
+    """`prove` on expressions, compiled as vcgen compiles them."""
+    return prove([(compiled(h), o) for h, o in hyps], facts, compiled(goal),
+                 goal_origins, **kwargs)
 
 
 # -- arithmetic ----------------------------------------------------------------
@@ -170,13 +183,13 @@ def test_ematch_modulo_congruence():
 
 
 def test_prove_unsatisfiable_goal_fails():
-    out = prove([], [], b("==", il(1), il(2)), G)
+    out = prove_exprs([], [], b("==", il(1), il(2)), G)
     assert out.status == "failed"
 
 
 def test_prove_ground_tautology():
-    out = prove([(b("<", il(0), iv("x")), H)], [], b("<=", il(0), iv("x")), G,
-                params={"x": INT})
+    out = prove_exprs([(b("<", il(0), iv("x")), H)], [], b("<=", il(0), iv("x")), G,
+                      params={"x": INT})
     assert out.status == "verified"
 
 
@@ -185,7 +198,7 @@ def test_prove_uses_fact_and_reports_core():
     f = fact("imp", [("i", INT)], call("p", iv("i"), ty=BOOL),
              call("q", iv("i"), ty=BOOL), [call("p", iv("i"), ty=BOOL)])
     hyp = (call("p", iv("c"), ty=BOOL), H)
-    out = prove([hyp], [f], call("q", iv("c"), ty=BOOL), G, params={"c": INT})
+    out = prove_exprs([hyp], [f], call("q", iv("c"), ty=BOOL), G, params={"c": INT})
     assert out.status == "verified"
     assert Origin("lemma", "imp") in out.used_core
     assert out.instantiations.get("imp") == 1
@@ -193,7 +206,7 @@ def test_prove_uses_fact_and_reports_core():
 
 def test_prove_failed_without_needed_fact():
     hyp = (call("p", iv("c"), ty=BOOL), H)
-    out = prove([hyp], [], call("q", iv("c"), ty=BOOL), G, params={"c": INT})
+    out = prove_exprs([hyp], [], call("q", iv("c"), ty=BOOL), G, params={"c": INT})
     assert out.status == "failed"
 
 
@@ -203,7 +216,7 @@ def test_matching_loop_self_feeding_unknown_rounds():
     f = fact("loop", [("x", INT)], None, body, [call("f", iv("x"))])
     hyp = (b("==", call("f", il(0)), call("f", il(0))), H)
     goal = call("p", il(0), ty=BOOL)
-    out = prove([hyp], [f], goal, G, limits=Limits(max_rounds=5))
+    out = prove_exprs([hyp], [f], goal, G, limits=Limits(max_rounds=5))
     assert out.status == "unknown" and out.reason == "rounds"
     assert out.rounds_used <= 5
     assert sum(out.instantiations.values()) <= 10_000
@@ -216,10 +229,10 @@ def test_merging_self_feeding_fact_saturates():
     f = fact("idem", [("x", INT)], None, body, [call("f", iv("x"))])
     hyp = (b("==", call("f", il(0)), call("f", il(0))), H)
     goal = call("p", il(0), ty=BOOL)
-    out = prove([hyp], [f], goal, G)
+    out = prove_exprs([hyp], [f], goal, G)
     assert out.status == "failed"
     # under a tighter round cap the same fact reports unknown(rounds)
-    out2 = prove([hyp], [f], goal, G, limits=Limits(max_rounds=2))
+    out2 = prove_exprs([hyp], [f], goal, G, limits=Limits(max_rounds=2))
     assert out2.status == "unknown" and out2.reason == "rounds"
 
 
@@ -230,7 +243,8 @@ def test_case_split_on_disjunction():
     f2 = fact("qr", [("i", INT)], call("q", iv("i"), ty=BOOL),
               call("r", iv("i"), ty=BOOL), [call("q", iv("i"), ty=BOOL)])
     hyp = (b("||", call("p", iv("c"), ty=BOOL), call("q", iv("c"), ty=BOOL)), H)
-    out = prove([hyp], [f1, f2], call("r", iv("c"), ty=BOOL), G, params={"c": INT})
+    out = prove_exprs([hyp], [f1, f2], call("r", iv("c"), ty=BOOL), G,
+                      params={"c": INT})
     assert out.status == "verified"
     assert out.splits_used >= 1
     assert {o.path for o in out.used_core} >= {"pr", "qr", "hyp", "goal"}
@@ -240,8 +254,8 @@ def test_first_pending_is_newest_disjunction():
     st = ProverState()
     older = b("||", call("p", iv("c"), ty=BOOL), call("q", iv("c"), ty=BOOL))
     newer = b("||", call("r", iv("c"), ty=BOOL), call("s", iv("c"), ty=BOOL))
-    st.assert_expr(older, True, {}, H)
-    st.assert_expr(newer, True, {}, G)
+    st.assert_formula(compiled(older), True, {}, H)
+    st.assert_formula(compiled(newer), True, {}, G)
     st.propagate()
     assert [d.origins for d in st.disjs] == [H, G]
     c = st.graph.lookup("%c", ())
@@ -270,6 +284,9 @@ def test_heavy_prelude_lemma_split_bound():
 def test_time_budget_bounds_every_obligation():
     """A 5 ms budget stops the heavy lemma's ensures (tens of ms unbounded),
     and no obligation runs far past its budget."""
+    # a full collection of the garbage earlier tests left (tens of ms over
+    # this process's heap) must not land inside the run it times
+    gc.collect()
     run = verify_program([], RunConfig(limits=Limits(time_budget_ms=5)))
     result = run.results["prelude::seq::lemma_seq_contains_after_push"]
     [ensures] = [out for site, out in result.obligations
@@ -284,8 +301,8 @@ def test_time_budget_bounds_every_obligation():
 def test_int_disequality_splits():
     # x <= y, x >= y |- x == y  needs the != split
     hyps = [(b("<=", iv("x"), iv("y")), H), (b("<=", iv("y"), iv("x")), H)]
-    out = prove(hyps, [], b("==", iv("x"), iv("y")), G,
-                params={"x": INT, "y": INT})
+    out = prove_exprs(hyps, [], b("==", iv("x"), iv("y")), G,
+                      params={"x": INT, "y": INT})
     assert out.status == "verified"
 
 
@@ -293,8 +310,8 @@ def test_congruence_closure_chain():
     # a == b, b == c |- f(a) == f(c)
     hyps = [(b("==", iv("a"), iv("b")), frozenset([Origin("local", "h1")])),
             (b("==", iv("b"), iv("c")), frozenset([Origin("local", "h2")]))]
-    out = prove(hyps, [], b("==", call("f", iv("a")), call("f", iv("c"))), G,
-                params={"a": INT, "b": INT, "c": INT})
+    out = prove_exprs(hyps, [], b("==", call("f", iv("a")), call("f", iv("c"))), G,
+                      params={"a": INT, "b": INT, "c": INT})
     assert out.status == "verified"
     assert {o.path for o in out.used_core} >= {"h1", "h2"}
 
@@ -307,21 +324,22 @@ def test_core_excludes_irrelevant_facts():
               b("==", call("g", iv("i")), call("g", iv("i"))),
               [call("g", iv("i"))])
     hyp = (call("p", iv("c"), ty=BOOL), H)
-    out = prove([hyp], [f1, f2], call("q", iv("c"), ty=BOOL), G, params={"c": INT})
+    out = prove_exprs([hyp], [f1, f2], call("q", iv("c"), ty=BOOL), G,
+                      params={"c": INT})
     assert out.status == "verified"
     assert Origin("lemma", "used") in out.used_core
     assert Origin("lemma", "unused") not in out.used_core
 
 
 def test_mod_constant_folding():
-    out = prove([], [], b("==", b("%", il(7), il(2), INT), il(1)), G)
+    out = prove_exprs([], [], b("==", b("%", il(7), il(2), INT), il(1)), G)
     assert out.status == "verified"
 
 
 def test_mod_range_fact():
     # 0 <= x % 3 <= 2 holds without any hypotheses
-    out = prove([], [], b("<=", b("%", iv("x"), il(3), INT), il(2)), G,
-                params={"x": INT})
+    out = prove_exprs([], [], b("<=", b("%", iv("x"), il(3), INT), il(2)), G,
+                      params={"x": INT})
     assert out.status == "verified"
 
 
@@ -330,8 +348,8 @@ def test_mod_range_atoms_added_once_per_term():
     # time a formula mentions it
     st = ProverState()
     mod = b("%", iv("x"), il(5), INT)
-    st.assert_expr(b("<=", il(1), mod), True, {}, H)
-    st.assert_expr(b("<", mod, il(3)), True, {}, H)
+    st.assert_formula(compiled(b("<=", il(1), mod)), True, {}, H)
+    st.assert_formula(compiled(b("<", mod, il(3))), True, {}, H)
     st.propagate()
     g = st.graph
     t = g.lookup("%", (g.lookup("%x", ()), g.lookup("#i5", ())))
@@ -348,7 +366,7 @@ def test_existential_hypothesis_skolemized():
     f = fact("pq", [("i", INT)], call("p", iv("i"), ty=BOOL),
              BoolLit(SPAN, value=False, ty=BOOL), [call("p", iv("i"), ty=BOOL)])
     # exists w. p(w), and forall i. p(i) ==> false: contradiction, so anything holds
-    out = prove([(ex, H)], [f], call("q", il(0), ty=BOOL), G)
+    out = prove_exprs([(ex, H)], [f], call("q", il(0), ty=BOOL), G)
     assert out.status == "verified"
 
 
@@ -358,10 +376,10 @@ def test_nat_binder_adds_bound():
     f = fact("defn", [("n", NAT)], None,
              b("==", call("f", iv("n")), iv("n")), [call("f", iv("n"))])
     goal = b("==", call("f", il(-1)), il(-1))
-    out = prove([], [f], goal, G)
+    out = prove_exprs([], [f], goal, G)
     assert out.status == "failed"
     goal2 = b("==", call("f", il(4)), il(4))
-    out2 = prove([], [f], goal2, G)
+    out2 = prove_exprs([], [f], goal2, G)
     assert out2.status == "verified"
 
 
@@ -409,22 +427,23 @@ def random_obligation(rng, n):
 
     hyps = [clause() for _ in range(rng.randint(1, 3))]
     goal = clause()
-    facts = []
+    facts, bodies = [], []
     if rng.random() < 0.5:
         body = b(rng.choice(["==>", "||"]), call("p", iv("x"), ty=BOOL),
                  b(rng.choice(["<=", "=="]), call("f", iv("x")), iv("x")))
         facts.append(fact(f"rf", [("x", INT)], None, body, [call("f", iv("x"))]))
-    return hyps, facts, goal
+        bodies.append(body)
+    return hyps, facts, bodies, goal
 
 
 @pytest.mark.parametrize("seed", range(40))
 def test_soundness_against_finite_oracle(seed):
     rng = random.Random(seed)
     n = 3
-    hyps, facts, goal = random_obligation(rng, n)
-    out = prove([(h, H) for h in hyps], facts,
-                goal, G, limits=Limits(max_rounds=3, max_instantiations=300),
-                params={"c": INT, "d": INT})
+    hyps, facts, bodies, goal = random_obligation(rng, n)
+    out = prove_exprs([(h, H) for h in hyps], facts,
+                      goal, G, limits=Limits(max_rounds=3, max_instantiations=300),
+                      params={"c": INT, "d": INT})
     if out.status != "verified":
         return
     # Verified => the implication holds for every sampled interpretation
@@ -437,9 +456,9 @@ def test_soundness_against_finite_oracle(seed):
             "p": {i: irng.random() < 0.5 for i in range(n)},
         }
         ok_hyps = all(eval_finite(h, n, env, funcs) for h in hyps)
-        for fa in facts:
-            body = Forall(SPAN, binders=[Binder("x", INT)], body=fa.body, ty=BOOL)
-            ok_hyps = ok_hyps and eval_finite(body, n, env, funcs)
+        for body in bodies:
+            q = Forall(SPAN, binders=[Binder("x", INT)], body=body, ty=BOOL)
+            ok_hyps = ok_hyps and eval_finite(q, n, env, funcs)
         if not ok_hyps:
             continue
         assert eval_finite(goal, n, env, funcs), (

@@ -16,9 +16,7 @@ from tunav.prelude import PRELUDE_FILES, load_prelude
 from tunav.smtlib import emit_all
 from tunav.syntax import parse_module
 from tunav.syntax.render import render_expr
-from tunav.triggers import CONSERVATIVE
 from tunav.vcgen import (
-    VcgenConfig,
     VcgenRun,
     generate_obligations,
     prove_obligation,
@@ -45,12 +43,12 @@ def test_resolved_program_unmodified(tmp_path):
     program, registry = resolve_with_prelude(load_sources(CORPUS))
     before = pickle.dumps(program.instances)
     obligations = []
-    run = VcgenRun(program, registry, VcgenConfig())
+    run = VcgenRun(program, registry, RunConfig())
     for task in program.proof_fns():
         for ob in generate_obligations(task, run):
             prove_obligation(ob)
             obligations.append(ob)
-    emit_all(obligations, str(tmp_path), CONSERVATIVE)
+    emit_all(obligations, str(tmp_path))
     for inst in program.instances.values():
         for e in getattr(inst.decl, "requires", []) + getattr(inst.decl, "ensures", []):
             render_expr(e)

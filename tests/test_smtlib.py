@@ -3,11 +3,11 @@ import os
 
 import pytest
 
-from tunav.driver import resolve_with_prelude
+from tunav.driver import RunConfig, resolve_with_prelude
 from tunav.smtlib import emit_all
 from tunav.syntax import parse_module
 from tunav.triggers import ALL_TRIGGERS, CONSERVATIVE
-from tunav.vcgen import VcgenConfig, VcgenRun, generate_obligations
+from tunav.vcgen import VcgenRun, generate_obligations
 
 SRC = """
 proof fn push_contains(a: Seq<int>) {
@@ -29,7 +29,7 @@ def test_emit_obligations(tmp_path):
     obs = []
     for task in ("user::push_contains", "user::quantified"):
         obs.extend(generate_obligations(task, VcgenRun(program, registry)))
-    emit_all(obs, str(tmp_path), CONSERVATIVE)
+    emit_all(obs, str(tmp_path))
     files = sorted(glob.glob(os.path.join(str(tmp_path), "*.smt2")))
     assert len(files) == len(obs)
     text = open(files[0]).read()
@@ -58,7 +58,7 @@ proof fn q(t: Seq<int>)
 """
     program, registry = resolve_with_prelude([parse_module(src, "q.tv", module="q")])
     obs = generate_obligations("q::q", VcgenRun(program, registry))
-    emit_all(obs, str(tmp_path), CONSERVATIVE)
+    emit_all(obs, str(tmp_path))
     [path] = glob.glob(os.path.join(str(tmp_path), "*.smt2"))
     with open(path) as fh:
         text = fh.read()
@@ -81,8 +81,8 @@ proof fn q(x: int)
 """
     program, registry = resolve_with_prelude([parse_module(src, "q.tv", module="q")])
     obs = generate_obligations(
-        "q::q", VcgenRun(program, registry, VcgenConfig(strategy=strategy)))
-    emit_all(obs, str(tmp_path), strategy)
+        "q::q", VcgenRun(program, registry, RunConfig(strategy=strategy)))
+    emit_all(obs, str(tmp_path))
     [path] = glob.glob(os.path.join(str(tmp_path), "*.smt2"))
     with open(path) as fh:
         [hyp] = [line for line in fh if ":named |hyp-requires#0|" in line]

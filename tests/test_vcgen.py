@@ -1,12 +1,11 @@
 import glob
 import os
 
-from tunav.driver import load_sources, resolve_with_prelude
+from tunav.driver import RunConfig, load_sources, resolve_with_prelude
 from tunav.engine.prover import Limits
 from tunav.syntax import parse_module
 from tunav.syntax.ast import BinOp, Call
 from tunav.vcgen import (
-    VcgenConfig,
     VcgenRun,
     _ObligationBuilder,
     definitional_axiom,
@@ -21,12 +20,11 @@ def program_of(src: str, module: str = "user"):
     return resolve_with_prelude([parse_module(src, f"{module}.tv", module=module)])
 
 
-def prove_task(src: str, task: str, config: VcgenConfig | None = None,
+def prove_task(src: str, task: str, config: RunConfig = RunConfig(),
                limits: Limits = Limits()):
     program, registry = program_of(src)
-    config = config or VcgenConfig()
     obs = generate_obligations(f"user::{task}", VcgenRun(program, registry, config))
-    return [prove_obligation(ob, limits, config.strategy) for ob in obs], obs
+    return [prove_obligation(ob, limits) for ob in obs], obs
 
 
 # -- lowering -------------------------------------------------------------------
@@ -81,7 +79,8 @@ spec fn is_even(i: int) -> bool { i % 2 == 0 }
 proof fn touch(x: int) { assert(is_even(2) || true); }
 """
     program, _ = program_of(src)
-    facts = definitional_axiom(program.instances["user::is_even"], 1, program)
+    facts = definitional_axiom(program.instances["user::is_even"], 1, program,
+                               trig.CONSERVATIVE)
     assert len(facts) == 1
     qf = facts[0]
     assert qf.conclusion.op == "<==>"  # bool-valued: iff
@@ -93,7 +92,8 @@ proof fn touch(x: int) { assert(is_even(2) || true); }
 def test_definitional_axiom_fuel_zero_empty():
     src = "spec fn d(i: int) -> int { i + 1 }\nproof fn touch(x: int) { assert(d(x) == d(x)); }"
     program, _ = program_of(src)
-    assert definitional_axiom(program.instances["user::d"], 0, program) == []
+    assert definitional_axiom(program.instances["user::d"], 0, program,
+                              trig.CONSERVATIVE) == []
 
 
 EVEN_REC = """
@@ -114,15 +114,15 @@ def test_recursive_fuel_levels():
     # so even_rec(2) takes exactly 2 unfoldings, even_rec(4) exactly 3.
     program, _ = program_of(EVEN_REC)
     inst = program.instances["user::even_rec"]
-    assert definitional_axiom(inst, 2, program)[0].key.endswith("@2")
-    assert len(definitional_axiom(inst, 2, program)) == 2
-    (outs1, _) = prove_task(EVEN_REC, "check2", VcgenConfig(fuel=1))
+    assert definitional_axiom(inst, 2, program, trig.CONSERVATIVE)[0].key.endswith("@2")
+    assert len(definitional_axiom(inst, 2, program, trig.CONSERVATIVE)) == 2
+    (outs1, _) = prove_task(EVEN_REC, "check2", RunConfig(fuel=1))
     assert outs1[0].status == "failed"
-    (outs2, _) = prove_task(EVEN_REC, "check2", VcgenConfig(fuel=2))
+    (outs2, _) = prove_task(EVEN_REC, "check2", RunConfig(fuel=2))
     assert outs2[0].status == "verified"
-    (outs4a, _) = prove_task(EVEN_REC, "check4", VcgenConfig(fuel=2))
+    (outs4a, _) = prove_task(EVEN_REC, "check4", RunConfig(fuel=2))
     assert outs4a[0].status == "failed"
-    (outs4b, _) = prove_task(EVEN_REC, "check4", VcgenConfig(fuel=3))
+    (outs4b, _) = prove_task(EVEN_REC, "check4", RunConfig(fuel=3))
     assert outs4b[0].status == "verified"
 
 
@@ -263,7 +263,7 @@ proof fn scoped(a: Seq<int>)
     assert outs[0].status == "verified"
     assert outs[1].status == "failed"  # the lemma is gone outside the block
     # and the block's head persists for later statements
-    head_hyps = [o for e, o in later.context.ground if o.path == "assert"]
+    head_hyps = [o for _, o, _ in later.context.ground if o.path == "assert"]
     assert head_hyps
 
 
@@ -271,6 +271,7 @@ def test_instances_once_per_pair_metrics_regression():
     # a hypothetical second trigger {s1.len(), s2.len()} on the add_len shape
     # instantiates once per PAIR of len terms: k distinct lens -> k^2 instances
     from tunav.engine import Origin, make_fact, prove
+    from tunav.engine.prover import compile_formula
     from tunav.syntax.ast import IntLit, SourceSpan, Type, Var
 
     SPAN = SourceSpan("t", 0, 1, 1, 1)
@@ -295,15 +296,17 @@ def test_instances_once_per_pair_metrics_regression():
                             ty=INT), ty=BOOL)
     fact = make_fact("pairs", "pairs", [("s1", SEQ), ("s2", SEQ)], None, concl,
                      [(lencall(s1), lencall(s2))],
-                     frozenset([Origin("axiom", "pairs")]))
+                     frozenset([Origin("axiom", "pairs")]), trig.CONSERVATIVE)
     hyps = []
     for name, v in (("a", 1), ("b", 2), ("c", 3)):
-        hyps.append((BinOp(SPAN, op="==", lhs=lencall(sv(name)),
-                           rhs=IntLit(SPAN, value=v, ty=INT), ty=BOOL),
+        hyps.append((compile_formula(BinOp(SPAN, op="==", lhs=lencall(sv(name)),
+                                           rhs=IntLit(SPAN, value=v, ty=INT),
+                                           ty=BOOL), trig.CONSERVATIVE),
                      frozenset([Origin("local", name)])))
     goal = Call(SPAN, name="p", args=[IntLit(SPAN, value=0, ty=INT)], ty=BOOL)
     goal.resolved = "p"
-    out = prove(hyps, [fact], goal, frozenset([Origin("goal", "g")]),
+    out = prove(hyps, [fact], compile_formula(goal, trig.CONSERVATIVE),
+                frozenset([Origin("goal", "g")]),
                 limits=Limits(max_rounds=1),
                 params={"a": SEQ, "b": SEQ, "c": SEQ})
     assert out.instantiations["pairs"] == 9  # 3 lens -> 3x3 pairs
@@ -349,7 +352,7 @@ proof fn simple(a: Seq<int>)
     outs_plain, _ = prove_task(src, "simple")
     assert outs_plain[0].status == "verified"
     program, registry = program_of(src)
-    cfg = VcgenConfig(ambient=("prelude::seq::group_seq_properties",
+    cfg = RunConfig(ambient=("prelude::seq::group_seq_properties",
                                "prelude::set::group_set_properties"))
     obs = generate_obligations("user::simple", VcgenRun(program, registry, cfg))
     out = prove_obligation(obs[0])
