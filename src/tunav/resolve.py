@@ -16,15 +16,18 @@ matches `int`. Generic proof fns are verified once at fresh (skolem) sorts;
 those skolem-typed fact instances stay private to the defining lemma's own
 verification.
 
-Resolution never modifies the ASTs it is given: types, callees and absolute
-`use` paths live in the resolver's tables and on the monomorphized copies
-(`MonoFn.decl`) that vcgen and the engine read.
+Resolution never modifies the ASTs it is given. Checking a declaration
+builds its typed tree (`_Checker`): nodes carry their types, callees their
+instance symbols, `use` statements their absolute paths. A non-generic
+declaration's tree is its instance (`MonoFn.decl`, which vcgen and the engine
+read); only a generic declaration's instances are copies, made from its tree
+at their type arguments.
 
 Resolves that share a `ResolveMemo` (the runs of one minimizer pass) do each
 piece of work once: signatures and the registry are resolved once, a
 declaration object is checked once, an instance symbol is rendered once, and
-an instance is copied once per declaration object, recording the symbols it
-demands. A resolve is then a reachability pass over those demand edges from
+an instance is made once per declaration object, with the symbols it demands.
+A resolve is then a reachability pass over those demand edges from
 the program's roots, in a fresh resolve's order, and a semi-naive liveness
 fixpoint whose rounds match only the newly live sorts. So `Program.instances`
 and its order equal those of a fresh resolve. The memo serves only programs
@@ -36,7 +39,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 from tunav.errors import CycleError, ResolveError
 from tunav.prelude import PRELUDE_FILES
@@ -69,9 +73,6 @@ from tunav.syntax.ast import (
     Type,
     UseStmt,
     Var,
-    stmt_exprs,
-    walk_exprs,
-    walk_stmts,
 )
 
 PRELUDE_MODULES = tuple(module for _, module in PRELUDE_FILES)
@@ -162,7 +163,6 @@ class BroadcastRegistry:
 
 @dataclass
 class Program:
-    asts: list[ProgramAst]
     symbols: dict[str, Declaration]
     decl_module: dict[str, str]
     instances: dict[str, MonoFn]
@@ -212,7 +212,8 @@ class ResolveMemo:
         # every declaration seen, so that the ids keying these tables stay
         # unique while the memo lives
         self.decls: dict[int, Declaration] = {}
-        self.checked: set[int] = set()  # ids of declarations checked
+        # id(fn declaration) -> its typed tree and what checking recorded
+        self.checked: dict[int, _Checked] = {}
         # read off the interfaces once: `resolve_signatures`, the registry
         self.signatures: tuple | None = None
         self.registry: BroadcastRegistry | None = None
@@ -229,13 +230,6 @@ class ResolveMemo:
                              tuple[MonoFn, tuple[str, ...], frozenset[Type]]] = {}
         # live sort -> what it binds (`_Resolver.matches`)
         self.matches: dict[Type, tuple[tuple[int, int, Type], ...]] = {}
-        # What checking learns about the input nodes, keyed by id(node), which
-        # instantiation copies onto the MonoFn trees: the inputs stay as given.
-        self.types: dict[int, Type] = {}  # expression -> type
-        self.const_refs: dict[int, str] = {}  # Var -> const path
-        self.callees: dict[int, tuple[str, tuple[Type, ...]]] = {}  # Call/LemmaCall
-        self.binder_types: dict[int, list[Type]] = {}  # Forall/Exists -> binder types
-        self.use_paths: dict[int, list[str]] = {}  # UseStmt -> absolute paths
 
     def symbol(self, path: str, targs: tuple[Type, ...]) -> str:
         """The symbol of the instance of `path` at `targs`."""
@@ -315,7 +309,27 @@ def cyclic_components(graph: dict[str, set[str]]) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 
 
+class _Checked(NamedTuple):
+    """A declaration's typed, resolved tree and what checking it recorded.
+    A non-generic declaration's tree is its instance; a generic one's is the
+    template its instances copy (`_instantiate_decl`), whose types and
+    callee symbols still mention its type parameters."""
+
+    decl: Declaration
+    demands: tuple[str, ...]  # callee symbols, each call's before its arguments'
+    # the sorts it mentions: the carriers of its parameter, return and node
+    # types, with their type arguments
+    sorts: frozenset[Type]
+    uses: tuple[str, ...]  # `broadcast use` paths of the body, in `walk_stmts` order
+    lemmas: frozenset[str]  # the paths of the fns the body calls by lemma call
+
+
 class _Checker:
+    """Checks one declaration, or a signature's types, and builds its typed
+    tree: every expression node carries its carrier type in `ty` (binders
+    keep nat, as parameters do), a const `Var` its path and a callee its
+    instance symbol in `resolved`, a `UseStmt` its absolute paths."""
+
     def __init__(self, rs: "_Resolver", module: str, type_params: list[str]):
         self.rs = rs
         self.module = module
@@ -323,7 +337,15 @@ class _Checker:
         # the parameters, binders and lets in scope: a name is never bound
         # twice at once, so one table serves every scope
         self.vars: dict[str, Type] = {}
-        self.marked = False  # whether a checked expression has a `#[trigger]`
+        # how many quantifiers enclose the expression being checked: a
+        # `#[trigger]` outside them all is misplaced. A spec fn's body and a
+        # broadcast fn's clauses count one, as their parameters are lowered
+        # to quantified binders.
+        self.quantified = 0
+        self.demands: list[str] = []
+        self.sorts: set[Type] = set()
+        self.uses: list[str] = []
+        self.lemmas: set[str] = set()
 
     def bind(self, name: str, ty: Type, span, what: str):
         if name in self.vars:
@@ -351,105 +373,131 @@ class _Checker:
                 f"got {len(t.args)}", span)
         return Type(path, tuple(self.check_type(a, span) for a in t.args))
 
+    def typed(self, ty: Type) -> Type:
+        """The carrier of `ty`, which the tree mentions."""
+        return self.rs.mention(ty, self.sorts)
+
+    def check_call(self, node: Call | LemmaCall, name: str, args: list[Expr], kinds):
+        """The typed arguments, the callee's path, its substitution and its
+        symbol, which is demanded before those the arguments demand."""
+        start = len(self.demands)
+        pairs = [self.check_expr(a) for a in args]
+        typed, arg_tys = [a for a, _ in pairs], [t for _, t in pairs]
+        path, sub, targs = self.rs.resolve_callable(node, name, self.module, arg_tys,
+                                                    kinds)
+        sym = self.rs.memo.symbol(path, targs)
+        self.demands.insert(start, sym)
+        return typed, path, sub, sym
+
     # -- expressions ---------------------------------------------------------
 
-    def check_expr(self, e: Expr) -> Type:
-        if e.trigger_mark:
-            self.marked = True
-        ty = self.infer(e)
-        self.rs.types[id(e)] = ty
-        return ty
-
-    def infer(self, e: Expr) -> Type:
+    def check_expr(self, e: Expr) -> tuple[Expr, Type]:
+        """The typed tree of `e` and the type checking gave it."""
+        mark = e.trigger_mark
+        if mark and not self.quantified and not isinstance(e, (Forall, Exists)):
+            raise ResolveError("misplaced #[trigger]: not inside a quantifier", e.span)
         # the node kinds by how often they occur
         if isinstance(e, Var):
-            ty = self.vars.get(e.name)
-            if ty is not None:
-                self.rs.const_refs.pop(id(e), None)
-                return ty
-            path = self.rs.lookup(self.rs.consts, "const", e.name, self.module, e.span)
-            if path is None:
-                raise ResolveError(f"unbound variable '{e.name}'", e.span)
-            self.rs.const_refs[id(e)] = path
-            return self.rs.consts[path]
+            ty, resolved = self.vars.get(e.name), None
+            if ty is None:
+                resolved = self.rs.lookup(self.rs.consts, "const", e.name, self.module,
+                                          e.span)
+                if resolved is None:
+                    raise ResolveError(f"unbound variable '{e.name}'", e.span)
+                ty = self.rs.consts[resolved]
+            return Var(e.span, name=e.name, resolved=resolved, ty=self.typed(ty),
+                       trigger_mark=mark), ty
         if isinstance(e, BinOp):
             return self.check_binop(e)
         if isinstance(e, Call):
-            return self.check_call(e)
+            args, path, sub, sym = self.check_call(e, e.name, e.args, (SpecFn,))
+            ret = _subst_type(self.rs.rets[path], sub)
+            ty = carrier(ret) if ret.name == "nat" else ret
+            return Call(e.span, name=e.name, args=args, method_style=e.method_style,
+                        resolved=sym, ty=self.typed(ty), trigger_mark=mark), ty
         if isinstance(e, IntLit):
-            return INT
+            return IntLit(e.span, value=e.value, ty=self.typed(INT),
+                          trigger_mark=mark), INT
         if isinstance(e, BoolLit):
-            return BOOL
+            return BoolLit(e.span, value=e.value, ty=self.typed(BOOL),
+                           trigger_mark=mark), BOOL
         if isinstance(e, Not):
-            self.require(e.arg, BOOL)
-            return BOOL
+            return Not(e.span, arg=self.require(e.arg, BOOL), ty=self.typed(BOOL),
+                       trigger_mark=mark), BOOL
         if isinstance(e, (Forall, Exists)):
             tys = [self.check_type(b.ty, e.span) for b in e.binders]
-            self.rs.binder_types[id(e)] = tys
             for b, ty in zip(e.binders, tys):
                 self.bind(b.name, ty, e.span, "binder")
-            self.require(e.body, BOOL)
+            self.quantified += 1
+            body = self.require(e.body, BOOL)
+            self.quantified -= 1
             for b in e.binders:
                 del self.vars[b.name]
-            return BOOL
+            binders = [Binder(b.name, t if t.name == "nat" else carrier(t))
+                       for b, t in zip(e.binders, tys)]
+            return replace(e, binders=binders, body=body, ty=self.typed(BOOL)), BOOL
         raise ResolveError(f"cannot type {type(e).__name__}", e.span)
 
-    def require(self, e: Expr, want: Type):
-        got = self.check_expr(e)
+    def require(self, e: Expr, want: Type) -> Expr:
+        node, got = self.check_expr(e)
         if got is not want and carrier(got) != carrier(want):
             raise ResolveError(
                 f"type mismatch: expected {want.render()}, got {got.render()}", e.span)
+        return node
 
-    def check_call(self, e: Call) -> Type:
-        arg_tys = [self.check_expr(a) for a in e.args]
-        path, sub = self.rs.resolve_callable(e, e.name, self.module, arg_tys,
-                                             kinds=(SpecFn,))
-        ret = _subst_type(self.rs.rets[path], sub)
-        return carrier(ret) if ret.name == "nat" else ret
-
-    def check_binop(self, e: BinOp) -> Type:
+    def check_binop(self, e: BinOp) -> tuple[Expr, Type]:
         op = e.op
         if op in ("==", "!="):
-            lt = self.check_expr(e.lhs)
-            rt = self.check_expr(e.rhs)
+            lhs, lt = self.check_expr(e.lhs)
+            rhs, rt = self.check_expr(e.rhs)
             if carrier(lt) != carrier(rt):
                 raise ResolveError(
                     f"type mismatch in {op}: {lt.render()} vs {rt.render()}", e.span)
-            return BOOL
-        if op not in BINARY_OPS:
-            raise ResolveError(f"unknown operator {op}", e.span)
-        operand = BOOL if op in ("&&", "||", "==>", "<==>") else INT
-        self.require(e.lhs, operand)
-        self.require(e.rhs, operand)
-        return INT if op in ("+", "-", "*", "%") else BOOL
+            ty = BOOL
+        else:
+            if op not in BINARY_OPS:
+                raise ResolveError(f"unknown operator {op}", e.span)
+            operand = BOOL if op in ("&&", "||", "==>", "<==>") else INT
+            lhs = self.require(e.lhs, operand)
+            rhs = self.require(e.rhs, operand)
+            ty = INT if op in ("+", "-", "*", "%") else BOOL
+        return BinOp(e.span, op=op, lhs=lhs, rhs=rhs, ty=self.typed(ty),
+                     trigger_mark=e.trigger_mark), ty
 
     # -- statements ----------------------------------------------------------
 
-    def check_stmts(self, stmts: list[Stmt]):
-        for s in stmts:
-            self.check_stmt(s)
+    def check_stmts(self, stmts: list[Stmt]) -> list[Stmt]:
+        typed = [self.check_stmt(s) for s in stmts]
         for s in stmts:
             if isinstance(s, Let):
                 del self.vars[s.name]
+        return typed
 
-    def check_stmt(self, s: Stmt):
+    def check_stmt(self, s: Stmt) -> Stmt:
         if isinstance(s, Assert):
-            self.require(s.expr, BOOL)
-        elif isinstance(s, AssertBy):
-            self.check_stmts(s.body)
-            self.require(s.expr, BOOL)
-        elif isinstance(s, Let):
-            ty = self.check_expr(s.expr)
+            return Assert(s.span, expr=self.require(s.expr, BOOL))
+        if isinstance(s, AssertBy):
+            # the block's lets are out of scope in the expression, whose
+            # callees are demanded before the block's
+            start = len(self.demands)
+            body = self.check_stmts(s.body)
+            split = len(self.demands)
+            expr = self.require(s.expr, BOOL)
+            self.demands[start:] = self.demands[split:] + self.demands[start:split]
+            return AssertBy(s.span, expr=expr, body=body)
+        if isinstance(s, Let):
+            expr, ty = self.check_expr(s.expr)
             self.bind(s.name, ty, s.span, "let")
-        elif isinstance(s, LemmaCall):
-            arg_tys = [self.check_expr(a) for a in s.args]
-            self.rs.resolve_callable(s, s.path, self.module, arg_tys,
-                                     kinds=(ProofFn, AxiomFn))
-        elif isinstance(s, UseStmt):
-            self.rs.use_paths[id(s)] = [self.rs.resolve_import(p, self.module, s.span)
-                                        for p in s.paths]
-        else:
-            raise ResolveError(f"cannot check {type(s).__name__}", s.span)
+            return Let(s.span, name=s.name, expr=expr)
+        if isinstance(s, LemmaCall):
+            args, path, _, sym = self.check_call(s, s.path, s.args, (ProofFn, AxiomFn))
+            self.lemmas.add(path)
+            return LemmaCall(s.span, path=s.path, args=args, resolved=sym)
+        if isinstance(s, UseStmt):
+            paths = [self.rs.resolve_import(p, self.module, s.span) for p in s.paths]
+            self.uses.extend(paths)
+            return UseStmt(s.span, paths=paths)
+        raise ResolveError(f"cannot check {type(s).__name__}", s.span)
 
 
 def _subst_type(t: Type, sub: dict[str, Type]) -> Type:
@@ -478,9 +526,6 @@ class _Resolver:
         self.instances_of: dict[str, list[str]] = {}
         self.demands: dict[str, tuple[str, ...]] = {}  # instance -> what it demands
         self.queue: list[str] = []  # instance symbols
-        # what the instance copy being made demands and the sorts it mentions
-        self.demanded: list[str] = []
-        self.mentioned: set[Type] = set()
         self.live: set[Type] = set()  # sorts the instances mention
         self.fresh: set[Type] = set()  # those live since the last liveness round
         # per generic broadcast fact and type param, the sorts liveness bound
@@ -490,14 +535,9 @@ class _Resolver:
         self.sorts: dict[str, SortDecl] = {}
         # (name, module) -> `candidate_paths`; the symbols are fixed per resolve
         self.candidates_of: dict[tuple[str, str], tuple[str, ...]] = {}
-        # (name, module, kinds, *argument types) -> `callee`
+        # (name, module, kinds, *argument types) -> `resolve_callable`
         self.calls: dict[tuple, tuple[str, dict[str, Type], tuple[Type, ...]]] = {}
-        # the copy being made: checked type -> its substituted carrier
-        self.copied: dict[Type, Type] = {}
-        # the memo's name lookups and what checking learns about input nodes
-        self.found, self.types, self.callees = memo.found, memo.types, memo.callees
-        self.const_refs, self.binder_types = memo.const_refs, memo.binder_types
-        self.use_paths = memo.use_paths
+        self.found = memo.found  # the memo's name lookups
 
     # -- symbol table --------------------------------------------------------
 
@@ -581,19 +621,12 @@ class _Resolver:
 
     def resolve_callable(self, node: Call | LemmaCall, name: str, module: str,
                          arg_tys: list[Type], kinds):
-        """Resolve the callee of `node` by name and argument types; records
-        its path and type arguments and returns `(path, substitution)`. A
-        resolved callee is kept per name, module, kinds and argument types."""
+        """The callee of `node` by name and argument types: `(path,
+        substitution, type arguments)`, kept per name, module, kinds and
+        argument types."""
         key = (name, module, kinds, *arg_tys)
-        got = self.calls.get(key)
-        if got is None:
-            got = self.calls[key] = self.callee(node, name, module, arg_tys, kinds)
-        path, sub, targs = got
-        self.callees[id(node)] = (path, targs)
-        return path, sub
-
-    def callee(self, node: Call | LemmaCall, name: str, module: str,
-               arg_tys: list[Type], kinds) -> tuple[str, dict[str, Type], tuple[Type, ...]]:
+        if key in self.calls:
+            return self.calls[key]
         matches = []
         for path in self.candidate_paths(name, module):
             decl = self.symbols[path]
@@ -620,7 +653,8 @@ class _Resolver:
             if tp not in sub:
                 raise ResolveError(
                     f"cannot infer type argument {tp} for '{path}'", node.span)
-        return path, sub, tuple(sub[tp] for tp in decl.type_params)
+        got = self.calls[key] = (path, sub, tuple(sub[tp] for tp in decl.type_params))
+        return got
 
     def resolve_import(self, path: str, module: str, span) -> str:
         for cand in self.candidate_paths(path, module):
@@ -636,58 +670,21 @@ class _Resolver:
     # -- declaration checking --------------------------------------------------
 
     def check_all(self):
+        """Check every declaration the memo has not checked yet, keeping its
+        typed tree in `memo.checked`."""
+        checked = self.memo.checked
         for ast in self.asts:
             for d in ast.declarations:
-                self.check_decl(ast.module, d)
-
-    def check_decl(self, module: str, d: Declaration):
-        if isinstance(d, BroadcastUse):
-            self.module_uses[module].extend(
-                self.resolve_import(p, module, d.span) for p in d.paths)
-            return
-        if isinstance(d, (BroadcastGroup, SortDecl, ConstDecl)):
-            return  # groups are checked by build_registry, consts by resolve_signatures
-        if not isinstance(d, (SpecFn, ProofFn, AxiomFn)):
-            raise ResolveError(f"unsupported declaration {type(d).__name__}", d.span)
-        if id(d) in self.memo.checked:
-            return
-        path = f"{module}::{d.name}"
-        if isinstance(d, SpecFn) and d.ret.name == "nat" and d.body is not None:
-            raise ResolveError(
-                "nat return types are only supported on bodiless spec fns", d.span)
-        ck = _Checker(self, module, d.type_params)
-        for p in self.params[path]:
-            ck.bind(p.name, p.ty, d.span, "parameter")
-        if isinstance(d, SpecFn):
-            if d.body is not None:
-                ck.require(d.body, self.rets[path])
-        else:
-            for e in d.requires:
-                ck.require(e, BOOL)
-            for e in d.ensures:
-                ck.require(e, BOOL)
-            if isinstance(d, ProofFn):
-                ck.check_stmts(d.body)
-            if ck.marked:
-                self.validate_marks(d)
-        self.memo.checked.add(id(d))
-
-    def validate_marks(self, d: ProofFn | AxiomFn):
-        """`#[trigger]` marks must sit under a quantifier, or in the clauses of
-        a broadcast fn (whose parameters are lowered to quantified binders)."""
-        exprs = [] if d.broadcast else d.requires + d.ensures
-        if isinstance(d, ProofFn):
-            exprs += [e for s in walk_stmts(d.body) for e in stmt_exprs(s)]
-        for e in exprs:
-            marked = [sub for sub in walk_exprs(e) if sub.trigger_mark]
-            if not marked:
-                continue
-            quantified = {id(sub) for q in walk_exprs(e)
-                          if isinstance(q, (Forall, Exists)) for sub in walk_exprs(q)}
-            for sub in marked:
-                if id(sub) not in quantified:
-                    raise ResolveError(
-                        "misplaced #[trigger]: not inside a quantifier", sub.span)
+                if isinstance(d, BroadcastUse):
+                    self.module_uses[ast.module].extend(
+                        self.resolve_import(p, ast.module, d.span) for p in d.paths)
+                elif isinstance(d, (SpecFn, ProofFn, AxiomFn)):
+                    if id(d) not in checked:
+                        checked[id(d)] = _check_decl(f"{ast.module}::{d.name}", d, self)
+                elif not isinstance(d, (BroadcastGroup, SortDecl, ConstDecl)):
+                    # groups are checked by build_registry, consts by resolve_signatures
+                    raise ResolveError(f"unsupported declaration {type(d).__name__}",
+                                       d.span)
 
     # -- monomorphization -------------------------------------------------------
 
@@ -719,17 +716,16 @@ class _Resolver:
             decl = self.symbols[path]
             entry = made.get((sym, id(decl)))
             if entry is None:
-                # what the copy demands, in order, and the sorts it mentions
-                self.demanded, self.mentioned, self.copied = [], set(), {}
-                inst = _instantiate_decl(path, decl, dict(zip(decl.type_params, targs)),
-                                         self)
-                uses = () if not isinstance(inst, ProofFn) else tuple(
-                    p for s in walk_stmts(inst.body) if isinstance(s, UseStmt)
-                    for p in s.paths)
+                checked = self.memo.checked[id(decl)]
+                if targs:
+                    tree, demands, sorts = _instantiate_decl(
+                        path, checked, dict(zip(decl.type_params, targs)), self)
+                else:  # the checked tree is the instance
+                    tree, demands, sorts = checked.decl, checked.demands, checked.sorts
                 entry = made[sym, id(decl)] = (
-                    MonoFn(sym, path, targs, _KINDS[type(decl)], inst,
-                           self.decl_module[path], uses),
-                    tuple(self.demanded), frozenset(self.mentioned))
+                    MonoFn(sym, path, targs, _KINDS[type(decl)], tree,
+                           self.decl_module[path], checked.uses),
+                    demands, frozenset(sorts))
             fn, demands, sorts = entry
             queue.extend(demands)
             instances[sym] = fn
@@ -738,15 +734,15 @@ class _Resolver:
             self.fresh |= sorts - self.live
             self.live |= sorts
 
-    def mention(self, t: Type) -> Type:
-        """Record that the copy being made mentions `t`, by carrier, with all
-        its type arguments; returns the carrier."""
+    def mention(self, t: Type, sorts: set[Type]) -> Type:
+        """Add `t`'s carrier and all its type arguments to `sorts`, the sorts
+        a tree mentions; returns the carrier."""
         t = carrier(t)
-        if t not in self.mentioned:
+        if t not in sorts:
             t = self.memo.canonical.setdefault(t, t)
-            self.mentioned.add(t)
+            sorts.add(t)
             for a in t.args:
-                self.mention(a)
+                self.mention(a, sorts)
         return t
 
     def demand_by_liveness(self) -> list[str]:
@@ -851,8 +847,8 @@ class _Resolver:
 
     def reject_recursive_proof_fns(self):
         # edges to axioms leave the graph, which only has proof fns as nodes
-        graph = {path: {self.callees[id(s)][0] for s in walk_stmts(decl.body)
-                        if isinstance(s, LemmaCall)}
+        checked = self.memo.checked
+        graph = {path: checked[id(decl)].lemmas
                  for path, decl in self.symbols.items() if isinstance(decl, ProofFn)}
         cycles = cyclic_components(graph)
         if cycles:
@@ -861,107 +857,109 @@ class _Resolver:
 
 
 # ---------------------------------------------------------------------------
-# Declaration instantiation (deep copy with type substitution)
+# Declaration checking and instantiation
 # ---------------------------------------------------------------------------
 
 
-def _instantiate_decl(path: str, decl: Declaration, sub: dict[str, Type],
-                      rs: _Resolver):
-    params = [Param(p.name, _subst_type(p.ty, sub)) for p in rs.params[path]]
+def _check_decl(path: str, d: Declaration, rs: _Resolver) -> _Checked:
+    """Check fn `path` and build its typed tree."""
+    if isinstance(d, SpecFn) and d.ret.name == "nat" and d.body is not None:
+        raise ResolveError(
+            "nat return types are only supported on bodiless spec fns", d.span)
+    ck = _Checker(rs, rs.decl_module[path], d.type_params)
+    params = rs.params[path]
     for p in params:
-        rs.mention(p.ty)
-    if isinstance(decl, SpecFn):
-        ret = _subst_type(rs.rets[path], sub)
-        rs.mention(ret)
-        return SpecFn(
-            decl.span, decl.name, type_params=[],
-            params=[Param(p.name, carrier(p.ty)) for p in params], ret=ret,
-            body=None if decl.body is None else _inst_expr(decl.body, sub, rs))
-    if isinstance(decl, ProofFn):
-        return ProofFn(
-            decl.span, decl.name, broadcast=decl.broadcast, type_params=[],
-            params=params,
-            requires=[_inst_expr(e, sub, rs) for e in decl.requires],
-            ensures=[_inst_expr(e, sub, rs) for e in decl.ensures],
-            body=[_inst_stmt(s, sub, rs) for s in decl.body])
-    if isinstance(decl, AxiomFn):
-        return AxiomFn(
-            decl.span, decl.name, broadcast=decl.broadcast, type_params=[],
-            params=params,
-            requires=[_inst_expr(e, sub, rs) for e in decl.requires],
-            ensures=[_inst_expr(e, sub, rs) for e in decl.ensures])
-    raise ResolveError(f"cannot instantiate {type(decl).__name__}")
+        ck.bind(p.name, p.ty, d.span, "parameter")
+        ck.typed(p.ty)
+    if isinstance(d, SpecFn):
+        ret = rs.rets[path]
+        ck.typed(ret)
+        ck.quantified = 1
+        tree = replace(d, type_params=[], ret=ret,
+                       params=[Param(p.name, carrier(p.ty)) for p in params],
+                       body=None if d.body is None else ck.require(d.body, ret))
+    else:
+        ck.quantified = int(d.broadcast)
+        clauses = {"requires": [ck.require(e, BOOL) for e in d.requires],
+                   "ensures": [ck.require(e, BOOL) for e in d.ensures]}
+        ck.quantified = 0
+        if isinstance(d, ProofFn):
+            clauses["body"] = ck.check_stmts(d.body)
+        tree = replace(d, type_params=[], params=list(params), **clauses)
+    return _Checked(tree, tuple(ck.demands), frozenset(ck.sorts), tuple(ck.uses),
+                    frozenset(ck.lemmas))
 
 
-def _inst_expr(e: Expr, sub: dict[str, Type], rs: _Resolver) -> Expr:
-    checked = rs.types[id(e)]
-    ty = rs.copied.get(checked)
-    if ty is None:
-        ty = rs.copied[checked] = rs.mention(_subst_type(checked, sub))
+class _Copy(NamedTuple):
+    """What a generic tree's copy substitutes: type parameters (`sub`), and
+    per template type and callee symbol its instance's."""
+
+    sub: dict[str, Type]
+    types: dict[Type, Type]
+    symbols: dict[str, str]
+
+
+def _instantiate_decl(path: str, checked: _Checked, sub: dict[str, Type],
+                      rs: _Resolver) -> tuple[Declaration, tuple[str, ...], set[Type]]:
+    """The instance of generic fn `path` at `sub`: its checked tree copied
+    under `sub`, the symbols it demands, in order, and the sorts it mentions."""
+    sorts: set[Type] = set()
+    types = {t: rs.mention(_subst_type(t, sub), sorts) for t in checked.sorts}
+    symbols = {}
+    for sym in checked.demands:
+        callee, targs = rs.memo.keys[sym]
+        symbols[sym] = rs.memo.symbol(callee, tuple(_subst_type(t, sub) for t in targs))
+    c = _Copy(sub, types, symbols)
+    t = checked.decl
+    fields = {"params": [Param(p.name, _subst_type(p.ty, sub)) for p in t.params]}
+    if isinstance(t, SpecFn):
+        fields.update(ret=_subst_type(t.ret, sub),
+                      body=None if t.body is None else _inst_expr(t.body, c))
+    else:
+        fields.update(requires=[_inst_expr(e, c) for e in t.requires],
+                      ensures=[_inst_expr(e, c) for e in t.ensures])
+        if isinstance(t, ProofFn):
+            fields["body"] = [_inst_stmt(s, c) for s in t.body]
+    return replace(t, **fields), tuple(symbols[sym] for sym in checked.demands), sorts
+
+
+def _inst_expr(e: Expr, c: _Copy) -> Expr:
+    ty = c.types[e.ty]
     # the node kinds by how often they occur
     if isinstance(e, Var):
-        return Var(e.span, name=e.name, resolved=rs.const_refs.get(id(e)), ty=ty,
+        return Var(e.span, name=e.name, resolved=e.resolved, ty=ty,
                    trigger_mark=e.trigger_mark)
     if isinstance(e, BinOp):
-        return BinOp(e.span, op=e.op, lhs=_inst_expr(e.lhs, sub, rs),
-                     rhs=_inst_expr(e.rhs, sub, rs), ty=ty, trigger_mark=e.trigger_mark)
+        return BinOp(e.span, op=e.op, lhs=_inst_expr(e.lhs, c),
+                     rhs=_inst_expr(e.rhs, c), ty=ty, trigger_mark=e.trigger_mark)
     if isinstance(e, Call):
-        resolved = _inst_callee(e, sub, rs)  # demanded before the arguments' callees
-        return Call(e.span, name=e.name,
-                    args=[_inst_expr(a, sub, rs) for a in e.args],
-                    method_style=e.method_style, resolved=resolved,
+        return Call(e.span, name=e.name, args=[_inst_expr(a, c) for a in e.args],
+                    method_style=e.method_style, resolved=c.symbols[e.resolved],
                     ty=ty, trigger_mark=e.trigger_mark)
     if isinstance(e, IntLit):
         return IntLit(e.span, value=e.value, ty=ty, trigger_mark=e.trigger_mark)
     if isinstance(e, BoolLit):
         return BoolLit(e.span, value=e.value, ty=ty, trigger_mark=e.trigger_mark)
     if isinstance(e, Not):
-        return Not(e.span, arg=_inst_expr(e.arg, sub, rs), ty=ty,
-                   trigger_mark=e.trigger_mark)
-    if isinstance(e, Forall):
-        return Forall(e.span, binders=_inst_binders(e, sub, rs),
-                      body=_inst_expr(e.body, sub, rs),
-                      all_triggers=e.all_triggers, ty=ty, trigger_mark=e.trigger_mark)
-    if isinstance(e, Exists):
-        return Exists(e.span, binders=_inst_binders(e, sub, rs),
-                      body=_inst_expr(e.body, sub, rs), ty=ty,
-                      trigger_mark=e.trigger_mark)
-    raise ResolveError(f"cannot instantiate expr {type(e).__name__}", e.span)
+        return Not(e.span, arg=_inst_expr(e.arg, c), ty=ty, trigger_mark=e.trigger_mark)
+    # checked binders are carriers, or nat: a nat binder stays nat, so the
+    # engine still adds its bound
+    return replace(e, binders=[Binder(b.name, _subst_type(b.ty, c.sub))
+                               for b in e.binders], body=_inst_expr(e.body, c), ty=ty)
 
 
-def _inst_binders(q: Forall | Exists, sub: dict[str, Type],
-                  rs: _Resolver) -> list[Binder]:
-    """Binders with the qualified types checking gave them, as parameters
-    get; nat binders stay nat, so the engine still adds their bound."""
-    return [Binder(b.name, t if t.name == "nat" else carrier(_subst_type(t, sub)))
-            for b, t in zip(q.binders, rs.binder_types[id(q)])]
-
-
-def _inst_stmt(s: Stmt, sub: dict[str, Type], rs: _Resolver) -> Stmt:
+def _inst_stmt(s: Stmt, c: _Copy) -> Stmt:
     if isinstance(s, Assert):
-        return Assert(s.span, expr=_inst_expr(s.expr, sub, rs))
+        return Assert(s.span, expr=_inst_expr(s.expr, c))
     if isinstance(s, AssertBy):
-        return AssertBy(s.span, expr=_inst_expr(s.expr, sub, rs),
-                        body=[_inst_stmt(i, sub, rs) for i in s.body])
+        return AssertBy(s.span, expr=_inst_expr(s.expr, c),
+                        body=[_inst_stmt(i, c) for i in s.body])
     if isinstance(s, Let):
-        return Let(s.span, name=s.name, expr=_inst_expr(s.expr, sub, rs))
+        return Let(s.span, name=s.name, expr=_inst_expr(s.expr, c))
     if isinstance(s, LemmaCall):
-        resolved = _inst_callee(s, sub, rs)
-        return LemmaCall(s.span, path=s.path,
-                         args=[_inst_expr(a, sub, rs) for a in s.args],
-                         resolved=resolved)
-    if isinstance(s, UseStmt):
-        return UseStmt(s.span, paths=list(rs.use_paths[id(s)]))
-    raise ResolveError(f"cannot instantiate stmt {type(s).__name__}", s.span)
-
-
-def _inst_callee(node: Call | LemmaCall, sub: dict[str, Type], rs: _Resolver) -> str:
-    """The mono symbol `node` calls under `sub`; records the demand for that
-    instance."""
-    path, targs = rs.callees[id(node)]
-    sym = rs.memo.symbol(path, tuple(carrier(_subst_type(t, sub)) for t in targs))
-    rs.demanded.append(sym)
-    return sym
+        return LemmaCall(s.span, path=s.path, args=[_inst_expr(a, c) for a in s.args],
+                         resolved=c.symbols[s.resolved])
+    return UseStmt(s.span, paths=list(s.paths))
 
 
 # ---------------------------------------------------------------------------
@@ -983,7 +981,6 @@ def resolve_program(asts: list[ProgramAst],
     registry = memo.registry = memo.registry or rs.build_registry()
     rs.instantiate_all()
     program = Program(
-        asts=asts,
         symbols=rs.symbols,
         decl_module=rs.decl_module,
         instances=rs.instances,

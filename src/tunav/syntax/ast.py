@@ -6,8 +6,10 @@ round-trip compares equal while exact source offsets still travel with every
 node for diagnostics and for the assert minimizer.
 
 Only the parser writes into nodes. Later phases read trees and build new
-ones: resolve fills `ty` and `resolved` in when it constructs its
-monomorphized copies, and vcgen copies a tree to substitute into it. Derived
+ones: resolve's type checker builds a typed tree of each declaration with
+`ty` and `resolved` filled in (a generic declaration's instances are copies
+of it at their type arguments), and vcgen copies a tree to substitute into
+it. Derived
 facts such as a quantifier's trigger selection are computed where they are
 used, never cached on a node, so a tree can be shared and reused as a value.
 """
@@ -95,7 +97,7 @@ class Param:
 @dataclass(eq=True)
 class Expr:
     span: SourceSpan = field(compare=False, repr=False)
-    # Given when resolve builds its monomorphized copies; never part of
+    # Given on the typed trees resolve's type checker builds; never part of
     # structural equality.
     ty: Type | None = field(default=None, compare=False, repr=False, kw_only=True)
     # A `#[trigger]` annotation on this subterm (semantic: overrides inference).
@@ -115,8 +117,8 @@ class BoolLit(Expr):
 @dataclass(eq=True)
 class Var(Expr):
     name: str = ""
-    # Full path when the name resolves to a module-level const (given when
-    # resolve builds its monomorphized copies).
+    # Full path when the name resolves to a module-level const (given on
+    # resolve's typed trees).
     resolved: str | None = field(default=None, compare=False, repr=False)
 
 
@@ -131,7 +133,7 @@ class Call(Expr):
     name: str = ""  # raw path text, e.g. "f" or "prelude::seq::push"
     args: list[Expr] = field(default_factory=list)
     method_style: bool = field(default=False, compare=False)
-    # Fully qualified monomorphic symbol, given on resolve's monomorphized copies.
+    # The callee's instance symbol, given on resolve's typed trees.
     resolved: str | None = field(default=None, compare=False, repr=False)
 
 

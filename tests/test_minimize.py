@@ -217,18 +217,24 @@ def fresh_verify(asts, config, tasks=None):
     return contextvars.Context().run(verify_program, asts, config, tasks=tasks)
 
 
+def record_builds(monkeypatch, made: list[str]):
+    """Append to `made` the path of every declaration whose tree resolve
+    builds: checked, or copied at a substitution."""
+    for name in ("_check_decl", "_instantiate_decl"):
+        def recording(path, *args, build=getattr(resolve, name)):
+            made.append(path)
+            return build(path, *args)
+
+        monkeypatch.setattr(resolve, name, recording)
+
+
 def compare_trials_with_fresh_runs(monkeypatch) -> list[int]:
     """Make every run of a minimizer pass check that it equals a fresh run
-    on the same trees, and that its resolve made new instance copies only of
-    the re-verified function. Returns each run's instance count."""
+    on the same trees, and that its resolve built trees only for the
+    re-verified function. Returns each run's instance count."""
     sizes = []
     made = []
     shared_verify = tunav.minimize.verify_program
-    instantiate = resolve._instantiate_decl
-
-    def recording(path, *args):
-        made.append(path)
-        return instantiate(path, *args)
 
     def compared(asts, config, tasks=None):
         assert driver._shared.get() is not None
@@ -240,7 +246,7 @@ def compare_trials_with_fresh_runs(monkeypatch) -> list[int]:
         sizes.append(len(run.program.instances))
         return run
 
-    monkeypatch.setattr(resolve, "_instantiate_decl", recording)
+    record_builds(monkeypatch, made)
     monkeypatch.setattr(tunav.minimize, "verify_program", compared)
     return sizes
 
@@ -431,7 +437,7 @@ def test_memo_serves_only_the_baselines_declarations(base, other):
     base, changed = asts_of(base), asts_of(other)
     memo = ResolveMemo()
     resolve_program(base, memo)
-    checked, made, signatures = set(memo.checked), dict(memo.instances), memo.signatures
+    checked, made, signatures = dict(memo.checked), dict(memo.instances), memo.signatures
     assert memo.admits(base) and not memo.admits(changed)
     program, _ = resolve_program(changed, memo)
     assert memo.checked == checked and memo.instances == made
@@ -446,11 +452,11 @@ def test_memo_serves_only_the_baselines_declarations(base, other):
 def test_a_pass_does_each_resolve_step_once(monkeypatch):
     """Work counts over one pass, with no clock involved: liveness unifies
     each fact parameter with each sort once, each instance symbol is rendered
-    once, and a trial copies only the function it re-verifies."""
+    once, and a trial builds trees only for the function it re-verifies."""
     unified, rendered, made = Counter(), Counter(), []
     in_liveness = []  # whether the innermost unify call comes from liveness
     matches, unify = resolve._Resolver.matches, resolve.unify
-    render, instantiate = resolve.mono_symbol, resolve._instantiate_decl
+    render = resolve.mono_symbol
     shared_verify = tunav.minimize.verify_program
 
     def matching(self, s):
@@ -475,10 +481,6 @@ def test_a_pass_does_each_resolve_step_once(monkeypatch):
         rendered[sym] += 1
         return sym
 
-    def copying(path, *args):
-        made.append(path)
-        return instantiate(path, *args)
-
     def trial(asts, config, tasks=None):
         made.clear()
         run = shared_verify(asts, config, tasks=tasks)
@@ -489,7 +491,7 @@ def test_a_pass_does_each_resolve_step_once(monkeypatch):
     monkeypatch.setattr(resolve._Resolver, "matches", matching)
     monkeypatch.setattr(resolve, "unify", unifying)
     monkeypatch.setattr(resolve, "mono_symbol", rendering)
-    monkeypatch.setattr(resolve, "_instantiate_decl", copying)
+    record_builds(monkeypatch, made)
     monkeypatch.setattr(tunav.minimize, "verify_program", trial)
     report, _ = minimize(load_sources(CORPUS), RunConfig(), scope="function")
     assert report.runs > 100 and report.removed

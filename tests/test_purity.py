@@ -13,6 +13,7 @@ import tunav.prelude
 from tunav.driver import RunConfig, load_sources, resolve_with_prelude, verify_program
 from tunav.minimize import minimize
 from tunav.prelude import PRELUDE_FILES, load_prelude
+from tunav.resolve import ResolveMemo
 from tunav.smtlib import emit_all
 from tunav.syntax import parse_module
 from tunav.syntax.render import render_expr
@@ -25,13 +26,33 @@ from tunav.vcgen import (
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
 
 
+# a generic declaration, whose instances are copies of its checked tree, and
+# a non-generic one, whose checked tree is its instance
+GENERIC_AND_NOT = """
+spec fn twice<A>(s: Seq<A>) -> int { s.len() + s.len() }
+proof fn ground(s: Seq<int>) ensures twice(s) == 2 * s.len() { }
+"""
+
+
+def resolve_twice(asts):
+    """Two resolves under one memo: both give the non-generic declaration the
+    same instance tree."""
+    memo = ResolveMemo()
+    first, second = (resolve_with_prelude(asts, memo)[0] for _ in range(2))
+    assert "purity::twice<int>" in first.instances
+    ground = [program.instances["purity::ground"].decl for program in (first, second)]
+    assert ground[0] is ground[1]
+
+
 @pytest.mark.parametrize("call", [
     lambda asts: verify_program(asts, RunConfig()),
     lambda asts: resolve_with_prelude(asts),
     lambda asts: minimize(asts, RunConfig()),
-], ids=["verify_program", "resolve_with_prelude", "minimize"])
+    resolve_twice,
+], ids=["verify_program", "resolve_with_prelude", "minimize", "resolve_twice"])
 def test_inputs_unmodified(call):
-    asts = load_sources(CORPUS)
+    asts = load_sources(CORPUS) + [parse_module(GENERIC_AND_NOT, "purity.tv",
+                                                module="purity")]
     before = pickle.dumps(asts), pickle.dumps(load_prelude())
     call(asts)
     assert (pickle.dumps(asts), pickle.dumps(load_prelude())) == before
