@@ -375,19 +375,18 @@ class _Checker:
 
     def typed(self, ty: Type) -> Type:
         """The carrier of `ty`, which the tree mentions."""
-        return self.rs.mention(ty, self.sorts)
+        return ty if ty in self.sorts else self.rs.mention(ty, self.sorts)
 
     def check_call(self, node: Call | LemmaCall, name: str, args: list[Expr], kinds):
-        """The typed arguments, the callee's path, its substitution and its
-        symbol, which is demanded before those the arguments demand."""
+        """The typed arguments and `resolve_callable`'s path, symbol and type;
+        the symbol is demanded before those the arguments demand."""
         start = len(self.demands)
         pairs = [self.check_expr(a) for a in args]
         typed, arg_tys = [a for a, _ in pairs], [t for _, t in pairs]
-        path, sub, targs = self.rs.resolve_callable(node, name, self.module, arg_tys,
-                                                    kinds)
-        sym = self.rs.memo.symbol(path, targs)
+        path, sym, ty = self.rs.resolve_callable(node, name, self.module, arg_tys,
+                                                 kinds)
         self.demands.insert(start, sym)
-        return typed, path, sub, sym
+        return typed, path, sym, ty
 
     # -- expressions ---------------------------------------------------------
 
@@ -410,9 +409,7 @@ class _Checker:
         if isinstance(e, BinOp):
             return self.check_binop(e)
         if isinstance(e, Call):
-            args, path, sub, sym = self.check_call(e, e.name, e.args, (SpecFn,))
-            ret = _subst_type(self.rs.rets[path], sub)
-            ty = carrier(ret) if ret.name == "nat" else ret
+            args, _, sym, ty = self.check_call(e, e.name, e.args, (SpecFn,))
             return Call(e.span, name=e.name, args=args, method_style=e.method_style,
                         resolved=sym, ty=self.typed(ty), trigger_mark=mark), ty
         if isinstance(e, IntLit):
@@ -476,21 +473,15 @@ class _Checker:
     def check_stmt(self, s: Stmt) -> Stmt:
         if isinstance(s, Assert):
             return Assert(s.span, expr=self.require(s.expr, BOOL))
-        if isinstance(s, AssertBy):
-            # the block's lets are out of scope in the expression, whose
-            # callees are demanded before the block's
-            start = len(self.demands)
-            body = self.check_stmts(s.body)
-            split = len(self.demands)
+        if isinstance(s, AssertBy):  # the expression first, as in the source
             expr = self.require(s.expr, BOOL)
-            self.demands[start:] = self.demands[split:] + self.demands[start:split]
-            return AssertBy(s.span, expr=expr, body=body)
+            return AssertBy(s.span, expr=expr, body=self.check_stmts(s.body))
         if isinstance(s, Let):
             expr, ty = self.check_expr(s.expr)
             self.bind(s.name, ty, s.span, "let")
             return Let(s.span, name=s.name, expr=expr)
         if isinstance(s, LemmaCall):
-            args, path, _, sym = self.check_call(s, s.path, s.args, (ProofFn, AxiomFn))
+            args, path, sym, _ = self.check_call(s, s.path, s.args, (ProofFn, AxiomFn))
             self.lemmas.add(path)
             return LemmaCall(s.span, path=s.path, args=args, resolved=sym)
         if isinstance(s, UseStmt):
@@ -536,7 +527,7 @@ class _Resolver:
         # (name, module) -> `candidate_paths`; the symbols are fixed per resolve
         self.candidates_of: dict[tuple[str, str], tuple[str, ...]] = {}
         # (name, module, kinds, *argument types) -> `resolve_callable`
-        self.calls: dict[tuple, tuple[str, dict[str, Type], tuple[Type, ...]]] = {}
+        self.calls: dict[tuple, tuple[str, str, Type | None]] = {}
         self.found = memo.found  # the memo's name lookups
 
     # -- symbol table --------------------------------------------------------
@@ -621,12 +612,13 @@ class _Resolver:
 
     def resolve_callable(self, node: Call | LemmaCall, name: str, module: str,
                          arg_tys: list[Type], kinds):
-        """The callee of `node` by name and argument types: `(path,
-        substitution, type arguments)`, kept per name, module, kinds and
-        argument types."""
+        """The callee of `node` by name and argument types: its path, its
+        instance symbol and, for a spec fn, the call's type; kept per name,
+        module, kinds and argument types."""
         key = (name, module, kinds, *arg_tys)
-        if key in self.calls:
-            return self.calls[key]
+        got = self.calls.get(key)
+        if got is not None:
+            return got
         matches = []
         for path in self.candidate_paths(name, module):
             decl = self.symbols[path]
@@ -653,7 +645,11 @@ class _Resolver:
             if tp not in sub:
                 raise ResolveError(
                     f"cannot infer type argument {tp} for '{path}'", node.span)
-        got = self.calls[key] = (path, sub, tuple(sub[tp] for tp in decl.type_params))
+        ret = _subst_type(self.rets[path], sub) if path in self.rets else None
+        if ret is not None:
+            ret = INT if ret.name == "nat" else self.memo.canonical.setdefault(ret, ret)
+        got = self.calls[key] = (
+            path, self.memo.symbol(path, tuple(sub[tp] for tp in decl.type_params)), ret)
         return got
 
     def resolve_import(self, path: str, module: str, span) -> str:

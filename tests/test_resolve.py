@@ -252,6 +252,39 @@ def test_misplaced_trigger_mark_rejected():
         rp(("m", src))
 
 
+MARK_DECLS = """
+spec fn f(x: int) -> int;
+proof fn l(x: int) { }
+"""
+
+
+@pytest.mark.parametrize("decl, misplaced", [
+    ("proof fn p(x: int) ensures #[trigger] f(x) == f(x) { }", True),
+    ("axiom fn p(x: int) requires #[trigger] f(x) > 0;", True),
+    ("broadcast proof fn p(x: int) ensures #[trigger] f(x) == f(x) "
+     "{ assert(#[trigger] f(x) == f(x)); }", True),
+    ("proof fn p(x: int) { let y = #[trigger] f(x); }", True),
+    ("proof fn p(x: int) { l(#[trigger] f(x)); }", True),
+    ("proof fn p(x: int) { assert(x == x) by { assert(#[trigger] f(x) == f(x)); } }",
+     True),
+    ("broadcast axiom fn p(x: int) ensures #[trigger] f(x) == f(x);", False),
+    ("broadcast proof fn p(x: int) ensures #[trigger] f(x) == f(x) { }", False),
+    ("proof fn p() ensures forall|x: int| #[trigger] f(x) == f(x) { }", False),
+    ("proof fn p() { assert(forall|x: int| f(x) == #[trigger] f(x)) by { } }", False),
+    ("spec fn g(x: int) -> int { #[trigger] f(x) }", False),
+], ids=["ensures", "axiom-requires", "broadcast-body", "let", "lemma-arg",
+        "assert-by-block", "broadcast-axiom", "broadcast-proof", "quantified",
+        "quantified-assert-by", "spec-body"])
+def test_trigger_mark_placement(decl, misplaced):
+    """A `#[trigger]` must sit under a quantifier, except in a spec fn's body
+    and a broadcast fn's clauses, whose parameters become quantified binders."""
+    if misplaced:
+        with pytest.raises(ResolveError, match="misplaced #\\[trigger\\]"):
+            rp(("m", MARK_DECLS + decl))
+    else:
+        rp(("m", MARK_DECLS + decl))
+
+
 def test_generic_lemma_gets_skolem_verification_instance():
     src = SEQ_STUB.replace("broadcast axiom fn lemma_seq_contains_after_push",
                            "broadcast proof fn lemma_seq_contains_after_push")
