@@ -646,8 +646,8 @@ class _Resolver:
                 raise ResolveError(
                     f"cannot infer type argument {tp} for '{path}'", node.span)
         ret = _subst_type(self.rets[path], sub) if path in self.rets else None
-        if ret is not None:
-            ret = INT if ret.name == "nat" else self.memo.canonical.setdefault(ret, ret)
+        if ret is not None and ret.name == "nat":
+            ret = INT
         got = self.calls[key] = (
             path, self.memo.symbol(path, tuple(sub[tp] for tp in decl.type_params)), ret)
         return got
