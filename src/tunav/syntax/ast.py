@@ -17,7 +17,7 @@ used, never cached on a node, so a tree can be shared and reused as a value.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 
 class _SpanFields(NamedTuple):
@@ -289,19 +289,24 @@ class ProgramAst:
     declarations: list[Declaration] = field(default_factory=list)
 
 
-def walk_exprs(e: Expr):
-    """Yield `e` and all its sub-expressions, preorder."""
-    yield e
+def children(e: Expr) -> Sequence[Expr]:
+    """`e`'s direct subterms. A quantifier has none: its body is under its
+    binders, so each walker decides whether to enter it."""
     if isinstance(e, Call):
-        for a in e.args:
-            yield from walk_exprs(a)
-    elif isinstance(e, BinOp):
-        yield from walk_exprs(e.lhs)
-        yield from walk_exprs(e.rhs)
-    elif isinstance(e, Not):
-        yield from walk_exprs(e.arg)
-    elif isinstance(e, (Forall, Exists)):
-        yield from walk_exprs(e.body)
+        return e.args
+    if isinstance(e, BinOp):
+        return (e.lhs, e.rhs)
+    if isinstance(e, Not):
+        return (e.arg,)
+    return ()
+
+
+def walk_exprs(e: Expr):
+    """Yield `e` and all its sub-expressions, preorder, quantifier bodies
+    included."""
+    yield e
+    for c in (e.body,) if isinstance(e, (Forall, Exists)) else children(e):
+        yield from walk_exprs(c)
 
 
 def walk_stmts(stmts: list[Stmt]):

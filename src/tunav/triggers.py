@@ -1,11 +1,15 @@
 """Trigger candidate enumeration and selection.
 
-Valid trigger subexpressions are function applications containing a quantified
-variable, or arithmetic operations (+, -, *) with a quantified variable as a
-direct argument. Comparisons, boolean connectives and bare variables never
-qualify. Selection runs under one of three strategies: manual `#[trigger]`
-marks (always win), a conservative single most-specific group, or all valid
-non-redundant triggers.
+A candidate (`_is_candidate`) is a function application that mentions a
+quantified variable, or an arithmetic operation (+, -, *) with a quantified
+variable as a direct argument; neither may contain a quantifier. Comparisons,
+boolean connectives and bare variables never qualify. Manual `#[trigger]`
+marks always win, and each mark must itself be a candidate. Otherwise one
+selection path runs: the candidates that cover every binder alone, else the
+smallest sets of candidates that cover them together. The conservative
+strategy keeps one: the best single candidate (calls before arithmetic, then
+the larger, then source order), else the first smallest set. The all-triggers
+strategy keeps every group that is not redundant with another.
 """
 
 from __future__ import annotations
@@ -14,7 +18,8 @@ import itertools
 from dataclasses import dataclass, field
 
 from tunav.errors import TriggerError
-from tunav.syntax.ast import BinOp, Binder, Call, Exists, Expr, Forall, Not, Var
+from tunav.syntax.ast import (BinOp, Binder, Call, Exists, Expr, Forall, Not, Var, children,
+                              walk_exprs)
 
 ARITH_TRIGGER_OPS = ("+", "-", "*")
 
@@ -63,7 +68,7 @@ class Quantifier:
         return Quantifier(q.binders, [q.body], [], False)
 
 
-# -- structural keys ---------------------------------------------------------
+# -- terms ----------------------------------------------------------------------
 
 
 def expr_key(e: Expr):
@@ -87,16 +92,26 @@ def expr_key(e: Expr):
 
 
 def expr_size(e: Expr) -> int:
-    n = 1
-    if isinstance(e, Call):
-        n += sum(expr_size(a) for a in e.args)
-    elif isinstance(e, BinOp):
-        n += expr_size(e.lhs) + expr_size(e.rhs)
-    elif isinstance(e, Not):
-        n += expr_size(e.arg)
-    elif isinstance(e, (Forall, Exists)):
-        n += expr_size(e.body)
-    return n
+    """The number of nodes in `e`."""
+    return sum(1 for _ in walk_exprs(e))
+
+
+def free_vars(e: Expr) -> set[str]:
+    """The names of the variables `e` mentions outside its own quantifiers'
+    binders."""
+    if isinstance(e, Var):
+        return {e.name}
+    if isinstance(e, (Forall, Exists)):
+        return free_vars(e.body) - {b.name for b in e.binders}
+    return set().union(*map(free_vars, children(e)))
+
+
+def _subterms(e: Expr):
+    """`e` and its subterms, preorder, not entering a nested quantifier's
+    body (its terms are under other binders)."""
+    yield e
+    for c in children(e):
+        yield from _subterms(c)
 
 
 def _head(e: Expr) -> str | None:
@@ -107,39 +122,15 @@ def _head(e: Expr) -> str | None:
     return None
 
 
-def _free_var_names(e: Expr, out: set[str]):
-    if isinstance(e, Var):
-        out.add(e.name)
-    elif isinstance(e, Call):
-        for a in e.args:
-            _free_var_names(a, out)
-    elif isinstance(e, BinOp):
-        _free_var_names(e.lhs, out)
-        _free_var_names(e.rhs, out)
-    elif isinstance(e, Not):
-        _free_var_names(e.arg, out)
-    elif isinstance(e, (Forall, Exists)):
-        inner: set[str] = set()
-        _free_var_names(e.body, inner)
-        out |= inner - {b.name for b in e.binders}
-
-
-def free_vars(e: Expr) -> set[str]:
-    out: set[str] = set()
-    _free_var_names(e, out)
-    return out
-
-
-def _contains_quantifier(e: Expr) -> bool:
-    if isinstance(e, (Forall, Exists)):
-        return True
+def _is_candidate(e: Expr, binders: set[str]) -> bool:
+    """Whether `e` may serve as a trigger term of a quantifier over `binders`."""
     if isinstance(e, Call):
-        return any(_contains_quantifier(a) for a in e.args)
-    if isinstance(e, BinOp):
-        return _contains_quantifier(e.lhs) or _contains_quantifier(e.rhs)
-    if isinstance(e, Not):
-        return _contains_quantifier(e.arg)
-    return False
+        ok = not free_vars(e).isdisjoint(binders)
+    elif isinstance(e, BinOp) and e.op in ARITH_TRIGGER_OPS:
+        ok = any(isinstance(a, Var) and a.name in binders for a in (e.lhs, e.rhs))
+    else:
+        return False
+    return ok and not any(isinstance(s, (Forall, Exists)) for s in _subterms(e))
 
 
 @dataclass
@@ -150,58 +141,42 @@ class _Candidate:
     is_call: bool
 
 
-def _walk_no_inner_quantifiers(e: Expr):
-    """Preorder subterms, not descending into nested quantifier bodies."""
-    yield e
-    if isinstance(e, Call):
-        for a in e.args:
-            yield from _walk_no_inner_quantifiers(a)
-    elif isinstance(e, BinOp):
-        yield from _walk_no_inner_quantifiers(e.lhs)
-        yield from _walk_no_inner_quantifiers(e.rhs)
-    elif isinstance(e, Not):
-        yield from _walk_no_inner_quantifiers(e.arg)
-
-
 def _enumerate(binders: set[str], pools: list[Expr]) -> list[_Candidate]:
+    """The candidates of `pools` in source order, each structurally distinct
+    term once."""
     seen: set = set()
     out: list[_Candidate] = []
-    pos = 0
-    for pool in pools:
-        for sub in _walk_no_inner_quantifiers(pool):
-            pos += 1
-            mentioned = frozenset(free_vars(sub) & binders)
-            ok = False
-            if isinstance(sub, Call) and mentioned and not _contains_quantifier(sub):
-                ok = True
-            elif (isinstance(sub, BinOp) and sub.op in ARITH_TRIGGER_OPS
-                  and not _contains_quantifier(sub)):
-                direct = any(isinstance(a, Var) and a.name in binders
-                             for a in (sub.lhs, sub.rhs))
-                ok = direct
-            if not ok:
-                continue
+    subterms = (sub for pool in pools for sub in _subterms(pool))
+    for pos, sub in enumerate(subterms, 1):
+        if _is_candidate(sub, binders):
             key = expr_key(sub)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(_Candidate(sub, pos, mentioned, isinstance(sub, Call)))
+            if key not in seen:
+                seen.add(key)
+                out.append(_Candidate(sub, pos, frozenset(free_vars(sub) & binders),
+                                      isinstance(sub, Call)))
     return out
 
 
 # -- selection ----------------------------------------------------------------
 
 
-def _covers(cands: list[_Candidate], binders: set[str]) -> bool:
-    got: set[str] = set()
-    for c in cands:
-        got |= c.vars
-    return got >= binders
+def _covers(cands, binders: set[str]) -> bool:
+    return set().union(*(c.vars for c in cands)) >= binders
+
+
+def _min_covers(cands: list[_Candidate], binders: set[str]) -> list[tuple[_Candidate, ...]]:
+    """Every smallest set of two or more candidates that covers `binders`, in
+    combination order."""
+    for size in range(2, len(cands) + 1):
+        found = [g for g in itertools.combinations(cands, size) if _covers(g, binders)]
+        if found:
+            return found
+    return []
 
 
 def _is_subterm(b: Expr, a: Expr) -> bool:
     bk = expr_key(b)
-    return any(expr_key(sub) == bk for sub in _walk_no_inner_quantifiers(a))
+    return any(expr_key(sub) == bk for sub in _subterms(a))
 
 
 def _group_subsumes(b: tuple[Expr, ...], a: tuple[Expr, ...]) -> bool:
@@ -211,97 +186,17 @@ def _group_subsumes(b: tuple[Expr, ...], a: tuple[Expr, ...]) -> bool:
 
 
 def _prune_redundant(groups: list[tuple[_Candidate, ...]]) -> list[tuple[_Candidate, ...]]:
-    ordered = sorted(groups, key=lambda g: (sum(expr_size(c.expr) for c in g),
-                                            tuple(c.pos for c in g)))
-    retained: list[tuple[_Candidate, ...]] = []
-    for g in ordered:
+    """The groups that subsume no smaller kept group and are subsumed by none,
+    in source order."""
+    retained: list[tuple[Expr, ...]] = []
+    kept = []
+    for g in sorted(groups, key=lambda g: (sum(expr_size(c.expr) for c in g),
+                                           tuple(c.pos for c in g))):
         ge = tuple(c.expr for c in g)
-        redundant = False
-        for h in retained:
-            he = tuple(c.expr for c in h)
-            if _group_subsumes(he, ge) or _group_subsumes(ge, he):
-                redundant = True
-                break
-        if not redundant:
-            retained.append(g)
-    retained.sort(key=lambda g: tuple(c.pos for c in g))
-    return retained
-
-
-def _collect_marks(pools: list[Expr]) -> list[Expr]:
-    marks = []
-    for pool in pools:
-        for sub in _walk_no_inner_quantifiers(pool):
-            if sub.trigger_mark:
-                marks.append(sub)
-    return marks
-
-
-def _loop_warnings(groups: list[TriggerGroup], pools: list[Expr]) -> list[str]:
-    """Syntactic matching-loop heuristic: the selected trigger occurs as a
-    proper subterm of a same-head application elsewhere in the body."""
-    warnings = []
-    for g in groups:
-        for t in g.exprs:
-            h = _head(t)
-            if h is None:
-                continue
-            tk = expr_key(t)
-            for pool in pools:
-                for sub in _walk_no_inner_quantifiers(pool):
-                    if _head(sub) == h and expr_key(sub) != tk and _is_subterm(t, sub):
-                        warnings.append(
-                            f"potential matching loop: trigger {h} occurs inside "
-                            f"another {h} application")
-                        break
-                else:
-                    continue
-                break
-    return warnings
-
-
-def _min_cover_groups(cands: list[_Candidate], binders: set[str],
-                      first_only: bool) -> list[tuple[_Candidate, ...]]:
-    for size in range(2, len(cands) + 1):
-        found = [combo for combo in itertools.combinations(cands, size)
-                 if _covers(list(combo), binders)]
-        if found:
-            return found[:1] if first_only else found
-    return []
-
-
-def infer_triggers(q: Quantifier, strategy: str) -> TriggerSelection:
-    """Select trigger groups for `q`. Manual `#[trigger]` marks override the
-    strategy; `#![all_triggers]` on the quantifier overrides a conservative
-    global default."""
-    binders = {b.name for b in q.binders}
-    if not binders:
-        raise TriggerError("quantifier with no binders")
-    marks = _collect_marks(q.primary + q.secondary)
-    if marks:
-        return _manual_selection(q, binders, marks)
-    if q.all_triggers_attr:
-        strategy = ALL_TRIGGERS
-
-    cands = _enumerate(binders, q.primary)
-    if not _covers(cands, binders):
-        cands = _enumerate(binders, q.primary + q.secondary)
-    if not _covers(cands, binders):
-        raise TriggerError(
-            "no valid trigger: candidates do not mention every quantified variable")
-
-    if strategy == ALL_TRIGGERS and _mixed_arith_and_calls(cands):
-        # Binders used under both arithmetic and call candidates: stay
-        # conservative for this quantifier.
-        sel = _conservative_selection(q, binders, cands)
-        sel.warnings.append("all_triggers fell back to conservative: quantified "
-                            "variable used in both arithmetic and call positions")
-        return sel
-    if strategy == ALL_TRIGGERS:
-        return _all_triggers_selection(q, binders, cands)
-    if strategy == CONSERVATIVE:
-        return _conservative_selection(q, binders, cands)
-    raise TriggerError(f"unknown trigger strategy {strategy!r}")
+        if not any(_group_subsumes(he, ge) or _group_subsumes(ge, he) for he in retained):
+            retained.append(ge)
+            kept.append(g)
+    return sorted(kept, key=lambda g: tuple(c.pos for c in g))
 
 
 def _mixed_arith_and_calls(cands: list[_Candidate]) -> bool:
@@ -312,48 +207,64 @@ def _mixed_arith_and_calls(cands: list[_Candidate]) -> bool:
     return bool(arith_vars & call_vars)
 
 
-def _manual_selection(q: Quantifier, binders: set[str], marks: list[Expr]) -> TriggerSelection:
-    valid_keys = {expr_key(c.expr) for c in _enumerate(binders, q.primary + q.secondary)}
-    for m in marks:
-        if expr_key(m) not in valid_keys:
-            raise TriggerError("invalid #[trigger] annotation: not a valid trigger "
-                               "subexpression", m.span)
-    got: set[str] = set()
-    for m in marks:
-        got |= free_vars(m) & binders
-    if got < binders:
-        missing = ", ".join(sorted(binders - got))
-        raise TriggerError(f"#[trigger] annotations do not cover quantified "
-                           f"variable(s): {missing}", marks[0].span)
-    groups = [TriggerGroup(tuple(marks))]
-    return TriggerSelection(groups, MANUAL, _loop_warnings(groups, q.primary + q.secondary))
+def _loop_warnings(groups: list[TriggerGroup], pools: list[Expr]) -> list[str]:
+    """Syntactic matching-loop heuristic: the selected trigger occurs as a
+    proper subterm of a same-head application elsewhere in the body."""
+    subs = [sub for pool in pools for sub in _subterms(pool)]
+    warnings = []
+    for t in (t for g in groups for t in g.exprs):
+        h, tk = _head(t), expr_key(t)
+        if h is not None and any(_head(sub) == h and expr_key(sub) != tk
+                                 and _is_subterm(t, sub) for sub in subs):
+            warnings.append(f"potential matching loop: trigger {h} occurs inside "
+                            f"another {h} application")
+    return warnings
 
 
-def _conservative_selection(q: Quantifier, binders: set[str],
-                            cands: list[_Candidate]) -> TriggerSelection:
-    singles = [c for c in cands if c.vars >= binders]
-    if singles:
-        best = min(singles, key=lambda c: (0 if c.is_call else 1,
-                                           -expr_size(c.expr), c.pos))
-        groups = [TriggerGroup((best.expr,))]
+def infer_triggers(q: Quantifier, strategy: str) -> TriggerSelection:
+    """Select trigger groups for `q`. Manual `#[trigger]` marks override the
+    strategy; `#![all_triggers]` on the quantifier overrides a conservative
+    global default."""
+    binders = {b.name for b in q.binders}
+    if not binders:
+        raise TriggerError("quantifier with no binders")
+    pools = q.primary + q.secondary
+    marks = [sub for pool in pools for sub in _subterms(pool) if sub.trigger_mark]
+    fallback: list[str] = []
+    if marks:
+        for m in marks:
+            if not _is_candidate(m, binders):
+                raise TriggerError("invalid #[trigger] annotation: not a valid trigger "
+                                   "subexpression", m.span)
+        missing = binders - set().union(*map(free_vars, marks))
+        if missing:
+            raise TriggerError(f"#[trigger] annotations do not cover quantified "
+                               f"variable(s): {', '.join(sorted(missing))}", marks[0].span)
+        groups, strategy = [TriggerGroup(tuple(marks))], MANUAL
     else:
-        combos = _min_cover_groups(cands, binders, first_only=True)
-        if not combos:
-            raise TriggerError("no valid trigger: no covering candidate set exists")
-        groups = [TriggerGroup(tuple(c.expr for c in combos[0]))]
-    return TriggerSelection(groups, CONSERVATIVE,
-                            _loop_warnings(groups, q.primary + q.secondary))
-
-
-def _all_triggers_selection(q: Quantifier, binders: set[str],
-                            cands: list[_Candidate]) -> TriggerSelection:
-    singles = [(c,) for c in cands if c.vars >= binders]
-    chosen = _prune_redundant(singles) if singles else []
-    if not chosen:
-        multis = _min_cover_groups(cands, binders, first_only=False)
-        if not multis:
-            raise TriggerError("no valid trigger: no covering candidate set exists")
-        chosen = _prune_redundant(multis)
-    groups = [TriggerGroup(tuple(c.expr for c in g)) for g in chosen]
-    return TriggerSelection(groups, ALL_TRIGGERS,
-                            _loop_warnings(groups, q.primary + q.secondary))
+        cands = _enumerate(binders, q.primary)
+        if not _covers(cands, binders):
+            cands = _enumerate(binders, pools)
+            if not _covers(cands, binders):
+                raise TriggerError("no valid trigger: candidates do not mention every "
+                                   "quantified variable")
+        if q.all_triggers_attr:
+            strategy = ALL_TRIGGERS
+        if strategy == ALL_TRIGGERS and _mixed_arith_and_calls(cands):
+            # Binders used under both arithmetic and call candidates: stay
+            # conservative for this quantifier.
+            strategy = CONSERVATIVE
+            fallback.append("all_triggers fell back to conservative: quantified "
+                            "variable used in both arithmetic and call positions")
+        elif strategy not in (CONSERVATIVE, ALL_TRIGGERS):
+            raise TriggerError(f"unknown trigger strategy {strategy!r}")
+        # The candidates covering every binder alone, else the smallest
+        # covering sets; the earlier coverage check makes the latter nonempty.
+        singles = [c for c in cands if c.vars >= binders]
+        if strategy == CONSERVATIVE:
+            chosen = ([(min(singles, key=lambda c: (not c.is_call, -expr_size(c.expr), c.pos)),)]
+                      if singles else _min_covers(cands, binders)[:1])
+        else:
+            chosen = _prune_redundant([(c,) for c in singles] or _min_covers(cands, binders))
+        groups = [TriggerGroup(tuple(c.expr for c in g)) for g in chosen]
+    return TriggerSelection(groups, strategy, _loop_warnings(groups, pools) + fallback)

@@ -62,6 +62,22 @@ def test_manual_mark_selected():
     assert marked.name == "is_even"
 
 
+def test_manual_marks_are_checked_by_the_candidate_rule(monkeypatch):
+    """Each mark is checked as a candidate itself: selecting from marks never
+    enumerates the other candidates of the pools."""
+    import tunav.triggers as triggers
+
+    def no_enumeration(*_args):
+        raise AssertionError("marks were checked by enumerating candidates")
+
+    monkeypatch.setattr(triggers, "_enumerate", no_enumeration)
+    q = quantifier_of("#[trigger] f(i) == g(i + 1)")
+    assert infer_triggers(q, ALL_TRIGGERS).strategy_used == MANUAL
+    for body in ("#[trigger] (i == 0)", "#[trigger] f(0) == f(i)", "f(#[trigger] i) == 0"):
+        with pytest.raises(TriggerError, match="invalid #\\[trigger\\] annotation"):
+            infer_triggers(quantifier_of(body), CONSERVATIVE)
+
+
 def test_all_triggers_prunes_redundant_superterm():
     q = quantifier_of("0 <= i < s.len() ==> is_even(s.index(i))")
     sel = infer_triggers(q, ALL_TRIGGERS)
