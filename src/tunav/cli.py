@@ -144,6 +144,9 @@ def cmd_verify(args) -> int:
     if not args.prelude_only and not args.files:
         print("tunav verify: no input files", file=sys.stderr)
         return 2
+    if args.prelude_only and args.files:
+        print("tunav verify: --prelude-only takes no input files", file=sys.stderr)
+        return 2
     run = verify_program([] if args.prelude_only else load_sources(args.files),
                          config)
     warn_liveness_caps(run.program)

@@ -80,6 +80,16 @@ def test_prelude_only(capsys):
     assert "PASS prelude::seq::lemma_seq_contains_after_push" in out
 
 
+def test_prelude_only_with_files_is_usage_error(tmp_path, capsys):
+    """Files given with `--prelude-only` are refused, not silently dropped,
+    whether or not they exist."""
+    for path in (str(tmp_path / "missing.tv"), str(tmp_path)):
+        assert main(["verify", "--prelude-only", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "tunav verify: --prelude-only takes no input files\n"
+        assert captured.out == ""
+
+
 def test_prelude_only_writes_metrics_and_smtlib(tmp_path, capsys):
     """`--prelude-only` writes both outputs, each naming exactly the prelude
     tasks that the report lists."""
