@@ -222,7 +222,10 @@ class ResolveMemo:
         # (path, type args) <-> instance symbol, each rendered once
         self.interned: dict[tuple[str, tuple[Type, ...]], str] = {}
         self.keys: dict[str, tuple[str, tuple[Type, ...]]] = {}
-        # one object per sort mentioned, so that sets of sorts match by identity
+        # one object per sort mentioned, so that sets of sorts match by
+        # identity: a minimizer trial unions the memoised sort sets of every
+        # instance, and equal but distinct sorts would be compared field by
+        # field there
         self.canonical: dict[Type, Type] = {}
         # (symbol, id(decl)) -> (the instance, the symbols it demands in
         # order, the sorts it mentions)
