@@ -21,6 +21,13 @@ The newest disjunctions come from the negated goal and from the latest
 instantiations, so the search works on what the goal needs before older
 context clauses.
 
+The left branch asserts the chosen disjunct with a fresh `decision` origin
+beside the disjunction's own, and everything derived from it carries that
+origin on. The right branch runs only if a conflict of the left subtree
+contains it (conflict-directed backjumping). If none does, the state before
+the split was refuted without the decision, so its right branch is too.
+Decision origins name no source fact, so the reported core drops them.
+
 Instantiation is round-based against a frozen term graph, deduplicated by
 (fact, class-representative substitution) per branch. Every asserted literal
 carries a set of origins; congruence explanations and arithmetic source
@@ -61,7 +68,9 @@ INT = Type("int")
 
 @dataclass(frozen=True)
 class Origin:
-    kind: str  # "axiom" | "lemma" | "definition" | "local" | "goal"
+    # "axiom" | "lemma" | "definition" | "local" | "goal", or "decision":
+    # a split's left literal, never reported
+    kind: str
     path: str
     span: SourceSpan | None = None
 
@@ -924,9 +933,10 @@ class ProverState:
         disjunction first, i.e. the one added most recently."""
         return self.disjs[-1] if self.disjs else None
 
-    def split(self, d: _Disj) -> tuple["ProverState", "ProverState"]:
-        """Left branch asserts the first undecided disjunct; right branch its
-        negation plus the rest of the disjunction."""
+    def split(self, d: _Disj) -> tuple["ProverState", "ProverState", Origin]:
+        """Left branch asserts the first undecided disjunct under a fresh
+        decision origin; right branch its negation plus the rest of the
+        disjunction. Returns both branches and the decision."""
         self.disjs = [x for x in self.disjs if x is not d]
         chosen = None
         rest = []
@@ -939,17 +949,27 @@ class ProverState:
         if chosen is None:  # all decided: re-add and let propagation handle it
             self.disjs.append(d)
             raise TunavError("split on decided disjunction")
+        self.shared.splits += 1
+        decision = Origin("decision", str(self.shared.splits))
         right = self.clone()
-        self._dispatch(chosen[0], chosen[1], d.slots, d.env, d.origins)
+        self._dispatch(chosen[0], chosen[1], d.slots, d.env,
+                       d.origins | {decision})
         right._dispatch(chosen[0], not chosen[1], d.slots, d.env, d.origins)
         if rest:
             right.disjs.append(_Disj(rest, d.slots, d.env, d.origins))
-        return self, right
+        return self, right, decision
 
 
 # ---------------------------------------------------------------------------
 # prove
 # ---------------------------------------------------------------------------
+
+
+def _refuted(decision: Origin | None, core: set) -> bool:
+    """Whether a deferred right branch is refuted already: its left
+    sibling's subtree has closed, with every conflict in `core`, and none of
+    them used the left branch's `decision`."""
+    return decision is not None and decision not in core
 
 
 def prove(ground: list[tuple[Formula, frozenset]],
@@ -958,8 +978,9 @@ def prove(ground: list[tuple[Formula, frozenset]],
           goal_origins: frozenset,
           limits: Limits = Limits(),
           params: dict[str, Type] | None = None) -> Outcome:
-    """Decide one obligation by refutation. Verified iff every branch closes;
-    Failed on a saturated consistent branch; Unknown on any limit."""
+    """Decide one obligation by refutation. Verified iff every branch closes
+    (a skipped right branch closes with its parent); Failed on a saturated
+    consistent branch; Unknown on any limit."""
     t0 = time.monotonic()
     shared = _Shared()
     st = ProverState(shared)
@@ -977,11 +998,14 @@ def prove(ground: list[tuple[Formula, frozenset]],
                        (time.monotonic() - t0) * 1000.0)
 
     used_core: set = set()
-    stack = [st]
+    # (state, decision): a right branch with its left sibling's decision
+    stack: list[tuple[ProverState, Origin | None]] = [(st, None)]
     while stack:
         if (time.monotonic() - t0) * 1000.0 > limits.time_budget_ms:
             return done("unknown", "time")
-        state = stack.pop()
+        state, decision = stack.pop()
+        if _refuted(decision, used_core):
+            continue
         state.propagate()
         if state.conflict is not None:
             used_core |= state.conflict
@@ -990,10 +1014,9 @@ def prove(ground: list[tuple[Formula, frozenset]],
         if d is not None:
             if shared.splits >= limits.max_splits:
                 return done("unknown", "splits")
-            shared.splits += 1
-            left, right = state.split(d)
-            stack.append(right)
-            stack.append(left)
+            left, right, decision = state.split(d)
+            stack.append((right, decision))
+            stack.append((left, None))
             continue
         if state.rounds_done >= limits.max_rounds:
             return done("unknown", "rounds")
@@ -1002,5 +1025,6 @@ def prove(ground: list[tuple[Formula, frozenset]],
             return done("unknown", "instantiations")
         if new == 0:
             return done("failed")
-        stack.append(state)
-    return done("verified", core=used_core)
+        stack.append((state, None))
+    return done("verified",
+                core=[o for o in used_core if o.kind != "decision"])

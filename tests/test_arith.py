@@ -262,7 +262,7 @@ def test_arith_reuse_equals_rebuilding_every_pass(monkeypatch):
 
 
 def test_heavy_obligation_linearises_few_atoms(monkeypatch):
-    """The prelude's most split-heavy obligation linearised 2136 atoms when
+    """The prelude's most split-heavy obligation linearised 358 atoms when
     every pass rebuilt them all."""
     task = "prelude::seq::lemma_seq_contains_after_push"
     program, registry = resolve_with_prelude([])
@@ -270,21 +270,21 @@ def test_heavy_obligation_linearises_few_atoms(monkeypatch):
                  if ob.site.kind == "ensures"]
     linearised = _count_linearised(monkeypatch)
     out = prove_obligation(ensures)
-    assert out.verified and out.splits_used == 71
-    assert len(linearised) <= 900
+    assert out.verified and out.splits_used == 27
+    assert len(linearised) <= 150
 
 
 def test_heavy_obligation_relinearises_only_merged_atoms(monkeypatch):
     """An atom keeps its linear form until a class it read merges: the heavy
-    obligation linearised 887 atoms when every union relinearised them all."""
+    obligation linearised 146 atoms when every union relinearised them all."""
     task = "prelude::seq::lemma_seq_contains_after_push"
     program, registry = resolve_with_prelude([])
     [ensures] = [ob for ob in generate_obligations(task, VcgenRun(program, registry))
                  if ob.site.kind == "ensures"]
     linearised = _count_linearised(monkeypatch)
     out = prove_obligation(ensures)
-    assert out.verified and out.splits_used == 71
-    assert len(linearised) <= 400
+    assert out.verified and out.splits_used == 27
+    assert len(linearised) <= 100
 
 
 def test_core_alone_may_escape_refutation():

@@ -277,7 +277,7 @@ def test_file_order_does_not_change_results():
     for asts in inputs:
         for jobs in (1, 2):
             run = verify_program(asts, RunConfig(jobs=jobs))
-            assert _run_counts(run) == (176, 693, 160, 188)
+            assert _run_counts(run) == (176, 449, 102, 188)
             if want is None:
                 want = _run_summary(run)
             assert _run_summary(run) == want
@@ -327,7 +327,7 @@ def test_renaming_does_not_change_results():
     renamed = [parse_module(rename(texts[p]), p) for p in CORPUS]
     runs = [verify_program(a, RunConfig(jobs=1)) for a in (asts, renamed)]
     for run in runs:
-        assert _run_counts(run) == (176, 693, 160, 188)
+        assert _run_counts(run) == (176, 449, 102, 188)
     back = _word_map({v: k for k, v in fresh.items()})
     assert _summary_through(runs[1], back) == _summary_through(runs[0], str)
 
@@ -580,7 +580,7 @@ def test_engine_facts_built_once_per_run(monkeypatch):
     for module in compiled:
         monkeypatch.setattr(module, "compile_formula", compiling_in(module))
     run = verify_program(load_sources(CORPUS), RunConfig())
-    assert _run_counts(run) == (176, 693, 160, 188)
+    assert _run_counts(run) == (176, 449, 102, 188)
     assert len(keys) > 60
     assert len(keys) == len(set(keys))
     # 20 (quantifier, polarity) pairs, which a run registers 40 times
@@ -627,7 +627,7 @@ def test_driver_calls_each_layer_through_its_module(monkeypatch):
     for name in DRIVER_LAYERS:
         monkeypatch.setattr(driver, name, counting(name, getattr(driver, name)))
     run = verify_program(load_sources(CORPUS), RunConfig(jobs=1))
-    assert _run_counts(run) == (176, 693, 160, 188)
+    assert _run_counts(run) == (176, 449, 102, 188)
     assert calls == {"load_prelude": 1, "resolve_program": 1, "order_tasks": 1,
                      "generate_obligations": len(run.results),
                      "prove_obligation": 176}

@@ -1,10 +1,23 @@
 import gc
+import glob
 import random
+import time
 
 import pytest
 
-from tunav.driver import RunConfig, verify_program
-from tunav.engine import Limits, Origin, ProverState, eval_finite, make_fact, prove
+from tunav import vcgen
+from tunav.cli import main as cli_main
+from tunav.driver import RunConfig, load_sources, verify_program
+from tunav.engine import (
+    Limits,
+    Origin,
+    Outcome,
+    ProverState,
+    eval_finite,
+    make_fact,
+    prove,
+)
+from tunav.engine import prover
 from tunav.engine.prover import compile_formula
 from tunav.engine.arith import (
     CONSISTENT,
@@ -14,7 +27,9 @@ from tunav.engine.arith import (
 )
 from tunav.syntax.ast import BinOp, BoolLit, Call, IntLit, SourceSpan, Type, Var
 from tunav.triggers import CONSERVATIVE
+from test_resolve_snapshot import synth_like_asts
 
+CORPUS = sorted(glob.glob("tests/corpus/*.tv"))
 SPAN = SourceSpan("t.tv", 0, 1, 1, 1)
 INT = Type("int")
 BOOL = Type("bool")
@@ -266,7 +281,7 @@ def test_first_pending_is_newest_disjunction():
         return [(d.slots[node[1]], pos) for node, pos in d.items]
 
     assert items(st.first_pending()) == [(r, True), (s, True)]
-    left, right = st.split(st.first_pending())
+    left, right, _ = st.split(st.first_pending())
     # the untaken half of the split disjunction is now the newest one
     assert items(right.first_pending()) == [(s, True)]
     assert items(left.first_pending()) == [(p, True), (q, True)]
@@ -274,7 +289,8 @@ def test_first_pending_is_newest_disjunction():
 
 def test_heavy_prelude_lemma_split_bound():
     """The prelude's most split-heavy lemma: oldest-first splitting took 328
-    splits over its obligations, newest-first takes 80."""
+    splits over its obligations, newest-first 80, and newest-first with
+    skipped right branches takes 32."""
     run = verify_program([], RunConfig())
     result = run.results["prelude::seq::lemma_seq_contains_after_push"]
     assert result.passed
@@ -282,12 +298,12 @@ def test_heavy_prelude_lemma_split_bound():
 
 
 def test_time_budget_bounds_every_obligation():
-    """A 5 ms budget stops the heavy lemma's ensures (tens of ms unbounded),
-    and no obligation runs far past its budget."""
+    """A 2 ms budget stops the heavy lemma's ensures (about 10 ms
+    unbounded), and no obligation runs far past its budget."""
     # a full collection of the garbage earlier tests left (tens of ms over
     # this process's heap) must not land inside the run it times
     gc.collect()
-    run = verify_program([], RunConfig(limits=Limits(time_budget_ms=5)))
+    run = verify_program([], RunConfig(limits=Limits(time_budget_ms=2)))
     result = run.results["prelude::seq::lemma_seq_contains_after_push"]
     [ensures] = [out for site, out in result.obligations
                  if site.kind == "ensures"
@@ -463,3 +479,238 @@ def test_soundness_against_finite_oracle(seed):
             continue
         assert eval_finite(goal, n, env, funcs), (
             f"unsound: seed={seed} interp={k} goal false under true hypotheses")
+
+
+# -- skipping right branches -------------------------------------------------------
+
+
+def exhaustive_search(state, limits, t0):
+    """A frozen copy of the search loop from before right branches could be
+    skipped: every split's right branch runs. (status, reason, core)."""
+    shared = state.shared
+    core = set()
+    stack = [state]
+    while stack:
+        if (time.monotonic() - t0) * 1000.0 > limits.time_budget_ms:
+            return "unknown", "time", core
+        state = stack.pop()
+        state.propagate()
+        if state.conflict is not None:
+            core |= state.conflict
+            continue
+        d = state.first_pending()
+        if d is not None:
+            if shared.splits >= limits.max_splits:
+                return "unknown", "splits", core
+            left, right, _ = state.split(d)
+            stack.append(right)
+            stack.append(left)
+            continue
+        if state.rounds_done >= limits.max_rounds:
+            return "unknown", "rounds", core
+        new = state.instantiate_round()
+        if shared.inst_total > limits.max_instantiations:
+            return "unknown", "instantiations", core
+        if new == 0:
+            return "failed", None, core
+        stack.append(state)
+    return "verified", None, core
+
+
+def exhaustive_prove(ground, facts, goal, goal_origins, limits=Limits(),
+                     params=None):
+    """`prove` over `exhaustive_search`."""
+    t0 = time.monotonic()
+    st = ProverState()
+    for name in params or {}:
+        st.graph.new_term(f"%{name}", ())
+    for f, origins in ground:
+        st.assert_formula(f, True, {}, origins)
+    for f in facts:
+        st.add_fact(f)
+    st.assert_formula(goal, False, {}, goal_origins)
+    status, reason, core = exhaustive_search(st, limits, t0)
+    shared = st.shared
+    core = {o for o in core if o.kind != "decision"} if status == "verified" else ()
+    return Outcome(status, reason, frozenset(core), dict(shared.inst_counts),
+                   shared.max_rounds_seen, shared.splits,
+                   (time.monotonic() - t0) * 1000.0)
+
+
+def search_skipped_branches(monkeypatch, limits=Limits()) -> list:
+    """Make `prove` still search, in full and on counters of its own, each
+    right branch it skips. Returns the statuses those searches ended in."""
+    rights = {}
+    split = ProverState.split
+    refuted = prover._refuted
+    ended = []
+
+    def recording(state, d):
+        left, right, decision = split(state, d)
+        rights[decision] = right
+        return left, right, decision
+
+    def searching(decision, core):
+        if not refuted(decision, core):
+            return False
+        right = rights.pop(decision)
+        right.shared = prover._Shared()
+        with monkeypatch.context() as m:
+            m.setattr(ProverState, "split", split)
+            ended.append(exhaustive_search(right, limits, time.monotonic())[0])
+        return True
+
+    monkeypatch.setattr(ProverState, "split", recording)
+    monkeypatch.setattr(prover, "_refuted", searching)
+    return ended
+
+
+def statuses(run):
+    return {(task, i): out.status for task, r in run.results.items()
+            for i, (_, out) in enumerate(r.obligations)}
+
+
+def test_right_branch_skipped_when_left_closes_without_its_decision():
+    # p(c) || q(c) splits first; the left branch's instantiation of
+    # g(x) == 2 meets g(c) == 1, a conflict that uses neither disjunct
+    f = fact("g2", [("x", INT)], None, b("==", call("g", iv("x")), il(2)),
+             [call("g", iv("x"))])
+    disj = frozenset([Origin("local", "disj")])
+    hyps = [(b("||", call("p", iv("c"), ty=BOOL), call("q", iv("c"), ty=BOOL)),
+             disj),
+            (b("==", call("g", iv("c")), il(1)), H)]
+    false = BoolLit(SPAN, value=False, ty=BOOL)
+    out = prove_exprs(hyps, [f], false, G, params={"c": INT})
+    assert out.verified and out.splits_used == 1
+    assert out.instantiations == {"g2": 1}  # the right branch never ran
+    assert {o.path for o in out.used_core} == {"g2", "hyp"}
+    full = exhaustive_prove([(compiled(h), o) for h, o in hyps], [f],
+                            compiled(false), G, params={"c": INT})
+    assert full.verified and full.instantiations == {"g2": 2}
+
+
+def test_instance_matched_on_left_branch_term_keeps_the_decision():
+    # the left branch skolemizes exists w. p(w); matching forall x {p(x)}:
+    # r(c) on p(!sk) refutes it, and only through the decision, so the
+    # right branch, where no p term exists, must still run (and fails)
+    from tunav.syntax.ast import Binder, Exists
+    ex = Exists(SPAN, binders=[Binder("w", INT)],
+                body=call("p", iv("w"), ty=BOOL), ty=BOOL)
+    f = fact("p_to_r", [("x", INT)], None, call("r", iv("c"), ty=BOOL),
+             [call("p", iv("x"), ty=BOOL)])
+    hyps = [(b("||", ex, call("q", iv("c"), ty=BOOL)), H)]
+    out = prove_exprs(hyps, [f], call("r", iv("c"), ty=BOOL), G,
+                      params={"c": INT})
+    assert (out.status, out.splits_used) == ("failed", 1)
+    assert out.instantiations == {"p_to_r": 1}
+
+
+def binary_counter(n):
+    """x_i == 0 || x_i == 1 for i < n, and x_0 + ... + x_(n-1) == n + 1:
+    every conflict uses every decision above it, so no right branch is
+    skipped. Arithmetic fixes the last x_i, so the search takes 2^(n-1) - 1
+    splits."""
+    xs = [f"x{i}" for i in range(n)]
+    hyps = [(b("||", b("==", iv(x), il(0)), b("==", iv(x), il(1))), H)
+            for x in xs]
+    total = iv(xs[0])
+    for x in xs[1:]:
+        total = b("+", total, iv(x), INT)
+    hyps.append((b("==", total, il(n + 1)), H))
+    return hyps, {x: INT for x in xs}
+
+
+def test_right_branch_searched_when_left_used_its_decision():
+    hyps, params = binary_counter(5)
+    false = BoolLit(SPAN, value=False, ty=BOOL)
+    out = prove_exprs(hyps, [], false, G, params=params)
+    assert out.verified and out.splits_used == 15
+    assert out.used_core == H
+    full = exhaustive_prove([(compiled(h), o) for h, o in hyps], [],
+                            compiled(false), G, params=params)
+    assert full.splits_used == 15
+
+
+def test_limits_bound_search_with_deferred_right_branches():
+    """Right branches wait on the stack while their left subtrees run; the
+    split and time limits still end the search, with their reasons."""
+    hyps, params = binary_counter(12)
+    false = BoolLit(SPAN, value=False, ty=BOOL)
+    out = prove_exprs(hyps, [], false, G, params=params,
+                      limits=Limits(max_splits=40))
+    assert (out.status, out.reason, out.splits_used) == ("unknown", "splits", 40)
+    hyps, params = binary_counter(20)
+    gc.collect()
+    out = prove_exprs(hyps, [], false, G, params=params,
+                      limits=Limits(time_budget_ms=50, max_splits=10**9))
+    assert (out.status, out.reason) == ("unknown", "time")
+    assert 50 <= out.duration_ms < 500
+
+
+def test_skipped_right_branches_close_on_projects(monkeypatch):
+    """Each right branch skipped over the corpus, the prelude and a project
+    of two renamed corpus copies closes when searched in full, and the
+    exhaustive search gives every obligation the same verdict."""
+    ended = search_skipped_branches(monkeypatch)
+    config = RunConfig(jobs=1)
+    for asts in (load_sources(CORPUS), [], synth_like_asts(2)):
+        skipping = statuses(verify_program(asts, config))
+        with monkeypatch.context() as m:
+            m.setattr(vcgen, "prove", exhaustive_prove)
+            assert statuses(verify_program(asts, config)) == skipping
+        assert set(skipping.values()) == {"verified"}
+    assert len(ended) > 100 and set(ended) == {"verified"}
+
+
+def test_skipped_right_branches_close_on_random_obligations(monkeypatch):
+    """criterion_04's 1000 random obligations: each skipped right branch
+    closes, and no verdict moves from verified."""
+    limits = Limits(max_rounds=3, max_instantiations=300)
+    ended = search_skipped_branches(monkeypatch, limits)
+    moved = []
+    for seed in range(1000):
+        hyps, facts, _, goal = random_obligation(random.Random(seed), 3)
+        args = ([(compiled(h), H) for h in hyps], facts, compiled(goal), G,
+                limits, {"c": INT, "d": INT})
+        skipping = prove(*args).status
+        full = exhaustive_prove(*args).status
+        if skipping != full:
+            moved.append((seed, full, skipping))
+    assert moved == []
+    assert len(ended) > 0 and set(ended) == {"verified"}
+
+
+@pytest.mark.parametrize("strategy", ["conservative", "all-triggers"])
+def test_no_decision_origin_leaves_the_engine(strategy, monkeypatch, tmp_path,
+                                             capsys):
+    """Splits label their left literals with decision origins; none reaches
+    an outcome's core, the usage report, metrics or SMT-LIB files."""
+    decisions = []
+    cores = []
+    split = ProverState.split
+    prove_ = vcgen.prove
+
+    def recording(state, d):
+        left, right, decision = split(state, d)
+        decisions.append(decision)
+        return left, right, decision
+
+    def proving(*args):
+        out = prove_(*args)
+        cores.append(out.used_core)
+        return out
+
+    monkeypatch.setattr(ProverState, "split", recording)
+    monkeypatch.setattr(vcgen, "prove", proving)
+    metrics = tmp_path / "m.json"
+    smt = tmp_path / "smt"
+    code = cli_main(["verify", *CORPUS, "--trigger-strategy", strategy,
+                     "--broadcast-usage-info", "--no-timing",
+                     "--metrics-out", str(metrics), "--emit-smtlib", str(smt)])
+    assert code == 0
+    assert len(decisions) == 102 and len(cores) == 176
+    assert all(o.kind != "decision" for core in cores for o in core)
+    texts = [capsys.readouterr().out, metrics.read_text()]
+    texts += [p.read_text() for p in smt.iterdir()]
+    assert "checking this function used these broadcasted lemmas" in texts[0]
+    assert not any("decision" in text for text in texts)
