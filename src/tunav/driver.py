@@ -2,16 +2,19 @@
 obligation, and assemble per-function results, usage reports and metrics.
 
 With `jobs` > 1, the tasks are verified by `min(jobs, tasks)` worker
-processes forked after resolve, which inherit the resolved program. Each
+processes forked after resolve, which inherit the resolved program and the
+prelude's lowered facts, lowered before the fork. Each
 worker claims the next task of the whole order from a shared counter, so
 there is no barrier between task layers: a task reads no other task's
 result. At the end each worker sends one pickle of its results, and the
 parent puts them in task order, so a run's results and errors equal those of
 jobs=1.
 
-Inside `shared_runs()`, the runs of the calling thread share one
-`ResolveMemo` and one `LoweredFacts` dict; each run's results equal those of
-a run outside it."""
+Every run reads and fills the prelude store (`resolve.PreludeStore`), which
+keeps the prelude's resolve and lowered facts for the life of the process.
+Inside `shared_runs()`, the runs of the calling thread also share one
+`ResolveMemo` and one `LoweredFacts` dict for the rest; each run's results
+equal those of a run outside it."""
 
 from __future__ import annotations
 
@@ -143,7 +146,8 @@ _shared: ContextVar[tuple[ResolveMemo, LoweredFacts] | None] = ContextVar(
 def shared_runs():
     """Within the block, the `verify_program` runs of this context reuse each
     other's resolution and lowered facts (a minimizer pass, whose runs differ
-    in one declaration at a time). Both are dropped when the block ends."""
+    in one declaration at a time). Both are dropped when the block ends;
+    what the prelude store keeps is shared by every run anyway."""
     token = _shared.set((ResolveMemo(), {}))
     try:
         yield
@@ -172,6 +176,17 @@ class WorkerTraceback(Exception):
 
     def __str__(self) -> str:
         return self.args[0]
+
+
+def _lower_kept_facts(run: VcgenRun):
+    """Lower the facts of every instance the prelude store keeps, here, so
+    that forked workers inherit them and later runs find them. A fact that
+    fails to lower is left to the task that needs it, which raises as it
+    would at jobs=1."""
+    for inst in run.program.instances.values():
+        if inst.kept and (inst.kind == "spec" or inst.decl_path in run.registry.facts):
+            with contextlib.suppress(TunavError):
+                run.facts_of(inst)
 
 
 def _work(todo: list[str], run: VcgenRun, config: RunConfig, lock,
@@ -316,6 +331,7 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
     vcgen_run = VcgenRun(program, registry, config, lowered)
     workers = min(config.jobs, len(todo))
     if workers >= 2 and _can_fork():
+        _lower_kept_facts(vcgen_run)
         done = _fork_join(todo, workers, vcgen_run, config)
     else:
         done = [verify_task(t, vcgen_run, config) for t in todo]

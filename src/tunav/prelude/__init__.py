@@ -6,8 +6,12 @@ from __future__ import annotations
 
 import functools
 from importlib import resources
+from typing import TYPE_CHECKING
 
 from tunav.syntax import ProgramAst, parse_module
+
+if TYPE_CHECKING:
+    from tunav.resolve import PreludeStore
 
 PRELUDE_FILES = (
     ("core.tv", "prelude::core"),
@@ -19,16 +23,26 @@ PRELUDE_FILES = (
 
 
 @functools.cache
-def _parsed_prelude() -> tuple[ProgramAst, ...]:
-    return tuple(
+def _parsed_prelude() -> PreludeStore:
+    """The prelude modules parsed, in the store that keeps the work done on
+    them; clearing this cache drops both."""
+    from tunav.resolve import PreludeStore  # resolve imports this package
+
+    return PreludeStore(tuple(
         parse_module(resources.files("tunav.prelude").joinpath(fname).read_text(),
                      f"<prelude>/{fname}", module=module)
-        for fname, module in PRELUDE_FILES)
+        for fname, module in PRELUDE_FILES))
+
+
+def prelude_store() -> PreludeStore:
+    """The store of this process's prelude: its parsed modules, and the
+    resolve and lowering work on them that no program can change."""
+    return _parsed_prelude()
 
 
 def load_prelude() -> list[ProgramAst]:
-    """The embedded prelude modules (verified by the test suite and by
-    `tunav verify --prelude-only`). The sources are parsed once per process;
-    every call returns a new list of the same ASTs, which the pipeline never
-    modifies."""
-    return list(_parsed_prelude())
+    """The embedded prelude modules. Every `verify_program` run verifies
+    their lemmas beside the user's, and `tunav verify --prelude-only` verifies
+    them alone. The sources are parsed once per process; every call returns a
+    new list of the same ASTs, which the pipeline never modifies."""
+    return list(_parsed_prelude().asts)

@@ -33,17 +33,26 @@ fixpoint whose rounds match only the newly live sorts. So `Program.instances`
 and its order equal those of a fresh resolve. The memo serves only programs
 whose modules and declaration interfaces equal those of the first program it
 resolved; any other program is resolved afresh.
+
+What lives for the process is the prelude's share of that work, in the
+prelude store (`PreludeStore`, beside the prelude's parse): each prelude
+declaration's checked tree and its instances at builtin and prelude sorts.
+Every memo that resolves a program containing the prelude starts from the
+store's entries and adds the prelude work it does to them; vcgen keeps the
+facts it lowers from those instances there too. Whatever mentions a user
+declaration or sort stays in the memo and dies with its run or pass.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from tunav.errors import CycleError, ResolveError
-from tunav.prelude import PRELUDE_FILES
+from tunav.prelude import PRELUDE_FILES, prelude_store
 from tunav.syntax.ast import (
     BINARY_OPS,
     Assert,
@@ -115,9 +124,11 @@ def unify(pattern: Type, actual: Type, sub: dict[str, Type], tps) -> bool:
 
 
 def mono_symbol(path: str, targs: tuple[Type, ...]) -> str:
-    if not targs:
-        return path
-    return f"{path}<{','.join(t.render() for t in targs)}>"
+    """The instance symbol of `path` at `targs`, interned: the trees of every
+    memo and of the prelude store then hold one object per symbol, which
+    dictionary lookups match by identity."""
+    return sys.intern(f"{path}<{','.join(t.render() for t in targs)}>"
+                      if targs else path)
 
 
 def mentions_sort(t: Type, prefix: str) -> bool:
@@ -137,6 +148,9 @@ class MonoFn:
     # the absolute paths of the body's `broadcast use` statements, in
     # `walk_stmts` order (a proof fn's; empty otherwise)
     uses: tuple[str, ...] = ()
+    # whether the prelude store keeps this instance, and so its lowered
+    # facts, for the life of the process
+    kept: bool = False
 
     @property
     def skolem(self) -> bool:
@@ -205,7 +219,9 @@ def _interface(d: Declaration) -> tuple:
 class ResolveMemo:
     """Resolution work shared by the resolves of programs that differ only
     inside declarations (see the module docstring); its tables are keyed by
-    what those programs share: paths, symbols, sorts and node identities."""
+    what those programs share: paths, symbols, sorts and node identities.
+    A memo starts from the prelude store's entries (`adopt`), and the
+    resolver adds the prelude work it does to both."""
 
     def __init__(self):
         self.interfaces: tuple | None = None  # of the first program resolved
@@ -233,6 +249,20 @@ class ResolveMemo:
                              tuple[MonoFn, tuple[str, ...], frozenset[Type]]] = {}
         # live sort -> what it binds (`_Resolver.matches`)
         self.matches: dict[Type, tuple[tuple[int, int, Type], ...]] = {}
+        # the prelude store this memo started from; kept, so that the
+        # declarations keying the entries copied from it stay alive
+        self.store: PreludeStore | None = None
+
+    def adopt(self, store: PreludeStore):
+        """On the memo's first resolve, start from `store`'s entries. The
+        entries are copied before the keys, so every copied entry's demanded
+        symbols have theirs (the store inserts keys first)."""
+        if self.store is None:
+            self.store = store
+            self.checked.update(store.checked)
+            self.instances.update(store.instances)
+            self.keys.update(store.keys)
+            self.canonical.update(store.canonical)
 
     def symbol(self, path: str, targs: tuple[Type, ...]) -> str:
         """The symbol of the instance of `path` at `targs`."""
@@ -256,6 +286,61 @@ class ResolveMemo:
             for d in a.declarations:
                 self.decls.setdefault(id(d), d)
         return True
+
+
+def skolem(path: str, tp: str) -> Type:
+    """The fresh sort at which generic proof fn `path` is verified for its
+    type parameter `tp`."""
+    return Type(f"!{path}::{tp}")
+
+
+class PreludeStore:
+    """The parsed prelude and the work on it that no program can change,
+    kept for the life of the process (`prelude.prelude_store`). Its entries
+    are keyed by prelude declaration objects and mention only builtin and
+    prelude sorts; work that mentions a user declaration or sort stays in
+    the run's memo. Every entry is immutable and inserted whole, after the
+    keys of the symbols it demands, so a memo that copies the store on
+    another thread copies only finished entries. It serves only programs
+    that contain its ASTs."""
+
+    def __init__(self, asts: tuple[ProgramAst, ...]):
+        self.asts = asts
+        self.decls = frozenset(id(d) for a in asts for d in a.declarations)
+        # the builtin sorts, the prelude's, and the skolem sorts at which its
+        # generic proof fns are verified
+        names = {"int", "nat", "bool"}
+        for a in asts:
+            for d in a.declarations:
+                path = f"{a.module}::{d.name}"
+                if isinstance(d, SortDecl):
+                    names.add(path)
+                elif isinstance(d, ProofFn):
+                    names.update(skolem(path, tp).name for tp in d.type_params)
+        self.sorts = frozenset(names)
+        # the tables of `ResolveMemo` of the same names, for prelude work:
+        # each memo starts from them
+        self.checked: dict[int, _Checked] = {}
+        self.instances: dict[tuple[str, int],
+                             tuple[MonoFn, tuple[str, ...], frozenset[Type]]] = {}
+        self.keys: dict[str, tuple[str, tuple[Type, ...]]] = {}
+        self.canonical: dict[Type, Type] = {}
+        # the facts vcgen lowers from the kept instances (`vcgen.LoweredFacts`)
+        self.lowered: dict = {}
+
+    def serves(self, asts: list[ProgramAst]) -> bool:
+        """Whether the program of `asts` contains this store's prelude."""
+        ids = {id(a) for a in asts}
+        return all(id(a) in ids for a in self.asts)
+
+    def holds(self, t: Type) -> bool:
+        """Whether `t` mentions only builtin and prelude sorts."""
+        return t.name in self.sorts and all(map(self.holds, t.args))
+
+
+# the store of a program without the prelude: it owns no declaration, so it
+# stays empty
+_NO_PRELUDE = PreludeStore(())
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +595,11 @@ def _subst_type(t: Type, sub: dict[str, Type]) -> Type:
 
 
 class _Resolver:
-    def __init__(self, asts: list[ProgramAst], memo: ResolveMemo):
+    def __init__(self, asts: list[ProgramAst], memo: ResolveMemo,
+                 store: PreludeStore):
         self.asts = asts
         self.memo = memo
+        self.store = store
         self.symbols: dict[str, Declaration] = {}
         self.decl_module: dict[str, str] = {}
         self.module_names: list[str] = []
@@ -575,7 +662,7 @@ class _Resolver:
                         rets[path] = ck.check_type(d.ret, d.span)
                     if not d.type_params or isinstance(d, ProofFn):
                         roots.append(self.memo.symbol(path, tuple(
-                            Type(f"!{path}::{tp}") for tp in d.type_params)))
+                            skolem(path, tp) for tp in d.type_params)))
                     if isinstance(d, ProofFn):
                         tasks[path] = roots[-1]
                     if d.type_params and getattr(d, "broadcast", False):
@@ -666,11 +753,22 @@ class _Resolver:
                 return cand
         raise ResolveError(f"unresolved broadcast import '{path}'", span)
 
+    def keep(self, table: dict, key, entry, demands: tuple[str, ...], sorts):
+        """Insert `entry` into the prelude store's `table`, after the keys of
+        the symbols it demands and the sorts it mentions."""
+        store, keys = self.store, self.memo.keys
+        for sym in demands:
+            store.keys.setdefault(sym, keys[sym])
+        for t in sorts:
+            store.canonical.setdefault(t, t)
+        table.setdefault(key, entry)
+
     # -- declaration checking --------------------------------------------------
 
     def check_all(self):
         """Check every declaration the memo has not checked yet, keeping its
-        typed tree in `memo.checked`."""
+        typed tree in `memo.checked`, and a prelude declaration's also in the
+        prelude store."""
         checked = self.memo.checked
         for ast in self.asts:
             for d in ast.declarations:
@@ -679,7 +777,11 @@ class _Resolver:
                         self.resolve_import(p, ast.module, d.span) for p in d.paths)
                 elif isinstance(d, (SpecFn, ProofFn, AxiomFn)):
                     if id(d) not in checked:
-                        checked[id(d)] = _check_decl(f"{ast.module}::{d.name}", d, self)
+                        got = checked[id(d)] = _check_decl(
+                            f"{ast.module}::{d.name}", d, self)
+                        if id(d) in self.store.decls:
+                            self.keep(self.store.checked, id(d), got, got.demands,
+                                      got.sorts)
                 elif not isinstance(d, (BroadcastGroup, SortDecl, ConstDecl)):
                     # groups are checked by build_registry, consts by resolve_signatures
                     raise ResolveError(f"unsupported declaration {type(d).__name__}",
@@ -715,16 +817,7 @@ class _Resolver:
             decl = self.symbols[path]
             entry = made.get((sym, id(decl)))
             if entry is None:
-                checked = self.memo.checked[id(decl)]
-                if targs:
-                    tree, demands, sorts = _instantiate_decl(
-                        path, checked, dict(zip(decl.type_params, targs)), self)
-                else:  # the checked tree is the instance
-                    tree, demands, sorts = checked.decl, checked.demands, checked.sorts
-                entry = made[sym, id(decl)] = (
-                    MonoFn(sym, path, targs, _KINDS[type(decl)], tree,
-                           self.decl_module[path], checked.uses),
-                    demands, frozenset(sorts))
+                entry = self.make_instance(sym, path, targs, decl)
             fn, demands, sorts = entry
             queue.extend(demands)
             instances[sym] = fn
@@ -732,6 +825,27 @@ class _Resolver:
             self.instances_of.setdefault(path, []).append(sym)
             self.fresh |= sorts - self.live
             self.live |= sorts
+
+    def make_instance(self, sym: str, path: str, targs: tuple[Type, ...],
+                      decl: Declaration):
+        """The instance of `decl` at `targs`, the symbols it demands and the
+        sorts it mentions, kept in the memo, and also in the prelude store if
+        it is a prelude declaration's at builtin and prelude sorts."""
+        checked = self.memo.checked[id(decl)]
+        if targs:
+            tree, demands, sorts = _instantiate_decl(
+                path, checked, dict(zip(decl.type_params, targs)), self)
+        else:  # the checked tree is the instance
+            tree, demands, sorts = checked.decl, checked.demands, checked.sorts
+        store = self.store
+        lasting = id(decl) in store.decls and all(map(store.holds, targs))
+        entry = (MonoFn(sym, path, targs, _KINDS[type(decl)], tree,
+                        self.decl_module[path], checked.uses, lasting),
+                 demands, frozenset(sorts))
+        self.memo.instances[sym, id(decl)] = entry
+        if lasting:
+            self.keep(store.instances, (sym, id(decl)), entry, demands, entry[2])
+        return entry
 
     def mention(self, t: Type, sorts: set[Type]) -> Type:
         """Add `t`'s carrier and all its type arguments to `sorts`, the sorts
@@ -969,10 +1083,16 @@ def _inst_stmt(s: Stmt, c: _Copy) -> Stmt:
 def resolve_program(asts: list[ProgramAst],
                     memo: ResolveMemo | None = None) -> tuple[Program, BroadcastRegistry]:
     """Resolve `asts`. With a `memo`, reuse what it holds from earlier
-    resolves of the same declarations, and record what this one does."""
+    resolves of the same declarations, and record what this one does. Work
+    on the prelude, if `asts` contains it, is read from and kept in the
+    prelude store."""
     if memo is None or not memo.admits(asts):
         memo = ResolveMemo()
-    rs = _Resolver(asts, memo)
+    store = prelude_store()
+    if not store.serves(asts):
+        store = _NO_PRELUDE
+    memo.adopt(store)
+    rs = _Resolver(asts, memo, store)
     rs.collect()
     rs.resolve_signatures()
     rs.check_all()

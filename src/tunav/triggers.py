@@ -14,6 +14,7 @@ strategy keeps every group that is not redundant with another.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -37,11 +38,27 @@ class TriggerGroup:
             raise TriggerError("empty trigger group")
 
 
+FALLBACK_WARNING = ("all_triggers fell back to conservative: quantified variable "
+                    "used in both arithmetic and call positions")
+
+
 @dataclass
 class TriggerSelection:
     groups: list[TriggerGroup]
     strategy_used: str  # manual | conservative | all_triggers
-    warnings: list[str] = field(default_factory=list)
+    # the candidate pools the groups were chosen from, and whether
+    # all-triggers fell back to conservative
+    pools: list[Expr] = field(default_factory=list, repr=False)
+    fell_back: bool = False
+
+    @functools.cached_property
+    def warnings(self) -> list[str]:
+        """The matching-loop warnings, then the fallback's; worked out on
+        first read, as nothing the verifier decides reads them."""
+        warnings = _loop_warnings(self.groups, self.pools)
+        if self.fell_back:
+            warnings.append(FALLBACK_WARNING)
+        return warnings
 
 
 @dataclass
@@ -230,7 +247,7 @@ def infer_triggers(q: Quantifier, strategy: str) -> TriggerSelection:
         raise TriggerError("quantifier with no binders")
     pools = q.primary + q.secondary
     marks = [sub for pool in pools for sub in _subterms(pool) if sub.trigger_mark]
-    fallback: list[str] = []
+    fell_back = False
     if marks:
         for m in marks:
             if not _is_candidate(m, binders):
@@ -253,9 +270,7 @@ def infer_triggers(q: Quantifier, strategy: str) -> TriggerSelection:
         if strategy == ALL_TRIGGERS and _mixed_arith_and_calls(cands):
             # Binders used under both arithmetic and call candidates: stay
             # conservative for this quantifier.
-            strategy = CONSERVATIVE
-            fallback.append("all_triggers fell back to conservative: quantified "
-                            "variable used in both arithmetic and call positions")
+            strategy, fell_back = CONSERVATIVE, True
         elif strategy not in (CONSERVATIVE, ALL_TRIGGERS):
             raise TriggerError(f"unknown trigger strategy {strategy!r}")
         # The candidates covering every binder alone, else the smallest
@@ -267,4 +282,4 @@ def infer_triggers(q: Quantifier, strategy: str) -> TriggerSelection:
         else:
             chosen = _prune_redundant([(c,) for c in singles] or _min_covers(cands, binders))
         groups = [TriggerGroup(tuple(c.expr for c in g)) for g in chosen]
-    return TriggerSelection(groups, strategy, _loop_warnings(groups, pools) + fallback)
+    return TriggerSelection(groups, strategy, pools, fell_back)

@@ -26,6 +26,7 @@ from tunav.engine.prover import (
     prove,
 )
 from tunav.errors import TunavError
+from tunav.prelude import prelude_store
 from tunav.resolve import (
     BroadcastRegistry,
     MonoFn,
@@ -264,7 +265,8 @@ def _calls_of(exprs: Iterable[Expr]) -> tuple[str, ...]:
 # broadcast fn's fact, or a spec fn's definitional axioms. An entry also holds
 # the instance decl and the spec SCC it was lowered from, and serves only an
 # instance with that same decl object and SCC. So one dict can serve all runs
-# of a minimizer pass, whose unchanged declarations keep their instance decls.
+# of a minimizer pass, whose unchanged declarations keep their instance decls,
+# and the prelude store's dict serves every run of the process.
 LoweredFacts = dict[tuple[str, str, int],
                     tuple[Declaration, tuple[str, ...] | None, list[QuantifiedFact]]]
 
@@ -273,8 +275,10 @@ class VcgenRun:
     """What the tasks of one run share: the resolved program, its registry,
     the run's config and the lowered facts, plus what the run works out once
     and only for itself: each import path's instances and each spec fn's
-    callees. `lowered` may outlive the run (see `LoweredFacts`); the rest
-    must not, as it depends on the program."""
+    callees. `lowered` may outlive the run (see `LoweredFacts`); the facts of
+    the instances the prelude store keeps live in the store, for the life of
+    the process. The rest must not outlive the run, as it depends on the
+    program."""
 
     def __init__(self, program: Program, registry: BroadcastRegistry,
                  config: RunConfig = RunConfig(),
@@ -283,6 +287,7 @@ class VcgenRun:
         self.registry = registry
         self.config = config
         self.lowered = {} if lowered is None else lowered
+        self.kept: LoweredFacts = prelude_store().lowered
         self._imported: dict[str, tuple[tuple[MonoFn, bool], ...]] = {}
         self._body_calls: dict[str, tuple[str, ...]] = {}
 
@@ -304,14 +309,15 @@ class VcgenRun:
         broadcast fn's one fact."""
         key = (inst.symbol, self.config.strategy, self.config.fuel)
         scc = self.program.spec_scc.get(inst.symbol)
-        entry = self.lowered.get(key)
+        table = self.kept if inst.kept else self.lowered
+        entry = table.get(key)
         if entry is None or entry[0] is not inst.decl or entry[1] != scc:
             if inst.kind == "spec":
                 facts = definitional_axiom(inst, self.config.fuel, self.program,
                                            self.config.strategy)
             else:
                 facts = [lower_quantified_fact(inst, self.config.strategy)]
-            entry = self.lowered[key] = (inst.decl, scc, facts)
+            entry = table[key] = (inst.decl, scc, facts)
         return entry[2]
 
     def reachable_spec_fns(self, symbols: Iterable[str]) -> list[str]:

@@ -548,11 +548,12 @@ def _record_lowerings(monkeypatch) -> list:
     return calls
 
 
-def test_engine_facts_built_once_per_run(monkeypatch):
-    """Each lowered fact is converted to the engine's form once per run, and
-    every context holds that one fact. Each hypothesis and goal is compiled
-    once, by vcgen, and each nested quantifier the engine registers selects
-    its triggers once per polarity, not once per registration."""
+def test_engine_facts_built_once_per_run(monkeypatch, cold_prelude):
+    """Each lowered fact is converted to the engine's form once per run (the
+    prelude's once per process, here in this first run), and every context
+    holds that one fact. Each hypothesis and goal is compiled once, by vcgen,
+    and each nested quantifier the engine registers selects its triggers
+    once per polarity, not once per registration."""
     keys = []
     displays = []
     to_engine, in_engine = vcgen.make_fact, prover.make_fact
@@ -633,7 +634,7 @@ def test_driver_calls_each_layer_through_its_module(monkeypatch):
                      "prove_obligation": 176}
 
 
-def test_broadcast_facts_lowered_once_per_run(monkeypatch):
+def test_broadcast_facts_lowered_once_per_run(monkeypatch, cold_prelude):
     calls = _record_lowerings(monkeypatch)
     run = verify_program(load_sources(CORPUS), RunConfig())
     assert run.all_verified
@@ -655,14 +656,17 @@ proof fn use_fg(x: int)
 """
 
 
-def test_lowered_facts_do_not_outlive_their_run(monkeypatch):
+def test_lowered_facts_do_not_outlive_their_run(monkeypatch, cold_prelude):
     calls = _record_lowerings(monkeypatch)
     strategies = (trig.CONSERVATIVE, trig.ALL_TRIGGERS, trig.CONSERVATIVE)
     for strategy in strategies:
         assert run_src(UNMARKED_FACT, RunConfig(strategy=strategy)).all_verified
-    symbols = {sym for sym, _, _ in calls}
-    # every run lowers each fact it imports afresh, with its own strategy
-    assert Counter((sym, strategy) for sym, strategy, _ in calls) == {
-        **{(sym, trig.CONSERVATIVE): 2 for sym in symbols},
-        **{(sym, trig.ALL_TRIGGERS): 1 for sym in symbols}}
+    lowered = Counter((sym, strategy) for sym, strategy, _ in calls)
+    prelude = {sym for sym, _, _ in calls if sym != "user::fg"}
+    assert prelude
+    # every run lowers the user's fact afresh, with its own strategy; the
+    # prelude store keeps the prelude's, lowered once per strategy
+    assert lowered == {
+        ("user::fg", trig.CONSERVATIVE): 2, ("user::fg", trig.ALL_TRIGGERS): 1,
+        **{(sym, strategy): 1 for sym in prelude for strategy in strategies}}
     assert [used for sym, _, used in calls if sym == "user::fg"] == list(strategies)

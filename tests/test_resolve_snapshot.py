@@ -62,21 +62,23 @@ def dump_corpus() -> list[str]:
     return out
 
 
-def synth_like_asts(copies: int = 2):
-    """`copies` copies of the corpus in one project, each suffixing every
-    top-level name the corpus declares, in all of its files."""
+def renamed_corpus(c: int):
+    """Copy `c` of the corpus: every top-level name the corpus declares, in
+    all of its files, and every module name gets the suffix `_c<c>`."""
     texts = corpus_texts()
     declared = {d.name for m, text in texts.items()
                 for d in parse_module(text, f"{m}.tv", module=m).declarations}
     word = re.compile(r"\b(" + "|".join(sorted(declared, key=len, reverse=True))
                       + r")\b")
-    asts = []
-    for c in range(copies):
-        suffix = f"_c{c}"
-        for m, text in texts.items():
-            renamed = word.sub(lambda hit: hit.group(1) + suffix, text)
-            asts.append(parse_module(renamed, f"c{c}/{m}.tv", module=m + suffix))
-    return asts
+    suffix = f"_c{c}"
+    return [parse_module(word.sub(lambda hit: hit.group(1) + suffix, text),
+                         f"c{c}/{m}.tv", module=m + suffix)
+            for m, text in texts.items()]
+
+
+def synth_like_asts(copies: int = 2):
+    """`copies` renamed copies of the corpus in one project."""
+    return [ast for c in range(copies) for ast in renamed_corpus(c)]
 
 
 def dump_synth() -> list[str]:
