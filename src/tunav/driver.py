@@ -11,10 +11,12 @@ parent puts them in task order, so a run's results and errors equal those of
 jobs=1.
 
 Every run reads and fills the prelude store (`resolve.PreludeStore`), which
-keeps the prelude's resolve and lowered facts for the life of the process.
-Inside `shared_runs()`, the runs of the calling thread also share one
-`ResolveMemo` and one `LoweredFacts` dict for the rest; each run's results
-equal those of a run outside it."""
+keeps the prelude's resolve for the life of the process. Inside
+`shared_runs()`, the runs of the calling thread also share one `ResolveMemo`
+for the rest; each run's results equal those of a run outside it. The facts
+vcgen lowers from an instance live in the instance's resolve entry, and so
+exactly as long as it: for the run, for the `shared_runs()` block, or, for
+an instance the prelude store keeps, for the process."""
 
 from __future__ import annotations
 
@@ -40,7 +42,6 @@ from tunav.resolve import (
 )
 from tunav.syntax import ProgramAst, parse_module
 from tunav.vcgen import (
-    LoweredFacts,
     RunConfig,
     Site,
     VcgenRun,
@@ -100,8 +101,9 @@ def resolve_with_prelude(user_asts: list[ProgramAst], memo: ResolveMemo | None =
     return resolve_program(asts, memo)
 
 
-def verify_task(task: str, run: VcgenRun, config: RunConfig) -> FunctionResult:
+def verify_task(task: str, run: VcgenRun) -> FunctionResult:
     t0 = time.monotonic()
+    config = run.config
     obs = generate_obligations(task, run)
     results: list[tuple[Site, Outcome]] = []
     insts: Counter = Counter()
@@ -136,19 +138,19 @@ def verify_task(task: str, run: VcgenRun, config: RunConfig) -> FunctionResult:
                           rounds, frozenset(core), fact_groups)
 
 
-# What the runs inside `shared_runs()` share: (resolve memo, lowered facts).
-# A context variable, so a run on any other thread or context shares nothing.
-_shared: ContextVar[tuple[ResolveMemo, LoweredFacts] | None] = ContextVar(
-    "tunav_shared_runs", default=None)
+# The resolve memo the runs inside `shared_runs()` share. A context
+# variable, so a run on any other thread or context shares nothing.
+_shared: ContextVar[ResolveMemo | None] = ContextVar("tunav_shared_runs",
+                                                     default=None)
 
 
 @contextlib.contextmanager
 def shared_runs():
     """Within the block, the `verify_program` runs of this context reuse each
     other's resolution and lowered facts (a minimizer pass, whose runs differ
-    in one declaration at a time). Both are dropped when the block ends;
-    what the prelude store keeps is shared by every run anyway."""
-    token = _shared.set((ResolveMemo(), {}))
+    in one declaration at a time): both live in one memo, dropped when the
+    block ends. What the prelude store keeps is shared by every run anyway."""
+    token = _shared.set(ResolveMemo())
     try:
         yield
     finally:
@@ -189,8 +191,8 @@ def _lower_kept_facts(run: VcgenRun):
                 run.facts_of(inst)
 
 
-def _work(todo: list[str], run: VcgenRun, config: RunConfig, lock,
-          claimed, out_fd: int) -> NoReturn:
+def _work(todo: list[str], run: VcgenRun, lock, claimed,
+          out_fd: int) -> NoReturn:
     """The life of a forked worker: verify the task at each index it claims
     from the shared counter until the counter passes the end, then write one
     pickle of `(pairs, error)` to `out_fd` and leave with `os._exit`, which
@@ -211,7 +213,7 @@ def _work(todo: list[str], run: VcgenRun, config: RunConfig, lock,
             if i >= len(todo):
                 break
             try:
-                pairs.append((i, verify_task(todo[i], run, config)))
+                pairs.append((i, verify_task(todo[i], run)))
             except Exception as e:
                 import traceback
 
@@ -264,8 +266,8 @@ def _join(pipes: dict[int, int]) -> list[tuple]:
     return payloads
 
 
-def _fork_join(todo: list[str], workers: int, run: VcgenRun,
-               config: RunConfig) -> list[FunctionResult]:
+def _fork_join(todo: list[str], workers: int,
+               run: VcgenRun) -> list[FunctionResult]:
     """Verify `todo` in `workers` processes forked from this one and return
     the results in `todo` order, equal to those of a serial run. Each worker
     claims the next index from a shared counter, so no task waits for any
@@ -289,7 +291,7 @@ def _fork_join(todo: list[str], workers: int, run: VcgenRun,
                 os.close(w)
                 raise
             if pid == 0:
-                _work(todo, run, config, lock, claimed, w)
+                _work(todo, run, lock, claimed, w)
             os.close(w)  # so that EOF on `r` means the worker has exited
             pipes[r] = pid
         payloads = _join(pipes)
@@ -319,22 +321,19 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
     `min(jobs, tasks)` worker processes forked after resolve verify them,
     with results and errors equal to those of jobs=1. Where fork is
     unavailable or unsafe, the run is serial."""
-    # `lowered` holds the facts lowered for this run's tasks, or inside
-    # `shared_runs()` for every run of the block
-    memo, lowered = _shared.get() or (None, {})
-    program, registry = resolve_with_prelude(user_asts, memo)
+    program, registry = resolve_with_prelude(user_asts, _shared.get())
     order = order_tasks(program, registry, config.ambient,
                         not config.no_default_prelude)
     user_modules = {a.module for a in user_asts}
     selected = set(tasks) if tasks is not None else None
     todo = [t for t in order.tasks if selected is None or t in selected]
-    vcgen_run = VcgenRun(program, registry, config, lowered)
+    vcgen_run = VcgenRun(program, registry, config)
     workers = min(config.jobs, len(todo))
     if workers >= 2 and _can_fork():
         _lower_kept_facts(vcgen_run)
-        done = _fork_join(todo, workers, vcgen_run, config)
+        done = _fork_join(todo, workers, vcgen_run)
     else:
-        done = [verify_task(t, vcgen_run, config) for t in todo]
+        done = [verify_task(t, vcgen_run) for t in todo]
     results = dict(zip(todo, done))
 
     user_tasks = [t for t in program.proof_fns()

@@ -7,7 +7,9 @@ kept). Lemma calls and broadcast-use directives are never candidates.
 
 Each trial drops one site from the last accepted program, so it shares every
 other declaration object with it; the pass's runs reuse each other's
-resolution and lowered facts for those (`driver.shared_runs`)."""
+resolution of those (`driver.shared_runs`), and with it the facts lowered
+from their instances, which live in the instances' resolve entries until the
+pass ends."""
 
 from __future__ import annotations
 

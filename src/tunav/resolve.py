@@ -14,7 +14,8 @@ anywhere in the program yields a separate fact instance. Types match by
 carrier (`unify`, for calls and liveness alike), so a `nat` type argument
 matches `int`. Generic proof fns are verified once at fresh (skolem) sorts;
 those skolem-typed fact instances stay private to the defining lemma's own
-verification.
+verification: each instance records the proof fns whose skolem sorts its
+type arguments mention (`MonoFn.owners`).
 
 Resolution never modifies the ASTs it is given. Checking a declaration
 builds its typed tree (`_Checker`): nodes carry their types, callees their
@@ -38,9 +39,12 @@ What lives for the process is the prelude's share of that work, in the
 prelude store (`PreludeStore`, beside the prelude's parse): each prelude
 declaration's checked tree and its instances at builtin and prelude sorts.
 Every memo that resolves a program containing the prelude starts from the
-store's entries and adds the prelude work it does to them; vcgen keeps the
-facts it lowers from those instances there too. Whatever mentions a user
-declaration or sort stays in the memo and dies with its run or pass.
+store's entries and adds the prelude work it does to them. Whatever mentions
+a user declaration or sort stays in the memo and dies with its run or pass.
+
+Each instance entry also holds the facts vcgen lowers from that instance
+(`Program.lowered`), so they live exactly as long as the entry: for the run,
+for the runs that share a memo, or, in the prelude store, for the process.
 """
 
 from __future__ import annotations
@@ -131,10 +135,12 @@ def mono_symbol(path: str, targs: tuple[Type, ...]) -> str:
                       if targs else path)
 
 
-def mentions_sort(t: Type, prefix: str) -> bool:
-    """Whether the name of `t` or of any type argument within it starts with
-    `prefix`."""
-    return t.name.startswith(prefix) or any(mentions_sort(a, prefix) for a in t.args)
+def skolem_owners(types: tuple[Type, ...]) -> frozenset[str]:
+    """The proof fns whose skolem sorts (`skolem`: `!{path}::{tp}`) `types`
+    mention, read off the names, as a type parameter has no `::`."""
+    return frozenset().union(*(
+        {t.name[1:].rpartition("::")[0]} if t.name.startswith("!")
+        else skolem_owners(t.args) for t in types))
 
 
 @dataclass
@@ -151,11 +157,18 @@ class MonoFn:
     # whether the prelude store keeps this instance, and so its lowered
     # facts, for the life of the process
     kept: bool = False
+    # the proof fns whose skolem sorts the type arguments mention: only their
+    # verifications see this instance (none: every task sees it)
+    owners: frozenset[str] = frozenset()
 
-    @property
-    def skolem(self) -> bool:
-        return any(mentions_sort(t, "!") for t in self.targs)
 
+# The facts vcgen lowers from an instance (`vcgen.QuantifiedFact`s: a spec
+# fn's definitional axioms or a broadcast fn's fact), keyed by (strategy,
+# fuel, spec SCC)
+Lowered = dict[tuple[str, int, tuple[str, ...] | None], list]
+# An instance entry of a memo or of the prelude store: the instance, the
+# symbols it demands in order, the sorts it mentions, and its lowered facts
+Entry = tuple[MonoFn, tuple[str, ...], frozenset[Type], Lowered]
 
 _KINDS = {SpecFn: "spec", ProofFn: "proof", AxiomFn: "axiom"}
 
@@ -187,6 +200,8 @@ class Program:
     task_symbols: dict[str, str]
     # "rounds" | "combinations" -> the facts whose instances that cap cut short
     liveness_caps: dict[str, list[str]]
+    # instance symbol -> the lowered facts slot of its resolve entry
+    lowered: dict[str, Lowered]
 
     def proof_fns(self) -> list[str]:
         """Proof-fn decl paths in source order (one verification task each)."""
@@ -243,10 +258,8 @@ class ResolveMemo:
         # instance, and equal but distinct sorts would be compared field by
         # field there
         self.canonical: dict[Type, Type] = {}
-        # (symbol, id(decl)) -> (the instance, the symbols it demands in
-        # order, the sorts it mentions)
-        self.instances: dict[tuple[str, int],
-                             tuple[MonoFn, tuple[str, ...], frozenset[Type]]] = {}
+        # (symbol, id(decl)) -> the instance's entry
+        self.instances: dict[tuple[str, int], Entry] = {}
         # live sort -> what it binds (`_Resolver.matches`)
         self.matches: dict[Type, tuple[tuple[int, int, Type], ...]] = {}
         # the prelude store this memo started from; kept, so that the
@@ -299,10 +312,12 @@ class PreludeStore:
     kept for the life of the process (`prelude.prelude_store`). Its entries
     are keyed by prelude declaration objects and mention only builtin and
     prelude sorts; work that mentions a user declaration or sort stays in
-    the run's memo. Every entry is immutable and inserted whole, after the
-    keys of the symbols it demands, so a memo that copies the store on
-    another thread copies only finished entries. It serves only programs
-    that contain its ASTs."""
+    the run's memo. Every entry is inserted whole, after the keys of the
+    symbols it demands, so a memo that copies the store on another thread
+    copies only finished entries. An entry is immutable but for its lowered
+    facts, which runs fill: each list is inserted whole with `setdefault`,
+    so the first writer wins. It serves only programs that contain its
+    ASTs."""
 
     def __init__(self, asts: tuple[ProgramAst, ...]):
         self.asts = asts
@@ -321,12 +336,9 @@ class PreludeStore:
         # the tables of `ResolveMemo` of the same names, for prelude work:
         # each memo starts from them
         self.checked: dict[int, _Checked] = {}
-        self.instances: dict[tuple[str, int],
-                             tuple[MonoFn, tuple[str, ...], frozenset[Type]]] = {}
+        self.instances: dict[tuple[str, int], Entry] = {}
         self.keys: dict[str, tuple[str, tuple[Type, ...]]] = {}
         self.canonical: dict[Type, Type] = {}
-        # the facts vcgen lowers from the kept instances (`vcgen.LoweredFacts`)
-        self.lowered: dict = {}
 
     def serves(self, asts: list[ProgramAst]) -> bool:
         """Whether the program of `asts` contains this store's prelude."""
@@ -604,6 +616,7 @@ class _Resolver:
         self.decl_module: dict[str, str] = {}
         self.module_names: list[str] = []
         self.instances: dict[str, MonoFn] = {}
+        self.lowered: dict[str, Lowered] = {}
         self.instances_of: dict[str, list[str]] = {}
         self.demands: dict[str, tuple[str, ...]] = {}  # instance -> what it demands
         self.queue: list[str] = []  # instance symbols
@@ -755,13 +768,14 @@ class _Resolver:
 
     def keep(self, table: dict, key, entry, demands: tuple[str, ...], sorts):
         """Insert `entry` into the prelude store's `table`, after the keys of
-        the symbols it demands and the sorts it mentions."""
+        the symbols it demands and the sorts it mentions; return the entry
+        the store holds, the first inserted."""
         store, keys = self.store, self.memo.keys
         for sym in demands:
             store.keys.setdefault(sym, keys[sym])
         for t in sorts:
             store.canonical.setdefault(t, t)
-        table.setdefault(key, entry)
+        return table.setdefault(key, entry)
 
     # -- declaration checking --------------------------------------------------
 
@@ -818,9 +832,10 @@ class _Resolver:
             entry = made.get((sym, id(decl)))
             if entry is None:
                 entry = self.make_instance(sym, path, targs, decl)
-            fn, demands, sorts = entry
+            fn, demands, sorts, lowered = entry
             queue.extend(demands)
             instances[sym] = fn
+            self.lowered[sym] = lowered
             self.demands[sym] = demands
             self.instances_of.setdefault(path, []).append(sym)
             self.fresh |= sorts - self.live
@@ -828,9 +843,9 @@ class _Resolver:
 
     def make_instance(self, sym: str, path: str, targs: tuple[Type, ...],
                       decl: Declaration):
-        """The instance of `decl` at `targs`, the symbols it demands and the
-        sorts it mentions, kept in the memo, and also in the prelude store if
-        it is a prelude declaration's at builtin and prelude sorts."""
+        """The entry of the instance of `decl` at `targs`, kept in the memo,
+        and also in the prelude store if it is a prelude declaration's at
+        builtin and prelude sorts."""
         checked = self.memo.checked[id(decl)]
         if targs:
             tree, demands, sorts = _instantiate_decl(
@@ -840,11 +855,13 @@ class _Resolver:
         store = self.store
         lasting = id(decl) in store.decls and all(map(store.holds, targs))
         entry = (MonoFn(sym, path, targs, _KINDS[type(decl)], tree,
-                        self.decl_module[path], checked.uses, lasting),
-                 demands, frozenset(sorts))
-        self.memo.instances[sym, id(decl)] = entry
+                        self.decl_module[path], checked.uses, lasting,
+                        skolem_owners(targs)),
+                 demands, frozenset(sorts), {})
         if lasting:
-            self.keep(store.instances, (sym, id(decl)), entry, demands, entry[2])
+            entry = self.keep(store.instances, (sym, id(decl)), entry, demands,
+                              entry[2])
+        self.memo.instances[sym, id(decl)] = entry
         return entry
 
     def mention(self, t: Type, sorts: set[Type]) -> Type:
@@ -1108,6 +1125,7 @@ def resolve_program(asts: list[ProgramAst],
         spec_scc=rs.spec_sccs(),
         task_symbols=rs.task_symbols,
         liveness_caps=rs.liveness_caps,
+        lowered=rs.lowered,
     )
     return program, registry
 

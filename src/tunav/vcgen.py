@@ -5,8 +5,11 @@ preconditions, ensures clauses), each paired with the fact context assembled
 from the task's entry imports (`resolve.entry_imports`: default group, ambient
 paths, module `broadcast use`), block-scoped `broadcast use` at their own
 position, definitional axioms of reachable spec fns, and facts established by
-preceding statements. A context holds the run's shared lowered fact objects,
-never copies of them.
+preceding statements. A context holds the shared lowered fact objects, never
+copies of them. The facts lowered from an instance are kept in its resolve
+entry (`Program.lowered`), so they live exactly as long as that entry: for
+the run, for a `driver.shared_runs()` block (a minimizer pass), or for the
+process if the prelude store keeps the instance.
 """
 
 from __future__ import annotations
@@ -26,21 +29,13 @@ from tunav.engine.prover import (
     prove,
 )
 from tunav.errors import TunavError
-from tunav.prelude import prelude_store
-from tunav.resolve import (
-    BroadcastRegistry,
-    MonoFn,
-    Program,
-    entry_imports,
-    mentions_sort,
-)
+from tunav.resolve import BroadcastRegistry, MonoFn, Program, entry_imports
 from tunav.syntax.ast import (
     Assert,
     AssertBy,
     BinOp,
     Binder,
     Call,
-    Declaration,
     Exists,
     Expr,
     Forall,
@@ -261,64 +256,49 @@ def _calls_of(exprs: Iterable[Expr]) -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 
-# The facts each mono fn lowers to, keyed by (mono symbol, strategy, fuel): a
-# broadcast fn's fact, or a spec fn's definitional axioms. An entry also holds
-# the instance decl and the spec SCC it was lowered from, and serves only an
-# instance with that same decl object and SCC. So one dict can serve all runs
-# of a minimizer pass, whose unchanged declarations keep their instance decls,
-# and the prelude store's dict serves every run of the process.
-LoweredFacts = dict[tuple[str, str, int],
-                    tuple[Declaration, tuple[str, ...] | None, list[QuantifiedFact]]]
-
-
 class VcgenRun:
-    """What the tasks of one run share: the resolved program, its registry,
-    the run's config and the lowered facts, plus what the run works out once
-    and only for itself: each import path's instances and each spec fn's
-    callees. `lowered` may outlive the run (see `LoweredFacts`); the facts of
-    the instances the prelude store keeps live in the store, for the life of
-    the process. The rest must not outlive the run, as it depends on the
-    program."""
+    """What the tasks of one run share: the resolved program, its registry
+    and the run's config, plus what the run works out once and only for
+    itself: each import path's instances and each spec fn's callees. These
+    depend on the program, so they must not outlive the run; the lowered
+    facts live in the program's resolve entries (`facts_of`)."""
 
     def __init__(self, program: Program, registry: BroadcastRegistry,
-                 config: RunConfig = RunConfig(),
-                 lowered: LoweredFacts | None = None):
+                 config: RunConfig = RunConfig()):
         self.program = program
         self.registry = registry
         self.config = config
-        self.lowered = {} if lowered is None else lowered
-        self.kept: LoweredFacts = prelude_store().lowered
-        self._imported: dict[str, tuple[tuple[MonoFn, bool], ...]] = {}
+        self._imported: dict[str, tuple[MonoFn, ...]] = {}
         self._body_calls: dict[str, tuple[str, ...]] = {}
 
-    def imported(self, import_path: str) -> tuple[tuple[MonoFn, bool], ...]:
+    def imported(self, import_path: str) -> tuple[MonoFn, ...]:
         """Every instance of the facts named by `import_path` (a fact or
-        group), in order, each with whether it is skolem-typed."""
+        group), in order."""
         got = self._imported.get(import_path)
         if got is None:
-            pairs = []
-            for fact_path in self.registry.expand(import_path):
-                for sym in self.program.instances_of.get(fact_path, []):
-                    inst = self.program.instances[sym]
-                    pairs.append((inst, inst.skolem))
-            got = self._imported[import_path] = tuple(pairs)
+            got = self._imported[import_path] = tuple(
+                self.program.instances[sym]
+                for fact_path in self.registry.expand(import_path)
+                for sym in self.program.instances_of.get(fact_path, []))
         return got
 
     def facts_of(self, inst: MonoFn) -> list[QuantifiedFact]:
         """What `inst` lowers to: a spec fn's definitional axioms, or a
-        broadcast fn's one fact."""
-        key = (inst.symbol, self.config.strategy, self.config.fuel)
-        scc = self.program.spec_scc.get(inst.symbol)
-        table = self.kept if inst.kept else self.lowered
-        entry = table.get(key)
-        if entry is None or entry[0] is not inst.decl or entry[1] != scc:
+        broadcast fn's one fact, kept in its resolve entry per strategy, fuel
+        and spec SCC. Runs on other threads may share the entry, so a list
+        is inserted whole, and the first one inserted is the one used."""
+        config = self.config
+        table = self.program.lowered[inst.symbol]
+        key = (config.strategy, config.fuel, self.program.spec_scc.get(inst.symbol))
+        facts = table.get(key)
+        if facts is None:
             if inst.kind == "spec":
-                facts = definitional_axiom(inst, self.config.fuel, self.program,
-                                           self.config.strategy)
+                facts = definitional_axiom(inst, config.fuel, self.program,
+                                           config.strategy)
             else:
-                facts = [lower_quantified_fact(inst, self.config.strategy)]
-            entry = table[key] = (inst.decl, scc, facts)
-        return entry[2]
+                facts = [lower_quantified_fact(inst, config.strategy)]
+            facts = table.setdefault(key, facts)
+        return facts
 
     def reachable_spec_fns(self, symbols: Iterable[str]) -> list[str]:
         """The spec fns among `symbols` and those their bodies call,
@@ -359,14 +339,8 @@ class _ObligationBuilder:
     def _instances_for(self, import_path: str) -> list[MonoFn]:
         """The instances of `import_path` this task sees: skolem-typed ones
         only at its own skolem sorts."""
-        return [inst for inst, skolem in self.run.imported(import_path)
-                if not skolem or self._owns_skolem(inst)]
-
-    def _owns_skolem(self, inst: MonoFn) -> bool:
-        # `!` begins only skolem names, so a type names this task's skolem
-        # sort exactly when one of its names starts with the prefix
-        prefix = f"!{self.task}::"
-        return any(mentions_sort(t, prefix) for t in inst.targs)
+        return [inst for inst in self.run.imported(import_path)
+                if not inst.owners or self.task in inst.owners]
 
     def import_facts(self, ctx: FactContext, import_path: str):
         """Add every instance of the facts named by `import_path` (a fact or
@@ -484,7 +458,9 @@ class _ObligationBuilder:
 
 def generate_obligations(task: str, run: VcgenRun) -> list[Obligation]:
     """The obligations of proof fn `task`. Pass one `run` to every task of a
-    run, so each fact is lowered, and converted to the engine's form, once."""
+    run, so each import path's instances and each spec fn's callees are
+    worked out once; each fact is lowered, and converted to the engine's
+    form, once per resolve entry (`VcgenRun.facts_of`)."""
     return _ObligationBuilder(task, run).build()
 
 

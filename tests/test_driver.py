@@ -22,9 +22,12 @@ from tunav.driver import (
 )
 from tunav.engine import prover
 from tunav.errors import TriggerError, TunavError
+from tunav.metrics import records_of_run
 from tunav.minimize import minimize
+from tunav.smtlib import emit_all
 from tunav.syntax import parse_module
 from tunav.syntax.ast import Type
+from tunav.vcgen import VcgenRun, generate_obligations
 
 PUSH_CONTAINS_GROUP = """
 proof fn push_contains(a: Seq<int>) {
@@ -364,9 +367,9 @@ def fork_joins(monkeypatch):
     each call and verifies the tasks inline, so no process is forked."""
     made = []
 
-    def serial(todo, workers, run, config):
+    def serial(todo, workers, run):
         made.append(workers)
-        return [driver.verify_task(t, run, config) for t in todo]
+        return [driver.verify_task(t, run) for t in todo]
 
     monkeypatch.setattr(driver, "_fork_join", serial)
     return made
@@ -428,10 +431,10 @@ def test_worker_errors_surface_unchanged(src, error, line, monkeypatch):
     so that at jobs=2 `user::late` raises first."""
     verify_task = driver.verify_task
 
-    def delayed(task, run, config):
+    def delayed(task, run):
         if task == "user::early":
             time.sleep(0.2)
-        return verify_task(task, run, config)
+        return verify_task(task, run)
 
     monkeypatch.setattr(driver, "verify_task", delayed)
     errors = []
@@ -460,10 +463,10 @@ def test_a_dead_worker_is_an_error(death, message, monkeypatch):
     parent = os.getpid()
     verify_task = driver.verify_task
 
-    def dying(task, run, config):
+    def dying(task, run):
         if task == "user::also_fine" and os.getpid() != parent:
             death()
-        return verify_task(task, run, config)
+        return verify_task(task, run)
 
     monkeypatch.setattr(driver, "verify_task", dying)
     src = TRIGGERLESS.replace("forall|i: int| i == i", "x > 0")
@@ -480,10 +483,10 @@ def test_interrupted_wait_kills_and_reaps_workers(monkeypatch):
     parent = os.getpid()
     verify_task = driver.verify_task
 
-    def slow(task, run, config):
+    def slow(task, run):
         if os.getpid() != parent:
             time.sleep(60)
-        return verify_task(task, run, config)
+        return verify_task(task, run)
 
     def interrupted(pipes):
         time.sleep(0.05)
@@ -670,3 +673,37 @@ def test_lowered_facts_do_not_outlive_their_run(monkeypatch, cold_prelude):
         ("user::fg", trig.CONSERVATIVE): 2, ("user::fg", trig.ALL_TRIGGERS): 1,
         **{(sym, strategy): 1 for sym in prelude for strategy in strategies}}
     assert [used for sym, _, used in calls if sym == "user::fg"] == list(strategies)
+
+
+GENERIC_B = """
+proof fn b<T>(s: Seq<T>, x: T)
+    ensures s.push(x).len() == s.len() + 1
+{
+    broadcast use {group_seq_properties};
+}
+"""
+GENERIC_C = GENERIC_B.replace("fn b<T>", "fn c<U>").replace("T", "U")
+
+
+def test_skolem_facts_do_not_depend_on_module_names(tmp_path):
+    """Task `a::b` sees the group's instances at its own skolem sort only,
+    whatever the other module is named: one named `a::b`, whose generic `c`
+    is verified at `!a::b::c::U`, changes nothing in its report, metrics
+    row or SMT-LIB scripts."""
+    config = RunConfig(usage_report=True, no_timing=True)
+    got = {}
+    for other in ("a::b", "zz"):
+        run = verify_program([parse_module(GENERIC_B, "a.tv", module="a"),
+                              parse_module(GENERIC_C, "c.tv", module=other)],
+                             config)
+        smt_dir = tmp_path / other.replace(":", "_")
+        emit_all(generate_obligations("a::b", VcgenRun(run.program, run.registry,
+                                                       config)), str(smt_dir))
+        got[other] = (render_report(run, config, ["a::b"]),
+                      records_of_run(run, config, ["a::b"]),
+                      {p.name: p.read_text() for p in sorted(smt_dir.iterdir())})
+        # each generic task sees the same number of facts: its own sort's
+        assert (run.results["a::b"].context_facts
+                == run.results[f"{other}::c"].context_facts)
+    assert got["a::b"] == got["zz"]
+    assert got["zz"][0].endswith("1/1 functions verified")

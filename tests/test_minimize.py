@@ -5,11 +5,12 @@ import os
 import threading
 import weakref
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 import tunav.minimize
-from tunav import driver, resolve
+from tunav import driver, resolve, vcgen
 from tunav.driver import RunConfig, load_sources, verify_program
 from tunav.errors import BaselineFailure
 from tunav.minimize import enumerate_assert_sites, minimize, prune_asts
@@ -341,7 +342,7 @@ def watch_memos(monkeypatch, fail_on_run=None) -> list:
     real = tunav.minimize.verify_program
 
     def watched(asts, config, tasks=None):
-        memo = driver._shared.get()[0]
+        memo = driver._shared.get()
         assert not refs or refs[0]() is memo
         refs.append(weakref.ref(memo))
         if len(refs) == fail_on_run:
@@ -497,3 +498,69 @@ def test_a_pass_does_each_resolve_step_once(monkeypatch):
     assert report.runs > 100 and report.removed
     assert unified and max(unified.values()) == 1
     assert rendered and max(rendered.values()) == 1
+
+
+# a user broadcast fact that no trial changes, imported by a task whose
+# asserts the pass removes
+USER_FACT = """
+spec fn f(i: int) -> int;
+spec fn g(i: int) -> int;
+broadcast axiom fn fg(i: int)
+    ensures #[trigger] f(i) == g(i);
+proof fn use_fg(x: int)
+    ensures f(x) == g(x)
+{
+    broadcast use {fg};
+    assert(f(x) == g(x));
+    assert(f(x + 1) == g(x + 1));
+}
+"""
+
+
+def test_a_pass_lowers_an_unchanged_fact_once(monkeypatch):
+    """The facts lowered from an instance live in its resolve entry, which
+    the pass's memo keeps: every trial reuses the baseline's."""
+    lowered = []
+    lower = vcgen.lower_quantified_fact
+    monkeypatch.setattr(vcgen, "lower_quantified_fact",
+                        lambda inst, strategy: lowered.append(inst.symbol)
+                        or lower(inst, strategy))
+    report, _ = minimize(asts_of(USER_FACT), RunConfig())
+    assert report.runs == 3 and len(report.removed) == 2
+    assert lowered.count("user::fg") == 1
+
+
+# `f` calls `g`; in MUTUAL only `g`'s body changes, to call `f` back, so the
+# same `f` declaration joins a recursive SCC
+CALLER = """
+spec fn f(n: nat) -> bool { n == 0 || (n >= 1 && g(n - 1)) }
+spec fn g(n: nat) -> bool { n == 0 }
+proof fn check(x: int) ensures f(1) { }
+"""
+MUTUAL_G = "spec fn g(n: nat) -> bool { n == 0 || (n >= 1 && !f(n - 1)) }"
+
+
+def test_shared_runs_lower_again_under_a_new_scc(monkeypatch):
+    """Under one memo, a spec fn whose declaration is unchanged but whose
+    SCC changed is lowered again, and the run equals a fresh one: with
+    `f`'s stale, non-recursive axiom, `f(1)` would unfold through `g`."""
+    [caller] = asts_of(CALLER)
+    [mutual_g] = asts_of(MUTUAL_G).pop().declarations
+    mutual = [replace(caller, declarations=[
+        mutual_g if d.name == "g" else d for d in caller.declarations])]
+    sccs = []
+    definitions = vcgen.definitional_axiom
+
+    def recording(inst, fuel, program, strategy):
+        sccs.append((inst.symbol, program.spec_scc.get(inst.symbol)))
+        return definitions(inst, fuel, program, strategy)
+
+    monkeypatch.setattr(vcgen, "definitional_axiom", recording)
+    with driver.shared_runs():
+        first = verify_program([caller], RunConfig())
+        second = verify_program(mutual, RunConfig())
+    assert first.results["user::check"].passed
+    assert [scc for sym, scc in sccs if sym == "user::f"] == [
+        None, ("user::f", "user::g")]
+    assert run_digest(second) == run_digest(fresh_verify(mutual, RunConfig()))
+    assert second.results["user::check"].status == "failed"

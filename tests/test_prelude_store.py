@@ -112,11 +112,19 @@ def test_results_do_not_depend_on_what_ran_before(tmp_path, cold_prelude):
     assert fresh["prelude-extra"]["report"].endswith("1/1 functions verified")
 
 
+def store_lowered() -> list:
+    """(symbol, key) of every list of facts lowered into the prelude store's
+    instance entries."""
+    return [(sym, key) for (sym, _), (_, _, _, lowered)
+            in prelude_store().instances.items() for key in lowered]
+
+
 def store_keys() -> list:
-    """Every key of every table of the prelude store."""
+    """Every key of every table of the prelude store, and of the lowered
+    facts of its instance entries."""
     store = prelude_store()
     return [key for table in (store.checked, store.instances, store.keys,
-                              store.canonical, store.lowered) for key in table]
+                              store.canonical) for key in table] + store_lowered()
 
 
 def test_store_holds_only_prelude_work(cold_prelude):
@@ -139,7 +147,7 @@ def test_store_holds_only_prelude_work(cold_prelude):
     assert all(key in store.decls for key in store.checked)
     assert all(decl in store.decls for _, decl in store.instances)
     assert all(fn.kept and all(map(store.holds, fn.targs))
-               for fn, _, _ in store.instances.values())
+               for fn, _, _, _ in store.instances.values())
     named = re.compile(r"(?<![\w:])(" + "|".join(map(re.escape, user_modules))
                        + r")::")
     assert not [key for key in store_keys() if named.search(repr(key))]
@@ -159,14 +167,14 @@ def test_forked_workers_inherit_the_prelude_facts(jobs, cold_prelude, monkeypatc
     """At jobs=2 the prelude's facts are lowered before the fork, in this
     process, so the next run lowers none of them, at any jobs."""
     assert verify_program(load_sources(CORPUS), RunConfig(jobs=jobs)).all_verified
-    lowered = len(prelude_store().lowered)
+    lowered = len(store_lowered())
     assert lowered > 100
     made = []
     lower = vcgen.lower_quantified_fact
     monkeypatch.setattr(vcgen, "lower_quantified_fact",
                         lambda inst, strategy: made.append(inst) or lower(inst, strategy))
     assert verify_program(load_sources(CORPUS), RunConfig()).all_verified
-    assert len(prelude_store().lowered) == lowered
+    assert len(store_lowered()) == lowered
     assert not [inst.symbol for inst in made if inst.kept]
 
 
@@ -206,5 +214,5 @@ def test_runs_on_threads_share_the_store(cold_prelude):
     assert errors == []
     assert [got[i] for i in range(len(programs))] == want * 3
     store = prelude_store()
-    assert all(sym in store.keys for _, demands, _ in store.instances.values()
+    assert all(sym in store.keys for _, demands, _, _ in store.instances.values()
                for sym in demands)

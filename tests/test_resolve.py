@@ -293,7 +293,7 @@ def test_generic_lemma_gets_skolem_verification_instance():
         "ensures (#[trigger] s.push(v).contains(x)) <==> v == x || s.contains(x)\n{ }")
     program, registry = rp(("seqs", src))
     inst = program.verify_instance("seqs::lemma_seq_contains_after_push")
-    assert inst.skolem
+    assert inst.owners == {"seqs::lemma_seq_contains_after_push"}
 
 
 # -- unify against carriers ----------------------------------------------------

@@ -3,8 +3,9 @@ import os
 
 from tunav.driver import RunConfig, load_sources, resolve_with_prelude
 from tunav.engine.prover import Limits
+from tunav.resolve import skolem
 from tunav.syntax import parse_module
-from tunav.syntax.ast import BinOp, Call
+from tunav.syntax.ast import BinOp, Call, Type
 from tunav.vcgen import (
     VcgenRun,
     _ObligationBuilder,
@@ -359,27 +360,37 @@ proof fn simple(a: Seq<int>)
     assert out.status == "verified"
 
 
-def test_owns_skolem_matches_rendered_type_arguments():
-    """A task owns a skolem instance when a type argument names one of the
-    task's skolem sorts, also inside another sort (`Seq<!task::A>`): the walk
-    over type names picks the same instances as searching the rendered type
-    arguments."""
+def _types_in(t: Type):
+    yield t
+    for a in t.args:
+        yield from _types_in(a)
+
+
+def test_owners_match_the_skolem_sorts_of_the_type_arguments():
+    """An instance's owners are the proof fns one of whose skolem sorts its
+    type arguments mention, also inside another sort (`Seq<!task::A>`), and
+    a task sees a skolem-typed instance only if it owns it."""
     nested = parse_module("proof fn nest<A>(s: Seq<Seq<A>>) ensures s.len() >= 0 { }",
                           "nest.tv", module="nest")
     corpus = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
     program, registry = resolve_with_prelude(load_sources(corpus) + [nested])
-    skolems = [inst for inst in program.instances.values() if inst.skolem]
-    owned = []
-    for task in program.proof_fns():
-        builder = _ObligationBuilder(task, VcgenRun(program, registry))
-        prefix = f"!{task}::"
-        for inst in skolems:
-            rendered = any(prefix in t.render() for t in inst.targs)
-            assert builder._owns_skolem(inst) == rendered
-            if rendered:
-                owned.append(inst.symbol)
-    assert len(skolems) > 20 and 0 < len(owned) < len(skolems) * len(program.proof_fns())
-    assert "prelude::seq::len<prelude::seq::Seq<!nest::nest::A>>" in owned
+    skolems = {task: {skolem(task, tp) for tp in program.symbols[task].type_params}
+               for task in program.proof_fns()}
+    owned = {}
+    for inst in program.instances.values():
+        mentioned = {t for targ in inst.targs for t in _types_in(targ)}
+        assert inst.owners == {task for task, sorts in skolems.items()
+                               if sorts & mentioned}
+        if inst.owners:
+            owned[inst.symbol] = inst.owners
+    assert len(owned) > 20 and all(len(tasks) == 1 for tasks in owned.values())
+    assert owned["prelude::seq::len<prelude::seq::Seq<!nest::nest::A>>"] == {"nest::nest"}
+    run = VcgenRun(program, registry)
+    seen = {task: [inst.symbol for inst in _ObligationBuilder(task, run)._instances_for(
+                "prelude::seq::group_seq_properties") if inst.owners]
+            for task in program.proof_fns()}
+    assert seen["nest::nest"]
+    assert all(owned[sym] == {task} for task, syms in seen.items() for sym in syms)
 
 
 def test_contexts_share_lowered_fact_objects():
