@@ -818,8 +818,9 @@ class ProverState:
     def ematch(self, group: tuple, fact: EngineFact
                ) -> list[tuple[dict[str, int], frozenset]]:
         """Every substitution (binder -> class root) making each trigger
-        pattern of a compiled group congruent to an existing term;
-        already-logged substitutions are filtered by the caller."""
+        pattern of a compiled group congruent to an existing term. A
+        substitution may come more than once; the caller keeps the first
+        and drops those already logged."""
         partials: list[tuple[dict[str, int], frozenset]] = [({}, EMPTY)]
         for head, children in group:
             nxt: list[tuple[dict[str, int], frozenset]] = []
@@ -829,14 +830,7 @@ class ProverState:
             partials = nxt
             if not partials:
                 return []
-        seen = set()
-        out = []
-        for sigma, just in partials:
-            k = tuple(sorted(sigma.items()))
-            if k not in seen:
-                seen.add(k)
-                out.append((sigma, just))
-        return out
+        return partials
 
     def _match_top(self, head: str, children: tuple, sigma: dict[str, int], env):
         g = self.graph

@@ -220,10 +220,9 @@ class TermGraph:
         """Origins of asserted equalities justifying a ≡ b."""
         if a == b:
             return EMPTY
-        cache: dict = {}
-        return self._explain(a, b, cache, 0)
+        return self._explain(a, b, {})
 
-    def _explain(self, a: int, b: int, cache: dict, depth: int) -> frozenset:
+    def _explain(self, a: int, b: int, cache: dict) -> frozenset:
         if a == b:
             return EMPTY
         key = (a, b) if a < b else (b, a)
@@ -232,38 +231,34 @@ class TermGraph:
             return hit
         cache[key] = EMPTY  # cycle guard for congruence recursion
         # paths to proof-forest roots
-        seen = {a: None}
+        seen = {a}
         node = a
-        order_a = [a]
         while node in self.pf_parent:
             node = self.pf_parent[node]
-            seen[node] = None
-            order_a.append(node)
+            seen.add(node)
         lca = b
-        order_b = [b]
         while lca not in seen:
             if lca not in self.pf_parent:
                 raise AssertionError(f"explain: {a} and {b} not connected")
             lca = self.pf_parent[lca]
-            order_b.append(lca)
         acc: frozenset = EMPTY
         node = a
         while node != lca:
-            acc |= self._edge_origins(node, cache, depth)
+            acc |= self._edge_origins(node, cache)
             node = self.pf_parent[node]
         node = b
         while node != lca:
-            acc |= self._edge_origins(node, cache, depth)
+            acc |= self._edge_origins(node, cache)
             node = self.pf_parent[node]
         cache[key] = acc
         return acc
 
-    def _edge_origins(self, node: int, cache: dict, depth: int) -> frozenset:
+    def _edge_origins(self, node: int, cache: dict) -> frozenset:
         reason = self.pf_reason[node]
         if reason[0] == "eq":
             return reason[1]
         _, t1, t2 = reason
         acc: frozenset = EMPTY
         for x, y in zip(self.targs[t1], self.targs[t2]):
-            acc |= self._explain(x, y, cache, depth + 1)
+            acc |= self._explain(x, y, cache)
         return acc

@@ -23,9 +23,10 @@ PRELUDE_FILES = (
 
 
 @functools.cache
-def _parsed_prelude() -> PreludeStore:
-    """The prelude modules parsed, in the store that keeps the work done on
-    them; clearing this cache drops both."""
+def prelude_store() -> PreludeStore:
+    """The store of this process's prelude: its parsed modules, and the
+    resolve and lowering work on them that no program can change. Clearing
+    this cache drops both."""
     from tunav.resolve import PreludeStore  # resolve imports this package
 
     return PreludeStore(tuple(
@@ -34,15 +35,9 @@ def _parsed_prelude() -> PreludeStore:
         for fname, module in PRELUDE_FILES))
 
 
-def prelude_store() -> PreludeStore:
-    """The store of this process's prelude: its parsed modules, and the
-    resolve and lowering work on them that no program can change."""
-    return _parsed_prelude()
-
-
 def load_prelude() -> list[ProgramAst]:
     """The embedded prelude modules. Every `verify_program` run verifies
     their lemmas beside the user's, and `tunav verify --prelude-only` verifies
     them alone. The sources are parsed once per process; every call returns a
     new list of the same ASTs, which the pipeline never modifies."""
-    return list(_parsed_prelude().asts)
+    return list(prelude_store().asts)

@@ -51,7 +51,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import sys
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -128,11 +127,11 @@ def unify(pattern: Type, actual: Type, sub: dict[str, Type], tps) -> bool:
 
 
 def mono_symbol(path: str, targs: tuple[Type, ...]) -> str:
-    """The instance symbol of `path` at `targs`, interned: the trees of every
-    memo and of the prelude store then hold one object per symbol, which
-    dictionary lookups match by identity."""
-    return sys.intern(f"{path}<{','.join(t.render() for t in targs)}>"
-                      if targs else path)
+    """The instance symbol of `path` at `targs`, rendered. A memo renders
+    each symbol once (`ResolveMemo.symbol`) and takes the prelude store's
+    symbols from the store, so its trees and the store's hold one object per
+    symbol, which dictionary lookups match by identity."""
+    return f"{path}<{','.join(t.render() for t in targs)}>" if targs else path
 
 
 def skolem_owners(types: tuple[Type, ...]) -> frozenset[str]:
@@ -202,6 +201,9 @@ class Program:
     liveness_caps: dict[str, list[str]]
     # instance symbol -> the lowered facts slot of its resolve entry
     lowered: dict[str, Lowered]
+    # instance symbol -> the symbols it demands, in order: a spec fn's are
+    # the callees of its body
+    demands: dict[str, tuple[str, ...]]
 
     def proof_fns(self) -> list[str]:
         """Proof-fn decl paths in source order (one verification task each)."""
@@ -267,14 +269,19 @@ class ResolveMemo:
         self.store: PreludeStore | None = None
 
     def adopt(self, store: PreludeStore):
-        """On the memo's first resolve, start from `store`'s entries. The
-        entries are copied before the keys, so every copied entry's demanded
-        symbols have theirs (the store inserts keys first)."""
+        """On the memo's first resolve, start from `store`'s entries and
+        symbols. The entries are copied before the keys, so every copied
+        entry's demanded symbols have theirs (the store inserts keys first).
+        The keys are copied in one step, as another thread's run may insert
+        into the store meanwhile; their inverse makes `symbol` return the
+        store's own symbol objects."""
         if self.store is None:
             self.store = store
             self.checked.update(store.checked)
             self.instances.update(store.instances)
-            self.keys.update(store.keys)
+            keys = list(store.keys.items())
+            self.keys.update(keys)
+            self.interned.update((key, sym) for sym, key in keys)
             self.canonical.update(store.canonical)
 
     def symbol(self, path: str, targs: tuple[Type, ...]) -> str:
@@ -627,8 +634,6 @@ class _Resolver:
         self.liveness_caps: dict[str, list[str]] = {}
         self.module_uses: dict[str, list[str]] = {}
         self.sorts: dict[str, SortDecl] = {}
-        # (name, module) -> `candidate_paths`; the symbols are fixed per resolve
-        self.candidates_of: dict[tuple[str, str], tuple[str, ...]] = {}
         # (name, module, kinds, *argument types) -> `resolve_callable`
         self.calls: dict[tuple, tuple[str, str, Type | None]] = {}
         self.found = memo.found  # the memo's name lookups
@@ -701,17 +706,13 @@ class _Resolver:
         return self.found[key]
 
     def candidate_paths(self, name: str, module: str) -> tuple[str, ...]:
-        key = (name, module)
-        if key not in self.candidates_of:
-            search = [module] + [p for p in PRELUDE_MODULES if p in self.module_names]
-            if module not in PRELUDE_MODULES:
-                # the prelude names only its own declarations
-                search += [m for m in self.module_names
-                           if m != module and m not in PRELUDE_MODULES]
-            paths = [name] if "::" in name else [f"{m}::{name}" for m in search]
-            self.candidates_of[key] = tuple(dict.fromkeys(
-                p for p in paths if p in self.symbols))
-        return self.candidates_of[key]
+        search = [module] + [p for p in PRELUDE_MODULES if p in self.module_names]
+        if module not in PRELUDE_MODULES:
+            # the prelude names only its own declarations
+            search += [m for m in self.module_names
+                       if m != module and m not in PRELUDE_MODULES]
+        paths = [name] if "::" in name else [f"{m}::{name}" for m in search]
+        return tuple(dict.fromkeys(p for p in paths if p in self.symbols))
 
     def resolve_callable(self, node: Call | LemmaCall, name: str, module: str,
                          arg_tys: list[Type], kinds):
@@ -1126,6 +1127,7 @@ def resolve_program(asts: list[ProgramAst],
         task_symbols=rs.task_symbols,
         liveness_caps=rs.liveness_caps,
         lowered=rs.lowered,
+        demands=rs.demands,
     )
     return program, registry
 

@@ -211,9 +211,6 @@ def emit_obligation(ob: Obligation, path: str):
     for qf in ob.context.facts:
         label = fresh(f"fact-{qf.origin.path}")
         lines.append(f"(assert (! {_fact_formula(qf, strategy)} :named {label}))")
-    for name, ty in ob.params.items():
-        if ty.name == "nat":
-            lines.append(f"(assert (<= 0 {_sym('%' + name)}))")
     lines.append(f"(assert (! (not {_sx(ob.goal, {}, strategy)}) :named goal))")
     lines.append("(check-sat)")
     lines.append("(get-unsat-core)")

@@ -259,9 +259,10 @@ def _calls_of(exprs: Iterable[Expr]) -> tuple[str, ...]:
 class VcgenRun:
     """What the tasks of one run share: the resolved program, its registry
     and the run's config, plus what the run works out once and only for
-    itself: each import path's instances and each spec fn's callees. These
-    depend on the program, so they must not outlive the run; the lowered
-    facts live in the program's resolve entries (`facts_of`)."""
+    itself: each import path's instances. These depend on the program, so
+    they must not outlive the run; the lowered facts live in the program's
+    resolve entries (`facts_of`), and each spec fn's callees come from
+    resolve (`Program.demands`)."""
 
     def __init__(self, program: Program, registry: BroadcastRegistry,
                  config: RunConfig = RunConfig()):
@@ -269,7 +270,6 @@ class VcgenRun:
         self.registry = registry
         self.config = config
         self._imported: dict[str, tuple[MonoFn, ...]] = {}
-        self._body_calls: dict[str, tuple[str, ...]] = {}
 
     def imported(self, import_path: str) -> tuple[MonoFn, ...]:
         """Every instance of the facts named by `import_path` (a fact or
@@ -302,7 +302,8 @@ class VcgenRun:
 
     def reachable_spec_fns(self, symbols: Iterable[str]) -> list[str]:
         """The spec fns among `symbols` and those their bodies call,
-        transitively, in breadth-first order."""
+        transitively, in breadth-first order. A body's callees are the
+        symbols resolve recorded its instance demanding, sorted."""
         seen: set[str] = set()
         queue = deque(symbols)
         out: list[str] = []
@@ -315,12 +316,7 @@ class VcgenRun:
             if inst is None or inst.kind != "spec":
                 continue
             out.append(sym)
-            calls = self._body_calls.get(sym)
-            if calls is None:
-                body = inst.decl.body
-                calls = self._body_calls[sym] = (
-                    () if body is None else tuple(_call_symbols(body)))
-            queue.extend(calls)
+            queue.extend(sorted(set(self.program.demands[sym])))
         return out
 
 
@@ -458,9 +454,10 @@ class _ObligationBuilder:
 
 def generate_obligations(task: str, run: VcgenRun) -> list[Obligation]:
     """The obligations of proof fn `task`. Pass one `run` to every task of a
-    run, so each import path's instances and each spec fn's callees are
-    worked out once; each fact is lowered, and converted to the engine's
-    form, once per resolve entry (`VcgenRun.facts_of`)."""
+    run, so each import path's instances are worked out once; each fact is
+    lowered, and converted to the engine's form, once per resolve entry
+    (`VcgenRun.facts_of`), and each spec fn's callees are those resolve
+    recorded (`Program.demands`)."""
     return _ObligationBuilder(task, run).build()
 
 

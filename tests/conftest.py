@@ -7,4 +7,4 @@ import tunav.prelude
 def cold_prelude():
     """An empty prelude store: the prelude is parsed afresh, so the test's
     first run does the prelude work that a process does once."""
-    tunav.prelude._parsed_prelude.cache_clear()
+    tunav.prelude.prelude_store.cache_clear()

@@ -194,6 +194,26 @@ def test_ematch_modulo_congruence():
     assert Origin("local", "hyp") in just
 
 
+def test_one_round_instantiates_a_repeated_substitution_once():
+    # f(a) and f(b) with a == b: the trigger f(x) matches both terms at the
+    # same class, and the round makes one instance of it
+    st = ProverState()
+    a = st.graph.new_term("%a", ())
+    bterm = st.graph.new_term("%b", ())
+    st.graph.new_term("f", (a,))
+    st.graph.new_term("f", (bterm,))
+    st.graph.merge(a, bterm, H)
+    st.graph.process()
+    f = fact("f", [("x", INT)], None, b(">=", call("f", iv("x")), il(0)),
+             [call("f", iv("x"))])
+    st.add_fact(f)
+    sigmas = [sigma for sigma, _ in st.ematch(f.triggers[0], f)]
+    assert sigmas and all(sigma == {"x": st.graph.find(a)} for sigma in sigmas)
+    assert st.instantiate_round() == 1
+    assert st.shared.inst_total == 1
+    assert st.instantiate_round() == 0
+
+
 # -- prove ------------------------------------------------------------------------
 
 

@@ -21,6 +21,7 @@ from tunav import vcgen
 from tunav.driver import RunConfig, load_sources, render_report, verify_program
 from tunav.metrics import records_of_run, write_metrics
 from tunav.prelude import prelude_store
+from tunav.resolve import ResolveMemo
 from tunav.smtlib import emit_all
 from tunav.syntax import parse_module
 from tunav.vcgen import VcgenRun, generate_obligations
@@ -157,7 +158,7 @@ def test_clearing_the_parse_cache_empties_the_store():
     assert verify_program([], RunConfig(), tasks=[]).order.tasks
     assert store_keys()
     before = prelude_store()
-    tunav.prelude._parsed_prelude.cache_clear()
+    tunav.prelude.prelude_store.cache_clear()
     assert prelude_store() is not before
     assert not store_keys()
 
@@ -184,18 +185,31 @@ def run_digest(run) -> dict:
             for t, r in run.results.items()}
 
 
-def test_runs_on_threads_share_the_store(cold_prelude):
+def test_runs_on_threads_share_the_store(cold_prelude, monkeypatch):
     """Runs on more threads than cores, switching as often as the
     interpreter allows, fill the cold store together: each run equals a
-    serial one, and every stored entry's demanded symbols have keys."""
+    serial one, and every stored entry's demanded symbols have keys. Each
+    thread runs twice, so its second run starts from a store holding at
+    least its first run's work; every run's memo renders each key the store
+    held when the memo adopted it as the store's own symbol object."""
     programs = [load_sources(CORPUS), [parse_module(*CASES["keys"][0][0])]] * 3
     want = [run_digest(verify_program(asts, RunConfig())) for asts in programs[:2]]
-    tunav.prelude._parsed_prelude.cache_clear()
-    got, errors = {}, []
+    tunav.prelude.prelude_store.cache_clear()
+    got, errors, adopted = {}, [], []
+    real_adopt = ResolveMemo.adopt
+
+    def adopt(memo, store):
+        if memo.store is None:
+            adopted.append((memo, list(store.keys.items())))
+        real_adopt(memo, store)
+
+    monkeypatch.setattr(ResolveMemo, "adopt", adopt)
 
     def verify(i, asts):
         try:
-            got[i] = run_digest(verify_program(asts, RunConfig()))
+            for _ in range(2):
+                got.setdefault(i, []).append(
+                    run_digest(verify_program(asts, RunConfig())))
         except Exception as e:  # reported below, with the thread's index
             errors.append((i, e))
 
@@ -212,7 +226,11 @@ def test_runs_on_threads_share_the_store(cold_prelude):
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert [got[i] for i in range(len(programs))] == want * 3
+    assert [got[i] for i in range(len(programs))] == [[w, w] for w in want * 3]
     store = prelude_store()
     assert all(sym in store.keys for _, demands, _, _ in store.instances.values()
                for sym in demands)
+    assert len(adopted) == 2 * len(programs)
+    assert sum(1 for _, keys in adopted if keys) >= len(programs)
+    for memo, keys in adopted:
+        assert all(memo.symbol(*key) is sym for sym, key in keys)

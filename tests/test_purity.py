@@ -118,10 +118,10 @@ def test_prelude_parsed_once(monkeypatch):
         return parse_module(text, path, module=module)
 
     monkeypatch.setattr(tunav.prelude, "parse_module", counting_parse)
-    tunav.prelude._parsed_prelude.cache_clear()
+    tunav.prelude.prelude_store.cache_clear()
     try:
         verify_program([], RunConfig(), tasks=[])
         verify_program([], RunConfig(), tasks=[])
     finally:
-        tunav.prelude._parsed_prelude.cache_clear()
+        tunav.prelude.prelude_store.cache_clear()
     assert sorted(parsed) == sorted(f"<prelude>/{f}" for f, _ in PRELUDE_FILES)

@@ -20,7 +20,7 @@ from tunav.resolve import (
     unify,
 )
 from tunav.syntax import parse_module
-from tunav.syntax.ast import AxiomFn, ProofFn, Type
+from tunav.syntax.ast import AxiomFn, Call, ProofFn, Type, walk_exprs
 
 SEQ_STUB = """
 sort Seq<A>;
@@ -478,3 +478,17 @@ def test_liveness_caps_are_named_on_the_program():
 
     corpus, _ = resolve_with_prelude(load_sources(CORPUS))
     assert corpus.liveness_caps == {}
+
+
+def test_a_spec_instance_demands_the_callees_of_its_body():
+    """vcgen reads a spec fn's callees off `Program.demands`: for every spec
+    instance of the corpus and the prelude, its demanded symbols are the
+    symbols its body calls."""
+    program, _ = resolve_with_prelude(load_sources(CORPUS))
+    specs = [fn for fn in program.instances.values() if fn.kind == "spec"]
+    assert any(fn.decl.body is not None for fn in specs)
+    for fn in specs:
+        body = fn.decl.body
+        calls = set() if body is None else {
+            c.resolved for c in walk_exprs(body) if isinstance(c, Call) and c.resolved}
+        assert sorted(set(program.demands[fn.symbol])) == sorted(calls), fn.symbol

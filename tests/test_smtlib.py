@@ -88,3 +88,17 @@ proof fn q(x: int)
         [hyp] = [line for line in fh if ":named |hyp-requires#0|" in line]
     assert hyp.startswith("(assert (! (forall ((|?i| Int))")
     assert hyp.count(":pattern") == patterns
+
+
+def test_nat_parameter_bound_is_asserted_once(tmp_path):
+    """A `nat` parameter's bound is vcgen's named hypothesis; the script
+    asserts it once, under that name."""
+    src = "proof fn p(n: nat) ensures n + 1 > 0 {}\n"
+    program, registry = resolve_with_prelude([parse_module(src, "p.tv", module="p")])
+    emit_all(generate_obligations("p::p", VcgenRun(program, registry)), str(tmp_path))
+    [path] = glob.glob(os.path.join(str(tmp_path), "*.smt2"))
+    with open(path) as fh:
+        text = fh.read()
+    assert text.count("(<= 0 |%n|)") == 1
+    [line] = [line for line in text.splitlines() if "(<= 0 |%n|)" in line]
+    assert line == "(assert (! (<= 0 |%n|) :named |hyp-param n|))"
