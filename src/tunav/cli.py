@@ -8,11 +8,11 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-import time
 
 from tunav.driver import (
     RunConfig,
     render_report,
+    shared_runs,
     verify_program,
     load_sources,
 )
@@ -214,33 +214,34 @@ def cmd_sample_failures(args) -> int:
 
     config = config_of(args)
     asts = load_sources(args.files)
-    baseline = verify_program(asts, config)
-    bad = [t for t in baseline.user_tasks if not baseline.results[t].passed]
-    if bad:
-        raise BaselineFailure("program does not verify: " + ", ".join(bad))
-    sites = enumerate_assert_sites(asts)
-    if not sites:
-        print("no assert sites to sample")
-        return 0
-    rng = random.Random(args.seed)
-    picked = sorted(rng.sample(sites, min(args.n, len(sites))),
-                    key=lambda s: (s.span.file, s.span.start))
-    rows = []
-    for site in picked:
-        pruned = prune_asts(asts, {site.span.key()})
-        t0 = time.monotonic()
-        run = verify_program(pruned, config, tasks=[site.function])
-        elapsed = (time.monotonic() - t0) * 1000.0
-        result = run.results[site.function]
-        base_ms = max(baseline.results[site.function].wall_ms, 0.001)
-        rows.append({
-            "function": site.function,
-            "site": f"{site.span.file}:{site.span.line}",
-            "status": result.status,
-            "baseline_ms": f"{baseline.results[site.function].wall_ms:.3f}",
-            "removed_ms": f"{elapsed:.3f}",
-            "ratio": f"{elapsed / base_ms:.4f}",
-        })
+    # the trials share one resolution, as the minimizer's do; each time read
+    # is the function's own verify time, so the ratio compares like with like
+    with shared_runs():
+        baseline = verify_program(asts, config)
+        bad = [t for t in baseline.user_tasks if not baseline.results[t].passed]
+        if bad:
+            raise BaselineFailure("program does not verify: " + ", ".join(bad))
+        sites = enumerate_assert_sites(asts)
+        if not sites:
+            print("no assert sites to sample")
+            return 0
+        rng = random.Random(args.seed)
+        picked = sorted(rng.sample(sites, min(args.n, len(sites))),
+                        key=lambda s: (s.span.file, s.span.start))
+        rows = []
+        for site in picked:
+            pruned = prune_asts(asts, {site.span.key()})
+            run = verify_program(pruned, config, tasks=[site.function])
+            result = run.results[site.function]
+            base_ms = baseline.results[site.function].wall_ms
+            rows.append({
+                "function": site.function,
+                "site": f"{site.span.file}:{site.span.line}",
+                "status": result.status,
+                "baseline_ms": f"{base_ms:.3f}",
+                "removed_ms": f"{result.wall_ms:.3f}",
+                "ratio": f"{result.wall_ms / max(base_ms, 0.001):.4f}",
+            })
     fields = ["function", "site", "status", "baseline_ms", "removed_ms", "ratio"]
     if args.out:
         with open(args.out, "w", newline="", encoding="utf-8") as fh:

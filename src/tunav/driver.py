@@ -322,8 +322,7 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
     with results and errors equal to those of jobs=1. Where fork is
     unavailable or unsafe, the run is serial."""
     program, registry = resolve_with_prelude(user_asts, _shared.get())
-    order = order_tasks(program, registry, config.ambient,
-                        not config.no_default_prelude)
+    order = order_tasks(program, registry, config.ambient)
     user_modules = {a.module for a in user_asts}
     selected = set(tasks) if tasks is not None else None
     todo = [t for t in order.tasks if selected is None or t in selected]

@@ -1159,13 +1159,15 @@ def task_imports(program: Program, registry: BroadcastRegistry, task: str,
 
 
 def order_tasks(program: Program, registry: BroadcastRegistry,
-                ambient: tuple[str, ...] = (), default: bool = True) -> TaskOrder:
+                ambient: tuple[str, ...] = ()) -> TaskOrder:
     """Topological order in which each broadcast lemma is verified before any
-    task that imports it (by `task_imports`); CycleError on mutual imports."""
+    task that imports it (by `task_imports`); CycleError on mutual imports.
+    The default group holds only axioms (`build_registry`), so it adds no
+    edge and is not expanded."""
     tasks = program.proof_fns()
     broadcast = {path for path in tasks
                   if getattr(program.symbols[path], "broadcast", False)}
-    deps = {t: {f for path in task_imports(program, registry, t, ambient, default)
+    deps = {t: {f for path in task_imports(program, registry, t, ambient, False)
                 for f in registry.expand(path) if f in broadcast} for t in tasks}
 
     cycles = cyclic_components(deps)

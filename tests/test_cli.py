@@ -1,12 +1,15 @@
+import csv
 import glob
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 
 import pytest
 
+import tunav.driver
 from tunav.cli import main
 from tunav.metrics import read_metrics
 
@@ -191,6 +194,32 @@ def test_sample_failures(tmp_path, capsys):
     rows = open(out_csv).read().splitlines()
     assert rows[0] == "function,site,status,baseline_ms,removed_ms,ratio"
     assert len(rows) == 4
+
+
+def test_sample_failures_times_the_function_alone(tmp_path, monkeypatch):
+    """`removed_ms` is the function's own verify time, as `baseline_ms` is,
+    so a slow resolve of the whole program shows in neither; `ratio` is the
+    quotient of the two as printed (to their rounding)."""
+    resolve = tunav.driver.resolve_with_prelude
+
+    def slow_resolve(*args, **kwargs):
+        time.sleep(0.2)
+        return resolve(*args, **kwargs)
+
+    monkeypatch.setattr(tunav.driver, "resolve_with_prelude", slow_resolve)
+    target = tmp_path / "c.tv"
+    shutil.copy(sorted(glob.glob("tests/corpus/*.tv"))[0], target)
+    out_csv = str(tmp_path / "fails.csv")
+    assert main(["sample-failures", str(target), "--n", "3", "--seed", "1",
+                 "--out", out_csv]) == 0
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 3
+    for row in rows:
+        base, removed = float(row["baseline_ms"]), float(row["removed_ms"])
+        assert removed < 200
+        assert (removed - 5e-4) / (base + 5e-4) - 5e-5 <= float(row["ratio"]) \
+            <= (removed + 5e-4) / max(base - 5e-4, 1e-3) + 5e-5
 
 
 def test_trigger_strategy_flag(tmp_path):

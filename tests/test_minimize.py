@@ -276,9 +276,9 @@ def test_trial_task_order_equals_a_fresh_run(monkeypatch, config):
     trials, uses = [], set()
 
     def imports_and_order(program, registry):
-        args = (config.ambient, not config.no_default_prelude)
-        order = resolve.order_tasks(program, registry, *args)
-        return ({t: resolve.task_imports(program, registry, t, *args)
+        order = resolve.order_tasks(program, registry, config.ambient)
+        return ({t: resolve.task_imports(program, registry, t, config.ambient,
+                                         not config.no_default_prelude)
                  for t in program.proof_fns()},
                 (order.tasks, order.layers, order.deps))
 

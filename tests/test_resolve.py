@@ -7,6 +7,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tunav.driver import RunConfig, load_sources, resolve_with_prelude, verify_program
+from tunav import resolve
 from tunav.errors import CycleError, ResolveError
 from tunav.resolve import (
     LIVENESS_COMBINATIONS,
@@ -201,6 +202,23 @@ proof fn via_member(a: Seq<int>) {
     program, registry = rp(("seqs", src))
     deps = order_tasks(program, registry).deps
     assert deps["seqs::via_group"] == deps["seqs::via_member"] == {"seqs::lemma_push_len"}
+
+
+@pytest.mark.parametrize("ambient", [(), ("prelude::seq::group_seq_properties",)])
+def test_default_group_adds_no_order_edge(monkeypatch, ambient):
+    """Over the corpus and the prelude, no default-group member is a proof
+    fn, so the task order is that of a run that expands the group too."""
+    program, registry = resolve_with_prelude(load_sources(CORPUS))
+    members = registry.expand(registry.default_group)
+    assert members and not set(members) & set(program.proof_fns())
+    order = order_tasks(program, registry, ambient)
+    task_imports = resolve.task_imports
+    monkeypatch.setattr(resolve, "task_imports",
+                        lambda program, registry, task, ambient, default:
+                        task_imports(program, registry, task, ambient, True))
+    expanded = order_tasks(program, registry, ambient)
+    assert (order.tasks, order.layers, order.deps) == (
+        expanded.tasks, expanded.layers, expanded.deps)
 
 
 def test_overload_resolution_by_receiver_type():
