@@ -29,7 +29,8 @@ class ResolveError(TunavError):
 
 
 class CycleError(ResolveError):
-    """A strongly connected component among broadcast import dependencies."""
+    """A strongly connected component of proof fn dependencies: the
+    broadcast lemmas each imports and the proof fns each calls."""
 
     def __init__(self, message: str, members: list[str], span: "SourceSpan | None" = None):
         self.base_message = message

@@ -71,19 +71,28 @@ def write_metrics(records: list[MetricsRecord], path: str):
 
 
 def read_metrics(path: str) -> list[MetricsRecord]:
-    if path.endswith(".json"):
-        with open(path, encoding="utf-8") as fh:
-            rows = json.load(fh)
-        return [MetricsRecord(**row) for row in rows]
+    """The records of metrics file `path` (JSON if it ends in `.json`, else
+    CSV); TunavError names the file and the row or field that is malformed."""
+    as_json = path.endswith(".json")
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = json.load(fh) if as_json else list(csv.DictReader(fh))
+    except (UnicodeDecodeError, ValueError, csv.Error) as e:
+        raise TunavError(f"{path}: not a metrics file: {e}") from None
+    if not (isinstance(rows, list) and all(isinstance(r, dict) for r in rows)):
+        raise TunavError(f"{path}: not a metrics file: expected a list of objects")
     out = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out.append(MetricsRecord(
-                function=row["function"], status=row["status"],
-                time_ms=float(row["time_ms"]), obligations=int(row["obligations"]),
-                instantiations=int(row["instantiations"]), rounds=int(row["rounds"]),
-                context_facts=int(row["context_facts"]), strategy=row["strategy"],
-                per_fact={}))
+    for i, row in enumerate(rows, 1):
+        fields = {"per_fact": row.get("per_fact", {}) if as_json else {}}
+        for name, kind in zip(CSV_COLUMNS, (str, str, float, int, int, int, int, str)):
+            if row.get(name) is None:
+                raise TunavError(f"{path}: row {i}: missing field '{name}'")
+            try:
+                fields[name] = kind(row[name])
+            except (TypeError, ValueError):
+                raise TunavError(f"{path}: row {i}: field '{name}' is not "
+                                 f"{kind.__name__}: {row[name]!r}") from None
+        out.append(MetricsRecord(**fields))
     return out
 
 

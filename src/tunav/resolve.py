@@ -38,9 +38,9 @@ resolved; any other program is resolved afresh.
 What lives for the process is the prelude's share of that work, in the
 prelude store (`PreludeStore`, beside the prelude's parse): each prelude
 declaration's checked tree and its instances at builtin and prelude sorts.
-Every memo that resolves a program containing the prelude starts from the
-store's entries and adds the prelude work it does to them. Whatever mentions
-a user declaration or sort stays in the memo and dies with its run or pass.
+Every memo starts from the store's entries, keyed by prelude declaration
+objects, and adds the prelude work it does to them. Whatever mentions a user
+declaration or sort stays in the memo and dies with its run or pass.
 
 Each instance entry also holds the facts vcgen lowers from that instance
 (`Program.lowered`), so they live exactly as long as the entry: for the run,
@@ -97,6 +97,9 @@ BOOL = Type("bool")
 # combinations of a fact per round; `Program.liveness_caps` names what they cut.
 LIVENESS_ROUNDS = 10
 LIVENESS_COMBINATIONS = 200
+# No instance's type arguments nest deeper: a generic fn that calls itself at a
+# type built from its own type argument would demand ever deeper instances.
+MAX_TYPE_DEPTH = 32
 
 
 def carrier(t: Type) -> Type:
@@ -126,6 +129,10 @@ def unify(pattern: Type, actual: Type, sub: dict[str, Type], tps) -> bool:
     return all(unify(p, a, sub, tps) for p, a in zip(pattern.args, actual.args))
 
 
+def type_depth(t: Type) -> int:
+    return 1 + max(map(type_depth, t.args), default=0)
+
+
 def mono_symbol(path: str, targs: tuple[Type, ...]) -> str:
     """The instance symbol of `path` at `targs`, rendered. A memo renders
     each symbol once (`ResolveMemo.symbol`) and takes the prelude store's
@@ -150,9 +157,10 @@ class MonoFn:
     kind: str  # "spec" | "proof" | "axiom"
     decl: Declaration
     module: str
-    # the absolute paths of the body's `broadcast use` statements, in
-    # `walk_stmts` order (a proof fn's; empty otherwise)
+    # a proof fn's: the absolute paths of the body's `broadcast use`
+    # statements, in `walk_stmts` order, and of the fns it calls as lemmas
     uses: tuple[str, ...] = ()
+    lemmas: frozenset[str] = frozenset()
     # whether the prelude store keeps this instance, and so its lowered
     # facts, for the life of the process
     kept: bool = False
@@ -236,15 +244,13 @@ def _interface(d: Declaration) -> tuple:
 class ResolveMemo:
     """Resolution work shared by the resolves of programs that differ only
     inside declarations (see the module docstring); its tables are keyed by
-    what those programs share: paths, symbols, sorts and node identities.
-    A memo starts from the prelude store's entries (`adopt`), and the
-    resolver adds the prelude work it does to both."""
+    what those programs share: paths, symbols, sorts and node identities;
+    each checked entry holds its declaration, so no id is reused while the
+    memo lives. A memo starts from the prelude store's entries (`adopt`),
+    and the resolver adds the prelude work it does to both."""
 
     def __init__(self):
         self.interfaces: tuple | None = None  # of the first program resolved
-        # every declaration seen, so that the ids keying these tables stay
-        # unique while the memo lives
-        self.decls: dict[int, Declaration] = {}
         # id(fn declaration) -> its typed tree and what checking recorded
         self.checked: dict[int, _Checked] = {}
         # read off the interfaces once: `resolve_signatures`, the registry
@@ -295,17 +301,12 @@ class ResolveMemo:
 
     def admits(self, asts: list[ProgramAst]) -> bool:
         """Whether `asts` has the modules and declaration interfaces of the
-        first program this memo saw; if so, its declarations are kept."""
+        first program this memo saw."""
         shape = tuple((a.module, tuple(map(_interface, a.declarations)))
                       for a in asts)
         if self.interfaces is None:
             self.interfaces = shape
-        if shape != self.interfaces:
-            return False
-        for a in asts:
-            for d in a.declarations:
-                self.decls.setdefault(id(d), d)
-        return True
+        return shape == self.interfaces
 
 
 def skolem(path: str, tp: str) -> Type:
@@ -323,8 +324,8 @@ class PreludeStore:
     symbols it demands, so a memo that copies the store on another thread
     copies only finished entries. An entry is immutable but for its lowered
     facts, which runs fill: each list is inserted whole with `setdefault`,
-    so the first writer wins. It serves only programs that contain its
-    ASTs."""
+    so the first writer wins. A program without the prelude's declaration
+    objects matches no entry and adds none."""
 
     def __init__(self, asts: tuple[ProgramAst, ...]):
         self.asts = asts
@@ -347,19 +348,9 @@ class PreludeStore:
         self.keys: dict[str, tuple[str, tuple[Type, ...]]] = {}
         self.canonical: dict[Type, Type] = {}
 
-    def serves(self, asts: list[ProgramAst]) -> bool:
-        """Whether the program of `asts` contains this store's prelude."""
-        ids = {id(a) for a in asts}
-        return all(id(a) in ids for a in self.asts)
-
     def holds(self, t: Type) -> bool:
         """Whether `t` mentions only builtin and prelude sorts."""
         return t.name in self.sorts and all(map(self.holds, t.args))
-
-
-# the store of a program without the prelude: it owns no declaration, so it
-# stays empty
-_NO_PRELUDE = PreludeStore(())
 
 
 # ---------------------------------------------------------------------------
@@ -423,6 +414,7 @@ class _Checked(NamedTuple):
     callee symbols still mention its type parameters."""
 
     decl: Declaration
+    source: Declaration  # the declaration checked, which keys the entry by id
     demands: tuple[str, ...]  # callee symbols, each call's before its arguments'
     # the sorts it mentions: the carriers of its parameter, return and node
     # types, with their type arguments
@@ -848,6 +840,9 @@ class _Resolver:
         and also in the prelude store if it is a prelude declaration's at
         builtin and prelude sorts."""
         checked = self.memo.checked[id(decl)]
+        if targs and max(map(type_depth, targs)) > MAX_TYPE_DEPTH:
+            raise ResolveError(f"polymorphic recursion: '{path}' is demanded at "
+                               f"types nested deeper than {MAX_TYPE_DEPTH}", decl.span)
         if targs:
             tree, demands, sorts = _instantiate_decl(
                 path, checked, dict(zip(decl.type_params, targs)), self)
@@ -856,8 +851,8 @@ class _Resolver:
         store = self.store
         lasting = id(decl) in store.decls and all(map(store.holds, targs))
         entry = (MonoFn(sym, path, targs, _KINDS[type(decl)], tree,
-                        self.decl_module[path], checked.uses, lasting,
-                        skolem_owners(targs)),
+                        self.decl_module[path], checked.uses, checked.lemmas,
+                        lasting, skolem_owners(targs)),
                  demands, frozenset(sorts), {})
         if lasting:
             entry = self.keep(store.instances, (sym, id(decl)), entry, demands,
@@ -976,16 +971,6 @@ class _Resolver:
                  for sym, fn in self.instances.items() if fn.kind == "spec"}
         return {sym: tuple(comp) for comp in cyclic_components(graph) for sym in comp}
 
-    def reject_recursive_proof_fns(self):
-        # edges to axioms leave the graph, which only has proof fns as nodes
-        checked = self.memo.checked
-        graph = {path: checked[id(decl)].lemmas
-                 for path, decl in self.symbols.items() if isinstance(decl, ProofFn)}
-        cycles = cyclic_components(graph)
-        if cycles:
-            raise ResolveError(
-                f"recursive proof fns are unsupported: {', '.join(cycles[0])}")
-
 
 # ---------------------------------------------------------------------------
 # Declaration checking and instantiation
@@ -1017,7 +1002,7 @@ def _check_decl(path: str, d: Declaration, rs: _Resolver) -> _Checked:
         if isinstance(d, ProofFn):
             clauses["body"] = ck.check_stmts(d.body)
         tree = replace(d, type_params=[], params=list(params), **clauses)
-    return _Checked(tree, tuple(ck.demands), frozenset(ck.sorts), tuple(ck.uses),
+    return _Checked(tree, d, tuple(ck.demands), frozenset(ck.sorts), tuple(ck.uses),
                     frozenset(ck.lemmas))
 
 
@@ -1107,14 +1092,11 @@ def resolve_program(asts: list[ProgramAst],
     if memo is None or not memo.admits(asts):
         memo = ResolveMemo()
     store = prelude_store()
-    if not store.serves(asts):
-        store = _NO_PRELUDE
     memo.adopt(store)
     rs = _Resolver(asts, memo, store)
     rs.collect()
     rs.resolve_signatures()
     rs.check_all()
-    rs.reject_recursive_proof_fns()
     registry = memo.registry = memo.registry or rs.build_registry()
     rs.instantiate_all()
     program = Program(
@@ -1160,19 +1142,23 @@ def task_imports(program: Program, registry: BroadcastRegistry, task: str,
 
 def order_tasks(program: Program, registry: BroadcastRegistry,
                 ambient: tuple[str, ...] = ()) -> TaskOrder:
-    """Topological order in which each broadcast lemma is verified before any
-    task that imports it (by `task_imports`); CycleError on mutual imports.
-    The default group holds only axioms (`build_registry`), so it adds no
-    edge and is not expanded."""
+    """Topological order in which each proof fn is verified after what it
+    relies on: the broadcast lemmas it imports (by `task_imports`) and the
+    proof fns it calls (`MonoFn.lemmas`). Any cycle, through imports, calls
+    or both, is a CycleError. Axioms are not tasks, so they add no edge, and
+    the default group, which holds only axioms, is not expanded."""
     tasks = program.proof_fns()
-    broadcast = {path for path in tasks
-                  if getattr(program.symbols[path], "broadcast", False)}
+    broadcast = {f for f, kind in registry.facts.items() if kind == "lemma"}
     deps = {t: {f for path in task_imports(program, registry, t, ambient, False)
                 for f in registry.expand(path) if f in broadcast} for t in tasks}
+    for t in tasks:
+        lemmas = program.verify_instance(t).lemmas
+        if lemmas:
+            deps[t].update(f for f in lemmas if f in program.task_symbols)
 
     cycles = cyclic_components(deps)
     if cycles:
-        raise CycleError("cyclic broadcast imports", cycles[0])
+        raise CycleError("cyclic proof fn dependencies", cycles[0])
 
     layers: list[list[str]] = []  # each in source order, as `remaining` is
     placed: set[str] = set()

@@ -65,6 +65,34 @@ def test_verify_exit_two_on_invalid_utf8(tmp_path, capsys):
         f"error: {p}: not valid UTF-8 (byte 0xff at offset 16)\n")
 
 
+def test_verify_exit_two_on_a_proof_that_relies_on_itself(tmp_path, capsys):
+    """`a` calls `b`, and `b` imports `a`: neither may be assumed while the
+    other is proven, or `wrong` proves a false fact about `g`."""
+    p = tmp_path / "m.tv"
+    p.write_text("""
+spec fn g(y: int) -> int;
+broadcast proof fn a(y: int)
+    ensures #[trigger] g(y) == 0
+{
+    b(y);
+}
+proof fn b(y: int)
+    ensures g(y) == 0
+{
+    broadcast use {a};
+}
+proof fn wrong(y: int)
+    ensures g(y) == 0
+{
+    broadcast use {a};
+}
+""")
+    assert main(["verify", str(p)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cyclic proof fn dependencies: {m::a, m::b}\n"
+    assert captured.out == ""
+
+
 def test_python_dash_m_runs_the_cli():
     env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
     done = subprocess.run([sys.executable, "-m", "tunav", "--help"], env=env,
@@ -118,6 +146,34 @@ def test_metrics_and_compare(tmp_path, ok_file, capsys):
     text = capsys.readouterr().out
     assert "median time ratio" in text
     assert open(out_csv).read().startswith("function,")
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("short.csv", "function,status\nok::fine,verified\n",
+     "row 1: missing field 'time_ms'"),
+    ("text.csv", "function,status,time_ms,obligations,instantiations,rounds,"
+     "context_facts,strategy\nok::fine,verified,fast,2,0,1,0,default\n",
+     "row 1: field 'time_ms' is not float: 'fast'"),
+    ("keys.json", '[{"function": "ok::fine", "status": "verified"}]',
+     "row 1: missing field 'time_ms'"),
+    ("rows.json", '{"function": "ok::fine"}', "expected a list of objects"),
+    ("broken.json", '[{"function": ', "not a metrics file"),
+    ("source.tv", OK_SRC, "row 1: missing field 'function'"),
+])
+def test_compare_rejects_a_malformed_metrics_file(tmp_path, ok_file, capsys,
+                                                  name, text, message):
+    """A metrics file comes from outside the program: what is wrong with it
+    is a usage error naming the file and the row or field, not an internal
+    error."""
+    good = str(tmp_path / "good.csv")
+    assert main(["verify", ok_file, "--metrics-out", good]) == 0
+    bad = tmp_path / name
+    bad.write_text(text)
+    capsys.readouterr()
+    for args in ([good, str(bad)], [str(bad), good]):
+        assert main(["compare", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and message in err, err
 
 
 def test_emit_smtlib(tmp_path, ok_file):

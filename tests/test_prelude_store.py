@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 from dataclasses import replace
+from importlib import resources
 
 import pytest
 from test_resolve_snapshot import renamed_corpus
@@ -18,10 +19,16 @@ from test_resolve_snapshot import renamed_corpus
 import tunav.prelude
 from tunav import triggers as trig
 from tunav import vcgen
-from tunav.driver import RunConfig, load_sources, render_report, verify_program
+from tunav.driver import (
+    RunConfig,
+    load_sources,
+    render_report,
+    verify_program,
+    verify_task,
+)
 from tunav.metrics import records_of_run, write_metrics
-from tunav.prelude import prelude_store
-from tunav.resolve import ResolveMemo
+from tunav.prelude import PRELUDE_FILES, prelude_store
+from tunav.resolve import ResolveMemo, order_tasks, resolve_program
 from tunav.smtlib import emit_all
 from tunav.syntax import parse_module
 from tunav.vcgen import VcgenRun, generate_obligations
@@ -90,19 +97,20 @@ def outputs(case: str, out_dir: str) -> dict:
             "smtlib": smt}
 
 
-def fresh_outputs(case: str, out_dir: str) -> dict:
-    """`outputs(case)` in a new interpreter."""
-    code = ("import json, sys; from test_prelude_store import outputs; "
-            "print(json.dumps(outputs(sys.argv[1], sys.argv[2])))")
+def in_fresh_process(function: str, *args: str):
+    """`function(*args)` of this module, in a new interpreter; its result
+    goes through JSON."""
+    code = ("import json, sys; import test_prelude_store as t; "
+            "print(json.dumps(getattr(t, sys.argv[1])(*sys.argv[2:])))")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.join(os.path.dirname(HERE), "src"), HERE])}
-    done = subprocess.run([sys.executable, "-c", code, case, out_dir], env=env,
+    done = subprocess.run([sys.executable, "-c", code, function, *args], env=env,
                           capture_output=True, text=True, timeout=300, check=True)
     return json.loads(done.stdout)
 
 
 def test_results_do_not_depend_on_what_ran_before(tmp_path, cold_prelude):
-    fresh = {case: fresh_outputs(case, str(tmp_path / f"fresh-{case}"))
+    fresh = {case: in_fresh_process("outputs", case, str(tmp_path / f"fresh-{case}"))
              for case in CASES}
     for i, case in enumerate(ORDER):
         got = outputs(case, str(tmp_path / f"{i}-{case}"))
@@ -152,6 +160,54 @@ def test_store_holds_only_prelude_work(cold_prelude):
     named = re.compile(r"(?<![\w:])(" + "|".join(map(re.escape, user_modules))
                        + r")::")
     assert not [key for key in store_keys() if named.search(repr(key))]
+
+
+# a user module that names nothing of the prelude
+BARE = """
+sort Key;
+spec fn rank(k: Key) -> int;
+broadcast axiom fn rank_pos(k: Key)
+    ensures #[trigger] rank(k) > 0;
+proof fn rank_nonneg(k: Key)
+    ensures rank(k) >= 0
+{
+    broadcast use {rank_pos};
+}
+"""
+
+
+def verdicts_without_the_store(case: str) -> dict:
+    """Each task's status, used core and instantiations, verified in
+    dependency order, for a program without the prelude store's ASTs: a user
+    module alone ("bare"), or a separately parsed copy of the prelude sources
+    and the `keys` case's user module ("copy")."""
+    asts = [parse_module(BARE, "bare.tv", module="bare")]
+    if case == "copy":
+        prelude = resources.files("tunav.prelude")
+        asts = [parse_module(prelude.joinpath(fname).read_text(),
+                             f"<prelude>/{fname}", module=module)
+                for fname, module in PRELUDE_FILES]
+        asts.append(parse_module(*CASES["keys"][0][0]))
+    program, registry = resolve_program(asts)
+    run = VcgenRun(program, registry, RunConfig())
+    results = [verify_task(t, run) for t in order_tasks(program, registry).tasks]
+    return {r.task: [r.status, sorted(map(repr, r.used_core)),
+                     sorted(r.instantiations.items())] for r in results}
+
+
+def test_programs_without_the_stores_asts_leave_it_alone(cold_prelude):
+    """A program without the store's declaration objects matches none of its
+    entries and adds none, even where its prelude modules have the same
+    paths and sources; its verdicts are those of a fresh process."""
+    assert verify_program([parse_module(*CASES["keys"][0][0])],
+                          RunConfig()).all_verified
+    before = store_keys()
+    assert before
+    for case in ("bare", "copy"):
+        got = json.loads(json.dumps(verdicts_without_the_store(case)))
+        assert store_keys() == before, case
+        assert got == in_fresh_process("verdicts_without_the_store", case), case
+        assert {status for status, _, _ in got.values()} == {"verified"}, case
 
 
 def test_clearing_the_parse_cache_empties_the_store():

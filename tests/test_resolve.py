@@ -178,7 +178,86 @@ def test_recursive_proof_fn_rejected():
 proof fn a(x: int) { b(x); }
 proof fn b(x: int) { a(x); }
 """
-    with pytest.raises(ResolveError, match="recursive proof fns"):
+    program, registry = rp(("m", src))
+    with pytest.raises(CycleError) as e:
+        order_tasks(program, registry)
+    assert e.value.members == ["m::a", "m::b"]
+    # a generic lemma that calls itself at another type argument
+    src = """
+proof fn g<T>(x: T) { g(5); }
+"""
+    program, registry = rp(("m", src))
+    with pytest.raises(CycleError) as e:
+        order_tasks(program, registry)
+    assert e.value.members == ["m::g"]
+
+
+@pytest.mark.parametrize("where, members", [("body", ["m::a", "m::b"]),
+                                            ("module", ["m::a", "user::b"])],
+                         ids=["body", "module"])
+def test_cycle_through_a_lemma_call_and_an_import(where, members):
+    """`a` relies on `b` by calling it and `b` on `a` by importing it, in
+    `b`'s body or by `b`'s module (another module, as `a`'s own would import
+    `a` into `a`), so each would be proven from itself; `wrong` would then
+    verify a false fact about an uninterpreted `g`."""
+    lemma = """
+spec fn g(y: int) -> int;
+broadcast proof fn a(y: int)
+    ensures #[trigger] g(y) == 0
+{
+    b(y);
+}
+"""
+    user = """
+proof fn b(y: int)
+    ensures g(y) == 0
+{
+    BODY
+}
+proof fn wrong(y: int)
+    ensures g(y) == 0
+{
+    broadcast use {a};
+}
+"""
+    use = "broadcast use {a};"
+    if where == "body":
+        sources = [("m", lemma + user.replace("BODY", use))]
+    else:
+        sources = [("m", lemma), ("user", use + user.replace("BODY", ""))]
+    program, registry = rp(*sources)
+    with pytest.raises(CycleError) as e:
+        order_tasks(program, registry)
+    assert e.value.members == members
+
+
+def test_called_lemma_is_verified_first():
+    src = """
+proof fn caller(x: int) { later(x); }
+proof fn later(x: int) ensures x == x { }
+proof fn axiom_caller(x: int) { trusted(x); }
+axiom fn trusted(x: int) ensures x == x;
+"""
+    program, registry = rp(("m", src))
+    order = order_tasks(program, registry)
+    assert order.layers == [["m::later", "m::axiom_caller"], ["m::caller"]]
+    assert order.deps == {"m::caller": {"m::later"}, "m::later": set(),
+                          "m::axiom_caller": set()}
+
+
+@pytest.mark.parametrize("kind", ["spec", "proof"])
+def test_polymorphic_recursion_rejected(kind):
+    """A generic fn that calls itself at a type built from its own type
+    argument would demand ever deeper instances."""
+    body = {"spec": """
+spec fn f<T>(x: T) -> int { f(wrap(x)) }
+proof fn p(x: int) { assert(f(x) == f(x)); }
+""", "proof": """
+proof fn f<T>(x: T) { f(wrap(x)); }
+"""}[kind]
+    src = "sort Seq<A>;\nspec fn wrap<A>(x: A) -> Seq<A>;\n" + body
+    with pytest.raises(ResolveError, match="polymorphic recursion: 'm::f' is "
+                       "demanded at types nested deeper than 32"):
         rp(("m", src))
 
 
