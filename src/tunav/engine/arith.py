@@ -118,16 +118,9 @@ def check_constraints(constraints: list[Constraint]) -> ArithResult:
     """Decide a conjunction of normalized constraints by bound propagation and
     Fourier-Motzkin elimination with integer tightening."""
     work = [c.tightened() for c in constraints]
-
-    def scan_ground(cs) -> ArithResult | None:
-        for c in cs:
-            if not c.coeffs and c.const > 0:
-                return ArithResult(INCONSISTENT, c.sources)
-        return None
-
-    bad = scan_ground(work)
-    if bad:
-        return bad
+    for c in work:
+        if not c.coeffs and c.const > 0:
+            return ArithResult(INCONSISTENT, c.sources)
 
     equalities = _direct_equalities(work)
 
@@ -179,12 +172,9 @@ def check_constraints(constraints: list[Constraint]) -> ArithResult:
                                            equalities=equalities)
                     continue
                 new.append(cons)
+        # a ground constraint of `new` was decided when it was made
         work = rest + new
         eliminated += 1
-        bad = scan_ground(work)
-        if bad:
-            bad.equalities = equalities
-            return bad
 
 
 def _direct_equalities(work: list[Constraint]) -> list[tuple[int, int, frozenset[int]]]:

@@ -54,7 +54,7 @@ def eval_finite(e: Expr, domain_size: int, env: dict | None = None,
             if op == "%" and r == 0:
                 raise TunavError("eval_finite: modulo by zero")
             return {"+": lambda: l + r, "-": lambda: l - r, "*": lambda: l * r,
-                    "%": lambda: l % r, "==": lambda: l == r, "!=": lambda: l != r,
+                    "%": lambda: l % abs(r), "==": lambda: l == r, "!=": lambda: l != r,
                     "<": lambda: l < r, "<=": lambda: l <= r, ">": lambda: l > r,
                     ">=": lambda: l >= r}[op]()
         if isinstance(node, (Forall, Exists)):

@@ -10,7 +10,10 @@ that creates the formula's ground terms in the order a left-to-right walk
 first meets them; running it under an environment gives the formula's term
 slots, one term id per distinct subterm. The skeleton is the formula's
 connectives and atoms as tuples over slot numbers, with each node's kind
-decided at compile time. An assertion runs the builder once and queues
+decided at compile time. `&&`, `||` and `==>` are one node kind, a
+disjunction of two sides each at a fixed polarity, so one rule dispatches
+and evaluates all three; `>` and `>=` compile to `<` and `<=` with their
+operands swapped. An assertion runs the builder once and queues
 (skeleton, slots, env, origins); dispatch, disjunction evaluation, splits and
 e-matching then read term ids, and never walk the syntax again. A nested
 quantifier's node keeps the strategy; it selects triggers only when first
@@ -27,6 +30,9 @@ origin on. The right branch runs only if a conflict of the left subtree
 contains it (conflict-directed backjumping). If none does, the state before
 the split was refuted without the decision, so its right branch is too.
 Decision origins name no source fact, so the reported core drops them.
+
+Propagation stops at the first conflict, whichever of the term graph, a
+disequality, a disjunction or the arithmetic finds it.
 
 Instantiation is round-based against a frozen term graph, deduplicated by
 (fact, class-representative substitution) per branch. Every asserted literal
@@ -119,15 +125,15 @@ T_BAD = 5  # a: message, b: span; raises when the builder reaches it
 # skeleton nodes, tuples headed by their kind
 F_ATOM = 0  # (F_ATOM, slot): a Boolean term
 F_EQ = 1  # (F_EQ, l, r, is "==", int sort, l < r node, r < l node)
-F_CMP = 2  # (F_CMP, l, r, op) for < <= > >=
-F_AND = 3  # (F_AND, lhs, rhs); F_OR and F_IMP alike
-F_OR = 4
-F_IMP = 5
-F_IFF = 6  # (F_IFF, lhs, rhs, negated): <==>, and == or != over bool
-F_NOT = 7  # (F_NOT, arg)
-F_CONST = 8  # (F_CONST, value)
-F_QUANT = 9  # (F_QUANT, _Quant)
-F_BAD = 10  # (F_BAD, message, span): no truth value, and cannot be asserted
+F_CMP = 2  # (F_CMP, l, r, strict): l < r, or l <= r; > and >= swap l and r
+# (F_OR, lhs, lhs_pol, rhs, rhs_pol, pol): the node has truth value `pol`
+# iff lhs has `lhs_pol` or rhs has `rhs_pol`; &&, || and ==> (_CONNECTIVES)
+F_OR = 3
+F_IFF = 4  # (F_IFF, lhs, rhs, negated): <==>, and == or != over bool
+F_NOT = 5  # (F_NOT, arg)
+F_CONST = 6  # (F_CONST, value)
+F_QUANT = 7  # (F_QUANT, _Quant)
+F_BAD = 8  # (F_BAD, message, span): no truth value, and cannot be asserted
 
 # trigger pattern nodes below the top: (P_APP, head, children), (P_BIND,
 # binder name), (P_GROUND, name, symbol), (P_LIT, literal symbol), (P_BOOL,
@@ -140,7 +146,10 @@ P_LIT = 3
 P_BOOL = 4
 P_BAD = 5
 
-_CONNECTIVES = {"&&": F_AND, "||": F_OR, "==>": F_IMP}
+# op -> (lhs_pol, rhs_pol, pol) of its F_OR node: a && b is false iff a is
+# false or b is false
+_CONNECTIVES = {"||": (True, True, True), "==>": (False, True, True),
+                "&&": (False, False, False)}
 _COMPARISONS = ("<", "<=", ">", ">=")
 _TERM_OPS = ("+", "-", "*", "%")
 
@@ -208,10 +217,10 @@ def compile_formula(e: Expr, strategy: str) -> Formula:
 def _skeleton(e: Expr, code: list, index: dict, strategy: str) -> tuple:
     if isinstance(e, BinOp):
         op = e.op
-        kind = _CONNECTIVES.get(op)
-        if kind is not None:
-            return (kind, _skeleton(e.lhs, code, index, strategy),
-                    _skeleton(e.rhs, code, index, strategy))
+        if op in _CONNECTIVES:
+            lhs_pol, rhs_pol, pol = _CONNECTIVES[op]
+            return (F_OR, _skeleton(e.lhs, code, index, strategy), lhs_pol,
+                    _skeleton(e.rhs, code, index, strategy), rhs_pol, pol)
         if op == "<==>" or (op in ("==", "!=") and _is_bool(e.lhs)):
             return (F_IFF, _skeleton(e.lhs, code, index, strategy),
                     _skeleton(e.rhs, code, index, strategy), op == "!=")
@@ -220,11 +229,13 @@ def _skeleton(e: Expr, code: list, index: dict, strategy: str) -> tuple:
             r = _term(e.rhs, code, index)
             # a != b over int splits as a < b || b < a
             return (F_EQ, l, r, op == "==", _is_int(e.lhs),
-                    (F_CMP, l, r, "<"), (F_CMP, r, l, "<"))
+                    (F_CMP, l, r, True), (F_CMP, r, l, True))
         if op in _COMPARISONS:
             l = _term(e.lhs, code, index)
             r = _term(e.rhs, code, index)
-            return (F_CMP, l, r, op)
+            if op[0] == ">":  # a > b is b < a; the terms are built as written
+                l, r = r, l
+            return (F_CMP, l, r, not op.endswith("="))
         _term(e, code, index)
         return (F_BAD, f"cannot assert operator {op}", e.span)
     if isinstance(e, (Call, Var)):
@@ -391,7 +402,6 @@ class ProverState:
         self.rounds_done = 0
         self.skolem_n = 0
         self.conflict: frozenset | None = None
-        self._eq_feedback: set = set()
         self._arith: _ArithMemo | None = None
 
     def clone(self) -> "ProverState":
@@ -410,7 +420,6 @@ class ProverState:
         st.rounds_done = self.rounds_done
         st.skolem_n = self.skolem_n
         st.conflict = self.conflict
-        st._eq_feedback = set(self._eq_feedback)
         st._arith = self._arith
         return st
 
@@ -453,10 +462,10 @@ class ProverState:
 
     def _mod_range(self, t: int, divisor: int):
         v = self.graph.int_val.get(divisor)
-        if v is not None and v > 0:
+        if v:
             zero = self.graph.int_term(0)
-            upper = self.graph.int_term(v - 1)
-            # theory-true for a positive literal divisor: 0 <= t <= v-1
+            upper = self.graph.int_term(abs(v) - 1)
+            # theory-true for a nonzero literal divisor: 0 <= t <= |v|-1
             self.arith_atoms.append(("le", zero, t, EMPTY))
             self.arith_atoms.append(("le", t, upper, EMPTY))
 
@@ -489,41 +498,26 @@ class ProverState:
                     self.disjs.append(_Disj([(node[5], True), (node[6], True)],
                                             slots, env, origins))
         elif kind == F_CMP:
-            self._dispatch_cmp(slots[node[1]], slots[node[2]], node[3],
-                               positive, origins)
-        elif kind == F_AND:
+            l, r = slots[node[1]], slots[node[2]]
             if positive:
-                self._dispatch(node[1], True, slots, env, origins)
-                self._dispatch(node[2], True, slots, env, origins)
-            else:
-                self.disjs.append(_Disj([(node[1], False), (node[2], False)],
-                                        slots, env, origins))
+                self.arith_atoms.append(("lt" if node[3] else "le", l, r, origins))
+            else:  # not l < r is r <= l, and not l <= r is r < l
+                self.arith_atoms.append(("le" if node[3] else "lt", r, l, origins))
         elif kind == F_OR:
-            if positive:
-                self.disjs.append(_Disj([(node[1], True), (node[2], True)],
+            _, lhs, lhs_pol, rhs, rhs_pol, pol = node
+            if positive == pol:
+                self.disjs.append(_Disj([(lhs, lhs_pol), (rhs, rhs_pol)],
                                         slots, env, origins))
             else:
-                self._dispatch(node[1], False, slots, env, origins)
-                self._dispatch(node[2], False, slots, env, origins)
-        elif kind == F_IMP:
-            if positive:
-                self.disjs.append(_Disj([(node[1], False), (node[2], True)],
-                                        slots, env, origins))
-            else:
-                self._dispatch(node[1], True, slots, env, origins)
-                self._dispatch(node[2], False, slots, env, origins)
+                self._dispatch(lhs, not lhs_pol, slots, env, origins)
+                self._dispatch(rhs, not rhs_pol, slots, env, origins)
         elif kind == F_IFF:
             lhs, rhs = node[1], node[2]
-            if positive != node[3]:
-                self.disjs.append(_Disj([(lhs, False), (rhs, True)],
-                                        slots, env, origins))
-                self.disjs.append(_Disj([(lhs, True), (rhs, False)],
-                                        slots, env, origins))
-            else:
-                self.disjs.append(_Disj([(lhs, True), (rhs, True)],
-                                        slots, env, origins))
-                self.disjs.append(_Disj([(lhs, False), (rhs, False)],
-                                        slots, env, origins))
+            same = positive != node[3]
+            self.disjs.append(_Disj([(lhs, not same), (rhs, True)],
+                                    slots, env, origins))
+            self.disjs.append(_Disj([(lhs, same), (rhs, False)],
+                                    slots, env, origins))
         elif kind == F_NOT:
             self._dispatch(node[1], not positive, slots, env, origins)
         elif kind == F_CONST:
@@ -538,18 +532,6 @@ class ProverState:
                 self._skolemize(quant, positive, env, origins)
         else:
             raise TunavError(node[1], node[2])
-
-    def _dispatch_cmp(self, l: int, r: int, op: str, positive: bool,
-                      origins: frozenset):
-        if op == ">":
-            l, r, op = r, l, "<"
-        elif op == ">=":
-            l, r, op = r, l, "<="
-        if positive:
-            kind, a, b = ("lt", l, r) if op == "<" else ("le", l, r)
-        else:
-            kind, a, b = ("le", r, l) if op == "<" else ("lt", r, l)
-        self.arith_atoms.append((kind, a, b, origins))
 
     def _skolemize(self, quant: _Quant, positive: bool, env, origins):
         env2 = dict(env)
@@ -606,36 +588,16 @@ class ProverState:
             return (tv if node[3] else not tv), o
         if kind == F_CMP:
             return self._eval_cmp(slots[node[1]], slots[node[2]], node[3])
-        if kind == F_AND:
-            lv, lo = self._eval(node[1], slots)
-            if lv is False:
-                return False, lo
-            rv, ro = self._eval(node[2], slots)
-            if rv is False:
-                return False, ro
-            if lv is True and rv is True:
-                return True, lo | ro
-            return None, EMPTY
         if kind == F_OR:
             lv, lo = self._eval(node[1], slots)
-            if lv is True:
-                return True, lo
-            rv, ro = self._eval(node[2], slots)
-            if rv is True:
-                return True, ro
-            if lv is False and rv is False:
-                return False, lo | ro
-            return None, EMPTY
-        if kind == F_IMP:
-            lv, lo = self._eval(node[1], slots)
-            if lv is False:
-                return True, lo
-            rv, ro = self._eval(node[2], slots)
-            if rv is True:
-                return True, ro
-            if lv is True and rv is False:
-                return False, lo | ro
-            return None, EMPTY
+            if lv == node[2]:
+                return node[5], lo
+            rv, ro = self._eval(node[3], slots)
+            if rv == node[4]:
+                return node[5], ro
+            if lv is None or rv is None:
+                return None, EMPTY
+            return not node[5], lo | ro
         if kind == F_IFF:
             lv, lo = self._eval(node[1], slots)
             if lv is None:
@@ -668,16 +630,17 @@ class ProverState:
                 return False, o | g.explain(a, r) | g.explain(b, l)
         return None, EMPTY
 
-    def _eval_cmp(self, l: int, r: int, op: str) -> tuple[bool | None, frozenset]:
+    def _eval_cmp(self, l: int, r: int, strict: bool
+                  ) -> tuple[bool | None, frozenset]:
         g = self.graph
         lv, rv = g.value_of(l), g.value_of(r)
         if lv is not None and rv is not None:
-            got = {"<": lv < rv, "<=": lv <= rv, ">": lv > rv, ">=": lv >= rv}[op]
             vl = g.class_val[g.find(l)][1]
             vr = g.class_val[g.find(r)][1]
+            got = lv < rv if strict else lv <= rv
             return got, g.explain(l, vl) | g.explain(r, vr)
         if g.find(l) == g.find(r):
-            return op in ("<=", ">="), g.explain(l, r)
+            return not strict, g.explain(l, r)
         return None, EMPTY
 
     # -- propagation -----------------------------------------------------------------
@@ -699,13 +662,10 @@ class ProverState:
                 if self.graph.find(a) == self.graph.find(b):
                     self.conflict = o | self.graph.explain(a, b)
                     return
-            if self._process_disjs():
-                continue
-            if self.queue:
-                continue
-            if self._arith_pass():
-                continue
-            break
+            if self._process_disjs() or self.conflict is not None:
+                continue  # a conflict ends the loop
+            if not self._arith_pass():
+                break
 
     def _process_disjs(self) -> bool:
         changed = False
@@ -799,19 +759,13 @@ class ProverState:
         if res.status == arith.INCONSISTENT:
             self.conflict = origins_of(res.conflict_sources)
             return True
-        changed = False
+        # a pinned variable is a class without a value, and the merge gives
+        # it one, so no pass pins it again
         for var_root, value, sources in res.equalities:
-            fkey = (var_root, value)
-            if fkey in self._eq_feedback:
-                continue
-            self._eq_feedback.add(fkey)
-            if g.value_of(var_root) == value:
-                continue
             lit = g.int_term(value)
             g.merge(g.canon[g.find(var_root)], lit, origins_of(sources))
-            changed = True
-        self._arith = _ArithMemo(g.version, atoms, idle=not changed)
-        return changed
+        self._arith = _ArithMemo(g.version, atoms, idle=not res.equalities)
+        return bool(res.equalities)
 
     # -- e-matching --------------------------------------------------------------------
 
@@ -940,9 +894,6 @@ class ProverState:
                 chosen = (item, pos)
             else:
                 rest.append((item, pos))
-        if chosen is None:  # all decided: re-add and let propagation handle it
-            self.disjs.append(d)
-            raise TunavError("split on decided disjunction")
         self.shared.splits += 1
         decision = Origin("decision", str(self.shared.splits))
         right = self.clone()

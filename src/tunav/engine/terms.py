@@ -18,7 +18,8 @@ FOLDABLE = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
     "*": lambda a, b: a * b,
-    "%": lambda a, b: a % b if b != 0 else None,
+    # Euclidean, as SMT-LIB's `mod`: 0 <= a % b < |b|
+    "%": lambda a, b: a % abs(b) if b != 0 else None,
 }
 
 
@@ -194,9 +195,6 @@ class TermGraph:
     def _try_fold(self, t: int):
         if self.find(t) in self.class_val:
             return
-        fn = FOLDABLE.get(self.syms[t])
-        if fn is None:
-            return
         vals = []
         lits = []
         for a in self.targs[t]:
@@ -205,7 +203,7 @@ class TermGraph:
                 return
             vals.append(got[0])
             lits.append((a, got[1]))
-        result = fn(*vals)
+        result = FOLDABLE[self.syms[t]](*vals)
         if result is None:
             return
         origins = EMPTY

@@ -170,7 +170,9 @@ def lower_quantified_fact(inst: MonoFn, strategy: str) -> QuantifiedFact:
 def _copy_expr(e: Expr, vars: dict[str, Expr], calls: dict[str, str]) -> Expr:
     """A copy of `e` in which every free local `Var` named in `vars` is replaced
     by its value and every call to a symbol in `calls` is redirected to the
-    symbol it maps to. All other fields are copied as they are."""
+    symbol it maps to. All other fields are copied as they are. A binder
+    that occurs free in a value it would scope over is renamed to avoid
+    capture: `y` becomes `y'`, a name no identifier can have."""
     if isinstance(e, Var):
         return vars.get(e.name, e) if e.resolved is None else e
     if isinstance(e, Call):
@@ -184,7 +186,16 @@ def _copy_expr(e: Expr, vars: dict[str, Expr], calls: dict[str, str]) -> Expr:
     if isinstance(e, (Forall, Exists)):
         bound = {b.name for b in e.binders}
         inner = {k: v for k, v in vars.items() if k not in bound}
-        return replace(e, body=_copy_expr(e.body, inner, calls))
+        taken = set().union(*map(trig.free_vars, inner.values()))
+        binders = []
+        for b in e.binders:
+            if b.name in taken:
+                # y' is free in no value: only this rename makes primed
+                # names, and a binder y drops an outer y's rename from `inner`
+                fresh = inner[b.name] = Var(e.span, name=b.name + "'", ty=b.ty)
+                b = Binder(fresh.name, b.ty)
+            binders.append(b)
+        return replace(e, binders=binders, body=_copy_expr(e.body, inner, calls))
     return e
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -43,8 +44,8 @@ from tunav.vcgen import VcgenRun, generate_obligations, prove_obligation
 from tunav import triggers as trig
 
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
-LABELS = json.load(open(os.path.join(os.path.dirname(__file__), "corpus",
-                                     "labels.json")))
+LABELS = json.loads(Path(os.path.dirname(__file__), "corpus",
+                         "labels.json").read_text())
 AMBIENT = ("prelude::seq::group_seq_properties",
            "prelude::set::group_set_properties",
            "prelude::map::group_map_properties",
@@ -501,7 +502,8 @@ def test_criterion_11_failure_time_sampling(baseline_minimize, tmp_path):
                      "--out", out_csv])
     assert code == 0
     import csv
-    rows = list(csv.DictReader(open(out_csv)))
+    with open(out_csv, newline="") as f:
+        rows = list(csv.DictReader(f))
     assert rows, "sampling produced no rows"
     budget_ms = Limits().time_budget_ms
     for row in rows:

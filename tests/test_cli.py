@@ -6,6 +6,7 @@ import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -145,7 +146,7 @@ def test_metrics_and_compare(tmp_path, ok_file, capsys):
     assert main(["compare", a, b, "--out", out_csv]) == 0
     text = capsys.readouterr().out
     assert "median time ratio" in text
-    assert open(out_csv).read().startswith("function,")
+    assert Path(out_csv).read_text().startswith("function,")
 
 
 @pytest.mark.parametrize("name, text, message", [
@@ -193,7 +194,7 @@ def test_minimize_and_write(tmp_path, capsys):
     report_path = str(tmp_path / "report.json")
     assert main(["minimize", str(p), "--write", "--report-json",
                  report_path]) == 0
-    payload = json.loads(open(report_path).read())
+    payload = json.loads(Path(report_path).read_text())
     assert payload["original_count"] == 1
     assert payload["surviving_count"] == 0
     # --write rewrote the file without the assert, and it still verifies
@@ -247,7 +248,7 @@ def test_sample_failures(tmp_path, capsys):
                  "--out", out_csv]) == 0
     text = capsys.readouterr().out
     assert "sampled 3 removals" in text
-    rows = open(out_csv).read().splitlines()
+    rows = Path(out_csv).read_text().splitlines()
     assert rows[0] == "function,site,status,baseline_ms,removed_ms,ratio"
     assert len(rows) == 4
 

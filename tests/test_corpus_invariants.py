@@ -3,6 +3,7 @@ equivalence, and the usage-report-driven import-trimming workflow."""
 
 import glob
 import os
+from pathlib import Path
 
 import pytest
 
@@ -17,7 +18,7 @@ CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.t
 
 @pytest.mark.parametrize("path", CORPUS, ids=os.path.basename)
 def test_round_trip_corpus_file(path):
-    src = open(path).read()
+    src = Path(path).read_text()
     first = parse_module(src, path)
     second = parse_module(render_module(first), path)
     assert first.declarations == second.declarations

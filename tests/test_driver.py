@@ -7,6 +7,7 @@ import signal
 import time
 from collections import Counter
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -318,7 +319,7 @@ def test_renaming_does_not_change_results():
     """Metamorphic check: renaming every top-level name the corpus declares,
     by a seeded map, changes no verdict, usage report (read back through the
     inverse map) or count."""
-    texts = {p: open(p, encoding="utf-8").read() for p in CORPUS}
+    texts = {p: Path(p).read_text(encoding="utf-8") for p in CORPUS}
     asts = load_sources(CORPUS)
     declared = sorted({d.name for a in asts for d in a.declarations if d.name})
     rng = random.Random(11)

@@ -25,7 +25,7 @@ from tunav.engine.arith import (
     Constraint,
     check_constraints,
 )
-from tunav.syntax.ast import BinOp, BoolLit, Call, IntLit, SourceSpan, Type, Var
+from tunav.syntax.ast import BinOp, BoolLit, Call, IntLit, Not, SourceSpan, Type, Var
 from tunav.triggers import CONSERVATIVE
 from test_resolve_snapshot import synth_like_asts
 
@@ -379,6 +379,28 @@ def test_mod_range_fact():
     assert out.status == "verified"
 
 
+@pytest.mark.parametrize("a, d, r, status", [
+    (7, -3, 1, "verified"),
+    (-7, -3, 2, "verified"),
+    (-7, 3, 2, "verified"),
+    (7, -3, -2, "failed"),
+])
+def test_mod_is_euclidean(a, d, r, status):
+    """`%` is SMT-LIB's `mod`: the remainder lies in [0, |d|) for either sign
+    of the divisor."""
+    out = prove_exprs([], [], b("==", b("%", il(a), il(d), INT), il(r)), G)
+    assert out.status == status
+    assert eval_finite(b("==", b("%", il(a), il(d), INT), il(r)), 1) == (
+        status == "verified")
+
+
+def test_mod_range_for_a_negative_divisor():
+    mod = b("%", iv("x"), il(-5), INT)
+    goal = b("&&", b("<=", il(0), mod), b("<=", mod, il(4)))
+    out = prove_exprs([], [], goal, G, params={"x": INT})
+    assert out.status == "verified"
+
+
 def test_mod_range_atoms_added_once_per_term():
     # 0 <= x % 5 <= 4 joins the arithmetic when the term is made, not each
     # time a formula mentions it
@@ -417,6 +439,100 @@ def test_nat_binder_adds_bound():
     goal2 = b("==", call("f", il(4)), il(4))
     out2 = prove_exprs([], [f], goal2, G)
     assert out2.status == "verified"
+
+
+# -- connectives decided inside a disjunction --------------------------------------
+
+
+def bv(name):
+    return Var(SPAN, name=name, ty=BOOL)
+
+
+def nb(e):
+    return Not(SPAN, arg=e, ty=BOOL)
+
+
+@pytest.mark.parametrize("facts, disj, status", [
+    # a ==> b holds because a is false, or because b is true
+    (["!a"], ("==>", "==>"), "verified"),
+    (["b"], ("==>", "==>"), "verified"),
+    (["a", "!b"], ("==>", "==>"), "failed"),
+    # a ==> b is false, so c must hold
+    (["a", "!b"], ("==>", "||"), "verified"),
+    (["!a"], ("==>", "||"), "failed"),
+    (["b"], ("==>", "||"), "failed"),
+    # a <==> b, a == b and a != b decided as items
+    (["a", "b"], ("<==>", "==>"), "verified"),
+    (["!a", "!b"], ("<==>", "==>"), "verified"),
+    (["a", "!b"], ("<==>", "==>"), "failed"),
+    (["a", "b"], ("==", "==>"), "verified"),
+    (["a", "!b"], ("!=", "==>"), "verified"),
+    (["!a", "!b"], ("!=", "==>"), "failed"),
+])
+def test_connective_item_decided_without_a_split(facts, disj, status):
+    """`(a inner b) outer c`, assumed with literals that decide the inner
+    item: propagation alone proves `c`, or leaves it open."""
+    inner, outer = disj
+    hyps = [(nb(bv(f[1:])) if f.startswith("!") else bv(f), H) for f in facts]
+    hyps.append((b(outer, b(inner, bv("a"), bv("b")), bv("c")), H))
+    out = prove_exprs(hyps, [], bv("c"), G)
+    assert (out.status, out.splits_used) == (status, 0)
+
+
+def verify_text(tmp_path, text, *flags):
+    p = tmp_path / "m.tv"
+    p.write_text(text)
+    return cli_main(["verify", str(p), "--no-timing", *flags])
+
+
+@pytest.mark.parametrize("sort, code", [("nat", 0), ("int", 1)])
+def test_nat_skolem_is_bounded_below(tmp_path, capsys, sort, code):
+    """A `nat` witness of a hypothesis is at least 0, and that bound alone
+    proves the goal's `0 <= k`."""
+    assert verify_text(tmp_path, f"""
+spec fn f(i: int) -> int;
+proof fn t()
+    requires exists|k: {sort}| f(k) == 0
+    ensures exists|k: int| 0 <= k && f(k) == 0
+{{ }}
+""") == code
+
+
+def test_trigger_patterns_with_literal_arguments(tmp_path, capsys):
+    """A literal in a trigger matches only a term with that argument."""
+    assert verify_text(tmp_path, """
+spec fn g(x: int, y: int) -> int;
+spec fn h(x: int, b: bool) -> int;
+broadcast axiom fn gz(x: int) ensures #[trigger] g(x, 0) == x;
+broadcast axiom fn ht(x: int) ensures #[trigger] h(x, true) == x;
+proof fn g_zero() ensures g(5, 0) == 5 { broadcast use {gz}; }
+proof fn g_one() ensures g(5, 1) == 5 { broadcast use {gz}; }
+proof fn h_true() ensures h(5, true) == 5 { broadcast use {ht}; }
+proof fn h_false() ensures h(5, false) == 5 { broadcast use {ht}; }
+""") == 1
+    out = capsys.readouterr().out
+    assert [line.split()[:2] for line in out.splitlines()
+            if not line.startswith(" ")][:4] == [
+        ["PASS", "m::g_zero"], ["FAIL", "m::g_one"],
+        ["PASS", "m::h_true"], ["FAIL", "m::h_false"]]
+
+
+def test_negation_inside_a_term_is_an_error(tmp_path, capsys):
+    assert verify_text(tmp_path, """
+spec fn p(i: int) -> bool;
+spec fn q(b: bool) -> int;
+proof fn t(x: int) ensures q(!p(x)) == q(!p(x)) { }
+""") == 2
+    assert capsys.readouterr().err.endswith("m.tv:4:30: not a term: Not\n")
+
+
+def test_instantiation_limit_gives_unknown(tmp_path, capsys):
+    assert verify_text(tmp_path, """
+spec fn f(i: int) -> int;
+broadcast axiom fn ax(x: int) ensures #[trigger] f(x) > 0;
+proof fn two(a: int, b: int) ensures f(a) + f(b) > 1 { broadcast use {ax}; }
+""", "--max-instantiations", "1") == 1
+    assert "ensures unknown (instantiations)" in capsys.readouterr().out
 
 
 # -- soundness vs finite oracle ------------------------------------------------------

@@ -1,5 +1,6 @@
 import glob
 import os
+from pathlib import Path
 
 import pytest
 
@@ -32,18 +33,18 @@ def test_emit_obligations(tmp_path):
     emit_all(obs, str(tmp_path))
     files = sorted(glob.glob(os.path.join(str(tmp_path), "*.smt2")))
     assert len(files) == len(obs)
-    text = open(files[0]).read()
+    text = Path(files[0]).read_text()
     assert text.startswith("(set-logic ALL)")
     assert "(check-sat)" in text and "(get-unsat-core)" in text
     assert ":named" in text
-    combined = "".join(open(f).read() for f in files)
+    combined = "".join(Path(f).read_text() for f in files)
     assert ":pattern" in combined
     assert "(forall" in combined
     assert "declare-fun" in combined
     assert "(assert (! (not" in combined  # negated goal
     # balanced parentheses in every emitted script
     for f in files:
-        body = open(f).read()
+        body = Path(f).read_text()
         assert body.count("(") == body.count(")"), f
 
 

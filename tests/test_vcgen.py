@@ -1,20 +1,28 @@
 import glob
 import os
 
+import pytest
+
 from tunav.driver import RunConfig, load_sources, resolve_with_prelude
 from tunav.engine.prover import Limits
 from tunav.resolve import skolem
 from tunav.syntax import parse_module
-from tunav.syntax.ast import BinOp, Call, Type
+from tunav.syntax.ast import BinOp, Binder, Call, Forall, SourceSpan, Type, Var
+from tunav.syntax.render import render_expr
 from tunav.vcgen import (
     VcgenRun,
     _ObligationBuilder,
+    _copy_expr,
     definitional_axiom,
     generate_obligations,
     lower_quantified_fact,
     prove_obligation,
 )
 from tunav import triggers as trig
+
+SPAN = SourceSpan("t.tv", 0, 1, 1, 1)
+INT = Type("int")
+BOOL = Type("bool")
 
 
 def program_of(src: str, module: str = "user"):
@@ -238,6 +246,61 @@ proof fn passes_bad(x: int)
     assert all(o.status == "verified" for o in outs_ok)
     outs_bad, _ = prove_task(src, "passes_bad")
     assert any(o.status == "failed" for o in outs_bad)
+
+
+CAPTURE_SRC = """
+spec fn f(i: int) -> int;
+proof fn l(x: int)
+    requires x == 0
+    ensures forall|y: int| #[trigger] f(y) * x == 0
+{ }
+proof fn wrong(ARG: int)
+    requires ARG == 0
+    ensures forall|z: int| #[trigger] f(z) * z == 0
+{
+    l(ARG);
+}
+proof fn l2(x: int)
+    requires forall|y: int| #[trigger] f(y) >= x
+    ensures f(0) >= x
+{ }
+proof fn bad(ARG: int)
+    requires forall|z: int| #[trigger] f(z) >= z
+    ensures f(0) >= ARG
+{
+    l2(ARG);
+}
+"""
+
+
+@pytest.mark.parametrize("arg", ["y", "w"])
+def test_lemma_call_substitution_does_not_capture(arg):
+    """Substituting the caller's `y` for `x` under the callee's `forall|y|`
+    must not bind it: `wrong`'s ensures and `bad`'s lemma precondition do
+    not follow, whatever the caller's parameter is called."""
+    src = CAPTURE_SRC.replace("ARG", arg)
+    got = {}
+    for task in ("wrong", "bad"):
+        outs, obs = prove_task(src, task)
+        got[task] = [(ob.site.kind, out.status) for ob, out in zip(obs, outs)]
+    assert got == {"wrong": [("lemma-pre", "verified"), ("ensures", "failed")],
+                   "bad": [("lemma-pre", "failed"), ("ensures", "verified")]}
+
+
+def test_capture_avoiding_names_stay_distinct():
+    """Two binders that would capture get distinct fresh names, and a
+    nested binder of the same name shadows the outer one's renaming."""
+    x, y = Var(SPAN, name="x", ty=INT), Var(SPAN, name="y", ty=INT)
+    inner = Forall(SPAN, binders=[Binder("y", INT)],
+                   body=BinOp(SPAN, op="<", lhs=x, rhs=y, ty=BOOL), ty=BOOL)
+    outer = Forall(SPAN, binders=[Binder("y", INT), Binder("z", INT)],
+                   body=BinOp(SPAN, op="&&", lhs=BinOp(SPAN, op="<", lhs=x, rhs=y,
+                                                       ty=BOOL),
+                              rhs=inner, ty=BOOL), ty=BOOL)
+    got = _copy_expr(outer, {"x": BinOp(SPAN, op="+", lhs=y, rhs=Var(SPAN, name="z"),
+                                        ty=INT)}, {})
+    assert render_expr(got) == (
+        "forall|y': int, z': int| y + z < y' && (forall|y': int| y + z < y')")
 
 
 def test_assert_by_block_scoping():
