@@ -326,10 +326,12 @@ class EngineFact:
 
 def make_fact(key: object, display: str, binders: list[tuple[str, Type]],
               hyp: Expr | None, concl: Expr, trigger_groups: list[tuple[Expr, ...]],
-              origins: frozenset, strategy: str) -> EngineFact:
+              origins: frozenset, strategy: str,
+              compiled_concl: Formula | None = None) -> EngineFact:
     """Normalize a quantified fact: nat binder bounds join the hypothesis and
     the body becomes one implication expression. The body and the trigger
-    groups are compiled here, once."""
+    groups are compiled here, once; a body that is `concl` alone takes
+    `compiled_concl`, `concl` compiled under `strategy`, if given."""
     span = concl.span
     bounds: list[Expr] = []
     for name, ty in binders:
@@ -345,9 +347,11 @@ def make_fact(key: object, display: str, binders: list[tuple[str, Type]],
             h = BinOp(span, op="&&", lhs=h, rhs=extra, ty=BOOL)
         body = BinOp(span, op="==>", lhs=h, rhs=concl, ty=BOOL)
     names = [n for n, _ in binders]
+    compiled = (compiled_concl if compiled_concl is not None and not hyp_all
+                else compile_formula(body, strategy))
     return EngineFact(key, display, names,
                       [compile_group(g, names) for g in trigger_groups],
-                      origins, compile_formula(body, strategy))
+                      origins, compiled)
 
 
 class _Disj:

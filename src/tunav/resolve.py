@@ -28,12 +28,19 @@ Resolves that share a `ResolveMemo` (the runs of one minimizer pass) do each
 piece of work once: signatures and the registry are resolved once, a
 declaration object is checked once, an instance symbol is rendered once, and
 an instance is made once per declaration object, with the symbols it demands.
-A resolve is then a reachability pass over those demand edges from
-the program's roots, in a fresh resolve's order, and a semi-naive liveness
-fixpoint whose rounds match only the newly live sorts. So `Program.instances`
-and its order equal those of a fresh resolve. The memo serves only programs
-whose modules and declaration interfaces equal those of the first program it
-resolved; any other program is resolved afresh.
+The memo serves only programs whose modules and declaration interfaces equal
+those of the first program it resolved; any other program is resolved
+afresh. A program the memo serves is patched from the last one it resolved
+(`_Resolver.patch`) when every declaration that is not the last program's
+own object is a user fn whose checked tree mentions the same sorts, demands
+the same symbols in the order the drain meets them (`_drained`) and, for a
+spec fn, has a body if the old one had: then the instances, their order,
+the liveness rounds and the spec SCCs are the last program's, and only the
+changed declarations' instances are remade. Otherwise the resolve falls back
+to a reachability pass over the memo's demand edges from the program's
+roots, in a fresh resolve's order, and a semi-naive liveness fixpoint whose
+rounds match only the newly live sorts. Either way every table of the
+`Program` equals that of a fresh resolve.
 
 What lives for the process is the prelude's share of that work, in the
 prelude store (`PreludeStore`, beside the prelude's parse): each prelude
@@ -196,6 +203,13 @@ class BroadcastRegistry:
 
 
 @dataclass
+class TaskOrder:
+    tasks: list[str]  # proof-fn decl paths, topologically sorted
+    layers: list[list[str]]  # parallelizable layers
+    deps: dict[str, set[str]]  # task -> tasks it waits on
+
+
+@dataclass
 class Program:
     symbols: dict[str, Declaration]
     decl_module: dict[str, str]
@@ -212,6 +226,10 @@ class Program:
     # instance symbol -> the symbols it demands, in order: a spec fn's are
     # the callees of its body
     demands: dict[str, tuple[str, ...]]
+    # ambient -> (registry, `order_tasks`' result): shared with the program a
+    # patch was made from when no proof fn's imports or lemma calls changed
+    orders: dict[tuple[str, ...], tuple[BroadcastRegistry, TaskOrder]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     def proof_fns(self) -> list[str]:
         """Proof-fn decl paths in source order (one verification task each)."""
@@ -223,13 +241,6 @@ class Program:
         if inst is None:
             raise ResolveError(f"no verification instance for {decl_path}")
         return inst
-
-
-@dataclass
-class TaskOrder:
-    tasks: list[str]  # proof-fn decl paths, topologically sorted
-    layers: list[list[str]]  # parallelizable layers
-    deps: dict[str, set[str]]  # task -> tasks it waits on
 
 
 def _interface(d: Declaration) -> tuple:
@@ -250,7 +261,10 @@ class ResolveMemo:
     and the resolver adds the prelude work it does to both."""
 
     def __init__(self):
-        self.interfaces: tuple | None = None  # of the first program resolved
+        # the modules and, per module, the declarations of the last program
+        # admitted, whose interfaces are those of the first
+        self.modules: tuple[str, ...] | None = None
+        self.decls: tuple[tuple[Declaration, ...], ...] = ()
         # id(fn declaration) -> its typed tree and what checking recorded
         self.checked: dict[int, _Checked] = {}
         # read off the interfaces once: `resolve_signatures`, the registry
@@ -273,6 +287,9 @@ class ResolveMemo:
         # the prelude store this memo started from; kept, so that the
         # declarations keying the entries copied from it stay alive
         self.store: PreludeStore | None = None
+        # the declarations of the last program resolved, per module, and
+        # that program, from which the next may be patched (`_Resolver.patch`)
+        self.last: tuple[tuple[tuple[Declaration, ...], ...], Program] | None = None
 
     def adopt(self, store: PreludeStore):
         """On the memo's first resolve, start from `store`'s entries and
@@ -301,12 +318,19 @@ class ResolveMemo:
 
     def admits(self, asts: list[ProgramAst]) -> bool:
         """Whether `asts` has the modules and declaration interfaces of the
-        first program this memo saw."""
-        shape = tuple((a.module, tuple(map(_interface, a.declarations)))
-                      for a in asts)
-        if self.interfaces is None:
-            self.interfaces = shape
-        return shape == self.interfaces
+        first program this memo saw. Only the interfaces of declarations that
+        are not the last admitted program's own are read."""
+        modules = tuple(a.module for a in asts)
+        decls = tuple(tuple(a.declarations) for a in asts)
+        if self.modules is None:
+            self.modules = modules
+        elif modules != self.modules or not all(
+                len(new) == len(old) and all(d is o or _interface(d) == _interface(o)
+                                             for d, o in zip(new, old))
+                for new, old in zip(decls, self.decls)):
+            return False
+        self.decls = decls
+        return True
 
 
 def skolem(path: str, tp: str) -> Type:
@@ -625,7 +649,7 @@ class _Resolver:
         self.candidates: list[list[set[Type]]] = []
         self.liveness_caps: dict[str, list[str]] = {}
         self.module_uses: dict[str, list[str]] = {}
-        self.sorts: dict[str, SortDecl] = {}
+        self.sorts: dict[str, SortDecl] = {}  # by path, from `resolve_signatures`
         # (name, module, kinds, *argument types) -> `resolve_callable`
         self.calls: dict[tuple, tuple[str, str, Type | None]] = {}
         self.found = memo.found  # the memo's name lookups
@@ -647,16 +671,17 @@ class _Resolver:
                     raise ResolveError(f"duplicate definition of '{path}'", d.span)
                 self.symbols[path] = d
                 self.decl_module[path] = ast.module
-                if isinstance(d, SortDecl):
-                    self.sorts[path] = d
 
     def resolve_signatures(self):
-        """Read off the interfaces, once per memo: qualified const, parameter
-        and spec fn return types, so a body may use a declaration that comes
-        later in the source; the `roots` (every non-generic fn, and each
-        generic proof fn at its own skolem sorts) and each proof fn's; and
-        the generic broadcast facts with the parameter types liveness matches."""
+        """Read off the interfaces, once per memo: the sorts, qualified
+        const, parameter and spec fn return types, so a body may use a
+        declaration that comes later in the source; the `roots` (every
+        non-generic fn, and each generic proof fn at its own skolem sorts)
+        and each proof fn's; and the generic broadcast facts with the
+        parameter types liveness matches."""
         if self.memo.signatures is None:
+            self.sorts = {f"{a.module}::{d.name}": d for a in self.asts
+                          for d in a.declarations if isinstance(d, SortDecl)}
             consts, params, rets, roots, tasks, facts = {}, {}, {}, [], {}, []
             for ast in self.asts:
                 for d in ast.declarations:
@@ -678,9 +703,10 @@ class _Resolver:
                     if d.type_params and getattr(d, "broadcast", False):
                         facts.append((path, d.type_params,
                                       [p.ty for p in params[path] if p.ty.args]))
-            self.memo.signatures = (consts, params, rets, roots, tasks, facts)
-        (self.consts, self.params, self.rets, self.roots, self.task_symbols,
-         self.generic_facts) = self.memo.signatures
+            self.memo.signatures = (self.sorts, consts, params, rets, roots, tasks,
+                                    facts)
+        (self.sorts, self.consts, self.params, self.rets, self.roots,
+         self.task_symbols, self.generic_facts) = self.memo.signatures
 
     def lookup(self, table: dict, what: str, name: str, module: str,
                span) -> str | None:
@@ -776,23 +802,72 @@ class _Resolver:
         """Check every declaration the memo has not checked yet, keeping its
         typed tree in `memo.checked`, and a prelude declaration's also in the
         prelude store."""
-        checked = self.memo.checked
         for ast in self.asts:
             for d in ast.declarations:
                 if isinstance(d, BroadcastUse):
                     self.module_uses[ast.module].extend(
                         self.resolve_import(p, ast.module, d.span) for p in d.paths)
                 elif isinstance(d, (SpecFn, ProofFn, AxiomFn)):
-                    if id(d) not in checked:
-                        got = checked[id(d)] = _check_decl(
-                            f"{ast.module}::{d.name}", d, self)
-                        if id(d) in self.store.decls:
-                            self.keep(self.store.checked, id(d), got, got.demands,
-                                      got.sorts)
+                    self.check(f"{ast.module}::{d.name}", d)
                 elif not isinstance(d, (BroadcastGroup, SortDecl, ConstDecl)):
                     # groups are checked by build_registry, consts by resolve_signatures
                     raise ResolveError(f"unsupported declaration {type(d).__name__}",
                                        d.span)
+
+    def check(self, path: str, d: Declaration) -> _Checked:
+        """Fn `d`'s checked entry, from the memo or checked now and kept in
+        the memo, and a prelude declaration's also in the prelude store."""
+        got = self.memo.checked.get(id(d))
+        if got is None:
+            got = self.memo.checked[id(d)] = _check_decl(path, d, self)
+            if id(d) in self.store.decls:
+                self.keep(self.store.checked, id(d), got, got.demands, got.sorts)
+        return got
+
+    # -- patching the last program ------------------------------------------------
+
+    def patch(self, last_decls: tuple[tuple[Declaration, ...], ...],
+              last: Program) -> Program | None:
+        """The program of `self.asts` made from `last`, the program of
+        `last_decls`, by remaking only the instances of the declarations
+        that changed; None unless each is a user fn whose checked tree
+        mentions the same sorts, demands the same symbols in the order the
+        drain meets them (`_drained`) and, for a spec fn, has a body if the
+        one it replaces had. Then the instances, their order, the liveness
+        rounds and the spec SCCs are `last`'s, as a fresh resolve would make
+        them. Both programs have the memo's interfaces, so `collect`'s
+        tables are `last`'s but for the changed declarations."""
+        changed = [(a.module, f"{a.module}::{d.name}", d, o)
+                   for a, olds in zip(self.asts, last_decls)
+                   for d, o in zip(a.declarations, olds) if d is not o]
+        if any(not isinstance(d, (SpecFn, ProofFn, AxiomFn))
+               or module in PRELUDE_MODULES for module, _, d, _ in changed):
+            return None
+        self.symbols = dict(last.symbols)
+        self.symbols.update((path, d) for _, path, d, _ in changed)
+        self.decl_module = last.decl_module
+        self.module_names = [a.module for a in self.asts]
+        self.resolve_signatures()
+        memo, same_order = self.memo, True
+        # in source order, so that a check that fails raises a fresh resolve's error
+        for _, path, d, o in changed:
+            now, before = self.check(path, d), memo.checked[id(o)]
+            if (now.sorts != before.sorts
+                    or _drained(now.demands) != _drained(before.demands)
+                    or (isinstance(d, SpecFn) and (d.body is None) != (o.body is None))):
+                return None
+            same_order &= now.uses == before.uses and now.lemmas == before.lemmas
+        instances, demands = dict(last.instances), dict(last.demands)
+        lowered = dict(last.lowered)
+        for _, path, d, _ in changed:
+            for sym in last.instances_of.get(path, ()):
+                entry = memo.instances.get((sym, id(d)))
+                if entry is None:
+                    entry = self.make_instance(sym, path, memo.keys[sym][1], d)
+                instances[sym], demands[sym], _, lowered[sym] = entry
+        return replace(last, symbols=self.symbols, instances=instances,
+                       demands=demands, lowered=lowered,
+                       orders=last.orders if same_order else {})
 
     # -- monomorphization -------------------------------------------------------
 
@@ -977,6 +1052,13 @@ class _Resolver:
 # ---------------------------------------------------------------------------
 
 
+def _drained(demands: tuple[str, ...]) -> tuple[str, ...]:
+    """`demands` as `_Resolver.drain_queue` meets them: it pops the last
+    first, so each symbol counts at its last place, and an earlier duplicate
+    always finds its symbol made already."""
+    return tuple(dict.fromkeys(reversed(demands)))
+
+
 def _check_decl(path: str, d: Declaration, rs: _Resolver) -> _Checked:
     """Check fn `path` and build its typed tree."""
     if isinstance(d, SpecFn) and d.ret.name == "nat" and d.body is not None:
@@ -1093,25 +1175,28 @@ def resolve_program(asts: list[ProgramAst],
         memo = ResolveMemo()
     store = prelude_store()
     memo.adopt(store)
-    rs = _Resolver(asts, memo, store)
-    rs.collect()
-    rs.resolve_signatures()
-    rs.check_all()
-    registry = memo.registry = memo.registry or rs.build_registry()
-    rs.instantiate_all()
-    program = Program(
-        symbols=rs.symbols,
-        decl_module=rs.decl_module,
-        instances=rs.instances,
-        instances_of={k: sorted(v) for k, v in rs.instances_of.items()},
-        module_uses=rs.module_uses,
-        spec_scc=rs.spec_sccs(),
-        task_symbols=rs.task_symbols,
-        liveness_caps=rs.liveness_caps,
-        lowered=rs.lowered,
-        demands=rs.demands,
-    )
-    return program, registry
+    program = memo.last and _Resolver(asts, memo, store).patch(*memo.last)
+    if program is None:
+        rs = _Resolver(asts, memo, store)
+        rs.collect()
+        rs.resolve_signatures()
+        rs.check_all()
+        memo.registry = memo.registry or rs.build_registry()
+        rs.instantiate_all()
+        program = Program(
+            symbols=rs.symbols,
+            decl_module=rs.decl_module,
+            instances=rs.instances,
+            instances_of={k: sorted(v) for k, v in rs.instances_of.items()},
+            module_uses=rs.module_uses,
+            spec_scc=rs.spec_sccs(),
+            task_symbols=rs.task_symbols,
+            liveness_caps=rs.liveness_caps,
+            lowered=rs.lowered,
+            demands=rs.demands,
+        )
+    memo.last = (memo.decls, program)
+    return program, memo.registry
 
 
 def entry_imports(program: Program, registry: BroadcastRegistry, task: str,
@@ -1146,7 +1231,11 @@ def order_tasks(program: Program, registry: BroadcastRegistry,
     relies on: the broadcast lemmas it imports (by `task_imports`) and the
     proof fns it calls (`MonoFn.lemmas`). Any cycle, through imports, calls
     or both, is a CycleError. Axioms are not tasks, so they add no edge, and
-    the default group, which holds only axioms, is not expanded."""
+    the default group, which holds only axioms, is not expanded. A program
+    keeps its order per ambient and registry (`Program.orders`)."""
+    got = program.orders.get(ambient)
+    if got is not None and got[0] is registry:
+        return got[1]
     tasks = program.proof_fns()
     broadcast = {f for f, kind in registry.facts.items() if kind == "lemma"}
     deps = {t: {f for path in task_imports(program, registry, t, ambient, False)
@@ -1168,4 +1257,6 @@ def order_tasks(program: Program, registry: BroadcastRegistry,
         layers.append(layer)
         placed.update(layer)
         remaining = [t for t in remaining if t not in placed]
-    return TaskOrder([t for layer in layers for t in layer], layers, deps)
+    order = TaskOrder([t for layer in layers for t in layer], layers, deps)
+    program.orders[ambient] = (registry, order)
+    return order

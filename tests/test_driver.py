@@ -543,8 +543,8 @@ def _record_lowerings(monkeypatch) -> list:
     calls = []
     lower = vcgen.lower_quantified_fact
 
-    def recording(inst, strategy):
-        qf = lower(inst, strategy)
+    def recording(inst, strategy, *args):
+        qf = lower(inst, strategy, *args)
         calls.append((inst.symbol, strategy, qf.triggers.strategy_used))
         return qf
 
@@ -594,6 +594,51 @@ def test_engine_facts_built_once_per_run(monkeypatch, cold_prelude):
         assert len({id(e) for e in exprs}) == len(exprs)
     # one compile per distinct hypothesis or goal of the corpus
     assert len(compiled[vcgen]) == 261
+    # and one per distinct expression in all: the one ensures of a broadcast
+    # lemma (`lemma_rank_two_pushes`) is its task's goal and its fact's body
+    every = [id(e) for exprs in compiled.values() for e in exprs]
+    assert len(every) == len(set(every)) == 349
+
+
+LEMMA_AND_USER = """
+spec fn f(i: int) -> int;
+broadcast proof fn lemma_f(i: int)
+    ensures #[trigger] f(i) == f(i)
+{
+}
+proof fn use_f(x: int)
+    ensures f(x) == f(x)
+{
+    broadcast use {lemma_f};
+}
+"""
+
+
+@pytest.mark.parametrize("src, shared", [
+    (LEMMA_AND_USER, True),
+    # a requires joins the body, which is then not the goal
+    (LEMMA_AND_USER.replace("(i: int)\n", "(i: int)\n    requires i >= 0\n"), False),
+    # the conclusion of two ensures is their conjunction
+    (LEMMA_AND_USER.replace("f(i) == f(i)", "f(i) == f(i), f(i) >= f(i)"), False),
+], ids=["one-ensures", "requires", "two-ensures"])
+def test_broadcast_lemma_ensures_compiled_once(monkeypatch, src, shared):
+    """A broadcast lemma's fact whose body is its one ensures takes the
+    formula its task compiled as a goal, under the run's strategy."""
+    goals = []
+    emit = vcgen._ObligationBuilder._emit
+
+    def recording(self, goal, ctx, site):
+        compiled = emit(self, goal, ctx, site)
+        if self.task == "user::lemma_f" and site.kind == "ensures":
+            goals.append(compiled)
+        return compiled
+
+    monkeypatch.setattr(vcgen._ObligationBuilder, "_emit", recording)
+    run = run_src(src)
+    assert run.all_verified
+    fact = run.program.lowered["user::lemma_f"][
+        (trig.CONSERVATIVE, 1, None)][0].engine
+    assert goals and any(fact.compiled is g for g in goals) == shared
 
 
 @pytest.mark.parametrize("clause, error", [

@@ -229,7 +229,7 @@ def test_forked_workers_inherit_the_prelude_facts(jobs, cold_prelude, monkeypatc
     made = []
     lower = vcgen.lower_quantified_fact
     monkeypatch.setattr(vcgen, "lower_quantified_fact",
-                        lambda inst, strategy: made.append(inst) or lower(inst, strategy))
+                        lambda inst, *args: made.append(inst) or lower(inst, *args))
     assert verify_program(load_sources(CORPUS), RunConfig()).all_verified
     assert len(store_lowered()) == lowered
     assert not [inst.symbol for inst in made if inst.kept]
