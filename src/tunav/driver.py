@@ -1,17 +1,20 @@
 """Verification pipeline: load sources, resolve, order tasks, prove every
 obligation, and assemble per-function results, usage reports and metrics.
 
-With `jobs` > 1, the tasks are verified by `min(jobs, tasks)` worker
-processes forked after resolve, which inherit the resolved program and the
-prelude's lowered facts, lowered before the fork. Each
+With `jobs` > 1, the parent lowers the prelude's facts and then looks up
+in the prelude store each prelude task whose result it may hold. The other
+tasks are verified by up to `jobs` worker processes forked after that, one
+per task at most, which inherit the resolved program and those facts. Each
 worker claims the next task of the whole order from a shared counter, so
 there is no barrier between task layers: a task reads no other task's
 result. At the end each worker sends one pickle of its results, and the
-parent puts them in task order, so a run's results and errors equal those of
-jobs=1.
+parent puts them in task order, and keeps in the store the prelude results
+under the keys it worked out before the fork, so a run's results and errors
+equal those of jobs=1.
 
 Every run reads and fills the prelude store (`resolve.PreludeStore`), which
-keeps the prelude's resolve for the life of the process. Inside
+keeps the prelude's resolve, and the results of the prelude's tasks, for
+the life of the process (`verify_task`). Inside
 `shared_runs()`, the runs of the calling thread also share one `ResolveMemo`
 for the rest; each run's results equal those of a run outside it. The facts
 vcgen lowers from an instance live in the instance's resolve entry, and so
@@ -30,7 +33,7 @@ from typing import NoReturn
 
 from tunav.engine.prover import Origin, Outcome
 from tunav.errors import ParseError, TunavError
-from tunav.prelude import load_prelude
+from tunav.prelude import load_prelude, prelude_store
 from tunav.resolve import (
     BroadcastRegistry,
     Program,
@@ -42,6 +45,7 @@ from tunav.resolve import (
 )
 from tunav.syntax import ProgramAst, parse_module
 from tunav.vcgen import (
+    Obligation,
     RunConfig,
     Site,
     VcgenRun,
@@ -101,10 +105,65 @@ def resolve_with_prelude(user_asts: list[ProgramAst], memo: ResolveMemo | None =
     return resolve_program(asts, memo)
 
 
-def verify_task(task: str, run: VcgenRun) -> FunctionResult:
-    t0 = time.monotonic()
-    config = run.config
+def _verdict_key(task: str, obs: list[Obligation], run: VcgenRun) -> tuple | None:
+    """The key under which the prelude store keeps the result of `task`,
+    whose obligations are `obs`; None unless the task's instance and every
+    fact of every context are kept there, the objects that fix what the
+    engine is given. The key holds the instance's declaration, each
+    context's facts in order, by identity, and the config fields that decide
+    the outcome, with `no_timing` so that `wall_ms` follows the run. Liveness
+    decides which instances of a generic fact a prelude task imports, so the
+    user program may change its contexts: the task symbol is no key."""
+    inst = run.program.verify_instance(task)
+    if not inst.kept:
+        return None
+    contexts = []
+    for ob in obs:
+        facts = ob.context.facts
+        if not all(qf.kept for qf in facts):
+            return None
+        contexts.append(tuple(map(id, facts)))
+    c = run.config
+    return (id(inst.decl), tuple(contexts), c.strategy, c.fuel, c.limits,
+            c.no_default_prelude, c.no_timing)
+
+
+def _look_up(task: str, run: VcgenRun):
+    """`task`'s obligations, the prelude store's key for its result (None if
+    the store cannot keep it) and the result kept under that key, if any."""
     obs = generate_obligations(task, run)
+    key = _verdict_key(task, obs, run)
+    got = prelude_store().verdicts.get(key) if key is not None else None
+    return obs, key, got and got[0]
+
+
+def _keep_verdict(task: str, obs: list[Obligation], key: tuple | None,
+                  result: FunctionResult, run: VcgenRun):
+    """Keep `result` under `key` in the prelude store, unless the key is None
+    or the time budget ended one of its outcomes. The entry is inserted
+    whole, with the objects whose ids the key holds; the first one wins."""
+    if key is not None and all(out.reason != "time" for _, out in result.obligations):
+        anchors = (run.program.verify_instance(task).decl,
+                   [ob.context.facts for ob in obs])
+        prelude_store().verdicts.setdefault(key, (result, anchors))
+
+
+def verify_task(task: str, run: VcgenRun) -> FunctionResult:
+    """Verify proof fn `task`: its result from the prelude store if a run of
+    this process kept it there (`_verdict_key`), or else proved now, and
+    kept if it can be."""
+    t0 = time.monotonic()
+    obs, key, got = _look_up(task, run)
+    if got is not None:
+        return got
+    result = _prove(task, obs, run, t0)
+    _keep_verdict(task, obs, key, result, run)
+    return result
+
+
+def _prove(task: str, obs: list[Obligation], run: VcgenRun,
+           t0: float) -> FunctionResult:
+    config = run.config
     results: list[tuple[Site, Outcome]] = []
     insts: Counter = Counter()
     rounds = 0
@@ -314,13 +373,41 @@ def _fork_join(todo: list[str], workers: int,
     return results
 
 
+def _verify_forked(todo: list[str], workers: int,
+                   run: VcgenRun) -> dict[str, FunctionResult]:
+    """Verify `todo` as `verify_task` does, in up to `workers` forked
+    processes. Here, before the fork, the kept facts are lowered and the
+    prelude store is read for each task it may hold; only the other tasks go
+    to the workers, and what they return for a task the store can hold is
+    kept under the key worked out here, whose facts the workers inherited."""
+    _lower_kept_facts(run)
+    done: dict[str, FunctionResult] = {}
+    pending = {}  # task -> (obligations, key) of a task the store may keep
+    for t in todo:
+        if run.program.verify_instance(t).kept:
+            # a task that raises here raises again in its worker, in order
+            with contextlib.suppress(TunavError):
+                obs, key, got = _look_up(t, run)
+                if got is not None:
+                    done[t] = got
+                elif key is not None:
+                    pending[t] = (obs, key)
+    misses = [t for t in todo if t not in done]
+    for t, result in zip(misses, _fork_join(misses, min(workers, len(misses)), run)):
+        done[t] = result
+        if t in pending:
+            _keep_verdict(t, *pending[t], result, run)
+    return {t: done[t] for t in todo}
+
+
 def verify_program(user_asts: list[ProgramAst], config: RunConfig,
                    tasks: list[str] | None = None) -> VerifyRun:
     """Resolve the program and verify the selected tasks (all by default) in
     dependency order. With `config.jobs` > 1 and two or more tasks selected,
-    `min(jobs, tasks)` worker processes forked after resolve verify them,
-    with results and errors equal to those of jobs=1. Where fork is
-    unavailable or unsafe, the run is serial."""
+    up to `jobs` worker processes forked after resolve verify those whose
+    results the prelude store does not hold, with results and errors equal
+    to those of jobs=1. Where fork is unavailable or unsafe, the run is
+    serial."""
     program, registry = resolve_with_prelude(user_asts, _shared.get())
     order = order_tasks(program, registry, config.ambient)
     user_modules = {a.module for a in user_asts}
@@ -329,11 +416,9 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
     vcgen_run = VcgenRun(program, registry, config)
     workers = min(config.jobs, len(todo))
     if workers >= 2 and _can_fork():
-        _lower_kept_facts(vcgen_run)
-        done = _fork_join(todo, workers, vcgen_run)
+        results = _verify_forked(todo, workers, vcgen_run)
     else:
-        done = [verify_task(t, vcgen_run) for t in todo]
-    results = dict(zip(todo, done))
+        results = {t: verify_task(t, vcgen_run) for t in todo}
 
     user_tasks = [t for t in program.proof_fns()
                   if program.decl_module[t] in user_modules]

@@ -850,22 +850,33 @@ class ProverState:
 
     # -- instantiation -------------------------------------------------------------------
 
-    def instantiate_round(self) -> int:
-        """One round: match every fact's triggers against the frozen graph,
-        then assert all new instances."""
-        batch = []
-        batch_keys = set()
+    def _matches(self):
+        """(fact, substitution, justification, instance key) of every match
+        of every fact's trigger groups against the frozen graph, in order."""
         for fact in self.facts:
             for group in fact.triggers:
                 for sigma, just in self.ematch(group, fact):
-                    key = (fact.key,
-                           tuple(sigma.get(name) for name in fact.binders))
-                    if None in key[1]:
-                        continue  # trigger did not bind every binder
-                    if key in self.inst_log or key in batch_keys:
-                        continue
-                    batch_keys.add(key)
-                    batch.append((fact, sigma, just, key))
+                    yield fact, sigma, just, (
+                        fact.key, tuple(sigma.get(name) for name in fact.binders))
+
+    def instantiate_round(self, budget: int | None = None) -> int | None:
+        """One round: match every fact's triggers against the frozen graph,
+        then assert all new instances; returns how many. A round that finds
+        more than `budget` new instances stops matching at the one past it,
+        asserts the first `budget` and returns None."""
+        batch = []
+        batch_keys = set()
+        capped = False
+        for fact, sigma, just, key in self._matches():
+            if None in key[1]:
+                continue  # trigger did not bind every binder
+            if key in self.inst_log or key in batch_keys:
+                continue
+            if len(batch) == budget:
+                capped = True
+                break
+            batch_keys.add(key)
+            batch.append((fact, sigma, just, key))
         for fact, sigma, just, key in batch:
             self.inst_log.add(key)
             env2 = dict(fact.env)
@@ -878,7 +889,7 @@ class ProverState:
         self.rounds_done += 1
         self.shared.max_rounds_seen = max(self.shared.max_rounds_seen,
                                           self.rounds_done)
-        return len(batch)
+        return None if capped else len(batch)
 
     def first_pending(self) -> _Disj | None:
         """The disjunction to split next: split the newest undecided
@@ -969,8 +980,8 @@ def prove(ground: list[tuple[Formula, frozenset]],
             continue
         if state.rounds_done >= limits.max_rounds:
             return done("unknown", "rounds")
-        new = state.instantiate_round()
-        if shared.inst_total > limits.max_instantiations:
+        new = state.instantiate_round(limits.max_instantiations - shared.inst_total)
+        if new is None:
             return done("unknown", "instantiations")
         if new == 0:
             return done("failed")

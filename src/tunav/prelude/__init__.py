@@ -24,9 +24,9 @@ PRELUDE_FILES = (
 
 @functools.cache
 def prelude_store() -> PreludeStore:
-    """The store of this process's prelude: its parsed modules, and the
-    resolve and lowering work on them that no program can change. Clearing
-    this cache drops both."""
+    """The store of this process's prelude: its parsed modules, the
+    resolve and lowering work on them that no program can change, and the
+    results of the prelude's tasks. Clearing this cache drops all of it."""
     from tunav.resolve import PreludeStore  # resolve imports this package
 
     return PreludeStore(tuple(
@@ -36,8 +36,11 @@ def prelude_store() -> PreludeStore:
 
 
 def load_prelude() -> list[ProgramAst]:
-    """The embedded prelude modules. Every `verify_program` run verifies
-    their lemmas beside the user's, and `tunav verify --prelude-only` verifies
-    them alone. The sources are parsed once per process; every call returns a
-    new list of the same ASTs, which the pipeline never modifies."""
+    """The embedded prelude modules. Every `verify_program` run includes
+    their lemmas among its tasks, beside the user's, and `tunav verify
+    --prelude-only` verifies them alone. A lemma whose contexts hold only
+    prelude facts is proved once per process and configuration; later runs
+    read its result from the prelude store (`driver.verify_task`). The sources are parsed once per process;
+    every call returns a new list of the same ASTs, which the pipeline never
+    modifies."""
     return list(prelude_store().asts)

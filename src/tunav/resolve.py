@@ -52,6 +52,8 @@ declaration or sort stays in the memo and dies with its run or pass.
 Each instance entry also holds the facts vcgen lowers from that instance
 (`Program.lowered`), so they live exactly as long as the entry: for the run,
 for the runs that share a memo, or, in the prelude store, for the process.
+The store also keeps the results of prelude tasks whose instances and
+context facts it keeps (`driver.verify_task`).
 """
 
 from __future__ import annotations
@@ -349,7 +351,8 @@ class PreludeStore:
     copies only finished entries. An entry is immutable but for its lowered
     facts, which runs fill: each list is inserted whole with `setdefault`,
     so the first writer wins. A program without the prelude's declaration
-    objects matches no entry and adds none."""
+    objects matches no entry and adds none. The verdicts of prelude tasks
+    are kept here too (`driver.verify_task`), each entry inserted whole."""
 
     def __init__(self, asts: tuple[ProgramAst, ...]):
         self.asts = asts
@@ -371,6 +374,10 @@ class PreludeStore:
         self.instances: dict[tuple[str, int], Entry] = {}
         self.keys: dict[str, tuple[str, tuple[Type, ...]]] = {}
         self.canonical: dict[Type, Type] = {}
+        # the results of prelude tasks (`driver.verify_task`): key -> the
+        # `FunctionResult`, and the objects whose ids the key holds, kept
+        # alive so that no id in a key is reused while the entry lives
+        self.verdicts: dict[tuple, tuple] = {}
 
     def holds(self, t: Type) -> bool:
         """Whether `t` mentions only builtin and prelude sorts."""

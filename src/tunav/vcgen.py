@@ -85,6 +85,9 @@ class QuantifiedFact:
     engine: EngineFact | None = field(default=None, repr=False, compare=False)
     # the mono symbols the conclusion calls, then those the hypothesis calls
     calls: tuple[str, ...] = field(default=(), repr=False, compare=False)
+    # whether it was lowered from an instance the prelude store keeps, and
+    # so lives, in that instance's entry, for the process
+    kept: bool = field(default=False, repr=False, compare=False)
     # the conclusion compiled under `strategy`, if it was already: a task's
     # one ensures, which is its broadcast fact's conclusion
     compiled_concl: InitVar[Formula | None] = None
@@ -319,6 +322,8 @@ class VcgenRun:
             else:
                 facts = [lower_quantified_fact(inst, config.strategy,
                                                self.ensures.get(inst.symbol))]
+            for qf in facts:
+                qf.kept = inst.kept
             facts = table.setdefault(key, facts)
         return facts
 

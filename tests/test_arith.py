@@ -9,6 +9,7 @@ from math import gcd
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import tunav.prelude
 from tunav import triggers as trig
 from tunav.driver import RunConfig, load_sources, resolve_with_prelude, verify_program
 from tunav.engine import Limits, Origin, arith, prove
@@ -238,12 +239,14 @@ def _count_linearised(monkeypatch) -> list:
 
 def test_arith_reuse_equals_rebuilding_every_pass(monkeypatch):
     """Every obligation of the corpus ends the same, under both strategies,
-    when each arithmetic pass linearises all atoms afresh."""
+    when each arithmetic pass linearises all atoms afresh. Each run starts
+    from an empty prelude store, so that it proves the prelude's tasks."""
     asts = load_sources(CORPUS)
     linearised = _count_linearised(monkeypatch)
     for strategy in (trig.CONSERVATIVE, trig.ALL_TRIGGERS):
         config = RunConfig(strategy=strategy)
         del linearised[:]
+        tunav.prelude.prelude_store.cache_clear()
         reused = _outcomes(verify_program(asts, config))
         reused_atoms = len(linearised)
         arith_pass = ProverState._arith_pass
@@ -255,7 +258,9 @@ def test_arith_reuse_equals_rebuilding_every_pass(monkeypatch):
         with monkeypatch.context() as m:
             m.setattr(ProverState, "_arith_pass", rebuilding)
             del linearised[:]
+            tunav.prelude.prelude_store.cache_clear()
             rebuilt = _outcomes(verify_program(asts, config))
+        tunav.prelude.prelude_store.cache_clear()
         assert len(reused) == 176
         assert rebuilt == reused
         assert len(linearised) > 1.5 * reused_atoms

@@ -376,14 +376,21 @@ def fork_joins(monkeypatch):
     return made
 
 
-def test_workers_sized_by_jobs_and_tasks(fork_joins):
+def test_workers_sized_by_jobs_and_tasks(fork_joins, cold_prelude):
+    """One worker per task the prelude store does not hold, up to `jobs`:
+    a cold run sends every task to the workers, a warm one all but the
+    prelude's, whose results the first run kept."""
     run = verify_program(load_sources(CORPUS), RunConfig(jobs=10_000))
     assert run.all_verified
     assert fork_joins == [len(run.order.tasks)]
-    some = run.order.tasks[:3]
+    prelude = [t for t in run.order.tasks if t not in run.user_tasks]
+    assert len(prelude) == 5
+    verify_program(load_sources(CORPUS), RunConfig(jobs=10_000))
+    assert fork_joins[1:] == [len(run.order.tasks) - 5]
+    some = run.user_tasks[:3]
     verify_program(load_sources(CORPUS), RunConfig(jobs=2), tasks=some)
     verify_program(load_sources(CORPUS), RunConfig(jobs=8), tasks=some)
-    assert fork_joins[1:] == [2, 3]
+    assert fork_joins[2:] == [2, 3]
 
 
 def test_serial_runs_make_no_pool(fork_joins):
@@ -662,10 +669,11 @@ DRIVER_LAYERS = ("load_prelude", "resolve_program", "order_tasks",
                  "generate_obligations", "prove_obligation")
 
 
-def test_driver_calls_each_layer_through_its_module(monkeypatch):
+def test_driver_calls_each_layer_through_its_module(monkeypatch, cold_prelude):
     """A run calls every traced layer through `tunav.driver`'s namespace, so
     a wrapper put there sees each call: one per run, per task, or per
-    obligation."""
+    obligation proved. A second run reuses the prelude's task results that
+    the first one kept, so it proves only the user's obligations."""
     calls = Counter()
 
     def counting(name, fn):
@@ -681,6 +689,12 @@ def test_driver_calls_each_layer_through_its_module(monkeypatch):
     assert calls == {"load_prelude": 1, "resolve_program": 1, "order_tasks": 1,
                      "generate_obligations": len(run.results),
                      "prove_obligation": 176}
+    calls.clear()
+    again = verify_program(load_sources(CORPUS), RunConfig(jobs=1))
+    assert _run_counts(again) == (176, 449, 102, 188)
+    assert calls == {"load_prelude": 1, "resolve_program": 1, "order_tasks": 1,
+                     "generate_obligations": len(run.results),
+                     "prove_obligation": 166}
 
 
 def test_broadcast_facts_lowered_once_per_run(monkeypatch, cold_prelude):

@@ -2,9 +2,11 @@ import gc
 import glob
 import random
 import time
+from dataclasses import replace
 
 import pytest
 
+import tunav.prelude
 from tunav import vcgen
 from tunav.cli import main as cli_main
 from tunav.driver import RunConfig, load_sources, verify_program
@@ -25,6 +27,7 @@ from tunav.engine.arith import (
     Constraint,
     check_constraints,
 )
+from tunav.syntax import parse_module
 from tunav.syntax.ast import BinOp, BoolLit, Call, IntLit, Not, SourceSpan, Type, Var
 from tunav.triggers import CONSERVATIVE
 from test_resolve_snapshot import synth_like_asts
@@ -212,6 +215,71 @@ def test_one_round_instantiates_a_repeated_substitution_once():
     assert st.instantiate_round() == 1
     assert st.shared.inst_total == 1
     assert st.instantiate_round() == 0
+
+
+def test_a_trigger_that_binds_some_binders_makes_no_instance():
+    # f(x) binds x but not y: the match is dropped, not instantiated with y
+    # unbound
+    st = ProverState()
+    a = st.graph.new_term("%a", ())
+    st.graph.new_term("f", (a,))
+    st.graph.process()
+    f = fact("f", [("x", INT), ("y", INT)], None,
+             b(">=", call("f", iv("x")), iv("y")), [call("f", iv("x"))])
+    st.add_fact(f)
+    assert [sigma for sigma, _ in st.ematch(f.triggers[0], f)] == [
+        {"x": st.graph.find(a)}]
+    assert st.instantiate_round() == 0
+    assert st.shared.inst_total == 0
+
+
+def cross_product_source(n: int, names=("p",)) -> str:
+    """A proof fn per name whose hypotheses hold g(x + 0), ..., g(x + n - 1),
+    h(x - 0), ..., h(x - n + 1) and a fact with the multi-pattern trigger
+    g(i), h(j): its first round matches n * n substitutions."""
+    hyps = ", ".join([f"g(x + {i})" for i in range(n)]
+                     + [f"h(x - {i})" for i in range(n)])
+    fns = "".join(f"""
+proof fn {name}(x: int)
+    requires {hyps},
+        forall|i: int, j: int| #[trigger] g(i) && #[trigger] h(j) ==> k(i, j)
+    ensures false
+{{ }}
+""" for name in names)
+    return ("spec fn g(i: int) -> bool;\nspec fn h(i: int) -> bool;\n"
+            "spec fn k(i: int, j: int) -> bool;\n" + fns)
+
+
+@pytest.mark.parametrize("n", [5, 10, 11, 40, 120])
+def test_max_instantiations_bounds_one_round(n):
+    """A round stops making instances where the run's total would pass the
+    limit: the count never passes it, and a cut reads `unknown
+    (instantiations)`. A round that reaches the limit exactly is not cut."""
+    limit = 100
+    config = RunConfig(limits=Limits(max_instantiations=limit))
+    asts = [parse_module(cross_product_source(n), "cross.tv", module="cross")]
+    (site, out), = verify_program(asts, config).results["cross::p"].obligations
+    assert site.kind == "ensures"
+    made = sum(out.instantiations.values())
+    if n * n <= limit:
+        assert (out.status, out.reason, made) == ("failed", None, n * n)
+    else:
+        assert (out.status, out.reason, made) == ("unknown", "instantiations", limit)
+
+
+def test_a_cut_at_the_instantiation_limit_does_not_depend_on_names_or_jobs():
+    config = RunConfig(limits=Limits(max_instantiations=100))
+    asts = [parse_module(cross_product_source(40, ("p", "q_renamed")), "cross.tv",
+                         module="cross")]
+    outcomes = []
+    for jobs in (1, 2):
+        results = verify_program(asts, replace(config, jobs=jobs)).results
+        for task in ("cross::p", "cross::q_renamed"):
+            (_, out), = results[task].obligations
+            outcomes.append((out.status, out.reason, out.instantiations,
+                             out.rounds_used))
+    assert outcomes == [("unknown", "instantiations",
+                         {"<local quantifier>": 100}, 1)] * 4
 
 
 # -- prove ------------------------------------------------------------------------
@@ -786,14 +854,21 @@ def test_limits_bound_search_with_deferred_right_branches():
 def test_skipped_right_branches_close_on_projects(monkeypatch):
     """Each right branch skipped over the corpus, the prelude and a project
     of two renamed corpus copies closes when searched in full, and the
-    exhaustive search gives every obligation the same verdict."""
+    exhaustive search gives every obligation the same verdict. The prelude
+    store is emptied before each run, so that every run proves the
+    prelude's tasks rather than reuse their results, and after the
+    exhaustive one, whose split counts differ, so that no later run reads
+    its results."""
     ended = search_skipped_branches(monkeypatch)
     config = RunConfig(jobs=1)
     for asts in (load_sources(CORPUS), [], synth_like_asts(2)):
+        tunav.prelude.prelude_store.cache_clear()
         skipping = statuses(verify_program(asts, config))
         with monkeypatch.context() as m:
             m.setattr(vcgen, "prove", exhaustive_prove)
+            tunav.prelude.prelude_store.cache_clear()
             assert statuses(verify_program(asts, config)) == skipping
+        tunav.prelude.prelude_store.cache_clear()
         assert set(skipping.values()) == {"verified"}
     assert len(ended) > 100 and set(ended) == {"verified"}
 
@@ -818,7 +893,7 @@ def test_skipped_right_branches_close_on_random_obligations(monkeypatch):
 
 @pytest.mark.parametrize("strategy", ["conservative", "all-triggers"])
 def test_no_decision_origin_leaves_the_engine(strategy, monkeypatch, tmp_path,
-                                             capsys):
+                                             capsys, cold_prelude):
     """Splits label their left literals with decision origins; none reaches
     an outcome's core, the usage report, metrics or SMT-LIB files."""
     decisions = []

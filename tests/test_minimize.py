@@ -154,6 +154,21 @@ proof fn b_fn(y: int) requires y > 0 ensures y >= 1 { assert(y >= 1); }
            {(s.function, s.ordinal) for s in r_pr.removed}
 
 
+def test_project_scope_agrees_with_function_scope_on_the_corpus():
+    """A removed assert changes only its own function's obligations, so
+    project scope, which re-verifies every task on every trial, makes the
+    removals of function scope: it is a cross-check, not a finer pass."""
+    def outcome(report, current):
+        return ([(s.function, s.ordinal, s.kind, s.span.key()) for s in report.removed],
+                report.surviving_count, report.runs, report.unknown_kept,
+                [render_module(a) for a in current])
+
+    by_function = outcome(*minimize(load_sources(CORPUS), RunConfig(), scope="function"))
+    by_project = outcome(*minimize(load_sources(CORPUS), RunConfig(), scope="project"))
+    assert by_project == by_function
+    assert (len(by_function[0]), by_function[1]) == (98, 9)
+
+
 def test_prune_asts_keeps_spans():
     asts = asts_of("proof fn f(x: int) { assert(x == x); assert(1 == 1); }")
     sites = enumerate_assert_sites(asts)

@@ -3,22 +3,26 @@ life of the process. What a run reports must not depend on what ran before
 it in the process, and the store must hold only prelude work: its size is
 fixed by the prelude, not by the programs verified."""
 
+import functools
 import glob
+import hashlib
+import importlib.util
 import json
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import threading
-from dataclasses import replace
+from dataclasses import asdict, replace
 from importlib import resources
 
 import pytest
 from test_resolve_snapshot import renamed_corpus
 
 import tunav.prelude
+from tunav import driver, vcgen
 from tunav import triggers as trig
-from tunav import vcgen
 from tunav.driver import (
     RunConfig,
     load_sources,
@@ -26,6 +30,8 @@ from tunav.driver import (
     verify_program,
     verify_task,
 )
+from tunav.engine.prover import Limits
+from tunav.errors import TunavError
 from tunav.metrics import records_of_run, write_metrics
 from tunav.prelude import PRELUDE_FILES, prelude_store
 from tunav.resolve import ResolveMemo, order_tasks, resolve_program
@@ -133,7 +139,8 @@ def store_keys() -> list:
     facts of its instance entries."""
     store = prelude_store()
     return [key for table in (store.checked, store.instances, store.keys,
-                              store.canonical) for key in table] + store_lowered()
+                              store.canonical, store.verdicts)
+            for key in table] + store_lowered()
 
 
 def test_store_holds_only_prelude_work(cold_prelude):
@@ -157,6 +164,9 @@ def test_store_holds_only_prelude_work(cold_prelude):
     assert all(decl in store.decls for _, decl in store.instances)
     assert all(fn.kept and all(map(store.holds, fn.targs))
                for fn, _, _, _ in store.instances.values())
+    assert len(store.verdicts) == 5
+    assert all(result.task.startswith("prelude::")
+               for result, _ in store.verdicts.values())
     named = re.compile(r"(?<![\w:])(" + "|".join(map(re.escape, user_modules))
                        + r")::")
     assert not [key for key in store_keys() if named.search(repr(key))]
@@ -290,3 +300,237 @@ def test_runs_on_threads_share_the_store(cold_prelude, monkeypatch):
     assert sum(1 for _, keys in adopted if keys) >= len(programs)
     for memo, keys in adopted:
         assert all(memo.symbol(*key) is sym for sym, key in keys)
+
+
+# -- task results ------------------------------------------------------------
+
+HEAVY = "prelude::seq::lemma_seq_contains_after_push"
+
+
+@functools.cache
+def bench_synth_sources():
+    """The benchmark's synth project (seed 1): four renamed corpus copies
+    with eight witness asserts deleted, so eight of its functions fail."""
+    path = os.path.join(os.path.dirname(HERE), "bench", "inputs.py")
+    spec = importlib.util.spec_from_file_location("bench_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # for its dataclasses
+    spec.loader.exec_module(inputs)
+    return [(s.text, s.path, s.module) for s in inputs.synth_project(1).sources]
+
+
+def parity_outputs(project: str, jobs: str, smtlib: str = "yes") -> dict:
+    """What a run of `project` ("corpus" or "synth") at `jobs` reports, for
+    every task, prelude's included: the `--broadcast-usage-info
+    --no-timing` report, the metrics records, each obligation's outcome but
+    its duration and, unless `smtlib` is "no", the SHA-256 of each
+    obligation's SMT-LIB script."""
+    config = RunConfig(jobs=int(jobs), usage_report=True, no_timing=True)
+    asts = (load_sources(CORPUS) if project == "corpus"
+            else [parse_module(*source) for source in bench_synth_sources()])
+    run = verify_program(asts, config)
+    tasks = run.program.proof_fns()
+    outcomes = [[t, site.describe(), o.status, o.reason,
+                 sorted(map(repr, o.used_core)), sorted(o.instantiations.items()),
+                 o.rounds_used, o.splits_used]
+                for t in tasks for site, o in run.results[t].obligations]
+    digests = {}
+    if smtlib != "no":
+        vcgen_run = VcgenRun(run.program, run.registry, config)
+        with tempfile.TemporaryDirectory() as smt_dir:
+            emit_all([ob for t in tasks for ob in generate_obligations(t, vcgen_run)],
+                     smt_dir)
+            for name in sorted(os.listdir(smt_dir)):
+                with open(os.path.join(smt_dir, name), "rb") as fh:
+                    digests[name] = hashlib.sha256(fh.read()).hexdigest()
+    return json.loads(json.dumps({
+        "report": render_report(run, config, tasks),
+        "metrics": [asdict(r) for r in records_of_run(run, config, tasks)],
+        "outcomes": outcomes, "smtlib": digests}))
+
+
+@pytest.mark.parametrize("project", ["corpus", "synth"])
+def test_warm_store_runs_equal_cold_and_fresh_ones(project):
+    """At jobs 1, 2 and 8, a cold-store run and a run whose store a run at
+    the same or at other jobs filled each equal a fresh process's run byte
+    for byte. The SMT-LIB scripts, which vcgen writes whatever the store
+    holds, are compared on the first two runs."""
+    fresh = in_fresh_process("parity_outputs", project, "1")
+    assert fresh["report"].count("PASS prelude::") == 5
+    assert len(fresh["smtlib"]) == len(fresh["outcomes"])
+    runs = [("cold", "1"), ("warm", "1"), ("warm", "2"), ("warm", "8"),
+            ("cold", "2"), ("warm", "2"), ("cold", "8"), ("warm", "8")]
+    for i, (store, jobs) in enumerate(runs):
+        if store == "cold":
+            tunav.prelude.prelude_store.cache_clear()
+        got = parity_outputs(project, jobs, "yes" if i < 2 else "no")
+        if i >= 2:
+            got["smtlib"] = fresh["smtlib"]
+        assert got == fresh, (i, store, jobs)
+
+
+def record_proved(monkeypatch) -> list:
+    """The task of every obligation proved in this process from now on."""
+    proved = []
+    prove = driver.prove_obligation
+
+    def recording(ob, *args):
+        proved.append(ob.function)
+        return prove(ob, *args)
+
+    monkeypatch.setattr(driver, "prove_obligation", recording)
+    return proved
+
+
+def kept_tasks() -> set:
+    """The tasks whose results the prelude store keeps."""
+    return {result.task for result, _ in prelude_store().verdicts.values()}
+
+
+def prelude_tasks(run) -> set:
+    return {t for t in run.results if t.startswith("prelude::")}
+
+
+def test_prelude_results_are_shared_by_runs_that_differ_in_nothing_they_read(
+        cold_prelude, monkeypatch):
+    """A prelude task's result is proved once and then read from the store,
+    also by runs that differ in `jobs`, `ambient` (which prelude tasks never
+    import) or `usage_report`. A user task is proved by every run."""
+    proved = record_proved(monkeypatch)
+    first = verify_program(load_sources(CORPUS), RunConfig())
+    prelude = prelude_tasks(first)
+    assert len(prelude) == 5 and kept_tasks() == prelude
+    assert prelude <= set(proved)
+    ambient = ("prelude::seq::group_seq_properties",)
+    for config in (RunConfig(), RunConfig(ambient=ambient),
+                   RunConfig(usage_report=True), RunConfig(jobs=2)):
+        proved.clear()
+        run = verify_program(load_sources(CORPUS), config)
+        assert run.all_verified
+        assert all(run.results[t] is first.results[t] for t in prelude), config
+        if config.jobs == 1:
+            assert not prelude & set(proved) and set(run.user_tasks) <= set(proved)
+    assert len(prelude_store().verdicts) == 5
+
+
+@pytest.mark.parametrize("change", [
+    {"strategy": trig.ALL_TRIGGERS}, {"fuel": 2}, {"limits": Limits(max_rounds=4)},
+    {"no_default_prelude": True}, {"no_timing": True},
+], ids=["strategy", "fuel", "limits", "no-default-prelude", "no-timing"])
+def test_a_config_field_that_decides_the_outcome_is_part_of_the_key(
+        change, cold_prelude, monkeypatch):
+    """A run whose config differs in a field that decides a prelude task's
+    outcome, or its reported time, proves the task again, and the next run
+    under that config reads it from the store."""
+    proved = record_proved(monkeypatch)
+    prelude = prelude_tasks(verify_program([], RunConfig()))
+    for proves in (True, False):
+        proved.clear()
+        verify_program([], RunConfig(**change))
+        assert (set(proved) == prelude) == proves
+        assert not proved or set(proved) == prelude
+    assert len(prelude_store().verdicts) == 10
+
+
+def test_a_context_with_a_user_sort_instance_is_proved_again(cold_prelude,
+                                                              monkeypatch):
+    """Liveness makes prelude facts live at the user's `sort Key`, and the
+    default group brings those instances into prelude tasks' contexts. Such
+    a task is proved by every run and never kept; the others are kept."""
+    proved = record_proved(monkeypatch)
+    asts = [parse_module(*CASES["keys"][0][0])]
+    run = verify_program(asts, RunConfig())
+    vcgen_run = VcgenRun(run.program, run.registry, RunConfig())
+    user_sorted = {t for t in prelude_tasks(run)
+                   for ob in generate_obligations(t, vcgen_run)
+                   if any(not qf.kept for qf in ob.context.facts)}
+    assert user_sorted and all(
+        any("keys_user::Key" in qf.key for ob in generate_obligations(t, vcgen_run)
+            for qf in ob.context.facts if not qf.kept) for t in user_sorted)
+    assert kept_tasks() == prelude_tasks(run) - user_sorted
+    proved.clear()
+    assert verify_program(asts, RunConfig()).all_verified
+    assert set(proved) - set(run.user_tasks) == user_sorted
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_an_outcome_the_time_budget_ended_is_not_kept(jobs, cold_prelude,
+                                                      monkeypatch):
+    """A result with an outcome that the time budget ended is reported but
+    not kept, at any jobs, so the next run proves the task again."""
+    prove = driver.prove_obligation
+
+    def timed_out(ob, *args):
+        out = prove(ob, *args)
+        return replace(out, status="unknown", reason="time") if ob.function == HEAVY else out
+
+    with monkeypatch.context() as m:
+        m.setattr(driver, "prove_obligation", timed_out)
+        run = verify_program(load_sources(CORPUS), RunConfig(jobs=jobs))
+    assert run.results[HEAVY].status == "unknown"
+    assert kept_tasks() == prelude_tasks(run) - {HEAVY}
+    again = verify_program(load_sources(CORPUS), RunConfig(jobs=jobs))
+    assert again.all_verified and kept_tasks() == prelude_tasks(run)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_task_that_raises_keeps_nothing(jobs, cold_prelude, monkeypatch):
+    prove = driver.prove_obligation
+
+    def raising(ob, *args):
+        if ob.function == HEAVY:
+            raise TunavError("engine failure")
+        return prove(ob, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(driver, "prove_obligation", raising)
+        with pytest.raises(TunavError, match="engine failure"):
+            verify_program(load_sources(CORPUS), RunConfig(jobs=jobs))
+    assert HEAVY not in kept_tasks()
+    run = verify_program(load_sources(CORPUS), RunConfig(jobs=jobs))
+    assert run.all_verified and kept_tasks() == prelude_tasks(run)
+
+
+def test_forked_runs_keep_what_the_workers_prove(cold_prelude, monkeypatch):
+    """At jobs=2 the parent keeps the prelude results the workers return,
+    under the keys it worked out before the fork: a serial run then proves
+    no prelude task."""
+    run = verify_program(load_sources(CORPUS), RunConfig(jobs=2))
+    assert kept_tasks() == prelude_tasks(run)
+    assert all(run.results[t] is result for result, _ in prelude_store().verdicts.values()
+               for t in [result.task])
+    proved = record_proved(monkeypatch)
+    again = verify_program(load_sources(CORPUS), RunConfig())
+    assert not set(proved) & prelude_tasks(run)
+    assert all(again.results[t] is run.results[t] for t in prelude_tasks(run))
+
+
+def test_clearing_the_store_drops_the_kept_results(cold_prelude, monkeypatch):
+    verify_program([], RunConfig())
+    assert len(prelude_store().verdicts) == 5
+    tunav.prelude.prelude_store.cache_clear()
+    assert not prelude_store().verdicts
+    proved = record_proved(monkeypatch)
+    run = verify_program([], RunConfig())
+    assert set(proved) == prelude_tasks(run)
+
+
+def test_snapshots_hold_with_a_warm_store():
+    """Each of the five snapshots, made in a process whose store earlier
+    runs filled, equals its file."""
+    import test_outcome_snapshot
+    import test_parse_snapshot
+    import test_resolve_snapshot
+    import test_smtlib_snapshot
+    import test_trigger_snapshot
+
+    modules = (test_outcome_snapshot, test_parse_snapshot, test_resolve_snapshot,
+               test_smtlib_snapshot, test_trigger_snapshot)
+    test_outcome_snapshot.dump_all()
+    assert prelude_store().verdicts
+    for module in modules:
+        dump = module.dump_all
+        if module is test_smtlib_snapshot:
+            module.scripts.cache_clear()
+        with open(module.SNAPSHOT, encoding="utf-8") as fh:
+            assert dump() == fh.read(), module.__name__

@@ -21,7 +21,17 @@ from tunav.resolve import (
     unify,
 )
 from tunav.syntax import parse_module
-from tunav.syntax.ast import AxiomFn, Call, ProofFn, Type, walk_exprs
+from tunav.syntax.ast import (
+    Assert,
+    AssertBy,
+    AxiomFn,
+    BoolLit,
+    Call,
+    Exists,
+    ProofFn,
+    Type,
+    walk_exprs,
+)
 
 SEQ_STUB = """
 sort Seq<A>;
@@ -589,3 +599,43 @@ def test_a_spec_instance_demands_the_callees_of_its_body():
         calls = set() if body is None else {
             c.resolved for c in walk_exprs(body) if isinstance(c, Call) and c.resolved}
         assert sorted(set(program.demands[fn.symbol])) == sorted(calls), fn.symbol
+
+
+GENERIC_WITNESS = """
+proof fn pushed_at<T>(s: Seq<T>, x: T)
+    ensures exists|i: int| 0 <= i && #[trigger] s.push(x).index(i) == x
+{
+    assert(s.push(x).index(s.len()) == x && true) by {
+        assert(s.push(x).len() == s.len() + 1);
+    }
+}
+"""
+
+
+def test_generic_instance_copies_exists_literals_and_assert_by():
+    """The skolem instance of a generic proof fn is a copy of its checked
+    tree at the skolem sort: an `exists`, a Boolean literal and an `assert
+    ... by` block are copied, with the calls inside them at that sort, and
+    the copy verifies."""
+    asts = [parse_module(GENERIC_WITNESS, "user.tv", module="user")]
+    program, _ = resolve_with_prelude(asts)
+    inst = program.verify_instance("user::pushed_at")
+    skolem = resolve.skolem("user::pushed_at", "T")
+    assert inst.targs == (skolem,)
+    [ensures] = inst.decl.ensures
+    assert isinstance(ensures, Exists) and ensures.binders[0].ty == Type("int")
+    [assert_by] = inst.decl.body
+    assert isinstance(assert_by, AssertBy)
+    [inner] = assert_by.body
+    assert isinstance(inner, Assert)
+    lit = assert_by.expr.rhs
+    assert isinstance(lit, BoolLit) and lit.value is True and lit.ty == Type("bool")
+    source = asts[0].declarations[0]
+    copied = [ensures, lit, assert_by.expr, inner.expr]
+    originals = [source.ensures[0], source.body[0].expr.rhs, source.body[0].expr,
+                 source.body[0].body[0].expr]
+    assert all(c is not o for c, o in zip(copied, originals))
+    calls = {c.resolved for e in copied for c in walk_exprs(e) if isinstance(c, Call)}
+    assert f"prelude::seq::index<{skolem.render()}>" in calls
+    assert all(skolem.render() in sym for sym in calls)
+    assert verify_program(asts, RunConfig()).results["user::pushed_at"].passed

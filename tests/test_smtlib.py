@@ -103,3 +103,19 @@ def test_nat_parameter_bound_is_asserted_once(tmp_path):
     assert text.count("(<= 0 |%n|)") == 1
     [line] = [line for line in text.splitlines() if "(<= 0 |%n|)" in line]
     assert line == "(assert (! (<= 0 |%n|) :named |hyp-param n|))"
+
+
+def test_quantifier_without_a_valid_trigger_is_emitted_without_a_pattern(tmp_path):
+    """A goal's `forall` is skolemized by the engine, never instantiated, so
+    it needs no trigger; `i >= 0` has none, and the script states it without
+    `:pattern`."""
+    src = "proof fn p(x: int) ensures forall|i: int| i >= 0 ==> i >= 0 { }"
+    program, registry = resolve_with_prelude(
+        [parse_module(src, "user.tv", module="user")])
+    obs = generate_obligations("user::p", VcgenRun(program, registry))
+    emit_all(obs, str(tmp_path))
+    [script] = [Path(f).read_text()
+                for f in glob.glob(os.path.join(str(tmp_path), "*.smt2"))]
+    goal = [line for line in script.splitlines() if line.startswith("(assert (! (not")]
+    assert goal == ["(assert (! (not (forall ((|?i| Int)) (=> (>= |?i| 0) (>= |?i| 0)))) "
+                    ":named goal))"]

@@ -232,3 +232,17 @@ def test_selection_properties_random(seed):
     if sel.strategy_used == ALL_TRIGGERS:
         from tunav.triggers import _group_subsumes
         assert any(_group_subsumes(g.exprs, cons.groups[0].exprs) for g in sel.groups)
+
+
+def test_expr_key_keys_a_nested_quantifier_by_its_node():
+    """A nested quantifier is keyed by its node, not by its structure: two
+    equal-looking quantifiers are different terms, while a term that holds
+    the same quantifier node keys equal wherever it is met."""
+    body = "s.index(i) > 0 && (forall|j: int| #[trigger] s.index(j) > i)"
+    outer, twin = quantifier_of(body), quantifier_of(body)
+    nested = outer.primary[0].rhs
+    assert isinstance(nested, Forall)
+    assert expr_key(nested) == expr_key(nested) == ("q", id(nested))
+    assert expr_key(nested) != expr_key(twin.primary[0].rhs)
+    assert expr_key(outer.primary[0]) == expr_key(outer.primary[0])
+    assert expr_key(outer.primary[0]) != expr_key(twin.primary[0])
