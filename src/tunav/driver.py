@@ -1,25 +1,28 @@
 """Verification pipeline: load sources, resolve, order tasks, prove every
 obligation, and assemble per-function results, usage reports and metrics.
 
-With `jobs` > 1, the parent lowers the prelude's facts and then looks up
-in the prelude store each prelude task whose result it may hold. The other
-tasks are verified by up to `jobs` worker processes forked after that, one
-per task at most, which inherit the resolved program and those facts. Each
-worker claims the next task of the whole order from a shared counter, so
-there is no barrier between task layers: a task reads no other task's
-result. At the end each worker sends one pickle of its results, and the
-parent puts them in task order, and keeps in the store the prelude results
-under the keys it worked out before the fork, so a run's results and errors
-equal those of jobs=1.
+Every run takes one path from task to result (`_verify_tasks`). The parent
+process looks up in the prelude store (`resolve.PreludeStore`) each task
+whose instance the store keeps, which makes that task's obligations, then
+proves the misses, and keeps each result the store can hold. Only the
+parent reads and fills the store; workers only prove. The store keeps the
+prelude's resolve, and the results of the prelude's tasks, for the life of
+the process.
 
-Every run reads and fills the prelude store (`resolve.PreludeStore`), which
-keeps the prelude's resolve, and the results of the prelude's tasks, for
-the life of the process (`verify_task`). Inside
-`shared_runs()`, the runs of the calling thread also share one `ResolveMemo`
-for the rest; each run's results equal those of a run outside it. The facts
-vcgen lowers from an instance live in the instance's resolve entry, and so
-exactly as long as it: for the run, for the `shared_runs()` block, or, for
-an instance the prelude store keeps, for the process."""
+With `jobs` > 1 and two or more misses, the parent lowers the prelude's
+facts and forks up to `jobs` workers, one per miss at most, which inherit
+the resolved program, those facts and the obligations the parent made.
+Each worker claims the next miss of the whole order from a shared counter,
+so there is no barrier between task layers: a task reads no other task's
+result. At the end each worker sends one pickle of its results, and the
+parent puts them in task order, so a run's results and errors equal those
+of jobs=1.
+
+Inside `shared_runs()`, the runs of the calling thread also share one
+`ResolveMemo` for the rest; each run's results equal those of a run outside
+it. The facts vcgen lowers from an instance live in the instance's resolve
+entry, and so exactly as long as it: for the run, for the `shared_runs()`
+block, or, for an instance the prelude store keeps, for the process."""
 
 from __future__ import annotations
 
@@ -27,6 +30,7 @@ import contextlib
 import os
 import time
 from collections import Counter
+from collections.abc import Callable
 from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NoReturn
@@ -106,17 +110,15 @@ def resolve_with_prelude(user_asts: list[ProgramAst], memo: ResolveMemo | None =
 
 
 def _verdict_key(task: str, obs: list[Obligation], run: VcgenRun) -> tuple | None:
-    """The key under which the prelude store keeps the result of `task`,
-    whose obligations are `obs`; None unless the task's instance and every
-    fact of every context are kept there, the objects that fix what the
-    engine is given. The key holds the instance's declaration, each
-    context's facts in order, by identity, and the config fields that decide
-    the outcome, with `no_timing` so that `wall_ms` follows the run. Liveness
+    """The key under which the prelude store keeps the result of `task`, a
+    task whose instance it keeps and whose obligations are `obs`; None
+    unless every fact of every context is kept there too, so that all the
+    objects that fix what the engine is given are. The key holds the
+    instance's declaration, each context's facts in order, by identity, and
+    the config fields that decide the outcome, with `no_timing` so that
+    `wall_ms` follows the run. Liveness
     decides which instances of a generic fact a prelude task imports, so the
     user program may change its contexts: the task symbol is no key."""
-    inst = run.program.verify_instance(task)
-    if not inst.kept:
-        return None
     contexts = []
     for ob in obs:
         facts = ob.context.facts
@@ -124,45 +126,18 @@ def _verdict_key(task: str, obs: list[Obligation], run: VcgenRun) -> tuple | Non
             return None
         contexts.append(tuple(map(id, facts)))
     c = run.config
-    return (id(inst.decl), tuple(contexts), c.strategy, c.fuel, c.limits,
-            c.no_default_prelude, c.no_timing)
+    return (id(run.program.verify_instance(task).decl), tuple(contexts),
+            c.strategy, c.fuel, c.limits, c.no_default_prelude, c.no_timing)
 
 
-def _look_up(task: str, run: VcgenRun):
-    """`task`'s obligations, the prelude store's key for its result (None if
-    the store cannot keep it) and the result kept under that key, if any."""
-    obs = generate_obligations(task, run)
-    key = _verdict_key(task, obs, run)
-    got = prelude_store().verdicts.get(key) if key is not None else None
-    return obs, key, got and got[0]
-
-
-def _keep_verdict(task: str, obs: list[Obligation], key: tuple | None,
-                  result: FunctionResult, run: VcgenRun):
-    """Keep `result` under `key` in the prelude store, unless the key is None
-    or the time budget ended one of its outcomes. The entry is inserted
-    whole, with the objects whose ids the key holds; the first one wins."""
-    if key is not None and all(out.reason != "time" for _, out in result.obligations):
-        anchors = (run.program.verify_instance(task).decl,
-                   [ob.context.facts for ob in obs])
-        prelude_store().verdicts.setdefault(key, (result, anchors))
-
-
-def verify_task(task: str, run: VcgenRun) -> FunctionResult:
-    """Verify proof fn `task`: its result from the prelude store if a run of
-    this process kept it there (`_verdict_key`), or else proved now, and
-    kept if it can be."""
+def verify_task(task: str, run: VcgenRun, obs: list[Obligation] | None = None,
+                made_ms: float = 0.0) -> FunctionResult:
+    """Verify proof fn `task`: make its obligations, unless the caller
+    already made them, as `obs`, in `made_ms`, and prove them. `wall_ms`
+    covers both."""
     t0 = time.monotonic()
-    obs, key, got = _look_up(task, run)
-    if got is not None:
-        return got
-    result = _prove(task, obs, run, t0)
-    _keep_verdict(task, obs, key, result, run)
-    return result
-
-
-def _prove(task: str, obs: list[Obligation], run: VcgenRun,
-           t0: float) -> FunctionResult:
+    if obs is None:
+        obs = generate_obligations(task, run)
     config = run.config
     results: list[tuple[Site, Outcome]] = []
     insts: Counter = Counter()
@@ -185,7 +160,7 @@ def _prove(task: str, obs: list[Obligation], run: VcgenRun,
     groups = [g for g in dict.fromkeys(imports) if g in registry.groups]
     fact_groups = {o.path: tuple(g for g in groups if o.path in registry.groups[g])
                    for o in core if o.kind in ("lemma", "axiom")}
-    wall = 0.0 if config.no_timing else (time.monotonic() - t0) * 1000.0
+    wall = 0.0 if config.no_timing else made_ms + (time.monotonic() - t0) * 1000.0
     statuses = [o.status for _, o in results]
     if all(s == "verified" for s in statuses):
         status = "verified"
@@ -250,9 +225,9 @@ def _lower_kept_facts(run: VcgenRun):
                 run.facts_of(inst)
 
 
-def _work(todo: list[str], run: VcgenRun, lock, claimed,
-          out_fd: int) -> NoReturn:
-    """The life of a forked worker: verify the task at each index it claims
+def _work(todo: list[str], verify: Callable[[str], FunctionResult], lock,
+          claimed, out_fd: int) -> NoReturn:
+    """The life of a forked worker: `verify` the task at each index it claims
     from the shared counter until the counter passes the end, then write one
     pickle of `(pairs, error)` to `out_fd` and leave with `os._exit`, which
     neither returns into the caller's frames nor flushes the stdio buffers
@@ -272,7 +247,7 @@ def _work(todo: list[str], run: VcgenRun, lock, claimed,
             if i >= len(todo):
                 break
             try:
-                pairs.append((i, verify_task(todo[i], run)))
+                pairs.append((i, verify(todo[i])))
             except Exception as e:
                 import traceback
 
@@ -326,13 +301,13 @@ def _join(pipes: dict[int, int]) -> list[tuple]:
 
 
 def _fork_join(todo: list[str], workers: int,
-               run: VcgenRun) -> list[FunctionResult]:
-    """Verify `todo` in `workers` processes forked from this one and return
-    the results in `todo` order, equal to those of a serial run. Each worker
-    claims the next index from a shared counter, so no task waits for any
-    other. If tasks raised, the error of the lowest failing index, the one a
-    serial run raises, is re-raised with the worker's traceback as its
-    cause. No worker outlives the call: if the wait is cut short, the workers
+               verify: Callable[[str], FunctionResult]) -> list[FunctionResult]:
+    """`verify` each task of `todo` in `workers` processes forked from this
+    one and return the results in `todo` order, equal to those of a serial
+    run. Each worker claims the next index from a shared counter, so no task
+    waits for any other. If tasks raised, the error of the lowest failing
+    index, the one a serial run raises, is re-raised with the worker's
+    traceback as its cause. No worker outlives the call: if the wait is cut short, the workers
     left are killed and reaped."""
     import multiprocessing
     import signal
@@ -350,7 +325,7 @@ def _fork_join(todo: list[str], workers: int,
                 os.close(w)
                 raise
             if pid == 0:
-                _work(todo, run, lock, claimed, w)
+                _work(todo, verify, lock, claimed, w)
             os.close(w)  # so that EOF on `r` means the worker has exited
             pipes[r] = pid
         payloads = _join(pipes)
@@ -373,52 +348,70 @@ def _fork_join(todo: list[str], workers: int,
     return results
 
 
-def _verify_forked(todo: list[str], workers: int,
-                   run: VcgenRun) -> dict[str, FunctionResult]:
-    """Verify `todo` as `verify_task` does, in up to `workers` forked
-    processes. Here, before the fork, the kept facts are lowered and the
-    prelude store is read for each task it may hold; only the other tasks go
-    to the workers, and what they return for a task the store can hold is
-    kept under the key worked out here, whose facts the workers inherited."""
-    _lower_kept_facts(run)
+def _verify_tasks(todo: list[str], workers: int,
+                  run: VcgenRun) -> dict[str, FunctionResult]:
+    """Verify `todo` in order, as every run does, with results and errors
+    that do not depend on `workers`. Step 1 looks up in the prelude store
+    each task whose instance it keeps, which makes that task's obligations.
+    Step 2 proves the misses: in up to `workers` processes forked after the
+    kept facts are lowered here, if two or more are left and fork is safe,
+    else here. Step 3 keeps each result under its key from step 1, unless
+    the time budget ended one of its outcomes; an entry is inserted whole,
+    with the objects whose ids the key holds, and the first one wins. So
+    only this process reads and fills the store, and no worker makes again
+    the obligations made here."""
+    verdicts = prelude_store().verdicts
     done: dict[str, FunctionResult] = {}
-    pending = {}  # task -> (obligations, key) of a task the store may keep
+    made = {}  # miss -> (its obligations, ms spent making them)
+    keys = {}  # miss -> its key, if the store can keep its result
     for t in todo:
         if run.program.verify_instance(t).kept:
-            # a task that raises here raises again in its worker, in order
-            with contextlib.suppress(TunavError):
-                obs, key, got = _look_up(t, run)
-                if got is not None:
-                    done[t] = got
-                elif key is not None:
-                    pending[t] = (obs, key)
+            t0 = time.monotonic()
+            try:
+                obs = generate_obligations(t, run)
+            except TunavError:
+                continue  # raises again when the task is proved, in order
+            ms = (time.monotonic() - t0) * 1000.0
+            key = _verdict_key(t, obs, run)
+            got = verdicts.get(key)  # None for a key of None
+            if got is not None:
+                done[t] = got[0]
+                continue
+            made[t] = (obs, ms)
+            if key is not None:
+                keys[t] = key
     misses = [t for t in todo if t not in done]
-    for t, result in zip(misses, _fork_join(misses, min(workers, len(misses)), run)):
+
+    def verify(t: str) -> FunctionResult:
+        return verify_task(t, run, *made.get(t, (None, 0.0)))
+
+    if workers >= 2 and len(misses) >= 2 and _can_fork():
+        _lower_kept_facts(run)
+        results = _fork_join(misses, min(workers, len(misses)), verify)
+    else:
+        results = map(verify, misses)
+    for t, result in zip(misses, results):
         done[t] = result
-        if t in pending:
-            _keep_verdict(t, *pending[t], result, run)
+        if t in keys and all(out.reason != "time" for _, out in result.obligations):
+            anchors = (run.program.verify_instance(t).decl,
+                       [ob.context.facts for ob in made[t][0]])
+            verdicts.setdefault(keys[t], (result, anchors))
     return {t: done[t] for t in todo}
 
 
 def verify_program(user_asts: list[ProgramAst], config: RunConfig,
                    tasks: list[str] | None = None) -> VerifyRun:
     """Resolve the program and verify the selected tasks (all by default) in
-    dependency order. With `config.jobs` > 1 and two or more tasks selected,
-    up to `jobs` worker processes forked after resolve verify those whose
-    results the prelude store does not hold, with results and errors equal
-    to those of jobs=1. Where fork is unavailable or unsafe, the run is
-    serial."""
+    dependency order (`_verify_tasks`). With `config.jobs` > 1, up to `jobs`
+    worker processes forked after resolve prove those whose results the
+    prelude store does not hold, with results and errors equal to those of
+    jobs=1. Where fork is unavailable or unsafe, the run is serial."""
     program, registry = resolve_with_prelude(user_asts, _shared.get())
     order = order_tasks(program, registry, config.ambient)
     user_modules = {a.module for a in user_asts}
     selected = set(tasks) if tasks is not None else None
     todo = [t for t in order.tasks if selected is None or t in selected]
-    vcgen_run = VcgenRun(program, registry, config)
-    workers = min(config.jobs, len(todo))
-    if workers >= 2 and _can_fork():
-        results = _verify_forked(todo, workers, vcgen_run)
-    else:
-        results = {t: verify_task(t, vcgen_run) for t in todo}
+    results = _verify_tasks(todo, config.jobs, VcgenRun(program, registry, config))
 
     user_tasks = [t for t in program.proof_fns()
                   if program.decl_module[t] in user_modules]

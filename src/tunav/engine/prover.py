@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import time
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 
 from tunav.engine import arith
@@ -326,12 +327,10 @@ class EngineFact:
 
 def make_fact(key: object, display: str, binders: list[tuple[str, Type]],
               hyp: Expr | None, concl: Expr, trigger_groups: list[tuple[Expr, ...]],
-              origins: frozenset, strategy: str,
-              compiled_concl: Formula | None = None) -> EngineFact:
+              origins: frozenset, strategy: str) -> EngineFact:
     """Normalize a quantified fact: nat binder bounds join the hypothesis and
     the body becomes one implication expression. The body and the trigger
-    groups are compiled here, once; a body that is `concl` alone takes
-    `compiled_concl`, `concl` compiled under `strategy`, if given."""
+    groups are compiled here, once."""
     span = concl.span
     bounds: list[Expr] = []
     for name, ty in binders:
@@ -347,11 +346,9 @@ def make_fact(key: object, display: str, binders: list[tuple[str, Type]],
             h = BinOp(span, op="&&", lhs=h, rhs=extra, ty=BOOL)
         body = BinOp(span, op="==>", lhs=h, rhs=concl, ty=BOOL)
     names = [n for n, _ in binders]
-    compiled = (compiled_concl if compiled_concl is not None and not hyp_all
-                else compile_formula(body, strategy))
     return EngineFact(key, display, names,
                       [compile_group(g, names) for g in trigger_groups],
-                      origins, compiled)
+                      origins, compile_formula(body, strategy))
 
 
 class _Disj:
@@ -774,21 +771,25 @@ class ProverState:
     # -- e-matching --------------------------------------------------------------------
 
     def ematch(self, group: tuple, fact: EngineFact
-               ) -> list[tuple[dict[str, int], frozenset]]:
+               ) -> Iterator[tuple[dict[str, int], frozenset]]:
         """Every substitution (binder -> class root) making each trigger
-        pattern of a compiled group congruent to an existing term. A
-        substitution may come more than once; the caller keeps the first
-        and drops those already logged."""
-        partials: list[tuple[dict[str, int], frozenset]] = [({}, EMPTY)]
-        for head, children in group:
-            nxt: list[tuple[dict[str, int], frozenset]] = []
-            for sigma, just in partials:
-                for s2, j2 in self._match_top(head, children, sigma, fact.env):
-                    nxt.append((s2, just | j2))
-            partials = nxt
-            if not partials:
-                return []
-        return partials
+        pattern of a compiled group congruent to an existing term, in the
+        lexicographic order of the patterns' matches. Each partial
+        substitution is extended depth first, so a caller that stops early
+        leaves the rest unmatched. A substitution may come more than once;
+        the caller keeps the first and drops those already logged."""
+        return self._extend(group, 0, {}, EMPTY, fact.env)
+
+    def _extend(self, group: tuple, i: int, sigma: dict[str, int],
+                just: frozenset, env):
+        """`sigma`, justified by `just`, extended by every match of the
+        patterns of `group` from the `i`th on."""
+        if i == len(group):
+            yield sigma, just
+            return
+        head, children = group[i]
+        for s2, j2 in self._match_top(head, children, sigma, env):
+            yield from self._extend(group, i + 1, s2, just | j2, env)
 
     def _match_top(self, head: str, children: tuple, sigma: dict[str, int], env):
         g = self.graph

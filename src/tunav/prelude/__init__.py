@@ -40,7 +40,7 @@ def load_prelude() -> list[ProgramAst]:
     their lemmas among its tasks, beside the user's, and `tunav verify
     --prelude-only` verifies them alone. A lemma whose contexts hold only
     prelude facts is proved once per process and configuration; later runs
-    read its result from the prelude store (`driver.verify_task`). The sources are parsed once per process;
-    every call returns a new list of the same ASTs, which the pipeline never
-    modifies."""
+    read its result from the prelude store (`driver._verify_tasks`). The
+    sources are parsed once per process; every call returns a new list of
+    the same ASTs, which the pipeline never modifies."""
     return list(prelude_store().asts)

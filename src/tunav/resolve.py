@@ -53,7 +53,8 @@ Each instance entry also holds the facts vcgen lowers from that instance
 (`Program.lowered`), so they live exactly as long as the entry: for the run,
 for the runs that share a memo, or, in the prelude store, for the process.
 The store also keeps the results of prelude tasks whose instances and
-context facts it keeps (`driver.verify_task`).
+context facts it keeps; only the parent process of a run reads and fills
+that table (`driver._verify_tasks`).
 """
 
 from __future__ import annotations
@@ -352,7 +353,8 @@ class PreludeStore:
     facts, which runs fill: each list is inserted whole with `setdefault`,
     so the first writer wins. A program without the prelude's declaration
     objects matches no entry and adds none. The verdicts of prelude tasks
-    are kept here too (`driver.verify_task`), each entry inserted whole."""
+    are kept here too, each entry inserted whole by the parent process of a
+    run (`driver._verify_tasks`)."""
 
     def __init__(self, asts: tuple[ProgramAst, ...]):
         self.asts = asts
@@ -374,7 +376,7 @@ class PreludeStore:
         self.instances: dict[tuple[str, int], Entry] = {}
         self.keys: dict[str, tuple[str, tuple[Type, ...]]] = {}
         self.canonical: dict[Type, Type] = {}
-        # the results of prelude tasks (`driver.verify_task`): key -> the
+        # the results of prelude tasks (`driver._verify_tasks`): key -> the
         # `FunctionResult`, and the objects whose ids the key holds, kept
         # alive so that no id in a key is reused while the entry lives
         self.verdicts: dict[tuple, tuple] = {}

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from collections import deque
 from collections.abc import Iterable
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 from tunav.engine.prover import (
     EngineFact,
@@ -88,17 +88,13 @@ class QuantifiedFact:
     # whether it was lowered from an instance the prelude store keeps, and
     # so lives, in that instance's entry, for the process
     kept: bool = field(default=False, repr=False, compare=False)
-    # the conclusion compiled under `strategy`, if it was already: a task's
-    # one ensures, which is its broadcast fact's conclusion
-    compiled_concl: InitVar[Formula | None] = None
 
-    def __post_init__(self, compiled_concl: Formula | None):
+    def __post_init__(self):
         if self.engine is None:
             self.engine = make_fact(self.key, self.origin.path, self.binders,
                                     self.hypothesis, self.conclusion,
                                     [g.exprs for g in self.triggers.groups],
-                                    frozenset([self.origin]), self.strategy,
-                                    compiled_concl)
+                                    frozenset([self.origin]), self.strategy)
         exprs = [self.conclusion]
         if self.hypothesis is not None:
             exprs.append(self.hypothesis)
@@ -155,12 +151,10 @@ def conj(exprs: list[Expr]) -> Expr | None:
     return out
 
 
-def lower_quantified_fact(inst: MonoFn, strategy: str,
-                          compiled_concl: Formula | None = None) -> QuantifiedFact:
+def lower_quantified_fact(inst: MonoFn, strategy: str) -> QuantifiedFact:
     """Parameters become binders, requires the hypothesis, ensures the
     conclusion; triggers validated over the conclusion (hypothesis serves as
-    fallback pool for coverage). `compiled_concl` is the conclusion compiled
-    under `strategy`, if the caller has it."""
+    fallback pool for coverage)."""
     decl = inst.decl
     binders = [(p.name, p.ty) for p in decl.params]
     hyp = conj(list(decl.requires))
@@ -173,7 +167,7 @@ def lower_quantified_fact(inst: MonoFn, strategy: str,
     kind = "lemma" if inst.kind == "proof" else "axiom"
     origin = Origin(kind, inst.decl_path)
     return QuantifiedFact(inst.symbol, binders, hyp, concl, selection, origin,
-                          strategy, compiled_concl=compiled_concl)
+                          strategy)
 
 
 def _copy_expr(e: Expr, vars: dict[str, Expr], calls: dict[str, str]) -> Expr:
@@ -279,9 +273,8 @@ def _calls_of(exprs: Iterable[Expr]) -> tuple[str, ...]:
 class VcgenRun:
     """What the tasks of one run share: the resolved program, its registry
     and the run's config, plus what the run works out once and only for
-    itself: each import path's instances, and the compiled goal of each
-    broadcast proof fn's one ensures. These depend on the program, so they
-    must not outlive the run; the lowered facts live in the program's
+    itself: each import path's instances. These depend on the program, so
+    they must not outlive the run; the lowered facts live in the program's
     resolve entries (`facts_of`), and each spec fn's callees come from
     resolve (`Program.demands`)."""
 
@@ -291,9 +284,6 @@ class VcgenRun:
         self.registry = registry
         self.config = config
         self._imported: dict[str, tuple[MonoFn, ...]] = {}
-        # instance symbol -> its one ensures as its task compiled it, which
-        # its fact, lowered later in the run, takes as its conclusion's
-        self.ensures: dict[str, Formula] = {}
 
     def imported(self, import_path: str) -> tuple[MonoFn, ...]:
         """Every instance of the facts named by `import_path` (a fact or
@@ -320,8 +310,7 @@ class VcgenRun:
                 facts = definitional_axiom(inst, config.fuel, self.program,
                                            config.strategy)
             else:
-                facts = [lower_quantified_fact(inst, config.strategy,
-                                               self.ensures.get(inst.symbol))]
+                facts = [lower_quantified_fact(inst, config.strategy)]
             for qf in facts:
                 qf.kept = inst.kept
             facts = table.setdefault(key, facts)
@@ -398,9 +387,7 @@ class _ObligationBuilder:
         self._walk(decl.body, ctx)
 
         for i, e in enumerate(decl.ensures):
-            compiled = self._emit(e, ctx, Site("ensures", e.span, i))
-        if decl.broadcast and len(decl.ensures) == 1:
-            self.run.ensures[self.inst.symbol] = compiled
+            self._emit(e, ctx, Site("ensures", e.span, i))
         return self.obligations
 
     def _add_definitions(self, ctx: FactContext):

@@ -368,9 +368,9 @@ def fork_joins(monkeypatch):
     each call and verifies the tasks inline, so no process is forked."""
     made = []
 
-    def serial(todo, workers, run):
+    def serial(todo, workers, verify):
         made.append(workers)
-        return [driver.verify_task(t, run) for t in todo]
+        return [verify(t) for t in todo]
 
     monkeypatch.setattr(driver, "_fork_join", serial)
     return made
@@ -391,6 +391,45 @@ def test_workers_sized_by_jobs_and_tasks(fork_joins, cold_prelude):
     verify_program(load_sources(CORPUS), RunConfig(jobs=2), tasks=some)
     verify_program(load_sources(CORPUS), RunConfig(jobs=8), tasks=some)
     assert fork_joins[2:] == [2, 3]
+
+
+def test_a_forked_run_makes_each_tasks_obligations_once(tmp_path, monkeypatch,
+                                                        cold_prelude):
+    """A cold jobs=2 run makes each task's obligations once: the parent
+    makes those of the tasks the prelude store keeps, to look them up, and
+    the workers prove those without making them again."""
+    path = tmp_path / "made"
+    log = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    parent = os.getpid()
+    generate = driver.generate_obligations
+
+    def recording(task, run):
+        os.write(log, f"{task} {'parent' if os.getpid() == parent else 'worker'}\n"
+                 .encode())
+        return generate(task, run)
+
+    monkeypatch.setattr(driver, "generate_obligations", recording)
+    try:
+        run = verify_program(load_sources(CORPUS), RunConfig(jobs=2))
+    finally:
+        os.close(log)
+    assert run.all_verified
+    made = [line.split() for line in path.read_text().splitlines()]
+    assert sorted(task for task, _ in made) == sorted(run.order.tasks)
+    assert {task for task, where in made if where == "worker"} == set(run.user_tasks)
+
+
+def test_a_single_task_left_to_prove_forks_no_worker(fork_joins, cold_prelude):
+    """A warm jobs=2 run that finds every prelude task in the store has one
+    task left, which it proves in this process."""
+    src = "proof fn p(x: int) requires x > 1 ensures x > 0 { }"
+    cold = run_src(src, RunConfig(jobs=2))
+    assert len(cold.order.tasks) == 6 and fork_joins == [2]
+    warm = run_src(src, RunConfig(jobs=2))
+    assert fork_joins == [2]
+    assert warm.all_verified
+    assert all(warm.results[t] is cold.results[t] for t in warm.order.tasks
+               if t != "user::p")
 
 
 def test_serial_runs_make_no_pool(fork_joins):
@@ -439,10 +478,10 @@ def test_worker_errors_surface_unchanged(src, error, line, monkeypatch):
     so that at jobs=2 `user::late` raises first."""
     verify_task = driver.verify_task
 
-    def delayed(task, run):
+    def delayed(task, *args):
         if task == "user::early":
             time.sleep(0.2)
-        return verify_task(task, run)
+        return verify_task(task, *args)
 
     monkeypatch.setattr(driver, "verify_task", delayed)
     errors = []
@@ -471,10 +510,10 @@ def test_a_dead_worker_is_an_error(death, message, monkeypatch):
     parent = os.getpid()
     verify_task = driver.verify_task
 
-    def dying(task, run):
+    def dying(task, *args):
         if task == "user::also_fine" and os.getpid() != parent:
             death()
-        return verify_task(task, run)
+        return verify_task(task, *args)
 
     monkeypatch.setattr(driver, "verify_task", dying)
     src = TRIGGERLESS.replace("forall|i: int| i == i", "x > 0")
@@ -491,10 +530,10 @@ def test_interrupted_wait_kills_and_reaps_workers(monkeypatch):
     parent = os.getpid()
     verify_task = driver.verify_task
 
-    def slow(task, run):
+    def slow(task, *args):
         if os.getpid() != parent:
             time.sleep(60)
-        return verify_task(task, run)
+        return verify_task(task, *args)
 
     def interrupted(pipes):
         time.sleep(0.05)
@@ -601,10 +640,11 @@ def test_engine_facts_built_once_per_run(monkeypatch, cold_prelude):
         assert len({id(e) for e in exprs}) == len(exprs)
     # one compile per distinct hypothesis or goal of the corpus
     assert len(compiled[vcgen]) == 261
-    # and one per distinct expression in all: the one ensures of a broadcast
-    # lemma (`lemma_rank_two_pushes`) is its task's goal and its fact's body
+    # and one per distinct fact or quantifier body; one expression is both,
+    # the one ensures of a broadcast lemma (`lemma_rank_two_pushes`), which
+    # its task compiles as a goal and its fact as its body
     every = [id(e) for exprs in compiled.values() for e in exprs]
-    assert len(every) == len(set(every)) == 349
+    assert len(every) == 350 and len(set(every)) == 349
 
 
 LEMMA_AND_USER = """
@@ -629,23 +669,33 @@ proof fn use_f(x: int)
     (LEMMA_AND_USER.replace("f(i) == f(i)", "f(i) == f(i), f(i) >= f(i)"), False),
 ], ids=["one-ensures", "requires", "two-ensures"])
 def test_broadcast_lemma_ensures_compiled_once(monkeypatch, src, shared):
-    """A broadcast lemma's fact whose body is its one ensures takes the
-    formula its task compiled as a goal, under the run's strategy."""
-    goals = []
-    emit = vcgen._ObligationBuilder._emit
+    """A broadcast lemma's ensures is compiled once as its task's goal and,
+    where it alone is its fact's body, once as that body: the fact compiles
+    its own, so making one task's obligations changes no other task's
+    engine input."""
+    compiled = {vcgen: [], prover: []}
+    compile_formula = prover.compile_formula
 
-    def recording(self, goal, ctx, site):
-        compiled = emit(self, goal, ctx, site)
-        if self.task == "user::lemma_f" and site.kind == "ensures":
-            goals.append(compiled)
-        return compiled
+    def compiling_in(module):
+        def compiling(e, strategy):
+            formula = compile_formula(e, strategy)
+            compiled[module].append((e, formula))
+            return formula
+        return compiling
 
-    monkeypatch.setattr(vcgen._ObligationBuilder, "_emit", recording)
+    for module in compiled:
+        monkeypatch.setattr(module, "compile_formula", compiling_in(module))
     run = run_src(src)
     assert run.all_verified
+    ensures = run.program.verify_instance("user::lemma_f").decl.ensures
+    goals = [f for e, f in compiled[vcgen] if any(e is x for x in ensures)]
+    bodies = [f for e, f in compiled[prover] if any(e is x for x in ensures)]
+    assert len(goals) == len(ensures)
+    assert len(bodies) == shared
     fact = run.program.lowered["user::lemma_f"][
         (trig.CONSERVATIVE, 1, None)][0].engine
-    assert goals and any(fact.compiled is g for g in goals) == shared
+    assert not any(fact.compiled is g for g in goals)
+    assert (fact.compiled in bodies) == shared
 
 
 @pytest.mark.parametrize("clause, error", [

@@ -156,7 +156,7 @@ def test_ematch_no_match_without_application():
     f = fact("f", [("i", INT)], None,
              call("is_even", call("index", sv("s"), iv("i")), ty=BOOL),
              [call("is_even", call("index", sv("s"), iv("i")), ty=BOOL)])
-    assert st.ematch(f.triggers[0], f) == []
+    assert list(st.ematch(f.triggers[0], f)) == []
 
 
 def test_ematch_matches_inner_application():
@@ -164,7 +164,7 @@ def test_ematch_matches_inner_application():
     f = fact("f", [("i", INT)], None,
              call("is_even", call("index", sv("s"), iv("i")), ty=BOOL),
              [call("index", sv("s"), iv("i"))])
-    matches = st.ematch(f.triggers[0], f)
+    matches = list(st.ematch(f.triggers[0], f))
     assert len(matches) == 1
     sigma, _ = matches[0]
     assert st.graph.value_of(sigma["i"]) == 3
@@ -174,7 +174,7 @@ def test_ematch_empty_graph_no_matches():
     st = ProverState()
     f = fact("f", [("i", INT)], None, call("p", iv("i"), ty=BOOL),
              [call("p", iv("i"), ty=BOOL)])
-    assert st.ematch(f.triggers[0], f) == []
+    assert list(st.ematch(f.triggers[0], f)) == []
 
 
 def test_ematch_modulo_congruence():
@@ -189,7 +189,7 @@ def test_ematch_modulo_congruence():
     st.graph.process()
     pat = call("contains", call("push", sv("s"), iv("v")), iv("x"), ty=BOOL)
     f = fact("f", [("s", SEQ), ("v", INT), ("x", INT)], None, pat, [pat])
-    matches = st.ematch(f.triggers[0], f)
+    matches = list(st.ematch(f.triggers[0], f))
     assert len(matches) == 1
     sigma, just = matches[0]
     assert st.graph.find(sigma["s"]) == st.graph.find(a)
@@ -265,6 +265,30 @@ def test_max_instantiations_bounds_one_round(n):
         assert (out.status, out.reason, made) == ("failed", None, n * n)
     else:
         assert (out.status, out.reason, made) == ("unknown", "instantiations", limit)
+
+
+@pytest.mark.parametrize("n", [11, 40, 250])
+def test_max_instantiations_bounds_the_matching_of_one_round(n, monkeypatch):
+    """A round cut at the limit also stops matching there: each match of
+    g(i) is extended by the matches of h(j) only until one new match passes
+    the limit, so the round matches at most the limit plus two rows of n,
+    not all n * n pairs."""
+    limit = 100
+    matched = []
+    match_top = ProverState._match_top
+
+    def counting(self, *args):
+        out = match_top(self, *args)
+        matched.append(len(out))
+        return out
+
+    monkeypatch.setattr(ProverState, "_match_top", counting)
+    config = RunConfig(limits=Limits(max_instantiations=limit))
+    asts = [parse_module(cross_product_source(n), "cross.tv", module="cross")]
+    (_, out), = verify_program(asts, config).results["cross::p"].obligations
+    assert (out.status, out.reason, out.rounds_used) == ("unknown", "instantiations", 1)
+    assert sum(out.instantiations.values()) == limit
+    assert n < sum(matched) <= limit + 2 * n + 1
 
 
 def test_a_cut_at_the_instantiation_limit_does_not_depend_on_names_or_jobs():
