@@ -39,9 +39,14 @@ Instantiation is round-based against a frozen term graph, deduplicated by
 carries a set of origins; congruence explanations and arithmetic source
 tracking propagate them into the used-fact core when a branch closes.
 
-An arithmetic atom keeps its linear form, with the origins and leaves it
-was built from, until a class it read merges (`TermGraph.stamp`); only such
-atoms are linearised again.
+Each arithmetic pass linearises all of the branch's atoms against the
+current classes, and Fourier-Motzkin decides the whole list. A pass keeps
+nothing for the next one but its answer: a saturated branch whose last pass
+gave up (`arith.UNKNOWN`) ends `unknown (arithmetic)`, not `failed`.
+
+The time budget is checked when a branch is popped, before each arithmetic
+pass, and every `_CLOCK_EVERY` matches and instances of a round; a cut
+ends `unknown (time)`.
 """
 
 from __future__ import annotations
@@ -99,7 +104,7 @@ class Limits:
 @dataclass
 class Outcome:
     status: str  # "verified" | "failed" | "unknown"
-    reason: str | None  # rounds | instantiations | splits | time
+    reason: str | None  # rounds | instantiations | splits | time | arithmetic
     used_core: frozenset[Origin]
     instantiations: dict[str, int]
     rounds_used: int
@@ -365,25 +370,27 @@ class _Disj:
         self.origins = origins
 
 
-@dataclass(frozen=True)
-class _ArithMemo:
-    """What an arithmetic pass linearised at graph `version`: per atom, the
-    version it was linearised at, its constraints, origins, opaque leaves
-    and every non-literal term it read; `idle` if the pass derived nothing.
-    Never mutated, so a state and its clones share it."""
-    version: int
-    atoms: list[tuple[int, list[arith.Constraint], frozenset, list[int], list[int]]]
-    idle: bool
+# a round reads the clock once per this many matches, and as many instances
+_CLOCK_EVERY = 256
+
+
+class _OutOfTime(Exception):
+    """The time budget ran out; `prove` ends the obligation `unknown (time)`."""
 
 
 class _Shared:
-    """Per-prove mutable metrics, common to all branches."""
+    """Per-prove mutable metrics and the deadline, common to all branches."""
 
-    def __init__(self):
+    def __init__(self, deadline: float = float("inf")):
         self.inst_counts: Counter = Counter()
         self.inst_total = 0
         self.splits = 0
         self.max_rounds_seen = 0
+        self.deadline = deadline  # time.monotonic() past which work stops
+
+    def check_time(self):
+        if time.monotonic() > self.deadline:
+            raise _OutOfTime
 
 
 class ProverState:
@@ -403,7 +410,8 @@ class ProverState:
         self.rounds_done = 0
         self.skolem_n = 0
         self.conflict: frozenset | None = None
-        self._arith: _ArithMemo | None = None
+        # the last arithmetic pass's answer when it found no conflict
+        self.arith_answer = arith.CONSISTENT
 
     def clone(self) -> "ProverState":
         st = ProverState.__new__(ProverState)
@@ -421,7 +429,7 @@ class ProverState:
         st.rounds_done = self.rounds_done
         st.skolem_n = self.skolem_n
         st.conflict = self.conflict
-        st._arith = self._arith
+        st.arith_answer = self.arith_answer
         return st
 
     # -- terms -----------------------------------------------------------------
@@ -665,6 +673,7 @@ class ProverState:
                     return
             if self._process_disjs() or self.conflict is not None:
                 continue  # a conflict ends the loop
+            self.shared.check_time()
             if not self._arith_pass():
                 break
 
@@ -703,51 +712,27 @@ class ProverState:
         self.disjs = keep
         return changed
 
-    def _linearise(self, idx: int) -> tuple:
-        """Atom `idx`'s entry in an `_ArithMemo`."""
-        g = self.graph
-        kind, l, r, origins = self.arith_atoms[idx]
-        used: list[tuple[int, int]] = []
-        leaves: list[int] = []
-        cs = arith.atom_constraints(g, kind, l, r, idx, used, leaves)
-        for tid, lit in used:
-            origins |= g.explain(tid, lit)
-        return (g.version, cs, origins, leaves,
-                leaves + [tid for tid, _ in used])
-
     def _arith_pass(self) -> bool:
         if not self.arith_atoms:
             return False
         g = self.graph
-        memo = self._arith
-        if memo is None:
-            atoms = []
-        elif memo.version == g.version:
-            # no union since the last pass: its atoms linearise as they did
-            if memo.idle and len(memo.atoms) == len(self.arith_atoms):
-                return False
-            atoms = list(memo.atoms)
-        else:
-            # an atom linearises as it did unless a class it read has merged
-            find, stamp = g.find, g.stamp
-            atoms = []
-            for idx, atom in enumerate(memo.atoms):
-                version = atom[0]
-                for t in atom[4]:
-                    if stamp[find(t)] > version:
-                        atom = self._linearise(idx)
-                        break
-                atoms.append(atom)
-        for idx in range(len(atoms), len(self.arith_atoms)):
-            atoms.append(self._linearise(idx))
-        constraints = [c for atom in atoms for c in atom[1]]
+        constraints: list[arith.Constraint] = []
+        atoms: list[tuple[frozenset, list[int]]] = []  # (origins, leaves)
+        for idx, (kind, l, r, origins) in enumerate(self.arith_atoms):
+            used: list[tuple[int, int]] = []
+            leaves: list[int] = []
+            constraints += arith.atom_constraints(g, kind, l, r, idx, used, leaves)
+            for tid, lit in used:
+                origins |= g.explain(tid, lit)
+            atoms.append((origins, leaves))
 
         def origins_of(sources) -> frozenset:
             acc: frozenset = EMPTY
             by_root: dict[int, list[int]] = {}
             for idx in sources:
-                acc |= atoms[idx][2]
-                for t in atoms[idx][3]:
+                origins, leaves = atoms[idx]
+                acc |= origins
+                for t in leaves:
                     by_root.setdefault(g.find(t), []).append(t)
             # leaves of distinct terms that alias into one variable do so via
             # class merges; charge those equalities to the verdict
@@ -760,12 +745,12 @@ class ProverState:
         if res.status == arith.INCONSISTENT:
             self.conflict = origins_of(res.conflict_sources)
             return True
+        self.arith_answer = res.status
         # a pinned variable is a class without a value, and the merge gives
         # it one, so no pass pins it again
         for var_root, value, sources in res.equalities:
             lit = g.int_term(value)
             g.merge(g.canon[g.find(var_root)], lit, origins_of(sources))
-        self._arith = _ArithMemo(g.version, atoms, idle=not res.equalities)
         return bool(res.equalities)
 
     # -- e-matching --------------------------------------------------------------------
@@ -868,7 +853,9 @@ class ProverState:
         batch = []
         batch_keys = set()
         capped = False
-        for fact, sigma, just, key in self._matches():
+        for n, (fact, sigma, just, key) in enumerate(self._matches(), 1):
+            if n % _CLOCK_EVERY == 0:
+                self.shared.check_time()
             if None in key[1]:
                 continue  # trigger did not bind every binder
             if key in self.inst_log or key in batch_keys:
@@ -878,7 +865,9 @@ class ProverState:
                 break
             batch_keys.add(key)
             batch.append((fact, sigma, just, key))
-        for fact, sigma, just, key in batch:
+        for n, (fact, sigma, just, key) in enumerate(batch, 1):
+            if n % _CLOCK_EVERY == 0:
+                self.shared.check_time()
             self.inst_log.add(key)
             env2 = dict(fact.env)
             for name in fact.binders:
@@ -941,9 +930,10 @@ def prove(ground: list[tuple[Formula, frozenset]],
           params: dict[str, Type] | None = None) -> Outcome:
     """Decide one obligation by refutation. Verified iff every branch closes
     (a skipped right branch closes with its parent); Failed on a saturated
-    consistent branch; Unknown on any limit."""
+    consistent branch; Unknown on any limit, or on a saturated branch whose
+    arithmetic gave up."""
     t0 = time.monotonic()
-    shared = _Shared()
+    shared = _Shared(t0 + limits.time_budget_ms / 1000.0)
     st = ProverState(shared)
     for name in params or {}:
         st.graph.new_term(f"%{name}", ())
@@ -961,31 +951,35 @@ def prove(ground: list[tuple[Formula, frozenset]],
     used_core: set = set()
     # (state, decision): a right branch with its left sibling's decision
     stack: list[tuple[ProverState, Origin | None]] = [(st, None)]
-    while stack:
-        if (time.monotonic() - t0) * 1000.0 > limits.time_budget_ms:
-            return done("unknown", "time")
-        state, decision = stack.pop()
-        if _refuted(decision, used_core):
-            continue
-        state.propagate()
-        if state.conflict is not None:
-            used_core |= state.conflict
-            continue
-        d = state.first_pending()
-        if d is not None:
-            if shared.splits >= limits.max_splits:
-                return done("unknown", "splits")
-            left, right, decision = state.split(d)
-            stack.append((right, decision))
-            stack.append((left, None))
-            continue
-        if state.rounds_done >= limits.max_rounds:
-            return done("unknown", "rounds")
-        new = state.instantiate_round(limits.max_instantiations - shared.inst_total)
-        if new is None:
-            return done("unknown", "instantiations")
-        if new == 0:
-            return done("failed")
-        stack.append((state, None))
+    try:
+        while stack:
+            shared.check_time()
+            state, decision = stack.pop()
+            if _refuted(decision, used_core):
+                continue
+            state.propagate()
+            if state.conflict is not None:
+                used_core |= state.conflict
+                continue
+            d = state.first_pending()
+            if d is not None:
+                if shared.splits >= limits.max_splits:
+                    return done("unknown", "splits")
+                left, right, decision = state.split(d)
+                stack.append((right, decision))
+                stack.append((left, None))
+                continue
+            if state.rounds_done >= limits.max_rounds:
+                return done("unknown", "rounds")
+            new = state.instantiate_round(limits.max_instantiations - shared.inst_total)
+            if new is None:
+                return done("unknown", "instantiations")
+            if new == 0:
+                if state.arith_answer == arith.UNKNOWN:
+                    return done("unknown", "arithmetic")
+                return done("failed")
+            stack.append((state, None))
+    except _OutOfTime:
+        return done("unknown", "time")
     return done("verified",
                 core=[o for o in used_core if o.kind != "decision"])

@@ -4,10 +4,6 @@ Every union edge is recorded in a proof forest so `explain(a, b)` can return
 the set of asserted-literal origins that justify a congruence, which is what
 used-fact core extraction is built on. Interpreted arithmetic heads (+ - * %)
 constant-fold once all argument classes carry integer values.
-
-`version` counts unions, and `stamp[r]` is the version at which root `r` last
-absorbed another class, so a reader that noted the version can tell whether
-the classes it read have merged since.
 """
 
 from __future__ import annotations
@@ -31,7 +27,6 @@ class TermGraph:
         self.hashcons: dict = {}
         self.parent: list[int] = []
         self.rank: list[int] = []
-        self.stamp: list[int] = []  # root -> version of its last union
         self.canon: dict[int, int] = {}  # root -> least member tid
         self.members: dict[int, list[int]] = {}
         self.uses: dict[int, list[int]] = {}  # root -> parent app tids
@@ -44,9 +39,6 @@ class TermGraph:
         self.pending: list[tuple[int, int, tuple]] = []
         self.fold_todo: list[int] = []
         self.conflict: frozenset | None = None
-        # unions made by this graph and the graphs it was cloned from: while
-        # it stays put, classes, class values and explanations stay put too
-        self.version = 0
 
     def clone(self) -> "TermGraph":
         g = TermGraph.__new__(TermGraph)
@@ -56,7 +48,6 @@ class TermGraph:
         g.hashcons = dict(self.hashcons)
         g.parent = list(self.parent)
         g.rank = list(self.rank)
-        g.stamp = list(self.stamp)
         g.canon = dict(self.canon)
         g.members = {k: list(v) for k, v in self.members.items()}
         g.uses = {k: list(v) for k, v in self.uses.items()}
@@ -69,7 +60,6 @@ class TermGraph:
         g.pending = list(self.pending)
         g.fold_todo = list(self.fold_todo)
         g.conflict = self.conflict
-        g.version = self.version
         return g
 
     # -- construction --------------------------------------------------------
@@ -97,7 +87,6 @@ class TermGraph:
         self.hashcons[key] = t
         self.parent.append(t)
         self.rank.append(0)
-        self.stamp.append(0)
         self.canon[t] = t
         self.members[t] = [t]
         self.uses[t] = []
@@ -143,7 +132,6 @@ class TermGraph:
         ra, rb = self.find(a), self.find(b)
         if ra == rb:
             return
-        self.version += 1
         # proof forest: record the term-level edge before relinking
         self._pf_link(a, b, reason)
         if self.rank[ra] < self.rank[rb]:
@@ -152,7 +140,6 @@ class TermGraph:
             self.rank[ra] += 1
         # rb joins ra
         self.parent[rb] = ra
-        self.stamp[ra] = self.version
         self.canon[ra] = min(self.canon[ra], self.canon.pop(rb))
         self.members[ra].extend(self.members.pop(rb))
         va = self.class_val.get(ra)

@@ -1,18 +1,17 @@
 """The linear-arithmetic solver against brute force and against a frozen
-copy of its Fourier-Motzkin (FM) loop, and the prover's arithmetic reuse
-against rebuilding every pass."""
+copy of its Fourier-Motzkin (FM) loop, and the prover on linear
+obligations, including one FM gives up on."""
 
-import glob
 import itertools
 from math import gcd
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import tunav.prelude
 from tunav import triggers as trig
-from tunav.driver import RunConfig, load_sources, resolve_with_prelude, verify_program
-from tunav.engine import Limits, Origin, arith, prove
+from tunav.driver import RunConfig, verify_program
+from tunav.engine import Limits, Origin, prove
 from tunav.engine.arith import (
     CONSISTENT,
     CONSTRAINT_CAP,
@@ -23,11 +22,10 @@ from tunav.engine.arith import (
     check_constraints,
 )
 from tunav.engine.finite import eval_finite
-from tunav.engine.prover import ProverState, compile_formula
+from tunav.engine.prover import compile_formula
+from tunav.syntax import parse_module
 from tunav.syntax.ast import BinOp, IntLit, Not, SourceSpan, Type, Var
-from tunav.vcgen import VcgenRun, generate_obligations, prove_obligation
 
-CORPUS = sorted(glob.glob("tests/corpus/*.tv"))
 SPAN = SourceSpan("t.tv", 0, 1, 1, 1)
 INT = Type("int")
 BOOL = Type("bool")
@@ -216,80 +214,26 @@ def test_prove_linear_obligations_sound(obligation):
             assert eval_finite(goal, 0, env), f"counterexample {env}"
 
 
-# -- reusing a branch's linearised atoms ------------------------------------------
+# -- a branch Fourier-Motzkin gave up on ------------------------------------------
 
 
-def _outcomes(run):
-    return {(task, site): (out.status, out.reason, out.instantiations,
-                           out.splits_used, out.rounds_used, out.used_core)
-            for task, r in run.results.items() for site, out in r.obligations}
+def cycle_source(n: int) -> str:
+    """A proof fn whose hypotheses x0 < x1 < ... < x(n-1) < x0 have no model."""
+    xs = [f"x{i}" for i in range(n)]
+    less = ", ".join(f"{a} < {b}" for a, b in zip(xs, xs[1:] + xs[:1]))
+    return (f"proof fn cyc({', '.join(x + ': int' for x in xs)})\n"
+            f"    requires {less}\n    ensures false\n{{ }}\n")
 
 
-def _count_linearised(monkeypatch) -> list:
-    calls = []
-    atom_constraints = arith.atom_constraints
-
-    def counting(*args):
-        calls.append(args[1])
-        return atom_constraints(*args)
-
-    monkeypatch.setattr(arith, "atom_constraints", counting)
-    return calls
-
-
-def test_arith_reuse_equals_rebuilding_every_pass(monkeypatch):
-    """Every obligation of the corpus ends the same, under both strategies,
-    when each arithmetic pass linearises all atoms afresh. Each run starts
-    from an empty prelude store, so that it proves the prelude's tasks."""
-    asts = load_sources(CORPUS)
-    linearised = _count_linearised(monkeypatch)
-    for strategy in (trig.CONSERVATIVE, trig.ALL_TRIGGERS):
-        config = RunConfig(strategy=strategy)
-        del linearised[:]
-        tunav.prelude.prelude_store.cache_clear()
-        reused = _outcomes(verify_program(asts, config))
-        reused_atoms = len(linearised)
-        arith_pass = ProverState._arith_pass
-
-        def rebuilding(state):
-            state._arith = None
-            return arith_pass(state)
-
-        with monkeypatch.context() as m:
-            m.setattr(ProverState, "_arith_pass", rebuilding)
-            del linearised[:]
-            tunav.prelude.prelude_store.cache_clear()
-            rebuilt = _outcomes(verify_program(asts, config))
-        tunav.prelude.prelude_store.cache_clear()
-        assert len(reused) == 176
-        assert rebuilt == reused
-        assert len(linearised) > 1.5 * reused_atoms
-
-
-def test_heavy_obligation_linearises_few_atoms(monkeypatch):
-    """The prelude's most split-heavy obligation linearised 358 atoms when
-    every pass rebuilt them all."""
-    task = "prelude::seq::lemma_seq_contains_after_push"
-    program, registry = resolve_with_prelude([])
-    [ensures] = [ob for ob in generate_obligations(task, VcgenRun(program, registry))
-                 if ob.site.kind == "ensures"]
-    linearised = _count_linearised(monkeypatch)
-    out = prove_obligation(ensures)
-    assert out.verified and out.splits_used == 27
-    assert len(linearised) <= 150
-
-
-def test_heavy_obligation_relinearises_only_merged_atoms(monkeypatch):
-    """An atom keeps its linear form until a class it read merges: the heavy
-    obligation linearised 146 atoms when every union relinearised them all."""
-    task = "prelude::seq::lemma_seq_contains_after_push"
-    program, registry = resolve_with_prelude([])
-    [ensures] = [ob for ob in generate_obligations(task, VcgenRun(program, registry))
-                 if ob.site.kind == "ensures"]
-    linearised = _count_linearised(monkeypatch)
-    out = prove_obligation(ensures)
-    assert out.verified and out.splits_used == 27
-    assert len(linearised) <= 100
+@pytest.mark.parametrize("n, status, reason", [
+    (10, "verified", None),
+    # 14 variables take FM past ELIM_CAP eliminations, and it gives up
+    (14, "unknown", "arithmetic"),
+])
+def test_a_branch_fourier_motzkin_gave_up_on_is_not_failed(n, status, reason):
+    asts = [parse_module(cycle_source(n), "cyc.tv", module="cyc")]
+    (_, out), = verify_program(asts, RunConfig()).results["cyc::cyc"].obligations
+    assert (out.status, out.reason) == (status, reason)
 
 
 def test_core_alone_may_escape_refutation():

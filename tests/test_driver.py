@@ -4,6 +4,8 @@ import os
 import random
 import re
 import signal
+import subprocess
+import sys
 import time
 from collections import Counter
 from dataclasses import replace
@@ -436,6 +438,21 @@ def test_serial_runs_make_no_pool(fork_joins):
     """jobs=1 forks nothing."""
     assert verify_program(load_sources(CORPUS), RunConfig(jobs=1)).all_verified
     assert fork_joins == []
+
+
+def test_a_serial_run_imports_no_fork_join_module():
+    """A fresh interpreter that verifies the corpus at jobs=1, through the
+    CLI, never loads the modules only the fork-join needs."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys\n"
+            "from tunav.cli import main\n"
+            "assert main(['verify', '--jobs', '1', *sys.argv[1:]]) == 0\n"
+            "print(sorted({'multiprocessing', 'pickle', 'select'} & set(sys.modules)))\n")
+    done = subprocess.run([sys.executable, "-c", code, *CORPUS],
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_minimizer_trials_make_no_pool(fork_joins):

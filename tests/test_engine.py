@@ -291,6 +291,17 @@ def test_max_instantiations_bounds_the_matching_of_one_round(n, monkeypatch):
     assert n < sum(matched) <= limit + 2 * n + 1
 
 
+def test_time_budget_bounds_one_round():
+    """The time budget is read inside a round too: the g/h program at
+    n = 120 runs out of a 20 ms budget before its one round has made the
+    10,000 instances it would make under the instantiation limit."""
+    config = RunConfig(limits=Limits(time_budget_ms=20))
+    asts = [parse_module(cross_product_source(120), "cross.tv", module="cross")]
+    (_, out), = verify_program(asts, config).results["cross::p"].obligations
+    assert (out.status, out.reason) == ("unknown", "time")
+    assert sum(out.instantiations.values()) < Limits().max_instantiations
+
+
 def test_a_cut_at_the_instantiation_limit_does_not_depend_on_names_or_jobs():
     config = RunConfig(limits=Limits(max_instantiations=100))
     asts = [parse_module(cross_product_source(40, ("p", "q_renamed")), "cross.tv",
