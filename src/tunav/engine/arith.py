@@ -1,11 +1,20 @@
 """Linear integer arithmetic over term-graph class representatives.
 
-Constraints are normalized to `sum(c_i * v_i) + k <= 0` with exact integer
-coefficients; satisfiability is decided by gcd tightening plus Fourier-Motzkin
-elimination. Refutations are sound for the integers (tightening only ever
-strengthens); completeness is bounded by the elimination cap, beyond which the
-check answers "unknown". Every derived constraint carries the set of source
-atoms, so an inconsistency reports exactly the atoms it used.
+A constraint is a row `(coeffs, const, sources)` standing for
+`sum(coeffs[v] * v) + const <= 0`, with exact integer coefficients and no
+zero coefficient. `sources` is a bitmask over atom indices: bit `i` is set
+when atom `i` went into the row, so combining two rows ORs their masks. A
+row is tightened once, when it is made (`row`): its coefficients are divided
+by their gcd and its constant rounded toward the stronger bound, which only
+ever strengthens it over the integers.
+
+Satisfiability is decided by Fourier-Motzkin (FM) elimination of tightened
+rows. Refutations are sound for the integers; completeness is bounded by
+`ELIM_CAP` eliminations that combine rows, and by `CONSTRAINT_CAP` rows,
+beyond which the check answers "unknown". Dropping a variable with only
+upper or only lower bounds combines nothing and is exact, so it does not
+count toward the cap. An inconsistency reports the mask of exactly the
+atoms it used.
 """
 
 from __future__ import annotations
@@ -21,115 +30,122 @@ ELIM_CAP = 12
 CONSTRAINT_CAP = 4000
 
 
-@dataclass
-class Constraint:
-    """sum(coeffs[v] * v) + const <= 0"""
+def row(coeffs: dict[int, int], const: int, sources: int
+        ) -> tuple[dict[int, int], int, int]:
+    """The row `sum(coeffs[v] * v) + const <= 0` from atoms `sources`,
+    tightened: `coeffs` must hold no zero, and is divided by its gcd."""
+    g = 0
+    for c in coeffs.values():
+        g = gcd(g, c)
+        if g == 1:
+            return coeffs, const, sources
+    if g == 0:
+        return coeffs, const, sources
+    # sum(c/g * v) <= floor(-k/g)
+    return {v: c // g for v, c in coeffs.items()}, -((-const) // g), sources
 
-    coeffs: dict[int, int]
-    const: int
-    sources: frozenset[int]
 
-    def tightened(self) -> "Constraint":
-        if not self.coeffs:
-            return self
-        g = 0
-        for c in self.coeffs.values():
-            g = gcd(g, abs(c))
-        if g <= 1:
-            return self
-        coeffs = {v: c // g for v, c in self.coeffs.items()}
-        # sum(c/g * v) <= floor(-k/g)
-        bound = (-self.const) // g
-        return Constraint(coeffs, -bound, self.sources)
+def indices(mask: int) -> list[int]:
+    """The atom indices of a sources mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 @dataclass
 class ArithResult:
     status: str
-    conflict_sources: frozenset[int] = frozenset()
-    # variables pinned to a single value by their direct bounds
-    equalities: list[tuple[int, int, frozenset[int]]] = field(default_factory=list)
+    conflict_sources: int = 0  # mask of the refuting atoms
+    # variables pinned to a single value by their direct bounds, with the
+    # mask of the atoms that pin them
+    equalities: list[tuple[int, int, int]] = field(default_factory=list)
 
 
-def linearize(graph, tid: int, used_values: list[tuple[int, int]],
-              leaves: list[int] | None = None) -> tuple[dict[int, int], int]:
-    """Interpret +, -, and constant multiplication structurally; everything
-    else is an opaque variable named by its class root, substituted by its
-    class value when one is known. Structure wins over class values for
-    interpreted heads so that merges never erase linear content.
-    Class-literal substitutions are recorded in `used_values` as
-    (term, literal-term) pairs, and opaque leaf terms in `leaves`, for
-    provenance (variables alias across atoms exactly via class merges)."""
+def _linear(graph, tid: int, mult: int, coeffs: dict[int, int],
+            used_values: list[tuple[int, int]], leaves: list[int]) -> int:
+    """Add `mult` times the linear form of `tid` into `coeffs` and return
+    `mult` times its constant. +, - and multiplication by a constant are
+    read structurally; everything else is an opaque variable named by its
+    class root, substituted by its class value when one is known. Structure
+    wins over class values for interpreted heads so that merges never erase
+    linear content. Class-literal substitutions are recorded in
+    `used_values` as (term, literal-term) pairs, and opaque leaf terms in
+    `leaves`, for provenance (variables alias across atoms exactly via class
+    merges). `coeffs` may be left holding zeros."""
     sym = graph.syms[tid]
-    args = graph.targs[tid]
     if sym == "+" or sym == "-":
-        lc, lk = linearize(graph, args[0], used_values, leaves)
-        rc, rk = linearize(graph, args[1], used_values, leaves)
-        return _combine(lc, lk, rc, rk, 1 if sym == "+" else -1)
+        a, b = graph.targs[tid]
+        k = _linear(graph, a, mult, coeffs, used_values, leaves)
+        return k + _linear(graph, b, mult if sym == "+" else -mult, coeffs,
+                           used_values, leaves)
     if sym == "*":
-        lc, lk = linearize(graph, args[0], used_values, leaves)
-        rc, rk = linearize(graph, args[1], used_values, leaves)
-        if not lc:
-            return ({v: lk * c for v, c in rc.items() if lk * c != 0}, lk * rk)
-        if not rc:
-            return ({v: rk * c for v, c in lc.items() if rk * c != 0}, lk * rk)
+        a, b = graph.targs[tid]
+        lc: dict[int, int] = {}
+        lk = _linear(graph, a, 1, lc, used_values, leaves)
+        rc: dict[int, int] = {}
+        rk = _linear(graph, b, 1, rc, used_values, leaves)
+        if not any(lc.values()):
+            lk *= mult
+            for v, c in rc.items():
+                coeffs[v] = coeffs.get(v, 0) + lk * c
+            return lk * rk
+        if not any(rc.values()):
+            rk *= mult
+            for v, c in lc.items():
+                coeffs[v] = coeffs.get(v, 0) + rk * c
+            return lk * rk
         # nonlinear: fall through (opaque unless the class has a value)
     root = graph.find(tid)
     val = graph.class_val.get(root)
     if val is not None:
         if tid not in graph.int_val:
             used_values.append((tid, val[1]))
-        return {}, val[0]
-    if leaves is not None:
-        leaves.append(tid)
-    return {root: 1}, 0
+        return mult * val[0]
+    leaves.append(tid)
+    coeffs[root] = coeffs.get(root, 0) + mult
+    return 0
 
 
-def _combine(lhs: dict[int, int], lk: int, rhs: dict[int, int], rk: int,
-             sign: int) -> tuple[dict[int, int], int]:
-    out = dict(lhs)
-    for v, c in rhs.items():
-        out[v] = out.get(v, 0) + sign * c
-        if out[v] == 0:
-            del out[v]
-    return out, lk + sign * rk
-
-
-def atom_constraints(graph, kind: str, l: int, r: int, idx: int,
-                     used_values: list[tuple[int, int]],
-                     leaves: list[int] | None = None) -> list[Constraint]:
-    """kind: 'le' (l <= r), 'lt' (l < r), or 'eq' (l == r)."""
-    lc, lk = linearize(graph, l, used_values, leaves)
-    rc, rk = linearize(graph, r, used_values, leaves)
-    coeffs, const = _combine(lc, lk, rc, rk, -1)  # l - r
-    src = frozenset([idx])
+def atom_rows(graph, kind: str, l: int, r: int, idx: int, rows: list,
+              used_values: list[tuple[int, int]], leaves: list[int]):
+    """Append the tightened rows of atom `idx` to `rows`. kind: 'le'
+    (l <= r), 'lt' (l < r), or 'eq' (l == r)."""
+    acc: dict[int, int] = {}
+    const = (_linear(graph, l, 1, acc, used_values, leaves)
+             + _linear(graph, r, -1, acc, used_values, leaves))  # l - r
+    coeffs = {v: c for v, c in acc.items() if c}
+    src = 1 << idx
     if kind == "le":
-        return [Constraint(coeffs, const, src).tightened()]
-    if kind == "lt":
-        return [Constraint(coeffs, const + 1, src).tightened()]
-    if kind == "eq":
-        neg = {v: -c for v, c in coeffs.items()}
-        return [Constraint(coeffs, const, src).tightened(),
-                Constraint(neg, -const, src).tightened()]
-    raise ValueError(f"unknown arith atom kind {kind}")
+        rows.append(row(coeffs, const, src))
+    elif kind == "lt":
+        rows.append(row(coeffs, const + 1, src))
+    elif kind == "eq":
+        rows.append(row(coeffs, const, src))
+        rows.append(row({v: -c for v, c in coeffs.items()}, -const, src))
+    else:
+        raise ValueError(f"unknown arith atom kind {kind}")
 
 
-def check_constraints(constraints: list[Constraint]) -> ArithResult:
-    """Decide a conjunction of normalized constraints by bound propagation and
-    Fourier-Motzkin elimination with integer tightening."""
-    work = [c.tightened() for c in constraints]
-    for c in work:
-        if not c.coeffs and c.const > 0:
-            return ArithResult(INCONSISTENT, c.sources)
+def check_constraints(rows: list[tuple[dict[int, int], int, int]]) -> ArithResult:
+    """Decide a conjunction of tightened rows (see `row`): read the
+    variables pinned by their own bounds, then eliminate variables by FM,
+    tightening each row it makes."""
+    for coeffs, const, sources in rows:
+        if not coeffs and const > 0:
+            return ArithResult(INCONSISTENT, sources)
 
-    equalities = _direct_equalities(work)
+    equalities = _direct_equalities(rows)
 
     # eliminate variables, fewest (uppers * lowers) first, least id on ties
+    work = rows
     eliminated = 0
     while True:
         counts: dict[int, list[int]] = {}  # variable -> [uppers, lowers]
-        for c in work:
-            for v, k in c.coeffs.items():
+        for coeffs, _, _ in work:
+            for v, k in coeffs.items():
                 n = counts.get(v)
                 if n is None:
                     n = counts[v] = [0, 0]
@@ -141,60 +157,61 @@ def check_constraints(constraints: list[Constraint]) -> ArithResult:
             return ArithResult(CONSISTENT, equalities=equalities)
         if eliminated >= ELIM_CAP or len(work) > CONSTRAINT_CAP:
             return ArithResult(UNKNOWN, equalities=equalities)
-        _, var = min((ups * downs, v) for v, (ups, downs) in counts.items())
-        uppers: list[Constraint] = []
-        lowers: list[Constraint] = []
-        rest: list[Constraint] = []
-        for c in work:
-            k = c.coeffs.get(var)
+        cost, var = min((ups * downs, v) for v, (ups, downs) in counts.items())
+        uppers = []
+        lowers = []
+        rest = []
+        for r in work:
+            k = r[0].get(var)
             if k is None:
-                rest.append(c)
+                rest.append(r)
             elif k > 0:
-                uppers.append(c)
+                uppers.append(r)
             elif k < 0:
-                lowers.append(c)
-        new = []
-        for up in uppers:
-            a = up.coeffs[var]
-            for lo in lowers:
-                b = -lo.coeffs[var]
-                coeffs: dict[int, int] = {}
-                for v, c in up.coeffs.items():
-                    coeffs[v] = coeffs.get(v, 0) + b * c
-                for v, c in lo.coeffs.items():
-                    coeffs[v] = coeffs.get(v, 0) + a * c
-                coeffs = {v: c for v, c in coeffs.items() if c != 0 and v != var}
-                const = b * up.const + a * lo.const
-                cons = Constraint(coeffs, const, up.sources | lo.sources).tightened()
-                if not cons.coeffs:
-                    if cons.const > 0:
-                        return ArithResult(INCONSISTENT, cons.sources,
+                lowers.append(r)
+        for ucoeffs, uconst, usrc in uppers:
+            a = ucoeffs[var]
+            for lcoeffs, lconst, lsrc in lowers:
+                b = -lcoeffs[var]
+                coeffs = {v: b * c for v, c in ucoeffs.items() if v != var}
+                for v, c in lcoeffs.items():
+                    if v != var:
+                        c = coeffs.get(v, 0) + a * c
+                        if c:
+                            coeffs[v] = c
+                        else:
+                            del coeffs[v]
+                const = b * uconst + a * lconst
+                if not coeffs:
+                    if const > 0:
+                        return ArithResult(INCONSISTENT, usrc | lsrc,
                                            equalities=equalities)
                     continue
-                new.append(cons)
-        # a ground constraint of `new` was decided when it was made
-        work = rest + new
-        eliminated += 1
+                rest.append(row(coeffs, const, usrc | lsrc))
+        work = rest
+        if cost:
+            eliminated += 1
 
 
-def _direct_equalities(work: list[Constraint]) -> list[tuple[int, int, frozenset[int]]]:
+def _direct_equalities(rows: list[tuple[dict[int, int], int, int]]
+                       ) -> list[tuple[int, int, int]]:
     """Variables pinned by their own single-variable bounds (lo == hi)."""
-    lo: dict[int, tuple[int, frozenset]] = {}
-    hi: dict[int, tuple[int, frozenset]] = {}
-    for c in work:
-        if len(c.coeffs) != 1:
+    lo: dict[int, tuple[int, int]] = {}
+    hi: dict[int, tuple[int, int]] = {}
+    for coeffs, const, sources in rows:
+        if len(coeffs) != 1:
             continue
-        (v, coef), = c.coeffs.items()
+        (v, coef), = coeffs.items()
         if coef > 0:
             # coef*v + k <= 0  =>  v <= floor(-k / coef)
-            bound = (-c.const) // coef
+            bound = (-const) // coef
             if v not in hi or bound < hi[v][0]:
-                hi[v] = (bound, c.sources)
+                hi[v] = (bound, sources)
         else:
             # coef*v + k <= 0 with coef < 0  =>  v >= ceil(k / -coef)
-            bound = -((-c.const) // (-coef))
+            bound = -((-const) // (-coef))
             if v not in lo or bound > lo[v][0]:
-                lo[v] = (bound, c.sources)
+                lo[v] = (bound, sources)
     out = []
     for v in sorted(set(lo) & set(hi)):
         if lo[v][0] == hi[v][0]:

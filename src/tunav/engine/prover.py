@@ -716,20 +716,20 @@ class ProverState:
         if not self.arith_atoms:
             return False
         g = self.graph
-        constraints: list[arith.Constraint] = []
+        rows: list[tuple[dict[int, int], int, int]] = []
         atoms: list[tuple[frozenset, list[int]]] = []  # (origins, leaves)
         for idx, (kind, l, r, origins) in enumerate(self.arith_atoms):
             used: list[tuple[int, int]] = []
             leaves: list[int] = []
-            constraints += arith.atom_constraints(g, kind, l, r, idx, used, leaves)
+            arith.atom_rows(g, kind, l, r, idx, rows, used, leaves)
             for tid, lit in used:
                 origins |= g.explain(tid, lit)
             atoms.append((origins, leaves))
 
-        def origins_of(sources) -> frozenset:
+        def origins_of(sources: int) -> frozenset:
             acc: frozenset = EMPTY
             by_root: dict[int, list[int]] = {}
-            for idx in sources:
+            for idx in arith.indices(sources):
                 origins, leaves = atoms[idx]
                 acc |= origins
                 for t in leaves:
@@ -741,7 +741,7 @@ class ProverState:
                     acc |= g.explain(ts[0], t)
             return acc
 
-        res = arith.check_constraints(constraints)
+        res = arith.check_constraints(rows)
         if res.status == arith.INCONSISTENT:
             self.conflict = origins_of(res.conflict_sources)
             return True
@@ -838,12 +838,20 @@ class ProverState:
 
     def _matches(self):
         """(fact, substitution, justification, instance key) of every match
-        of every fact's trigger groups against the frozen graph, in order."""
+        of every fact's trigger groups against the frozen graph, in order.
+        A group with a pattern whose head has no term matches nothing, so
+        it is skipped before matching starts."""
+        by_head = self.graph.by_head
         for fact in self.facts:
             for group in fact.triggers:
-                for sigma, just in self.ematch(group, fact):
-                    yield fact, sigma, just, (
-                        fact.key, tuple(sigma.get(name) for name in fact.binders))
+                for head, _ in group:
+                    if head not in by_head:
+                        break
+                else:
+                    for sigma, just in self.ematch(group, fact):
+                        yield fact, sigma, just, (
+                            fact.key,
+                            tuple(sigma.get(name) for name in fact.binders))
 
     def instantiate_round(self, budget: int | None = None) -> int | None:
         """One round: match every fact's triggers against the frozen graph,
@@ -939,8 +947,11 @@ def prove(ground: list[tuple[Formula, frozenset]],
         st.graph.new_term(f"%{name}", ())
     for f, origins in ground:
         st.assert_formula(f, True, {}, origins)
+    keys = st.fact_keys
     for f in facts:
-        st.add_fact(f)
+        if f.key not in keys:
+            keys.add(f.key)
+            st.facts.append(f)
     st.assert_formula(goal, False, {}, goal_origins)
 
     def done(status, reason=None, core=frozenset()):

@@ -94,10 +94,13 @@ class TermGraph:
         if int_value is not None:
             self.int_val[t] = int_value
             self.class_val[t] = (int_value, t)
-        for a in args:
-            self.uses[self.find(a)].append(t)
         if args:
-            skey = (sym, tuple(self.find(a) for a in args))
+            find = self.find
+            roots = tuple([find(a) for a in args])
+            uses = self.uses
+            for root in roots:
+                uses[root].append(t)
+            skey = (sym, roots)
             prev = self.sig.get(skey)
             if prev is None:
                 self.sig[skey] = t

@@ -1,6 +1,7 @@
 """The linear-arithmetic solver against brute force and against a frozen
 copy of its Fourier-Motzkin (FM) loop, and the prover on linear
-obligations, including one FM gives up on."""
+obligations, including one FM gives up on and one whose conflict is past
+the 64th atom."""
 
 import itertools
 from math import gcd
@@ -18,8 +19,8 @@ from tunav.engine.arith import (
     ELIM_CAP,
     INCONSISTENT,
     UNKNOWN,
-    Constraint,
     check_constraints,
+    row,
 )
 from tunav.engine.finite import eval_finite
 from tunav.engine.prover import compile_formula
@@ -49,9 +50,9 @@ def _tight(coeffs, const):
 
 def reference_check(constraints):
     """(status, conflict sources, equalities), as the solver decided them
-    when it scanned every constraint once per candidate variable."""
-    work = [(*_tight(c.coeffs, c.const), c.sources) if c.coeffs
-            else (c.coeffs, c.const, c.sources) for c in constraints]
+    when it scanned every constraint once per candidate variable. An
+    elimination counts toward ELIM_CAP only when it combines rows."""
+    work = [(*_tight(k, n), s) if k else (k, n, s) for k, n, s in constraints]
 
     def ground_conflict(cs):
         return next((s for k, n, s in cs if not k and n > 0), None)
@@ -78,15 +79,16 @@ def reference_check(constraints):
     while True:
         variables = sorted({v for k, _, _ in work for v in k})
         if not variables:
-            return CONSISTENT, frozenset(), eqs
+            return CONSISTENT, 0, eqs
         if eliminated >= ELIM_CAP or len(work) > CONSTRAINT_CAP:
-            return UNKNOWN, frozenset(), eqs
+            return UNKNOWN, 0, eqs
 
         def cost(v):
             return (sum(1 for k, _, _ in work if k.get(v, 0) > 0)
                     * sum(1 for k, _, _ in work if k.get(v, 0) < 0), v)
 
         var = min(variables, key=cost)
+        combines = cost(var)[0] > 0
         uppers = [w for w in work if w[0].get(var, 0) > 0]
         lowers = [w for w in work if w[0].get(var, 0) < 0]
         new = [w for w in work if var not in w[0]]
@@ -107,7 +109,8 @@ def reference_check(constraints):
                     continue
                 new.append((coeffs, const, us | ls))
         work = new
-        eliminated += 1
+        if combines:
+            eliminated += 1
         bad = ground_conflict(work)
         if bad is not None:
             return INCONSISTENT, bad, eqs
@@ -118,8 +121,8 @@ def reference_check(constraints):
 
 @st.composite
 def systems(draw):
-    """2-4 variables and 1-7 constraints `sum(c_i * v_i) + k <= 0` with up to
-    four terms each; an equality atom gives two constraints one source."""
+    """2-4 variables and 1-7 rows `sum(c_i * v_i) + k <= 0` with up to four
+    terms each; an equality atom gives two rows one source bit."""
     n = draw(st.integers(2, 4))
     coeff = st.integers(-4, 4).filter(bool)
     rows = draw(st.lists(
@@ -128,17 +131,16 @@ def systems(draw):
         min_size=1, max_size=7))
     out = []
     for i, (coeffs, const, eq) in enumerate(rows):
-        out.append(Constraint(coeffs, const, frozenset([i])))
+        out.append(row(coeffs, const, 1 << i))
         if eq:
-            out.append(Constraint({v: -c for v, c in coeffs.items()}, -const,
-                                  frozenset([i])))
+            out.append(row({v: -c for v, c in coeffs.items()}, -const, 1 << i))
     return n, out
 
 
 def models(n, constraints):
     return [vals for vals in itertools.product(BOX, repeat=n)
-            if all(sum(c * vals[v] for v, c in k.coeffs.items()) + k.const <= 0
-                   for k in constraints)]
+            if all(sum(c * vals[v] for v, c in k.items()) + n <= 0
+                   for k, n, _ in constraints)]
 
 
 @ORACLE
@@ -152,11 +154,11 @@ def test_check_constraints_against_brute_force_and_reference(system):
     found = models(n, cs)
     if res.status == INCONSISTENT:
         assert not found
-        core = [c for c in cs if c.sources <= res.conflict_sources]
+        core = [c for c in cs if c[2] & ~res.conflict_sources == 0]
         assert not models(n, core)
     for var, value, sources in res.equalities:
         assert all(vals[var] == value for vals in found)
-        pinned = [c for c in cs if c.sources <= sources]
+        pinned = [c for c in cs if c[2] & ~sources == 0]
         assert all(vals[var] == value for vals in models(n, pinned))
 
 
@@ -244,14 +246,28 @@ def test_core_alone_may_escape_refutation():
     eliminated in another order that never tightens the parity, so it is
     reported consistent though it has no integer model."""
     def eq(coeffs, const, src):
-        return [Constraint(coeffs, const, frozenset([src])),
-                Constraint({v: -c for v, c in coeffs.items()}, -const,
-                           frozenset([src]))]
+        return [row(coeffs, const, 1 << src),
+                row({v: -c for v, c in coeffs.items()}, -const, 1 << src)]
 
     core = (eq({0: 1, 1: 2, 2: -1, 3: 1}, 1, 0) + eq({1: 1, 3: 1}, 0, 2)
             + eq({0: 1, 1: 1, 2: 1}, 0, 3))
-    whole = core[:2] + [Constraint({0: 1, 2: 1}, 0, frozenset([1]))] + core[2:]
+    whole = core[:2] + [row({0: 1, 2: 1}, 0, 1 << 1)] + core[2:]
     res = check_constraints(whole)
-    assert (res.status, res.conflict_sources) == (INCONSISTENT, frozenset({0, 2, 3}))
+    assert (res.status, res.conflict_sources) == (INCONSISTENT, 0b1101)
     assert check_constraints(core).status == CONSISTENT
     assert not models(4, core)
+
+
+def test_eliminations_that_combine_nothing_do_not_count_toward_the_cap():
+    """y0, ..., y67 have only lower bounds: dropping each one makes no row
+    and is exact, so FM reaches x within ELIM_CAP and refutes x < 0 < x.
+    The conflict names atoms 0 and 69, past the 64th bit of its mask."""
+    ys = [f"y{i}" for i in range(68)]
+    src = (f"proof fn spread(x: int, {', '.join(y + ': int' for y in ys)})\n"
+           f"    requires x < 0, {', '.join(f'{y} > {i}' for i, y in enumerate(ys))},"
+           f" 0 < x\n    ensures false\n{{ }}\n")
+    asts = [parse_module(src, "spread.tv", module="spread")]
+    (_, out), = verify_program(asts, RunConfig()).results["spread::spread"].obligations
+    assert out.status == "verified"
+    assert sorted(o.path for o in out.used_core) == [
+        "requires#0", "requires#69"]

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from tunav.driver import RunConfig, load_sources, report_usage, verify_program
-from tunav.engine.arith import Constraint, check_constraints
+from tunav.engine.arith import check_constraints, row
 from tunav.syntax import parse_module, render_module
 from tunav.syntax.ast import ProofFn, UseStmt, walk_stmts
 from tunav.vcgen import VcgenRun, generate_obligations
@@ -111,10 +111,10 @@ proof fn via_lemma(a: Seq<int>) {
 
 def test_check_constraints_status():
     x, y, z = 1, 2, 3
-    cs = [Constraint({x: -1}, 11, frozenset([0])),
-          Constraint({y: -1}, 21, frozenset([1])),
-          Constraint({z: 1, x: -1, y: -1}, 0, frozenset([2])),
-          Constraint({z: -1, x: 1, y: 1}, 0, frozenset([2])),
-          Constraint({z: 1}, -30, frozenset([3]))]
+    cs = [row({x: -1}, 11, 1 << 0),
+          row({y: -1}, 21, 1 << 1),
+          row({z: 1, x: -1, y: -1}, 0, 1 << 2),
+          row({z: -1, x: 1, y: 1}, 0, 1 << 2),
+          row({z: 1}, -30, 1 << 3)]
     assert check_constraints(cs).status == "inconsistent"
     assert check_constraints([]).status == "consistent"

@@ -24,8 +24,8 @@ from tunav.engine.prover import compile_formula
 from tunav.engine.arith import (
     CONSISTENT,
     INCONSISTENT,
-    Constraint,
     check_constraints,
+    row,
 )
 from tunav.syntax import parse_module
 from tunav.syntax.ast import BinOp, BoolLit, Call, IntLit, Not, SourceSpan, Type, Var
@@ -83,7 +83,7 @@ def prove_exprs(hyps, facts, goal, goal_origins, **kwargs):
 
 
 def C(coeffs, const, src=0):
-    return Constraint(dict(coeffs), const, frozenset([src]))
+    return row(dict(coeffs), const, 1 << src)
 
 
 def test_arith_spec_example_inconsistent():
@@ -127,8 +127,8 @@ def test_arith_brute_force_agreement():
         box = range(-8, 9)
         import itertools
         for vals in itertools.product(box, repeat=nvars):
-            ok = all(sum(c * vals[v] for v, c in cons.coeffs.items())
-                     + cons.const <= 0 for cons in cs)
+            ok = all(sum(c * vals[v] for v, c in coeffs.items()) + const <= 0
+                     for coeffs, const, _ in cs)
             if ok:
                 solution_found = True
                 break
@@ -231,6 +231,38 @@ def test_a_trigger_that_binds_some_binders_makes_no_instance():
         {"x": st.graph.find(a)}]
     assert st.instantiate_round() == 0
     assert st.shared.inst_total == 0
+
+
+def test_a_group_with_a_head_that_has_no_term_is_not_matched(monkeypatch):
+    """The group f(i), g(j) matches nothing while no g term exists, so a
+    round skips it without matching f(i). Once g terms exist, the round
+    makes every (i, j) pair in the lexicographic order of the matches."""
+    heads = []
+    match_top = ProverState._match_top
+
+    def recording(self, head, *args):
+        heads.append(head)
+        return match_top(self, head, *args)
+
+    monkeypatch.setattr(ProverState, "_match_top", recording)
+    st = ProverState()
+    g = st.graph
+    a, c = g.new_term("%a", ()), g.new_term("%c", ())
+    g.new_term("f", (a,))
+    g.new_term("f", (c,))
+    k = fact("k", [("i", INT), ("j", INT)], None,
+             call("k", iv("i"), iv("j"), ty=BOOL),
+             [call("f", iv("i"), ty=BOOL), call("g", iv("j"), ty=BOOL)])
+    st.add_fact(k)
+    assert st.instantiate_round() == 0
+    assert heads == []
+    d, e = g.new_term("%d", ()), g.new_term("%e", ())
+    g.new_term("g", (d,))
+    g.new_term("g", (e,))
+    assert st.instantiate_round() == 4
+    assert heads == ["f", "g", "g"]
+    assert [(env["i"], env["j"]) for _, _, _, env, _ in st.queue] == [
+        (a, d), (a, e), (c, d), (c, e)]
 
 
 def cross_product_source(n: int, names=("p",)) -> str:
