@@ -113,10 +113,11 @@ def atom_rows(graph, kind: str, l: int, r: int, idx: int, rows: list,
               used_values: list[tuple[int, int]], leaves: list[int]):
     """Append the tightened rows of atom `idx` to `rows`. kind: 'le'
     (l <= r), 'lt' (l < r), or 'eq' (l == r)."""
-    acc: dict[int, int] = {}
-    const = (_linear(graph, l, 1, acc, used_values, leaves)
-             + _linear(graph, r, -1, acc, used_values, leaves))  # l - r
-    coeffs = {v: c for v, c in acc.items() if c}
+    coeffs: dict[int, int] = {}
+    const = (_linear(graph, l, 1, coeffs, used_values, leaves)
+             + _linear(graph, r, -1, coeffs, used_values, leaves))  # l - r
+    if 0 in coeffs.values():
+        coeffs = {v: c for v, c in coeffs.items() if c}
     src = 1 << idx
     if kind == "le":
         rows.append(row(coeffs, const, src))
@@ -157,7 +158,11 @@ def check_constraints(rows: list[tuple[dict[int, int], int, int]]) -> ArithResul
             return ArithResult(CONSISTENT, equalities=equalities)
         if eliminated >= ELIM_CAP or len(work) > CONSTRAINT_CAP:
             return ArithResult(UNKNOWN, equalities=equalities)
-        cost, var = min((ups * downs, v) for v, (ups, downs) in counts.items())
+        cost = var = None
+        for v, (ups, downs) in counts.items():
+            c = ups * downs
+            if cost is None or c < cost or (c == cost and v < var):
+                cost, var = c, v
         uppers = []
         lowers = []
         rest = []

@@ -35,14 +35,16 @@ Propagation stops at the first conflict, whichever of the term graph, a
 disequality, a disjunction or the arithmetic finds it.
 
 Instantiation is round-based against a frozen term graph, deduplicated by
-(fact, class-representative substitution) per branch. Every asserted literal
-carries a set of origins; congruence explanations and arithmetic source
-tracking propagate them into the used-fact core when a branch closes.
+(fact, class-representative substitution) per branch. A round skips a
+trigger group with a pattern whose head no term carries. Every asserted
+literal carries a set of origins; congruence explanations and arithmetic
+source tracking propagate them into the used-fact core when a branch closes.
 
 Each arithmetic pass linearises all of the branch's atoms against the
-current classes, and Fourier-Motzkin decides the whole list. A pass keeps
-nothing for the next one but its answer: a saturated branch whose last pass
-gave up (`arith.UNKNOWN`) ends `unknown (arithmetic)`, not `failed`.
+current classes into rows whose sources are bitmasks over the atoms, and
+Fourier-Motzkin decides the whole list (`arith`). A pass keeps nothing for
+the next one but its answer: a saturated branch whose last pass gave up
+(`arith.UNKNOWN`) ends `unknown (arithmetic)`, not `failed`.
 
 The time budget is checked when a branch is popped, before each arithmetic
 pass, and every `_CLOCK_EVERY` matches and instances of a round; a cut
@@ -442,7 +444,10 @@ class ProverState:
         slots: list[int] = []
         for kind, a, b in code:
             if kind == T_APP:
-                args = tuple([slots[i] for i in b])
+                if len(b) == 2:
+                    args = (slots[b[0]], slots[b[1]])
+                else:
+                    args = tuple([slots[i] for i in b])
                 t = hashcons.get((a, args))
                 if t is None:
                     t = g.new_term(a, args, origins)
@@ -624,31 +629,29 @@ class ProverState:
 
     def _eval_eq(self, l: int, r: int) -> tuple[bool | None, frozenset]:
         g = self.graph
-        if g.find(l) == g.find(r):
+        rl, rr = g.find(l), g.find(r)
+        if rl == rr:
             return True, g.explain(l, r)
-        lv, rv = g.value_of(l), g.value_of(r)
-        if lv is not None and rv is not None and lv != rv:
-            vl = g.class_val[g.find(l)][1]
-            vr = g.class_val[g.find(r)][1]
-            return False, g.explain(l, vl) | g.explain(r, vr)
+        vl, vr = g.class_val.get(rl), g.class_val.get(rr)
+        if vl is not None and vr is not None and vl[0] != vr[0]:
+            return False, g.explain(l, vl[1]) | g.explain(r, vr[1])
         for a, b, o in self.diseqs:
             fa, fb = g.find(a), g.find(b)
-            if {fa, fb} == {g.find(l), g.find(r)}:
-                if fa == g.find(l):
-                    return False, o | g.explain(a, l) | g.explain(b, r)
+            if fa == rl and fb == rr:
+                return False, o | g.explain(a, l) | g.explain(b, r)
+            if fa == rr and fb == rl:
                 return False, o | g.explain(a, r) | g.explain(b, l)
         return None, EMPTY
 
     def _eval_cmp(self, l: int, r: int, strict: bool
                   ) -> tuple[bool | None, frozenset]:
         g = self.graph
-        lv, rv = g.value_of(l), g.value_of(r)
-        if lv is not None and rv is not None:
-            vl = g.class_val[g.find(l)][1]
-            vr = g.class_val[g.find(r)][1]
-            got = lv < rv if strict else lv <= rv
-            return got, g.explain(l, vl) | g.explain(r, vr)
-        if g.find(l) == g.find(r):
+        rl, rr = g.find(l), g.find(r)
+        vl, vr = g.class_val.get(rl), g.class_val.get(rr)
+        if vl is not None and vr is not None:
+            got = vl[0] < vr[0] if strict else vl[0] <= vr[0]
+            return got, g.explain(l, vl[1]) | g.explain(r, vr[1])
+        if rl == rr:
             return not strict, g.explain(l, r)
         return None, EMPTY
 
@@ -773,8 +776,12 @@ class ProverState:
             yield sigma, just
             return
         head, children = group[i]
+        last = i + 1 == len(group)
         for s2, j2 in self._match_top(head, children, sigma, env):
-            yield from self._extend(group, i + 1, s2, just | j2, env)
+            if last:
+                yield s2, just | j2
+            else:
+                yield from self._extend(group, i + 1, s2, just | j2, env)
 
     def _match_top(self, head: str, children: tuple, sigma: dict[str, int], env):
         g = self.graph
@@ -785,12 +792,13 @@ class ProverState:
         return out
 
     def _match_node(self, children: tuple, t: int, sigma: dict[str, int], env):
-        state = [(dict(sigma), EMPTY)]
+        # a substitution is never changed once made: binding copies it
+        state = [(sigma, EMPTY)]
         for pc, arg in zip(children, self.graph.targs[t]):
             nstate = []
             for s1, j1 in state:
                 for s2, j2 in self._match_child(pc, arg, s1, env):
-                    nstate.append((s2, j1 | j2))
+                    nstate.append((s2, j1 | j2 if j1 else j2))
             state = nstate
             if not state:
                 return []
@@ -851,7 +859,7 @@ class ProverState:
                     for sigma, just in self.ematch(group, fact):
                         yield fact, sigma, just, (
                             fact.key,
-                            tuple(sigma.get(name) for name in fact.binders))
+                            tuple([sigma.get(name) for name in fact.binders]))
 
     def instantiate_round(self, budget: int | None = None) -> int | None:
         """One round: match every fact's triggers against the frozen graph,
@@ -992,5 +1000,6 @@ def prove(ground: list[tuple[Formula, frozenset]],
             stack.append((state, None))
     except _OutOfTime:
         return done("unknown", "time")
-    return done("verified",
-                core=[o for o in used_core if o.kind != "decision"])
+    # a set difference keeps the core's hashes; decisions hash cheaply
+    return done("verified", core=used_core.difference(
+        [o for o in used_core if o.kind == "decision"]))

@@ -76,21 +76,23 @@ class TermGraph:
 
     def new_term(self, sym: str, args: tuple[int, ...],
                  origins: frozenset = EMPTY, int_value: int | None = None) -> int:
-        key = (sym, args)
-        hit = self.hashcons.get(key)
-        if hit is not None:
-            return hit
         t = len(self.syms)
+        hit = self.hashcons.setdefault((sym, args), t)
+        if hit != t:
+            return hit
         self.syms.append(sym)
         self.targs.append(args)
         self.origins.append(origins)
-        self.hashcons[key] = t
         self.parent.append(t)
         self.rank.append(0)
         self.canon[t] = t
         self.members[t] = [t]
         self.uses[t] = []
-        self.by_head.setdefault(sym, []).append(t)
+        same_head = self.by_head.get(sym)
+        if same_head is None:
+            self.by_head[sym] = [t]
+        else:
+            same_head.append(t)
         if int_value is not None:
             self.int_val[t] = int_value
             self.class_val[t] = (int_value, t)
@@ -100,11 +102,8 @@ class TermGraph:
             uses = self.uses
             for root in roots:
                 uses[root].append(t)
-            skey = (sym, roots)
-            prev = self.sig.get(skey)
-            if prev is None:
-                self.sig[skey] = t
-            elif self.find(prev) != t:
+            prev = self.sig.setdefault((sym, roots), t)
+            if prev != t and find(prev) != t:
                 self.pending.append((t, prev, ("cong", t, prev)))
         if sym in FOLDABLE:
             self.fold_todo.append(t)
