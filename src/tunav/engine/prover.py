@@ -444,10 +444,7 @@ class ProverState:
         slots: list[int] = []
         for kind, a, b in code:
             if kind == T_APP:
-                if len(b) == 2:
-                    args = (slots[b[0]], slots[b[1]])
-                else:
-                    args = tuple([slots[i] for i in b])
+                args = tuple([slots[i] for i in b])
                 t = hashcons.get((a, args))
                 if t is None:
                     t = g.new_term(a, args, origins)

@@ -112,10 +112,6 @@ class TermGraph:
     def int_term(self, value: int, origins: frozenset = EMPTY) -> int:
         return self.new_term(f"#i{value}", (), origins, int_value=value)
 
-    def value_of(self, t: int) -> int | None:
-        got = self.class_val.get(self.find(t))
-        return got[0] if got else None
-
     # -- congruence closure ----------------------------------------------------
 
     def merge(self, a: int, b: int, origins: frozenset):

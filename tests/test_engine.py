@@ -167,7 +167,7 @@ def test_ematch_matches_inner_application():
     matches = list(st.ematch(f.triggers[0], f))
     assert len(matches) == 1
     sigma, _ = matches[0]
-    assert st.graph.value_of(sigma["i"]) == 3
+    assert st.graph.class_val[st.graph.find(sigma["i"])][0] == 3
 
 
 def test_ematch_empty_graph_no_matches():
