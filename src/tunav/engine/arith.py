@@ -87,16 +87,12 @@ def _linear(graph, tid: int, mult: int, coeffs: dict[int, int],
         lk = _linear(graph, a, 1, lc, used_values, leaves)
         rc: dict[int, int] = {}
         rk = _linear(graph, b, 1, rc, used_values, leaves)
-        if not any(lc.values()):
-            lk *= mult
-            for v, c in rc.items():
-                coeffs[v] = coeffs.get(v, 0) + lk * c
-            return lk * rk
-        if not any(rc.values()):
-            rk *= mult
-            for v, c in lc.items():
-                coeffs[v] = coeffs.get(v, 0) + rk * c
-            return lk * rk
+        left_const = not any(lc.values())
+        if left_const or not any(rc.values()):
+            k, linear = (lk, rc) if left_const else (rk, lc)
+            for v, c in linear.items():
+                coeffs[v] = coeffs.get(v, 0) + mult * k * c
+            return mult * lk * rk
         # nonlinear: fall through (opaque unless the class has a value)
     root = graph.find(tid)
     val = graph.class_val.get(root)
