@@ -21,8 +21,9 @@ of jobs=1.
 Inside `shared_runs()`, the runs of the calling thread also share one
 `ResolveMemo` for the rest; each run's results equal those of a run outside
 it. The facts vcgen lowers from an instance live in the instance's resolve
-entry, and so exactly as long as it: for the run, for the `shared_runs()`
-block, or, for an instance the prelude store keeps, for the process."""
+record (`resolve.MonoFn`), and so exactly as long as it: for the run, for
+the `shared_runs()` block, or, for an instance the prelude store keeps, for
+the process."""
 
 from __future__ import annotations
 
@@ -43,6 +44,7 @@ from tunav.resolve import (
     Program,
     ResolveMemo,
     TaskOrder,
+    module_of,
     order_tasks,
     resolve_program,
     task_imports,
@@ -99,7 +101,9 @@ def load_sources(paths: list[str]) -> list[ProgramAst]:
         except UnicodeDecodeError as e:
             raise ParseError(f"{p}: not valid UTF-8 (byte 0x{data[e.start]:02x} at "
                              f"offset {e.start})") from None
-        # every line ending becomes "\n", as in a text-mode read
+        # a leading byte order mark is dropped and every line ending becomes
+        # "\n", as in a text-mode read
+        text = text.removeprefix("\ufeff")
         asts.append(parse_module(text.replace("\r\n", "\n").replace("\r", "\n"), p))
     return asts
 
@@ -116,7 +120,9 @@ def _verdict_key(task: str, obs: list[Obligation], run: VcgenRun) -> tuple | Non
     objects that fix what the engine is given are. The key holds the
     instance's declaration, each context's facts in order, by identity, and
     the config fields that decide the outcome, with `no_timing` so that
-    `wall_ms` follows the run. Liveness
+    `wall_ms` follows the run. The store's records hold that declaration and
+    those facts (`MonoFn.lowered`) for as long as the store keeps the key, so
+    no id in a key is reused while it lives. Liveness
     decides which instances of a generic fact a prelude task imports, so the
     user program may change its contexts: the task symbol is no key."""
     contexts = []
@@ -356,10 +362,10 @@ def _verify_tasks(todo: list[str], workers: int,
     Step 2 proves the misses: in up to `workers` processes forked after the
     kept facts are lowered here, if two or more are left and fork is safe,
     else here. Step 3 keeps each result under its key from step 1, unless
-    the time budget ended one of its outcomes; an entry is inserted whole,
-    with the objects whose ids the key holds, and the first one wins. So
-    only this process reads and fills the store, and no worker makes again
-    the obligations made here."""
+    the time budget ended one of its outcomes, and the first one wins. The
+    entry is only the result: the objects whose ids the key holds are the
+    store's own (`_verdict_key`). So only this process reads and fills the
+    store, and no worker makes again the obligations made here."""
     verdicts = prelude_store().verdicts
     done: dict[str, FunctionResult] = {}
     made = {}  # miss -> (its obligations, ms spent making them)
@@ -375,7 +381,7 @@ def _verify_tasks(todo: list[str], workers: int,
             key = _verdict_key(t, obs, run)
             got = verdicts.get(key)  # None for a key of None
             if got is not None:
-                done[t] = got[0]
+                done[t] = got
                 continue
             made[t] = (obs, ms)
             if key is not None:
@@ -393,9 +399,7 @@ def _verify_tasks(todo: list[str], workers: int,
     for t, result in zip(misses, results):
         done[t] = result
         if t in keys and all(out.reason != "time" for _, out in result.obligations):
-            anchors = (run.program.verify_instance(t).decl,
-                       [ob.context.facts for ob in made[t][0]])
-            verdicts.setdefault(keys[t], (result, anchors))
+            verdicts.setdefault(keys[t], result)
     return {t: done[t] for t in todo}
 
 
@@ -413,8 +417,7 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
     todo = [t for t in order.tasks if selected is None or t in selected]
     results = _verify_tasks(todo, config.jobs, VcgenRun(program, registry, config))
 
-    user_tasks = [t for t in program.proof_fns()
-                  if program.decl_module[t] in user_modules]
+    user_tasks = [t for t in program.proof_fns() if module_of(t) in user_modules]
     return VerifyRun(program, registry, order, results, user_tasks)
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ kept). Lemma calls and broadcast-use directives are never candidates.
 Each trial drops one site from the last accepted program, so it shares every
 other declaration object with it; the pass's runs reuse each other's
 resolution of those (`driver.shared_runs`), and with it the facts lowered
-from their instances, which live in the instances' resolve entries until the
+from their instances, which live in the instances' resolve records until the
 pass ends. A trial's program is patched from the last run's: only the
 function that lost a site is checked and instantiated again, and the last
 task order is kept when no `broadcast use` or lemma call changed. A removal

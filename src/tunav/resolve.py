@@ -19,10 +19,13 @@ type arguments mention (`MonoFn.owners`).
 
 Resolution never modifies the ASTs it is given. Checking a declaration
 builds its typed tree (`_Checker`): nodes carry their types, callees their
-instance symbols, `use` statements their absolute paths. A non-generic
-declaration's tree is its instance (`MonoFn.decl`, which vcgen and the engine
-read); only a generic declaration's instances are copies, made from its tree
-at their type arguments.
+instance symbols, `use` statements their absolute paths. An instance's one
+record (`MonoFn`) holds that tree (`MonoFn.decl`, which vcgen and the engine
+read), the declaration it was checked from, the symbols it demands, the
+sorts it mentions and the facts vcgen lowers from it. A non-generic
+declaration's checked record is its instance; only a generic declaration's
+instances are copies, made from its record at their type arguments. A
+declaration's module is read off its path (`module_of`).
 
 Resolves that share a `ResolveMemo` (the runs of one minimizer pass) do each
 piece of work once: signatures and the registry are resolved once, a
@@ -44,17 +47,17 @@ rounds match only the newly live sorts. Either way every table of the
 
 What lives for the process is the prelude's share of that work, in the
 prelude store (`PreludeStore`, beside the prelude's parse): each prelude
-declaration's checked tree and its instances at builtin and prelude sorts.
-Every memo starts from the store's entries, keyed by prelude declaration
+declaration's checked record and its instances at builtin and prelude sorts.
+Every memo starts from the store's records, keyed by prelude declaration
 objects, and adds the prelude work it does to them. Whatever mentions a user
 declaration or sort stays in the memo and dies with its run or pass.
 
-Each instance entry also holds the facts vcgen lowers from that instance
-(`Program.lowered`), so they live exactly as long as the entry: for the run,
-for the runs that share a memo, or, in the prelude store, for the process.
-The store also keeps the results of prelude tasks whose instances and
-context facts it keeps; only the parent process of a run reads and fills
-that table (`driver._verify_tasks`).
+The facts vcgen lowers from an instance live in its record
+(`MonoFn.lowered`), and so exactly as long as the record: for the run, for
+the runs that share a memo, or, in the prelude store, for the process. The
+store also keeps the results of prelude tasks whose records and context
+facts it keeps; only the parent process of a run reads and fills that table
+(`driver._verify_tasks`).
 """
 
 from __future__ import annotations
@@ -159,33 +162,52 @@ def skolem_owners(types: tuple[Type, ...]) -> frozenset[str]:
         else skolem_owners(t.args) for t in types))
 
 
-@dataclass
-class MonoFn:
-    symbol: str
-    decl_path: str
-    targs: tuple[Type, ...]
-    kind: str  # "spec" | "proof" | "axiom"
-    decl: Declaration
-    module: str
-    # a proof fn's: the absolute paths of the body's `broadcast use`
-    # statements, in `walk_stmts` order, and of the fns it calls as lemmas
-    uses: tuple[str, ...] = ()
-    lemmas: frozenset[str] = frozenset()
-    # whether the prelude store keeps this instance, and so its lowered
-    # facts, for the life of the process
-    kept: bool = False
-    # the proof fns whose skolem sorts the type arguments mention: only their
-    # verifications see this instance (none: every task sees it)
-    owners: frozenset[str] = frozenset()
+def module_of(path: str) -> str:
+    """The module of the declaration at `path`: a module name may contain
+    `::`, a declaration's name never does."""
+    return path.rpartition("::")[0]
 
 
 # The facts vcgen lowers from an instance (`vcgen.QuantifiedFact`s: a spec
 # fn's definitional axioms or a broadcast fn's fact), keyed by (strategy,
 # fuel, spec SCC)
 Lowered = dict[tuple[str, int, tuple[str, ...] | None], list]
-# An instance entry of a memo or of the prelude store: the instance, the
-# symbols it demands in order, the sorts it mentions, and its lowered facts
-Entry = tuple[MonoFn, tuple[str, ...], frozenset[Type], Lowered]
+
+
+@dataclass
+class MonoFn:
+    """One instance and all that resolve records of it. Checking a
+    declaration makes its record (`_check_decl`): a non-generic
+    declaration's is its instance; a generic one's is the template its
+    instances copy (`_instantiate_decl`), whose types and callee symbols
+    still mention its type parameters."""
+
+    symbol: str
+    decl_path: str
+    targs: tuple[Type, ...]
+    kind: str  # "spec" | "proof" | "axiom"
+    decl: Declaration  # the typed tree
+    source: Declaration  # the declaration checked, which keys the record by id
+    # the symbols it demands, each call's before its arguments': a spec fn's
+    # are the callees of its body
+    demands: tuple[str, ...]
+    # the sorts it mentions: the carriers of its parameter, return and node
+    # types, with their type arguments
+    sorts: frozenset[Type]
+    # a proof fn's: the absolute paths of the body's `broadcast use`
+    # statements, in `walk_stmts` order, and of the fns it calls as lemmas
+    uses: tuple[str, ...] = ()
+    lemmas: frozenset[str] = frozenset()
+    # whether the prelude store keeps this record, and so its lowered facts,
+    # for the life of the process
+    kept: bool = False
+    # the proof fns whose skolem sorts the type arguments mention: only their
+    # verifications see this instance (none: every task sees it)
+    owners: frozenset[str] = frozenset()
+    # the record's one mutable slot, which vcgen fills (`VcgenRun.facts_of`):
+    # each list is inserted whole with `setdefault`, so the first writer wins
+    lowered: Lowered = field(default_factory=dict, repr=False, compare=False)
+
 
 _KINDS = {SpecFn: "spec", ProofFn: "proof", AxiomFn: "axiom"}
 
@@ -215,7 +237,6 @@ class TaskOrder:
 @dataclass
 class Program:
     symbols: dict[str, Declaration]
-    decl_module: dict[str, str]
     instances: dict[str, MonoFn]
     instances_of: dict[str, list[str]]
     module_uses: dict[str, list[str]]
@@ -224,11 +245,6 @@ class Program:
     task_symbols: dict[str, str]
     # "rounds" | "combinations" -> the facts whose instances that cap cut short
     liveness_caps: dict[str, list[str]]
-    # instance symbol -> the lowered facts slot of its resolve entry
-    lowered: dict[str, Lowered]
-    # instance symbol -> the symbols it demands, in order: a spec fn's are
-    # the callees of its body
-    demands: dict[str, tuple[str, ...]]
     # ambient -> (registry, `order_tasks`' result): shared with the program a
     # patch was made from when no proof fn's imports or lemma calls changed
     orders: dict[tuple[str, ...], tuple[BroadcastRegistry, TaskOrder]] = field(
@@ -259,8 +275,8 @@ class ResolveMemo:
     """Resolution work shared by the resolves of programs that differ only
     inside declarations (see the module docstring); its tables are keyed by
     what those programs share: paths, symbols, sorts and node identities;
-    each checked entry holds its declaration, so no id is reused while the
-    memo lives. A memo starts from the prelude store's entries (`adopt`),
+    each record holds its source declaration, so no id is reused while the
+    memo lives. A memo starts from the prelude store's records (`adopt`),
     and the resolver adds the prelude work it does to both."""
 
     def __init__(self):
@@ -268,8 +284,8 @@ class ResolveMemo:
         # admitted, whose interfaces are those of the first
         self.modules: tuple[str, ...] | None = None
         self.decls: tuple[tuple[Declaration, ...], ...] = ()
-        # id(fn declaration) -> its typed tree and what checking recorded
-        self.checked: dict[int, _Checked] = {}
+        # id(fn declaration) -> its checked record
+        self.checked: dict[int, MonoFn] = {}
         # read off the interfaces once: `resolve_signatures`, the registry
         self.signatures: tuple | None = None
         self.registry: BroadcastRegistry | None = None
@@ -283,21 +299,20 @@ class ResolveMemo:
         # instance, and equal but distinct sorts would be compared field by
         # field there
         self.canonical: dict[Type, Type] = {}
-        # (symbol, id(decl)) -> the instance's entry
-        self.instances: dict[tuple[str, int], Entry] = {}
+        # (symbol, id(decl)) -> the instance
+        self.instances: dict[tuple[str, int], MonoFn] = {}
         # live sort -> what it binds (`_Resolver.matches`)
         self.matches: dict[Type, tuple[tuple[int, int, Type], ...]] = {}
-        # the prelude store this memo started from; kept, so that the
-        # declarations keying the entries copied from it stay alive
+        # the prelude store this memo started from
         self.store: PreludeStore | None = None
         # the declarations of the last program resolved, per module, and
         # that program, from which the next may be patched (`_Resolver.patch`)
         self.last: tuple[tuple[tuple[Declaration, ...], ...], Program] | None = None
 
     def adopt(self, store: PreludeStore):
-        """On the memo's first resolve, start from `store`'s entries and
-        symbols. The entries are copied before the keys, so every copied
-        entry's demanded symbols have theirs (the store inserts keys first).
+        """On the memo's first resolve, start from `store`'s records and
+        symbols. The records are copied before the keys, so every copied
+        record's demanded symbols have theirs (the store inserts keys first).
         The keys are copied in one step, as another thread's run may insert
         into the store meanwhile; their inverse makes `symbol` return the
         store's own symbol objects."""
@@ -344,17 +359,16 @@ def skolem(path: str, tp: str) -> Type:
 
 class PreludeStore:
     """The parsed prelude and the work on it that no program can change,
-    kept for the life of the process (`prelude.prelude_store`). Its entries
+    kept for the life of the process (`prelude.prelude_store`). Its records
     are keyed by prelude declaration objects and mention only builtin and
     prelude sorts; work that mentions a user declaration or sort stays in
-    the run's memo. Every entry is inserted whole, after the keys of the
+    the run's memo. Every record is inserted whole, after the keys of the
     symbols it demands, so a memo that copies the store on another thread
-    copies only finished entries. An entry is immutable but for its lowered
-    facts, which runs fill: each list is inserted whole with `setdefault`,
-    so the first writer wins. A program without the prelude's declaration
-    objects matches no entry and adds none. The verdicts of prelude tasks
-    are kept here too, each entry inserted whole by the parent process of a
-    run (`driver._verify_tasks`)."""
+    copies only finished records. A record is immutable but for its lowered
+    facts, which runs fill, first writer first (`MonoFn.lowered`). A program
+    without the prelude's declaration objects matches no record and adds
+    none. The results of prelude tasks are kept here too, each inserted
+    whole by the parent process of a run (`driver._verify_tasks`)."""
 
     def __init__(self, asts: tuple[ProgramAst, ...]):
         self.asts = asts
@@ -372,14 +386,14 @@ class PreludeStore:
         self.sorts = frozenset(names)
         # the tables of `ResolveMemo` of the same names, for prelude work:
         # each memo starts from them
-        self.checked: dict[int, _Checked] = {}
-        self.instances: dict[tuple[str, int], Entry] = {}
+        self.checked: dict[int, MonoFn] = {}
+        self.instances: dict[tuple[str, int], MonoFn] = {}
         self.keys: dict[str, tuple[str, tuple[Type, ...]]] = {}
         self.canonical: dict[Type, Type] = {}
         # the results of prelude tasks (`driver._verify_tasks`): key -> the
-        # `FunctionResult`, and the objects whose ids the key holds, kept
-        # alive so that no id in a key is reused while the entry lives
-        self.verdicts: dict[tuple, tuple] = {}
+        # `FunctionResult`; the objects whose ids a key holds are this
+        # store's records and their lowered facts
+        self.verdicts: dict[tuple, object] = {}
 
     def holds(self, t: Type) -> bool:
         """Whether `t` mentions only builtin and prelude sorts."""
@@ -438,22 +452,6 @@ def cyclic_components(graph: dict[str, set[str]]) -> list[list[str]]:
 # ---------------------------------------------------------------------------
 # Type checking
 # ---------------------------------------------------------------------------
-
-
-class _Checked(NamedTuple):
-    """A declaration's typed, resolved tree and what checking it recorded.
-    A non-generic declaration's tree is its instance; a generic one's is the
-    template its instances copy (`_instantiate_decl`), whose types and
-    callee symbols still mention its type parameters."""
-
-    decl: Declaration
-    source: Declaration  # the declaration checked, which keys the entry by id
-    demands: tuple[str, ...]  # callee symbols, each call's before its arguments'
-    # the sorts it mentions: the carriers of its parameter, return and node
-    # types, with their type arguments
-    sorts: frozenset[Type]
-    uses: tuple[str, ...]  # `broadcast use` paths of the body, in `walk_stmts` order
-    lemmas: frozenset[str]  # the paths of the fns the body calls by lemma call
 
 
 class _Checker:
@@ -645,12 +643,9 @@ class _Resolver:
         self.memo = memo
         self.store = store
         self.symbols: dict[str, Declaration] = {}
-        self.decl_module: dict[str, str] = {}
         self.module_names: list[str] = []
         self.instances: dict[str, MonoFn] = {}
-        self.lowered: dict[str, Lowered] = {}
         self.instances_of: dict[str, list[str]] = {}
-        self.demands: dict[str, tuple[str, ...]] = {}  # instance -> what it demands
         self.queue: list[str] = []  # instance symbols
         self.live: set[Type] = set()  # sorts the instances mention
         self.fresh: set[Type] = set()  # those live since the last liveness round
@@ -679,7 +674,6 @@ class _Resolver:
                 if path in self.symbols:
                     raise ResolveError(f"duplicate definition of '{path}'", d.span)
                 self.symbols[path] = d
-                self.decl_module[path] = ast.module
 
     def resolve_signatures(self):
         """Read off the interfaces, once per memo: the sorts, qualified
@@ -794,22 +788,22 @@ class _Resolver:
                 return cand
         raise ResolveError(f"unresolved broadcast import '{path}'", span)
 
-    def keep(self, table: dict, key, entry, demands: tuple[str, ...], sorts):
-        """Insert `entry` into the prelude store's `table`, after the keys of
-        the symbols it demands and the sorts it mentions; return the entry
+    def keep(self, table: dict, key, fn: MonoFn) -> MonoFn:
+        """Insert `fn` into the prelude store's `table`, after the keys of
+        the symbols it demands and the sorts it mentions; return the record
         the store holds, the first inserted."""
         store, keys = self.store, self.memo.keys
-        for sym in demands:
+        for sym in fn.demands:
             store.keys.setdefault(sym, keys[sym])
-        for t in sorts:
+        for t in fn.sorts:
             store.canonical.setdefault(t, t)
-        return table.setdefault(key, entry)
+        return table.setdefault(key, fn)
 
     # -- declaration checking --------------------------------------------------
 
     def check_all(self):
         """Check every declaration the memo has not checked yet, keeping its
-        typed tree in `memo.checked`, and a prelude declaration's also in the
+        record in `memo.checked`, and a prelude declaration's also in the
         prelude store."""
         for ast in self.asts:
             for d in ast.declarations:
@@ -823,14 +817,15 @@ class _Resolver:
                     raise ResolveError(f"unsupported declaration {type(d).__name__}",
                                        d.span)
 
-    def check(self, path: str, d: Declaration) -> _Checked:
-        """Fn `d`'s checked entry, from the memo or checked now and kept in
+    def check(self, path: str, d: Declaration) -> MonoFn:
+        """Fn `d`'s checked record, from the memo or checked now and kept in
         the memo, and a prelude declaration's also in the prelude store."""
         got = self.memo.checked.get(id(d))
         if got is None:
-            got = self.memo.checked[id(d)] = _check_decl(path, d, self)
-            if id(d) in self.store.decls:
-                self.keep(self.store.checked, id(d), got, got.demands, got.sorts)
+            got = _check_decl(path, d, self)
+            if got.kept:
+                got = self.keep(self.store.checked, id(d), got)
+            self.memo.checked[id(d)] = got
         return got
 
     # -- patching the last program ------------------------------------------------
@@ -854,7 +849,6 @@ class _Resolver:
             return None
         self.symbols = dict(last.symbols)
         self.symbols.update((path, d) for _, path, d, _ in changed)
-        self.decl_module = last.decl_module
         self.module_names = [a.module for a in self.asts]
         self.resolve_signatures()
         memo, same_order = self.memo, True
@@ -866,16 +860,14 @@ class _Resolver:
                     or (isinstance(d, SpecFn) and (d.body is None) != (o.body is None))):
                 return None
             same_order &= now.uses == before.uses and now.lemmas == before.lemmas
-        instances, demands = dict(last.instances), dict(last.demands)
-        lowered = dict(last.lowered)
+        instances = dict(last.instances)
         for _, path, d, _ in changed:
             for sym in last.instances_of.get(path, ()):
-                entry = memo.instances.get((sym, id(d)))
-                if entry is None:
-                    entry = self.make_instance(sym, path, memo.keys[sym][1], d)
-                instances[sym], demands[sym], _, lowered[sym] = entry
+                fn = memo.instances.get((sym, id(d)))
+                if fn is None:
+                    fn = self.make_instance(sym, path, memo.keys[sym][1], d)
+                instances[sym] = fn
         return replace(last, symbols=self.symbols, instances=instances,
-                       demands=demands, lowered=lowered,
                        orders=last.orders if same_order else {})
 
     # -- monomorphization -------------------------------------------------------
@@ -906,43 +898,37 @@ class _Resolver:
                 continue
             path, targs = self.memo.keys[sym]
             decl = self.symbols[path]
-            entry = made.get((sym, id(decl)))
-            if entry is None:
-                entry = self.make_instance(sym, path, targs, decl)
-            fn, demands, sorts, lowered = entry
-            queue.extend(demands)
+            fn = made.get((sym, id(decl)))
+            if fn is None:
+                fn = self.make_instance(sym, path, targs, decl)
+            queue.extend(fn.demands)
             instances[sym] = fn
-            self.lowered[sym] = lowered
-            self.demands[sym] = demands
             self.instances_of.setdefault(path, []).append(sym)
-            self.fresh |= sorts - self.live
-            self.live |= sorts
+            self.fresh |= fn.sorts - self.live
+            self.live |= fn.sorts
 
     def make_instance(self, sym: str, path: str, targs: tuple[Type, ...],
-                      decl: Declaration):
-        """The entry of the instance of `decl` at `targs`, kept in the memo,
-        and also in the prelude store if it is a prelude declaration's at
-        builtin and prelude sorts."""
-        checked = self.memo.checked[id(decl)]
-        if targs and max(map(type_depth, targs)) > MAX_TYPE_DEPTH:
-            raise ResolveError(f"polymorphic recursion: '{path}' is demanded at "
-                               f"types nested deeper than {MAX_TYPE_DEPTH}", decl.span)
+                      decl: Declaration) -> MonoFn:
+        """The instance of `decl` at `targs`, kept in the memo, and also in
+        the prelude store if it is a prelude declaration's at builtin and
+        prelude sorts. A non-generic declaration's checked record is its
+        instance; a generic one's is copied at `targs`."""
+        fn = self.memo.checked[id(decl)]
         if targs:
+            if max(map(type_depth, targs)) > MAX_TYPE_DEPTH:
+                raise ResolveError(f"polymorphic recursion: '{path}' is demanded at "
+                                   f"types nested deeper than {MAX_TYPE_DEPTH}",
+                                   decl.span)
             tree, demands, sorts = _instantiate_decl(
-                path, checked, dict(zip(decl.type_params, targs)), self)
-        else:  # the checked tree is the instance
-            tree, demands, sorts = checked.decl, checked.demands, checked.sorts
-        store = self.store
-        lasting = id(decl) in store.decls and all(map(store.holds, targs))
-        entry = (MonoFn(sym, path, targs, _KINDS[type(decl)], tree,
-                        self.decl_module[path], checked.uses, checked.lemmas,
-                        lasting, skolem_owners(targs)),
-                 demands, frozenset(sorts), {})
-        if lasting:
-            entry = self.keep(store.instances, (sym, id(decl)), entry, demands,
-                              entry[2])
-        self.memo.instances[sym, id(decl)] = entry
-        return entry
+                path, fn, dict(zip(decl.type_params, targs)), self)
+            fn = MonoFn(sym, path, targs, fn.kind, tree, decl, demands,
+                        frozenset(sorts), fn.uses, fn.lemmas,
+                        fn.kept and all(map(self.store.holds, targs)),
+                        skolem_owners(targs))
+        if fn.kept:
+            fn = self.keep(self.store.instances, (sym, id(decl)), fn)
+        self.memo.instances[sym, id(decl)] = fn
+        return fn
 
     def mention(self, t: Type, sorts: set[Type]) -> Type:
         """Add `t`'s carrier and all its type arguments to `sorts`, the sorts
@@ -1037,7 +1023,7 @@ class _Resolver:
         decl = self.symbols[gpath]
         members: dict[str, None] = {}  # in order, each once
         for m in decl.members:
-            got = self.resolve_import(m, self.decl_module[gpath], decl.span)
+            got = self.resolve_import(m, module_of(gpath), decl.span)
             members.update(dict.fromkeys(
                 self.flatten(got, flattened, visiting)
                 if isinstance(self.symbols[got], BroadcastGroup) else (got,)))
@@ -1051,7 +1037,7 @@ class _Resolver:
         # a spec fn's demands are the callees of its body
         defined = {sym for sym, fn in self.instances.items()
                    if fn.kind == "spec" and fn.decl.body is not None}
-        graph = {sym: defined.intersection(self.demands[sym])
+        graph = {sym: defined.intersection(fn.demands)
                  for sym, fn in self.instances.items() if fn.kind == "spec"}
         return {sym: tuple(comp) for comp in cyclic_components(graph) for sym in comp}
 
@@ -1068,12 +1054,12 @@ def _drained(demands: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(reversed(demands)))
 
 
-def _check_decl(path: str, d: Declaration, rs: _Resolver) -> _Checked:
-    """Check fn `path` and build its typed tree."""
+def _check_decl(path: str, d: Declaration, rs: _Resolver) -> MonoFn:
+    """Check fn `path` and build its typed tree: its record (`MonoFn`)."""
     if isinstance(d, SpecFn) and d.ret.name == "nat" and d.body is not None:
         raise ResolveError(
             "nat return types are only supported on bodiless spec fns", d.span)
-    ck = _Checker(rs, rs.decl_module[path], d.type_params)
+    ck = _Checker(rs, module_of(path), d.type_params)
     params = rs.params[path]
     for p in params:
         ck.bind(p.name, p.ty, d.span, "parameter")
@@ -1093,8 +1079,9 @@ def _check_decl(path: str, d: Declaration, rs: _Resolver) -> _Checked:
         if isinstance(d, ProofFn):
             clauses["body"] = ck.check_stmts(d.body)
         tree = replace(d, type_params=[], params=list(params), **clauses)
-    return _Checked(tree, d, tuple(ck.demands), frozenset(ck.sorts), tuple(ck.uses),
-                    frozenset(ck.lemmas))
+    return MonoFn(rs.memo.symbol(path, ()), path, (), _KINDS[type(d)], tree, d,
+                  tuple(ck.demands), frozenset(ck.sorts), tuple(ck.uses),
+                  frozenset(ck.lemmas), id(d) in rs.store.decls)
 
 
 class _Copy(NamedTuple):
@@ -1106,7 +1093,7 @@ class _Copy(NamedTuple):
     symbols: dict[str, str]
 
 
-def _instantiate_decl(path: str, checked: _Checked, sub: dict[str, Type],
+def _instantiate_decl(path: str, checked: MonoFn, sub: dict[str, Type],
                       rs: _Resolver) -> tuple[Declaration, tuple[str, ...], set[Type]]:
     """The instance of generic fn `path` at `sub`: its checked tree copied
     under `sub`, the symbols it demands, in order, and the sorts it mentions."""
@@ -1194,15 +1181,12 @@ def resolve_program(asts: list[ProgramAst],
         rs.instantiate_all()
         program = Program(
             symbols=rs.symbols,
-            decl_module=rs.decl_module,
             instances=rs.instances,
             instances_of={k: sorted(v) for k, v in rs.instances_of.items()},
             module_uses=rs.module_uses,
             spec_scc=rs.spec_sccs(),
             task_symbols=rs.task_symbols,
             liveness_caps=rs.liveness_caps,
-            lowered=rs.lowered,
-            demands=rs.demands,
         )
     memo.last = (memo.decls, program)
     return program, memo.registry
@@ -1213,7 +1197,7 @@ def entry_imports(program: Program, registry: BroadcastRegistry, task: str,
     """The import paths (facts or groups) in scope when proof fn `task`
     starts, in import order: the default group unless `default` is off, the
     ambient paths, then its module's `broadcast use` paths."""
-    module = program.decl_module[task]
+    module = module_of(task)
     paths: list[str] = []
     if default and registry.default_group:
         paths.append(registry.default_group)

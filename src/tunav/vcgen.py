@@ -7,9 +7,10 @@ paths, module `broadcast use`), block-scoped `broadcast use` at their own
 position, definitional axioms of reachable spec fns, and facts established by
 preceding statements. A context holds the shared lowered fact objects, never
 copies of them. The facts lowered from an instance are kept in its resolve
-entry (`Program.lowered`), so they live exactly as long as that entry: for
+record (`MonoFn.lowered`), so they live exactly as long as that record: for
 the run, for a `driver.shared_runs()` block (a minimizer pass), or for the
-process if the prelude store keeps the instance.
+process if the prelude store keeps the instance. A hypothesis is compiled,
+and its origin set made, once, when it enters a context.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ class QuantifiedFact:
     # the mono symbols the conclusion calls, then those the hypothesis calls
     calls: tuple[str, ...] = field(default=(), repr=False, compare=False)
     # whether it was lowered from an instance the prelude store keeps, and
-    # so lives, in that instance's entry, for the process
+    # so lives, in that instance's record, for the process
     kept: bool = field(default=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -103,8 +104,10 @@ class QuantifiedFact:
 
 @dataclass
 class FactContext:
-    # hypotheses, each compiled once, when it enters, and shared by snapshots
-    ground: list[tuple[Expr, Origin, Formula]] = field(default_factory=list)
+    # hypotheses: (expression, origin, (compiled form, origin set)), the
+    # engine's pair made once, when it enters, and shared by snapshots
+    ground: list[tuple[Expr, Origin, tuple[Formula, frozenset[Origin]]]] = field(
+        default_factory=list)
     facts: list[QuantifiedFact] = field(default_factory=list)
     by_key: dict[str, QuantifiedFact] = field(default_factory=dict, repr=False)
 
@@ -274,9 +277,9 @@ class VcgenRun:
     """What the tasks of one run share: the resolved program, its registry
     and the run's config, plus what the run works out once and only for
     itself: each import path's instances. These depend on the program, so
-    they must not outlive the run; the lowered facts live in the program's
-    resolve entries (`facts_of`), and each spec fn's callees come from
-    resolve (`Program.demands`)."""
+    they must not outlive the run; the lowered facts live in the instances'
+    records (`facts_of`), and each spec fn's callees come from resolve
+    (`MonoFn.demands`)."""
 
     def __init__(self, program: Program, registry: BroadcastRegistry,
                  config: RunConfig = RunConfig()):
@@ -298,11 +301,11 @@ class VcgenRun:
 
     def facts_of(self, inst: MonoFn) -> list[QuantifiedFact]:
         """What `inst` lowers to: a spec fn's definitional axioms, or a
-        broadcast fn's one fact, kept in its resolve entry per strategy, fuel
-        and spec SCC. Runs on other threads may share the entry, so a list
-        is inserted whole, and the first one inserted is the one used."""
+        broadcast fn's one fact, kept in its record per strategy, fuel and
+        spec SCC. Runs on other threads may share the record, so a list is
+        inserted whole, and the first one inserted is the one used."""
         config = self.config
-        table = self.program.lowered[inst.symbol]
+        table = inst.lowered
         key = (config.strategy, config.fuel, self.program.spec_scc.get(inst.symbol))
         facts = table.get(key)
         if facts is None:
@@ -332,7 +335,7 @@ class VcgenRun:
             if inst is None or inst.kind != "spec":
                 continue
             out.append(sym)
-            queue.extend(sorted(set(self.program.demands[sym])))
+            queue.extend(sorted(set(inst.demands)))
         return out
 
 
@@ -457,7 +460,7 @@ class _ObligationBuilder:
                 compiled: Formula | None = None):
         if compiled is None:
             compiled = compile_formula(e, self.config.strategy)
-        ctx.ground.append((e, origin, compiled))
+        ctx.ground.append((e, origin, (compiled, frozenset([origin]))))
 
     def _emit(self, goal: Expr, ctx: FactContext, site: Site) -> Formula:
         """Add the obligation to prove `goal`; return its compiled form."""
@@ -471,14 +474,14 @@ class _ObligationBuilder:
 def generate_obligations(task: str, run: VcgenRun) -> list[Obligation]:
     """The obligations of proof fn `task`. Pass one `run` to every task of a
     run, so each import path's instances are worked out once; each fact is
-    lowered, and converted to the engine's form, once per resolve entry
+    lowered, and converted to the engine's form, once per resolve record
     (`VcgenRun.facts_of`), and each spec fn's callees are those resolve
-    recorded (`Program.demands`)."""
+    recorded (`MonoFn.demands`)."""
     return _ObligationBuilder(task, run).build()
 
 
 def prove_obligation(ob: Obligation, limits: Limits = Limits()) -> Outcome:
-    ground = [(f, frozenset([o])) for _, o, f in ob.context.ground]
+    ground = [pair for _, _, pair in ob.context.ground]
     facts = [qf.engine for qf in ob.context.facts]
     goal_origin = frozenset([Origin("goal", ob.site.describe(), ob.site.span)])
     return prove(ground, facts, ob.compiled, goal_origin, limits, ob.params)

@@ -24,7 +24,7 @@ from tunav.engine.prover import compile_formula
 from tunav.errors import CycleError
 from tunav.metrics import compare_metrics, records_of_run
 from tunav.minimize import enumerate_assert_sites, minimize
-from tunav.resolve import order_tasks
+from tunav.resolve import module_of, order_tasks
 from tunav.syntax import parse_module, render_module
 from tunav.syntax.ast import (
     Assert,
@@ -299,8 +299,7 @@ def corpus_resolution():
     asts = load_sources(CORPUS)
     program, registry = resolve_with_prelude(asts)
     user_modules = {a.module for a in asts}
-    tasks = [t for t in program.proof_fns()
-             if program.decl_module[t] in user_modules]
+    tasks = [t for t in program.proof_fns() if module_of(t) in user_modules]
     return asts, program, registry, tasks
 
 

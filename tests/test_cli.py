@@ -66,6 +66,33 @@ def test_verify_exit_two_on_invalid_utf8(tmp_path, capsys):
         f"error: {p}: not valid UTF-8 (byte 0xff at offset 16)\n")
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+def test_verify_skips_a_leading_byte_order_mark(tmp_path, capsys):
+    """One leading U+FEFF is dropped where the file is read, as in a Rust
+    source file; columns are counted from the character after it, and a
+    U+FEFF anywhere else is still a parse error."""
+    p = tmp_path / "bom.tv"
+    p.write_bytes(BOM + b"proof fn p(x: int) requires x > 1 ensures x > 0 { }")
+    assert main(["verify", str(p), "--no-timing"]) == 0
+    assert "PASS bom::p (1 obligation)" in capsys.readouterr().out
+    for text, error in [(BOM + b"$", "1:1: unexpected character '$'"),
+                        (BOM + BOM, "1:1: unexpected character '\\ufeff'")]:
+        p.write_bytes(text)
+        assert main(["verify", str(p)]) == 2
+        assert capsys.readouterr().err == f"error: {p}:{error}\n"
+
+
+def test_minimize_write_drops_the_byte_order_mark(tmp_path, capsys):
+    p = tmp_path / "m.tv"
+    p.write_bytes(BOM + OK_SRC.encode())
+    assert main(["minimize", str(p), "--write"]) == 0
+    text = p.read_bytes()
+    assert not text.startswith(BOM) and b"assert" not in text
+    assert main(["verify", str(p)]) == 0
+
+
 def test_verify_exit_two_on_a_proof_that_relies_on_itself(tmp_path, capsys):
     """`a` calls `b`, and `b` imports `a`: neither may be assumed while the
     other is proven, or `wrong` proves a false fact about `g`."""

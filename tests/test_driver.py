@@ -709,7 +709,7 @@ def test_broadcast_lemma_ensures_compiled_once(monkeypatch, src, shared):
     bodies = [f for e, f in compiled[prover] if any(e is x for x in ensures)]
     assert len(goals) == len(ensures)
     assert len(bodies) == shared
-    fact = run.program.lowered["user::lemma_f"][
+    fact = run.program.instances["user::lemma_f"].lowered[
         (trig.CONSERVATIVE, 1, None)][0].engine
     assert not any(fact.compiled is g for g in goals)
     assert (fact.compiled in bodies) == shared

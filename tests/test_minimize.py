@@ -219,15 +219,15 @@ proof fn f(x: int) {
 
 def program_digest(program):
     """Every table of a resolved program: instance symbols in order, with
-    what each records but its tree, and the symbols each demands; the
-    declaration each path names; the instances with lowered-fact slots;
-    each path's instances, spec SCCs, module imports, task instances and
-    liveness caps."""
-    return ({sym: (fn.decl_path, fn.targs, fn.kind, fn.module, fn.uses, fn.lemmas,
-                   fn.kept, fn.owners) for sym, fn in program.instances.items()},
-            list(program.instances), program.demands,
+    what each records but its tree and lowered facts, among it the symbols
+    it demands; the declaration each path names; each path's instances,
+    spec SCCs, module imports, task instances and liveness caps."""
+    return ({sym: (fn.decl_path, fn.targs, fn.kind, fn.demands, fn.sorts, fn.uses,
+                   fn.lemmas, fn.kept, fn.owners)
+             for sym, fn in program.instances.items()},
+            list(program.instances),
             {path: id(d) for path, d in program.symbols.items()},
-            list(program.lowered), program.instances_of, program.spec_scc,
+            program.instances_of, program.spec_scc,
             program.module_uses, program.task_symbols, program.liveness_caps)
 
 

@@ -1,6 +1,6 @@
 from tunav.driver import RunConfig, verify_program
 from tunav.prelude import load_prelude
-from tunav.resolve import order_tasks, resolve_program
+from tunav.resolve import module_of, order_tasks, resolve_program
 
 
 def test_prelude_parses_and_resolves():
@@ -36,7 +36,7 @@ def test_prelude_self_verifies():
     # every prelude broadcast lemma (non-axiom) verifies through the engine
     run = verify_program([], RunConfig())
     lemma_tasks = [t for t in run.program.proof_fns()
-                   if run.program.decl_module[t].startswith("prelude::")]
+                   if module_of(t).startswith("prelude::")]
     assert lemma_tasks, "prelude ships proven lemmas"
     for t in lemma_tasks:
         assert run.results[t].passed, f"{t}: {run.results[t].status}"

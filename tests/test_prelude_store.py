@@ -130,8 +130,8 @@ def test_results_do_not_depend_on_what_ran_before(tmp_path, cold_prelude):
 def store_lowered() -> list:
     """(symbol, key) of every list of facts lowered into the prelude store's
     instance entries."""
-    return [(sym, key) for (sym, _), (_, _, _, lowered)
-            in prelude_store().instances.items() for key in lowered]
+    return [(sym, key) for (sym, _), fn in prelude_store().instances.items()
+            for key in fn.lowered]
 
 
 def store_keys() -> list:
@@ -163,10 +163,9 @@ def test_store_holds_only_prelude_work(cold_prelude):
     assert all(key in store.decls for key in store.checked)
     assert all(decl in store.decls for _, decl in store.instances)
     assert all(fn.kept and all(map(store.holds, fn.targs))
-               for fn, _, _, _ in store.instances.values())
+               for fn in store.instances.values())
     assert len(store.verdicts) == 5
-    assert all(result.task.startswith("prelude::")
-               for result, _ in store.verdicts.values())
+    assert all(result.task.startswith("prelude::") for result in store.verdicts.values())
     named = re.compile(r"(?<![\w:])(" + "|".join(map(re.escape, user_modules))
                        + r")::")
     assert not [key for key in store_keys() if named.search(repr(key))]
@@ -294,8 +293,8 @@ def test_runs_on_threads_share_the_store(cold_prelude, monkeypatch):
     assert errors == []
     assert [got[i] for i in range(len(programs))] == [[w, w] for w in want * 3]
     store = prelude_store()
-    assert all(sym in store.keys for _, demands, _, _ in store.instances.values()
-               for sym in demands)
+    assert all(sym in store.keys for fn in store.instances.values()
+               for sym in fn.demands)
     assert len(adopted) == 2 * len(programs)
     assert sum(1 for _, keys in adopted if keys) >= len(programs)
     for memo, keys in adopted:
@@ -384,7 +383,7 @@ def record_proved(monkeypatch) -> list:
 
 def kept_tasks() -> set:
     """The tasks whose results the prelude store keeps."""
-    return {result.task for result, _ in prelude_store().verdicts.values()}
+    return {result.task for result in prelude_store().verdicts.values()}
 
 
 def prelude_tasks(run) -> set:
@@ -430,6 +429,33 @@ def test_a_config_field_that_decides_the_outcome_is_part_of_the_key(
         assert (set(proved) == prelude) == proves
         assert not proved or set(proved) == prelude
     assert len(prelude_store().verdicts) == 10
+
+
+def test_a_kept_result_names_only_what_the_store_holds(cold_prelude):
+    """A kept result's key names objects by id: its task's declaration and
+    the facts of each of its contexts. The store's own records hold those
+    objects for as long as the store keeps the key, so no id in a key is
+    reused; and a kept instance is the same record, with the same lowered
+    lists, in every later run."""
+    first = verify_program(load_sources(CORPUS), RunConfig())
+    kept = {sym: (fn, dict(fn.lowered)) for sym, fn in first.program.instances.items()
+            if fn.kept}
+    assert any(lowered for _, lowered in kept.values())
+    for config in (RunConfig(no_default_prelude=True), RunConfig(fuel=2)):
+        verify_program(load_sources(CORPUS), config)
+    store = prelude_store()
+    records = list(store.instances.values())
+    decls = {id(fn.decl) for fn in records}
+    facts = {id(qf) for fn in records for lowered in fn.lowered.values()
+             for qf in lowered}
+    assert len(store.verdicts) == 15
+    for decl, contexts, *_ in store.verdicts:
+        assert decl in decls
+        assert all(fact in facts for context in contexts for fact in context)
+    again = verify_program(load_sources(CORPUS), RunConfig()).program.instances
+    for sym, (fn, lowered) in kept.items():
+        assert again[sym] is fn, sym
+        assert all(fn.lowered[key] is facts for key, facts in lowered.items()), sym
 
 
 def test_a_context_with_a_user_sort_instance_is_proved_again(cold_prelude,
@@ -497,8 +523,8 @@ def test_forked_runs_keep_what_the_workers_prove(cold_prelude, monkeypatch):
     no prelude task."""
     run = verify_program(load_sources(CORPUS), RunConfig(jobs=2))
     assert kept_tasks() == prelude_tasks(run)
-    assert all(run.results[t] is result for result, _ in prelude_store().verdicts.values()
-               for t in [result.task])
+    assert all(run.results[result.task] is result
+               for result in prelude_store().verdicts.values())
     proved = record_proved(monkeypatch)
     again = verify_program(load_sources(CORPUS), RunConfig())
     assert not set(proved) & prelude_tasks(run)

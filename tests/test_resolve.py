@@ -392,6 +392,24 @@ def test_trigger_mark_placement(decl, misplaced):
         rp(("m", MARK_DECLS + decl))
 
 
+def test_a_module_name_may_contain_the_path_separator():
+    """A declaration's module is its path up to the last `::`, never the
+    first: `m::x::f` is in module `m::x` and sees its `broadcast use`, while
+    proof fn `m::x` is in module `m`, which imports nothing."""
+    m = parse_module("""
+spec fn g(i: int) -> bool;
+broadcast axiom fn ax(i: int) ensures #[trigger] g(i);
+proof fn x(k: int) ensures g(k) { }
+""", "m.tv", module="m")
+    mx = parse_module("""
+broadcast use {m::ax};
+proof fn f(k: int) ensures m::g(k) { }
+""", "m_x.tv", module="m::x")
+    run = verify_program([m, mx], RunConfig())
+    assert {t: run.results[t].status for t in run.user_tasks} == {
+        "m::x": "failed", "m::x::f": "verified"}
+
+
 def test_generic_lemma_gets_skolem_verification_instance():
     src = SEQ_STUB.replace("broadcast axiom fn lemma_seq_contains_after_push",
                            "broadcast proof fn lemma_seq_contains_after_push")
@@ -588,7 +606,7 @@ def test_liveness_caps_are_named_on_the_program():
 
 
 def test_a_spec_instance_demands_the_callees_of_its_body():
-    """vcgen reads a spec fn's callees off `Program.demands`: for every spec
+    """vcgen reads a spec fn's callees off `MonoFn.demands`: for every spec
     instance of the corpus and the prelude, its demanded symbols are the
     symbols its body calls."""
     program, _ = resolve_with_prelude(load_sources(CORPUS))
@@ -598,7 +616,7 @@ def test_a_spec_instance_demands_the_callees_of_its_body():
         body = fn.decl.body
         calls = set() if body is None else {
             c.resolved for c in walk_exprs(body) if isinstance(c, Call) and c.resolved}
-        assert sorted(set(program.demands[fn.symbol])) == sorted(calls), fn.symbol
+        assert sorted(set(fn.demands)) == sorted(calls), fn.symbol
 
 
 GENERIC_WITNESS = """

@@ -23,7 +23,7 @@ from test_resolve import liveness_digest
 
 from tunav.driver import resolve_with_prelude
 from tunav.prelude import load_prelude
-from tunav.resolve import ResolveMemo
+from tunav.resolve import ResolveMemo, module_of
 from tunav.syntax import parse_module
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -42,7 +42,7 @@ def corpus_texts() -> dict[str, str]:
 def demands_of(memo: ResolveMemo, program, sym: str) -> tuple[str, ...]:
     """The symbols instance `sym` demands, in order, as the memo recorded."""
     fn = program.instances[sym]
-    return memo.instances[sym, id(program.symbols[fn.decl_path])][1]
+    return memo.instances[sym, id(program.symbols[fn.decl_path])].demands
 
 
 def dump_corpus() -> list[str]:
@@ -55,10 +55,10 @@ def dump_corpus() -> list[str]:
     for sym, fn in program.instances.items():
         out.append(f"instance {sym}")
         out.append(f" targs [{', '.join(t.render() for t in fn.targs)}]"
-                   f" kind={fn.kind} module={fn.module}")
+                   f" kind={fn.kind} module={module_of(fn.decl_path)}")
         out.append(f" uses [{', '.join(fn.uses)}]")
         out.append(f" demands [{', '.join(demands_of(memo, program, sym))}]")
-        dump_node(fn.decl, files[fn.module], " ", out)
+        dump_node(fn.decl, files[module_of(fn.decl_path)], " ", out)
     return out
 
 
