@@ -59,8 +59,9 @@ def add_run_flags(p: argparse.ArgumentParser):
                    help="import this broadcast group/fact into every module "
                         "(repeatable)")
     p.add_argument("--jobs", type=int_at_least(1), default=1,
-                   help="worker processes, forked after resolve, that take "
-                        "tasks in order as each becomes free; results equal "
+                   help="processes that prove tasks: this one and JOBS-1 "
+                        "workers forked after resolve, each taking the next "
+                        "task in order as it becomes free; results equal "
                         "--jobs 1")
     p.add_argument("--no-timing", action="store_true",
                    help="zero out timing fields (for byte-stable output)")

@@ -9,14 +9,16 @@ parent reads and fills the store; workers only prove. The store keeps the
 prelude's resolve, and the results of the prelude's tasks, for the life of
 the process.
 
-With `jobs` > 1 and two or more misses, the parent lowers the prelude's
-facts and forks up to `jobs` workers, one per miss at most, which inherit
-the resolved program, those facts and the obligations the parent made.
-Each worker claims the next miss of the whole order from a shared counter,
-so there is no barrier between task layers: a task reads no other task's
-result. At the end each worker sends one pickle of its results, and the
-parent puts them in task order, so a run's results and errors equal those
-of jobs=1.
+With `jobs` > 1 and two or more misses, the misses are proved in up to
+`jobs` processes, one per miss at most: this one and `jobs - 1` forked
+workers; the parent proves too. Before the fork the parent lowers the
+prelude's facts, so the workers inherit the resolved program, those facts
+and the obligations the parent made. Each process claims the next miss of
+the whole order from a shared counter, so there is no barrier between task
+layers: a task reads no other task's result. When the counter passes the
+end, each worker sends one pickle of its results; the parent keeps its own
+as they are and puts all of them in task order, so a run's results and
+errors equal those of jobs=1.
 
 Inside `shared_runs()`, the runs of the calling thread also share one
 `ResolveMemo` for the rest; each run's results equal those of a run outside
@@ -231,36 +233,45 @@ def _lower_kept_facts(run: VcgenRun):
                 run.facts_of(inst)
 
 
+def _claim(todo: list[str], verify: Callable[[str], FunctionResult], lock,
+           claimed) -> tuple[list[tuple[int, FunctionResult]], tuple | None]:
+    """`verify` the task at each index this process claims from the shared
+    counter until the counter passes the end. Return `(pairs, error)`:
+    `pairs` holds `(index, result)` for every task verified. If a task
+    raised, `pairs` is empty, `error` is `(index, exception)` and the counter
+    is stopped, so that no process claims another task."""
+    pairs: list[tuple[int, FunctionResult]] = []
+    while True:
+        with lock:
+            i = claimed.value
+            claimed.value = i + 1
+        if i >= len(todo):
+            return pairs, None
+        try:
+            pairs.append((i, verify(todo[i])))
+        except Exception as e:
+            with lock:
+                claimed.value = len(todo)
+            return [], (i, e)
+
+
 def _work(todo: list[str], verify: Callable[[str], FunctionResult], lock,
           claimed, out_fd: int) -> NoReturn:
-    """The life of a forked worker: `verify` the task at each index it claims
-    from the shared counter until the counter passes the end, then write one
-    pickle of `(pairs, error)` to `out_fd` and leave with `os._exit`, which
-    neither returns into the caller's frames nor flushes the stdio buffers
-    inherited from the parent. `pairs` holds `(index, result)` for every task
-    verified; if a task raised, `pairs` is empty, `error` is that task's
-    `(index, exception, formatted traceback)` and the counter is stopped."""
+    """The life of a forked worker: run `_claim`, then write one pickle of
+    `(pairs, error)` to `out_fd`, with the formatted traceback added to
+    `error`, and leave with `os._exit`, which neither returns into the
+    caller's frames nor flushes the stdio buffers inherited from the
+    parent."""
     import pickle
 
     code = 1
     try:
-        pairs: list[tuple[int, FunctionResult]] = []
-        error = None
-        while True:
-            with lock:
-                i = claimed.value
-                claimed.value = i + 1
-            if i >= len(todo):
-                break
-            try:
-                pairs.append((i, verify(todo[i])))
-            except Exception as e:
-                import traceback
+        pairs, error = _claim(todo, verify, lock, claimed)
+        if error is not None:
+            import traceback
 
-                with lock:
-                    claimed.value = len(todo)
-                pairs, error = [], (i, e, traceback.format_exc())
-                break
+            i, e = error
+            error = (i, e, "".join(traceback.format_exception(e)))
         with open(out_fd, "wb") as out:
             pickle.dump((pairs, error), out, pickle.HIGHEST_PROTOCOL)
         code = 0
@@ -308,13 +319,16 @@ def _join(pipes: dict[int, int]) -> list[tuple]:
 
 def _fork_join(todo: list[str], workers: int,
                verify: Callable[[str], FunctionResult]) -> list[FunctionResult]:
-    """`verify` each task of `todo` in `workers` processes forked from this
-    one and return the results in `todo` order, equal to those of a serial
-    run. Each worker claims the next index from a shared counter, so no task
-    waits for any other. If tasks raised, the error of the lowest failing
-    index, the one a serial run raises, is re-raised with the worker's
-    traceback as its cause. No worker outlives the call: if the wait is cut short, the workers
-    left are killed and reaped."""
+    """`verify` each task of `todo` in `workers` processes, this one and
+    `workers - 1` forked from it, and return the results in `todo` order,
+    equal to those of a serial run. Each process claims the next index from
+    a shared counter (`_claim`), so no task waits for any other; this one
+    joins the workers once the counter has passed the end, and its own
+    results are never pickled. If tasks raised, the error of the lowest
+    failing index, the one a serial run raises, is re-raised: as it was
+    raised, if this process raised it, else with the worker's traceback as
+    its cause. No worker outlives the call: if this process's share or its
+    wait is cut short, the workers left are killed and reaped."""
     import multiprocessing
     import signal
 
@@ -322,7 +336,7 @@ def _fork_join(todo: list[str], workers: int,
     lock, claimed = ctx.Lock(), ctx.RawValue("q", 0)
     pipes: dict[int, int] = {}  # read end of each unreaped worker's pipe -> pid
     try:
-        for _ in range(workers):
+        for _ in range(workers - 1):
             r, w = os.pipe()
             try:
                 pid = os.fork()
@@ -334,6 +348,7 @@ def _fork_join(todo: list[str], workers: int,
                 _work(todo, verify, lock, claimed, w)
             os.close(w)  # so that EOF on `r` means the worker has exited
             pipes[r] = pid
+        own, own_error = _claim(todo, verify, lock, claimed)
         payloads = _join(pipes)
     finally:
         for r, pid in pipes.items():
@@ -341,15 +356,19 @@ def _fork_join(todo: list[str], workers: int,
             with contextlib.suppress(ProcessLookupError, ChildProcessError):
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
+    if own_error is not None:
+        own_error = (*own_error, None)  # no traceback: raised here
     results: list[FunctionResult] = [None] * len(todo)
     errors = []
-    for pairs, error in payloads:
+    for pairs, error in [(own, own_error), *payloads]:
         for i, result in pairs:
             results[i] = result
         if error is not None:
             errors.append(error)
     if errors:
         _, e, tb = min(errors, key=lambda error: error[0])
+        if tb is None:
+            raise e
         raise e from WorkerTraceback(tb)
     return results
 
@@ -359,13 +378,14 @@ def _verify_tasks(todo: list[str], workers: int,
     """Verify `todo` in order, as every run does, with results and errors
     that do not depend on `workers`. Step 1 looks up in the prelude store
     each task whose instance it keeps, which makes that task's obligations.
-    Step 2 proves the misses: in up to `workers` processes forked after the
-    kept facts are lowered here, if two or more are left and fork is safe,
-    else here. Step 3 keeps each result under its key from step 1, unless
-    the time budget ended one of its outcomes, and the first one wins. The
-    entry is only the result: the objects whose ids the key holds are the
-    store's own (`_verdict_key`). So only this process reads and fills the
-    store, and no worker makes again the obligations made here."""
+    Step 2 proves the misses: if two or more are left and fork is safe, in
+    up to `workers` processes, this one and the rest forked after the kept
+    facts are lowered here (`_fork_join`), else here alone. Step 3 keeps
+    each result under its key from step 1, unless the time budget ended one
+    of its outcomes, and the first one wins. The entry is only the result:
+    the objects whose ids the key holds are the store's own
+    (`_verdict_key`). So only this process reads and fills the store, and
+    no process makes again the obligations made here."""
     verdicts = prelude_store().verdicts
     done: dict[str, FunctionResult] = {}
     made = {}  # miss -> (its obligations, ms spent making them)
@@ -407,9 +427,10 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
                    tasks: list[str] | None = None) -> VerifyRun:
     """Resolve the program and verify the selected tasks (all by default) in
     dependency order (`_verify_tasks`). With `config.jobs` > 1, up to `jobs`
-    worker processes forked after resolve prove those whose results the
-    prelude store does not hold, with results and errors equal to those of
-    jobs=1. Where fork is unavailable or unsafe, the run is serial."""
+    processes, this one and workers forked after resolve, prove those whose
+    results the prelude store does not hold, with results and errors equal
+    to those of jobs=1. Where fork is unavailable or unsafe, the run is
+    serial."""
     program, registry = resolve_with_prelude(user_asts, _shared.get())
     order = order_tasks(program, registry, config.ambient)
     user_modules = {a.module for a in user_asts}

@@ -26,6 +26,7 @@ ARITH_TRIGGER_OPS = ("+", "-", "*")
 
 CONSERVATIVE = "conservative"
 ALL_TRIGGERS = "all_triggers"
+STRATEGIES = (CONSERVATIVE, ALL_TRIGGERS)  # a run's choices
 MANUAL = "manual"
 
 
@@ -271,7 +272,7 @@ def infer_triggers(q: Quantifier, strategy: str) -> TriggerSelection:
             # Binders used under both arithmetic and call candidates: stay
             # conservative for this quantifier.
             strategy, fell_back = CONSERVATIVE, True
-        elif strategy not in (CONSERVATIVE, ALL_TRIGGERS):
+        elif strategy not in STRATEGIES:
             raise TriggerError(f"unknown trigger strategy {strategy!r}")
         # The candidates covering every binder alone, else the smallest
         # covering sets; the earlier coverage check makes the latter nonempty.

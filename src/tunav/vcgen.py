@@ -72,6 +72,16 @@ class RunConfig:
     jobs: int = 1
     no_timing: bool = False
 
+    def __post_init__(self):
+        # checked here, so that a bad value fails before any work
+        if self.strategy not in trig.STRATEGIES:
+            raise TunavError(f"RunConfig.strategy: unknown trigger strategy "
+                             f"{self.strategy!r}, not one of {trig.STRATEGIES}")
+        if self.jobs < 1:
+            raise TunavError(f"RunConfig.jobs must be at least 1, not {self.jobs}")
+        if self.fuel < 0:
+            raise TunavError(f"RunConfig.fuel must be at least 0, not {self.fuel}")
+
 
 @dataclass
 class QuantifiedFact:

@@ -1,6 +1,7 @@
 """Corpus-wide invariants: parse/render round-trips, group-import flattening
 equivalence, and the usage-report-driven import-trimming workflow."""
 
+import dataclasses
 import glob
 import os
 from pathlib import Path
@@ -11,7 +12,7 @@ from tunav.driver import RunConfig, load_sources, report_usage, verify_program
 from tunav.engine.arith import check_constraints, row
 from tunav.syntax import parse_module, render_module
 from tunav.syntax.ast import ProofFn, UseStmt, walk_stmts
-from tunav.vcgen import VcgenRun, generate_obligations
+from tunav.vcgen import FactContext, VcgenRun, generate_obligations, prove_obligation
 
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
 
@@ -79,6 +80,32 @@ def test_usage_report_trim_workflow():
                                         if f in used[task]])
     rerun = verify_program(asts, RunConfig())
     assert all(rerun.results[t].passed for t in rerun.user_tasks)
+
+
+def test_used_cores_are_complete():
+    """Every verified corpus obligation verifies again from its own used
+    core alone: the goal, the hypotheses whose origins are in the core and
+    the facts whose declarations are. `criterion_05` keeps every hypothesis;
+    this drops both, so an explanation that misses an origin shows here."""
+    config = RunConfig()
+    run = verify_program(load_sources(CORPUS), config)
+    vcgen_run = VcgenRun(run.program, run.registry, config)
+    proved = dropped_hyps = dropped_facts = 0
+    for task in run.order.tasks:
+        obs = generate_obligations(task, vcgen_run)
+        for ob, (site, out) in zip(obs, run.results[task].obligations, strict=True):
+            assert ob.site == site and out.verified, f"{task} at {site.describe()}"
+            paths = {o.path for o in out.used_core}
+            ground = [g for g in ob.context.ground if g[1] in out.used_core]
+            facts = [qf for qf in ob.context.facts if qf.origin.path in paths]
+            core = FactContext(ground, facts, {qf.key: qf for qf in facts})
+            again = prove_obligation(dataclasses.replace(ob, context=core), config.limits)
+            assert again.verified, f"the core alone of {task} at {site.describe()}"
+            proved += 1
+            dropped_hyps += len(ob.context.ground) - len(ground)
+            dropped_facts += len(ob.context.facts) - len(facts)
+    assert proved == 176
+    assert dropped_hyps and dropped_facts
 
 
 def test_assemble_context_examples():

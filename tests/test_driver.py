@@ -3,6 +3,7 @@ import glob
 import os
 import random
 import re
+import select
 import signal
 import subprocess
 import sys
@@ -256,8 +257,9 @@ def _run_counts(run):
 
 
 def test_parallel_statuses_match_sequential():
-    """jobs must not change what a run decides or reports: forked workers
-    return the results a serial run computes."""
+    """jobs must not change what a run decides or reports: the `jobs`
+    processes, the parent and `jobs - 1` forked workers, each proving a
+    share, return together the results a serial run computes."""
     asts = load_sources(CORPUS)
     seq = verify_program(asts, RunConfig(jobs=1))
     for jobs in (2, 8):
@@ -364,6 +366,47 @@ def _assert_no_worker_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+class _Gate:
+    """A one-shot signal that forked workers inherit: once any process has
+    opened it, `wait` returns at once in every process. A wait that is never
+    opened gives up after `timeout` seconds, so no worker hangs."""
+
+    def __init__(self):
+        self.r, self.w = os.pipe()
+
+    def open(self):
+        os.write(self.w, b"x")
+
+    def wait(self, timeout=30):
+        select.select([self.r], [], [], timeout)
+
+
+@pytest.fixture
+def gates():
+    """Makes `_Gate`s, closed at the end of the test."""
+    made = []
+
+    def gate():
+        made.append(_Gate())
+        return made[-1]
+
+    yield gate
+    for g in made:
+        os.close(g.r)
+        os.close(g.w)
+
+
+def _start_workers_at(gate, monkeypatch):
+    """Forked workers claim no task until `gate` is open."""
+    work = driver._work
+
+    def gated(*args):
+        gate.wait()
+        work(*args)
+
+    monkeypatch.setattr(driver, "_work", gated)
+
+
 @pytest.fixture
 def fork_joins(monkeypatch):
     """Stands in for the driver's fork-join: records the worker count of
@@ -379,9 +422,10 @@ def fork_joins(monkeypatch):
 
 
 def test_workers_sized_by_jobs_and_tasks(fork_joins, cold_prelude):
-    """One worker per task the prelude store does not hold, up to `jobs`:
-    a cold run sends every task to the workers, a warm one all but the
-    prelude's, whose results the first run kept."""
+    """One proving process, the parent or a forked worker, per task the
+    prelude store does not hold, up to `jobs`: a cold run proves every task
+    there, a warm one all but the prelude's, whose results the first run
+    kept."""
     run = verify_program(load_sources(CORPUS), RunConfig(jobs=10_000))
     assert run.all_verified
     assert fork_joins == [len(run.order.tasks)]
@@ -396,21 +440,31 @@ def test_workers_sized_by_jobs_and_tasks(fork_joins, cold_prelude):
 
 
 def test_a_forked_run_makes_each_tasks_obligations_once(tmp_path, monkeypatch,
-                                                        cold_prelude):
+                                                        cold_prelude, gates):
     """A cold jobs=2 run makes each task's obligations once: the parent
     makes those of the tasks the prelude store keeps, to look them up, and
-    the workers prove those without making them again."""
+    no process makes them again when it proves them. The worker starts
+    claiming once the parent is making a user task's obligations, and the
+    parent goes on once the worker is making one, so both prove some."""
     path = tmp_path / "made"
     log = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
     parent = os.getpid()
     generate = driver.generate_obligations
+    start, handoff = gates(), gates()
 
     def recording(task, run):
-        os.write(log, f"{task} {'parent' if os.getpid() == parent else 'worker'}\n"
-                 .encode())
+        here = os.getpid() == parent
+        os.write(log, f"{task} {'parent' if here else 'worker'}\n".encode())
+        if not run.program.verify_instance(task).kept:
+            if here:
+                start.open()
+                handoff.wait()
+            else:
+                handoff.open()
         return generate(task, run)
 
     monkeypatch.setattr(driver, "generate_obligations", recording)
+    _start_workers_at(start, monkeypatch)
     try:
         run = verify_program(load_sources(CORPUS), RunConfig(jobs=2))
     finally:
@@ -418,7 +472,9 @@ def test_a_forked_run_makes_each_tasks_obligations_once(tmp_path, monkeypatch,
     assert run.all_verified
     made = [line.split() for line in path.read_text().splitlines()]
     assert sorted(task for task, _ in made) == sorted(run.order.tasks)
-    assert {task for task, where in made if where == "worker"} == set(run.user_tasks)
+    user = set(run.user_tasks)
+    assert all(where == "parent" for task, where in made if task not in user)
+    assert {where for task, where in made if task in user} == {"parent", "worker"}
 
 
 def test_a_single_task_left_to_prove_forks_no_worker(fork_joins, cold_prelude):
@@ -483,32 +539,52 @@ def test_pool_shut_down_when_a_task_raises():
     _assert_no_worker_left()
 
 
-@pytest.mark.parametrize("src, error, line", [
-    (TRIGGERLESS, TriggerError, None),
-    (NO_ENSURES, TunavError, 2),
-    (TWO_RAISE, TunavError, 3),
+@pytest.mark.parametrize("claimer", ["parent", "worker"])
+@pytest.mark.parametrize("src, error, line, failing", [
+    (TRIGGERLESS, TriggerError, None, "user::no_trigger"),
+    (NO_ENSURES, TunavError, 2, "user::fine"),
+    (TWO_RAISE, TunavError, 3, "user::early"),
 ])
-def test_worker_errors_surface_unchanged(src, error, line, monkeypatch):
-    """An error raised in a worker process reaches the caller as it would
-    at jobs=1: same type, message and span. Where two tasks raise, the error
-    of the earlier task in order surfaces, though `user::early` is delayed
-    so that at jobs=2 `user::late` raises first."""
+def test_worker_errors_surface_unchanged(src, error, line, failing, claimer,
+                                         monkeypatch, gates):
+    """An error raised at jobs=2 reaches the caller as it would at jobs=1:
+    same type, message, span and text, whichever process claims `failing`,
+    the earliest task in order that raises. From a worker, it carries the
+    worker's traceback as its cause. With "parent", the worker starts
+    claiming once the parent has claimed `failing`; with "worker", the
+    parent's first task waits until the worker has claimed it. Where two
+    tasks raise, the error of the earlier one surfaces, though
+    `user::early` is delayed so that `user::late` raises first."""
+    with pytest.raises(error) as exc:
+        run_src(src, RunConfig(jobs=1))
+    serial = exc.value
+    parent = os.getpid()
     verify_task = driver.verify_task
+    start, handoff = gates(), gates()
 
     def delayed(task, *args):
+        here = os.getpid() == parent
+        if claimer == "parent" and here and task == failing:
+            start.open()
+        elif claimer == "worker" and here:
+            start.open()
+            handoff.wait()
+        elif claimer == "worker" and task == failing:
+            handoff.open()
         if task == "user::early":
             time.sleep(0.2)
         return verify_task(task, *args)
 
     monkeypatch.setattr(driver, "verify_task", delayed)
-    errors = []
-    for jobs in (1, 2):
-        with pytest.raises(error) as exc:
-            run_src(src, RunConfig(jobs=jobs))
-        errors.append(exc.value)
-    serial, forked = errors
-    assert isinstance(forked.__cause__, driver.WorkerTraceback)
-    assert "Traceback" in str(forked.__cause__)
+    _start_workers_at(start, monkeypatch)
+    with pytest.raises(error) as exc:
+        run_src(src, RunConfig(jobs=2))
+    forked = exc.value
+    if claimer == "worker":
+        assert isinstance(forked.__cause__, driver.WorkerTraceback)
+        assert "Traceback" in str(forked.__cause__)
+    else:
+        assert type(forked.__cause__) is type(serial.__cause__)
     assert type(forked) is type(serial)
     assert (forked.message, forked.span) == (serial.message, serial.span)
     assert (forked.span and forked.span.line) == line
@@ -521,20 +597,25 @@ def test_worker_errors_surface_unchanged(src, error, line, monkeypatch):
     (lambda: os._exit(3), "exited with code 3 without writing its results"),
     (lambda: os._exit(0), "exited with code 0 without writing its results"),
 ])
-def test_a_dead_worker_is_an_error(death, message, monkeypatch):
-    """A worker that dies, in a forked child only, makes the run raise a
-    TunavError naming the signal or exit code; every worker is reaped."""
+def test_a_dead_worker_is_an_error(death, message, monkeypatch, gates):
+    """A worker that dies makes the run raise a TunavError naming the signal
+    or exit code; every worker is reaped. The worker dies on the first task
+    it claims, and the parent's tasks wait until it has claimed one."""
+    src = TRIGGERLESS.replace("forall|i: int| i == i", "x > 0")
+    assert run_src(src, RunConfig(jobs=1)).all_verified
     parent = os.getpid()
     verify_task = driver.verify_task
+    claimed = gates()
 
     def dying(task, *args):
-        if task == "user::also_fine" and os.getpid() != parent:
+        if os.getpid() == parent:
+            claimed.wait()
+        else:
+            claimed.open()
             death()
         return verify_task(task, *args)
 
     monkeypatch.setattr(driver, "verify_task", dying)
-    src = TRIGGERLESS.replace("forall|i: int| i == i", "x > 0")
-    assert run_src(src, RunConfig(jobs=1)).all_verified
     with pytest.raises(TunavError, match=message):
         run_src(src, RunConfig(jobs=2))
     _assert_no_worker_left()
@@ -558,6 +639,29 @@ def test_interrupted_wait_kills_and_reaps_workers(monkeypatch):
 
     monkeypatch.setattr(driver, "verify_task", slow)
     monkeypatch.setattr(driver, "_join", interrupted)
+    t0 = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        run_src(TRIGGERLESS.replace("forall|i: int| i == i", "x > 0"), RunConfig(jobs=2))
+    assert time.monotonic() - t0 < 10
+    _assert_no_worker_left()
+
+
+def test_an_interrupted_share_kills_and_reaps_workers(monkeypatch, gates):
+    """If the parent is interrupted while it proves its own share, it kills
+    and reaps its workers before the interruption propagates: it does not
+    wait for a worker whose task takes a minute."""
+    parent = os.getpid()
+    verify_task = driver.verify_task
+    claimed = gates()
+
+    def interrupted(task, *args):
+        if os.getpid() != parent:
+            claimed.open()
+            time.sleep(60)
+        claimed.wait()
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(driver, "verify_task", interrupted)
     t0 = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
         run_src(TRIGGERLESS.replace("forall|i: int| i == i", "x > 0"), RunConfig(jobs=2))

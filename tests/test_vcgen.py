@@ -5,6 +5,7 @@ import pytest
 
 from tunav.driver import RunConfig, load_sources, resolve_with_prelude
 from tunav.engine.prover import Limits
+from tunav.errors import TunavError
 from tunav.resolve import skolem
 from tunav.syntax import parse_module
 from tunav.syntax.ast import BinOp, Binder, Call, Forall, SourceSpan, Type, Var
@@ -34,6 +35,32 @@ def prove_task(src: str, task: str, config: RunConfig = RunConfig(),
     program, registry = program_of(src)
     obs = generate_obligations(f"user::{task}", VcgenRun(program, registry, config))
     return [prove_obligation(ob, limits) for ob in obs], obs
+
+
+# -- config -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("strategy", ["all-triggers", "eager", ""])
+def test_run_config_rejects_an_unknown_strategy(strategy):
+    """An unknown strategy, the CLI's spelling "all-triggers" included, fails
+    when the config is made, not when a quantifier first needs triggers."""
+    with pytest.raises(TunavError, match=r"RunConfig\.strategy: unknown trigger strategy"):
+        RunConfig(strategy=strategy)
+    for known in (trig.CONSERVATIVE, trig.ALL_TRIGGERS):
+        assert RunConfig(strategy=known).strategy == known
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_run_config_rejects_jobs_below_one(jobs):
+    with pytest.raises(TunavError, match=rf"RunConfig\.jobs must be at least 1, not {jobs}"):
+        RunConfig(jobs=jobs)
+    assert RunConfig(jobs=1).jobs == 1
+
+
+def test_run_config_rejects_negative_fuel():
+    with pytest.raises(TunavError, match=r"RunConfig\.fuel must be at least 0, not -1"):
+        RunConfig(fuel=-1)
+    assert RunConfig(fuel=0).fuel == 0
 
 
 # -- lowering -------------------------------------------------------------------
