@@ -138,27 +138,24 @@ def check_constraints(rows: list[tuple[dict[int, int], int, int]]) -> ArithResul
 
     # eliminate variables, fewest (uppers * lowers) first, least id on ties
     work = rows
+    counts = _counts(work)
     eliminated = 0
     while True:
-        counts: dict[int, list[int]] = {}  # variable -> [uppers, lowers]
-        for coeffs, _, _ in work:
-            for v, k in coeffs.items():
-                n = counts.get(v)
-                if n is None:
-                    n = counts[v] = [0, 0]
-                if k > 0:
-                    n[0] += 1
-                elif k < 0:
-                    n[1] += 1
         if not counts:
             return ArithResult(CONSISTENT, equalities=equalities)
         if eliminated >= ELIM_CAP or len(work) > CONSTRAINT_CAP:
             return ArithResult(UNKNOWN, equalities=equalities)
         cost = var = None
+        one_sided = []
         for v, (ups, downs) in counts.items():
             c = ups * downs
-            if cost is None or c < cost or (c == cost and v < var):
+            if not c:
+                one_sided.append(v)
+            elif cost is None or c < cost or (c == cost and v < var):
                 cost, var = c, v
+        if one_sided:
+            work = _drop(work, counts, one_sided)
+            continue
         uppers = []
         lowers = []
         rest = []
@@ -190,8 +187,43 @@ def check_constraints(rows: list[tuple[dict[int, int], int, int]]) -> ArithResul
                     continue
                 rest.append(row(coeffs, const, usrc | lsrc))
         work = rest
-        if cost:
-            eliminated += 1
+        counts = _counts(work)
+        eliminated += 1
+
+
+def _counts(work: list) -> dict[int, list[int]]:
+    """Variable -> [uppers, lowers]: how many rows of `work` bound it from
+    above and from below."""
+    counts: dict[int, list[int]] = {}
+    for coeffs, _, _ in work:
+        for v, k in coeffs.items():
+            n = counts.get(v)
+            if n is None:
+                n = counts[v] = [0, 0]
+            n[k < 0] += 1
+    return counts
+
+
+def _drop(work: list, counts: dict[int, list[int]], one_sided: list[int]) -> list:
+    """Drop the variables `one_sided`, which have only upper or only lower
+    bounds, and all their rows from `work` in one pass, taking those rows
+    out of `counts` too. A drop combines nothing, and it only lowers
+    counts, so the rows left once no variable is one-sided are the same in
+    any order of drops."""
+    for v in one_sided:
+        del counts[v]
+    dropped = set(one_sided)
+    keep = []
+    for r in work:
+        coeffs = r[0]
+        if dropped.isdisjoint(coeffs):
+            keep.append(r)
+            continue
+        for v, k in coeffs.items():
+            n = counts.get(v)
+            if n is not None:
+                n[k < 0] -= 1
+    return keep
 
 
 def _direct_equalities(rows: list[tuple[dict[int, int], int, int]]

@@ -1,17 +1,48 @@
 """Token positions and the spans of parse errors, pinned exactly: `line` is
 1-based and counts `\\n` only, `col` is 1-based and counts characters (a tab
-or a `\\r` is one), and the `eof` token sits at the end of the source."""
+or a `\\r` is one), and the `eof` token sits at the end of the source. The
+lexer is also checked against a frozen copy of the tokenizer that made one
+object per token, on seeded random sources."""
+
+import random
+import re
 
 import pytest
 
 from tunav.errors import ParseError
 from tunav.syntax import SourceSpan, parse_module
-from tunav.syntax.lexer import tokenize
+from tunav.syntax.lexer import (
+    ALL_TRIGGERS_ATTR,
+    KEYWORDS,
+    PUNCT,
+    TRIGGER_ATTR,
+    position,
+    tokenize,
+)
+
+
+def kind(key, text: str) -> str:
+    """A token's kind, from its match key or its first character."""
+    if key in KEYWORDS:
+        return "kw"
+    if key in PUNCT:
+        return "punct"
+    if key is not None:
+        return "attr"
+    if not text:
+        return "eof"
+    return "int" if "0" <= text[0] <= "9" else "ident"
+
+
+def tokens(source: str) -> list[tuple]:
+    """(kind, text, start, end, line, col, key) of each token."""
+    keys, texts, starts, ends, newlines = tokenize(source, "t.tv")
+    return [(kind(key, text), text, start, end, *position(newlines, start), key)
+            for key, text, start, end in zip(keys, texts, starts, ends)]
 
 
 def positions(source: str) -> list[tuple]:
-    return [(t.kind, t.text, t.start, t.end, t.line, t.col)
-            for t in tokenize(source, "t.tv")]
+    return [t[:6] for t in tokens(source)]
 
 
 def error_span(source: str) -> tuple[str, SourceSpan]:
@@ -75,9 +106,9 @@ def test_comment_at_end_of_file_without_newline():
     ("\t", (1, 1, 1, 2)),
 ])
 def test_eof_token_position(source, eof):
-    t = tokenize(source, "t.tv")[-1]
-    assert (t.kind, t.text) == ("eof", "")
-    assert (t.start, t.end, t.line, t.col) == eof
+    t = positions(source)[-1]
+    assert t[:2] == ("eof", "")
+    assert t[2:] == eof
 
 
 @pytest.mark.parametrize("source, message, span", [
@@ -97,3 +128,91 @@ def test_parse_error_spans(source, message, span):
     assert got_message == message
     assert (got_span.file, got_span.start, got_span.end, got_span.line,
             got_span.col) == ("t.tv", *span)
+
+
+# -- a frozen copy of the tokenizer the lexer must keep agreeing with ---------
+
+
+def _alternatives(texts) -> str:
+    return "|".join(map(re.escape, sorted(texts, key=len, reverse=True)))
+
+
+_REFERENCE_TOKEN = re.compile(
+    r"[ \t\r\n]*(?://[^\n]*[ \t\r\n]*)*(?:"
+    r"(?P<int>[0-9]+)"
+    r"|(?P<kw>(?:" + _alternatives(KEYWORDS) + r")(?!\w))"
+    r"|(?P<ident>[A-Za-z_]\w*)"
+    r"|(?P<uword>\w+)"
+    r"|(?P<punct>" + _alternatives(PUNCT) + ")"
+    r"|(?P<attr>" + _alternatives((ALL_TRIGGERS_ATTR, TRIGGER_ATTR)) + ")"
+    r"|(?P<eof>\Z)"
+    r"|(?P<bad>.))")
+
+
+def reference_tokens(source: str, path: str) -> list[tuple]:
+    """(kind, text, start, end, line, col, key) of each token, as the lexer
+    made them when it built one object per token, counting lines as it
+    went."""
+    tokens = []
+    line = 1
+    line_start = 0  # offset of the first character of `line`
+    prev = 0  # end of the previous token
+    for m in _REFERENCE_TOKEN.finditer(source):
+        kind = m.lastgroup
+        start, end = m.span(kind)
+        if start != prev:
+            nl = source.rfind("\n", prev, start)
+            if nl >= 0:
+                line += source.count("\n", prev, nl + 1)
+                line_start = nl + 1
+        prev = end
+        text = source[start:end]
+        col = start - line_start + 1
+        if kind == "ident" or kind == "int":
+            tokens.append((kind, text, start, end, line, col, None))
+        elif kind == "kw" or kind == "punct" or kind == "attr":
+            tokens.append((kind, text, start, end, line, col, text))
+        elif kind == "uword" and text[0].isalpha():
+            tokens.append(("ident", text, start, end, line, col, None))
+        elif kind == "eof":
+            tokens.append(("eof", "", start, end, line, col, None))
+            break
+        else:
+            message = ("unknown attribute (expected #[trigger] or #![all_triggers])"
+                       if text == "#" else f"unexpected character {text[0]!r}")
+            raise ParseError(message, SourceSpan(path, start, start + 1, line, col))
+    return tokens
+
+
+_PIECES = (
+    [*"abcxyzABCXYZ0123456789_", "é", "²", "٣", *PUNCT, TRIGGER_ATTR, ALL_TRIGGERS_ATTR,
+     "#", "$", "// note", "\t", "\r", "\n", " ", "12abc", "0x1", "a1", "xé²", *KEYWORDS])
+# characters that start no token, drawn less often so most sources lex whole
+_RARE = {"²", "٣", "#", "$"}
+_WEIGHTS = [10 if p in _RARE else 20 for p in _PIECES]
+
+
+def random_source(rng: random.Random) -> str:
+    source = "".join(rng.choices(_PIECES, _WEIGHTS, k=rng.randrange(40)))
+    if rng.random() < 0.2:
+        source += "// to the end, no newline"
+    return source
+
+
+def outcome(tokenizer, source: str):
+    try:
+        return tokenizer(source)
+    except ParseError as e:
+        return ("error", e.message, e.span)
+
+
+def test_lexer_matches_the_frozen_tokenizer():
+    rng = random.Random(2024)
+    errors = 0
+    for _ in range(3000):
+        source = random_source(rng)
+        got = outcome(tokens, source)
+        assert got == outcome(lambda s: reference_tokens(s, "t.tv"), source), source
+        errors += got[0] == "error"
+    # both sides of the comparison are exercised
+    assert 300 < errors < 2700
