@@ -9,12 +9,13 @@ Each trial drops one site from the last accepted program, so it shares every
 other declaration object with it; the pass's runs reuse each other's
 resolution of those (`driver.shared_runs`), and with it the facts lowered
 from their instances, which live in the instances' resolve records until the
-pass ends. A trial's program is patched from the last run's: only the
-function that lost a site is checked and instantiated again, and the last
-task order is kept when no `broadcast use` or lemma call changed. A removal
-that drops a sort or a demanded symbol, or changes the order in which
-resolve first meets the symbols demanded, is resolved afresh instead
-(`resolve._Resolver.patch`)."""
+pass ends. A trial's program is made from the last run's: only the function
+that lost a site is checked again, and the last task order stands when no
+`broadcast use` or lemma call changed. If the removal keeps the sorts and
+the symbols that function demands, and the order in which resolve first
+meets them, the last run's instances stand and only that function's are
+remade; otherwise the memo's records are drained again from the roots
+(`resolve._Resolver.reuse`)."""
 
 from __future__ import annotations
 

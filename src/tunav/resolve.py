@@ -31,18 +31,19 @@ Resolves that share a `ResolveMemo` (the runs of one minimizer pass) do each
 piece of work once: signatures and the registry are resolved once, a
 declaration object is checked once, an instance symbol is rendered once, and
 an instance is made once per declaration object, with the symbols it demands.
-The memo serves only programs whose modules and declaration interfaces equal
-those of the first program it resolved; any other program is resolved
-afresh. A program the memo serves is patched from the last one it resolved
-(`_Resolver.patch`) when every declaration that is not the last program's
-own object is a user fn whose checked tree mentions the same sorts, demands
-the same symbols in the order the drain meets them (`_drained`) and, for a
-spec fn, has a body if the old one had: then the instances, their order,
-the liveness rounds and the spec SCCs are the last program's, and only the
-changed declarations' instances are remade. Otherwise the resolve falls back
-to a reachability pass over the memo's demand edges from the program's
-roots, in a fresh resolve's order, and a semi-naive liveness fixpoint whose
-rounds match only the newly live sorts. Either way every table of the
+A resolve under a memo compares each declaration with the one at its place
+in the last program the memo resolved (`ResolveMemo.changes`). If an
+interface changed (the modules, a declaration that is not a user fn, or a
+fn's kind, name or signature), the program is resolved afresh, under a new
+memo.
+Otherwise only the changed declarations are checked (`_Resolver.reuse`). If
+each checked tree mentions the sorts of the one it replaces, demands the same
+symbols in the order the drain meets them (`_drained`) and, for a spec fn,
+has a body if the old one had, the last program's instances, their order,
+liveness rounds and spec SCCs stand, and only the changed declarations'
+instances are remade. Otherwise the memo's records are drained again from
+the roots, in a fresh resolve's order, with a semi-naive liveness fixpoint
+whose rounds match only the newly live sorts. Either way every table of the
 `Program` equals that of a fresh resolve.
 
 What lives for the process is the prelude's share of that work, in the
@@ -245,8 +246,8 @@ class Program:
     task_symbols: dict[str, str]
     # "rounds" | "combinations" -> the facts whose instances that cap cut short
     liveness_caps: dict[str, list[str]]
-    # ambient -> (registry, `order_tasks`' result): shared with the program a
-    # patch was made from when no proof fn's imports or lemma calls changed
+    # ambient -> (registry, `order_tasks`' result): shared with the memo's
+    # last program when no proof fn's imports or lemma calls changed
     orders: dict[tuple[str, ...], tuple[BroadcastRegistry, TaskOrder]] = field(
         default_factory=dict, repr=False, compare=False)
 
@@ -280,10 +281,6 @@ class ResolveMemo:
     and the resolver adds the prelude work it does to both."""
 
     def __init__(self):
-        # the modules and, per module, the declarations of the last program
-        # admitted, whose interfaces are those of the first
-        self.modules: tuple[str, ...] | None = None
-        self.decls: tuple[tuple[Declaration, ...], ...] = ()
         # id(fn declaration) -> its checked record
         self.checked: dict[int, MonoFn] = {}
         # read off the interfaces once: `resolve_signatures`, the registry
@@ -303,27 +300,26 @@ class ResolveMemo:
         self.instances: dict[tuple[str, int], MonoFn] = {}
         # live sort -> what it binds (`_Resolver.matches`)
         self.matches: dict[Type, tuple[tuple[int, int, Type], ...]] = {}
-        # the prelude store this memo started from
+        # the prelude store this memo started from, once it has
         self.store: PreludeStore | None = None
-        # the declarations of the last program resolved, per module, and
-        # that program, from which the next may be patched (`_Resolver.patch`)
-        self.last: tuple[tuple[tuple[Declaration, ...], ...], Program] | None = None
+        # the last program resolved, (module, declarations) per module, and
+        # the program, from which the next is made (`_Resolver.reuse`)
+        self.last: tuple[tuple, Program] | None = None
 
     def adopt(self, store: PreludeStore):
-        """On the memo's first resolve, start from `store`'s records and
+        """Before the memo's first resolve, start from `store`'s records and
         symbols. The records are copied before the keys, so every copied
         record's demanded symbols have theirs (the store inserts keys first).
         The keys are copied in one step, as another thread's run may insert
         into the store meanwhile; their inverse makes `symbol` return the
         store's own symbol objects."""
-        if self.store is None:
-            self.store = store
-            self.checked.update(store.checked)
-            self.instances.update(store.instances)
-            keys = list(store.keys.items())
-            self.keys.update(keys)
-            self.interned.update((key, sym) for sym, key in keys)
-            self.canonical.update(store.canonical)
+        self.store = store
+        self.checked.update(store.checked)
+        self.instances.update(store.instances)
+        keys = list(store.keys.items())
+        self.keys.update(keys)
+        self.interned.update((key, sym) for sym, key in keys)
+        self.canonical.update(store.canonical)
 
     def symbol(self, path: str, targs: tuple[Type, ...]) -> str:
         """The symbol of the instance of `path` at `targs`."""
@@ -334,21 +330,24 @@ class ResolveMemo:
             self.keys[sym] = key
         return sym
 
-    def admits(self, asts: list[ProgramAst]) -> bool:
-        """Whether `asts` has the modules and declaration interfaces of the
-        first program this memo saw. Only the interfaces of declarations that
-        are not the last admitted program's own are read."""
-        modules = tuple(a.module for a in asts)
-        decls = tuple(tuple(a.declarations) for a in asts)
-        if self.modules is None:
-            self.modules = modules
-        elif modules != self.modules or not all(
-                len(new) == len(old) and all(d is o or _interface(d) == _interface(o)
-                                             for d, o in zip(new, old))
-                for new, old in zip(decls, self.decls)):
-            return False
-        self.decls = decls
-        return True
+    def changes(self, asts: list[ProgramAst]) -> list[
+            tuple[str, Declaration, Declaration]] | None:
+        """Each declaration of `asts` that is not the object at its place in
+        the last program resolved, in source order, with its path and the
+        declaration it replaces; None if there is no last program, or if an
+        interface changed: the modules, a module's number of declarations, a
+        changed declaration that is not a user fn, or a changed fn's
+        `_interface`."""
+        if self.last is None or [(a.module, len(a.declarations)) for a in asts] != [
+                (module, len(olds)) for module, olds in self.last[0]]:
+            return None
+        changed = [(f"{a.module}::{d.name}", d, o)
+                   for a, (_, olds) in zip(asts, self.last[0])
+                   for d, o in zip(a.declarations, olds) if d is not o]
+        if any(module_of(path) in PRELUDE_MODULES or type(d) not in _KINDS
+               or _interface(d) != _interface(o) for path, d, o in changed):
+            return None
+        return changed
 
 
 def skolem(path: str, tp: str) -> Type:
@@ -828,51 +827,47 @@ class _Resolver:
             self.memo.checked[id(d)] = got
         return got
 
-    # -- patching the last program ------------------------------------------------
+    # -- reusing the last program ------------------------------------------------
 
-    def patch(self, last_decls: tuple[tuple[Declaration, ...], ...],
-              last: Program) -> Program | None:
-        """The program of `self.asts` made from `last`, the program of
-        `last_decls`, by remaking only the instances of the declarations
-        that changed; None unless each is a user fn whose checked tree
-        mentions the same sorts, demands the same symbols in the order the
-        drain meets them (`_drained`) and, for a spec fn, has a body if the
-        one it replaces had. Then the instances, their order, the liveness
-        rounds and the spec SCCs are `last`'s, as a fresh resolve would make
-        them. Both programs have the memo's interfaces, so `collect`'s
-        tables are `last`'s but for the changed declarations."""
-        changed = [(a.module, f"{a.module}::{d.name}", d, o)
-                   for a, olds in zip(self.asts, last_decls)
-                   for d, o in zip(a.declarations, olds) if d is not o]
-        if any(not isinstance(d, (SpecFn, ProofFn, AxiomFn))
-               or module in PRELUDE_MODULES for module, _, d, _ in changed):
-            return None
+    def reuse(self, changed: list[tuple[str, Declaration, Declaration]],
+              last: Program) -> Program:
+        """The program of `self.asts` made from `last`, the memo's last
+        program, whose interfaces it has, as the module docstring says:
+        `collect`'s and `check_all`'s tables and the registry are `last`'s
+        but for `changed` (`ResolveMemo.changes`), which are checked in
+        source order, so that a check that fails raises a fresh resolve's
+        error. `last`'s task orders stand when no proof fn's imports or
+        lemma calls changed."""
         self.symbols = dict(last.symbols)
-        self.symbols.update((path, d) for _, path, d, _ in changed)
+        self.symbols.update((path, d) for path, d, _ in changed)
         self.module_names = [a.module for a in self.asts]
+        self.module_uses = last.module_uses
         self.resolve_signatures()
-        memo, same_order = self.memo, True
-        # in source order, so that a check that fails raises a fresh resolve's error
-        for _, path, d, o in changed:
+        memo, kept, same_order = self.memo, True, True
+        for path, d, o in changed:
             now, before = self.check(path, d), memo.checked[id(o)]
-            if (now.sorts != before.sorts
-                    or _drained(now.demands) != _drained(before.demands)
-                    or (isinstance(d, SpecFn) and (d.body is None) != (o.body is None))):
-                return None
+            kept = kept and (
+                now.sorts == before.sorts
+                and _drained(now.demands) == _drained(before.demands)
+                and not (isinstance(d, SpecFn) and (d.body is None) != (o.body is None)))
             same_order &= now.uses == before.uses and now.lemmas == before.lemmas
+        orders = last.orders if same_order else {}
+        if not kept:
+            return self.instantiate_all(orders)
         instances = dict(last.instances)
-        for _, path, d, _ in changed:
+        for path, d, _ in changed:
             for sym in last.instances_of.get(path, ()):
                 fn = memo.instances.get((sym, id(d)))
                 if fn is None:
                     fn = self.make_instance(sym, path, memo.keys[sym][1], d)
                 instances[sym] = fn
-        return replace(last, symbols=self.symbols, instances=instances,
-                       orders=last.orders if same_order else {})
+        return replace(last, symbols=self.symbols, instances=instances, orders=orders)
 
     # -- monomorphization -------------------------------------------------------
 
-    def instantiate_all(self):
+    def instantiate_all(self, orders: dict) -> Program:
+        """The program whose instances are drained from the roots, by the
+        memo's records, with `orders` as its task orders."""
         self.candidates = [[set() for _ in tps] for _, tps, _ in self.generic_facts]
         self.queue.extend(self.roots)
         for _ in range(LIVENESS_ROUNDS):
@@ -888,6 +883,12 @@ class _Resolver:
                   if math.prod(map(len, pools)) > LIVENESS_COMBINATIONS]
         if capped:
             self.liveness_caps["combinations"] = capped
+        return Program(
+            symbols=self.symbols, instances=self.instances,
+            instances_of={k: sorted(v) for k, v in self.instances_of.items()},
+            module_uses=self.module_uses, spec_scc=self.spec_sccs(),
+            task_symbols=self.task_symbols, liveness_caps=self.liveness_caps,
+            orders=orders)
 
     def drain_queue(self):
         """Make every queued instance and, depth first, what it demands."""
@@ -1163,32 +1164,28 @@ def _inst_stmt(s: Stmt, c: _Copy) -> Stmt:
 
 def resolve_program(asts: list[ProgramAst],
                     memo: ResolveMemo | None = None) -> tuple[Program, BroadcastRegistry]:
-    """Resolve `asts`. With a `memo`, reuse what it holds from earlier
-    resolves of the same declarations, and record what this one does. Work
-    on the prelude, if `asts` contains it, is read from and kept in the
-    prelude store."""
-    if memo is None or not memo.admits(asts):
-        memo = ResolveMemo()
-    store = prelude_store()
-    memo.adopt(store)
-    program = memo.last and _Resolver(asts, memo, store).patch(*memo.last)
-    if program is None:
+    """Resolve `asts`. With a `memo`, make the program from the last one the
+    memo resolved if their interfaces agree (`_Resolver.reuse`), and record
+    what this resolve does; otherwise resolve afresh, under a new memo
+    unless `memo` has not been used. Work on the prelude, if `asts` contains
+    it, is read from and kept in the prelude store."""
+    changed = None if memo is None else memo.changes(asts)
+    if changed is None:
+        # an interface changed, or the memo holds only a failed resolve's
+        # work: a memo serves only the interfaces it first resolved
+        if memo is None or memo.store is not None:
+            memo = ResolveMemo()
+        store = prelude_store()
+        memo.adopt(store)
         rs = _Resolver(asts, memo, store)
         rs.collect()
         rs.resolve_signatures()
         rs.check_all()
-        memo.registry = memo.registry or rs.build_registry()
-        rs.instantiate_all()
-        program = Program(
-            symbols=rs.symbols,
-            instances=rs.instances,
-            instances_of={k: sorted(v) for k, v in rs.instances_of.items()},
-            module_uses=rs.module_uses,
-            spec_scc=rs.spec_sccs(),
-            task_symbols=rs.task_symbols,
-            liveness_caps=rs.liveness_caps,
-        )
-    memo.last = (memo.decls, program)
+        memo.registry = rs.build_registry()
+        program = rs.instantiate_all({})
+    else:
+        program = _Resolver(asts, memo, memo.store).reuse(changed, memo.last[1])
+    memo.last = (tuple((a.module, tuple(a.declarations)) for a in asts), program)
     return program, memo.registry
 
 

@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import pytest
 
+import tunav.cli
 import tunav.minimize
 from tunav import driver, resolve, vcgen
 from tunav.driver import RunConfig, load_sources, verify_program
@@ -260,9 +261,10 @@ def record_builds(monkeypatch, made: list[str]):
 
 
 def compare_trials_with_fresh_runs(monkeypatch) -> list[int]:
-    """Make every run of a minimizer pass check that it equals a fresh run
-    on the same trees, and that its resolve built trees only for the
-    re-verified function. Returns each run's instance count."""
+    """Make every run of a minimizer pass, or of `tunav sample-failures`,
+    check that it equals a fresh run on the same trees, and that its resolve
+    built trees only for the re-verified function. Returns each run's
+    instance count."""
     sizes = []
     made = []
     shared_verify = tunav.minimize.verify_program
@@ -279,6 +281,7 @@ def compare_trials_with_fresh_runs(monkeypatch) -> list[int]:
 
     record_builds(monkeypatch, made)
     monkeypatch.setattr(tunav.minimize, "verify_program", compared)
+    monkeypatch.setattr(tunav.cli, "verify_program", compared)
     return sizes
 
 
@@ -287,12 +290,32 @@ def compare_trials_with_fresh_runs(monkeypatch) -> list[int]:
     (CORPUS, RunConfig(strategy=ALL_TRIGGERS), "function"),
     # every project-scope trial verifies all files: two keep it quick
     (CORPUS[:2], RunConfig(), "project"),
-], ids=["function", "all-triggers", "project"])
-def test_trials_equal_a_fresh_resolve(monkeypatch, files, config, scope):
+    # `tunav sample-failures`, whose trials are each pruned from the baseline
+    (CORPUS, RunConfig(), "sample"),
+], ids=["function", "all-triggers", "project", "sample"])
+def test_trials_equal_a_fresh_resolve(monkeypatch, capsys, files, config, scope):
     sizes = compare_trials_with_fresh_runs(monkeypatch)
-    report, _ = minimize(load_sources(files), config, scope=scope)
-    assert len(sizes) == report.runs > 10
-    assert report.removed
+    if scope != "sample":
+        report, _ = minimize(load_sources(files), config, scope=scope)
+        assert len(sizes) == report.runs > 10
+        assert report.removed
+        return
+    # a trial restores the site the one before it removed: against the
+    # memo's last program, two declarations change when the two sites lie
+    # in different functions
+    changed, changes = [], ResolveMemo.changes
+
+    def counting(memo, asts):
+        got = changes(memo, asts)
+        changed.append(got and len(got))
+        return got
+
+    monkeypatch.setattr(ResolveMemo, "changes", counting)
+    assert tunav.cli.main(["sample-failures", *files, "--n", "40", "--seed", "1"]) == 0
+    assert "sampled 40 removals" in capsys.readouterr().out
+    # the baseline has no last program to compare with
+    assert len(sizes) == len(changed) == 41 and changed[0] is None
+    assert 2 in changed and None not in changed[1:]
 
 
 @pytest.mark.parametrize("config", [
@@ -448,12 +471,46 @@ def test_runs_outside_the_pass_get_no_memo(monkeypatch):
     assert len(in_pass) == 2 and in_pass[0] is in_pass[1] is not None
 
 
+def record_outcomes(monkeypatch) -> list[str | None]:
+    """Append to the list returned the outcome of each resolve whose memo
+    had a last program: "kept" if it kept that program's drain, "redrain"
+    if it drained the memo's records again, "fresh" if an interface changed
+    and it resolved under a new memo, or None if checking a changed
+    declaration raised."""
+    outcomes = []
+    changes, reuse = ResolveMemo.changes, resolve._Resolver.reuse
+
+    def comparing(memo, asts):
+        changed = changes(memo, asts)
+        if changed is None and memo.last is not None:
+            outcomes.append("fresh")
+        return changed
+
+    def reusing(self, changed, last):
+        outcomes.append(None)
+        program = reuse(self, changed, last)
+        # a kept drain shares the last program's tables of it
+        outcomes[-1] = "kept" if program.instances_of is last.instances_of else "redrain"
+        return program
+
+    monkeypatch.setattr(ResolveMemo, "changes", comparing)
+    monkeypatch.setattr(resolve._Resolver, "reuse", reusing)
+    return outcomes
+
+
 BASE = """
 spec fn g(i: int) -> int { i + 1 }
 proof fn f(x: int) ensures g(x) > x { assert(g(x) == x + 1); }
 """
 # signatures that nothing in BASE's bodies reads
 SIGNED = BASE + "const K: int;\nspec fn h(i: int) -> int;\n"
+# a group and a module-level `broadcast use` that BASE's bodies do not need
+GROUPED = BASE + """
+broadcast axiom fn a1(i: int) ensures #[trigger] g(i) > i;
+broadcast axiom fn a2(i: int) ensures #[trigger] g(i) >= i;
+broadcast group both { a1, a2 }
+broadcast use {a1};
+"""
 
 
 @pytest.mark.parametrize("base, other", [
@@ -463,40 +520,29 @@ SIGNED = BASE + "const K: int;\nspec fn h(i: int) -> int;\n"
     (BASE, "proof fn g(i: int) { }\nproof fn f(x: int) { }"),  # a kind
     (SIGNED, SIGNED.replace("const K: int", "const K: bool")),
     (SIGNED, SIGNED.replace("(i: int) -> int;", "(i: int) -> bool;")),
-], ids=["renamed", "added", "signature", "kind", "const-type", "return-type"])
-def test_memo_serves_only_the_baselines_declarations(base, other):
+    (GROUPED, GROUPED.replace("broadcast use {a1}", "broadcast use {a2}")),
+    (GROUPED, GROUPED.replace("{ a1, a2 }", "{ a2 }")),
+], ids=["renamed", "added", "signature", "kind", "const-type", "return-type",
+        "module-use", "group-members"])
+def test_memo_serves_only_the_baselines_declarations(monkeypatch, base, other):
+    """A program whose interfaces differ from the memo's last program's is
+    resolved under a new memo: the shared memo keeps its work and its last
+    program, and the program equals a fresh resolve's."""
     base, changed = asts_of(base), asts_of(other)
+    outcomes = record_outcomes(monkeypatch)
     memo = ResolveMemo()
     resolve_program(base, memo)
     checked, made, signatures = dict(memo.checked), dict(memo.instances), memo.signatures
-    assert memo.admits(base) and not memo.admits(changed)
+    last = memo.last
     program, _ = resolve_program(changed, memo)
+    assert outcomes == ["fresh"]
     assert memo.checked == checked and memo.instances == made
-    assert memo.signatures is signatures
-    assert list(program.instances) == list(resolve_program(changed)[0].instances)
+    assert memo.signatures is signatures and memo.last is last
+    assert program_digest(program) == program_digest(resolve_program(changed)[0])
     with driver.shared_runs():
         verify_program(base, RunConfig())
         shared = verify_program(changed, RunConfig())
     assert run_digest(shared) == run_digest(fresh_verify(changed, RunConfig()))
-
-
-def record_patches(monkeypatch) -> list[bool]:
-    """Append to the list returned whether each resolve that had a last
-    program to patch took the patch path, or None if checking there raised."""
-    patched = []
-    patch = resolve._Resolver.patch
-
-    def recording(self, *args):
-        try:
-            program = patch(self, *args)
-        except ResolveError:
-            patched.append(None)
-            raise
-        patched.append(program is not None)
-        return program
-
-    monkeypatch.setattr(resolve._Resolver, "patch", recording)
-    return patched
 
 
 def seeded_corpus(seed: int) -> list:
@@ -511,11 +557,12 @@ def seeded_corpus(seed: int) -> list:
 def test_a_pass_does_each_resolve_step_once(monkeypatch):
     """Work counts over the pass that the benchmark's minimize-corpus times
     at seed 1, with no clock involved: liveness unifies each fact parameter
-    with each sort once, each instance symbol is rendered once, at least 90
-    of the 107 trials patch the last program, and a trial builds trees only
-    for the function it re-verifies."""
-    unified, rendered, made = Counter(), Counter(), []
-    patched = record_patches(monkeypatch)
+    with each sort once, each instance symbol is rendered once, `collect`
+    runs for the baseline only, 98 of the 107 trials keep the last
+    program's drain and the other 9 drain the memo's records again, and a
+    trial builds trees only for the function it re-verifies."""
+    unified, rendered, made, collected = Counter(), Counter(), [], []
+    outcomes = record_outcomes(monkeypatch)
     in_liveness = []  # whether the innermost unify call comes from liveness
     matches, unify = resolve._Resolver.matches, resolve.unify
     render = resolve.mono_symbol
@@ -550,14 +597,18 @@ def test_a_pass_does_each_resolve_step_once(monkeypatch):
             assert made and set(made) <= set(tasks)
         return run
 
+    collect = resolve._Resolver.collect
+    monkeypatch.setattr(resolve._Resolver, "collect",
+                        lambda self: collected.append(self) or collect(self))
     monkeypatch.setattr(resolve._Resolver, "matches", matching)
     monkeypatch.setattr(resolve, "unify", unifying)
     monkeypatch.setattr(resolve, "mono_symbol", rendering)
     record_builds(monkeypatch, made)
     monkeypatch.setattr(tunav.minimize, "verify_program", trial)
     report, _ = minimize(seeded_corpus(1), RunConfig(), scope="function")
-    assert report.runs - 1 == len(patched) == 107 and report.removed
-    assert sum(patched) >= 90
+    assert report.runs - 1 == len(outcomes) == 107 and report.removed
+    assert Counter(outcomes) == {"kept": 98, "redrain": 9}
+    assert len(collected) == 1
     assert unified and max(unified.values()) == 1
     assert rendered and max(rendered.values()) == 1
 
@@ -636,11 +687,11 @@ def without_assert(asts, ordinal):
 
 def resolve_twice(monkeypatch, src, ordinal):
     """Resolve `src`, then, under the same memo, `src` without the assert
-    numbered `ordinal`; return whether the second took the patch path, and
+    numbered `ordinal`; return the second's outcome (`record_outcomes`), and
     check that its program equals a fresh resolve's."""
     base = asts_of(src)
     pruned = without_assert(base, ordinal)
-    patched = record_patches(monkeypatch)
+    outcomes = record_outcomes(monkeypatch)
     memo = ResolveMemo()
     driver.resolve_with_prelude(base, memo)
     program, _ = driver.resolve_with_prelude(pruned, memo)
@@ -650,8 +701,8 @@ def resolve_twice(monkeypatch, src, ordinal):
         verify_program(base, RunConfig())
         shared = verify_program(pruned, RunConfig())
     assert run_digest(shared) == run_digest(fresh_verify(pruned, RunConfig()))
-    assert patched[0] == patched[1]
-    return patched[0]
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
 
 
 CALLS_AGAIN = """
@@ -668,16 +719,16 @@ proof fn f(x: int) ensures x + 1 > x {
 def test_a_removal_whose_callee_is_called_again_later_patches(monkeypatch):
     # demands g, h, g before and h, g after: the drain pops the last demand
     # first, so it meets g, then h, either way
-    assert resolve_twice(monkeypatch, CALLS_AGAIN, 0)
+    assert resolve_twice(monkeypatch, CALLS_AGAIN, 0) == "kept"
 
 
 def test_a_removal_that_reorders_the_drain_falls_back(monkeypatch):
     # demands h, g, h before (the drain meets h first) and h, g after (g
-    # first): the instances come in another order, so resolve afresh
+    # first): the instances come in another order, so drain again
     src = CALLS_AGAIN.replace("assert(g(x) == x + 1);\n    assert(h(x) == x);",
                               "assert(h(x) == x);\n    assert(g(x) == x + 1);")
     src = src.replace("assert(g(x) > x);", "assert(h(x) >= x);")
-    assert not resolve_twice(monkeypatch, src, 2)
+    assert resolve_twice(monkeypatch, src, 2) == "redrain"
 
 
 @pytest.mark.parametrize("src, ordinal", [
@@ -689,11 +740,67 @@ def test_a_removal_that_reorders_the_drain_falls_back(monkeypatch):
 ], ids=["sort", "demand"])
 def test_a_removal_that_drops_a_sort_or_a_demand_falls_back(monkeypatch, src,
                                                            ordinal):
-    assert not resolve_twice(monkeypatch, src, ordinal)
+    assert resolve_twice(monkeypatch, src, ordinal) == "redrain"
+
+
+# asserts 0 and 3 demand nothing, 1 is the only demand of h, 2 and 4 demand g
+CHAIN = """
+spec fn g(i: int) -> int { i + 1 }
+spec fn h(i: int) -> int { i }
+proof fn f(x: int) ensures x + 1 > x {
+    assert(x + 1 > x);
+    assert(h(x) == x);
+    assert(g(x) == x + 1);
+    assert(x + 2 > x);
+    assert(g(x) > x);
+}
+"""
+
+
+def test_a_chain_of_trials_under_one_memo(monkeypatch):
+    """Trials under one memo, each made from the last program resolved:
+    the baseline; a kept drain; a dropped demand, drained again; a kept
+    drain; a changed interface, resolved under a new memo; then one more
+    trial of the last accepted program, which keeps the shared memo's
+    drain. Every program and run equals a fresh one."""
+    base = asts_of(CHAIN)
+    sites = [s.span.key() for s in enumerate_assert_sites(base)]
+    chain = [base]
+    for ordinal in (0, 1, 3):
+        chain.append(prune_asts(chain[-1], {sites[ordinal]}))
+    [accepted] = chain[-1]
+    [extra] = asts_of("proof fn extra(x: int) { }")[0].declarations
+    chain.append([replace(accepted, declarations=accepted.declarations + [extra])])
+    chain.append(prune_asts(chain[-2], {sites[2]}))
+    outcomes = record_outcomes(monkeypatch)
+    memo = ResolveMemo()
+    for asts in chain:
+        program, _ = driver.resolve_with_prelude(asts, memo)
+        assert program_digest(program) == program_digest(
+            driver.resolve_with_prelude(asts)[0])
+    with driver.shared_runs():
+        runs = [verify_program(asts, RunConfig()) for asts in chain]
+    for asts, run in zip(chain, runs):
+        assert run.all_verified
+        assert run_digest(run) == run_digest(fresh_verify(asts, RunConfig()))
+    assert outcomes == ["kept", "redrain", "kept", "fresh", "kept"] * 2
+
+
+def test_a_memo_whose_first_resolve_failed_serves_no_other_program(monkeypatch):
+    """A memo without a last program but with work in it holds what a
+    failed resolve did: the next program is resolved under a new memo."""
+    memo = ResolveMemo()
+    with pytest.raises(ResolveError):
+        resolve_program(asts_of(BASE + "spec fn k(i: int) -> int { j }"), memo)
+    signatures = memo.signatures
+    other = asts_of(BASE.replace("(i: int) -> int { i + 1 }", "(i: nat) -> int { i + 1 }"))
+    program, _ = resolve_program(other, memo)
+    assert memo.last is None and memo.signatures is signatures
+    assert program_digest(program) == program_digest(resolve_program(other)[0])
 
 
 def test_trial_task_order_is_reused_only_when_no_import_changed(monkeypatch):
-    """A patched trial whose changed proof fns keep their `broadcast use`
+    """A trial whose changed proof fns keep their `broadcast use`
     paths and lemma calls gets the last run's task order itself; one that
     drops a `broadcast use` gets a fresh one, equal to a fresh run's."""
     src = """
@@ -705,12 +812,12 @@ proof fn p(x: int) ensures x == x {
 """
     base = asts_of(src)
     keep_use, drop_use = without_assert(base, 0), without_assert(base, 1)
-    patched = record_patches(monkeypatch)
+    outcomes = record_outcomes(monkeypatch)
     with driver.shared_runs():
         first = verify_program(base, RunConfig())
         same = verify_program(keep_use, RunConfig())
         other = verify_program(drop_use, RunConfig())
-    assert patched == [True, True]
+    assert outcomes == ["kept", "kept"]
     assert same.order is first.order
     assert other.order is not first.order
     assert first.order.deps["user::p"] == {"user::lemma_a"}
@@ -732,15 +839,15 @@ def test_a_trial_that_fails_to_check_raises_a_fresh_resolves_error(monkeypatch,
                                                                     case):
     """Through the public `resolve_program(asts, memo)`, a changed
     declaration that fails to check raises the error, message and span, of
-    a fresh resolve; the memo then still patches from the last program it
-    resolved."""
+    a fresh resolve; the memo then still keeps the drain of the last
+    program it resolved."""
     [base] = asts_of(CALLS_AGAIN)
     [bad_f] = [d for d in asts_of(CALLS_AGAIN.replace(
         "assert(g(x) == x + 1);", BAD_BODIES[case]))[0].declarations
         if d.name == "f"]
     bad = [replace(base, declarations=[bad_f if d.name == "f" else d
                                        for d in base.declarations])]
-    patched = record_patches(monkeypatch)
+    outcomes = record_outcomes(monkeypatch)
     memo = ResolveMemo()
     resolve_program([base], memo)
     with pytest.raises(ResolveError) as shared:
@@ -752,5 +859,5 @@ def test_a_trial_that_fails_to_check_raises_a_fresh_resolves_error(monkeypatch,
     assert shared.value.span == fresh.value.span is not None
     pruned = without_assert([base], 0)
     program, _ = resolve_program(pruned, memo)
-    assert patched == [None, True]
+    assert outcomes == [None, "kept"]
     assert program_digest(program) == program_digest(resolve_program(pruned)[0])
