@@ -25,7 +25,14 @@ Inside `shared_runs()`, the runs of the calling thread also share one
 it. The facts vcgen lowers from an instance live in the instance's resolve
 record (`resolve.MonoFn`), and so exactly as long as it: for the run, for
 the `shared_runs()` block, or, for an instance the prelude store keeps, for
-the process."""
+the process.
+
+A run makes no reference cycles: all it builds is freed by reference
+counting, so it pauses Python's cycle collector (`cyclegc.paused`), whose
+every collection inside it would free nothing. A caller's disabled collector
+stays disabled, and forked workers inherit the pause. On threads, one run's
+end can resume the collector while another's is still inside; that is
+harmless, as no run makes cycles."""
 
 from __future__ import annotations
 
@@ -38,6 +45,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from typing import NoReturn
 
+from tunav import cyclegc
 from tunav.engine.prover import Origin, Outcome
 from tunav.errors import ParseError, TunavError
 from tunav.prelude import load_prelude, prelude_store
@@ -430,16 +438,17 @@ def verify_program(user_asts: list[ProgramAst], config: RunConfig,
     processes, this one and workers forked after resolve, prove those whose
     results the prelude store does not hold, with results and errors equal
     to those of jobs=1. Where fork is unavailable or unsafe, the run is
-    serial."""
-    program, registry = resolve_with_prelude(user_asts, _shared.get())
-    order = order_tasks(program, registry, config.ambient)
-    user_modules = {a.module for a in user_asts}
-    selected = set(tasks) if tasks is not None else None
-    todo = [t for t in order.tasks if selected is None or t in selected]
-    results = _verify_tasks(todo, config.jobs, VcgenRun(program, registry, config))
+    serial. The run pauses Python's cycle collector (`cyclegc.paused`)."""
+    with cyclegc.paused():
+        program, registry = resolve_with_prelude(user_asts, _shared.get())
+        order = order_tasks(program, registry, config.ambient)
+        user_modules = {a.module for a in user_asts}
+        selected = set(tasks) if tasks is not None else None
+        todo = [t for t in order.tasks if selected is None or t in selected]
+        results = _verify_tasks(todo, config.jobs, VcgenRun(program, registry, config))
 
-    user_tasks = [t for t in program.proof_fns() if module_of(t) in user_modules]
-    return VerifyRun(program, registry, order, results, user_tasks)
+        user_tasks = [t for t in program.proof_fns() if module_of(t) in user_modules]
+        return VerifyRun(program, registry, order, results, user_tasks)
 
 # ---------------------------------------------------------------------------
 # Reports

@@ -83,32 +83,36 @@ def enumerate_assert_sites(asts: list[ProgramAst]) -> list[AssertSite]:
     return sites
 
 
+def _prune_stmts(stmts: list[Stmt], removed_keys: set) -> list[Stmt]:
+    out: list[Stmt] = []
+    for s in stmts:
+        if isinstance(s, (Assert, AssertBy)) and s.span.key() in removed_keys:
+            continue
+        if isinstance(s, AssertBy):
+            body = _prune_stmts(s.body, removed_keys)
+            if body is not s.body:
+                s = AssertBy(s.span, expr=s.expr, body=body)
+        out.append(s)
+    same = len(out) == len(stmts) and all(a is b for a, b in zip(out, stmts))
+    return stmts if same else out
+
+
+def _prune_decl(d, removed_keys: set):
+    if not isinstance(d, ProofFn):
+        return d
+    body = _prune_stmts(d.body, removed_keys)
+    return d if body is d.body else replace(d, body=body)
+
+
 def prune_asts(asts: list[ProgramAst], removed_keys: set) -> list[ProgramAst]:
     """`asts` without the assert sites whose span keys are in `removed_keys`.
     Every module, declaration and statement list that loses no site is
-    returned as the same object."""
-    def prune_stmts(stmts: list[Stmt]) -> list[Stmt]:
-        out: list[Stmt] = []
-        for s in stmts:
-            if isinstance(s, (Assert, AssertBy)) and s.span.key() in removed_keys:
-                continue
-            if isinstance(s, AssertBy):
-                body = prune_stmts(s.body)
-                if body is not s.body:
-                    s = AssertBy(s.span, expr=s.expr, body=body)
-            out.append(s)
-        same = len(out) == len(stmts) and all(a is b for a, b in zip(out, stmts))
-        return stmts if same else out
-
-    def prune_decl(d):
-        if not isinstance(d, ProofFn):
-            return d
-        body = prune_stmts(d.body)
-        return d if body is d.body else replace(d, body=body)
-
+    returned as the same object. Module-level helpers, not closures: a
+    self-recursive closure is a reference cycle, which only the cycle
+    collector frees, and it is paused in most of a pass."""
     pruned = []
     for ast in asts:
-        decls = [prune_decl(d) for d in ast.declarations]
+        decls = [_prune_decl(d, removed_keys) for d in ast.declarations]
         if all(a is b for a, b in zip(decls, ast.declarations)):
             pruned.append(ast)
         else:

@@ -31,7 +31,8 @@ class _SpanFields(NamedTuple):
 class SourceSpan(_SpanFields):
     """Where a node is in its file. The parser makes one for nearly every
     node, so it is a named tuple: immutable, compared and hashed by value,
-    and several times cheaper to build than a frozen dataclass."""
+    and several times cheaper to build than a frozen dataclass. The parser
+    builds its spans with `_make`, which skips the check in `__new__`."""
 
     __slots__ = ()
 

@@ -24,6 +24,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_left
 
+from tunav import cyclegc
 from tunav.errors import ParseError
 from tunav.syntax.ast import (
     Assert,
@@ -72,8 +73,12 @@ def module_path_for(path: str) -> str:
 
 
 def parse_module(source: str, path: str, module: str | None = None) -> ProgramAst:
-    """Parse one `.tv` file. `module` overrides the module path (file stem)."""
-    return _Parser(source, path).module(module or module_path_for(path))
+    """Parse one `.tv` file. `module` overrides the module path (file stem).
+    The parse makes no reference cycles, so it pauses Python's cycle
+    collector while it runs (`cyclegc.paused`); a caller's disabled
+    collector stays disabled."""
+    with cyclegc.paused():
+        return _Parser(source, path).module(module or module_path_for(path))
 
 
 class _Parser:
@@ -118,13 +123,15 @@ class _Parser:
 
     def span_from(self, i: int, end: int | None = None) -> SourceSpan:
         """From token `i` to `end`, by default the end of the last token
-        consumed."""
+        consumed. Built by `_make`, which bypasses `SourceSpan.__new__` and
+        its start <= end check: the parser's spans are well ordered
+        (`test_syntax`)."""
         if end is None:
             end = self.ends[self.pos - 1]
         start = self.starts[i]
         nl = self.newlines
         line = bisect_left(nl, start)  # as `lexer.position`
-        return SourceSpan(self.path, start, end, line, start - nl[line - 1])
+        return SourceSpan._make((self.path, start, end, line, start - nl[line - 1]))
 
     # -- module ------------------------------------------------------------
 
@@ -358,7 +365,7 @@ class _Parser:
         while prec >= min_prec:
             self.pos += 1
             rhs = self.expr(prec if assoc == "right" else prec + 1)
-            span = SourceSpan(path, start, rhs.span.end, line, col)
+            span = SourceSpan._make((path, start, rhs.span.end, line, col))
             if chained is not None and assoc == "chain":
                 # a <= b < c  ==>  a <= b && b < c
                 leg = BinOp(span, op=op, lhs=chained, rhs=rhs)

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import tunav.cli
 from tunav import driver
 from tunav import triggers as trig
 from tunav import vcgen
@@ -25,7 +26,7 @@ from tunav.driver import (
     verify_program,
 )
 from tunav.engine import prover
-from tunav.errors import TriggerError, TunavError
+from tunav.errors import ResolveError, TriggerError, TunavError
 from tunav.metrics import records_of_run
 from tunav.minimize import minimize
 from tunav.smtlib import emit_all
@@ -236,17 +237,47 @@ CORPUS = sorted(glob.glob("tests/corpus/*.tv"))
 
 def test_a_run_leaves_no_reference_cycles():
     """Everything a run builds is freed by reference counting once the run
-    is dropped; none of it waits for a full pass of the cycle collector."""
+    is dropped; none of it waits for a full pass of the cycle collector.
+    The same holds on every path that pauses the collector (`cyclegc`): a
+    run at jobs=2, a minimizer pass, the trials of `tunav sample-failures`,
+    parsing, and a run that raises."""
     asts = load_sources(CORPUS)
+    unresolved = [parse_module("proof fn f() { assert(nowhere(1)); }", "bad.tv")]
+    sample = tunav.cli.build_parser().parse_args(
+        ["sample-failures", *CORPUS, "--n", "40", "--seed", "1", "--no-timing"])
+
+    def run(jobs):
+        assert verify_program(asts, RunConfig(jobs=jobs)).all_verified
+
+    def raising_run():
+        try:
+            verify_program(unresolved, RunConfig())
+        except ResolveError:
+            pass
+        else:
+            raise AssertionError("expected a ResolveError")
+
+    cases = {
+        "jobs=1": lambda: run(1),
+        "jobs=2": lambda: run(2),
+        "minimize": lambda: minimize(asts, RunConfig()),
+        "sample-failures": lambda: tunav.cli.cmd_sample_failures(sample),
+        "parse": lambda: load_sources(CORPUS),
+        "ResolveError": raising_run,
+    }
+    # the first jobs=2 run imports the fork-join's modules, and the first
+    # sample-failures imports csv: module imports make cycles
+    run(2)
+    tunav.cli.cmd_sample_failures(sample)
     gc.collect()
     gc.disable()
     try:
-        run = verify_program(asts, RunConfig())
-        assert run.all_verified
-        del run
-        assert gc.collect() == 0
+        for name, case in cases.items():
+            case()
+            assert gc.collect() == 0, name
     finally:
         gc.enable()
+    _assert_no_worker_left()
 
 
 def _run_counts(run):

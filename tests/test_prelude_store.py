@@ -307,15 +307,22 @@ HEAVY = "prelude::seq::lemma_seq_contains_after_push"
 
 
 @functools.cache
-def bench_synth_sources():
-    """The benchmark's synth project (seed 1): four renamed corpus copies
-    with eight witness asserts deleted, so eight of its functions fail."""
+def bench_inputs():
+    """The benchmark's `inputs` module, which makes its projects from a
+    seed."""
     path = os.path.join(os.path.dirname(HERE), "bench", "inputs.py")
     spec = importlib.util.spec_from_file_location("bench_inputs", path)
     inputs = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = inputs  # for its dataclasses
     spec.loader.exec_module(inputs)
-    return [(s.text, s.path, s.module) for s in inputs.synth_project(1).sources]
+    return inputs
+
+
+@functools.cache
+def bench_synth_sources():
+    """The benchmark's synth project (seed 1): four renamed corpus copies
+    with eight witness asserts deleted, so eight of its functions fail."""
+    return [(s.text, s.path, s.module) for s in bench_inputs().synth_project(1).sources]
 
 
 def parity_outputs(project: str, jobs: str, smtlib: str = "yes") -> dict:

@@ -1,6 +1,12 @@
+import dataclasses
+import glob
+import random
+
 import pytest
 
+from tunav.driver import load_sources
 from tunav.errors import ParseError
+from tunav.prelude import load_prelude
 from tunav.syntax import (
     Assert,
     AssertBy,
@@ -10,6 +16,7 @@ from tunav.syntax import (
     Forall,
     Let,
     ProofFn,
+    SourceSpan,
     SpecFn,
     parse_module,
     render_module,
@@ -323,7 +330,6 @@ def test_type_hash_is_kept_and_not_pickled():
 def test_source_span_is_an_immutable_value():
     import pickle
 
-    from tunav.syntax import SourceSpan
     span = SourceSpan("f.tv", 3, 5, 1, 4)
     assert span == SourceSpan("f.tv", 3, 5, 1, 4) and span.key() == ("f.tv", 3, 5)
     assert pickle.loads(pickle.dumps(span)) == span
@@ -332,3 +338,45 @@ def test_source_span_is_an_immutable_value():
         span.start = 4
     with pytest.raises(ValueError, match="invalid span"):
         SourceSpan("f.tv", 5, 3, 1, 1)
+
+
+def _spans(node):
+    """Every span in the tree of `node`."""
+    if isinstance(node, SourceSpan):
+        yield node
+    elif isinstance(node, (list, tuple)):
+        for child in node:
+            yield from _spans(child)
+    elif dataclasses.is_dataclass(node):
+        for f in dataclasses.fields(node):
+            yield from _spans(getattr(node, f.name))
+
+
+def test_parsed_spans_are_well_ordered():
+    """The parser builds its spans without `SourceSpan`'s start <= end
+    check, so every span of every tree it makes must pass that check: those
+    of the corpus, the prelude, the benchmark's synth projects, and the
+    seeded random sources of `test_lexer` that parse."""
+    from test_lexer import random_source
+    from test_prelude_store import bench_inputs
+
+    trees = load_sources(sorted(glob.glob("tests/corpus/*.tv"))) + load_prelude()
+    for seed in (1, 2):
+        trees += [parse_module(s.text, s.path, module=s.module)
+                  for s in bench_inputs().synth_project(seed).sources]
+    rng = random.Random(2024)
+    parsed = 0
+    for _ in range(3000):
+        try:
+            trees.append(parse_module(random_source(rng), "t.tv"))
+            parsed += 1
+        except ParseError:
+            pass
+    assert parsed > 100
+    count = 0
+    for tree in trees:
+        for span in _spans(tree):
+            assert type(span) is SourceSpan and span.file == tree.path
+            assert span.start <= span.end, span
+            count += 1
+    assert count > 15000
