@@ -10,7 +10,9 @@ other declaration object with it; the pass's runs reuse each other's
 resolution of those (`driver.shared_runs`), and with it the facts lowered
 from their instances, which live in the instances' resolve records until the
 pass ends. A trial's program is made from the last run's: only the function
-that lost a site is checked again, and the last task order stands when no
+that lost a site is checked again, and in it only its `let`s and the
+`assert ... by` block, if any, that lost the site; every other clause and
+statement is taken from the pass's memo. The last task order stands when no
 `broadcast use` or lemma call changed. If the removal keeps the sorts and
 the symbols that function demands, and the order in which resolve first
 meets them, the last run's instances stand and only that function's are

@@ -31,12 +31,20 @@ Resolves that share a `ResolveMemo` (the runs of one minimizer pass) do each
 piece of work once: signatures and the registry are resolved once, a
 declaration object is checked once, an instance symbol is rendered once, and
 an instance is made once per declaration object, with the symbols it demands.
+A caller's memo also keeps what checking each requires/ensures clause and
+each body statement of a user fn produced (`_Checker.part`): a clause or
+statement object that comes back in the same scope (the fn's path, the
+quantifier depth, and the variables in scope with their types) is not
+checked again; a `let` binds a name, so it always is. A memo that resolve
+makes for itself keeps none, so a lone resolve pays nothing for it.
 A resolve under a memo compares each declaration with the one at its place
 in the last program the memo resolved (`ResolveMemo.changes`). If an
 interface changed (the modules, a declaration that is not a user fn, or a
 fn's kind, name or signature), the program is resolved afresh, under a new
 memo.
-Otherwise only the changed declarations are checked (`_Resolver.reuse`). If
+Otherwise only the changed declarations are checked (`_Resolver.reuse`),
+and of them only the clauses and statements the memo has not seen in their
+scope, in source order, so a failing check raises a fresh resolve's error. If
 each checked tree mentions the sorts of the one it replaces, demands the same
 symbols in the order the drain meets them (`_drained`) and, for a spec fn,
 has a body if the old one had, the last program's instances, their order,
@@ -280,9 +288,13 @@ class ResolveMemo:
     memo lives. A memo starts from the prelude store's records (`adopt`),
     and the resolver adds the prelude work it does to both."""
 
-    def __init__(self):
+    def __init__(self, record: bool = True):
         # id(fn declaration) -> its checked record
         self.checked: dict[int, MonoFn] = {}
+        # (id(node), fn path, quantifier depth, variables in scope) -> what
+        # checking that user clause or statement produced (`_Checker.part`);
+        # None in a memo no caller keeps, which records nothing
+        self.parts: dict[tuple, _Part] | None = {} if record else None
         # read off the interfaces once: `resolve_signatures`, the registry
         self.signatures: tuple | None = None
         self.registry: BroadcastRegistry | None = None
@@ -474,7 +486,12 @@ class _Checker:
         self.demands: list[str] = []
         self.sorts: set[Type] = set()
         self.uses: list[str] = []
-        self.lemmas: set[str] = set()
+        self.lemmas: list[str] = []
+        # the memo's table of checked clauses and statements (`part`), and
+        # the path of the fn being checked; None unless a caller's memo
+        # records them
+        self.parts: dict[tuple, _Part] | None = None
+        self.path = ""
 
     def bind(self, name: str, ty: Type, span, what: str):
         if name in self.vars:
@@ -564,6 +581,38 @@ class _Checker:
             return replace(e, binders=binders, body=body, ty=self.typed(BOOL)), BOOL
         raise ResolveError(f"cannot type {type(e).__name__}", e.span)
 
+    def part(self, node: Expr | Stmt, check) -> Expr | Stmt:
+        """`check(node)`, the typed tree of a clause or statement, and what
+        checking it adds to the record. If the same node object was checked
+        in the same scope (the fn's path, the quantifier depth, and the
+        variables in scope with their types), all of that is taken from the
+        memo's parts; otherwise it is checked now and recorded there. A
+        check that raises records nothing."""
+        parts = self.parts
+        if parts is None:
+            return check(node)
+        key = (id(node), self.path, self.quantified, tuple(self.vars.items()))
+        got = parts.get(key)
+        if got is not None:
+            _, typed, demands, sorts, uses, lemmas = got
+            self.demands += demands
+            self.sorts |= sorts
+            self.uses += uses
+            self.lemmas += lemmas
+            return typed
+        demands, uses, lemmas = len(self.demands), len(self.uses), len(self.lemmas)
+        outer, self.sorts = self.sorts, set()  # the sorts `node` mentions
+        typed = check(node)
+        parts[key] = _Part(node, typed, tuple(self.demands[demands:]),
+                           frozenset(self.sorts), tuple(self.uses[uses:]),
+                           tuple(self.lemmas[lemmas:]))
+        outer |= self.sorts
+        self.sorts = outer
+        return typed
+
+    def check_clause(self, e: Expr) -> Expr:
+        return self.require(e, BOOL)
+
     def require(self, e: Expr, want: Type) -> Expr:
         node, got = self.check_expr(e)
         if got is not want and carrier(got) != carrier(want):
@@ -593,7 +642,9 @@ class _Checker:
     # -- statements ----------------------------------------------------------
 
     def check_stmts(self, stmts: list[Stmt]) -> list[Stmt]:
-        typed = [self.check_stmt(s) for s in stmts]
+        # a let binds a name, so it is always checked
+        typed = [self.check_stmt(s) if isinstance(s, Let)
+                 else self.part(s, self.check_stmt) for s in stmts]
         for s in stmts:
             if isinstance(s, Let):
                 del self.vars[s.name]
@@ -611,7 +662,7 @@ class _Checker:
             return Let(s.span, name=s.name, expr=expr)
         if isinstance(s, LemmaCall):
             args, path, sym, _ = self.check_call(s, s.path, s.args, (ProofFn, AxiomFn))
-            self.lemmas.add(path)
+            self.lemmas.append(path)
             return LemmaCall(s.span, path=s.path, args=args, resolved=sym)
         if isinstance(s, UseStmt):
             paths = [self.rs.resolve_import(p, self.module, s.span) for p in s.paths]
@@ -1055,12 +1106,29 @@ def _drained(demands: tuple[str, ...]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(reversed(demands)))
 
 
+class _Part(NamedTuple):
+    """What checking a clause or statement produced (`_Checker.part`): the
+    node checked, which keeps the id in its key valid while the memo lives,
+    its typed tree, its demands in order, the sorts it mentions, and its
+    `broadcast use` and lemma paths."""
+
+    node: Expr | Stmt
+    typed: Expr | Stmt
+    demands: tuple[str, ...]
+    sorts: frozenset[Type]
+    uses: tuple[str, ...]
+    lemmas: tuple[str, ...]
+
+
 def _check_decl(path: str, d: Declaration, rs: _Resolver) -> MonoFn:
     """Check fn `path` and build its typed tree: its record (`MonoFn`)."""
     if isinstance(d, SpecFn) and d.ret.name == "nat" and d.body is not None:
         raise ResolveError(
             "nat return types are only supported on bodiless spec fns", d.span)
+    kept = id(d) in rs.store.decls
     ck = _Checker(rs, module_of(path), d.type_params)
+    if not kept:  # the prelude store keeps a prelude declaration's record
+        ck.parts, ck.path = rs.memo.parts, path
     params = rs.params[path]
     for p in params:
         ck.bind(p.name, p.ty, d.span, "parameter")
@@ -1074,15 +1142,15 @@ def _check_decl(path: str, d: Declaration, rs: _Resolver) -> MonoFn:
                        body=None if d.body is None else ck.require(d.body, ret))
     else:
         ck.quantified = int(d.broadcast)
-        clauses = {"requires": [ck.require(e, BOOL) for e in d.requires],
-                   "ensures": [ck.require(e, BOOL) for e in d.ensures]}
+        clauses = {"requires": [ck.part(e, ck.check_clause) for e in d.requires],
+                   "ensures": [ck.part(e, ck.check_clause) for e in d.ensures]}
         ck.quantified = 0
         if isinstance(d, ProofFn):
             clauses["body"] = ck.check_stmts(d.body)
         tree = replace(d, type_params=[], params=list(params), **clauses)
     return MonoFn(rs.memo.symbol(path, ()), path, (), _KINDS[type(d)], tree, d,
                   tuple(ck.demands), frozenset(ck.sorts), tuple(ck.uses),
-                  frozenset(ck.lemmas), id(d) in rs.store.decls)
+                  frozenset(ck.lemmas), kept)
 
 
 class _Copy(NamedTuple):
@@ -1174,7 +1242,7 @@ def resolve_program(asts: list[ProgramAst],
         # an interface changed, or the memo holds only a failed resolve's
         # work: a memo serves only the interfaces it first resolved
         if memo is None or memo.store is not None:
-            memo = ResolveMemo()
+            memo = ResolveMemo(record=False)
         store = prelude_store()
         memo.adopt(store)
         rs = _Resolver(asts, memo, store)

@@ -66,6 +66,9 @@ _NOT_AN_OPERATOR = (0, "")
 # keys after an identifier or a literal that make it more than a lone operand
 _TRAILERS = frozenset(("(", "::", "."))
 
+# builds a `SourceSpan` from its fields without the checked constructor
+_span = tuple.__new__
+
 
 def module_path_for(path: str) -> str:
     stem = os.path.splitext(os.path.basename(path))[0]
@@ -123,15 +126,15 @@ class _Parser:
 
     def span_from(self, i: int, end: int | None = None) -> SourceSpan:
         """From token `i` to `end`, by default the end of the last token
-        consumed. Built by `_make`, which bypasses `SourceSpan.__new__` and
-        its start <= end check: the parser's spans are well ordered
-        (`test_syntax`)."""
+        consumed. Built by `tuple.__new__`, which bypasses `SourceSpan.__new__`
+        and its start <= end check, and is cheaper than the named tuple's
+        `_make`: the parser's spans are well ordered (`test_syntax`)."""
         if end is None:
             end = self.ends[self.pos - 1]
         start = self.starts[i]
         nl = self.newlines
         line = bisect_left(nl, start)  # as `lexer.position`
-        return SourceSpan._make((self.path, start, end, line, start - nl[line - 1]))
+        return _span(SourceSpan, (self.path, start, end, line, start - nl[line - 1]))
 
     # -- module ------------------------------------------------------------
 
@@ -365,7 +368,7 @@ class _Parser:
         while prec >= min_prec:
             self.pos += 1
             rhs = self.expr(prec if assoc == "right" else prec + 1)
-            span = SourceSpan._make((path, start, rhs.span.end, line, col))
+            span = _span(SourceSpan, (path, start, rhs.span.end, line, col))
             if chained is not None and assoc == "chain":
                 # a <= b < c  ==>  a <= b && b < c
                 leg = BinOp(span, op=op, lhs=chained, rhs=rhs)

@@ -6,7 +6,7 @@ import random
 import threading
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import pytest
 
@@ -18,7 +18,17 @@ from tunav.errors import BaselineFailure, ResolveError
 from tunav.minimize import enumerate_assert_sites, minimize, prune_asts
 from tunav.resolve import ResolveMemo, resolve_program
 from tunav.syntax import parse_module, render_module
-from tunav.syntax.ast import AssertBy, ProofFn, UseStmt, walk_stmts
+from tunav.syntax.ast import (
+    AssertBy,
+    AxiomFn,
+    Declaration,
+    Expr,
+    Let,
+    ProofFn,
+    Stmt,
+    UseStmt,
+    walk_stmts,
+)
 from tunav.triggers import ALL_TRIGGERS
 
 CORPUS = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
@@ -218,13 +228,26 @@ proof fn f(x: int) {
     assert new[1] is old[1] and new[1].body is old[1].body
 
 
+def tree_digest(node):
+    """A typed tree as nested tuples of every field of every node, among
+    them the spans, types (`ty`) and callee symbols (`resolved`) that node
+    equality ignores."""
+    if isinstance(node, list):
+        return tuple(map(tree_digest, node))
+    if isinstance(node, (Expr, Stmt, Declaration)):
+        return (type(node).__name__,
+                *(tree_digest(getattr(node, f.name)) for f in fields(node)))
+    return node
+
+
 def program_digest(program):
     """Every table of a resolved program: instance symbols in order, with
-    what each records but its tree and lowered facts, among it the symbols
-    it demands; the declaration each path names; each path's instances,
-    spec SCCs, module imports, task instances and liveness caps."""
+    what each records but its lowered facts, among it the symbols it
+    demands and its typed tree (`tree_digest`); the declaration each path
+    names; each path's instances, spec SCCs, module imports, task instances
+    and liveness caps."""
     return ({sym: (fn.decl_path, fn.targs, fn.kind, fn.demands, fn.sorts, fn.uses,
-                   fn.lemmas, fn.kept, fn.owners)
+                   fn.lemmas, fn.kept, fn.owners, tree_digest(fn.decl))
              for sym, fn in program.instances.items()},
             list(program.instances),
             {path: id(d) for path, d in program.symbols.items()},
@@ -258,6 +281,29 @@ def record_builds(monkeypatch, made: list[str]):
             return build(path, *args)
 
         monkeypatch.setattr(resolve, name, recording)
+
+
+def record_checks(monkeypatch) -> list:
+    """Append to the list returned every requires/ensures clause and every
+    statement that resolve's checker checks rather than takes from the
+    memo's parts."""
+    checked = []
+    for name in ("check_clause", "check_stmt"):
+        def recording(self, node, check=getattr(resolve._Checker, name)):
+            checked.append(node)
+            return check(self, node)
+
+        monkeypatch.setattr(resolve._Checker, name, recording)
+    return checked
+
+
+def clauses_and_stmts(asts) -> list:
+    """The requires/ensures clauses and the statements, nested ones too, of
+    every fn in `asts`."""
+    return [node for a in asts for d in a.declarations
+            if isinstance(d, (ProofFn, AxiomFn))
+            for node in (*d.requires, *d.ensures,
+                         *(walk_stmts(d.body) if isinstance(d, ProofFn) else ()))]
 
 
 def compare_trials_with_fresh_runs(monkeypatch) -> list[int]:
@@ -559,9 +605,14 @@ def test_a_pass_does_each_resolve_step_once(monkeypatch):
     at seed 1, with no clock involved: liveness unifies each fact parameter
     with each sort once, each instance symbol is rendered once, `collect`
     runs for the baseline only, 98 of the 107 trials keep the last
-    program's drain and the other 9 drain the memo's records again, and a
-    trial builds trees only for the function it re-verifies."""
+    program's drain and the other 9 drain the memo's records again, a
+    trial builds trees only for the function it re-verifies, and in it
+    re-checks no clause, and no statement but a `let`, that an earlier run
+    of the pass checked."""
     unified, rendered, made, collected = Counter(), Counter(), [], []
+    checked = record_checks(monkeypatch)
+    # every earlier run's trees, so that the ids in `seen` stay theirs
+    runs, seen, rechecked_lets = [], set(), []
     outcomes = record_outcomes(monkeypatch)
     in_liveness = []  # whether the innermost unify call comes from liveness
     matches, unify = resolve._Resolver.matches, resolve.unify
@@ -592,9 +643,15 @@ def test_a_pass_does_each_resolve_step_once(monkeypatch):
 
     def trial(asts, config, tasks=None):
         made.clear()
+        checked.clear()
         run = shared_verify(asts, config, tasks=tasks)
         if tasks is not None:
             assert made and set(made) <= set(tasks)
+            assert all(isinstance(node, Let) or id(node) not in seen
+                       for node in checked)
+            rechecked_lets.extend(node for node in checked if isinstance(node, Let))
+        runs.append(asts)
+        seen.update(map(id, clauses_and_stmts(asts)))
         return run
 
     collect = resolve._Resolver.collect
@@ -608,6 +665,7 @@ def test_a_pass_does_each_resolve_step_once(monkeypatch):
     report, _ = minimize(seeded_corpus(1), RunConfig(), scope="function")
     assert report.runs - 1 == len(outcomes) == 107 and report.removed
     assert Counter(outcomes) == {"kept": 98, "redrain": 9}
+    assert rechecked_lets  # the corpus has lets in the functions it prunes
     assert len(collected) == 1
     assert unified and max(unified.values()) == 1
     assert rendered and max(rendered.values()) == 1
@@ -860,4 +918,99 @@ def test_a_trial_that_fails_to_check_raises_a_fresh_resolves_error(monkeypatch,
     pruned = without_assert([base], 0)
     program, _ = resolve_program(pruned, memo)
     assert outcomes == [None, "kept"]
+    assert program_digest(program) == program_digest(resolve_program(pruned)[0])
+
+
+def test_a_lone_resolve_records_nothing(monkeypatch):
+    """A resolve without a caller's memo, and so every run outside a
+    shared block, keeps no clause or statement: resolving the same trees
+    again checks each of them again."""
+    memos = []
+
+    class Watched(ResolveMemo):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            memos.append(self)
+
+    monkeypatch.setattr(resolve, "ResolveMemo", Watched)
+    checked = record_checks(monkeypatch)
+    asts = asts_of(CALLS_AGAIN)
+    resolve_program(asts)
+    first = list(checked)
+    resolve_program(asts)
+    verify_program(asts, RunConfig())
+    assert len(memos) == 3 and all(memo.parts is None for memo in memos)
+    # f's ensures clause and its three asserts, each time
+    assert len(first) == 4
+    assert list(map(id, checked[4:8])) == list(map(id, first))
+
+
+# `y`'s type comes from the let; the last assert is the one pruned
+SCOPED = """
+proof fn f(x: int) {
+    let y = 1;
+    assert(y == 1);
+    assert(x == x);
+}
+"""
+
+
+def f_tree(program):
+    return program.instances["user::f"].decl
+
+
+def test_a_kept_statement_comes_from_the_memo_in_the_same_scope(monkeypatch):
+    base = asts_of(SCOPED)
+    pruned = without_assert(base, 1)
+    memo = ResolveMemo()
+    first, _ = resolve_program(base, memo)
+    checked = record_checks(monkeypatch)
+    program, _ = resolve_program(pruned, memo)
+    # the let is checked again, as it binds `y`; the assert after it is not
+    assert [type(node).__name__ for node in checked] == ["Let"]
+    assert f_tree(program).body[1] is f_tree(first).body[1]
+    assert program_digest(program) == program_digest(resolve_program(pruned)[0])
+
+
+def test_a_kept_statement_under_a_changed_let_raises_a_fresh_resolves_error():
+    """The same `assert(y == 1)` object after `let y = true;`: `y` has
+    another type in its scope, so it is checked again and fails as in a
+    fresh resolve."""
+    [base] = asts_of(SCOPED)
+    [f] = base.declarations
+    [bool_let] = [s for s in asts_of(SCOPED.replace("let y = 1;", "let y = true;"))[0]
+                  .declarations[0].body if isinstance(s, Let)]
+    changed = [replace(base, declarations=[replace(f, body=[bool_let, *f.body[1:]])])]
+    memo = ResolveMemo()
+    resolve_program([base], memo)
+    with pytest.raises(ResolveError) as shared:
+        resolve_program(changed, memo)
+    with pytest.raises(ResolveError) as fresh:
+        resolve_program(changed)
+    assert type(shared.value) is type(fresh.value)
+    assert str(shared.value) == str(fresh.value)
+    assert "type mismatch" in str(fresh.value)
+    assert shared.value.span == fresh.value.span == f.body[1].expr.span
+
+
+def test_a_rebuilt_assert_by_takes_its_kept_statements_from_the_memo(monkeypatch):
+    base = asts_of("""
+proof fn f(x: int) ensures x == x {
+    assert(x == x) by {
+        let z = x;
+        assert(1 == 1);
+        assert(z >= x);
+    }
+}
+""")
+    pruned = without_assert(base, 1)
+    memo = ResolveMemo()
+    first, _ = resolve_program(base, memo)
+    checked = record_checks(monkeypatch)
+    program, _ = resolve_program(pruned, memo)
+    [block] = pruned[0].declarations[0].body
+    # the block is new, so it is checked, its let again, and nothing else
+    assert list(map(id, checked)) == [id(block), id(block.body[0])]
+    [old], [new] = f_tree(first).body, f_tree(program).body
+    assert new is not old and new.body[1] is old.body[2]
     assert program_digest(program) == program_digest(resolve_program(pruned)[0])
