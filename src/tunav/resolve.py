@@ -21,8 +21,9 @@ Resolution never modifies the ASTs it is given. Checking a declaration
 builds its typed tree (`_Checker`): nodes carry their types, callees their
 instance symbols, `use` statements their absolute paths. An instance's one
 record (`MonoFn`) holds that tree (`MonoFn.decl`, which vcgen and the engine
-read), the declaration it was checked from, the symbols it demands, the
-sorts it mentions and the facts vcgen lowers from it. A non-generic
+read), the declaration it was checked from, the symbols it demands (those
+of its requires and ensures first, and how many they are), the sorts it
+mentions and the facts vcgen lowers from it. A non-generic
 declaration's checked record is its instance; only a generic declaration's
 instances are copies, made from its record at their type arguments. A
 declaration's module is read off its path (`module_of`).
@@ -198,8 +199,12 @@ class MonoFn:
     decl: Declaration  # the typed tree
     source: Declaration  # the declaration checked, which keys the record by id
     # the symbols it demands, each call's before its arguments': a spec fn's
-    # are the callees of its body
+    # are the callees of its body; a proof or axiom fn's are those of its
+    # requires, then its ensures, then its body
     demands: tuple[str, ...]
+    # how many of `demands`, from the first, its requires and ensures make
+    # (none for a spec fn): vcgen reads a lemma's or a fact's callees off them
+    clause_demands: int
     # the sorts it mentions: the carriers of its parameter, return and node
     # types, with their type arguments
     sorts: frozenset[Type]
@@ -687,11 +692,10 @@ def _subst_type(t: Type, sub: dict[str, Type]) -> Type:
 
 
 class _Resolver:
-    def __init__(self, asts: list[ProgramAst], memo: ResolveMemo,
-                 store: PreludeStore):
+    def __init__(self, asts: list[ProgramAst], memo: ResolveMemo):
         self.asts = asts
         self.memo = memo
-        self.store = store
+        self.store = memo.store
         self.symbols: dict[str, Declaration] = {}
         self.module_names: list[str] = []
         self.instances: dict[str, MonoFn] = {}
@@ -974,7 +978,7 @@ class _Resolver:
             tree, demands, sorts = _instantiate_decl(
                 path, fn, dict(zip(decl.type_params, targs)), self)
             fn = MonoFn(sym, path, targs, fn.kind, tree, decl, demands,
-                        frozenset(sorts), fn.uses, fn.lemmas,
+                        fn.clause_demands, frozenset(sorts), fn.uses, fn.lemmas,
                         fn.kept and all(map(self.store.holds, targs)),
                         skolem_owners(targs))
         if fn.kept:
@@ -1133,6 +1137,7 @@ def _check_decl(path: str, d: Declaration, rs: _Resolver) -> MonoFn:
     for p in params:
         ck.bind(p.name, p.ty, d.span, "parameter")
         ck.typed(p.ty)
+    clause_demands = 0
     if isinstance(d, SpecFn):
         ret = rs.rets[path]
         ck.typed(ret)
@@ -1144,13 +1149,14 @@ def _check_decl(path: str, d: Declaration, rs: _Resolver) -> MonoFn:
         ck.quantified = int(d.broadcast)
         clauses = {"requires": [ck.part(e, ck.check_clause) for e in d.requires],
                    "ensures": [ck.part(e, ck.check_clause) for e in d.ensures]}
+        clause_demands = len(ck.demands)
         ck.quantified = 0
         if isinstance(d, ProofFn):
             clauses["body"] = ck.check_stmts(d.body)
         tree = replace(d, type_params=[], params=list(params), **clauses)
     return MonoFn(rs.memo.symbol(path, ()), path, (), _KINDS[type(d)], tree, d,
-                  tuple(ck.demands), frozenset(ck.sorts), tuple(ck.uses),
-                  frozenset(ck.lemmas), kept)
+                  tuple(ck.demands), clause_demands, frozenset(ck.sorts),
+                  tuple(ck.uses), frozenset(ck.lemmas), kept)
 
 
 class _Copy(NamedTuple):
@@ -1243,16 +1249,15 @@ def resolve_program(asts: list[ProgramAst],
         # work: a memo serves only the interfaces it first resolved
         if memo is None or memo.store is not None:
             memo = ResolveMemo(record=False)
-        store = prelude_store()
-        memo.adopt(store)
-        rs = _Resolver(asts, memo, store)
+        memo.adopt(prelude_store())
+        rs = _Resolver(asts, memo)
         rs.collect()
         rs.resolve_signatures()
         rs.check_all()
         memo.registry = rs.build_registry()
         program = rs.instantiate_all({})
     else:
-        program = _Resolver(asts, memo, memo.store).reuse(changed, memo.last[1])
+        program = _Resolver(asts, memo).reuse(changed, memo.last[1])
     memo.last = (tuple((a.module, tuple(a.declarations)) for a in asts), program)
     return program, memo.registry
 

@@ -317,13 +317,3 @@ def walk_stmts(stmts: list[Stmt]):
         yield s
         if isinstance(s, AssertBy):
             yield from walk_stmts(s.body)
-
-
-def stmt_exprs(s: Stmt) -> list[Expr]:
-    if isinstance(s, (Assert, AssertBy)):
-        return [s.expr]
-    if isinstance(s, Let):
-        return [s.expr]
-    if isinstance(s, LemmaCall):
-        return list(s.args)
-    return []

@@ -5,10 +5,14 @@ preconditions, ensures clauses), each paired with the fact context assembled
 from the task's entry imports (`resolve.entry_imports`: default group, ambient
 paths, module `broadcast use`), block-scoped `broadcast use` at their own
 position, definitional axioms of reachable spec fns, and facts established by
-preceding statements. A context holds the shared lowered fact objects, never
-copies of them. The facts lowered from an instance are kept in its resolve
-record (`MonoFn.lowered`), so they live exactly as long as that record: for
-the run, for a `driver.shared_runs()` block (a minimizer pass), or for the
+preceding statements. Which spec fns are reachable is read off the calls
+resolve recorded (`MonoFn.demands`): the task's own, the requires and ensures
+of the lemmas it calls and of the facts it imports, and then, breadth first,
+each spec fn's body, in the order resolve met the calls; vcgen walks no tree
+for them. A context holds the shared lowered fact objects, never copies of
+them. The facts lowered from an instance are kept in its resolve record
+(`MonoFn.lowered`), so they live exactly as long as that record: for the
+run, for a `driver.shared_runs()` block (a minimizer pass), or for the
 process if the prelude store keeps the instance. A hypothesis is compiled,
 and its origin set made, once, when it enters a context.
 """
@@ -49,9 +53,6 @@ from tunav.syntax.ast import (
     Type,
     UseStmt,
     Var,
-    stmt_exprs,
-    walk_exprs,
-    walk_stmts,
 )
 from tunav import triggers as trig
 
@@ -94,8 +95,6 @@ class QuantifiedFact:
     strategy: str  # the run's, for the quantifiers nested in the fact
     # the engine's form of the fact, built with it
     engine: EngineFact | None = field(default=None, repr=False, compare=False)
-    # the mono symbols the conclusion calls, then those the hypothesis calls
-    calls: tuple[str, ...] = field(default=(), repr=False, compare=False)
     # whether it was lowered from an instance the prelude store keeps, and
     # so lives, in that instance's record, for the process
     kept: bool = field(default=False, repr=False, compare=False)
@@ -106,10 +105,6 @@ class QuantifiedFact:
                                     self.hypothesis, self.conclusion,
                                     [g.exprs for g in self.triggers.groups],
                                     frozenset([self.origin]), self.strategy)
-        exprs = [self.conclusion]
-        if self.hypothesis is not None:
-            exprs.append(self.hypothesis)
-        self.calls = _calls_of(exprs)
 
 
 @dataclass
@@ -262,23 +257,6 @@ def definitional_axiom(inst: MonoFn, fuel: int, program: Program,
 
 
 # ---------------------------------------------------------------------------
-# Reachable spec fns
-# ---------------------------------------------------------------------------
-
-
-def _call_symbols(e: Expr) -> list[str]:
-    """The mono symbols `e` calls, sorted."""
-    return sorted({c.resolved for c in walk_exprs(e)
-                   if isinstance(c, Call) and c.resolved})
-
-
-def _calls_of(exprs: Iterable[Expr]) -> tuple[str, ...]:
-    """The mono symbols each of `exprs` calls, expression by expression, each
-    symbol at its first place."""
-    return tuple(dict.fromkeys(sym for e in exprs for sym in _call_symbols(e)))
-
-
-# ---------------------------------------------------------------------------
 # Context assembly and obligations
 # ---------------------------------------------------------------------------
 
@@ -332,7 +310,8 @@ class VcgenRun:
     def reachable_spec_fns(self, symbols: Iterable[str]) -> list[str]:
         """The spec fns among `symbols` and those their bodies call,
         transitively, in breadth-first order. A body's callees are the
-        symbols resolve recorded its instance demanding, sorted."""
+        symbols resolve recorded its instance demanding, in the order it
+        recorded them."""
         seen: set[str] = set()
         queue = deque(symbols)
         out: list[str] = []
@@ -345,7 +324,7 @@ class VcgenRun:
             if inst is None or inst.kind != "spec":
                 continue
             out.append(sym)
-            queue.extend(sorted(set(inst.demands)))
+            queue.extend(inst.demands)
         return out
 
 
@@ -367,22 +346,26 @@ class _ObligationBuilder:
         return [inst for inst in self.run.imported(import_path)
                 if not inst.owners or self.task in inst.owners]
 
-    def import_facts(self, ctx: FactContext, import_path: str):
+    def import_facts(self, ctx: FactContext, import_path: str) -> list[MonoFn]:
         """Add every instance of the facts named by `import_path` (a fact or
-        group) that `ctx` lacks."""
+        group) that `ctx` lacks; return those added."""
+        added = []
         for inst in self._instances_for(import_path):
             if inst.symbol not in ctx.by_key:
                 ctx.add_fact(self.run.facts_of(inst)[0])
+                added.append(inst)
+        return added
 
     # -- obligations ----------------------------------------------------------------
 
     def build(self) -> list[Obligation]:
         decl = self.inst.decl
         ctx = FactContext()
+        entry: list[MonoFn] = []
         for path in entry_imports(self.program, self.run.registry, self.task,
                                   self.config.ambient,
                                   not self.config.no_default_prelude):
-            self.import_facts(ctx, path)
+            entry += self.import_facts(ctx, path)
 
         for p in decl.params:
             if p.ty.name == "nat":
@@ -395,7 +378,7 @@ class _ObligationBuilder:
 
         # definitional axioms for every spec fn reachable from the function's
         # expressions or its imported facts
-        self._add_definitions(ctx)
+        self._add_definitions(ctx, entry)
 
         self._walk(decl.body, ctx)
 
@@ -403,26 +386,23 @@ class _ObligationBuilder:
             self._emit(e, ctx, Site("ensures", e.span, i))
         return self.obligations
 
-    def _add_definitions(self, ctx: FactContext):
-        decl = self.inst.decl
-        exprs: list[Expr] = list(decl.requires) + list(decl.ensures)
-        for s in walk_stmts(decl.body):
-            exprs.extend(stmt_exprs(s))
-            if isinstance(s, LemmaCall):
-                callee = self.program.instances.get(s.resolved)
-                if callee is not None:
-                    exprs.extend(callee.decl.requires)
-                    exprs.extend(callee.decl.ensures)
-            if isinstance(s, UseStmt):
-                for p in s.paths:
-                    for inst in self._instances_for(p):
-                        exprs.extend(inst.decl.requires)
-                        exprs.extend(inst.decl.ensures)
-        symbols = list(_calls_of(exprs))
-        for qf in ctx.facts:
-            symbols.extend(qf.calls)
+    def _add_definitions(self, ctx: FactContext, entry: list[MonoFn]):
+        """Add the definitional axioms of the spec fns reachable from the
+        calls resolve recorded (`MonoFn.demands`): the task's, where a lemma
+        it calls stands for the calls of its requires and ensures, then
+        those of the requires and ensures of the facts its body's
+        `broadcast use` names and of `entry`, the facts it imports on entry."""
+        instances = self.program.instances
+        symbols: list[str] = []
+        for sym in self.inst.demands:
+            callee = instances[sym]
+            symbols += ((sym,) if callee.kind == "spec"
+                        else callee.demands[:callee.clause_demands])
+        used = [inst for p in self.inst.uses for inst in self._instances_for(p)]
+        for inst in used + entry:
+            symbols += inst.demands[:inst.clause_demands]
         for sym in self.run.reachable_spec_fns(symbols):
-            for qf in self.run.facts_of(self.program.instances[sym]):
+            for qf in self.run.facts_of(instances[sym]):
                 if qf.key not in ctx.by_key:
                     ctx.add_fact(qf)
 

@@ -243,11 +243,12 @@ def tree_digest(node):
 def program_digest(program):
     """Every table of a resolved program: instance symbols in order, with
     what each records but its lowered facts, among it the symbols it
-    demands and its typed tree (`tree_digest`); the declaration each path
-    names; each path's instances, spec SCCs, module imports, task instances
-    and liveness caps."""
-    return ({sym: (fn.decl_path, fn.targs, fn.kind, fn.demands, fn.sorts, fn.uses,
-                   fn.lemmas, fn.kept, fn.owners, tree_digest(fn.decl))
+    demands, how many of them its clauses demand, and its typed tree
+    (`tree_digest`); the declaration each path names; each path's
+    instances, spec SCCs, module imports, task instances and liveness caps."""
+    return ({sym: (fn.decl_path, fn.targs, fn.kind, fn.demands, fn.clause_demands,
+                   fn.sorts, fn.uses, fn.lemmas, fn.kept, fn.owners,
+                   tree_digest(fn.decl))
              for sym, fn in program.instances.items()},
             list(program.instances),
             {path: id(d) for path, d in program.symbols.items()},

@@ -29,14 +29,18 @@ from tunav.driver import resolve_with_prelude
 from tunav.errors import TriggerError
 from tunav.syntax import parse_module
 from tunav.syntax.ast import (
+    Assert,
+    AssertBy,
     Call,
     Exists,
     Expr,
     Forall,
+    LemmaCall,
+    Let,
     ProofFn,
     SpecFn,
+    Stmt,
     Var,
-    stmt_exprs,
     walk_exprs,
     walk_stmts,
 )
@@ -83,6 +87,15 @@ def quantifier_lines(q: trig.Quantifier) -> list[str]:
                                secondary=unmarked(q.secondary))
     return (["  marked"] + selection_lines(lambda s: trig.infer_triggers(q, s))
             + ["  unmarked"] + selection_lines(lambda s: trig.infer_triggers(bare, s)))
+
+
+def stmt_exprs(s: Stmt) -> list[Expr]:
+    """The expressions of statement `s` itself, not of those it contains."""
+    if isinstance(s, (Assert, AssertBy, Let)):
+        return [s.expr]
+    if isinstance(s, LemmaCall):
+        return list(s.args)
+    return []
 
 
 def nested_quantifiers(decl) -> list[tuple[str, Expr]]:

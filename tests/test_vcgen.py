@@ -1,14 +1,31 @@
 import glob
 import os
+from collections import deque
 
 import pytest
 
+from test_resolve_snapshot import renamed_corpus
 from tunav.driver import RunConfig, load_sources, resolve_with_prelude
 from tunav.engine.prover import Limits
 from tunav.errors import TunavError
-from tunav.resolve import skolem
+from tunav.resolve import entry_imports, skolem
 from tunav.syntax import parse_module
-from tunav.syntax.ast import BinOp, Binder, Call, Forall, SourceSpan, Type, Var
+from tunav.syntax.ast import (
+    Assert,
+    AssertBy,
+    BinOp,
+    Binder,
+    Call,
+    Forall,
+    LemmaCall,
+    Let,
+    SourceSpan,
+    Type,
+    UseStmt,
+    Var,
+    walk_exprs,
+    walk_stmts,
+)
 from tunav.syntax.render import render_expr
 from tunav.vcgen import (
     VcgenRun,
@@ -218,8 +235,7 @@ proof fn four(x: int)
     assert [ob.site.kind for ob in obs] == ["assert"] * 3 + ["ensures"]
 
 
-def test_lemma_call_preconditions():
-    src = """
+LEMMA_PRE_SRC = """
 proof fn helper(a: int, b: int)
     requires a > 0, b > a
     ensures a + b > 1
@@ -230,7 +246,10 @@ proof fn caller(x: int)
     helper(x, x + 1);
 }
 """
-    program, registry = program_of(src)
+
+
+def test_lemma_call_preconditions():
+    program, registry = program_of(LEMMA_PRE_SRC)
     obs = generate_obligations("user::caller", VcgenRun(program, registry))
     pre = [ob for ob in obs if ob.site.kind == "lemma-pre"]
     assert len(pre) == 2
@@ -238,8 +257,7 @@ proof fn caller(x: int)
     assert all(o.status == "verified" for o in outs)
 
 
-def test_lemma_call_postcondition_usable():
-    src = """
+LEMMA_POST_SRC = """
 spec fn g(i: int) -> int;
 proof fn fact_of_seven()
     ensures g(7) == 7
@@ -250,12 +268,14 @@ proof fn uses_call(x: int)
     fact_of_seven();
 }
 """
-    outs, _ = prove_task(src, "uses_call")
+
+
+def test_lemma_call_postcondition_usable():
+    outs, _ = prove_task(LEMMA_POST_SRC, "uses_call")
     assert all(o.status == "verified" for o in outs)
 
 
-def test_nat_argument_precondition():
-    src = """
+NAT_ARG_SRC = """
 proof fn wants_nat(k: nat)
     ensures k >= 0
 { }
@@ -269,9 +289,12 @@ proof fn passes_bad(x: int)
     wants_nat(x);
 }
 """
-    outs_ok, _ = prove_task(src, "passes_int")
+
+
+def test_nat_argument_precondition():
+    outs_ok, _ = prove_task(NAT_ARG_SRC, "passes_int")
     assert all(o.status == "verified" for o in outs_ok)
-    outs_bad, _ = prove_task(src, "passes_bad")
+    outs_bad, _ = prove_task(NAT_ARG_SRC, "passes_bad")
     assert any(o.status == "failed" for o in outs_bad)
 
 
@@ -330,8 +353,7 @@ def test_capture_avoiding_names_stay_distinct():
         "forall|y': int, z': int| y + z < y' && (forall|y': int| y + z < y')")
 
 
-def test_assert_by_block_scoping():
-    src = """
+ASSERT_BY_SRC = """
 proof fn scoped(a: Seq<int>)
     requires a.contains(5)
 {
@@ -341,7 +363,10 @@ proof fn scoped(a: Seq<int>)
     assert(a.push(2).contains(5));
 }
 """
-    program, registry = program_of(src)
+
+
+def test_assert_by_block_scoping():
+    program, registry = program_of(ASSERT_BY_SRC)
     obs = generate_obligations("user::scoped", VcgenRun(program, registry))
     # block obligation sees the locally imported lemma, the later one does not
     by_ob = obs[0]
@@ -415,8 +440,7 @@ proof fn above_limit(x: int)
     assert outs[0].status == "verified"
 
 
-def test_user_sort_transitivity_chain():
-    src = """
+CHAIN_SRC = """
 sort Tag;
 spec fn before(a: Tag, b: Tag) -> bool;
 broadcast axiom fn axiom_before_trans(a: Tag, b: Tag, c: Tag)
@@ -429,7 +453,10 @@ proof fn chain(w: Tag, x: Tag, y: Tag, z: Tag)
     broadcast use {axiom_before_trans};
 }
 """
-    outs, _ = prove_task(src, "chain")
+
+
+def test_user_sort_transitivity_chain():
+    outs, _ = prove_task(CHAIN_SRC, "chain")
     assert outs[0].status == "verified"
 
 
@@ -483,10 +510,7 @@ def test_owners_match_the_skolem_sorts_of_the_type_arguments():
     assert all(owned[sym] == {task} for task, syms in seen.items() for sym in syms)
 
 
-def test_contexts_share_lowered_fact_objects():
-    """Every context of every task of a run holds the run's one lowered
-    object for a fact; importing a fact makes no copy of it."""
-    src = """
+SHARED_USE_SRC = """
 proof fn first(a: Seq<int>) {
     broadcast use {group_seq_properties};
     assert(a.push(3).contains(3));
@@ -496,7 +520,12 @@ proof fn second(a: Seq<int>) {
     assert(a.push(4).contains(4));
 }
 """
-    program, registry = program_of(src)
+
+
+def test_contexts_share_lowered_fact_objects():
+    """Every context of every task of a run holds the run's one lowered
+    object for a fact; importing a fact makes no copy of it."""
+    program, registry = program_of(SHARED_USE_SRC)
     run = VcgenRun(program, registry)
     contexts = [ob.context
                 for task in ("user::first", "user::second")
@@ -506,3 +535,174 @@ proof fn second(a: Seq<int>) {
              for ctx in contexts]
     assert len(facts) == 2
     assert facts[0] is facts[1]
+
+
+# -- definitional reach ---------------------------------------------------------
+
+
+ORDER_SRC = """
+spec fn a_fn(x: int) -> int { x + 1 }
+spec fn b_fn(x: int) -> int { x + 2 }
+proof fn sum(x: int)
+    ensures b_fn(x) + a_fn(x) == 2*x + 3
+{ }
+"""
+
+
+def definitions(ob) -> list:
+    return [qf for qf in ob.context.facts if qf.origin.kind == "definition"]
+
+
+def test_definitions_come_in_source_order():
+    """A context gets the definitional axioms of the spec fns a task calls in
+    the order the source calls them, not by name: swapping the two names
+    leaves the axioms in the same order by body."""
+    swapped = ORDER_SRC.replace("a_fn", "#").replace("b_fn", "a_fn").replace("#", "b_fn")
+    bodies = []
+    for src, first, second in ((ORDER_SRC, "b_fn", "a_fn"), (swapped, "a_fn", "b_fn")):
+        outs, (ob,) = prove_task(src, "sum")
+        assert [qf.key for qf in definitions(ob)] == [f"user::{first}", f"user::{second}"]
+        assert outs[0].status == "verified"
+        bodies.append([render_expr(qf.conclusion.rhs) for qf in definitions(ob)])
+    assert bodies[0] == bodies[1] == ["x + 2", "x + 1"]
+
+
+# Spec fns with bodies reached only through a lemma's requires and ensures
+# (a generic lemma's too), those of the facts a block's and a module's
+# `broadcast use` name, and another spec fn's body; a lemma's body reaches
+# nothing.
+FACTS_SRC = """
+spec fn in_entry(x: int) -> int { x + 3 }
+spec fn pre_entry(x: int) -> int { x - 3 }
+broadcast proof fn lemma_in_entry(x: int)
+    requires pre_entry(x) < x
+    ensures #[trigger] in_entry(x) > x
+{ }
+"""
+REACH_SRC = """
+spec fn twice<A>(s: Seq<A>) -> int { s.len() + s.len() }
+spec fn inc(x: int) -> int { x + 1 }
+spec fn base(x: int) -> int { x }
+spec fn dec(x: int) -> int { base(x) - 1 }
+spec fn body_only(x: int) -> int { x * 2 }
+spec fn in_block(x: int) -> int { x + 4 }
+proof fn lemma_twice<A>(s: Seq<A>)
+    ensures twice(s) >= 0
+{ }
+proof fn lemma_inc(x: int)
+    requires dec(x) < x
+    ensures inc(x) > x
+{
+    assert(body_only(x) == x * 2);
+}
+broadcast proof fn lemma_in_block(x: int)
+    ensures #[trigger] in_block(x) > x
+{ }
+broadcast use {facts::lemma_in_entry};
+proof fn caller(y: int, s: Seq<int>)
+{
+    lemma_inc(y);
+    lemma_twice(s);
+    assert(true) by {
+        broadcast use {lemma_in_block};
+    }
+}
+"""
+
+
+def reach_asts():
+    return [parse_module(FACTS_SRC, "facts.tv", module="facts"),
+            parse_module(REACH_SRC, "user.tv", module="user")]
+
+
+def old_definition_keys(task: str, run: VcgenRun) -> set[str]:
+    """The reference: the keys of the definitional axioms that vcgen's own
+    tree walk gave `task`, frozen as it was. It walked the spec fns called in
+    the task's requires, ensures and statements, in the requires and ensures
+    of each lemma it calls and of each fact its body's `broadcast use` names,
+    and in the facts it imports on entry, then their bodies' callees."""
+    builder = _ObligationBuilder(task, run)
+    program, decl, config = run.program, builder.inst.decl, run.config
+    exprs = list(decl.requires) + list(decl.ensures)
+    for s in walk_stmts(decl.body):
+        if isinstance(s, (Assert, AssertBy, Let)):
+            exprs.append(s.expr)
+        elif isinstance(s, LemmaCall):
+            exprs.extend(s.args)
+            callee = program.instances[s.resolved]
+            exprs += callee.decl.requires + callee.decl.ensures
+        elif isinstance(s, UseStmt):
+            for p in s.paths:
+                for inst in builder._instances_for(p):
+                    exprs += inst.decl.requires + inst.decl.ensures
+    for p in entry_imports(program, run.registry, task, config.ambient,
+                           not config.no_default_prelude):
+        for inst in builder._instances_for(p):
+            qf = run.facts_of(inst)[0]
+            exprs += [qf.conclusion] + ([qf.hypothesis] if qf.hypothesis else [])
+    queue = deque(sorted({c.resolved for e in exprs for c in walk_exprs(e)
+                          if isinstance(c, Call) and c.resolved}))
+    seen, keys = set(), set()
+    while queue:
+        sym = queue.popleft()
+        if sym in seen:
+            continue
+        seen.add(sym)
+        inst = program.instances.get(sym)
+        if inst is None or inst.kind != "spec":
+            continue
+        keys.update(qf.key for qf in run.facts_of(inst))
+        queue.extend(sorted(set(inst.demands)))
+    return keys
+
+
+def assert_old_definitions(asts, config: RunConfig = RunConfig()) -> int:
+    """Every obligation of every task of `asts` has the reference's
+    definitional axioms (`old_definition_keys`); returns how many it has."""
+    program, registry = resolve_with_prelude(asts)
+    run = VcgenRun(program, registry, config)
+    total = 0
+    for task in program.proof_fns():
+        want = old_definition_keys(task, run)
+        for ob in generate_obligations(task, run):
+            got = [qf.key for qf in definitions(ob)]
+            assert len(got) == len(set(got)) and set(got) == want, (task, ob.site)
+            total += len(got)
+    return total
+
+
+def test_the_reference_reaches_through_lemmas_and_imports():
+    """The reference reaches the spec fns of a lemma's clauses, a generic
+    lemma's included, of the facts a block or the module imports, and of
+    their bodies, but not those of a lemma's body."""
+    program, registry = resolve_with_prelude(reach_asts())
+    keys = old_definition_keys("user::caller", VcgenRun(program, registry))
+    assert keys == {"user::inc", "user::dec", "user::base", "user::twice<int>",
+                    "user::in_block", "facts::in_entry", "facts::pre_entry"}
+
+
+PROPERTIES = tuple(f"prelude::{m}::group_{m}_properties"
+                   for m in ("seq", "set", "map", "multiset"))
+
+
+@pytest.mark.parametrize("config", [
+    RunConfig(), RunConfig(strategy=trig.ALL_TRIGGERS), RunConfig(fuel=2),
+    RunConfig(no_default_prelude=True), RunConfig(ambient=PROPERTIES)],
+    ids=["conservative", "all-triggers", "fuel-2", "no-default-prelude", "ambient"])
+def test_definitions_equal_the_old_walks_on_the_corpus(config):
+    corpus = sorted(glob.glob(os.path.join(os.path.dirname(__file__), "corpus", "*.tv")))
+    assert assert_old_definitions(load_sources(corpus), config) > 0
+
+
+@pytest.mark.parametrize("asts", [
+    pytest.param(lambda: [], id="prelude-only"),
+    pytest.param(lambda: renamed_corpus(0), id="renamed-corpus"),
+    pytest.param(reach_asts, id="reach"),
+    *(pytest.param(lambda src=src: [parse_module(src, "user.tv", module="user")], id=name)
+      for name, src in (("lemma-pre", LEMMA_PRE_SRC), ("lemma-post", LEMMA_POST_SRC),
+                        ("nat-arg", NAT_ARG_SRC), ("capture", CAPTURE_SRC),
+                        ("assert-by", ASSERT_BY_SRC), ("chain", CHAIN_SRC),
+                        ("block-use", SHARED_USE_SRC)))])
+def test_definitions_equal_the_old_walks(asts):
+    for config in (RunConfig(), RunConfig(fuel=2)):
+        assert_old_definitions(asts(), config)
